@@ -37,17 +37,37 @@ type BatchUnitResult struct {
 	Artifact *CompileResponse `json:"artifact,omitempty"`
 }
 
+// BatchTally is the set-level summary titanload aggregates.
+type BatchTally struct {
+	Units      int   `json:"units"`
+	OK         int   `json:"ok"`
+	Compiled   int   `json:"compiled"`    // fresh compiles (local misses)
+	CacheHits  int   `json:"cache_hits"`  // memory/disk/inflight hits
+	RemoteHits int   `json:"remote_hits"` // served by the owning peer
+	Failed     int   `json:"failed"`
+	ElapsedNS  int64 `json:"elapsed_ns"`
+}
+
 // BatchResponse is the POST /compile/batch reply: per-unit results in
-// input order plus the set-level tallies titanload aggregates.
+// input order plus the set-level tallies.
 type BatchResponse struct {
-	Results    []BatchUnitResult `json:"results"`
-	Units      int               `json:"units"`
-	OK         int               `json:"ok"`
-	Compiled   int               `json:"compiled"`    // fresh compiles (local misses)
-	CacheHits  int               `json:"cache_hits"`  // memory/disk/inflight hits
-	RemoteHits int               `json:"remote_hits"` // served by the owning peer
-	Failed     int               `json:"failed"`
-	ElapsedNS  int64             `json:"elapsed_ns"`
+	Results []BatchUnitResult `json:"results"`
+	BatchTally
+}
+
+// batchReply is BatchResponse as the server encodes it: each unit's
+// artifact is its stored bytes with the stamp spliced on, embedded
+// verbatim, where the client-side type has the decoded CompileResponse.
+type batchReply struct {
+	Results []batchUnitReply `json:"results"`
+	BatchTally
+}
+
+type batchUnitReply struct {
+	Index    int             `json:"index"`
+	Status   int             `json:"status"`
+	Error    string          `json:"error,omitempty"`
+	Artifact json.RawMessage `json:"artifact,omitempty"`
 }
 
 // handleBatch serves POST /compile/batch. Each unit takes the exact
@@ -109,7 +129,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := BatchResponse{Results: make([]BatchUnitResult, len(units)), Units: len(units)}
+	reply := batchReply{Results: make([]batchUnitReply, len(units)), BatchTally: BatchTally{Units: len(units)}}
+	outs := make([]unitOutcome, len(units))
 	var wg sync.WaitGroup
 	// Bound in-batch concurrency at the worker count: enough to keep
 	// every worker busy, few enough that the admission queue stays
@@ -121,54 +142,47 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp.Results[i] = s.batchUnit(r, units[i], cats, i)
+			reply.Results[i], outs[i] = s.batchUnit(r, units[i], cats, i)
 		}(i)
 	}
 	wg.Wait()
 
-	for _, res := range resp.Results {
+	for _, out := range outs {
 		switch {
-		case res.Status != http.StatusOK:
-			resp.Failed++
-		case res.Artifact.CacheTier == TierRemote:
-			resp.OK++
-			resp.RemoteHits++
-		case res.Artifact.Cached:
-			resp.OK++
-			resp.CacheHits++
+		case out.err != nil:
+			reply.Failed++
+		case out.tier == TierRemote:
+			reply.OK++
+			reply.RemoteHits++
+		case out.cached:
+			reply.OK++
+			reply.CacheHits++
 		default:
-			resp.OK++
-			resp.Compiled++
+			reply.OK++
+			reply.Compiled++
 		}
 	}
-	resp.ElapsedNS = time.Since(start).Nanoseconds()
-	writeJSON(w, http.StatusOK, resp)
+	reply.ElapsedNS = time.Since(start).Nanoseconds()
+	writeJSON(w, http.StatusOK, reply)
 }
 
-// batchUnit serves one unit of a batch and shapes the outcome.
-func (s *Server) batchUnit(r *http.Request, req CompileRequest, cats []*inline.Catalog, index int) BatchUnitResult {
+// batchUnit serves one unit of a batch and shapes the outcome: on
+// success the same stamped bytes a standalone /compile would have
+// written (less the newline), with the unit's own elapsed time.
+func (s *Server) batchUnit(r *http.Request, req CompileRequest, cats []*inline.Catalog, index int) (batchUnitReply, unitOutcome) {
 	unitStart := time.Now()
 	out := s.serveUnit(r.Context(), req, req.Options.driverOptions(cats))
-	res := BatchUnitResult{Index: index, Status: out.status}
+	res := batchUnitReply{Index: index, Status: out.status}
 	if out.err != nil {
 		if res.Status == 0 {
 			res.Status = http.StatusInternalServerError
 		}
 		res.Error = out.err.Error()
-		return res
+		return res, out
 	}
 	res.Status = http.StatusOK
-	var art CompileResponse
-	if err := json.Unmarshal(out.blob, &art); err != nil {
-		res.Status = http.StatusInternalServerError
-		res.Error = fmt.Sprintf("corrupt cached artifact: %v", err)
-		return res
-	}
-	art.Cached = out.cached
-	art.CacheTier = out.tier
 	elapsed := time.Since(unitStart)
-	art.ElapsedNS = elapsed.Nanoseconds()
 	s.metrics.observe(elapsed)
-	res.Artifact = &art
-	return res
+	res.Artifact = appendStamped(make([]byte, 0, len(out.blob)+stampCap), out.blob, out.cached, out.tier, elapsed.Nanoseconds())
+	return res, out
 }

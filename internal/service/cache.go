@@ -48,6 +48,11 @@ type CacheStats struct {
 	// CorruptDrops counts disk entries that failed SHA-256 verification
 	// on read and were deleted instead of served.
 	CorruptDrops int64 `json:"corrupt_drops"`
+	// PeerRejects counts artifacts a peer supplied (PUT /cache/{key}, or
+	// its answer to a fetch) that failed the ingest check and never
+	// entered the cache. The server counts these, not the Cache, which
+	// stores whatever bytes it is given.
+	PeerRejects int64 `json:"peer_rejects"`
 }
 
 // Cache tiers reported by Get (plus the two pseudo-tiers the compile
@@ -68,7 +73,10 @@ const (
 // diskMagic heads every disk-tier file, followed by the hex SHA-256 of
 // the artifact bytes and a newline. Files without the header (or whose
 // body does not hash to the recorded digest) are corrupt and deleted.
-const diskMagic = "titanart1 "
+// The version digit names the artifact shape: titanart1 entries carried
+// a dead "cached"/"elapsed_ns" pair that a stamp must not be spliced
+// after, so they fail the prefix check and are recompiled.
+const diskMagic = "titanart2 "
 
 // NewCache returns a cache with the given in-memory budget and optional
 // disk directory (created if missing).

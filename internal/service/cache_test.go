@@ -151,6 +151,9 @@ func TestCacheDiskCorruptionDropped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read disk entry: %v", err)
 	}
+	if !bytes.HasPrefix(raw, []byte("titanart2 ")) {
+		t.Fatalf("disk entry header: %.20q", raw)
+	}
 	// Flip a byte inside the artifact body (past the digest header).
 	raw[len(raw)-3] ^= 0x40
 	if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,6 +222,113 @@ func TestClusterPeerDeathDegradesToLocal(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsBadPeerArtifacts: what an owner answers to a fetch
+// is validated like a PUT before it is cached and served. A confused,
+// stale or older-versioned owner costs a local compile, never a wrong
+// or malformed reply, and never a poisoned memory entry.
+func TestClusterRejectsBadPeerArtifacts(t *testing.T) {
+	// The owner is a stub: ready, accepts write-throughs, and answers
+	// GET /cache/{key} with whatever the case under test planted.
+	var mu sync.Mutex
+	planted := map[string][]byte{}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		key, isCache := strings.CutPrefix(r.URL.Path, "/cache/")
+		if !isCache || r.Method != http.MethodGet {
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		mu.Lock()
+		blob, ok := planted[key]
+		mu.Unlock()
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write(blob)
+	}))
+	defer stub.Close()
+
+	self := "http://self.invalid:1"
+	clu, err := cluster.New(cluster.Config{
+		Self:          self,
+		Peers:         []string{self, stub.URL},
+		FetchTimeout:  2 * time.Second,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	clu.ProbeOnce()
+	s, ts := newTestServer(t, Config{Cluster: clu})
+
+	// stubOwned returns a fresh request whose key the stub owns.
+	next := 0
+	stubOwned := func() (CompileRequest, string) {
+		for {
+			req := CompileRequest{Source: fmt.Sprintf("int main(void) { return %d; }", next)}
+			next++
+			if key := keyFor(t, req); clu.Owner(key) != nil {
+				return req, key
+			}
+		}
+	}
+	_, otherKey := stubOwned()
+
+	cases := []struct {
+		name string
+		blob func(key string) []byte
+	}{
+		{"another key's artifact", func(string) []byte {
+			b, _ := json.Marshal(artifact{Key: otherKey, Asm: "poison"})
+			return b
+		}},
+		{"truncated JSON", func(key string) []byte {
+			b, _ := json.Marshal(artifact{Key: key, Asm: "poison"})
+			return b[:len(b)/2]
+		}},
+		{"old-shape blob", func(key string) []byte {
+			b, _ := json.Marshal(CompileResponse{Key: key, Asm: "poison"})
+			return b
+		}},
+	}
+	for i, c := range cases {
+		req, key := stubOwned()
+		mu.Lock()
+		planted[key] = c.blob(key)
+		mu.Unlock()
+
+		out := compileAt(t, c.name, ts.URL, req, false, TierNone)
+		if out.Key != key || out.Report == nil || strings.Contains(out.Asm, "poison") {
+			t.Errorf("%s: reply is not the local compile: key=%s asm=%q", c.name, out.Key, out.Asm)
+		}
+		if blob, tier := s.cache.Get(key); tier != TierMemory || checkArtifact(key, blob) != nil {
+			t.Errorf("%s: memory holds tier=%q, check: %v", c.name, tier, checkArtifact(key, blob))
+		}
+		again := compileAt(t, c.name+", repeat", ts.URL, req, true, TierMemory)
+		if again.Asm != out.Asm {
+			t.Errorf("%s: the memory hit serves different code than the compile", c.name)
+		}
+		m := getMetrics(t, ts)
+		if m.Cache.PeerRejects != int64(i+1) || m.Compiles.RemoteHits != 0 || m.Compiles.CacheMisses != int64(i+1) {
+			t.Errorf("%s: peer_rejects=%d remote_hits=%d misses=%d, want %d, 0, %d",
+				c.name, m.Cache.PeerRejects, m.Compiles.RemoteHits, m.Compiles.CacheMisses, i+1, i+1)
+		}
+	}
+
+	// Control: the stub is really consulted — a well-formed artifact
+	// under the right key is a remote hit.
+	req, key := stubOwned()
+	good, _ := json.Marshal(artifact{Key: key, Asm: "from the owner"})
+	mu.Lock()
+	planted[key] = good
+	mu.Unlock()
+	if out := compileAt(t, "well-formed artifact", ts.URL, req, true, TierRemote); out.Asm != "from the owner" {
+		t.Errorf("remote hit served asm=%q", out.Asm)
+	}
+}
+
 // TestClusterCatalogResolution uploads a §7 catalog to one node and
 // compiles against its id on another: the second node fetches the
 // catalog from its peers, verifies the fingerprint, and inlines.
@@ -327,27 +437,43 @@ func TestPeerTierEndpoints(t *testing.T) {
 	if resp := do("GET", "/cache/"+key, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("miss: %d", resp.StatusCode)
 	}
-	// A write-through must carry the artifact it claims: key mismatch
-	// and undecodable blobs are rejected.
-	other, _ := json.Marshal(CompileResponse{Key: "0000000000000000000000000000000000000000000000000000000000000000"})
-	if resp := do("PUT", "/cache/"+key, other); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("mismatched PUT: %d", resp.StatusCode)
+	// A write-through must carry the artifact it claims, in the stored
+	// shape and nothing after it: these bytes are served unread from now
+	// on, so each malformation is refused here.
+	valid, _ := json.Marshal(artifact{Key: key, Asm: "ret"})
+	other, _ := json.Marshal(artifact{Key: "0000000000000000000000000000000000000000000000000000000000000000"})
+	oldShape, _ := json.Marshal(CompileResponse{Key: key, Asm: "ret"})
+	rejected := map[string][]byte{
+		"mismatched key": other,
+		"garbage":        []byte("not json"),
+		"old shape":      oldShape,
+		"trailing bytes": append(append([]byte{}, valid...), '\n'),
+		"truncated":      valid[:len(valid)-1],
 	}
-	if resp := do("PUT", "/cache/"+key, []byte("not json")); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage PUT: %d", resp.StatusCode)
+	for name, body := range rejected {
+		if resp := do("PUT", "/cache/"+key, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s PUT: %d, want 400", name, resp.StatusCode)
+		}
 	}
-	// A valid write-through round-trips.
-	blob, _ := json.Marshal(CompileResponse{Key: key, Asm: "ret"})
-	if resp := do("PUT", "/cache/"+key, blob); resp.StatusCode != http.StatusNoContent {
+	if resp := do("PUT", "/cache/not-a-key", valid); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed key PUT: %d", resp.StatusCode)
+	}
+	if resp := do("GET", "/cache/"+key, nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("a rejected PUT was cached: GET %d", resp.StatusCode)
+	}
+	if m := getMetrics(t, ts); m.Cache.PeerRejects != int64(len(rejected))+1 {
+		t.Errorf("peer_rejects = %d, want %d", m.Cache.PeerRejects, len(rejected)+1)
+	}
+	// A valid write-through round-trips byte for byte.
+	if resp := do("PUT", "/cache/"+key, valid); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("valid PUT: %d", resp.StatusCode)
 	}
 	resp := do("GET", "/cache/"+key, nil)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache-Tier") != TierMemory {
 		t.Errorf("GET after PUT: %d tier=%q", resp.StatusCode, resp.Header.Get("X-Cache-Tier"))
 	}
-	var got CompileResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || got.Key != key {
-		t.Errorf("round-trip: %v %+v", err, got)
+	if got, err := io.ReadAll(resp.Body); err != nil || !bytes.Equal(got, valid) {
+		t.Errorf("round-trip: %v %q", err, got)
 	}
 	// Schedule plans: miss is 404, catalogs likewise.
 	if resp := do("GET", "/schedules/"+key, nil); resp.StatusCode != http.StatusNotFound {

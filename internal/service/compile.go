@@ -127,9 +127,10 @@ func procStatsJSON(r titan.Result) []ProcStatJSON {
 }
 
 // CompileResponse is the POST /compile reply. Key, IL, Asm, Report, and
-// Run form the cached artifact; Cached, CacheTier, and ElapsedNS are
-// stamped per request. CacheTier "remote" marks an artifact served by
-// the owning cluster peer rather than recompiled.
+// Run form the cached artifact (stored as exactly those fields' JSON,
+// see artifact); Cached, CacheTier, and ElapsedNS are stamped per
+// request. CacheTier "remote" marks an artifact served by the owning
+// cluster peer rather than recompiled.
 type CompileResponse struct {
 	Key    string       `json:"key"`
 	IL     string       `json:"il"`
@@ -337,7 +338,8 @@ func (s *Server) queueWaitEstimate(queued int) time.Duration {
 // when the owner is a remote peer, ask it (deduplicating concurrent
 // fetches of the same key singleflight-style). Reports false — degrade
 // to a local compile — when clustering is off, this node is the owner,
-// the owner misses, or the owner is unreachable.
+// the owner misses, the owner is unreachable, or what it answered is not
+// a well-formed artifact for this key.
 func (s *Server) remoteFetch(key string) ([]byte, bool) {
 	if !s.cluster.Enabled() {
 		return nil, false
@@ -353,6 +355,11 @@ func (s *Server) remoteFetch(key string) ([]byte, bool) {
 		}
 		if !found {
 			return nil, errRemoteMiss
+		}
+		// What the owner answered is served under key from now on, so it
+		// passes the same gate as a PUT; a rejected blob is a peer miss.
+		if err := s.ingestPeerArtifact(key, blob); err != nil {
+			return nil, err
 		}
 		return blob, nil
 	})
@@ -441,7 +448,7 @@ func (s *Server) compile(key string, req CompileRequest, opts driver.Options) ([
 	// weight, so bulk-free them instead of waiting on the GC. /metrics
 	// exports the arena_bytes_live gauge this keeps honest.
 	defer res.IL.Release()
-	art := CompileResponse{
+	art := artifact{
 		Key:    key,
 		IL:     driver.DumpIL(res),
 		Asm:    driver.Disassemble(res),
@@ -543,20 +550,4 @@ func compileError(w http.ResponseWriter, status int, err error) {
 		return
 	}
 	httpError(w, status, err)
-}
-
-// respondArtifact stamps the per-request fields onto a cached artifact
-// blob and writes it.
-func (s *Server) respondArtifact(w http.ResponseWriter, blob []byte, start time.Time, cached bool, tier string) {
-	var resp CompileResponse
-	if err := json.Unmarshal(blob, &resp); err != nil {
-		httpError(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
-		return
-	}
-	resp.Cached = cached
-	resp.CacheTier = tier
-	elapsed := time.Since(start)
-	resp.ElapsedNS = elapsed.Nanoseconds()
-	s.metrics.observe(elapsed)
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -20,6 +20,7 @@ type metrics struct {
 	compiles CompileCounters
 	tuneCtrs TuneCounters
 	batches  BatchCounters
+	peerRej  int64
 	maskCtrs MaskCounters
 	passes   map[string]*PassTotals
 	analysis analysis.Stats
@@ -237,6 +238,12 @@ func (m *metrics) batch(units int) {
 	m.mu.Unlock()
 }
 
+func (m *metrics) peerReject() {
+	m.mu.Lock()
+	m.peerRej++
+	m.mu.Unlock()
+}
+
 func (m *metrics) rateLimited() {
 	m.mu.Lock()
 	m.compiles.Total++
@@ -310,6 +317,7 @@ func (m *metrics) snapshot(cache CacheStats, catalogs, schedEntries int, clu *cl
 	}
 	tc := m.tuneCtrs
 	tc.Entries = schedEntries
+	cache.PeerRejects = m.peerRej
 	return MetricsResponse{
 		UptimeNS:       time.Since(m.start).Nanoseconds(),
 		Compiles:       m.compiles,

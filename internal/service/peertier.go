@@ -63,27 +63,16 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCachePut accepts a write-through artifact from a peer. The blob
-// must decode as an artifact whose embedded key matches the path — a
-// peer (or a confused client) cannot poison key K with artifact B.
+// is validated here, once, because every later hit serves it unread.
 func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if !validKey(key) {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("malformed cache key %q", key))
-		return
-	}
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading artifact body: %w", err))
 		return
 	}
-	var art CompileResponse
-	if err := json.Unmarshal(blob, &art); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("artifact does not decode: %w", err))
-		return
-	}
-	if art.Key != key {
-		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("artifact key %s does not match path key %s", art.Key, key))
+	if err := s.ingestPeerArtifact(key, blob); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.cache.Put(key, blob)
