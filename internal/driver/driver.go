@@ -113,15 +113,29 @@ func CompileWith(src string, opts Options, ctx *pass.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp, err := codegen.Generate(res.IL)
+	tp, err := Generate(res.IL, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Machine = tp
+	return res, nil
+}
+
+// Generate is the back half of a compile: it lowers optimized IL to Titan
+// code and, when a dependence-driven phase ran (§6: "information from the
+// dependence graph is passed back to the code generation"), list-schedules
+// it. Everything that turns IL into a program to run — CompileWith, the
+// autotuner's candidates — goes through here, so they cannot disagree
+// about when the scheduler runs.
+func Generate(prog *il.Program, opts Options) (*titan.Program, error) {
+	tp, err := codegen.Generate(prog)
 	if err != nil {
 		return nil, err
 	}
 	if (opts.StrengthReduce || opts.Vectorize) && !opts.NoSchedule {
 		codegen.Schedule(tp)
 	}
-	res.Machine = tp
-	return res, nil
+	return tp, nil
 }
 
 // CompileIL runs the front half only (through loop optimization), for
@@ -132,6 +146,20 @@ func CompileIL(src string, opts Options) (*Result, error) {
 
 // CompileILWith is CompileIL with an explicit pass context.
 func CompileILWith(src string, opts Options, ctx *pass.Context) (*Result, error) {
+	res, err := LowerWith(src, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if err := OptimizeILWith(res, opts, ctx); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// LowerWith runs the front end only — parse, type check, lower — leaving
+// res.IL as the pass pipeline's input. ctx supplies the worker count and
+// receives the positioned diagnostic of a front-end failure; nil is fine.
+func LowerWith(src string, ctx *pass.Context) (*Result, error) {
 	res := &Result{}
 	if err := frontEnd(src, res, frontEndWorkers(ctx)); err != nil {
 		// Record the positioned form on the caller's context so tools
@@ -142,9 +170,6 @@ func CompileILWith(src string, opts Options, ctx *pass.Context) (*Result, error)
 				ctx.Diags.Report(d)
 			}
 		}
-		return nil, err
-	}
-	if err := OptimizeILWith(res, opts, ctx); err != nil {
 		return nil, err
 	}
 	return res, nil

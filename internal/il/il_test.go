@@ -342,3 +342,70 @@ func TestQuickFoldCorrect(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Program.Clone copies everything a pass can rewrite: the copy prints
+// identically (DOACROSS regions with their sync markers, predicated
+// stores and masked vector statements included), carries the label
+// counter and generation over, and shares no statement, variable table
+// or global table with the original.
+func TestProgramClone(t *testing.T) {
+	p := NewProc("kernel", ctype.VoidType)
+	p.SetArena(NewArena())
+	fp := ctype.PointerTo(ctype.FloatType)
+	a := p.AddVar(Var{Name: "a", Type: fp, Class: ClassParam})
+	i := p.AddVar(Var{Name: "i", Type: ctype.IntType, Class: ClassLocal})
+	p.Params = []VarID{a}
+	elem := func() Expr {
+		return &Load{Addr: NewBin(OpAdd, Ref(a, fp), NewBin(OpMul, Ref(i, ctype.IntType), Int(4), ctype.IntType), fp), T: ctype.FloatType}
+	}
+	p.Body = []Stmt{
+		&DoParallel{IV: i, Init: Int(1), Limit: Int(99), Step: Int(1), Width: 2,
+			Sync: &SyncInfo{Distance: 3, Stride: 2, Desc: "a[i-3] -> a[i]"},
+			Body: []Stmt{
+				&SyncWait{Distance: 3},
+				&PredAssign{Cond: NewBin(OpLt, elem(), Flt(0, ctype.FloatType), ctype.IntType), Dst: elem(), Src: Flt(0, ctype.FloatType)},
+				&SyncPost{},
+			}},
+		&VectorAssign{DstBase: Ref(a, fp), DstStride: Int(4), Len: Int(32), Elem: ctype.FloatType,
+			RHS:  &VecRef{Base: Ref(a, fp), Stride: Int(4), T: ctype.FloatType},
+			Mask: NewBin(OpGt, &VecRef{Base: Ref(a, fp), Stride: Int(4), T: ctype.FloatType}, Flt(1, ctype.FloatType), ctype.IntType)},
+		&Label{Name: p.NewLabel("done")},
+		&Return{},
+	}
+	p.BumpGeneration()
+	prog := &Program{Procs: []*Proc{p}, Globals: []GlobalVar{{Name: "g", Type: ctype.IntType}}}
+
+	live := ArenaBytesLive()
+	c := prog.Clone()
+	if got, want := c.String(), prog.String(); got != want {
+		t.Fatalf("clone prints differently:\n%s\nwant:\n%s", got, want)
+	}
+	cp := c.Procs[0]
+	if cp.Generation() != p.Generation() {
+		t.Errorf("clone generation %d, original %d", cp.Generation(), p.Generation())
+	}
+	if got, want := cp.NewLabel("x"), p.NewLabel("x"); got != want {
+		t.Errorf("clone's next label %s, original's %s", got, want)
+	}
+	if cp.Arena() == nil || cp.Arena() == p.Arena() {
+		t.Error("clone does not own a fresh arena")
+	}
+
+	// Rewriting the clone leaves the original alone.
+	before := prog.String()
+	par := cp.Body[0].(*DoParallel)
+	par.Sync.Distance = 7
+	par.Body[1].(*PredAssign).Src = Flt(5, ctype.FloatType)
+	cp.Body[1].(*VectorAssign).Mask = nil
+	cp.NewTemp(ctype.IntType)
+	cp.Params[0] = i
+	c.AddGlobal(GlobalVar{Name: "h", Type: ctype.IntType})
+	if prog.String() != before || len(p.Vars) != 2 || p.Params[0] != a || len(prog.Globals) != 1 {
+		t.Errorf("mutating the clone changed the original:\n%s", prog.String())
+	}
+
+	c.Release()
+	if ArenaBytesLive() != live {
+		t.Errorf("arena bytes live %d after releasing the clone, %d before cloning", ArenaBytesLive(), live)
+	}
+}

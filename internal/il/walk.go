@@ -439,3 +439,39 @@ func IsStore(s Stmt) bool {
 	}
 	return false
 }
+
+// Clone deep-copies the procedure: its statements and expressions into a
+// fresh arena, its variable table and parameter list into fresh slices,
+// with the label counter and the generation carried over, so every pass
+// behaves on the copy exactly as it would have on the original and
+// neither can observe the other being rewritten. Types are shared; they
+// are immutable.
+func (p *Proc) Clone() *Proc {
+	a := NewArena()
+	return &Proc{
+		Name:     p.Name,
+		Ret:      p.Ret,
+		Params:   append([]VarID(nil), p.Params...),
+		Vars:     append([]Var(nil), p.Vars...),
+		Body:     CloneStmtsIn(a, p.Body),
+		Variadic: p.Variadic,
+		labelSeq: p.labelSeq,
+		arena:    a,
+		gen:      p.gen,
+	}
+}
+
+// Clone deep-copies the program (see Proc.Clone). The global table is
+// copied so a pass appending globals to the clone leaves the original
+// alone; initial-data bytes are shared, nothing writes them. The caller
+// owns the clone's arenas and Releases them.
+func (pr *Program) Clone() *Program {
+	out := &Program{
+		Globals: append([]GlobalVar(nil), pr.Globals...),
+		Procs:   make([]*Proc, len(pr.Procs)),
+	}
+	for i, p := range pr.Procs {
+		out.Procs[i] = p.Clone()
+	}
+	return out
+}

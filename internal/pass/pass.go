@@ -82,7 +82,9 @@ type Context struct {
 	Diags *diag.Reporter
 	// Schedules carries explicit per-loop plans (the autotuner's output)
 	// into the loop phases. Nil means every loop follows
-	// schedule.Default() — the paper's hardwired strategy.
+	// schedule.Default() — the paper's hardwired strategy. No pass up to
+	// and including scalarize may read it: the autotuner runs that prefix
+	// once and shares its output among all candidate sets (tune.Tune).
 	Schedules *schedule.Set
 }
 
@@ -103,6 +105,12 @@ func (ctx *Context) workers() int {
 // Manager owns an ordered pass pipeline built from Options.
 type Manager struct {
 	passes []Pass
+	// resumes marks the tail half of a Split pipeline: its input is the
+	// head's output, already verified and snapshotted there.
+	resumes bool
+	// vectorSeen records that the vectorizer slot ran before this
+	// manager's first pass (only a tail can start with it set).
+	vectorSeen bool
 }
 
 // NewManager builds the paper-mandated pipeline for opts.
@@ -119,6 +127,31 @@ func (m *Manager) Passes() []string {
 	return names
 }
 
+// Split cuts the pipeline after the named pass. head runs everything up
+// to and including it, tail the rest, and head.Run followed by tail.Run
+// over one program and one context is exactly m.Run: the same passes in
+// the same order, the same report rows, the verifier and the snapshot
+// hook at the same boundaries. A name the pipeline does not contain
+// (SnapshotInput included) cuts before the first pass, leaving head
+// empty. The point of splitting is to run head once and tail many times,
+// each on its own il.Program.Clone of head's output.
+func (m *Manager) Split(after string) (head, tail *Manager) {
+	cut := 0
+	vectorSeen := m.vectorSeen
+	for i, p := range m.passes {
+		if p.Name() == after {
+			cut = i + 1
+			break
+		}
+	}
+	for _, p := range m.passes[:cut] {
+		vectorSeen = vectorSeen || p.Name() == PassVectorize
+	}
+	head = &Manager{passes: m.passes[:cut:cut], resumes: m.resumes, vectorSeen: m.vectorSeen}
+	tail = &Manager{passes: m.passes[cut:], resumes: true, vectorSeen: vectorSeen}
+	return head, tail
+}
+
 // Run executes the pipeline over prog, filling ctx.Report. A nil ctx gets
 // NewContext defaults. The returned Report is ctx.Report.
 func (m *Manager) Run(prog *il.Program, ctx *Context) (*Report, error) {
@@ -132,14 +165,16 @@ func (m *Manager) Run(prog *il.Program, ctx *Context) (*Report, error) {
 
 	// VectorAssign is only legal once the vectorizer slot has run; the
 	// front end never emits it and no earlier pass may.
-	vectorSeen := false
-	if ctx.Verify {
-		if err := Verify(prog, vectorSeen); err != nil {
-			return rep, fmt.Errorf("pass: IL invalid before pipeline: %w", err)
+	vectorSeen := m.vectorSeen
+	if !m.resumes {
+		if ctx.Verify {
+			if err := Verify(prog, vectorSeen); err != nil {
+				return rep, fmt.Errorf("pass: IL invalid before pipeline: %w", err)
+			}
 		}
-	}
-	if ctx.Snapshot != nil {
-		ctx.Snapshot(SnapshotInput, prog)
+		if ctx.Snapshot != nil {
+			ctx.Snapshot(SnapshotInput, prog)
+		}
 	}
 	for _, p := range m.passes {
 		before := countStmts(prog)

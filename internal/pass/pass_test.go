@@ -99,6 +99,67 @@ func TestSnapshotHook(t *testing.T) {
 	}
 }
 
+// TestSplitIsRun pins Split's contract: head then tail over one program
+// and context is the whole pipeline — the same passes, report rows and
+// snapshot boundaries, the input verified once (by the head) — wherever
+// the cut falls, including before the first pass.
+func TestSplitIsRun(t *testing.T) {
+	opts := Options{OptLevel: 1, Inline: true, Vectorize: true, Parallelize: true, StrengthReduce: true}
+	build := func() *il.Program {
+		p := newProc("f", 2)
+		p.Body = []il.Stmt{
+			&il.Assign{Dst: &il.VarRef{ID: 0, T: ctype.IntType}, Src: ci(1)},
+			&il.Return{},
+		}
+		return progOf(p)
+	}
+	run := func(ms ...*Manager) (rows, snaps []string, out string) {
+		prog := build()
+		ctx := NewContext()
+		ctx.Snapshot = func(name string, _ *il.Program) { snaps = append(snaps, name) }
+		for _, m := range ms {
+			if _, err := m.Run(prog, ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range ctx.Report.Passes {
+			rows = append(rows, r.Name)
+		}
+		return rows, snaps, prog.String()
+	}
+	whole := NewManager(opts)
+	wantRows, wantSnaps, wantOut := run(whole)
+	for _, after := range []string{PassScalar, PassVectorize, PassCleanup, SnapshotInput, "no-such-pass"} {
+		head, tail := whole.Split(after)
+		if got := append(head.Passes(), tail.Passes()...); !reflect.DeepEqual(got, whole.Passes()) {
+			t.Errorf("split after %s: passes %v + %v", after, head.Passes(), tail.Passes())
+		}
+		if n := len(head.Passes()); n > 0 && head.Passes()[n-1] != after {
+			t.Errorf("split after %s: head ends with %s", after, head.Passes()[n-1])
+		} else if n == 0 && (after == PassScalar || after == PassVectorize || after == PassCleanup) {
+			t.Errorf("split after %s: head is empty", after)
+		}
+		rows, snaps, out := run(head, tail)
+		if !reflect.DeepEqual(rows, wantRows) || !reflect.DeepEqual(snaps, wantSnaps) || out != wantOut {
+			t.Errorf("split after %s:\n rows  %v\n snaps %v\nwhole pipeline:\n rows  %v\n snaps %v", after, rows, snaps, wantRows, wantSnaps)
+		}
+	}
+
+	// The tail trusts the head's output the way pass N+1 trusts pass N's:
+	// it does not re-verify its input, but it knows whether the
+	// vectorizer slot is behind it.
+	vec := newProc("f", 0)
+	vec.Body = []il.Stmt{&il.VectorAssign{DstBase: ci(4096), DstStride: ci(4), Len: ci(8),
+		Elem: ctype.FloatType, RHS: &il.ConstFloat{Val: 1, T: ctype.FloatType}}}
+	_, afterVec := whole.Split(PassVectorize)
+	if _, err := afterVec.Run(progOf(vec), nil); err != nil {
+		t.Errorf("tail after the vectorizer rejects a vector statement: %v", err)
+	}
+	_, beforeVec := whole.Split(PassScalar)
+	_, err := beforeVec.Run(progOf(vec), nil)
+	wantErr(t, err, "nest-parallelize")
+}
+
 // TestForEachProcOrderAndBounds checks the worker pool returns results in
 // Procs order whatever the concurrency, including workers > len(procs).
 func TestForEachProcOrderAndBounds(t *testing.T) {

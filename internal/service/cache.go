@@ -48,9 +48,9 @@ type CacheStats struct {
 	// CorruptDrops counts disk entries that failed SHA-256 verification
 	// on read and were deleted instead of served.
 	CorruptDrops int64 `json:"corrupt_drops"`
-	// PeerRejects counts artifacts a peer supplied (PUT /cache/{key}, or
-	// its answer to a fetch) that failed the ingest check and never
-	// entered the cache. The server counts these, not the Cache, which
+	// PeerRejects counts artifacts and tuned plans a peer supplied (a
+	// PUT /cache/{key} or /schedules/{key}, or its answer to a fetch)
+	// that failed the ingest check and never entered a cache. The server counts these, not the Cache, which
 	// stores whatever bytes it is given.
 	PeerRejects int64 `json:"peer_rejects"`
 }

@@ -412,6 +412,118 @@ func TestReadyzGatesOnBootstrap(t *testing.T) {
 	check("/readyz", http.StatusOK, "ready")
 }
 
+// TestClusterRejectsBadPeerPlans: a tuned plan an owner answers a fetch
+// with goes through the gate a PUT /schedules/{key} goes through before
+// it is cached and compiled with. A plan the owner should never have
+// held costs a local search — the reply is the one a lone node gives —
+// and is neither stored nor counted as a remote hit.
+func TestClusterRejectsBadPeerPlans(t *testing.T) {
+	// The owner is a stub: ready, accepts write-throughs, has no
+	// artifacts, and answers every GET /schedules/{key} with the planted
+	// body.
+	var mu sync.Mutex
+	var planted []byte
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			io.Copy(io.Discard, r.Body)
+			w.WriteHeader(http.StatusNoContent)
+			return
+		}
+		if !strings.HasPrefix(r.URL.Path, "/schedules/") {
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		w.Write(planted)
+	}))
+	defer stub.Close()
+
+	self := "http://self.invalid:1"
+	clu, err := cluster.New(cluster.Config{
+		Self:          self,
+		Peers:         []string{self, stub.URL},
+		FetchTimeout:  2 * time.Second,
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clu.Close()
+	clu.ProbeOnce()
+	s, ts := newTestServer(t, Config{Cluster: clu})
+	_, lone := newTestServer(t, Config{})
+
+	// stubOwned returns a fresh tuned request whose plan the stub owns.
+	next := 0
+	stubOwned := func() (CompileRequest, string) {
+		for {
+			req := CompileRequest{Source: fmt.Sprintf("%s/* unit %d */\n", daxpySrc, next), Options: tuneOpts(), Processors: 2}
+			next++
+			if err := validateUnit(&req); err != nil {
+				t.Fatal(err)
+			}
+			key, err := planKey(req, req.Options.driverOptions(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if clu.Owner(key) != nil {
+				return req, key
+			}
+		}
+	}
+
+	plan := func(sched string) []byte {
+		return []byte(`{"schedules":[{"loop":{"proc":"main","line":18,"col":2},"schedule":` + sched +
+			`}],"decisions":null,"default_cycles":9,"tuned_cycles":1,"measured":1}`)
+	}
+	good := plan(`{"vl":16,"unroll":1}`)
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"strip length out of machine range", plan(`{"vl":100000,"unroll":1}`)},
+		{"unknown mask strategy", plan(`{"vl":32,"unroll":1,"mask_strategy":"diagonal"}`)},
+		{"truncated JSON", good[:len(good)/2]},
+	}
+	for i, c := range cases {
+		req, key := stubOwned()
+		mu.Lock()
+		planted = c.body
+		mu.Unlock()
+
+		out, code := postCompile(t, ts, req)
+		want, _ := postCompile(t, lone, req)
+		if code != http.StatusOK || out.Run == nil || out.Asm != want.Asm || out.Run.Cycles != want.Run.Cycles ||
+			out.Run.ExitCode != want.Run.ExitCode || len(schedSelected(out)) != len(schedSelected(want)) {
+			t.Errorf("%s: status %d, reply is not a lone node's tuned compile", c.name, code)
+		}
+		held, ok := s.schedules.get(key)
+		if !ok || held.Measured == 0 || held.TunedCycles == 1 {
+			t.Errorf("%s: schedule cache holds %+v, want the plan searched here", c.name, held)
+		}
+		m := getMetrics(t, ts)
+		if m.Cache.PeerRejects != int64(i+1) || m.Tune.PlanRemoteHits != 0 || m.Tune.Tunes != int64(i+1) {
+			t.Errorf("%s: peer_rejects=%d plan_remote_hits=%d tunes=%d, want %d, 0, %d",
+				c.name, m.Cache.PeerRejects, m.Tune.PlanRemoteHits, m.Tune.Tunes, i+1, i+1)
+		}
+	}
+
+	// Control: the stub is really consulted — a plan that passes the
+	// gate is adopted without a search.
+	req, key := stubOwned()
+	mu.Lock()
+	planted = good
+	mu.Unlock()
+	if _, code := postCompile(t, ts, req); code != http.StatusOK {
+		t.Fatalf("well-formed plan: status %d", code)
+	}
+	m := getMetrics(t, ts)
+	if held, ok := s.schedules.get(key); !ok || held.TunedCycles != 1 || m.Tune.PlanRemoteHits != 1 || m.Tune.Tunes != int64(len(cases)) {
+		t.Errorf("well-formed plan: held=%+v plan_remote_hits=%d tunes=%d", held, m.Tune.PlanRemoteHits, m.Tune.Tunes)
+	}
+}
+
 // TestPeerTierEndpoints drives the owner-side storage API directly.
 func TestPeerTierEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -491,6 +603,9 @@ func TestPeerTierEndpoints(t *testing.T) {
 	}
 	if resp := do("GET", "/schedules/"+key, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("rejected plan was cached: GET %d", resp.StatusCode)
+	}
+	if m := getMetrics(t, ts); m.Cache.PeerRejects != int64(len(rejected))+2 {
+		t.Errorf("peer_rejects = %d after a rejected plan, want %d", m.Cache.PeerRejects, len(rejected)+2)
 	}
 	// The same plan with a known strategy is accepted and round-trips.
 	goodPlan := bytes.Replace(badPlan, []byte("diagonal"), []byte("branchy-serial"), 1)

@@ -107,20 +107,40 @@ func (s *Server) handleSchedulePut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading plan body: %w", err))
 		return
 	}
+	tres, err := s.ingestPeerPlan(body)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	s.schedules.put(key, tres)
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// checkPlan is the ingest gate for tuned plans this process did not
+// search for itself (a peer's PUT /schedules/{key}, a peer's answer to a
+// fetch). A plan is compiled with as soon as it is cached, so it has to
+// decode and obey the machine-range invariants (VL bounds, unroll
+// bounds, known mask strategies): a corrupt or newer-versioned plan must
+// not enter the cache and poison compiles.
+func checkPlan(body []byte) (*tune.Result, error) {
 	var tres tune.Result
 	if err := json.Unmarshal(body, &tres); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("plan does not decode: %w", err))
-		return
+		return nil, fmt.Errorf("plan does not decode: %w", err)
 	}
-	// A plan from a peer still has to obey the machine-range invariants
-	// (VL bounds, unroll bounds, known mask strategies): a corrupt or
-	// newer-versioned plan must not enter the cache and poison compiles.
 	if err := tres.Schedules.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("plan rejected: %w", err))
-		return
+		return nil, fmt.Errorf("plan rejected: %w", err)
 	}
-	s.schedules.put(key, &tres)
-	w.WriteHeader(http.StatusNoContent)
+	return &tres, nil
+}
+
+// ingestPeerPlan runs the ingest gate on bytes a peer supplied and
+// counts a rejection in /metrics.
+func (s *Server) ingestPeerPlan(body []byte) (*tune.Result, error) {
+	tres, err := checkPlan(body)
+	if err != nil {
+		s.metrics.peerReject()
+	}
+	return tres, err
 }
 
 // handleCatalogGet serves GET /catalogs/{id}: the raw serialized bytes
@@ -152,11 +172,10 @@ func (s *Server) remotePlanFetch(key string) (*tune.Result, bool) {
 	if err != nil || !found {
 		return nil, false
 	}
-	var tres tune.Result
-	if err := json.Unmarshal(blob, &tres); err != nil {
-		return nil, false
-	}
-	return &tres, true
+	// Validated like a PUT: a plan the owner should never have held is
+	// a peer miss, and the unit is tuned here.
+	tres, err := s.ingestPeerPlan(blob)
+	return tres, err == nil
 }
 
 // pushPlanToOwner write-throughs a freshly tuned plan to its owner,

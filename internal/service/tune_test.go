@@ -1,10 +1,13 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
 	"net/http"
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/token"
 )
 
 func tuneOpts() CompileOptions {
@@ -121,4 +124,52 @@ func TestCompileVLValidation(t *testing.T) {
 	if _, code := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: opts}); code != http.StatusOK {
 		t.Errorf("vl=64: status %d, want 200", code)
 	}
+}
+
+// FuzzPlanIngest: the gate every peer-supplied tuned plan passes (a PUT
+// /schedules/{key} body, an owner's answer to a fetch) never panics, and
+// whatever it lets into the schedule cache is a plan this node can
+// compile with and hand on: every schedule in it is inside the machine's
+// ranges, and it re-encodes to a body the gate accepts again, unchanged
+// from then on (what pushPlanToOwner and GET /schedules/{key} send).
+func FuzzPlanIngest(f *testing.F) {
+	// Searched plans are in the seed corpus (testdata/fuzz); these are
+	// the shapes the gate exists for.
+	f.Add([]byte(`{"schedules":[{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":32,"unroll":8,"interchange":true,` +
+		`"parallel_width":2,"serial_strips":true,"sync_stride":4,"mask_strategy":"branchy-serial"}}]}`))
+	f.Add([]byte(`{"schedules":[{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":100000,"unroll":1}}]}`))
+	f.Add([]byte(`{"schedules":[{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":32,"unroll":1,"mask_strategy":"diagonal"}}]}`))
+	f.Add([]byte(`{"schedules":[{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":32,"unroll":1}},` +
+		`{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":0,"unroll":0}}]}`))
+	f.Add([]byte(`{"schedules":[{"loop":{"proc":"f","line":1,"col":1},"schedule":{"vl":32,"unr`))
+	f.Add([]byte(`{"schedules":{"f":1}}`))
+	f.Add([]byte(`{"schedules":null,"decisions":null}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		plan, err := checkPlan(body)
+		if err != nil {
+			return
+		}
+		for _, k := range plan.Schedules.Keys() {
+			sched, ok := plan.Schedules.Lookup(k.Proc, token.Pos{Line: k.Line, Col: k.Col})
+			if !ok {
+				t.Fatalf("accepted plan %q lists loop %+v without a schedule", body, k)
+			}
+			if err := sched.Validate(); err != nil {
+				t.Fatalf("accepted plan %q schedules %+v with %+v: %v", body, k, sched, err)
+			}
+		}
+		wire, err := json.Marshal(plan)
+		if err != nil {
+			t.Fatalf("accepted plan %q does not re-encode: %v", body, err)
+		}
+		again, err := checkPlan(wire)
+		if err != nil {
+			t.Fatalf("accepted plan %q re-encodes to %q, which is refused: %v", body, wire, err)
+		}
+		if rewire, _ := json.Marshal(again); !bytes.Equal(rewire, wire) {
+			t.Fatalf("plan %q is not stable on the wire: %q then %q", body, wire, rewire)
+		}
+	})
 }

@@ -14,7 +14,9 @@
 package titan
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 )
@@ -319,6 +321,41 @@ type Program struct {
 	// after a Run is not supported.
 	decOnce sync.Once
 	decoded map[string]*dfunc
+}
+
+// Equal reports whether two programs are the same code over the same
+// memory image: the same functions with the same instructions (float
+// immediates by bit pattern) and labels, the same Data, DataBase and
+// MemSize. That is everything a Machine reads, so — the simulator being
+// deterministic — equal programs run to equal Results. GlobalAddr is a
+// loader convenience no execution path consults and is not compared.
+func (p *Program) Equal(q *Program) bool {
+	if p.DataBase != q.DataBase || p.MemSize != q.MemSize ||
+		len(p.Funcs) != len(q.Funcs) || !bytes.Equal(p.Data, q.Data) {
+		return false
+	}
+	for name, f := range p.Funcs {
+		g, ok := q.Funcs[name]
+		if !ok || len(f.Instrs) != len(g.Instrs) || len(f.Labels) != len(g.Labels) {
+			return false
+		}
+		for i, a := range f.Instrs {
+			b := g.Instrs[i]
+			if math.Float64bits(a.FImm) != math.Float64bits(b.FImm) {
+				return false
+			}
+			a.FImm, b.FImm = 0, 0
+			if a != b {
+				return false
+			}
+		}
+		for l, at := range f.Labels {
+			if gat, ok := g.Labels[l]; !ok || gat != at {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Disassemble renders a function listing.

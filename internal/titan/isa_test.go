@@ -223,3 +223,65 @@ func getF64(mem []byte, addr int64) float64 {
 
 func mathFloat64bitsT(v float64) uint64     { return math.Float64bits(v) }
 func mathFloat64frombitsT(b uint64) float64 { return math.Float64frombits(b) }
+
+// Program.Equal is the autotuner's memo key: it must tell apart any two
+// programs a Machine could run differently, and nothing else.
+func TestProgramEqual(t *testing.T) {
+	build := func() *Program {
+		return &Program{
+			Funcs: map[string]*Func{
+				"main": {Name: "main", Labels: map[string]int{".L1": 1}, Instrs: []Instr{
+					{Op: OpLdi, Rd: 2, Imm: 7},
+					{Op: OpFldi, Rd: 3, FImm: 0},
+					{Op: OpCall, Sym: "leaf"},
+					{Op: OpRet},
+				}},
+				"leaf": {Name: "leaf", Labels: map[string]int{}, Instrs: []Instr{{Op: OpRet}}},
+			},
+			Data:       []byte{1, 2, 3, 4},
+			DataBase:   4096,
+			GlobalAddr: map[string]int64{"g": 4096},
+			MemSize:    1 << 20,
+		}
+	}
+	a := build()
+	if !a.Equal(build()) || !a.Equal(a) {
+		t.Fatal("identical programs compare unequal")
+	}
+	other := build()
+	other.GlobalAddr["h"] = 5000
+	if !a.Equal(other) {
+		t.Error("GlobalAddr, which no execution reads, made programs unequal")
+	}
+	nan := build()
+	nan.Funcs["main"].Instrs[1].FImm = math.NaN()
+	nan2 := build()
+	nan2.Funcs["main"].Instrs[1].FImm = math.NaN()
+	if !nan.Equal(nan2) {
+		t.Error("the same NaN immediate compares unequal")
+	}
+
+	differs := map[string]func(p *Program){
+		"one immediate":      func(p *Program) { p.Funcs["main"].Instrs[0].Imm = 8 },
+		"a float immediate":  func(p *Program) { p.Funcs["main"].Instrs[1].FImm = math.Copysign(0, -1) },
+		"one register":       func(p *Program) { p.Funcs["main"].Instrs[0].Rd = 3 },
+		"a callee symbol":    func(p *Program) { p.Funcs["main"].Instrs[2].Sym = "other" },
+		"one label's target": func(p *Program) { p.Funcs["main"].Labels[".L1"] = 2 },
+		"one label's name":   func(p *Program) { p.Funcs["main"].Labels = map[string]int{".L2": 1} },
+		"an extra label":     func(p *Program) { p.Funcs["leaf"].Labels[".L9"] = 0 },
+		"an extra instr":     func(p *Program) { f := p.Funcs["leaf"]; f.Instrs = append(f.Instrs, Instr{Op: OpNop}) },
+		"a function's name":  func(p *Program) { p.Funcs["leaf2"] = p.Funcs["leaf"]; delete(p.Funcs, "leaf") },
+		"an extra function":  func(p *Program) { p.Funcs["more"] = &Func{Name: "more"} },
+		"one data byte":      func(p *Program) { p.Data[2] = 9 },
+		"the data's length":  func(p *Program) { p.Data = p.Data[:3] },
+		"DataBase":           func(p *Program) { p.DataBase = 8192 },
+		"MemSize":            func(p *Program) { p.MemSize = 1 << 21 },
+	}
+	for name, mutate := range differs {
+		b := build()
+		mutate(b)
+		if a.Equal(b) || b.Equal(a) {
+			t.Errorf("programs differing in %s compare equal", name)
+		}
+	}
+}

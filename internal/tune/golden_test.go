@@ -1,0 +1,224 @@
+package tune_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/driver"
+	"repro/internal/schedule"
+	"repro/internal/tune"
+)
+
+// goldenSearch is one search's outcome as pinned in
+// testdata/decisions.golden.json.
+type goldenSearch struct {
+	Name          string          `json:"name"`
+	Processors    int             `json:"processors"`
+	Schedules     *schedule.Set   `json:"schedules"`
+	DefaultCycles int64           `json:"default_cycles"`
+	TunedCycles   int64           `json:"tuned_cycles"`
+	Measured      int             `json:"measured"`
+	Decisions     []tune.Decision `json:"decisions"`
+}
+
+const decisionsGolden = "testdata/decisions.golden.json"
+
+// goldenUnits is what the golden covers: the repository's testdata/*.c,
+// the E-series workloads, and the benchmark's twelve kernels.
+func goldenUnits(t *testing.T) []bench.Workload {
+	t.Helper()
+	var units []bench.Workload
+	for _, pattern := range []string{"../../testdata/*.c", "../../benchmark/programs/*.c"} {
+		files, err := filepath.Glob(pattern)
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no sources match %s (err %v)", pattern, err)
+		}
+		sort.Strings(files)
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units = append(units, bench.Workload{Name: strings.TrimPrefix(filepath.ToSlash(f), "../../"), Src: string(src)})
+		}
+	}
+	for _, w := range []bench.Workload{
+		bench.Backsolve(256), bench.Daxpy(256), bench.CopyLoop(256), bench.ReverseAxpy(256),
+		bench.VectorAdd(256), bench.Transform4x4(16), bench.LagRecurrence(256), bench.SmoothDamp(256),
+		bench.Wavefront(64), bench.Clip(256), bench.ThresholdAccum(256), bench.SparseSaxpy(256),
+	} {
+		w.Name = "bench/" + w.Name
+		units = append(units, w)
+	}
+	return units
+}
+
+// deadDecisions lists, per unit (at either processor count), the loops the
+// golden has a decision for that the tuner no longer examines: they sit in the
+// out-of-line copy of a procedure whose every call was inlined, which is
+// unreachable from the entry and never runs. The golden was generated at
+// the commit before the tuner learned to skip them; every other decision
+// in it must still be reproduced exactly.
+var deadDecisions = map[string][]schedule.LoopKey{
+	"testdata/backsolve.c":              {{Proc: "backsolve", Line: 13, Col: 2}},
+	"testdata/clip.c":                   {{Proc: "clip", Line: 8, Col: 2}},
+	"testdata/copyloop.c":               {{Proc: "copyloop", Line: 7, Col: 2}},
+	"testdata/daxpy.c":                  {{Proc: "daxpy", Line: 10, Col: 2}},
+	"benchmark/programs/backsolve.c":    {{Proc: "backsolve", Line: 15, Col: 2}},
+	"benchmark/programs/clip.c":         {{Proc: "clip", Line: 11, Col: 2}},
+	"benchmark/programs/copyloop.c":     {{Proc: "copyloop", Line: 9, Col: 2}},
+	"benchmark/programs/daxpy.c":        {{Proc: "daxpy", Line: 14, Col: 2}},
+	"benchmark/programs/lagrec3.c":      {{Proc: "lagrec", Line: 12, Col: 2}},
+	"benchmark/programs/reverseaxpy.c":  {{Proc: "raxpy", Line: 12, Col: 2}},
+	"benchmark/programs/smooth8.c":      {{Proc: "smooth", Line: 12, Col: 2}},
+	"benchmark/programs/sparsesaxpy.c":  {{Proc: "ssaxpy", Line: 11, Col: 2}},
+	"benchmark/programs/threshacc.c":    {{Proc: "thresh", Line: 10, Col: 2}},
+	"benchmark/programs/transform4x4.c": {{Proc: "transform", Line: 21, Col: 4}, {Proc: "transform", Line: 26, Col: 3}},
+	"benchmark/programs/vectoradd.c":    {{Proc: "vadd", Line: 10, Col: 2}},
+	"benchmark/programs/wavefront.c":    {{Proc: "wave", Line: 11, Col: 2}},
+	"bench/backsolve":                   {{Proc: "backsolve", Line: 10, Col: 2}},
+	"bench/daxpy":                       {{Proc: "daxpy", Line: 10, Col: 2}},
+	"bench/copyloop":                    {{Proc: "copyloop", Line: 6, Col: 2}},
+	"bench/reverseaxpy":                 {{Proc: "raxpy", Line: 8, Col: 2}},
+	"bench/vectoradd":                   {{Proc: "vadd", Line: 7, Col: 2}},
+	"bench/transform4x4":                {{Proc: "transform", Line: 16, Col: 4}, {Proc: "transform", Line: 20, Col: 3}},
+	"bench/lagrec3":                     {{Proc: "lagrec", Line: 7, Col: 2}},
+	"bench/smooth8":                     {{Proc: "smooth", Line: 7, Col: 2}},
+	"bench/wavefront":                   {{Proc: "wave", Line: 7, Col: 2}},
+	"bench/clip":                        {{Proc: "clip", Line: 7, Col: 2}},
+	"bench/threshacc":                   {{Proc: "thresh", Line: 7, Col: 2}},
+	"bench/sparsesaxpy":                 {{Proc: "ssaxpy", Line: 7, Col: 2}},
+}
+
+// racyCandidates are the searches the race detector cannot watch. Each
+// measures an interchange candidate for the kernel's repeat loop
+// (`for (r...) kernel(...)`, inlined), and after the interchange the
+// parallelizer spreads the r iterations — which all store the same values
+// to the same elements — across processors. The stores are idempotent, so
+// the run is deterministic and the candidate merely loses; but simulated
+// processors are goroutines, and the detector rightly reports them
+// writing one address. That legality hole predates the golden (the
+// commit it was generated at reports the same race) and belongs to the
+// parallelizer, not the tuner.
+var racyCandidates = map[string]bool{
+	"benchmark/programs/daxpy.c@4":     true,
+	"benchmark/programs/vectoradd.c@4": true,
+}
+
+func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
+	t.Helper()
+	res, err := tune.Tune(u.Src, driver.FullOptions(), tune.Config{Processors: procs})
+	if err != nil {
+		t.Fatalf("%s at %d processors: %v", u.Name, procs, err)
+	}
+	return goldenSearch{Name: u.Name, Processors: procs, Schedules: res.Schedules,
+		DefaultCycles: res.DefaultCycles, TunedCycles: res.TunedCycles,
+		Measured: res.Measured, Decisions: res.Decisions}
+}
+
+// TestDecisionsGolden pins every search outcome — the plan, the cycle
+// counts bracketing it and each loop's decision — for the golden units at
+// 1 and 4 processors. The golden was generated at the last commit whose
+// tuner compiled every candidate from source, so it stands in for that
+// deleted path: a change to how candidates are measured must not change
+// what is decided. UPDATE_GOLDEN=1 rewrites it (empty deadDecisions then).
+func TestDecisionsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("dozens of full searches")
+	}
+	units := goldenUnits(t)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		var got []goldenSearch
+		for _, u := range units {
+			for _, procs := range []int{1, 4} {
+				got = append(got, searchFor(t, u, procs))
+			}
+		}
+		// One search per line, so a changed decision is a one-line diff.
+		var blob bytes.Buffer
+		for i, g := range got {
+			line, err := json.Marshal(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep := ",\n"
+			if i == 0 {
+				sep = "[\n"
+			}
+			blob.WriteString(sep)
+			blob.Write(line)
+		}
+		blob.WriteString("\n]\n")
+		if err := os.WriteFile(decisionsGolden, blob.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	blob, err := os.ReadFile(decisionsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []goldenSearch
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatalf("%s: %v", decisionsGolden, err)
+	}
+	if len(want) != 2*len(units) {
+		t.Fatalf("golden has %d searches for %d units at 2 processor counts", len(want), len(units))
+	}
+	for i, w := range want {
+		id := fmt.Sprintf("%s@%d", w.Name, w.Processors)
+		if u := units[i/2]; u.Name != w.Name {
+			t.Fatalf("search %d of the golden is %s, the unit there is %s", i, id, u.Name)
+		}
+		if raceDetector && racyCandidates[id] {
+			continue
+		}
+		g := searchFor(t, units[i/2], w.Processors)
+		// Drop the listed dead-procedure decisions from the golden side;
+		// their candidates were never measured on this side either.
+		dead := map[schedule.LoopKey]bool{}
+		for _, k := range deadDecisions[w.Name] {
+			dead[k] = true
+		}
+		var live []tune.Decision
+		deadCandidates := 0
+		for _, d := range w.Decisions {
+			if dead[d.Loop] {
+				if !d.Schedule.IsDefault() {
+					t.Errorf("%s: golden adopted %s for dead loop %+v; it cannot be excepted", id, d.Schedule, d.Loop)
+				}
+				deadCandidates += d.Candidates
+				delete(dead, d.Loop)
+				continue
+			}
+			live = append(live, d)
+		}
+		for k := range dead {
+			t.Errorf("%s: deadDecisions lists %+v, which the golden has no decision for", id, k)
+		}
+		gs, _ := json.Marshal(g.Schedules)
+		ws, _ := json.Marshal(w.Schedules)
+		if string(gs) != string(ws) {
+			t.Errorf("%s: schedules\n  got    %s\n  golden %s", id, gs, ws)
+		}
+		if g.DefaultCycles != w.DefaultCycles || g.TunedCycles != w.TunedCycles {
+			t.Errorf("%s: cycles default %d tuned %d, golden %d and %d", id,
+				g.DefaultCycles, g.TunedCycles, w.DefaultCycles, w.TunedCycles)
+		}
+		if !reflect.DeepEqual(g.Decisions, live) {
+			t.Errorf("%s: decisions\n  got    %+v\n  golden %+v", id, g.Decisions, live)
+		}
+		if g.Measured != w.Measured-deadCandidates {
+			t.Errorf("%s: measured %d candidates, golden %d less %d for dead loops", id,
+				g.Measured, w.Measured, deadCandidates)
+		}
+	}
+}

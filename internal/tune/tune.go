@@ -2,8 +2,20 @@
 // picks one loop strategy at compile time from static rules; the Titan
 // simulator is deterministic and fast, so this package instead *measures*:
 // it enumerates a bounded grid of legal candidate schedules per loop,
-// compiles each candidate through the unmodified pipeline, runs the
-// result on the fast Titan engine, and keeps the cycle-minimal plan.
+// compiles each candidate, runs the result on the fast Titan engine, and
+// keeps the cycle-minimal plan.
+//
+// A candidate costs what differs between candidates. The front end and
+// the schedule-independent head of the pipeline (through scalarize) run
+// once per search; each candidate clones that IL, runs the pipeline's
+// tail — the same passes in the same order driver.CompileWith runs, the
+// IL verifier on — under its schedule set, and goes through the driver's
+// code generation. The generated program is then looked up among those
+// the search already ran: many candidates (a width the loop never
+// reaches, an unroll the phases decline) generate code instruction for
+// instruction equal to an earlier one's, and the simulator's determinism
+// makes that code's result theirs. So a search is one head compile,
+// 1 + candidates tail compiles, and one simulation per distinct program.
 //
 // The search is greedy coordinate descent over loops: loops are visited
 // in deterministic key order, each loop's candidates are measured against
@@ -11,7 +23,9 @@
 // when it strictly beats the incumbent's total cycles AND reproduces the
 // baseline's exit code and output (a misbehaving candidate is discarded,
 // never diagnosed — the phases' own legality guards make this a belt-and-
-// suspenders check, not the primary defense).
+// suspenders check, not the primary defense). Only loops the entry can
+// reach are examined: the out-of-line copy of a fully inlined callee
+// never runs, so nothing measured could depend on its schedule.
 //
 // Every examined loop yields one sched-selected remark naming the winning
 // schedule and the measured cycle delta against the default plan, so
@@ -100,6 +114,10 @@ type Result struct {
 	TunedCycles   int64 `json:"tuned_cycles"`
 	// Measured counts candidate compiles beyond the baseline.
 	Measured int `json:"measured"`
+	// Simulated counts the programs actually run, the baseline among
+	// them: at most Measured+1, fewer when candidates generated code
+	// the search had already run.
+	Simulated int `json:"simulated,omitempty"`
 }
 
 // Remarks renders one sched-selected diagnostic per decision. The slice
@@ -128,21 +146,77 @@ func (r *Result) Remarks() []diag.Diagnostic {
 	return ds
 }
 
-// loopInfo is one tunable loop discovered from the mid-pipeline snapshot.
+// loopInfo is one tunable loop read off the mid-pipeline IL.
 type loopInfo struct {
 	key        schedule.LoopKey
 	candidates []schedule.Schedule
+}
+
+// search is the state of one Tune call. What candidates share is paid for
+// once: the front end and the schedule-independent head of the pipeline
+// produce base, and each candidate costs only what depends on its
+// schedule set — a clone of base, the pipeline's tail, code generation,
+// and a simulation unless the same code already ran.
+type search struct {
+	opts driver.Options
+	cfg  Config
+	// base is the IL at the split: after scalarize when the scalar
+	// optimizer runs, else as lowered — the loops as the loop phases will
+	// see them. No pass before this point reads pass.Context.Schedules,
+	// so it is the same for every set. Candidates clone it; it is never
+	// run through the tail itself.
+	base *il.Program
+	tail *pass.Manager
+	// ran holds every distinct program this search has simulated, with
+	// its outcome. The simulator is deterministic, so a candidate whose
+	// generated code equals one of these has that outcome too.
+	ran []ranProgram
+}
+
+type ranProgram struct {
+	prog *titan.Program
+	res  titan.Result
+	err  error
+}
+
+// quietContext is the pass context of the tuner's own compiles: defaults
+// (verifier on), but nobody reads their remarks.
+func quietContext() *pass.Context {
+	ctx := pass.NewContext()
+	ctx.Diags = nil
+	return ctx
+}
+
+// newSearch runs the front end and the head of the pipeline over src.
+// The caller releases s.base.
+func newSearch(src string, opts driver.Options, cfg Config) (*search, error) {
+	ctx := quietContext()
+	lowered, err := driver.LowerWith(src, ctx)
+	if err != nil {
+		return nil, err
+	}
+	head, tail := pass.NewManager(opts).Split(pass.PassScalar)
+	if _, err := head.Run(lowered.IL, ctx); err != nil {
+		lowered.IL.Release()
+		return nil, err
+	}
+	return &search{opts: opts, cfg: cfg, base: lowered.IL, tail: tail}, nil
 }
 
 // Tune searches for the cycle-minimal schedule set for src compiled under
 // opts. The source must simulate successfully under the default schedule;
 // the returned set holds only the loops where a non-default plan won.
 func Tune(src string, opts driver.Options, cfg Config) (*Result, error) {
-	loops, err := discover(src, opts, cfg)
+	s, err := newSearch(src, opts, cfg)
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := measure(src, opts, nil, cfg)
+	defer s.base.Release()
+	if s.base.Proc(cfg.entry()) == nil {
+		return nil, fmt.Errorf("tune: entry function %q is not defined", cfg.entry())
+	}
+	loops := s.discover()
+	baseline, err := s.measure(nil)
 	if err != nil {
 		return nil, fmt.Errorf("tune: baseline run failed: %w", err)
 	}
@@ -157,7 +231,7 @@ func Tune(src string, opts driver.Options, cfg Config) (*Result, error) {
 			}
 			trial := cloneSet(res.Schedules)
 			trial.Put(li.key, cand)
-			got, err := measure(src, opts, trial, cfg)
+			got, err := s.measure(trial)
 			res.Measured++
 			dec.Candidates++
 			if err != nil || got.ExitCode != baseline.ExitCode || got.Output != baseline.Output {
@@ -175,56 +249,55 @@ func Tune(src string, opts driver.Options, cfg Config) (*Result, error) {
 		res.Decisions = append(res.Decisions, dec)
 	}
 	res.TunedCycles = best.Cycles
+	res.Simulated = len(s.ran)
 	return res, nil
 }
 
-// measure compiles src under the schedule set and runs it on the fast
-// Titan engine, returning the deterministic simulation result.
-func measure(src string, opts driver.Options, set *schedule.Set, cfg Config) (titan.Result, error) {
-	ctx := pass.NewContext()
-	ctx.Diags = nil
+// measure compiles a clone of the base IL under the schedule set — the
+// pipeline's tail with the verifier on, then the driver's code generation
+// — and returns the deterministic result of running it on the fast Titan
+// engine, simulating only if this search has not already run that exact
+// program.
+func (s *search) measure(set *schedule.Set) (titan.Result, error) {
+	prog := s.base.Clone()
+	// Candidate compiles are measure-and-discard; free their IL arenas so
+	// a tuning search doesn't inflate the arena_bytes_live gauge.
+	defer prog.Release()
+	ctx := quietContext()
 	ctx.Schedules = set
-	res, err := driver.CompileWith(src, opts, ctx)
+	if _, err := s.tail.Run(prog, ctx); err != nil {
+		return titan.Result{}, err
+	}
+	tp, err := driver.Generate(prog, s.opts)
 	if err != nil {
 		return titan.Result{}, err
 	}
-	// Candidate compiles are measure-and-discard; free their IL arenas so
-	// a tuning search doesn't inflate the arena_bytes_live gauge.
-	defer res.IL.Release()
-	entry := cfg.entry()
-	if _, ok := res.Machine.Funcs[entry]; !ok {
-		return titan.Result{}, fmt.Errorf("tune: entry function %q is not defined", entry)
+	for _, r := range s.ran {
+		if r.prog.Equal(tp) {
+			return r.res, r.err
+		}
 	}
-	return titan.NewMachine(res.Machine, cfg.processors()).Run(entry)
+	res, err := titan.NewMachine(tp, s.cfg.processors()).Run(s.cfg.entry())
+	s.ran = append(s.ran, ranProgram{prog: tp, res: res, err: err})
+	return res, err
 }
 
-// discover compiles src once with a snapshot hook and collects the
-// tunable loops as they exist when the loop phases will see them (after
-// scalar optimization, before vectorization), with a legality-checked
-// candidate grid per loop.
-func discover(src string, opts driver.Options, cfg Config) ([]loopInfo, error) {
-	dopts := depend.Options{NoAlias: opts.NoAlias}
+// discover reads the tunable loops off the base IL — the loops as the
+// loop phases will see them — with a legality-checked candidate grid per
+// loop, in deterministic key order, cut to MaxLoops. Procedures the
+// entry cannot reach (typically the out-of-line copy of a callee whose
+// every call was inlined) are skipped before the cut: their loops never
+// run, so no candidate for them could change a measurement, and they
+// must not take a live loop's slot.
+func (s *search) discover() []loopInfo {
+	dopts := depend.Options{NoAlias: s.opts.NoAlias}
+	live := reachable(s.base, s.cfg.entry())
 	infos := map[schedule.LoopKey]loopInfo{}
-	snapName := pass.SnapshotInput
-	if opts.OptLevel >= 1 {
-		snapName = pass.PassScalar
-	}
-	ctx := pass.NewContext()
-	ctx.Diags = nil
-	ctx.Snapshot = func(name string, prog *il.Program) {
-		if name != snapName {
-			return
-		}
-		for _, p := range prog.Procs {
-			collectLoops(p, p.Body, dopts, cfg, infos)
+	for _, p := range s.base.Procs {
+		if live[p.Name] {
+			collectLoops(p, p.Body, dopts, s.cfg, infos)
 		}
 	}
-	dres, err := driver.CompileILWith(src, opts, ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Only the snapshot's loop grid survives; drop the discovery IL.
-	dres.IL.Release()
 	keys := make([]schedule.LoopKey, 0, len(infos))
 	for k := range infos {
 		keys = append(keys, k)
@@ -239,14 +312,48 @@ func discover(src string, opts driver.Options, cfg Config) ([]loopInfo, error) {
 		}
 		return a.Col < b.Col
 	})
-	if len(keys) > cfg.maxLoops() {
-		keys = keys[:cfg.maxLoops()]
+	if len(keys) > s.cfg.maxLoops() {
+		keys = keys[:s.cfg.maxLoops()]
 	}
 	out := make([]loopInfo, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, infos[k])
 	}
-	return out, nil
+	return out
+}
+
+// reachable returns the names of the procedures the IL call graph can
+// reach from entry. A call through a function pointer could land
+// anywhere, so one in reached code makes every procedure reachable.
+func reachable(prog *il.Program, entry string) map[string]bool {
+	live := map[string]bool{}
+	work := []string{entry}
+	indirect := false
+	for len(work) > 0 && !indirect {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		p := prog.Proc(name)
+		if p == nil || live[name] {
+			continue
+		}
+		live[name] = true
+		il.WalkStmts(p.Body, func(st il.Stmt) bool {
+			if c, ok := st.(*il.Call); ok {
+				if c.FunPtr != nil {
+					indirect = true
+				} else {
+					work = append(work, c.Callee)
+				}
+			}
+			return true
+		})
+	}
+	if indirect {
+		for _, p := range prog.Procs {
+			live[p.Name] = true
+		}
+	}
+	return live
 }
 
 // collectLoops walks the statement tree gathering every DO loop with a

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/diag"
 	"repro/internal/driver"
+	"repro/internal/il"
 	"repro/internal/pass"
 	"repro/internal/schedule"
 	"repro/internal/titan"
@@ -160,14 +161,78 @@ func TestTuneMaskStrategy(t *testing.T) {
 	}
 }
 
-// The candidate budget is respected.
+// The budget counts candidate compiles, whether or not the compiled
+// program then had to be simulated: a search cut short stops at exactly
+// the candidate an unbounded one reaches after that many compiles, so
+// every loop before the cut gets the unbounded search's decision and the
+// loop at the cut gets the remainder of the budget.
 func TestTuneBudget(t *testing.T) {
 	w := bench.Daxpy(256)
-	res, err := tune.Tune(w.Src, driver.FullOptions(), tune.Config{Budget: 3})
+	cfg := tune.Config{Processors: 4}
+	full, err := tune.Tune(w.Src, driver.FullOptions(), cfg)
 	if err != nil {
 		t.Fatalf("Tune: %v", err)
 	}
-	if res.Measured > 3 {
-		t.Errorf("measured %d candidates with budget 3", res.Measured)
+	if full.Simulated >= full.Measured+1 {
+		t.Fatalf("no candidate of the full search repeated a program (%d simulated, %d measured): the test needs one",
+			full.Simulated, full.Measured)
+	}
+	for _, budget := range []int{3, full.Measured - 1} {
+		cfg.Budget = budget
+		res, err := tune.Tune(w.Src, driver.FullOptions(), cfg)
+		if err != nil {
+			t.Fatalf("Tune with budget %d: %v", budget, err)
+		}
+		if res.Measured != budget {
+			t.Errorf("budget %d of a %d-candidate grid: measured %d", budget, full.Measured, res.Measured)
+		}
+		// The larger budget reaches past candidates that repeated a
+		// program: they were counted, or Measured would be short of it.
+		if res.Simulated > res.Measured+1 || (budget > 3 && res.Simulated > budget) {
+			t.Errorf("budget %d: %d programs simulated for %d candidates and a baseline", budget, res.Simulated, res.Measured)
+		}
+		left := budget
+		for i, d := range res.Decisions {
+			want := full.Decisions[i]
+			if left >= want.Candidates {
+				if d != want {
+					t.Errorf("budget %d: loop %v decided %+v, unbounded search %+v", budget, d.Loop, d, want)
+				}
+			} else if d.Loop != want.Loop || d.Candidates != left {
+				t.Errorf("budget %d: loop %v measured %d candidates with %d of the budget left", budget, d.Loop, d.Candidates, left)
+			}
+			left -= d.Candidates
+		}
+	}
+}
+
+// A search examines only loops that can run, simulates each distinct
+// program once, and gives back every arena it cloned.
+func TestTuneCostsOnlyWhatDiffers(t *testing.T) {
+	w := bench.Daxpy(256)
+	live := il.ArenaBytesLive()
+	res, err := tune.Tune(w.Src, driver.FullOptions(), tune.Config{Processors: 4})
+	if err != nil {
+		t.Fatalf("Tune: %v", err)
+	}
+	if got := il.ArenaBytesLive(); got != live {
+		t.Errorf("arena bytes live %d after Tune, %d before", got, live)
+	}
+	candidates := 0
+	for _, d := range res.Decisions {
+		// daxpy's only call is inlined into main; the out-of-line copy
+		// never runs.
+		if d.Loop.Proc != "main" {
+			t.Errorf("decision for %v, a loop main cannot reach", d.Loop)
+		}
+		candidates += d.Candidates
+	}
+	if res.Measured != candidates {
+		t.Errorf("measured %d, decisions account for %d", res.Measured, candidates)
+	}
+	// Several of daxpy's candidates generate the code another already
+	// did (a width the loop never reaches, an unroll the phases decline).
+	if res.Simulated < 1 || res.Simulated >= res.Measured+1 {
+		t.Errorf("simulated %d programs for %d candidates and a baseline, want fewer", res.Simulated, res.Measured)
 	}
 }
