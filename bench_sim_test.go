@@ -127,8 +127,7 @@ func benchSimulate(b *testing.B, prog *titan.Program, workload string, procs int
 	for i := 0; i < b.N; i++ {
 		// Machines are single-use; build each outside the timed
 		// region so ns/op measures engine execution, not the cost of
-		// allocating and zeroing the 16 MB memory slab (identical for
-		// both engines).
+		// building the machine (identical for both engines).
 		b.StopTimer()
 		m := titan.NewMachine(prog, procs)
 		b.StartTimer()

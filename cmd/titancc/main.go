@@ -239,6 +239,7 @@ func main() {
 			r, err = m.Run(*entry)
 		}
 		wall := time.Since(start)
+		m.Release()
 		stopCPU()
 		if err != nil {
 			fatal(err)

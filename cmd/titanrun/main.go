@@ -99,6 +99,7 @@ func main() {
 			r, err = m.Run(*entry)
 		}
 		wall := time.Since(start)
+		m.Release() // the next configuration's machine reuses it
 		if err != nil {
 			fatal(err)
 		}

@@ -47,13 +47,19 @@ func errf(format string, args ...interface{}) error {
 	return &Error{Msg: fmt.Sprintf(format, args...)}
 }
 
-// Generate lowers a whole program.
+// minStackReserve is the stack every program gets on top of its own
+// frames: room for recursion, which no static sum can bound.
+const minStackReserve = 256 << 10
+
+// Generate lowers a whole program. The memory image is sized to it:
+// globals from DataBase, rounded up to a page (the machine's stack limit),
+// then a stack of minStackReserve plus every procedure's frame, so a
+// program that never recurses cannot run out however large its locals.
 func Generate(prog *il.Program) (*titan.Program, error) {
 	tp := &titan.Program{
 		Funcs:      map[string]*titan.Func{},
 		DataBase:   4096,
 		GlobalAddr: map[string]int64{},
-		MemSize:    1 << 24,
 	}
 	// Lay out globals.
 	addr := tp.DataBase
@@ -87,6 +93,12 @@ func Generate(prog *il.Program) (*titan.Program, error) {
 		}
 		tp.Funcs[p.Name] = f
 	}
+	// Sized only now: a procedure naming an extern grows Data.
+	stack := int64(minStackReserve)
+	for _, f := range tp.Funcs {
+		stack += f.Frame
+	}
+	tp.MemSize = titan.PageAlign(tp.DataBase+int64(len(tp.Data))) + titan.PageAlign(stack)
 	Peephole(tp)
 	return tp, nil
 }
@@ -188,6 +200,7 @@ func genProc(p *il.Proc, tp *titan.Program) (*titan.Func, error) {
 		return nil, err
 	}
 	// Prologue: reserve the frame and bind parameters.
+	g.f.Frame = g.frame
 	if g.frame > 0 {
 		g.emit(titan.Instr{Op: titan.OpAddi, Rd: regSP, Rs1: regSP, Imm: -g.frame})
 	}

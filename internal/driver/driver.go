@@ -215,6 +215,7 @@ func RunEntry(src, entry string, opts Options, processors int) (titan.Result, er
 			entry, strings.Join(sortedFuncNames(res.Machine), ", "))
 	}
 	m := titan.NewMachine(res.Machine, processors)
+	defer m.Release()
 	return m.Run(entry)
 }
 

@@ -462,6 +462,7 @@ func (s *Server) compile(key string, req CompileRequest, opts driver.Options) ([
 		start := time.Now()
 		r, err := m.Run(req.Entry)
 		hostNanos := time.Since(start).Nanoseconds()
+		m.Release()
 		if err != nil {
 			return nil, fmt.Errorf("simulation: %w", err)
 		}

@@ -117,8 +117,9 @@ type dinstr struct {
 
 // dfunc is a pre-decoded function.
 type dfunc struct {
-	name string
-	code []dinstr
+	name  string
+	frame int64
+	code  []dinstr
 }
 
 // Byte offsets of the scoreboard arrays and unit clocks within cpu,
@@ -320,7 +321,7 @@ func isFltBin(op Op) bool {
 
 func decodeFunc(f *Func) *dfunc {
 	n := len(f.Instrs)
-	df := &dfunc{name: f.Name, code: make([]dinstr, n)}
+	df := &dfunc{name: f.Name, frame: f.Frame, code: make([]dinstr, n)}
 	isTarget := make([]bool, n+1)
 	for _, t := range f.Labels {
 		if t >= 0 && t <= n {
@@ -488,6 +489,9 @@ func (m *Machine) runFastEntry(entry string) (Result, error) {
 	max := m.MaxInstrs
 	if max == 0 {
 		max = 2_000_000_000
+	}
+	if err := c.openFrame(df.frame, entry, 0); err != nil {
+		return Result{}, err
 	}
 	if err := c.runFast(df, 0, -1, max); err != nil {
 		return Result{}, err
@@ -949,14 +953,19 @@ func (c *cpu) callFast(d *dinstr, df *dfunc, pc int, maxInstrs int64) error {
 	if !ok {
 		return fmt.Errorf("titan: call to undefined function %q", d.sym)
 	}
+	if err := c.openFrame(callee.frame, df.name, pc); err != nil {
+		return err
+	}
 	savedR := c.r
 	savedF := c.f
 	savedFrame := c.inRegionFrame
 	c.inRegionFrame = false
 	c.args = nil
+	c.depth++
 	if err := c.runFast(callee, 0, -1, maxInstrs); err != nil {
 		return err
 	}
+	c.depth--
 	c.inRegionFrame = savedFrame
 	retI := c.r[RegRetInt]
 	retF := c.f[RegRetFlt]

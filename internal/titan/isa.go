@@ -301,7 +301,17 @@ type Func struct {
 	Name   string
 	Instrs []Instr
 	Labels map[string]int // label → instruction index
+	// Frame is the stack the function's prologue reserves, in bytes: what
+	// a call checks against the machine's stack limit before entering it.
+	Frame int64
 }
+
+// PageSize is the granule of the memory layout: the data segment is
+// rounded up to it, and the boundary is the stack limit.
+const PageSize = 4096
+
+// PageAlign rounds n up to a whole number of pages.
+func PageAlign(n int64) int64 { return (n + PageSize - 1) / PageSize * PageSize }
 
 // Program is a linked executable image.
 type Program struct {
@@ -312,7 +322,9 @@ type Program struct {
 	DataBase int64
 	// GlobalAddr maps global names to addresses (for tests and loaders).
 	GlobalAddr map[string]int64
-	// MemSize is the total memory to allocate (stack at top).
+	// MemSize is the total memory to allocate: data from DataBase, then
+	// the stack, growing down from the top towards the page-rounded end
+	// of Data (the stack limit, see Machine).
 	MemSize int64
 
 	// Decoded form for the fast engine (engine.go), built once on first
@@ -325,8 +337,8 @@ type Program struct {
 
 // Equal reports whether two programs are the same code over the same
 // memory image: the same functions with the same instructions (float
-// immediates by bit pattern) and labels, the same Data, DataBase and
-// MemSize. That is everything a Machine reads, so — the simulator being
+// immediates by bit pattern), labels and frames, the same Data, DataBase
+// and MemSize. That is everything a Machine reads, so — the simulator being
 // deterministic — equal programs run to equal Results. GlobalAddr is a
 // loader convenience no execution path consults and is not compared.
 func (p *Program) Equal(q *Program) bool {
@@ -336,7 +348,7 @@ func (p *Program) Equal(q *Program) bool {
 	}
 	for name, f := range p.Funcs {
 		g, ok := q.Funcs[name]
-		if !ok || len(f.Instrs) != len(g.Instrs) || len(f.Labels) != len(g.Labels) {
+		if !ok || f.Frame != g.Frame || len(f.Instrs) != len(g.Instrs) || len(f.Labels) != len(g.Labels) {
 			return false
 		}
 		for i, a := range f.Instrs {

@@ -269,6 +269,7 @@ func TestProgramEqual(t *testing.T) {
 		"one label's target": func(p *Program) { p.Funcs["main"].Labels[".L1"] = 2 },
 		"one label's name":   func(p *Program) { p.Funcs["main"].Labels = map[string]int{".L2": 1} },
 		"an extra label":     func(p *Program) { p.Funcs["leaf"].Labels[".L9"] = 0 },
+		"a frame":            func(p *Program) { p.Funcs["leaf"].Frame = 16 },
 		"an extra instr":     func(p *Program) { f := p.Funcs["leaf"]; f.Instrs = append(f.Instrs, Instr{Op: OpNop}) },
 		"a function's name":  func(p *Program) { p.Funcs["leaf2"] = p.Funcs["leaf"]; delete(p.Funcs, "leaf") },
 		"an extra function":  func(p *Program) { p.Funcs["more"] = &Func{Name: "more"} },

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -75,14 +77,15 @@ func ValidateProcessors(n int) error {
 }
 
 // Fault is a simulated memory-access error: an out-of-range scalar load
-// or store, a strided vector element outside memory, or a C-string read
-// (printf/puts format or %s argument) from a bad pointer. It carries the
-// faulting address and the function+pc of the instruction that issued
-// the access.
+// or store, a strided vector element outside memory, a C-string read
+// (printf/puts format or %s argument) from a bad pointer, or a call whose
+// frame does not fit above the stack limit. It carries the faulting
+// address (for a stack overflow, where the frame would have started, and
+// its size) and the function+pc of the instruction that issued the access.
 type Fault struct {
 	Addr int64
 	Size int64
-	Kind string // "load", "store", "vector load", "vector store", "cstring"
+	Kind string // "load", "store", "vector load", "vector store", "cstring", "stack overflow"
 	Func string
 	PC   int
 }
@@ -93,10 +96,18 @@ func (e *Fault) Error() string {
 
 // Machine simulates one Titan. A Machine is single-use state for one
 // Run at a time: concurrent simulations each take their own Machine
-// (NewMachine is cheap; the Program may be shared freely).
+// (the Program may be shared freely). Its owner calls Release once the
+// Result is taken; a released machine belongs to the next NewMachine and
+// must not be touched again. One never released is simply collected.
+//
+// Memory is one flat image: the program's Data at DataBase, then the
+// stack, which starts 8 bytes below the top and grows down. The boundary
+// is stackLimit, the page-rounded end of Data: a call whose frame would
+// start below it faults instead of overwriting globals.
 type Machine struct {
-	prog *Program
-	mem  []byte
+	prog       *Program
+	mem        []byte
+	stackLimit int64
 	// Processors sets the processor count for parallel regions (1–4).
 	Processors int
 	// Trace, when non-nil, receives a line per retired instruction.
@@ -109,17 +120,17 @@ type Machine struct {
 	out strings.Builder
 
 	// Scratch block for the fast engine's parallel-region forks
-	// (engine.go): allocated with the machine and reused by every
-	// region, so a run with many regions pays the ~140 KB
-	// per-processor allocation once. scratchBusy arbitrates the rare
-	// nested or concurrent claim, which falls back to a fresh block.
+	// (engine.go): it comes with the machine and is reused by every
+	// region, so a run with many regions never allocates the ~130 KB
+	// per-processor contexts. scratchBusy arbitrates the rare nested or
+	// concurrent claim, which falls back to a fresh block.
 	scratch     *regionScratch
 	scratchBusy atomic.Bool
 
 	// root is the fast engine's top-level cpu, carved out of the
 	// Machine allocation so Run allocates nothing. A second Run on the
-	// same machine (the slab is already consumed, but callers may) gets
-	// a fresh cpu instead.
+	// same machine (it continues from the memory the first left, but
+	// callers may) gets a fresh cpu instead.
 	root     cpu
 	rootUsed bool
 
@@ -174,26 +185,110 @@ func (m *Machine) releaseScratch(s *regionScratch) {
 	}
 }
 
-// NewMachine loads a program.
+// machines holds released machines for NewMachine to reuse: the image,
+// the root cpu and the region scratch are what a machine costs to build
+// (a page fault per 4 KB of image, 520 KB of contexts), and a search or a
+// server builds thousands. It is a plain bounded free list, not a
+// sync.Pool: a collection empties a sync.Pool, and a compile server's
+// heap is small enough next to what a compile allocates that one comes
+// every few requests — there the pool would never have a machine to give.
+var machines struct {
+	sync.Mutex
+	free []*Machine
+}
+
+// maxPooledImage is the largest image kept with a released machine; a
+// program with more memory than this takes its image with it.
+const maxPooledImage = 16 << 20
+
+// NewMachine loads a program into a machine: a released one when there
+// is any, else a new one. Reuse is invisible (see load).
 func NewMachine(prog *Program, processors int) *Machine {
+	var m *Machine
+	machines.Lock()
+	if n := len(machines.free); n > 0 {
+		m, machines.free = machines.free[n-1], machines.free[:n-1]
+	}
+	machines.Unlock()
+	if m == nil {
+		m = new(Machine)
+	}
+	m.load(prog, processors)
+	return m
+}
+
+// load makes m, new or recycled, a machine holding prog and nothing else.
+// Everything a previous owner — possibly another tenant's program — could
+// have left is cleared before the new program sees it: the whole image to
+// its exact new length, every processor context, the output, the
+// statistics and the public knobs; only the allocations survive. Clearing
+// just what the last run dirtied would be cheaper and is not done: a wild
+// store lands anywhere, so the ranges would have to be tracked on every
+// simulated store to be trusted.
+func (m *Machine) load(prog *Program, processors int) {
 	if processors < 1 {
 		processors = 1
 	}
 	if processors > MaxProcessors {
 		processors = MaxProcessors
 	}
+	dataEnd := prog.DataBase + int64(len(prog.Data))
 	size := prog.MemSize
-	if size < prog.DataBase+int64(len(prog.Data))+1<<16 {
-		size = prog.DataBase + int64(len(prog.Data)) + 1<<16
+	if size < dataEnd+1<<16 {
+		size = dataEnd + 1<<16
 	}
-	m := &Machine{prog: prog, mem: make([]byte, size), Processors: processors}
+	mem, scratch := m.mem, m.scratch
+	*m = Machine{prog: prog, Processors: processors, stackLimit: PageAlign(dataEnd)}
+	if int64(cap(mem)) >= size {
+		mem = mem[:size]
+		clear(mem)
+	} else {
+		mem = make([]byte, size)
+	}
+	if scratch != nil {
+		*scratch = regionScratch{}
+	} else if processors > 1 {
+		// The fast engine's region scratch comes with the machine so
+		// parallel regions never allocate at run time.
+		scratch = new(regionScratch)
+	}
+	m.mem, m.scratch = mem, scratch
 	copy(m.mem[prog.DataBase:], prog.Data)
-	if processors > 1 {
-		// Pre-allocate the fast engine's region scratch so parallel
-		// regions never allocate at run time.
-		m.scratch = new(regionScratch)
+}
+
+// Release hands the machine's state over for a later NewMachine. Call it
+// once the Result is taken, on error paths too; the machine must not be
+// used afterwards (a second Release is a no-op). As many machines are kept
+// as can run at once, GOMAXPROCS; the rest are left to the collector.
+func (m *Machine) Release() {
+	if m.prog == nil {
+		return
 	}
-	return m
+	// Dropped now so a kept machine pins neither the program nor the
+	// caller's closure; everything else is cleared when it is drawn.
+	m.prog, m.Trace = nil, nil
+	if cap(m.mem) > maxPooledImage {
+		m.mem = nil
+	}
+	machines.Lock()
+	if len(machines.free) < runtime.GOMAXPROCS(0) {
+		machines.free = append(machines.free, m)
+	}
+	machines.Unlock()
+}
+
+// maxCallDepth bounds call nesting where the stack limit cannot: a callee
+// with no frame moves no stack pointer, and the engines recurse on the
+// host stack. It is the depth 8-byte frames reach in the smallest stack.
+const maxCallDepth = 32 << 10
+
+// openFrame checks that the call (or the run's entry) at fn+pc may open a
+// frame of the given size: it must start at or above the stack limit.
+func (c *cpu) openFrame(frame int64, fn string, pc int) error {
+	if sp := c.r[RegSP] - frame; sp < c.m.stackLimit || c.depth >= maxCallDepth {
+		return &Fault{Addr: sp, Size: frame, Kind: "stack overflow", Func: fn, PC: pc}
+	}
+	return nil
 }
 
 // cpu is one processor context. It is copied by value at parallel-region
@@ -221,6 +316,8 @@ type cpu struct {
 	vlc  int64
 	pid  int64
 	args []argval
+	// depth is the call nesting below the run's entry (see maxCallDepth).
+	depth int
 
 	// DOACROSS synchronization: sync is the enclosing parallel region's
 	// fabric (nil outside regions), inRegionFrame says whether this
@@ -357,6 +454,9 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 	max := m.MaxInstrs
 	if max == 0 {
 		max = 2_000_000_000
+	}
+	if err := c.openFrame(f.Frame, entry, 0); err != nil {
+		return Result{}, err
 	}
 	if err := c.exec(f, 0, -1, max); err != nil {
 		return Result{}, err
@@ -1114,6 +1214,9 @@ func (c *cpu) call(name, fn string, pc int, maxInstrs int64) error {
 	if !ok {
 		return fmt.Errorf("titan: call to undefined function %q", name)
 	}
+	if err := c.openFrame(callee.Frame, fn, pc); err != nil {
+		return err
+	}
 	// Register window: snapshot, run, restore all but results. The
 	// callee is not the parallel region's own frame: post/wait inside it
 	// are rejected (the region scheduler cannot park mid-call).
@@ -1122,9 +1225,11 @@ func (c *cpu) call(name, fn string, pc int, maxInstrs int64) error {
 	savedFrame := c.inRegionFrame
 	c.inRegionFrame = false
 	c.args = nil
+	c.depth++
 	if err := c.exec(callee, 0, -1, maxInstrs); err != nil {
 		return err
 	}
+	c.depth--
 	c.inRegionFrame = savedFrame
 	retI := c.r[RegRetInt]
 	retF := c.f[RegRetFlt]

@@ -1,10 +1,12 @@
 package tune_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/driver"
+	"repro/internal/titan"
 	"repro/internal/tune"
 )
 
@@ -29,5 +31,31 @@ func BenchmarkTune(b *testing.B) {
 			b.ReportMetric(float64(res.Measured), "candidates/search")
 			b.ReportMetric(float64(res.Simulated), "simulated/search")
 		})
+	}
+}
+
+// BenchmarkNewMachine is what one of a search's simulations pays before it
+// runs: a machine for daxpy at one and four processors, built on state
+// nobody released (fresh: there is nothing to reuse) and on the state
+// the previous iteration released (recycled). B/op is the figure to read.
+//
+//	go test -run '^$' -bench NewMachine -benchmem ./internal/tune
+func BenchmarkNewMachine(b *testing.B) {
+	res, err := driver.Compile(bench.Daxpy(256).Src, driver.FullOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		for _, state := range []string{"fresh", "recycled"} {
+			b.Run(fmt.Sprintf("p%d/%s", procs, state), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m := titan.NewMachine(res.Machine, procs)
+					if state == "recycled" {
+						m.Release()
+					}
+				}
+			})
+		}
 	}
 }

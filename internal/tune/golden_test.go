@@ -27,9 +27,17 @@ type goldenSearch struct {
 	TunedCycles   int64           `json:"tuned_cycles"`
 	Measured      int             `json:"measured"`
 	Decisions     []tune.Decision `json:"decisions"`
+	// simulated is pinned in its own file (simulatedGolden).
+	simulated int
 }
 
 const decisionsGolden = "testdata/decisions.golden.json"
+
+// simulatedGolden pins Result.Simulated per search ("unit@processors"),
+// generated at the last commit whose tuner measured candidates one after
+// another: which programs a search runs, not only what it decides, must
+// survive a change to how the measuring is scheduled.
+const simulatedGolden = "testdata/simulated.golden.json"
 
 // goldenUnits is what the golden covers: the repository's testdata/*.c,
 // the E-series workloads, and the benchmark's twelve kernels.
@@ -121,7 +129,7 @@ func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
 	}
 	return goldenSearch{Name: u.Name, Processors: procs, Schedules: res.Schedules,
 		DefaultCycles: res.DefaultCycles, TunedCycles: res.TunedCycles,
-		Measured: res.Measured, Decisions: res.Decisions}
+		Measured: res.Measured, Decisions: res.Decisions, simulated: res.Simulated}
 }
 
 // TestDecisionsGolden pins every search outcome — the plan, the cycle
@@ -137,10 +145,20 @@ func TestDecisionsGolden(t *testing.T) {
 	units := goldenUnits(t)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		var got []goldenSearch
+		simulated := map[string]int{}
 		for _, u := range units {
 			for _, procs := range []int{1, 4} {
-				got = append(got, searchFor(t, u, procs))
+				g := searchFor(t, u, procs)
+				got = append(got, g)
+				simulated[fmt.Sprintf("%s@%d", u.Name, procs)] = g.simulated
 			}
+		}
+		sims, err := json.MarshalIndent(simulated, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(simulatedGolden, append(sims, '\n'), 0o644); err != nil {
+			t.Fatal(err)
 		}
 		// One search per line, so a changed decision is a one-line diff.
 		var blob bytes.Buffer
@@ -172,6 +190,14 @@ func TestDecisionsGolden(t *testing.T) {
 	}
 	if len(want) != 2*len(units) {
 		t.Fatalf("golden has %d searches for %d units at 2 processor counts", len(want), len(units))
+	}
+	blob, err = os.ReadFile(simulatedGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var simulated map[string]int
+	if err := json.Unmarshal(blob, &simulated); err != nil {
+		t.Fatalf("%s: %v", simulatedGolden, err)
 	}
 	for i, w := range want {
 		id := fmt.Sprintf("%s@%d", w.Name, w.Processors)
@@ -215,6 +241,9 @@ func TestDecisionsGolden(t *testing.T) {
 		}
 		if !reflect.DeepEqual(g.Decisions, live) {
 			t.Errorf("%s: decisions\n  got    %+v\n  golden %+v", id, g.Decisions, live)
+		}
+		if g.simulated != simulated[id] {
+			t.Errorf("%s: simulated %d programs, golden %d", id, g.simulated, simulated[id])
 		}
 		if g.Measured != w.Measured-deadCandidates {
 			t.Errorf("%s: measured %d candidates, golden %d less %d for dead loops", id,

@@ -17,6 +17,13 @@
 // makes that code's result theirs. So a search is one head compile,
 // 1 + candidates tail compiles, and one simulation per distinct program.
 //
+// A loop's candidates are trials against one incumbent set, so they are
+// measured as a batch on as many workers as the host has processors: all
+// compiled concurrently, matched against the programs already run
+// serially in candidate order, the distinct ones simulated concurrently
+// (each on a recycled machine it releases), and then judged in candidate
+// order. Nothing a search reports depends on the width.
+//
 // The search is greedy coordinate descent over loops: loops are visited
 // in deterministic key order, each loop's candidates are measured against
 // the best schedule set found so far, and a candidate is adopted only
@@ -34,6 +41,8 @@ package tune
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/depend"
@@ -44,6 +53,7 @@ import (
 	"repro/internal/schedule"
 	"repro/internal/titan"
 	"repro/internal/token"
+	"repro/internal/workpool"
 )
 
 // Config bounds the search and fixes the measurement harness.
@@ -167,6 +177,10 @@ type search struct {
 	// run through the tail itself.
 	base *il.Program
 	tail *pass.Manager
+	// generate compiles one candidate's schedule set down to a Titan
+	// program: s.compile, but for the test that makes a chosen candidate's
+	// compile fail, which no schedule the grid offers does today.
+	generate func(*schedule.Set) (*titan.Program, error)
 	// ran holds every distinct program this search has simulated, with
 	// its outcome. The simulator is deterministic, so a candidate whose
 	// generated code equals one of these has that outcome too.
@@ -175,8 +189,14 @@ type search struct {
 
 type ranProgram struct {
 	prog *titan.Program
-	res  titan.Result
-	err  error
+	outcome
+}
+
+// outcome is what measuring one schedule set came to: the run's result,
+// or the error that stopped the compile or the run.
+type outcome struct {
+	res titan.Result
+	err error
 }
 
 // quietContext is the pass context of the tuner's own compiles: defaults
@@ -200,7 +220,9 @@ func newSearch(src string, opts driver.Options, cfg Config) (*search, error) {
 		lowered.IL.Release()
 		return nil, err
 	}
-	return &search{opts: opts, cfg: cfg, base: lowered.IL, tail: tail}, nil
+	s := &search{opts: opts, cfg: cfg, base: lowered.IL, tail: tail}
+	s.generate = s.compile
+	return s, nil
 }
 
 // Tune searches for the cycle-minimal schedule set for src compiled under
@@ -212,34 +234,45 @@ func Tune(src string, opts driver.Options, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer s.base.Release()
-	if s.base.Proc(cfg.entry()) == nil {
-		return nil, fmt.Errorf("tune: entry function %q is not defined", cfg.entry())
+	return s.run()
+}
+
+// run is the search proper, over the base IL newSearch prepared.
+func (s *search) run() (*Result, error) {
+	if s.base.Proc(s.cfg.entry()) == nil {
+		return nil, fmt.Errorf("tune: entry function %q is not defined", s.cfg.entry())
 	}
 	loops := s.discover()
-	baseline, err := s.measure(nil)
-	if err != nil {
-		return nil, fmt.Errorf("tune: baseline run failed: %w", err)
+	first := s.measure([]*schedule.Set{nil})[0]
+	if first.err != nil {
+		return nil, fmt.Errorf("tune: baseline run failed: %w", first.err)
 	}
+	baseline := first.res
 	res := &Result{Schedules: schedule.NewSet(), DefaultCycles: baseline.Cycles, TunedCycles: baseline.Cycles}
 	best := baseline
-	budget := cfg.budget()
+	budget := s.cfg.budget()
 	for _, li := range loops {
 		dec := Decision{Loop: li.key, Schedule: schedule.Default(), DefaultCycles: best.Cycles, Cycles: best.Cycles}
-		for _, cand := range li.candidates {
-			if res.Measured >= budget {
-				break
-			}
-			trial := cloneSet(res.Schedules)
-			trial.Put(li.key, cand)
-			got, err := s.measure(trial)
+		// A loop's candidates are all trials against the same incumbent
+		// set, so they are measured as one batch.
+		cands := li.candidates
+		if left := budget - res.Measured; len(cands) > left {
+			cands = cands[:left]
+		}
+		trials := make([]*schedule.Set, len(cands))
+		for i, cand := range cands {
+			trials[i] = cloneSet(res.Schedules)
+			trials[i].Put(li.key, cand)
+		}
+		for i, got := range s.measure(trials) {
 			res.Measured++
 			dec.Candidates++
-			if err != nil || got.ExitCode != baseline.ExitCode || got.Output != baseline.Output {
+			if got.err != nil || got.res.ExitCode != baseline.ExitCode || got.res.Output != baseline.Output {
 				continue // candidate miscompiled or diverged: discard
 			}
-			if got.Cycles < dec.Cycles {
-				dec.Cycles = got.Cycles
-				dec.Schedule = cand
+			if got.res.Cycles < dec.Cycles {
+				dec.Cycles = got.res.Cycles
+				dec.Schedule = cands[i]
 			}
 		}
 		if !dec.Schedule.IsDefault() {
@@ -253,12 +286,56 @@ func Tune(src string, opts driver.Options, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// measure compiles a clone of the base IL under the schedule set — the
-// pipeline's tail with the verifier on, then the driver's code generation
-// — and returns the deterministic result of running it on the fast Titan
-// engine, simulating only if this search has not already run that exact
-// program.
-func (s *search) measure(set *schedule.Set) (titan.Result, error) {
+// measure returns, for each schedule set, the deterministic outcome of
+// compiling a clone of the base IL under it — the pipeline's tail with the
+// verifier on, then the driver's code generation — and running the program
+// on the fast Titan engine, simulating only programs this search has not
+// already run.
+//
+// The batch is worked at the host's width and decided in its own order.
+// Compiles and simulations share nothing (a clone, a context, a machine
+// each), so both fan out over the work pool; between them the generated
+// programs are matched against s.ran serially, in batch order, which is
+// the order a one-at-a-time search would have met them in — so which
+// program a repeat is charged to, s.ran and every outcome are the same at
+// any width, and width 1 is this code run inline.
+func (s *search) measure(sets []*schedule.Set) []outcome {
+	width := runtime.GOMAXPROCS(0)
+	out := make([]outcome, len(sets))
+	progs := make([]*titan.Program, len(sets))
+	workpool.ForEachN(len(sets), width, func(i int) {
+		progs[i], out[i].err = s.generate(sets[i])
+	})
+	// slot[i] is where in s.ran set i's outcome will be.
+	slot := make([]int, len(sets))
+	fresh := len(s.ran)
+	for i, tp := range progs {
+		if tp == nil {
+			continue
+		}
+		slot[i] = slices.IndexFunc(s.ran, func(r ranProgram) bool { return r.prog.Equal(tp) })
+		if slot[i] < 0 {
+			slot[i] = len(s.ran)
+			s.ran = append(s.ran, ranProgram{prog: tp})
+		}
+	}
+	todo := s.ran[fresh:]
+	workpool.ForEachN(len(todo), width, func(i int) {
+		m := titan.NewMachine(todo[i].prog, s.cfg.processors())
+		todo[i].res, todo[i].err = m.Run(s.cfg.entry())
+		m.Release()
+	})
+	for i, tp := range progs {
+		if tp != nil {
+			out[i] = s.ran[slot[i]].outcome
+		}
+	}
+	return out
+}
+
+// compile takes a clone of the base IL through the tail and code
+// generation under one schedule set.
+func (s *search) compile(set *schedule.Set) (*titan.Program, error) {
 	prog := s.base.Clone()
 	// Candidate compiles are measure-and-discard; free their IL arenas so
 	// a tuning search doesn't inflate the arena_bytes_live gauge.
@@ -266,20 +343,9 @@ func (s *search) measure(set *schedule.Set) (titan.Result, error) {
 	ctx := quietContext()
 	ctx.Schedules = set
 	if _, err := s.tail.Run(prog, ctx); err != nil {
-		return titan.Result{}, err
+		return nil, err
 	}
-	tp, err := driver.Generate(prog, s.opts)
-	if err != nil {
-		return titan.Result{}, err
-	}
-	for _, r := range s.ran {
-		if r.prog.Equal(tp) {
-			return r.res, r.err
-		}
-	}
-	res, err := titan.NewMachine(tp, s.cfg.processors()).Run(s.cfg.entry())
-	s.ran = append(s.ran, ranProgram{prog: tp, res: res, err: err})
-	return res, err
+	return driver.Generate(prog, s.opts)
 }
 
 // discover reads the tunable loops off the base IL — the loops as the
