@@ -46,7 +46,7 @@ func recordCompileBench(r compileBenchRow) {
 	compileBench.mu.Unlock()
 }
 
-// TestMain exists only to flush BENCH_compile.json and BENCH_sim.json
+// TestMain exists only to flush BENCH_compile.json and its siblings
 // after a -bench run; plain `go test` records nothing and writes nothing.
 func TestMain(m *testing.M) {
 	code := m.Run()
@@ -80,21 +80,6 @@ func TestMain(m *testing.M) {
 	if len(maskedRows) > 0 {
 		if blob, err := json.MarshalIndent(maskedRows, "", "  "); err == nil {
 			_ = os.WriteFile("BENCH_masked.json", append(blob, '\n'), 0o644)
-		}
-	}
-	simBench.mu.Lock()
-	simRows := simBench.rows
-	simBench.mu.Unlock()
-	if len(simRows) > 0 {
-		geo, doall := simBenchSpeedups(simRows)
-		doc := struct {
-			ESeriesGeomeanSpeedupP1 float64       `json:"eseries_geomean_speedup_p1"`
-			SyntheticDoallSpeedupP4 float64       `json:"syntheticdoall_speedup_p4"`
-			GOMAXPROCS              int           `json:"gomaxprocs"`
-			Rows                    []simBenchRow `json:"rows"`
-		}{geo, doall, runtime.GOMAXPROCS(0), simRows}
-		if blob, err := json.MarshalIndent(doc, "", "  "); err == nil {
-			_ = os.WriteFile("BENCH_sim.json", append(blob, '\n'), 0o644)
 		}
 	}
 	os.Exit(code)

@@ -329,7 +329,78 @@ func TestScheduleKeepsLabelsCorrect(t *testing.T) {
 	}
 }
 
+// doacrossBlock is a DOACROSS iteration as one straight-line block: wait
+// for the predecessor, load what it published, compute, store, post, and
+// bump the counters for the next iteration.
+func doacrossBlock() *titan.Func {
+	return &titan.Func{Name: "f", Labels: map[string]int{}, Instrs: []titan.Instr{
+		{Op: titan.OpWait, Rs1: 5, Rs2: 6},
+		{Op: titan.OpFld8, Rd: 1, Rs1: 3},
+		{Op: titan.OpFadd, Rd: 2, Rs1: 1, Rs2: 1},
+		{Op: titan.OpFst8, Rs1: 4, Rs2: 2},
+		{Op: titan.OpPost, Rs1: 7, Rs2: 8},
+		{Op: titan.OpAddi, Rd: 8, Rs1: 8, Imm: 1},
+		{Op: titan.OpMul, Rd: 9, Rs1: 8, Rs2: 8},
+		{Op: titan.OpRet},
+	}}
+}
+
+// scheduledPos schedules f and returns where each opcode of the block
+// ended up (the block's opcodes are distinct).
+func scheduledPos(f *titan.Func) map[titan.Op]int {
+	Schedule(&titan.Program{Funcs: map[string]*titan.Func{f.Name: f}})
+	pos := map[titan.Op]int{}
+	for i, in := range f.Instrs {
+		pos[in.Op] = i
+	}
+	return pos
+}
+
+// A wait guards the accesses after it: none of them may be hoisted above.
+func TestScheduleKeepsGuardedLoadBelowWait(t *testing.T) {
+	f := doacrossBlock()
+	pos := scheduledPos(f)
+	if pos[titan.OpFld8] < pos[titan.OpWait] || pos[titan.OpFst8] < pos[titan.OpWait] {
+		t.Errorf("access hoisted above the wait that guards it:\n%s", f.Disassemble())
+	}
+}
+
+// A post publishes the stores before it and reads its operands where it
+// stands: it stays below the store and above the redefinition of its value
+// register.
+func TestScheduleKeepsPostAfterStoreBeforeRedefinition(t *testing.T) {
+	f := doacrossBlock()
+	pos := scheduledPos(f)
+	if pos[titan.OpPost] < pos[titan.OpFst8] {
+		t.Errorf("post hoisted above the store it publishes:\n%s", f.Disassemble())
+	}
+	if pos[titan.OpAddi] < pos[titan.OpPost] {
+		t.Errorf("posted register redefined before the post:\n%s", f.Disassemble())
+	}
+}
+
 // ------------------------------------------------------------- peephole
+
+// A scratch register a later post or wait reads is live: coalescing its
+// definition away would publish garbage.
+func TestPeepholeSeesPostOperand(t *testing.T) {
+	for _, op := range []titan.Op{titan.OpPost, titan.OpWait} {
+		f := &titan.Func{Name: "f", Labels: map[string]int{}, Instrs: []titan.Instr{
+			{Op: titan.OpAddi, Rd: scratchLo, Rs1: 40, Imm: 1},
+			{Op: titan.OpMov, Rd: 41, Rs1: scratchLo},
+			{Op: op, Rs1: 42, Rs2: scratchLo},
+			{Op: titan.OpRet},
+		}}
+		isTarget := make([]bool, len(f.Instrs)+1)
+		if !scratchLiveAfter(f, 2, scratchLo, false, isTarget) {
+			t.Errorf("scratch read by a later %v reported dead", f.Instrs[2])
+		}
+		coalesceCopies(f)
+		if len(f.Instrs) != 4 {
+			t.Errorf("move coalesced away under a live scratch:\n%s", f.Disassemble())
+		}
+	}
+}
 
 func TestPeepholeCoalescesMoves(t *testing.T) {
 	tp := genProgram(t, `

@@ -12,7 +12,11 @@ package codegen
 // trailing fmov adds a full FP-unit latency to every loop-carried
 // recurrence (the §6 f_reg chain).
 
-import "repro/internal/titan"
+import (
+	"slices"
+
+	"repro/internal/titan"
+)
 
 // Peephole runs local cleanups over every function.
 func Peephole(tp *titan.Program) {
@@ -34,13 +38,8 @@ func coalesceCopies(f *titan.Func) {
 			continue
 		}
 		mv := f.Instrs[i+1]
-		var isFlt bool
-		switch mv.Op {
-		case titan.OpMov:
-			isFlt = false
-		case titan.OpFmov:
-			isFlt = true
-		default:
+		isFlt := mv.Op == titan.OpFmov
+		if !isFlt && mv.Op != titan.OpMov {
 			continue
 		}
 		s := mv.Rs1
@@ -78,20 +77,19 @@ func coalesceCopies(f *titan.Func) {
 	f.Instrs = out
 }
 
+// regOf names register r of the integer or the float file.
+func regOf(r int, flt bool) titan.Ref {
+	if flt {
+		return titan.Ref{File: titan.FltReg, Num: r}
+	}
+	return titan.Ref{File: titan.IntReg, Num: r}
+}
+
 // writesReg reports whether the instruction's destination is register r of
 // the given file.
 func writesReg(in titan.Instr, r int, flt bool) bool {
-	defs, _ := defsUses(in)
-	want := rcInt
-	if flt {
-		want = rcFlt
-	}
-	for _, d := range defs {
-		if d.class == want && d.num == r {
-			return true
-		}
-	}
-	return false
+	refs := in.Refs()
+	return slices.Contains(refs.Defs(), regOf(r, flt))
 }
 
 // scratchLiveAfter reports whether register s may be read at or after
@@ -104,29 +102,19 @@ func writesReg(in titan.Instr, r int, flt bool) bool {
 // never be the destination of a coalescing candidate. A control transfer
 // or label therefore ends the scratch's live range.
 func scratchLiveAfter(f *titan.Func, i int, s int, flt bool, isTarget []bool) bool {
-	want := rcInt
-	if flt {
-		want = rcFlt
-	}
+	reg := regOf(s, flt)
 	for ; i < len(f.Instrs); i++ {
 		if isTarget[i] {
 			return false // statement boundary: pool scratches are dead
 		}
-		in := f.Instrs[i]
-		defs, uses := defsUses(in)
-		for _, u := range uses {
-			if u.class == want && u.num == s {
-				return true
-			}
+		refs := f.Instrs[i].Refs()
+		if slices.Contains(refs.Uses(), reg) {
+			return true
 		}
-		for _, d := range defs {
-			if d.class == want && d.num == s {
-				return false // rewritten before any read
-			}
+		if slices.Contains(refs.Defs(), reg) {
+			return false // rewritten before any read
 		}
-		switch in.Op {
-		case titan.OpJmp, titan.OpBeqz, titan.OpBnez, titan.OpRet, titan.OpHalt,
-			titan.OpCall, titan.OpParBegin, titan.OpParEnd:
+		if f.Instrs[i].Op.Transfers() {
 			return false // statement boundary
 		}
 	}

@@ -16,7 +16,12 @@ package codegen
 // operations; loads reorder freely with loads. The dependence information
 // that justified more aggressive reordering at the IL level has already
 // been spent (register promotion removed the conflicting references), so
-// the conservative rule loses nothing on the §6 workloads.
+// the conservative rule loses nothing on the §6 workloads. post and wait
+// order like stores: the accesses around them are what they synchronize.
+//
+// Which registers an instruction reads and writes, how it orders against
+// memory and whether it ends a block are the machine's facts and come from
+// its opcode table (titan.Instr.Refs, titan.Op.Mem, titan.Op.IsControl).
 
 import "repro/internal/titan"
 
@@ -68,7 +73,7 @@ func scheduleFunc(f *titan.Func) {
 			oldToNew[i] = len(out)
 			break
 		}
-		if isControl(f.Instrs[i].Op) {
+		if f.Instrs[i].Op.IsControl() {
 			// Schedule the straight-line prefix, keep the control
 			// instruction as the block terminator.
 			if i > start {
@@ -96,174 +101,12 @@ func scheduleFunc(f *titan.Func) {
 	f.Instrs = out
 }
 
-func isControl(op titan.Op) bool {
-	switch op {
-	case titan.OpJmp, titan.OpBeqz, titan.OpBnez, titan.OpCall, titan.OpRet,
-		titan.OpHalt, titan.OpParBegin, titan.OpParEnd, titan.OpArg, titan.OpFarg:
-		return true
-	}
-	return false
-}
-
-// regClass distinguishes the register files for dependence tracking.
-type regClass int
-
-const (
-	rcInt regClass = iota
-	rcFlt
-	rcVec
-	rcMask // vector-mask registers
-	rcVL   // the vector length register
-)
-
-type regRef struct {
-	class regClass
-	num   int
-}
-
-// regRefs holds an instruction's register operands in fixed-size storage
-// (no instruction writes more than one register or reads more than five —
-// vst.m reads a vector, base, stride, mask, and VL), so dependence
-// construction never allocates per instruction.
-type regRefs struct {
-	defs [1]regRef
-	nDef int
-	uses [5]regRef
-	nUse int
-}
-
-func (r *regRefs) def(x regRef) {
-	r.defs[r.nDef] = x
-	r.nDef++
-}
-
-func (r *regRefs) use(xs ...regRef) {
-	r.nUse += copy(r.uses[r.nUse:], xs)
-}
-
-// instrRefs returns the registers an instruction writes and reads.
-func instrRefs(in titan.Instr) (r regRefs) {
-	ir := func(n int) regRef { return regRef{rcInt, n} }
-	fr := func(n int) regRef { return regRef{rcFlt, n} }
-	vr := func(n int) regRef { return regRef{rcVec, n} }
-	mk := func(n int) regRef { return regRef{rcMask, n} }
-	switch in.Op {
-	case titan.OpLdi:
-		r.def(ir(in.Rd))
-	case titan.OpFldi:
-		r.def(fr(in.Rd))
-	case titan.OpMov, titan.OpNeg, titan.OpNot, titan.OpBnot, titan.OpAddi, titan.OpMuli:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpAdd, titan.OpSub, titan.OpMul, titan.OpDiv, titan.OpRem,
-		titan.OpAnd, titan.OpOr, titan.OpXor, titan.OpShl, titan.OpShr,
-		titan.OpCmpEq, titan.OpCmpNe, titan.OpCmpLt, titan.OpCmpLe,
-		titan.OpCmpGt, titan.OpCmpGe:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2))
-	case titan.OpPid, titan.OpNproc:
-		r.def(ir(in.Rd))
-	case titan.OpLd1, titan.OpLd2, titan.OpLd4:
-		r.def(ir(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpSt1, titan.OpSt2, titan.OpSt4:
-		r.use(ir(in.Rs1), ir(in.Rs2))
-	case titan.OpFld4, titan.OpFld8:
-		r.def(fr(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpFst4, titan.OpFst8:
-		r.use(ir(in.Rs1), fr(in.Rs2))
-	case titan.OpFmov, titan.OpFneg:
-		r.def(fr(in.Rd))
-		r.use(fr(in.Rs1))
-	case titan.OpFadd, titan.OpFsub, titan.OpFmul, titan.OpFdiv:
-		r.def(fr(in.Rd))
-		r.use(fr(in.Rs1), fr(in.Rs2))
-	case titan.OpFcmpEq, titan.OpFcmpNe, titan.OpFcmpLt, titan.OpFcmpLe,
-		titan.OpFcmpGt, titan.OpFcmpGe:
-		r.def(ir(in.Rd))
-		r.use(fr(in.Rs1), fr(in.Rs2))
-	case titan.OpCvtIF:
-		r.def(fr(in.Rd))
-		r.use(ir(in.Rs1))
-	case titan.OpCvtFI:
-		r.def(ir(in.Rd))
-		r.use(fr(in.Rs1))
-	case titan.OpVsetl:
-		r.def(regRef{rcVL, 0})
-		r.use(ir(in.Rs1))
-	case titan.OpVld:
-		r.def(vr(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVst:
-		r.use(vr(in.Rd), ir(in.Rs1), ir(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVadd, titan.OpVsub, titan.OpVmul, titan.OpVdiv:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVadds, titan.OpVsubs, titan.OpVsubsr, titan.OpVmuls,
-		titan.OpVdivs, titan.OpVdivsr:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), fr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVmov:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVbcast:
-		r.def(vr(in.Rd))
-		r.use(fr(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVcmpLt, titan.OpVcmpLe, titan.OpVcmpEq, titan.OpVcmpNe:
-		r.def(mk(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpVcmpLts, titan.OpVcmpLes, titan.OpVcmpEqs, titan.OpVcmpNes:
-		r.def(mk(in.Rd))
-		r.use(vr(in.Rs1), fr(in.Rs2), regRef{rcVL, 0})
-	case titan.OpMand, titan.OpMor:
-		r.def(mk(in.Rd))
-		r.use(mk(in.Rs1), mk(in.Rs2), regRef{rcVL, 0})
-	case titan.OpMnot:
-		r.def(mk(in.Rd))
-		r.use(mk(in.Rs1), regRef{rcVL, 0})
-	case titan.OpVldm:
-		r.def(vr(in.Rd))
-		r.use(ir(in.Rs1), ir(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpVstm:
-		r.use(vr(in.Rd), ir(in.Rs1), ir(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpVaddm, titan.OpVsubm, titan.OpVmulm, titan.OpVdivm:
-		r.def(vr(in.Rd))
-		r.use(vr(in.Rs1), vr(in.Rs2), mk(int(in.Imm>>8)), regRef{rcVL, 0})
-	case titan.OpArg, titan.OpBeqz, titan.OpBnez:
-		r.use(ir(in.Rs1))
-	case titan.OpFarg:
-		r.use(fr(in.Rs1))
-	}
-	return r
-}
-
-// defsUses returns the registers an instruction writes and reads as
-// slices; the scheduler's hot path uses instrRefs directly.
-func defsUses(in titan.Instr) (defs, uses []regRef) {
-	r := instrRefs(in)
-	return r.defs[:r.nDef], r.uses[:r.nUse]
-}
-
-func isLoad(op titan.Op) bool {
-	switch op {
-	case titan.OpLd1, titan.OpLd2, titan.OpLd4, titan.OpFld4, titan.OpFld8,
-		titan.OpVld, titan.OpVldm:
-		return true
-	}
-	return false
-}
-
-func isStore(op titan.Op) bool {
-	switch op {
-	case titan.OpSt1, titan.OpSt2, titan.OpSt4, titan.OpFst4, titan.OpFst8,
-		titan.OpVst, titan.OpVstm:
-		return true
-	}
-	return false
-}
-
-// latencyOf estimates result latency for priority computation.
+// latencyOf is the scheduler's priority weight for an op's result: a
+// heuristic, not an ISA fact — the machine's latencies are titan's opcode
+// table, and these depart from it (DESIGN.md, "Execution engine", lists
+// where). They are kept because they are what the pinned schedules were
+// chosen with: the machine's own numbers reorder masked kernels, some for
+// the better and some for the worse.
 func latencyOf(op titan.Op) int {
 	switch op {
 	case titan.OpMul, titan.OpMuli:
@@ -314,19 +157,19 @@ func scheduleBlock(block []titan.Instr) []int {
 		edges = append(edges, depEdge{a, b})
 		npred[b]++
 	}
-	lastDef := map[regRef]int{}
-	lastUses := map[regRef][]int{}
+	lastDef := map[titan.Ref]int{}
+	lastUses := map[titan.Ref][]int{}
 	lastStore := -1
 	var loadsSinceStore []int
 	for i := 0; i < n; i++ {
-		refs := instrRefs(block[i])
-		for _, u := range refs.uses[:refs.nUse] {
+		refs := block[i].Refs()
+		for _, u := range refs.Uses() {
 			if d, ok := lastDef[u]; ok {
 				addEdge(d, i) // RAW
 			}
 			lastUses[u] = append(lastUses[u], i)
 		}
-		for _, d := range refs.defs[:refs.nDef] {
+		for _, d := range refs.Defs() {
 			if pd, ok := lastDef[d]; ok {
 				addEdge(pd, i) // WAW
 			}
@@ -339,8 +182,8 @@ func scheduleBlock(block []titan.Instr) []int {
 			lastUses[d] = nil
 		}
 		// Memory ordering.
-		op := block[i].Op
-		if isStore(op) {
+		switch block[i].Op.Mem() {
+		case titan.MemStore, titan.MemFence:
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
@@ -349,7 +192,7 @@ func scheduleBlock(block []titan.Instr) []int {
 			}
 			lastStore = i
 			loadsSinceStore = nil
-		} else if isLoad(op) {
+		case titan.MemLoad:
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
@@ -384,7 +227,7 @@ func scheduleBlock(block []titan.Instr) []int {
 			}
 		}
 		prio[i] = best + latencyOf(block[i].Op)
-		if isLoad(block[i].Op) {
+		if block[i].Op.Mem() == titan.MemLoad {
 			prio[i] += 2
 		}
 	}

@@ -13,11 +13,11 @@ import (
 // bit-identical Result, but restructured for host throughput:
 //
 //   - every Func is pre-decoded once per Program into a dense []dinstr
-//     with the timing table (unit, latency, occupancy, vl scaling),
-//     operand/destination scoreboard kinds, and branch targets folded
-//     into each instruction, so the hot loop runs one data-driven charge
-//     plus one semantic switch instead of the reference's two full
-//     switches per retired instruction;
+//     with its opTable row (unit, latency, occupancy, vl scaling,
+//     operand and destination scoreboard slots) and branch targets
+//     folded into each instruction, so the hot loop runs one branch-free
+//     charge plus one semantic switch instead of the reference's table
+//     walk and switch per retired instruction;
 //   - Trace and per-instruction budget checks are hoisted out of the
 //     straight-line path (budget is re-checked at every control
 //     transfer, which every loop must make);
@@ -33,35 +33,6 @@ import (
 //     over the shared slab, joined with the reference's max-delta +
 //     fork-overhead cycle model.
 
-// regKind says which scoreboard array an operand or result lives in.
-type regKind uint8
-
-const (
-	rkNone regKind = iota
-	rkInt
-	rkFlt
-	rkVec
-	rkMask
-)
-
-// unitKind selects the functional unit that executes an op.
-type unitKind uint8
-
-const (
-	uInt unitKind = iota
-	uFlt
-	uMem
-)
-
-// flopKind is the op's contribution to the FLOP count.
-type flopKind uint8
-
-const (
-	fNone flopKind = iota
-	fOne
-	fVL
-)
-
 // fuseKind marks a superinstruction: this op and its successor retire
 // together in one loop iteration.
 type fuseKind uint8
@@ -73,10 +44,11 @@ const (
 )
 
 // dinstr is one pre-decoded instruction: the Instr operands plus
-// everything dispatch used to recompute per retirement — scoreboard
-// kinds, unit, base latency/occupancy and vl scaling, FLOP class — and
-// resolved control-flow targets. Vector register indices are pre-wrapped
-// into [0, VRFWords).
+// everything dispatch looks up in opTable per retirement, resolved to
+// where it lives — scoreboard slots and unit as byte offsets into cpu,
+// latency/occupancy and their vl scaling, FLOP contribution — and
+// resolved control-flow targets. Vector and mask register indices are
+// pre-wrapped into their files.
 type dinstr struct {
 	// Hot fields first: the dispatch loop and the inlined charge touch
 	// only these, keeping the per-instruction working set to about one
@@ -105,12 +77,6 @@ type dinstr struct {
 	fimm    float64
 
 	fuse   fuseKind
-	s1k    regKind
-	s2k    regKind
-	dk     regKind
-	unit   unitKind
-	vscale uint8 // latency/occupancy grow by vscale·vl
-	fl     flopKind
 	sym    string
 	errMsg string // decode-time diagnosis, raised only if executed
 }
@@ -129,39 +95,56 @@ var (
 	offFltReady  = int32(unsafe.Offsetof(cpu{}.fltReady))
 	offVecReady  = int32(unsafe.Offsetof(cpu{}.vecReady))
 	offMaskReady = int32(unsafe.Offsetof(cpu{}.maskReady))
-	offIntUnit   = int32(unsafe.Offsetof(cpu{}.intUnit))
-	offFltUnit   = int32(unsafe.Offsetof(cpu{}.fltUnit))
-	offMemUnit   = int32(unsafe.Offsetof(cpu{}.memUnit))
 	offSbZero    = int32(unsafe.Offsetof(cpu{}.sbZero))
 	offSbSink    = int32(unsafe.Offsetof(cpu{}.sbSink))
+	offUnit      = [...]int32{
+		uInt: int32(unsafe.Offsetof(cpu{}.intUnit)),
+		uFlt: int32(unsafe.Offsetof(cpu{}.fltUnit)),
+		uMem: int32(unsafe.Offsetof(cpu{}.memUnit)),
+	}
 )
 
-// sbOff resolves an operand's ready-time slot to its byte offset in cpu.
-// Register indexes are validated here so the unchecked pointer
-// arithmetic in charge can never stray: the reference would panic on
-// the same malformed instruction at execution time, the decoder simply
-// reports it up front.
-func sbOff(k regKind, r int32, write bool) int32 {
-	switch k {
-	case rkInt:
+// wrapReg maps a vector or mask register index into its file, the way the
+// reference wraps it at every access; other files' indices pass through.
+func wrapReg(file RegFile, n int) int32 {
+	switch file {
+	case VecReg:
+		return int32(vslot(n))
+	case MaskReg:
+		return int32(mslot(n))
+	}
+	return int32(n)
+}
+
+// sbOff resolves the scoreboard slot of register r (already wrapped) of a
+// file to its byte offset in cpu. Register indexes are validated here so
+// the unchecked pointer arithmetic in charge can never stray: the
+// reference would panic on the same malformed instruction at execution
+// time, the decoder simply reports it up front.
+func sbOff(file RegFile, r int32) int32 {
+	switch file {
+	case IntReg:
 		if r < 0 || r >= NumIntRegs {
 			panic(fmt.Sprintf("titan: decode: integer register r%d out of range", r))
 		}
 		return offIntReady + 8*r
-	case rkFlt:
+	case FltReg:
 		if r < 0 || r >= NumFltRegs {
 			panic(fmt.Sprintf("titan: decode: float register f%d out of range", r))
 		}
 		return offFltReady + 8*r
-	case rkVec:
-		// Pre-wrapped by the decoder into [0, VRFWords).
+	case VecReg:
 		return offVecReady + 8*r
-	case rkMask:
-		// Pre-wrapped by the decoder into [0, NumMaskRegs).
+	default:
 		return offMaskReady + 8*r
 	}
-	if write {
-		return offSbSink
+}
+
+// srcOff is the slot charge waits on for an operand: the register's when
+// the op reads it at dispatch, else the always-zero one.
+func srcOff(o operand, r int32) int32 {
+	if o.role == roleUse {
+		return sbOff(o.file, r)
 	}
 	return offSbZero
 }
@@ -175,128 +158,6 @@ func (p *Program) decode() {
 			p.decoded[name] = decodeFunc(f)
 		}
 	})
-}
-
-// timeOf is the reference dispatch timing table, factored: latency and
-// occupancy are lat + vscale·vl / occ + vscale·vl.
-func timeOf(op Op) (unit unitKind, vscale uint8, lat, occ int64) {
-	switch op {
-	case OpMul, OpMuli:
-		return uInt, 0, 4, 1
-	case OpDiv, OpRem:
-		return uInt, 0, 12, 8
-	case OpLd1, OpLd2, OpLd4, OpFld4, OpFld8:
-		return uMem, 0, 6, 1
-	case OpSt1, OpSt2, OpSt4, OpFst4, OpFst8, OpPost:
-		return uMem, 0, 1, 1
-	case OpWait:
-		return uMem, 0, waitLatency, 1
-	case OpFadd, OpFsub, OpFmul, OpFneg,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe,
-		OpCvtIF, OpCvtFI, OpFmov, OpFldi:
-		return uFlt, 0, 6, 1
-	case OpFdiv:
-		return uFlt, 0, 18, 12
-	case OpVld, OpVst, OpVldm, OpVstm:
-		return uMem, 1, 6, 2
-	case OpVadd, OpVsub, OpVmul, OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVmov, OpVbcast,
-		OpVaddm, OpVsubm, OpVmulm,
-		OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return uFlt, 1, 8, 4
-	case OpVdiv, OpVdivs, OpVdivsr, OpVdivm:
-		return uFlt, 2, 12, 8
-	case OpMand, OpMor, OpMnot:
-		return uInt, 0, 2, 1
-	case OpJmp, OpBeqz, OpBnez:
-		return uInt, 0, 2, 1
-	case OpCall:
-		return uInt, 0, 10, 10
-	case OpRet:
-		return uInt, 0, 8, 8
-	default:
-		return uInt, 0, 1, 1
-	}
-}
-
-// srcKinds is the reference dispatch operand-readiness table.
-func srcKinds(op Op) (s1k, s2k regKind) {
-	switch op {
-	case OpMov, OpNeg, OpNot, OpBnot, OpAddi, OpMuli, OpBeqz, OpBnez, OpArg,
-		OpVsetl, OpCvtIF, OpPid, OpNproc,
-		OpLd1, OpLd2, OpLd4, OpFld4, OpFld8,
-		OpSt1, OpSt2, OpSt4, OpFst4, OpFst8:
-		return rkInt, rkNone
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpVld, OpVst, OpPost, OpWait:
-		return rkInt, rkInt
-	case OpFmov, OpFneg, OpCvtFI, OpFarg, OpVbcast:
-		return rkFlt, rkNone
-	case OpFadd, OpFsub, OpFmul, OpFdiv,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return rkFlt, rkFlt
-	case OpVadd, OpVsub, OpVmul, OpVdiv, OpVmov,
-		OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return rkVec, rkVec
-	case OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return rkVec, rkFlt
-	case OpMand, OpMor:
-		return rkMask, rkMask
-	case OpMnot:
-		return rkMask, rkNone
-	case OpVldm, OpVstm:
-		return rkInt, rkInt
-	}
-	return rkNone, rkNone
-}
-
-// dstKind is the reference dispatch result-readiness table.
-func dstKind(op Op) regKind {
-	switch op {
-	case OpLdi, OpMov, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpAddi, OpMuli, OpNeg, OpNot, OpBnot,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpLd1, OpLd2, OpLd4, OpCvtFI, OpPid, OpNproc,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return rkInt
-	case OpFldi, OpFmov, OpFadd, OpFsub, OpFmul, OpFdiv, OpFneg, OpCvtIF,
-		OpFld4, OpFld8:
-		return rkFlt
-	case OpVld, OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr, OpVmov, OpVbcast,
-		OpVldm, OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return rkVec
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes,
-		OpMand, OpMor, OpMnot:
-		return rkMask
-	}
-	return rkNone
-}
-
-func flopOf(op Op) flopKind {
-	switch op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
-		return fOne
-	case OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr,
-		OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return fVL
-	}
-	return fNone
-}
-
-// maskedVecOp reports whether op reads a governing mask register out of
-// Imm bits 8.. (the third scoreboard operand).
-func maskedVecOp(op Op) bool {
-	switch op {
-	case OpVldm, OpVstm, OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return true
-	}
-	return false
 }
 
 // fusableALU ops may lead a fuseBranch pair: register-only, no faults,
@@ -331,51 +192,30 @@ func decodeFunc(f *Func) *dfunc {
 	for pc, in := range f.Instrs {
 		d := &df.code[pc]
 		d.op = in.Op
-		d.rd, d.rs1, d.rs2 = int32(in.Rd), int32(in.Rs1), int32(in.Rs2)
 		d.imm, d.fimm, d.sym = in.Imm, in.FImm, in.Sym
-		d.s1k, d.s2k = srcKinds(in.Op)
-		d.dk = dstKind(in.Op)
-		var lat, occ int64
-		d.unit, d.vscale, lat, occ = timeOf(in.Op)
-		d.lat, d.occ = int32(lat), int32(occ)
-		d.vsc = int32(d.vscale)
-		d.fl = flopOf(in.Op)
-		// Pre-wrap vector and mask register file indices, so the hot path
-		// indexes the ready arrays and kernel fast paths directly.
-		if d.s1k == rkVec {
-			d.rs1 = int32(vslot(in.Rs1))
-		} else if d.s1k == rkMask {
-			d.rs1 = int32(mslot(in.Rs1))
-		}
-		if d.s2k == rkVec {
-			d.rs2 = int32(vslot(in.Rs2))
-		} else if d.s2k == rkMask {
-			d.rs2 = int32(mslot(in.Rs2))
-		}
-		if d.dk == rkVec {
-			d.rd = int32(vslot(in.Rd))
-		} else if d.dk == rkMask {
-			d.rd = int32(mslot(in.Rd))
-		}
-		d.s1off = sbOff(d.s1k, d.rs1, false)
-		d.s2off = sbOff(d.s2k, d.rs2, false)
+		// The row's facts, resolved: file indices wrapped so the hot path
+		// indexes the ready arrays and kernel fast paths directly, slots and
+		// unit as offsets, timing and FLOPs as plain numbers.
+		info := &opTable[in.Op]
+		d.rd = wrapReg(info.rd.file, in.Rd)
+		d.rs1 = wrapReg(info.rs1.file, in.Rs1)
+		d.rs2 = wrapReg(info.rs2.file, in.Rs2)
+		d.s1off = srcOff(info.rs1, d.rs1)
+		d.s2off = srcOff(info.rs2, d.rs2)
 		d.s3off = offSbZero
-		if maskedVecOp(in.Op) {
-			d.s3off = sbOff(rkMask, int32(maskReg(in)), false)
+		if info.masked {
+			d.s3off = sbOff(MaskReg, int32(maskReg(in)))
 		}
-		d.doff = sbOff(d.dk, d.rd, true)
-		switch d.unit {
-		case uInt:
-			d.unitOff = offIntUnit
-		case uFlt:
-			d.unitOff = offFltUnit
-		default:
-			d.unitOff = offMemUnit
+		d.doff = offSbSink
+		if info.rd.role == roleDef {
+			d.doff = sbOff(info.rd.file, d.rd)
 		}
-		switch d.fl {
-		case fOne:
+		d.unitOff = offUnit[info.time.unit]
+		d.lat, d.occ, d.vsc = info.time.lat, info.time.occ, info.time.vscale
+		switch info.flops {
+		case flopOne:
 			d.flc = 1
-		case fVL:
+		case flopPerLane:
 			d.flv = 1
 		}
 		switch in.Op {
@@ -389,26 +229,13 @@ func decodeFunc(f *Func) *dfunc {
 				d.errMsg = fmt.Sprintf("titan: unknown label %q in %s", in.Sym, f.Name)
 			}
 		case OpParBegin:
-			d.tgt = -1
-			depth := 0
-			for i := pc + 1; i < n; i++ {
-				switch f.Instrs[i].Op {
-				case OpParBegin:
-					depth++
-				case OpParEnd:
-					if depth == 0 {
-						d.tgt = int32(i)
-						// Flag regions containing post/wait (imm is unused
-						// by par.begin): they need the synchronization
-						// fabric and the truly concurrent execution path.
-						if hasSyncOps(f.Instrs, pc+1, i) {
-							d.imm = 1
-						}
-						i = n
-					} else {
-						depth--
-					}
-				}
+			end := matchParEnd(f.Instrs, pc)
+			d.tgt = int32(end)
+			// Flag regions containing post/wait (imm is unused by
+			// par.begin): they need the synchronization fabric and the
+			// truly concurrent execution path.
+			if end >= 0 && hasSyncOps(f.Instrs, pc+1, end) {
+				d.imm = 1
 			}
 		}
 	}
@@ -435,7 +262,7 @@ func decodeFunc(f *Func) *dfunc {
 }
 
 // charge advances the scoreboard for one decoded instruction: the
-// reference dispatch with its three switches replaced by decoded byte
+// reference dispatch with its opTable lookups replaced by decoded byte
 // offsets into the cpu struct, so the hot path is branch-free — operand
 // and destination slots, the issuing unit, the vl scaling, and the FLOP
 // contribution are all straight loads through pre-validated offsets.
@@ -479,36 +306,17 @@ func (m *Machine) runFastEntry(entry string) (Result, error) {
 	}
 	c := &m.root
 	if m.rootUsed {
-		c = &cpu{}
+		c = new(cpu)
 	}
 	m.rootUsed = true
-	c.m = m
-	c.out = &m.out
-	c.vlc = 1
-	c.r[RegSP] = int64(len(m.mem)) - 8
-	max := m.MaxInstrs
-	if max == 0 {
-		max = 2_000_000_000
-	}
-	if err := c.openFrame(df.frame, entry, 0); err != nil {
+	maxInstrs, err := m.begin(c, entry, df.frame)
+	if err != nil {
 		return Result{}, err
 	}
-	if err := c.runFast(df, 0, -1, max); err != nil {
+	if err := c.runFast(df, 0, -1, maxInstrs); err != nil {
 		return Result{}, err
 	}
-	procs, stalls := m.runStats()
-	return Result{
-		Cycles:          c.cycles,
-		FlopCount:       c.flops,
-		Instrs:          c.icount,
-		ExitCode:        c.r[RegRetInt],
-		Output:          m.out.String(),
-		SyncStalls:      stalls,
-		MaskOps:         c.maskOps,
-		MaskLanesActive: c.maskActive,
-		MaskLanesTotal:  c.maskTotal,
-		Procs:           procs,
-	}, nil
+	return m.result(c), nil
 }
 
 func (c *cpu) budgetErr(df *dfunc) error {
@@ -943,36 +751,23 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 	return nil
 }
 
-// callFast mirrors call over decoded functions.
+// callFast is call over decoded functions.
 func (c *cpu) callFast(d *dinstr, df *dfunc, pc int, maxInstrs int64) error {
-	if handled, err := c.intrinsic(d.sym); handled {
-		c.args = nil
-		return locateFault(err, df.name, pc)
+	if handled, err := c.intrinsic(d.sym, df.name, pc); handled {
+		return err
 	}
 	callee, ok := c.m.prog.decoded[d.sym]
 	if !ok {
 		return fmt.Errorf("titan: call to undefined function %q", d.sym)
 	}
-	if err := c.openFrame(callee.frame, df.name, pc); err != nil {
+	var w window
+	if err := c.pushWindow(&w, callee.frame, df.name, pc); err != nil {
 		return err
 	}
-	savedR := c.r
-	savedF := c.f
-	savedFrame := c.inRegionFrame
-	c.inRegionFrame = false
-	c.args = nil
-	c.depth++
 	if err := c.runFast(callee, 0, -1, maxInstrs); err != nil {
 		return err
 	}
-	c.depth--
-	c.inRegionFrame = savedFrame
-	retI := c.r[RegRetInt]
-	retF := c.f[RegRetFlt]
-	c.r = savedR
-	c.f = savedF
-	c.r[RegRetInt] = retI
-	c.f[RegRetFlt] = retF
+	c.popWindow(&w)
 	return nil
 }
 
@@ -986,85 +781,61 @@ func (c *cpu) callFast(d *dinstr, df *dfunc, pc int, maxInstrs int64) error {
 // regions from loops its dependence analysis proved iteration-disjoint
 // (see DESIGN.md, "Execution engine").
 //
-// Cycle accounting is the reference join: every processor's cycle delta
-// is measured from the common fork point, the maximum wins, and fork
-// overhead is charged per extra processor.
+// Cycle accounting is regionJoin's, like the reference.
 func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, hasSync bool) error {
 	procs := c.m.Processors
-	if procs == 1 {
-		// Single processor: the reference copies state in, runs, and
-		// adopts everything back, so the join degenerates to forcing
-		// pid 0 and synchronizing clock and units to the completion
-		// horizon — run directly on c with no copy at all. A sync
-		// region still gets its fabric: posts must land somewhere, and
-		// a wait that nothing could satisfy must deadlock (procs == 1
-		// trips the all-blocked detection immediately).
-		baseCycles, baseStall := c.cycles, c.syncStall
-		savedSync, savedFrame := c.sync, c.inRegionFrame
-		if hasSync {
-			c.sync = newSyncState(1)
-			c.inRegionFrame = true
-		}
-		c.pid = 0
-		if err := c.runFast(df, start, end, maxInstrs); err != nil {
-			return err
-		}
-		c.sync, c.inRegionFrame = savedSync, savedFrame
-		stall := c.syncStall - baseStall
-		c.m.recordProcStat(0, c.cycles-baseCycles-stall, stall, 0)
-		c.pid = 0
-		c.clock = c.cycles
-		c.intUnit, c.fltUnit, c.memUnit = c.cycles, c.cycles, c.cycles
-		return nil
-	}
-	// Pids 1.. fork copies of the full cpu (registers, VRF, scoreboard)
-	// from the Machine's reusable scratch block; pid 0 runs directly on
-	// c and is adopted in place, so a P-processor region costs P-1
-	// struct copies and no allocation. Every processor writes output to
-	// its own builder and the join concatenates them in pid order,
-	// byte-identical to the reference's serialized pid-order run.
-	scr := c.m.claimScratch()
-	defer c.m.releaseScratch(scr)
-	baseCycles, baseFlops, baseIcount, baseStall := c.cycles, c.flops, c.icount, c.syncStall
-	baseMaskOps, baseMaskActive, baseMaskTotal := c.maskOps, c.maskActive, c.maskTotal
+	join := c.fork()
 	parentOut := c.out
 	savedSync, savedFrame := c.sync, c.inRegionFrame
+	// A sync region gets its fabric even on one processor: posts must land
+	// somewhere, and a wait that nothing could satisfy must deadlock
+	// (procs == 1 trips the all-blocked detection immediately).
 	var ss *syncState
 	if hasSync {
 		ss = newSyncState(procs)
 	}
+	// Pid 0 executes on c itself: its state is the one the join adopts
+	// anyway, so a P-processor region costs P-1 struct copies.
+	c.pid = 0
+	c.sync, c.inRegionFrame = ss, hasSync
+	if procs == 1 {
+		// Nothing to fork, and no other processor's output to order this
+		// one's against: run in place, straight to the parent's sink.
+		if err := c.runFast(df, start, end, maxInstrs); err != nil {
+			return err
+		}
+		c.sync, c.inRegionFrame = savedSync, savedFrame
+		join.add(0, c)
+		join.finish(c, 1)
+		return nil
+	}
+	// Pids 1.. fork copies of the full cpu (registers, VRF, scoreboard)
+	// from the Machine's reusable scratch block, so a region allocates
+	// nothing. Every processor writes output to its own builder and the
+	// join concatenates them in pid order, byte-identical to the
+	// reference's serialized pid-order run.
+	scr := c.m.claimScratch()
+	defer c.m.releaseScratch(scr)
 	// Sync regions must fan out for real even on a single-core host:
 	// their processors block on each other mid-region, which the
 	// serialized fallback cannot express (goroutines still interleave
 	// at the blocking points under GOMAXPROCS=1).
 	concurrent := engineHostParallelism > 1 || hasSync
 	var wg sync.WaitGroup
-	var maxDelta, flops, icount int64
-	var maskOps, maskActive, maskTotal int64
-	var deltas, stallDeltas [MaxProcessors]int64
-	var firstSubErr error
 	if concurrent {
 		for pid := 1; pid < procs; pid++ {
 			sub := &scr.subs[pid-1]
-			*sub = *c
-			sub.pid = int64(pid)
-			sub.sync = ss
-			sub.inRegionFrame = hasSync
-			scr.outs[pid].Reset()
-			sub.out = &scr.outs[pid]
-			// The struct copy shares the args backing array; clone it
-			// so concurrent appends cannot race (values seen are
-			// identical to the reference's serialized run).
-			sub.args = append([]argval(nil), c.args...)
-			scr.errs[pid] = nil
+			c.forkTo(sub, pid, &scr.outs[pid])
 			wg.Add(1)
-			go func(sub *cpu, err *error) {
+			// ss goes in as an argument: captured, it would live on the
+			// heap, one allocation per region even on the paths above.
+			go func(sub *cpu, err *error, ss *syncState) {
 				defer wg.Done()
 				*err = sub.runFast(df, start, end, maxInstrs)
 				if ss != nil {
 					ss.finish()
 				}
-			}(sub, &scr.errs[pid])
+			}(sub, &scr.errs[pid], ss)
 		}
 	} else {
 		// Single host core: goroutines cannot overlap, so fan-out is
@@ -1075,91 +846,41 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 		// before pid 0 changes nothing observable.
 		sub := &scr.subs[0]
 		for pid := 1; pid < procs; pid++ {
-			*sub = *c
-			sub.pid = int64(pid)
-			scr.outs[pid].Reset()
-			sub.out = &scr.outs[pid]
-			if err := sub.runFast(df, start, end, maxInstrs); err != nil {
-				if firstSubErr == nil {
-					firstSubErr = err
-				}
-				continue
+			c.forkTo(sub, pid, &scr.outs[pid])
+			if scr.errs[pid] = sub.runFast(df, start, end, maxInstrs); scr.errs[pid] == nil {
+				join.add(pid, sub)
 			}
-			deltas[pid] = sub.cycles - baseCycles
-			if d := deltas[pid]; d > maxDelta {
-				maxDelta = d
-			}
-			flops += sub.flops - baseFlops
-			icount += sub.icount - baseIcount
-			maskOps += sub.maskOps - baseMaskOps
-			maskActive += sub.maskActive - baseMaskActive
-			maskTotal += sub.maskTotal - baseMaskTotal
 		}
 	}
-	// Pid 0 executes on c itself — its state is the one the join adopts
-	// anyway — with output buffered so the pid-order concatenation
-	// below stays byte-identical to the reference.
 	scr.outs[0].Reset()
-	c.pid = 0
 	c.out = &scr.outs[0]
-	c.sync = ss
-	c.inRegionFrame = hasSync
-	err0 := c.runFast(df, start, end, maxInstrs)
+	err := c.runFast(df, start, end, maxInstrs)
 	if ss != nil {
 		ss.finish()
 	}
 	c.out = parentOut
+	c.sync, c.inRegionFrame = savedSync, savedFrame
 	if concurrent {
 		wg.Wait()
 		for pid := 1; pid < procs; pid++ {
-			if e := scr.errs[pid]; e != nil {
-				if firstSubErr == nil {
-					firstSubErr = e
-				}
-				continue
+			if scr.errs[pid] == nil {
+				join.add(pid, &scr.subs[pid-1])
 			}
-			sub := &scr.subs[pid-1]
-			deltas[pid] = sub.cycles - baseCycles
-			stallDeltas[pid] = sub.syncStall - baseStall
-			if d := deltas[pid]; d > maxDelta {
-				maxDelta = d
-			}
-			flops += sub.flops - baseFlops
-			icount += sub.icount - baseIcount
-			maskOps += sub.maskOps - baseMaskOps
-			maskActive += sub.maskActive - baseMaskActive
-			maskTotal += sub.maskTotal - baseMaskTotal
 		}
 	}
-	c.sync, c.inRegionFrame = savedSync, savedFrame
 	// Pid 0's error wins, then the lowest erroring pid — the order the
 	// reference, which runs pids serially from 0, reports them in.
-	if err0 != nil {
-		return err0
+	for pid := 1; pid < procs && err == nil; pid++ {
+		err = scr.errs[pid]
 	}
-	if firstSubErr != nil {
-		return firstSubErr
+	if err != nil {
+		return err
 	}
 	for pid := 0; pid < procs; pid++ {
 		parentOut.WriteString(scr.outs[pid].String())
 	}
-	c.pid = 0
-	deltas[0] = c.cycles - baseCycles
-	stallDeltas[0] = c.syncStall - baseStall
-	if d0 := deltas[0]; d0 > maxDelta {
-		maxDelta = d0
-	}
-	for pid := 0; pid < procs; pid++ {
-		c.m.recordProcStat(pid, deltas[pid]-stallDeltas[pid], stallDeltas[pid], maxDelta-deltas[pid])
-	}
-	c.flops += flops
-	c.icount += icount
-	c.maskOps += maskOps
-	c.maskActive += maskActive
-	c.maskTotal += maskTotal
-	c.cycles = baseCycles + maxDelta + forkOverhead*int64(procs-1)
-	c.clock = c.cycles
-	c.intUnit, c.fltUnit, c.memUnit = c.cycles, c.cycles, c.cycles
+	join.add(0, c)
+	join.finish(c, procs)
 	return nil
 }
 
@@ -1176,18 +897,6 @@ var hostLE = func() bool {
 // bit-identical Result either way). Tests override this to force the
 // concurrent path.
 var engineHostParallelism = runtime.GOMAXPROCS(0)
-
-// elemWidth returns the byte width of a vector element kind, or 0 if the
-// kind is invalid.
-func elemWidth(kind int64) int64 {
-	switch kind {
-	case ElemF32, ElemI32:
-		return 4
-	case ElemF64:
-		return 8
-	}
-	return 0
-}
 
 // vecRangeOK reports whether every element address base+k·stride,
 // k ∈ [0, vl), lies in [0, memLen-width]. It is conservative: for
@@ -1224,7 +933,7 @@ func (c *cpu) vldFast(d *dinstr, fn string, pc int) error {
 	stride := c.r[d.rs2]
 	slot := int(d.rd)
 	if int64(slot)+vl > VRFWords || !vecRangeOK(base, stride, vl, width, int64(len(c.m.mem))) {
-		return c.vecLoad(Instr{Op: OpVld, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+		return c.vecMem(Instr{Op: OpVld, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 	}
 	dst := c.vrf[slot : slot+int(vl)]
 	mem := c.m.mem
@@ -1273,7 +982,7 @@ func (c *cpu) vstFast(d *dinstr, fn string, pc int) error {
 	stride := c.r[d.rs2]
 	slot := int(d.rd)
 	if int64(slot)+vl > VRFWords || !vecRangeOK(base, stride, vl, width, int64(len(c.m.mem))) {
-		return c.vecStore(Instr{Op: OpVst, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+		return c.vecMem(Instr{Op: OpVst, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 	}
 	src := c.vrf[slot : slot+int(vl)]
 	mem := c.m.mem
@@ -1502,7 +1211,7 @@ func (c *cpu) vldmFast(d *dinstr, fn string, pc int) error {
 		dd.imm = kind
 		return c.vldFast(&dd, fn, pc)
 	}
-	return c.vecLoadMasked(Instr{Op: OpVldm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	return c.vecMem(Instr{Op: OpVldm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 }
 
 // vstmFast is the engine's vst.m, mirroring vldmFast.
@@ -1520,7 +1229,7 @@ func (c *cpu) vstmFast(d *dinstr, fn string, pc int) error {
 		dd.imm = kind
 		return c.vstFast(&dd, fn, pc)
 	}
-	return c.vecStoreMasked(Instr{Op: OpVstm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	return c.vecMem(Instr{Op: OpVstm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 }
 
 // vbinmFast is the engine's masked vector arithmetic: all-true masks
@@ -1537,5 +1246,5 @@ func (c *cpu) vbinmFast(d *dinstr, denseOp Op, f func(a, b float64) float64) {
 		c.vbinFast(&dd)
 		return
 	}
-	c.vecBinMasked(Instr{Op: d.op, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, f)
+	c.vecBin(Instr{Op: d.op, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, f)
 }

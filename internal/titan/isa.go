@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -152,6 +153,8 @@ const (
 	OpVsubm
 	OpVmulm
 	OpVdivm
+
+	numOps // one past the last opcode: the length of opTable
 )
 
 // NumMaskRegs is the size of the vector-mask register file: each mask
@@ -172,6 +175,18 @@ const (
 	ElemI32 = 1 // int32 elements, width 4
 )
 
+// elemWidth returns the byte width of a vector element kind, or 0 if the
+// kind is invalid.
+func elemWidth(kind int64) int64 {
+	switch kind {
+	case ElemF32, ElemI32:
+		return 4
+	case ElemF64:
+		return 8
+	}
+	return 0
+}
+
 // MaxVL is the hardware strip length: the vector register file holds 8192
 // words addressable as vectors of any length and stride; the compiler's
 // strips use 32-element sections.
@@ -191,110 +206,405 @@ type Instr struct {
 	Sym  string // label or callee
 }
 
-var opNames = map[Op]string{
-	OpNop: "nop", OpLdi: "ldi", OpMov: "mov", OpAdd: "add", OpSub: "sub",
-	OpMul: "mul", OpDiv: "div", OpRem: "rem", OpAnd: "and", OpOr: "or",
-	OpXor: "xor", OpShl: "shl", OpShr: "shr", OpAddi: "addi", OpMuli: "muli",
-	OpNeg: "neg", OpNot: "not", OpBnot: "bnot",
-	OpCmpEq: "cmpeq", OpCmpNe: "cmpne", OpCmpLt: "cmplt", OpCmpLe: "cmple",
-	OpCmpGt: "cmpgt", OpCmpGe: "cmpge", OpPid: "pid", OpNproc: "nproc",
-	OpLd1: "ld1", OpLd2: "ld2", OpLd4: "ld4",
-	OpSt1: "st1", OpSt2: "st2", OpSt4: "st4",
-	OpFld4: "fld4", OpFld8: "fld8", OpFst4: "fst4", OpFst8: "fst8",
-	OpFldi: "fldi", OpFmov: "fmov", OpFadd: "fadd", OpFsub: "fsub",
-	OpFmul: "fmul", OpFdiv: "fdiv", OpFneg: "fneg",
-	OpFcmpEq: "fcmpeq", OpFcmpNe: "fcmpne", OpFcmpLt: "fcmplt",
-	OpFcmpLe: "fcmple", OpFcmpGt: "fcmpgt", OpFcmpGe: "fcmpge",
-	OpCvtIF: "cvtif", OpCvtFI: "cvtfi",
-	OpVsetl: "vsetl", OpVld: "vld", OpVst: "vst",
-	OpVadd: "vadd", OpVsub: "vsub", OpVmul: "vmul", OpVdiv: "vdiv",
-	OpVadds: "vadds", OpVsubs: "vsubs", OpVsubsr: "vsubsr",
-	OpVmuls: "vmuls", OpVdivs: "vdivs", OpVdivsr: "vdivsr", OpVmov: "vmov",
-	OpVbcast: "vbcast",
-	OpJmp:    "jmp", OpBeqz: "beqz", OpBnez: "bnez", OpCall: "call",
-	OpRet: "ret", OpArg: "arg", OpFarg: "farg", OpHalt: "halt",
-	OpParBegin: "par.begin", OpParEnd: "par.end",
-	OpPost: "post", OpWait: "wait",
-	OpVcmpLt: "vcmp.lt", OpVcmpLe: "vcmp.le", OpVcmpEq: "vcmp.eq",
-	OpVcmpNe: "vcmp.ne", OpVcmpLts: "vcmp.lts", OpVcmpLes: "vcmp.les",
-	OpVcmpEqs: "vcmp.eqs", OpVcmpNes: "vcmp.nes",
-	OpMand: "mand", OpMor: "mor", OpMnot: "mnot",
-	OpVldm: "vld.m", OpVstm: "vst.m",
-	OpVaddm: "vadd.m", OpVsubm: "vsub.m", OpVmulm: "vmul.m", OpVdivm: "vdiv.m",
+// opTable is the Titan's instruction set, one row per opcode: every
+// per-instruction fact is stated here and nowhere else. Instr.String reads
+// name and syntax; the reference dispatch (machine.go) and the fast
+// engine's decoder (engine.go) read the operand files and roles, the
+// governing mask and the timing; Refs, Mem, IsControl and Transfers give
+// the compiler's list scheduler and peephole their def/use, memory-order
+// and block-boundary classes. What an instruction computes is not here: it
+// is the semantic switch of each engine, written twice on purpose so that
+// one checks the other.
+var opTable = [numOps]opInfo{
+	OpNop:   {name: "nop", time: tALU},
+	OpLdi:   {name: "ldi", syn: synRdImm, rd: wI, time: tALU},
+	OpMov:   {name: "mov", syn: synRdRs1, rd: wI, rs1: rI, time: tALU},
+	OpAdd:   {name: "add", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpSub:   {name: "sub", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpMul:   {name: "mul", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tMul},
+	OpDiv:   {name: "div", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tDiv},
+	OpRem:   {name: "rem", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tDiv},
+	OpAnd:   {name: "and", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpOr:    {name: "or", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpXor:   {name: "xor", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpShl:   {name: "shl", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpShr:   {name: "shr", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpAddi:  {name: "addi", syn: synRdRs1Imm, rd: wI, rs1: rI, time: tALU},
+	OpMuli:  {name: "muli", syn: synRdRs1Imm, rd: wI, rs1: rI, time: tMul},
+	OpNeg:   {name: "neg", syn: synRdRs1, rd: wI, rs1: rI, time: tALU},
+	OpNot:   {name: "not", syn: synRdRs1, rd: wI, rs1: rI, time: tALU},
+	OpBnot:  {name: "bnot", syn: synRdRs1, rd: wI, rs1: rI, time: tALU},
+	OpCmpEq: {name: "cmpeq", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpCmpNe: {name: "cmpne", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpCmpLt: {name: "cmplt", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpCmpLe: {name: "cmple", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpCmpGt: {name: "cmpgt", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	OpCmpGe: {name: "cmpge", syn: synRdRs1Rs2, rd: wI, rs1: rI, rs2: rI, time: tALU},
+	// pid and nproc read nothing; they disassemble in the three-register
+	// form, unused fields and all ("pid r5, r0, r0"), which listings and
+	// testdata/titan.golden.json have always shown.
+	OpPid:   {name: "pid", syn: synRdRs1Rs2, rd: wI, time: tALU},
+	OpNproc: {name: "nproc", syn: synRdRs1Rs2, rd: wI, time: tALU},
+
+	OpLd1:  {name: "ld1", syn: synLoad, rd: wI, rs1: rI, time: tLoad, mem: MemLoad},
+	OpLd2:  {name: "ld2", syn: synLoad, rd: wI, rs1: rI, time: tLoad, mem: MemLoad},
+	OpLd4:  {name: "ld4", syn: synLoad, rd: wI, rs1: rI, time: tLoad, mem: MemLoad},
+	OpSt1:  {name: "st1", syn: synStore, rs1: rI, rs2: dI, time: tStore, mem: MemStore},
+	OpSt2:  {name: "st2", syn: synStore, rs1: rI, rs2: dI, time: tStore, mem: MemStore},
+	OpSt4:  {name: "st4", syn: synStore, rs1: rI, rs2: dI, time: tStore, mem: MemStore},
+	OpFld4: {name: "fld4", syn: synLoad, rd: wF, rs1: rI, time: tLoad, mem: MemLoad},
+	OpFld8: {name: "fld8", syn: synLoad, rd: wF, rs1: rI, time: tLoad, mem: MemLoad},
+	OpFst4: {name: "fst4", syn: synStore, rs1: rI, rs2: dF, time: tStore, mem: MemStore},
+	OpFst8: {name: "fst8", syn: synStore, rs1: rI, rs2: dF, time: tStore, mem: MemStore},
+
+	OpFldi:   {name: "fldi", syn: synRdFImm, rd: wF, time: tFP},
+	OpFmov:   {name: "fmov", syn: synRdRs1, rd: wF, rs1: rF, time: tFP},
+	OpFadd:   {name: "fadd", syn: synRdRs1Rs2, rd: wF, rs1: rF, rs2: rF, time: tFP, flops: flopOne},
+	OpFsub:   {name: "fsub", syn: synRdRs1Rs2, rd: wF, rs1: rF, rs2: rF, time: tFP, flops: flopOne},
+	OpFmul:   {name: "fmul", syn: synRdRs1Rs2, rd: wF, rs1: rF, rs2: rF, time: tFP, flops: flopOne},
+	OpFdiv:   {name: "fdiv", syn: synRdRs1Rs2, rd: wF, rs1: rF, rs2: rF, time: tFdiv, flops: flopOne},
+	OpFneg:   {name: "fneg", syn: synRdRs1, rd: wF, rs1: rF, time: tFP},
+	OpFcmpEq: {name: "fcmpeq", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpFcmpNe: {name: "fcmpne", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpFcmpLt: {name: "fcmplt", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpFcmpLe: {name: "fcmple", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpFcmpGt: {name: "fcmpgt", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpFcmpGe: {name: "fcmpge", syn: synRdRs1Rs2, rd: wI, rs1: rF, rs2: rF, time: tFP},
+	OpCvtIF:  {name: "cvtif", syn: synRdRs1, rd: wF, rs1: rI, time: tFP},
+	OpCvtFI:  {name: "cvtfi", syn: synRdRs1, rd: wI, rs1: rF, time: tFP},
+
+	OpVsetl:  {name: "vsetl", syn: synRs1, rs1: rI, time: tALU, vl: vlWrite},
+	OpVld:    {name: "vld", syn: synVecMem, rd: wV, rs1: rI, rs2: rI, time: tVecMem, vl: vlRead, mem: MemLoad},
+	OpVst:    {name: "vst", syn: synVecMem, rd: dV, rs1: rI, rs2: rI, time: tVecMem, vl: vlRead, mem: MemStore},
+	OpVadd:   {name: "vadd", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVsub:   {name: "vsub", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVmul:   {name: "vmul", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVdiv:   {name: "vdiv", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, time: tVdiv, vl: vlRead, flops: flopPerLane},
+	OpVadds:  {name: "vadds", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVsubs:  {name: "vsubs", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVsubsr: {name: "vsubsr", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVmuls:  {name: "vmuls", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVdivs:  {name: "vdivs", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVdiv, vl: vlRead, flops: flopPerLane},
+	OpVdivsr: {name: "vdivsr", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rF, time: tVdiv, vl: vlRead, flops: flopPerLane},
+	OpVmov:   {name: "vmov", syn: synRdRs1, rd: wV, rs1: rV, time: tVec, vl: vlRead},
+	OpVbcast: {name: "vbcast", syn: synRdRs1, rd: wV, rs1: rF, time: tVec, vl: vlRead},
+
+	OpJmp:  {name: "jmp", syn: synSym, time: tBranch, ctl: ctlTransfer},
+	OpBeqz: {name: "beqz", syn: synRs1Sym, rs1: rI, time: tBranch, ctl: ctlTransfer},
+	OpBnez: {name: "bnez", syn: synRs1Sym, rs1: rI, time: tBranch, ctl: ctlTransfer},
+	OpCall: {name: "call", syn: synSym, time: tCall, ctl: ctlTransfer},
+	OpRet:  {name: "ret", time: tRet, ctl: ctlTransfer},
+	OpArg:  {name: "arg", syn: synRs1, rs1: rI, time: tALU, ctl: ctlPinned},
+	OpFarg: {name: "farg", syn: synRs1, rs1: rF, time: tALU, ctl: ctlPinned},
+	OpHalt: {name: "halt", time: tALU, ctl: ctlTransfer},
+
+	OpParBegin: {name: "par.begin", time: tALU, ctl: ctlTransfer},
+	OpParEnd:   {name: "par.end", time: tALU, ctl: ctlTransfer},
+
+	// A post completes like a store and a wait like a load of the cell
+	// (sync.go); both fence every access of the block they sit in.
+	OpPost: {name: "post", syn: synRs1Rs2, rs1: rI, rs2: rI, time: tStore, mem: MemFence},
+	OpWait: {name: "wait", syn: synRs1Rs2, rs1: rI, rs2: rI, time: tWait, mem: MemFence},
+
+	OpVcmpLt:  {name: "vcmp.lt", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rV, time: tVec, vl: vlRead},
+	OpVcmpLe:  {name: "vcmp.le", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rV, time: tVec, vl: vlRead},
+	OpVcmpEq:  {name: "vcmp.eq", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rV, time: tVec, vl: vlRead},
+	OpVcmpNe:  {name: "vcmp.ne", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rV, time: tVec, vl: vlRead},
+	OpVcmpLts: {name: "vcmp.lts", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rF, time: tVec, vl: vlRead},
+	OpVcmpLes: {name: "vcmp.les", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rF, time: tVec, vl: vlRead},
+	OpVcmpEqs: {name: "vcmp.eqs", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rF, time: tVec, vl: vlRead},
+	OpVcmpNes: {name: "vcmp.nes", syn: synRdRs1Rs2, rd: wM, rs1: rV, rs2: rF, time: tVec, vl: vlRead},
+	OpMand:    {name: "mand", syn: synRdRs1Rs2, rd: wM, rs1: rM, rs2: rM, time: tMask, vl: vlRead},
+	OpMor:     {name: "mor", syn: synRdRs1Rs2, rd: wM, rs1: rM, rs2: rM, time: tMask, vl: vlRead},
+	OpMnot:    {name: "mnot", syn: synRdRs1, rd: wM, rs1: rM, time: tMask, vl: vlRead},
+	// Masked forms stream every lane through the pipe and drop the inactive
+	// ones at write-back: same timing and FLOPs as their dense twins.
+	OpVldm:  {name: "vld.m", syn: synVecMem, rd: wV, rs1: rI, rs2: rI, masked: true, time: tVecMem, vl: vlRead, mem: MemLoad},
+	OpVstm:  {name: "vst.m", syn: synVecMem, rd: dV, rs1: rI, rs2: rI, masked: true, time: tVecMem, vl: vlRead, mem: MemStore},
+	OpVaddm: {name: "vadd.m", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, masked: true, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVsubm: {name: "vsub.m", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, masked: true, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVmulm: {name: "vmul.m", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, masked: true, time: tVec, vl: vlRead, flops: flopPerLane},
+	OpVdivm: {name: "vdiv.m", syn: synRdRs1Rs2, rd: wV, rs1: rV, rs2: rV, masked: true, time: tVdiv, vl: vlRead, flops: flopPerLane},
 }
 
-// String disassembles one instruction.
+// opInfo is one row of opTable.
+type opInfo struct {
+	name string
+	syn  syntax // operand syntax of the disassembly
+	// What each Instr field names: a register file and whether the
+	// instruction writes it, reads it, or reads it as store data.
+	rd, rs1, rs2 operand
+	// masked: a governing mask register, read, rides in Imm bits 8 and up.
+	masked bool
+	time   timing
+	vl     vlUse
+	flops  flopKind
+	mem    MemClass
+	ctl    ctlKind
+}
+
+// RegFile names a register file.
+type RegFile uint8
+
+const (
+	NoReg   RegFile = iota
+	IntReg          // r0..r63
+	FltReg          // f0..f63
+	VecReg          // a slot of the vector register file, where a vector starts
+	MaskReg         // m0..m7
+	VLReg           // the vector length register (there is one: number 0)
+)
+
+// role is what an instruction does with an operand.
+type role uint8
+
+const (
+	roleNone role = iota
+	roleDef
+	roleUse
+	// roleData is a store's data operand: read, so the compiler must keep
+	// it ordered, but drained through the store buffer, so dispatch waits
+	// for the address operands only and not for it.
+	roleData
+)
+
+type operand struct {
+	file RegFile
+	role role
+}
+
+var (
+	wI, rI, dI = operand{IntReg, roleDef}, operand{IntReg, roleUse}, operand{IntReg, roleData}
+	wF, rF, dF = operand{FltReg, roleDef}, operand{FltReg, roleUse}, operand{FltReg, roleData}
+	wV, rV, dV = operand{VecReg, roleDef}, operand{VecReg, roleUse}, operand{VecReg, roleData}
+	wM, rM     = operand{MaskReg, roleDef}, operand{MaskReg, roleUse}
+)
+
+// unitKind selects the functional unit that executes an op.
+type unitKind uint8
+
+const (
+	uInt unitKind = iota
+	uFlt
+	uMem
+)
+
+// timing is an op's cost on the scoreboard: it occupies unit for
+// occ + vscale·VL cycles and its result is ready lat + vscale·VL cycles
+// after issue (VL counted as at least 1).
+type timing struct {
+	unit     unitKind
+	lat, occ int32
+	vscale   int32
+}
+
+var (
+	tALU    = timing{uInt, 1, 1, 0}
+	tMul    = timing{uInt, 4, 1, 0}
+	tDiv    = timing{uInt, 12, 8, 0}
+	tMask   = timing{uInt, 2, 1, 0}
+	tBranch = timing{uInt, 2, 1, 0}
+	tCall   = timing{uInt, 10, 10, 0}
+	tRet    = timing{uInt, 8, 8, 0}
+	tLoad   = timing{uMem, 6, 1, 0}
+	tStore  = timing{uMem, 1, 1, 0}
+	tWait   = timing{uMem, waitLatency, 1, 0}
+	tFP     = timing{uFlt, 6, 1, 0}
+	tFdiv   = timing{uFlt, 18, 12, 0}
+	// The per-processor memory path is highly pipelined (§2): one element
+	// per cycle after a short set-up.
+	tVecMem = timing{uMem, 6, 2, 1}
+	tVec    = timing{uFlt, 8, 4, 1}
+	tVdiv   = timing{uFlt, 12, 8, 2}
+)
+
+// vlUse says whether an op reads the vector length (every lane-wise op,
+// the mask combinators included) or sets it (vsetl).
+type vlUse uint8
+
+const (
+	vlNone vlUse = iota
+	vlRead
+	vlWrite
+)
+
+// flopKind is the op's contribution to the FLOP count.
+type flopKind uint8
+
+const (
+	flopNone    flopKind = iota
+	flopOne              // one per retirement
+	flopPerLane          // one per lane of the active vector length
+)
+
+// MemClass is how an op orders against memory accesses.
+type MemClass uint8
+
+const (
+	MemNone  MemClass = iota
+	MemLoad           // reorders freely with other loads
+	MemStore          // ordered against every load and store
+	// MemFence is post and wait: they touch no memory themselves, but the
+	// accesses around them are what they synchronize, so none may cross.
+	MemFence
+)
+
+// ctlKind is how an op bounds the straight-line code around it.
+type ctlKind uint8
+
+const (
+	ctlNone ctlKind = iota
+	// ctlPinned is arg and farg: they fall through, but each appends to the
+	// outgoing argument list, so they keep their place.
+	ctlPinned
+	// ctlTransfer leaves the instruction sequence or marks where another
+	// processor's begins and ends.
+	ctlTransfer
+)
+
+// syntax is an op's operand syntax in the disassembly.
+type syntax uint8
+
+const (
+	synNone     syntax = iota // nop
+	synRdImm                  // ldi r1, 5
+	synRdFImm                 // fldi f2, 1.5
+	synRdRs1                  // mov r1, r2
+	synRdRs1Imm               // addi r1, r2, -4
+	synRdRs1Rs2               // add r1, r2, r3
+	synRs1                    // arg r2
+	synRs1Rs2                 // post r1, r2
+	synLoad                   // ld4 r1, 12(r2)
+	synStore                  // st2 r3, 6(r2): the data register first
+	synVecMem                 // vld v0, (r1), r2, ek4
+	synSym                    // jmp L
+	synRs1Sym                 // beqz r1, L
+)
+
+// asm is a line of disassembly under construction; its methods append one
+// piece each, after a separator.
+type asm []byte
+
+// reg appends register n of the operand's file; a field the instruction
+// does not use prints as an integer register, as it always has.
+func (a asm) reg(sep string, o operand, n int) asm {
+	a = append(append(a, sep...), "rrfvm"[o.file])
+	return strconv.AppendInt(a, int64(n), 10)
+}
+
+func (a asm) int(sep string, v int64) asm {
+	return strconv.AppendInt(append(a, sep...), v, 10)
+}
+
+// String disassembles one instruction. A masked op's governing mask
+// register comes last.
 func (in Instr) String() string {
-	n := opNames[in.Op]
-	switch in.Op {
-	case OpNop, OpRet, OpHalt, OpParBegin, OpParEnd:
-		return n
-	case OpLdi:
-		return fmt.Sprintf("%s r%d, %d", n, in.Rd, in.Imm)
-	case OpFldi:
-		return fmt.Sprintf("%s f%d, %g", n, in.Rd, in.FImm)
-	case OpMov, OpNeg, OpNot, OpBnot:
-		return fmt.Sprintf("%s r%d, r%d", n, in.Rd, in.Rs1)
-	case OpFmov, OpFneg:
-		return fmt.Sprintf("%s f%d, f%d", n, in.Rd, in.Rs1)
-	case OpAddi, OpMuli:
-		return fmt.Sprintf("%s r%d, r%d, %d", n, in.Rd, in.Rs1, in.Imm)
-	case OpLd1, OpLd2, OpLd4:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, in.Rd, in.Imm, in.Rs1)
-	case OpSt1, OpSt2, OpSt4:
-		return fmt.Sprintf("%s r%d, %d(r%d)", n, in.Rs2, in.Imm, in.Rs1)
-	case OpFld4, OpFld8:
-		return fmt.Sprintf("%s f%d, %d(r%d)", n, in.Rd, in.Imm, in.Rs1)
-	case OpFst4, OpFst8:
-		return fmt.Sprintf("%s f%d, %d(r%d)", n, in.Rs2, in.Imm, in.Rs1)
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
-		return fmt.Sprintf("%s f%d, f%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		return fmt.Sprintf("%s r%d, f%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpCvtIF:
-		return fmt.Sprintf("%s f%d, r%d", n, in.Rd, in.Rs1)
-	case OpCvtFI:
-		return fmt.Sprintf("%s r%d, f%d", n, in.Rd, in.Rs1)
-	case OpVsetl:
-		return fmt.Sprintf("%s r%d", n, in.Rs1)
-	case OpPost, OpWait:
-		return fmt.Sprintf("%s r%d, r%d", n, in.Rs1, in.Rs2)
-	case OpVld, OpVst:
-		return fmt.Sprintf("%s v%d, (r%d), r%d, ek%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm)
-	case OpVldm, OpVstm:
-		return fmt.Sprintf("%s v%d, (r%d), r%d, ek%d, m%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm&0xff, in.Imm>>8)
-	case OpVadd, OpVsub, OpVmul, OpVdiv:
-		return fmt.Sprintf("%s v%d, v%d, v%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		return fmt.Sprintf("%s v%d, v%d, v%d, m%d", n, in.Rd, in.Rs1, in.Rs2, in.Imm>>8)
-	case OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr:
-		return fmt.Sprintf("%s v%d, v%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe:
-		return fmt.Sprintf("%s m%d, v%d, v%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		return fmt.Sprintf("%s m%d, v%d, f%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpMand, OpMor:
-		return fmt.Sprintf("%s m%d, m%d, m%d", n, in.Rd, in.Rs1, in.Rs2)
-	case OpMnot:
-		return fmt.Sprintf("%s m%d, m%d", n, in.Rd, in.Rs1)
-	case OpVmov:
-		return fmt.Sprintf("%s v%d, v%d", n, in.Rd, in.Rs1)
-	case OpVbcast:
-		return fmt.Sprintf("%s v%d, f%d", n, in.Rd, in.Rs1)
-	case OpJmp:
-		return fmt.Sprintf("%s %s", n, in.Sym)
-	case OpBeqz, OpBnez:
-		return fmt.Sprintf("%s r%d, %s", n, in.Rs1, in.Sym)
-	case OpCall:
-		return fmt.Sprintf("%s %s", n, in.Sym)
-	case OpArg:
-		return fmt.Sprintf("%s r%d", n, in.Rs1)
-	case OpFarg:
-		return fmt.Sprintf("%s f%d", n, in.Rs1)
-	default:
-		return fmt.Sprintf("%s r%d, r%d, r%d", n, in.Rd, in.Rs1, in.Rs2)
+	if in.Op < 0 || in.Op >= numOps {
+		return "op" + strconv.Itoa(int(in.Op))
+	}
+	info := &opTable[in.Op]
+	a := append(make(asm, 0, 48), info.name...)
+	switch info.syn {
+	case synRdImm:
+		a = a.reg(" ", info.rd, in.Rd).int(", ", in.Imm)
+	case synRdFImm:
+		a = fmt.Appendf(a.reg(" ", info.rd, in.Rd), ", %g", in.FImm)
+	case synRdRs1:
+		a = a.reg(" ", info.rd, in.Rd).reg(", ", info.rs1, in.Rs1)
+	case synRdRs1Imm:
+		a = a.reg(" ", info.rd, in.Rd).reg(", ", info.rs1, in.Rs1).int(", ", in.Imm)
+	case synRdRs1Rs2:
+		a = a.reg(" ", info.rd, in.Rd).reg(", ", info.rs1, in.Rs1).reg(", ", info.rs2, in.Rs2)
+	case synRs1:
+		a = a.reg(" ", info.rs1, in.Rs1)
+	case synRs1Rs2:
+		a = a.reg(" ", info.rs1, in.Rs1).reg(", ", info.rs2, in.Rs2)
+	case synLoad:
+		a = append(a.reg(" ", info.rd, in.Rd).int(", ", in.Imm).reg("(", info.rs1, in.Rs1), ')')
+	case synStore:
+		a = append(a.reg(" ", info.rs2, in.Rs2).int(", ", in.Imm).reg("(", info.rs1, in.Rs1), ')')
+	case synVecMem:
+		kind := in.Imm
+		if info.masked {
+			kind &= 0xff
+		}
+		a = a.reg(" ", info.rd, in.Rd).reg(", (", info.rs1, in.Rs1).reg("), ", info.rs2, in.Rs2).int(", ek", kind)
+	case synSym:
+		a = append(append(a, ' '), in.Sym...)
+	case synRs1Sym:
+		a = append(a.reg(" ", info.rs1, in.Rs1), ", "...)
+		a = append(a, in.Sym...)
+	}
+	if info.masked {
+		a = a.int(", m", in.Imm>>8)
+	}
+	return string(a)
+}
+
+// Ref names one register.
+type Ref struct {
+	File RegFile
+	Num  int
+}
+
+// Refs is the registers an instruction writes and reads, in fixed-size
+// storage (no instruction writes more than one register or reads more than
+// five — vst.m reads a vector, base, stride, mask and VL), so taking them
+// never allocates.
+type Refs struct {
+	defs [1]Ref
+	uses [5]Ref
+	nDef int
+	nUse int
+}
+
+// Defs is the registers written.
+func (r *Refs) Defs() []Ref { return r.defs[:r.nDef] }
+
+// Uses is the registers read, store data included.
+func (r *Refs) Uses() []Ref { return r.uses[:r.nUse] }
+
+func (r *Refs) add(o operand, n int) {
+	switch o.role {
+	case roleDef:
+		r.defs[r.nDef] = Ref{o.file, n}
+		r.nDef++
+	case roleUse, roleData:
+		r.uses[r.nUse] = Ref{o.file, n}
+		r.nUse++
 	}
 }
+
+// Refs returns the registers the instruction writes and reads, numbered as
+// the instruction numbers them (a vector by its first slot).
+func (in Instr) Refs() (r Refs) {
+	info := &opTable[in.Op]
+	r.add(info.rd, in.Rd)
+	r.add(info.rs1, in.Rs1)
+	r.add(info.rs2, in.Rs2)
+	if info.masked {
+		r.add(rM, int(in.Imm>>8))
+	}
+	switch info.vl {
+	case vlRead:
+		r.add(operand{VLReg, roleUse}, 0)
+	case vlWrite:
+		r.add(operand{VLReg, roleDef}, 0)
+	}
+	return r
+}
+
+// Mem is how the op orders against memory accesses.
+func (op Op) Mem() MemClass { return opTable[op].mem }
+
+// IsControl reports whether the op ends a basic block: a scheduler moves
+// nothing across it.
+func (op Op) IsControl() bool { return opTable[op].ctl != ctlNone }
+
+// Transfers reports whether control leaves the instruction sequence at the
+// op (or another processor's sequence begins or ends there): arg and farg,
+// which only fall through, are control but do not transfer.
+func (op Op) Transfers() bool { return opTable[op].ctl == ctlTransfer }
 
 // Func is one compiled function.
 type Func struct {

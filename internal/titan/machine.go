@@ -148,16 +148,6 @@ func (m *Machine) recordProcStat(pid int, busy, stall, joinIdle int64) {
 	atomic.AddInt64(&m.procStats[pid].JoinIdle, joinIdle)
 }
 
-// runStats snapshots the accumulated per-processor breakdown for a
-// Result.
-func (m *Machine) runStats() (procs [MaxProcessors]ProcStat, syncStalls int64) {
-	procs = m.procStats
-	for i := range procs {
-		syncStalls += procs[i].SyncStall
-	}
-	return procs, syncStalls
-}
-
 // regionScratch is the reusable per-region fork state: processor
 // contexts for pids 1.. (pid 0 runs on the parent cpu), plus per-pid
 // output sinks and error slots.
@@ -449,19 +439,37 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("titan: no function %q", entry)
 	}
-	c := &cpu{m: m, out: &m.out}
+	c := new(cpu)
+	maxInstrs, err := m.begin(c, entry, f.Frame)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := c.exec(f, 0, -1, maxInstrs); err != nil {
+		return Result{}, err
+	}
+	return m.result(c), nil
+}
+
+// begin makes c the root context of a run of entry, whose frame it checks
+// against the stack, and returns the run's instruction budget.
+func (m *Machine) begin(c *cpu, entry string, frame int64) (maxInstrs int64, err error) {
+	c.m = m
+	c.out = &m.out
+	c.vlc = 1
 	c.r[RegSP] = int64(len(m.mem)) - 8
-	max := m.MaxInstrs
-	if max == 0 {
-		max = 2_000_000_000
+	maxInstrs = m.MaxInstrs
+	if maxInstrs == 0 {
+		maxInstrs = 2_000_000_000
 	}
-	if err := c.openFrame(f.Frame, entry, 0); err != nil {
-		return Result{}, err
+	return maxInstrs, c.openFrame(frame, entry, 0)
+}
+
+// result is what a finished run reports, read off its root context.
+func (m *Machine) result(c *cpu) Result {
+	var stalls int64
+	for i := range m.procStats {
+		stalls += m.procStats[i].SyncStall
 	}
-	if err := c.exec(f, 0, -1, max); err != nil {
-		return Result{}, err
-	}
-	procs, stalls := m.runStats()
 	return Result{
 		Cycles:          c.cycles,
 		FlopCount:       c.flops,
@@ -472,168 +480,69 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 		MaskOps:         c.maskOps,
 		MaskLanesActive: c.maskActive,
 		MaskLanesTotal:  c.maskTotal,
-		Procs:           procs,
-	}, nil
+		Procs:           m.procStats,
+	}
 }
 
-// dispatch charges the scoreboard for one instruction and returns the
-// cycle at which its result is ready.
-func (c *cpu) dispatch(in Instr) int64 {
-	// Operand availability.
-	ready := c.clock
-	maxr := func(t int64) {
-		if t > ready {
-			ready = t
-		}
+// readyAt is the scoreboard slot of register n of a file: the cycle its
+// pending value arrives.
+func (c *cpu) readyAt(file RegFile, n int) *int64 {
+	switch file {
+	case IntReg:
+		return &c.intReady[n]
+	case FltReg:
+		return &c.fltReady[n]
+	case VecReg:
+		return &c.vecReady[vslot(n)]
+	default:
+		return &c.maskReady[mslot(n)]
 	}
-	switch in.Op {
-	case OpMov, OpNeg, OpNot, OpBnot, OpAddi, OpMuli, OpBeqz, OpBnez, OpArg,
-		OpVsetl, OpCvtIF, OpPid, OpNproc:
-		maxr(c.intReady[in.Rs1])
-	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpPost, OpWait:
-		maxr(c.intReady[in.Rs1])
-		maxr(c.intReady[in.Rs2])
-	case OpLd1, OpLd2, OpLd4, OpFld4, OpFld8:
-		maxr(c.intReady[in.Rs1])
-	case OpSt1, OpSt2, OpSt4:
-		// Stores drain through a store buffer: dispatch waits only for
-		// the address; the data follows when ready.
-		maxr(c.intReady[in.Rs1])
-	case OpFst4, OpFst8:
-		maxr(c.intReady[in.Rs1])
-	case OpFmov, OpFneg, OpCvtFI, OpFarg, OpVbcast:
-		maxr(c.fltReady[in.Rs1])
-	case OpFadd, OpFsub, OpFmul, OpFdiv,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		maxr(c.fltReady[in.Rs1])
-		maxr(c.fltReady[in.Rs2])
-	case OpVld, OpVst:
-		// Vector stores drain through the store buffer like scalar
-		// stores: dispatch needs only the address and stride.
-		maxr(c.intReady[in.Rs1])
-		maxr(c.intReady[in.Rs2])
-	case OpVadd, OpVsub, OpVmul, OpVdiv, OpVmov:
-		maxr(c.vecReady[vslot(in.Rs1)])
-		maxr(c.vecReady[vslot(in.Rs2)])
-	case OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr:
-		maxr(c.vecReady[vslot(in.Rs1)])
-		maxr(c.fltReady[in.Rs2])
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe:
-		maxr(c.vecReady[vslot(in.Rs1)])
-		maxr(c.vecReady[vslot(in.Rs2)])
-	case OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		maxr(c.vecReady[vslot(in.Rs1)])
-		maxr(c.fltReady[in.Rs2])
-	case OpMand, OpMor:
-		maxr(c.maskReady[mslot(in.Rs1)])
-		maxr(c.maskReady[mslot(in.Rs2)])
-	case OpMnot:
-		maxr(c.maskReady[mslot(in.Rs1)])
-	case OpVldm, OpVstm:
-		// Like the dense forms, masked memory ops dispatch on address and
-		// stride; the mask gate is a third operand on its own small file.
-		maxr(c.intReady[in.Rs1])
-		maxr(c.intReady[in.Rs2])
-		maxr(c.maskReady[maskReg(in)])
-	case OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		maxr(c.vecReady[vslot(in.Rs1)])
-		maxr(c.vecReady[vslot(in.Rs2)])
-		maxr(c.maskReady[maskReg(in)])
+}
+
+// dispatch charges the scoreboard for one instruction, as its opTable row
+// says, and returns the cycle at which its result is ready. The fast
+// engine's charge does the same from offsets decodeFunc precomputes out of
+// the same row.
+func (c *cpu) dispatch(in Instr) int64 {
+	info := &opTable[in.Op]
+	// Operand availability. Store data is not waited for: stores drain
+	// through a store buffer, dispatch needs only the address.
+	ready := c.clock
+	if info.rs1.role == roleUse {
+		ready = max(ready, *c.readyAt(info.rs1.file, in.Rs1))
+	}
+	if info.rs2.role == roleUse {
+		ready = max(ready, *c.readyAt(info.rs2.file, in.Rs2))
+	}
+	if info.masked {
+		ready = max(ready, c.maskReady[maskReg(in)])
 	}
 
 	// Unit, latency, occupancy.
-	var unit *int64
-	var lat, occ int64
-	vl := c.vl
-	if vl <= 0 {
-		vl = 1
+	vl := max(c.vl, 1)
+	unit := &c.intUnit
+	switch info.time.unit {
+	case uFlt:
+		unit = &c.fltUnit
+	case uMem:
+		unit = &c.memUnit
 	}
-	switch in.Op {
-	case OpMul, OpMuli:
-		unit, lat, occ = &c.intUnit, 4, 1
-	case OpDiv, OpRem:
-		unit, lat, occ = &c.intUnit, 12, 8
-	case OpLd1, OpLd2, OpLd4, OpFld4, OpFld8:
-		unit, lat, occ = &c.memUnit, 6, 1
-	case OpSt1, OpSt2, OpSt4, OpFst4, OpFst8, OpPost:
-		unit, lat, occ = &c.memUnit, 1, 1
-	case OpWait:
-		unit, lat, occ = &c.memUnit, waitLatency, 1
-	case OpFadd, OpFsub, OpFmul, OpFneg,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe,
-		OpCvtIF, OpCvtFI, OpFmov, OpFldi:
-		unit, lat, occ = &c.fltUnit, 6, 1
-	case OpFdiv:
-		unit, lat, occ = &c.fltUnit, 18, 12
-	case OpVld, OpVst, OpVldm, OpVstm:
-		// The per-processor memory path is highly pipelined (§2): one
-		// element per cycle after a short setup. Masked forms stream every
-		// lane through the pipe and drop inactive ones at the end, so
-		// they charge the dense timing regardless of mask density.
-		unit, lat, occ = &c.memUnit, 6+vl, 2+vl
-	case OpVadd, OpVsub, OpVmul, OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVmov, OpVbcast,
-		OpVaddm, OpVsubm, OpVmulm,
-		OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes:
-		unit, lat, occ = &c.fltUnit, 8+vl, 4+vl
-	case OpVdiv, OpVdivs, OpVdivsr, OpVdivm:
-		unit, lat, occ = &c.fltUnit, 12+2*vl, 8+2*vl
-	case OpMand, OpMor, OpMnot:
-		unit, lat, occ = &c.intUnit, 2, 1
-	case OpJmp, OpBeqz, OpBnez:
-		unit, lat, occ = &c.intUnit, 2, 1
-	case OpCall:
-		unit, lat, occ = &c.intUnit, 10, 10
-	case OpRet:
-		unit, lat, occ = &c.intUnit, 8, 8
-	default:
-		unit, lat, occ = &c.intUnit, 1, 1
-	}
-
-	issue := ready
-	if *unit > issue {
-		issue = *unit
-	}
-	*unit = issue + occ
-	done := issue + lat
+	scale := int64(info.time.vscale) * vl
+	issue := max(ready, *unit)
+	*unit = issue + int64(info.time.occ) + scale
+	done := issue + int64(info.time.lat) + scale
 	// In-order dispatch: the next instruction cannot dispatch before this
 	// one did.
 	c.clock = issue + 1
-	if done > c.cycles {
-		c.cycles = done
-	}
+	c.cycles = max(c.cycles, done)
 
-	// Record result readiness.
-	switch in.Op {
-	case OpLdi, OpMov, OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor,
-		OpShl, OpShr, OpAddi, OpMuli, OpNeg, OpNot, OpBnot,
-		OpCmpEq, OpCmpNe, OpCmpLt, OpCmpLe, OpCmpGt, OpCmpGe,
-		OpLd1, OpLd2, OpLd4, OpCvtFI, OpPid, OpNproc,
-		OpFcmpEq, OpFcmpNe, OpFcmpLt, OpFcmpLe, OpFcmpGt, OpFcmpGe:
-		c.intReady[in.Rd] = done
-	case OpFldi, OpFmov, OpFadd, OpFsub, OpFmul, OpFdiv, OpFneg, OpCvtIF,
-		OpFld4, OpFld8:
-		c.fltReady[in.Rd] = done
-	case OpVld, OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr, OpVmov, OpVbcast,
-		OpVldm, OpVaddm, OpVsubm, OpVmulm, OpVdivm:
-		c.vecReady[vslot(in.Rd)] = done
-	case OpVcmpLt, OpVcmpLe, OpVcmpEq, OpVcmpNe,
-		OpVcmpLts, OpVcmpLes, OpVcmpEqs, OpVcmpNes,
-		OpMand, OpMor, OpMnot:
-		c.maskReady[mslot(in.Rd)] = done
+	if info.rd.role == roleDef {
+		*c.readyAt(info.rd.file, in.Rd) = done
 	}
-
-	// FLOP accounting. Masked arithmetic charges every lane like its
-	// dense form: inactive lanes still flow through the pipeline.
-	switch in.Op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv:
+	switch info.flops {
+	case flopOne:
 		c.flops++
-	case OpVadd, OpVsub, OpVmul, OpVdiv,
-		OpVadds, OpVsubs, OpVsubsr, OpVmuls, OpVdivs, OpVdivsr,
-		OpVaddm, OpVsubm, OpVmulm, OpVdivm:
+	case flopPerLane:
 		c.flops += vl
 	}
 	return done
@@ -653,7 +562,7 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 		if in.Op == OpWait && c.sync != nil && c.inRegionFrame {
 			// An unsatisfied wait charges nothing and retires nothing:
 			// the region scheduler parks this processor here and retries
-			// after other processors have run (see parallelRegionSync).
+			// after other processors have run (see parallelRegion).
 			cell := c.r[in.Rs1]
 			if cell >= 0 && cell < NumSyncCells {
 				if _, ok := c.sync.peek(int(cell), c.r[in.Rs2]); !ok {
@@ -826,21 +735,17 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 				vl = MaxVL
 			}
 			c.vl = vl
-		case OpVld:
-			if err := c.vecLoad(in, f.Name, pc); err != nil {
+		case OpVld, OpVst, OpVldm, OpVstm:
+			if err := c.vecMem(in, f.Name, pc); err != nil {
 				return err
 			}
-		case OpVst:
-			if err := c.vecStore(in, f.Name, pc); err != nil {
-				return err
-			}
-		case OpVadd:
+		case OpVadd, OpVaddm:
 			c.vecBin(in, func(a, b float64) float64 { return a + b })
-		case OpVsub:
+		case OpVsub, OpVsubm:
 			c.vecBin(in, func(a, b float64) float64 { return a - b })
-		case OpVmul:
+		case OpVmul, OpVmulm:
 			c.vecBin(in, func(a, b float64) float64 { return a * b })
-		case OpVdiv:
+		case OpVdiv, OpVdivm:
 			c.vecBin(in, func(a, b float64) float64 { return a / b })
 		case OpVadds:
 			c.vecScalar(in, func(a, s float64) float64 { return a + s })
@@ -885,41 +790,9 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 			c.maskCombine(in, func(a, b uint64) uint64 { return a | b })
 		case OpMnot:
 			c.maskCombine(in, func(a, _ uint64) uint64 { return ^a })
-		case OpVldm:
-			if err := c.vecLoadMasked(in, f.Name, pc); err != nil {
-				return err
-			}
-		case OpVstm:
-			if err := c.vecStoreMasked(in, f.Name, pc); err != nil {
-				return err
-			}
-		case OpVaddm:
-			c.vecBinMasked(in, func(a, b float64) float64 { return a + b })
-		case OpVsubm:
-			c.vecBinMasked(in, func(a, b float64) float64 { return a - b })
-		case OpVmulm:
-			c.vecBinMasked(in, func(a, b float64) float64 { return a * b })
-		case OpVdivm:
-			c.vecBinMasked(in, func(a, b float64) float64 { return a / b })
 
-		case OpJmp:
-			t, ok := f.Labels[in.Sym]
-			if !ok {
-				return fmt.Errorf("titan: unknown label %q in %s", in.Sym, f.Name)
-			}
-			pc = t
-			continue
-		case OpBeqz:
-			if c.r[in.Rs1] == 0 {
-				t, ok := f.Labels[in.Sym]
-				if !ok {
-					return fmt.Errorf("titan: unknown label %q in %s", in.Sym, f.Name)
-				}
-				pc = t
-				continue
-			}
-		case OpBnez:
-			if c.r[in.Rs1] != 0 {
+		case OpJmp, OpBeqz, OpBnez:
+			if in.Op == OpJmp || (in.Op == OpBeqz) == (c.r[in.Rs1] == 0) {
 				t, ok := f.Labels[in.Sym]
 				if !ok {
 					return fmt.Errorf("titan: unknown label %q in %s", in.Sym, f.Name)
@@ -939,7 +812,7 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 			return nil
 
 		case OpParBegin:
-			end := c.findParEnd(f, pc)
+			end := matchParEnd(f.Instrs, pc)
 			if end < 0 {
 				return fmt.Errorf("titan: unmatched par.begin in %s", f.Name)
 			}
@@ -998,65 +871,83 @@ func (c *cpu) addr(in Instr, size int64, kind, fn string, pc int) (int64, error)
 	return a, nil
 }
 
-func (c *cpu) vecLoad(in Instr, fn string, pc int) error {
-	base := c.r[in.Rs1]
-	stride := c.r[in.Rs2]
+// vecMem is the per-lane walk of vld, vst, vld.m and vst.m: each lane's
+// address is checked and its element converted on its own. Under a mask,
+// inactive lanes touch no memory (no bounds check either — lane suppression
+// extends to faults) and, loading, keep the destination slot's prior
+// contents. A fault names the faulting lane's own address.
+func (c *cpu) vecMem(in Instr, fn string, pc int) error {
+	info := &opTable[in.Op]
+	store := info.mem == MemStore
+	kind, mr := in.Imm, -1
+	what := [2]string{"vector load", "vector store"}
+	if info.masked {
+		kind &= 0xff
+		mr = maskReg(in)
+		c.countMask(mr)
+		what = [2]string{"masked vector load", "masked vector store"}
+	}
+	width := elemWidth(kind)
+	base, stride := c.r[in.Rs1], c.r[in.Rs2]
 	for k := int64(0); k < c.vl; k++ {
+		if mr >= 0 && !c.maskBit(mr, k) {
+			continue
+		}
+		if width == 0 {
+			return fmt.Errorf("titan: bad vector element kind %d", kind)
+		}
 		a := base + k*stride
-		switch in.Imm {
-		case ElemF32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = float64(math.Float32frombits(binary.LittleEndian.Uint32(c.m.mem[a:])))
-		case ElemF64:
-			if a < 0 || a+8 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 8, Kind: "vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = math.Float64frombits(binary.LittleEndian.Uint64(c.m.mem[a:]))
-		case ElemI32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = float64(int32(binary.LittleEndian.Uint32(c.m.mem[a:])))
-		default:
-			return fmt.Errorf("titan: bad vector element kind %d", in.Imm)
+		if a < 0 || a+width > int64(len(c.m.mem)) {
+			return &Fault{Addr: a, Size: width, Kind: what[b2i(store)], Func: fn, PC: pc}
+		}
+		v := &c.vrf[vslot(in.Rd+int(k))]
+		if store {
+			storeElem(c.m.mem[a:], kind, *v)
+		} else {
+			*v = loadElem(c.m.mem[a:], kind)
 		}
 	}
 	return nil
 }
 
-func (c *cpu) vecStore(in Instr, fn string, pc int) error {
-	base := c.r[in.Rs1]
-	stride := c.r[in.Rs2]
-	for k := int64(0); k < c.vl; k++ {
-		a := base + k*stride
-		v := c.vrf[vslot(in.Rd+int(k))]
-		switch in.Imm {
-		case ElemF32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint32(c.m.mem[a:], math.Float32bits(float32(v)))
-		case ElemF64:
-			if a < 0 || a+8 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 8, Kind: "vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint64(c.m.mem[a:], math.Float64bits(v))
-		case ElemI32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint32(c.m.mem[a:], uint32(int32(v)))
-		default:
-			return fmt.Errorf("titan: bad vector element kind %d", in.Imm)
-		}
+// loadElem reads one vector element of a valid kind from the front of at.
+func loadElem(at []byte, kind int64) float64 {
+	switch kind {
+	case ElemF32:
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(at)))
+	case ElemF64:
+		return math.Float64frombits(binary.LittleEndian.Uint64(at))
+	default: // ElemI32
+		return float64(int32(binary.LittleEndian.Uint32(at)))
 	}
-	return nil
 }
 
+// storeElem writes v as one vector element of a valid kind to the front
+// of at.
+func storeElem(at []byte, kind int64, v float64) {
+	switch kind {
+	case ElemF32:
+		binary.LittleEndian.PutUint32(at, math.Float32bits(float32(v)))
+	case ElemF64:
+		binary.LittleEndian.PutUint64(at, math.Float64bits(v))
+	default: // ElemI32
+		binary.LittleEndian.PutUint32(at, uint32(int32(v)))
+	}
+}
+
+// vecBin applies f lane by lane; under a mask (vadd.m and its like) on
+// active lanes only, inactive destination lanes keeping their prior
+// contents.
 func (c *cpu) vecBin(in Instr, f func(a, b float64) float64) {
+	mr := -1
+	if opTable[in.Op].masked {
+		mr = maskReg(in)
+		c.countMask(mr)
+	}
 	for k := int64(0); k < c.vl; k++ {
+		if mr >= 0 && !c.maskBit(mr, k) {
+			continue
+		}
 		c.vrf[vslot(in.Rd+int(k))] = f(
 			c.vrf[vslot(in.Rs1+int(k))],
 			c.vrf[vslot(in.Rs2+int(k))])
@@ -1113,131 +1004,60 @@ func (c *cpu) maskCombine(in Instr, f func(a, b uint64) uint64) {
 	c.mk[mslot(in.Rd)] = out
 }
 
-// vecLoadMasked is vld.m: active lanes load like vld, inactive lanes
-// touch no memory (no bounds check — lane suppression extends to
-// faults) and keep the destination slot's prior contents. Faults name
-// the faulting lane's own address.
-func (c *cpu) vecLoadMasked(in Instr, fn string, pc int) error {
-	mr := maskReg(in)
-	c.countMask(mr)
-	base := c.r[in.Rs1]
-	stride := c.r[in.Rs2]
-	kind := in.Imm & 0xff
-	for k := int64(0); k < c.vl; k++ {
-		if !c.maskBit(mr, k) {
-			continue
-		}
-		a := base + k*stride
-		switch kind {
-		case ElemF32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "masked vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = float64(math.Float32frombits(binary.LittleEndian.Uint32(c.m.mem[a:])))
-		case ElemF64:
-			if a < 0 || a+8 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 8, Kind: "masked vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = math.Float64frombits(binary.LittleEndian.Uint64(c.m.mem[a:]))
-		case ElemI32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "masked vector load", Func: fn, PC: pc}
-			}
-			c.vrf[vslot(in.Rd+int(k))] = float64(int32(binary.LittleEndian.Uint32(c.m.mem[a:])))
-		default:
-			return fmt.Errorf("titan: bad vector element kind %d", kind)
-		}
-	}
-	return nil
-}
-
-// vecStoreMasked is vst.m: active lanes store like vst, inactive lanes
-// leave memory untouched.
-func (c *cpu) vecStoreMasked(in Instr, fn string, pc int) error {
-	mr := maskReg(in)
-	c.countMask(mr)
-	base := c.r[in.Rs1]
-	stride := c.r[in.Rs2]
-	kind := in.Imm & 0xff
-	for k := int64(0); k < c.vl; k++ {
-		if !c.maskBit(mr, k) {
-			continue
-		}
-		a := base + k*stride
-		v := c.vrf[vslot(in.Rd+int(k))]
-		switch kind {
-		case ElemF32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "masked vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint32(c.m.mem[a:], math.Float32bits(float32(v)))
-		case ElemF64:
-			if a < 0 || a+8 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 8, Kind: "masked vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint64(c.m.mem[a:], math.Float64bits(v))
-		case ElemI32:
-			if a < 0 || a+4 > int64(len(c.m.mem)) {
-				return &Fault{Addr: a, Size: 4, Kind: "masked vector store", Func: fn, PC: pc}
-			}
-			binary.LittleEndian.PutUint32(c.m.mem[a:], uint32(int32(v)))
-		default:
-			return fmt.Errorf("titan: bad vector element kind %d", kind)
-		}
-	}
-	return nil
-}
-
-// vecBinMasked applies f on active lanes; inactive destination lanes
-// keep their prior contents.
-func (c *cpu) vecBinMasked(in Instr, f func(a, b float64) float64) {
-	mr := maskReg(in)
-	c.countMask(mr)
-	for k := int64(0); k < c.vl; k++ {
-		if !c.maskBit(mr, k) {
-			continue
-		}
-		c.vrf[vslot(in.Rd+int(k))] = f(
-			c.vrf[vslot(in.Rs1+int(k))],
-			c.vrf[vslot(in.Rs2+int(k))])
-	}
-}
-
 // call implements register-windowed calls plus runtime intrinsics. fn
 // and pc locate the call site for fault attribution.
 func (c *cpu) call(name, fn string, pc int, maxInstrs int64) error {
-	if handled, err := c.intrinsic(name); handled {
-		c.args = nil
-		return locateFault(err, fn, pc)
+	if handled, err := c.intrinsic(name, fn, pc); handled {
+		return err
 	}
 	callee, ok := c.m.prog.Funcs[name]
 	if !ok {
 		return fmt.Errorf("titan: call to undefined function %q", name)
 	}
-	if err := c.openFrame(callee.Frame, fn, pc); err != nil {
+	var w window
+	if err := c.pushWindow(&w, callee.Frame, fn, pc); err != nil {
 		return err
 	}
-	// Register window: snapshot, run, restore all but results. The
-	// callee is not the parallel region's own frame: post/wait inside it
-	// are rejected (the region scheduler cannot park mid-call).
-	savedR := c.r
-	savedF := c.f
-	savedFrame := c.inRegionFrame
-	c.inRegionFrame = false
-	c.args = nil
-	c.depth++
 	if err := c.exec(callee, 0, -1, maxInstrs); err != nil {
 		return err
 	}
-	c.depth--
-	c.inRegionFrame = savedFrame
-	retI := c.r[RegRetInt]
-	retF := c.f[RegRetFlt]
-	c.r = savedR
-	c.f = savedF
-	c.r[RegRetInt] = retI
-	c.f[RegRetFlt] = retF
+	c.popWindow(&w)
 	return nil
+}
+
+// window is what a call saves of its caller: the hardware's register
+// window, and whether the caller was a parallel region's own frame.
+type window struct {
+	r             [NumIntRegs]int64
+	f             [NumFltRegs]float64
+	inRegionFrame bool
+}
+
+// pushWindow opens a call from fn+pc to a callee with the given frame: the
+// stack check (see openFrame), then the caller's registers saved into w,
+// the argument list handed over and the depth counted. The callee is not
+// the parallel region's own frame: post/wait inside it are rejected (the
+// region scheduler cannot park mid-call). Both engines call through this
+// pair and run the callee in between.
+func (c *cpu) pushWindow(w *window, frame int64, fn string, pc int) error {
+	if err := c.openFrame(frame, fn, pc); err != nil {
+		return err
+	}
+	w.r, w.f, w.inRegionFrame = c.r, c.f, c.inRegionFrame
+	c.inRegionFrame = false
+	c.args = nil
+	c.depth++
+	return nil
+}
+
+// popWindow returns from a call: everything the caller had, except the
+// result registers.
+func (c *cpu) popWindow(w *window) {
+	c.depth--
+	c.inRegionFrame = w.inRegionFrame
+	retI, retF := c.r[RegRetInt], c.f[RegRetFlt]
+	c.r, c.f = w.r, w.f
+	c.r[RegRetInt], c.f[RegRetFlt] = retI, retF
 }
 
 // locateFault stamps the call site onto an intrinsic's Fault (cstring
@@ -1250,59 +1070,74 @@ func locateFault(err error, fn string, pc int) error {
 	return err
 }
 
-// parallelRegion runs [start, end) once per processor, charging the
-// maximum chunk time plus fork/join overhead. This is the reference
-// model: processors run serialized, in pid order, on the host thread.
-const forkOverhead = 20 // cycles per processor spawn via shared memory
+// forkOverhead is the cycles per processor spawn via shared memory.
+const forkOverhead = 20
 
-func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
-	if hasSyncOps(f.Instrs, start, end) {
-		return c.parallelRegionSync(f, start, end, maxInstrs)
+// regionJoin is the cost accounting of one parallel region, the same
+// whichever engine ran it and however the host scheduled it: every
+// processor's costs are measured from the common fork point, the slowest
+// processor sets the region's time, fork overhead is charged per extra
+// processor, and counted work is pooled.
+type regionJoin struct {
+	fork           regionCosts // the forking context's totals
+	sum            regionCosts // every processor's share since the fork; cycles is the largest
+	deltas, stalls [MaxProcessors]int64
+}
+
+// regionCosts is the cumulative counters of a cpu that a region accounts.
+type regionCosts struct {
+	cycles, syncStall, flops, icount, maskOps, maskActive, maskTotal int64
+}
+
+func (c *cpu) costs() regionCosts {
+	return regionCosts{c.cycles, c.syncStall, c.flops, c.icount, c.maskOps, c.maskActive, c.maskTotal}
+}
+
+// fork starts the accounting of a region c is about to run.
+func (c *cpu) fork() regionJoin { return regionJoin{fork: c.costs()} }
+
+// add takes in processor pid's run, read off the context it finished on.
+func (j *regionJoin) add(pid int, sub *cpu) {
+	j.deltas[pid] = sub.cycles - j.fork.cycles
+	j.stalls[pid] = sub.syncStall - j.fork.syncStall
+	j.sum.cycles = max(j.sum.cycles, j.deltas[pid])
+	j.sum.flops += sub.flops - j.fork.flops
+	j.sum.icount += sub.icount - j.fork.icount
+	j.sum.maskOps += sub.maskOps - j.fork.maskOps
+	j.sum.maskActive += sub.maskActive - j.fork.maskActive
+	j.sum.maskTotal += sub.maskTotal - j.fork.maskTotal
+}
+
+// finish closes the region on c, which holds processor 0's final state
+// (scalar results inside parallel regions are chunk-local by construction):
+// pooled costs, the per-processor breakdown, and every unit synchronized
+// to the join.
+func (j *regionJoin) finish(c *cpu, procs int) {
+	for pid := 0; pid < procs; pid++ {
+		c.m.recordProcStat(pid, j.deltas[pid]-j.stalls[pid], j.stalls[pid], j.sum.cycles-j.deltas[pid])
 	}
-	base := *c
-	var maxDelta int64
-	var flops, icount int64
-	var maskOps, maskActive, maskTotal int64
-	var deltas [MaxProcessors]int64
-	var finalState *cpu
-	for pid := 0; pid < c.m.Processors; pid++ {
-		sub := base
-		sub.pid = int64(pid)
-		start0 := sub.cycles
-		if err := sub.exec(f, start, end, maxInstrs); err != nil {
-			return err
-		}
-		delta := sub.cycles - start0
-		deltas[pid] = delta
-		if delta > maxDelta {
-			maxDelta = delta
-		}
-		flops += sub.flops - base.flops
-		icount += sub.icount - base.icount
-		maskOps += sub.maskOps - base.maskOps
-		maskActive += sub.maskActive - base.maskActive
-		maskTotal += sub.maskTotal - base.maskTotal
-		if pid == 0 {
-			s := sub
-			finalState = &s
-		}
-	}
-	for pid := 0; pid < c.m.Processors; pid++ {
-		c.m.recordProcStat(pid, deltas[pid], 0, maxDelta-deltas[pid])
-	}
-	// Adopt processor 0's register state (scalar results inside parallel
-	// regions are chunk-local by construction), with pooled costs.
-	*c = *finalState
 	c.pid = 0
-	c.flops = base.flops + flops
-	c.icount = base.icount + icount
-	c.maskOps = base.maskOps + maskOps
-	c.maskActive = base.maskActive + maskActive
-	c.maskTotal = base.maskTotal + maskTotal
-	c.cycles = base.cycles + maxDelta + forkOverhead*int64(c.m.Processors-1)
+	c.flops = j.fork.flops + j.sum.flops
+	c.icount = j.fork.icount + j.sum.icount
+	c.maskOps = j.fork.maskOps + j.sum.maskOps
+	c.maskActive = j.fork.maskActive + j.sum.maskActive
+	c.maskTotal = j.fork.maskTotal + j.sum.maskTotal
+	c.cycles = j.fork.cycles + j.sum.cycles + forkOverhead*int64(procs-1)
 	c.clock = c.cycles
 	c.intUnit, c.fltUnit, c.memUnit = c.cycles, c.cycles, c.cycles
-	return nil
+}
+
+// forkTo makes sub processor pid of a region c is forking, with out (reset)
+// for its output. The copy is the whole context — registers, VRF,
+// scoreboard — except the argument list, whose backing array the struct
+// copy would share: it is cloned so that processors appending to it
+// (concurrently, in the fast engine) cannot collide.
+func (c *cpu) forkTo(sub *cpu, pid int, out *strings.Builder) {
+	*sub = *c
+	sub.pid = int64(pid)
+	out.Reset()
+	sub.out = out
+	sub.args = append([]argval(nil), c.args...)
 }
 
 // waitBlocked is the sentinel exec returns when a wait's threshold has
@@ -1312,105 +1147,70 @@ type waitBlocked struct{ pc int }
 
 func (w *waitBlocked) Error() string { return "titan: wait blocked" }
 
-// parallelRegionSync is the reference execution of a region containing
-// post/wait: a deterministic round-robin over the processors, each run
-// until it finishes the region or blocks on an unsatisfied wait. A full
-// round with no processor retiring anything means no post can ever
-// arrive — deadlock. The join math matches parallelRegion exactly;
-// per-processor output is buffered and concatenated in pid order, which
-// is what the serialized pid-by-pid execution produced naturally.
-func (c *cpu) parallelRegionSync(f *Func, start, end int, maxInstrs int64) error {
+// parallelRegion is the reference execution of [start, end): processors
+// run serialized on the host thread, a deterministic round-robin in pid
+// order, each until it finishes the region or blocks on an unsatisfied
+// wait (a region without post/wait is one round, every processor run to
+// completion). A full round with no processor retiring anything means no
+// post can ever arrive — deadlock. Per-processor output is buffered and
+// concatenated in pid order.
+func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 	procs := c.m.Processors
-	base := *c
-	ss := newSyncState(procs)
-	subs := make([]*cpu, procs)
+	join := c.fork()
+	var ss *syncState
+	if hasSyncOps(f.Instrs, start, end) {
+		ss = newSyncState(procs)
+	}
+	subs := make([]cpu, procs)
 	outs := make([]strings.Builder, procs)
 	pcs := make([]int, procs)
-	running := make([]bool, procs)
-	for pid := 0; pid < procs; pid++ {
-		sub := base
-		sub.pid = int64(pid)
-		sub.sync = ss
-		sub.inRegionFrame = true
-		sub.out = &outs[pid]
-		sub.args = append([]argval(nil), base.args...)
-		s := sub
-		subs[pid] = &s
+	for pid := range subs {
+		c.forkTo(&subs[pid], pid, &outs[pid])
+		subs[pid].sync, subs[pid].inRegionFrame = ss, ss != nil
 		pcs[pid] = start
-		running[pid] = true
 	}
-	live := procs
-	for live > 0 {
+	for live := procs; live > 0; {
 		progress := false
-		for pid := 0; pid < procs; pid++ {
-			if !running[pid] {
+		for pid := range subs {
+			if pcs[pid] < 0 {
 				continue
 			}
-			sub := subs[pid]
+			sub := &subs[pid]
 			ic0 := sub.icount
 			err := sub.exec(f, pcs[pid], end, maxInstrs)
 			if wb, ok := err.(*waitBlocked); ok {
 				pcs[pid] = wb.pc
-				if sub.icount > ic0 {
-					progress = true
-				}
+				progress = progress || sub.icount > ic0
 				continue
 			}
 			if err != nil {
 				return err
 			}
-			running[pid] = false
+			pcs[pid] = -1
 			live--
 			progress = true
+			join.add(pid, sub)
 		}
 		if live > 0 && !progress {
 			return fmt.Errorf("titan: sync deadlock in parallel region in %s", f.Name)
 		}
 	}
-	var maxDelta, flops, icount, stalls int64
-	var maskOps, maskActive, maskTotal int64
-	var deltas, stallDeltas [MaxProcessors]int64
-	for pid := 0; pid < procs; pid++ {
-		sub := subs[pid]
-		deltas[pid] = sub.cycles - base.cycles
-		stallDeltas[pid] = sub.syncStall - base.syncStall
-		if deltas[pid] > maxDelta {
-			maxDelta = deltas[pid]
-		}
-		flops += sub.flops - base.flops
-		icount += sub.icount - base.icount
-		maskOps += sub.maskOps - base.maskOps
-		maskActive += sub.maskActive - base.maskActive
-		maskTotal += sub.maskTotal - base.maskTotal
-		stalls += stallDeltas[pid]
+	for pid := range outs {
+		c.out.WriteString(outs[pid].String())
 	}
-	for pid := 0; pid < procs; pid++ {
-		c.m.recordProcStat(pid, deltas[pid]-stallDeltas[pid], stallDeltas[pid], maxDelta-deltas[pid])
-	}
-	for pid := 0; pid < procs; pid++ {
-		base.out.WriteString(outs[pid].String())
-	}
-	*c = *subs[0]
-	c.pid = 0
-	c.sync = base.sync
-	c.inRegionFrame = base.inRegionFrame
-	c.out = base.out
-	c.args = base.args
-	c.flops = base.flops + flops
-	c.icount = base.icount + icount
-	c.maskOps = base.maskOps + maskOps
-	c.maskActive = base.maskActive + maskActive
-	c.maskTotal = base.maskTotal + maskTotal
-	c.cycles = base.cycles + maxDelta + forkOverhead*int64(procs-1)
-	c.clock = c.cycles
-	c.intUnit, c.fltUnit, c.memUnit = c.cycles, c.cycles, c.cycles
+	out, sync, frame := c.out, c.sync, c.inRegionFrame
+	*c = subs[0]
+	c.out, c.sync, c.inRegionFrame = out, sync, frame
+	join.finish(c, procs)
 	return nil
 }
 
-func (c *cpu) findParEnd(f *Func, pc int) int {
+// matchParEnd returns the index of the par.end closing the par.begin at
+// pc, or -1.
+func matchParEnd(instrs []Instr, pc int) int {
 	depth := 0
-	for i := pc + 1; i < len(f.Instrs); i++ {
-		switch f.Instrs[i].Op {
+	for i := pc + 1; i < len(instrs); i++ {
+		switch instrs[i].Op {
 		case OpParBegin:
 			depth++
 		case OpParEnd:
@@ -1425,31 +1225,35 @@ func (c *cpu) findParEnd(f *Func, pc int) int {
 
 // intrinsic implements the tiny runtime: printf (with %d/%g/%f/%s/%c and
 // %%), putchar, puts, and exit-less abort stubs used by examples. It
-// reports whether the name was an intrinsic, plus any fault raised while
-// reading string arguments from simulated memory.
-func (c *cpu) intrinsic(name string) (bool, error) {
+// reports whether the name was an intrinsic — the call is then over, its
+// argument list consumed — plus any fault raised while reading string
+// arguments from simulated memory, located at the call site fn+pc.
+func (c *cpu) intrinsic(name, fn string, pc int) (bool, error) {
+	var err error
 	switch name {
 	case "printf":
-		return true, c.doPrintf()
+		err = c.doPrintf()
 	case "putchar":
 		if len(c.args) > 0 {
 			c.out.WriteByte(byte(c.args[0].i))
 		}
 		c.r[RegRetInt] = 0
-		return true, nil
 	case "puts":
 		if len(c.args) > 0 {
-			s, err := c.cstring(c.args[0].i)
-			if err != nil {
-				return true, err
+			var s string
+			if s, err = c.cstring(c.args[0].i); err == nil {
+				c.out.WriteString(s)
+				c.out.WriteByte('\n')
 			}
-			c.out.WriteString(s)
-			c.out.WriteByte('\n')
 		}
-		c.r[RegRetInt] = 0
-		return true, nil
+		if err == nil {
+			c.r[RegRetInt] = 0
+		}
+	default:
+		return false, nil
 	}
-	return false, nil
+	c.args = nil
+	return true, locateFault(err, fn, pc)
 }
 
 // cstring reads a NUL-terminated string from simulated memory. A start

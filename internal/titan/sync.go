@@ -173,8 +173,7 @@ func (ss *syncState) finish() {
 // fabric and the blocking execution paths.
 func hasSyncOps(instrs []Instr, start, end int) bool {
 	for i := start; i < end && i < len(instrs); i++ {
-		switch instrs[i].Op {
-		case OpPost, OpWait:
+		if instrs[i].Op.Mem() == MemFence {
 			return true
 		}
 	}

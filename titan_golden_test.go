@@ -1,0 +1,182 @@
+package repro
+
+// The Titan's behaviour frozen in one file. For every program of the
+// corpus — testdata/*.c, benchmark/programs/*.c and the workloads of
+// engine_differential_test.go — compiled at ScalarOptions and FullOptions,
+// testdata/titan.golden.json holds the SHA-256 of the name-sorted
+// disassembly (Instr.String and the list scheduler's orders) and, at 1, 2
+// and 4 processors on both engines, the whole titan.Result with Output
+// hashed (every instruction's timing, FLOP class and mask accounting). It
+// was generated at the commit before the opcode table replaced the
+// per-consumer copies of those facts; a change that means to move one of
+// them regenerates it and says so:
+//
+//	UPDATE_GOLDEN=1 go test -run TestTitanGolden .
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/driver"
+	"repro/internal/titan"
+)
+
+const titanGoldenPath = "testdata/titan.golden.json"
+
+// titanGoldenBuild is one program at one option set: its code, and what
+// running it reports keyed "p<processors>/<run|ref>".
+type titanGoldenBuild struct {
+	AsmSHA256 string
+	Runs      map[string]titan.Result
+}
+
+// The file is one flat object, a line per fact, so a drift shows up as the
+// lines that moved: "<program>/<options>/asm" is the disassembly's hash,
+// "<program>/<options>/p<n>/<engine>" a Result.
+func (b titanGoldenBuild) lines(prefix string) map[string]any {
+	out := map[string]any{prefix + "/asm": b.AsmSHA256}
+	for key, r := range b.Runs {
+		out[prefix+"/"+key] = r
+	}
+	return out
+}
+
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// titanGoldenCorpus maps a stable name to C source.
+func titanGoldenCorpus(t *testing.T) map[string]string {
+	t.Helper()
+	corpus := map[string]string{}
+	for _, pat := range []string{"testdata/*.c", "benchmark/programs/*.c"} {
+		paths, err := filepath.Glob(pat)
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no programs match %s (%v)", pat, err)
+		}
+		for _, p := range paths {
+			src, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus[filepath.ToSlash(p)] = string(src)
+		}
+	}
+	for _, w := range append(eseriesWorkloads(), bench.SyntheticDoall(2048, 4)) {
+		corpus["workload/"+w.Name] = w.Src
+	}
+	return corpus
+}
+
+func titanGoldenMeasure(src string, opts driver.Options) (titanGoldenBuild, error) {
+	res, err := driver.Compile(src, opts)
+	if err != nil {
+		return titanGoldenBuild{}, err
+	}
+	b := titanGoldenBuild{AsmSHA256: sha256Hex(driver.Disassemble(res)), Runs: map[string]titan.Result{}}
+	for _, procs := range []int{1, 2, 4} {
+		for _, engine := range []string{"run", "ref"} {
+			m := titan.NewMachine(res.Machine, procs)
+			run := m.Run
+			if engine == "ref" {
+				run = m.RunReference
+			}
+			r, err := run("main")
+			m.Release()
+			if err != nil {
+				return titanGoldenBuild{}, fmt.Errorf("p=%d %s: %v", procs, engine, err)
+			}
+			r.Output = sha256Hex(r.Output)
+			b.Runs[fmt.Sprintf("p%d/%s", procs, engine)] = r
+		}
+	}
+	return b, nil
+}
+
+func TestTitanGolden(t *testing.T) {
+	corpus := titanGoldenCorpus(t)
+	options := map[string]driver.Options{"scalar": driver.ScalarOptions(), "full": driver.FullOptions()}
+
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		all := map[string]any{}
+		for name, src := range corpus {
+			for oname, opts := range options {
+				b, err := titanGoldenMeasure(src, opts)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, oname, err)
+				}
+				for k, v := range b.lines(name + "/" + oname) {
+					all[k] = v
+				}
+			}
+		}
+		keys := make([]string, 0, len(all))
+		for k := range all {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var sb strings.Builder
+		sb.WriteString("{\n")
+		for i, k := range keys {
+			v, err := json.Marshal(all[k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%q: %s", k, v)
+			if i < len(keys)-1 {
+				sb.WriteByte(',')
+			}
+			sb.WriteByte('\n')
+		}
+		sb.WriteString("}\n")
+		if err := os.WriteFile(titanGoldenPath, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	blob, err := os.ReadFile(titanGoldenPath)
+	if err != nil {
+		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1): %v", err)
+	}
+	var want map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	// 1 hash + 3 processor counts x 2 engines per build.
+	if n := len(corpus) * len(options) * 7; len(want) != n {
+		t.Errorf("golden holds %d facts, the corpus has %d", len(want), n)
+	}
+	for name, src := range corpus {
+		for oname, opts := range options {
+			name, src, oname, opts := name, src, oname, opts
+			t.Run(name+"/"+oname, func(t *testing.T) {
+				t.Parallel()
+				got, err := titanGoldenMeasure(src, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, v := range got.lines(name + "/" + oname) {
+					g, err := json.Marshal(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if w, ok := want[k]; !ok {
+						t.Errorf("%s: not in the golden", k)
+					} else if string(g) != string(w) {
+						t.Errorf("%s:\n got    %s\n golden %s", k, g, w)
+					}
+				}
+			})
+		}
+	}
+}
