@@ -109,30 +109,31 @@ func TestDoacrossMatchesReferenceAndSerial(t *testing.T) {
 }
 
 // TestDoacrossSpeedup is the performance half: the kernel-differential
-// cycle count at four processors must never exceed the serial compile's,
-// and at least one kernel must hit the claimed >=1.5x.
+// cycle count at two and at four processors must never exceed the serial
+// compile's, and at four at least one kernel must hit the claimed >=1.5x.
 func TestDoacrossSpeedup(t *testing.T) {
 	serialCfg := bench.Config{Name: "serial", Opts: serialOptions(), Processors: 1}
-	doacrossCfg := bench.Config{Name: "doacross", Opts: driver.FullOptions(), Processors: 4}
 	best := 0.0
 	for _, w := range doacrossWorkloads() {
 		ser, err := bench.Run(w, serialCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := bench.Run(w, doacrossCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := bench.Speedup(ser, par)
-		t.Logf("%s: serial=%d cycles, doacross p4=%d cycles, speedup=%.2fx",
-			w.Name, ser.KernelCycles, par.KernelCycles, sp)
-		if par.KernelCycles > ser.KernelCycles {
-			t.Errorf("%s: DOACROSS at p=4 is slower than serial (%d > %d cycles)",
-				w.Name, par.KernelCycles, ser.KernelCycles)
-		}
-		if sp > best {
-			best = sp
+		for _, procs := range []int{2, 4} {
+			par, err := bench.Run(w, bench.Config{Name: "doacross", Opts: driver.FullOptions(), Processors: procs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp := bench.Speedup(ser, par)
+			t.Logf("%s: serial=%d cycles, doacross p%d=%d cycles, speedup=%.2fx",
+				w.Name, ser.KernelCycles, procs, par.KernelCycles, sp)
+			if par.KernelCycles > ser.KernelCycles {
+				t.Errorf("%s: DOACROSS at p=%d is slower than serial (%d > %d cycles)",
+					w.Name, procs, par.KernelCycles, ser.KernelCycles)
+			}
+			if procs == 4 && sp > best {
+				best = sp
+			}
 		}
 	}
 	if best < 1.5 {

@@ -5,7 +5,13 @@
 //
 // See README.md for the tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every number in EXPERIMENTS.md:
+// bench_test.go regenerate every number in EXPERIMENTS.md (simulated
+// cycles are deterministic, so one iteration measures everything):
 //
-//	go test -bench=. -benchmem .
+//	go test -run=NONE -bench=. -benchtime=1x .
+//
+// Host-time and serving numbers come from the one benchmark that
+// BENCHMARK.json declares:
+//
+//	bash benchmark/run.sh
 package repro

@@ -1,7 +1,9 @@
-// Package bench provides the measurement harness shared by the repository
-// benchmarks (bench_test.go), the experiments tool (cmd/experiments), and
-// the examples: it compiles C workloads under named configurations and
-// measures simulated cycles, kernel-only differential cycles, and MFLOPS.
+// Package bench is the paper's workload table plus the one measurement
+// the repository's tests, its evaluation (bench_test.go) and the examples
+// share: Run compiles a C workload under a named configuration and
+// reports simulated cycles, kernel-only differential cycles, and MFLOPS.
+// Host-time and serving numbers are not measured here; they come from
+// benchmark/ (bash benchmark/run.sh).
 package bench
 
 import (
@@ -53,16 +55,6 @@ type Config struct {
 	Processors int
 }
 
-// StandardConfigs are the paper's evaluation axes.
-func StandardConfigs(maxProcs int) []Config {
-	return []Config{
-		{"scalar", driver.Options{OptLevel: 1}, 1},
-		{"scalar+sched (§6)", driver.ScalarOptions(), 1},
-		{"inline+vector (§5,7)", driver.Options{OptLevel: 1, Inline: true, Vectorize: true, StrengthReduce: true}, 1},
-		{fmt.Sprintf("full, P=%d (§2,9)", maxProcs), driver.FullOptions(), maxProcs},
-	}
-}
-
 // Run measures one workload under one configuration.
 func Run(w Workload, cfg Config) (Measurement, error) {
 	full, err := driver.Run(w.Src, cfg.Opts, cfg.Processors)
@@ -104,19 +96,6 @@ func StripKernel(src string) string {
 		out = append(out, l)
 	}
 	return strings.Join(out, "\n")
-}
-
-// Sweep measures a workload under several configurations.
-func Sweep(w Workload, cfgs []Config) ([]Measurement, error) {
-	var out []Measurement
-	for _, c := range cfgs {
-		m, err := Run(w, c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }
 
 // Speedup returns base.KernelCycles / m.KernelCycles.

@@ -37,7 +37,7 @@ type BatchUnitResult struct {
 	Artifact *CompileResponse `json:"artifact,omitempty"`
 }
 
-// BatchTally is the set-level summary titanload aggregates.
+// BatchTally is the set-level summary of a /compile/batch reply.
 type BatchTally struct {
 	Units      int   `json:"units"`
 	OK         int   `json:"ok"`

@@ -300,8 +300,8 @@ func (s *Server) writeUnit(w http.ResponseWriter, out unitOutcome, start time.Ti
 }
 
 // writeQueueFull is the admission-queue 503: a Retry-After header plus
-// a JSON body naming the queue geometry, so clients (titanload included)
-// can back off by the server's own estimate instead of guessing.
+// a JSON body naming the queue geometry, so clients can back off by the
+// server's own estimate instead of guessing.
 func (s *Server) writeQueueFull(w http.ResponseWriter, err error) {
 	occupied := len(s.queueSem)
 	queued := occupied - s.cfg.Workers

@@ -204,6 +204,11 @@ func TestDecisionsGolden(t *testing.T) {
 		if u := units[i/2]; u.Name != w.Name {
 			t.Fatalf("search %d of the golden is %s, the unit there is %s", i, id, u.Name)
 		}
+		// The tuner never adopts a regression. Checked on the golden row,
+		// so a regenerated golden cannot pin one either.
+		if w.TunedCycles > w.DefaultCycles {
+			t.Errorf("%s: tuner regressed: tuned %d > default %d cycles", id, w.TunedCycles, w.DefaultCycles)
+		}
 		if raceDetector && racyCandidates[id] {
 			continue
 		}

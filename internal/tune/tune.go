@@ -113,8 +113,8 @@ type Decision struct {
 }
 
 // Result is the tuner's output: the non-default schedules to compile
-// with, plus the decision log the remarks and BENCH_tune.json are built
-// from.
+// with, plus the decision log the remarks and the decisions golden are
+// built from.
 type Result struct {
 	Schedules *schedule.Set `json:"schedules"`
 	Decisions []Decision    `json:"decisions"`

@@ -66,7 +66,7 @@ func TestTuneDaxpyImproves(t *testing.T) {
 }
 
 // The tuner is deterministic: two searches over the same unit agree on
-// every decision (the schedule cache and BENCH_tune.json depend on it).
+// every decision (the schedule cache and decisions.golden.json depend on it).
 func TestTuneDeterministic(t *testing.T) {
 	w := bench.CopyLoop(256)
 	opts := driver.FullOptions()
