@@ -7,8 +7,11 @@ import (
 	"repro/internal/il"
 )
 
+// heap is the nil arena: hand-built test IL is allocated node by node.
+var heap *il.Arena
+
 func assign(id il.VarID) *il.Assign {
-	return &il.Assign{Dst: il.Ref(id, ctype.IntType), Src: il.Int(0)}
+	return &il.Assign{Dst: heap.VarRef(id, ctype.IntType), Src: heap.Int(0)}
 }
 
 func TestStraightLine(t *testing.T) {
@@ -32,7 +35,7 @@ func TestStraightLine(t *testing.T) {
 func TestIfElseDiamond(t *testing.T) {
 	thenS := assign(1)
 	elseS := assign(2)
-	ifs := &il.If{Cond: il.Ref(0, ctype.IntType), Then: []il.Stmt{thenS}, Else: []il.Stmt{elseS}}
+	ifs := &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{thenS}, Else: []il.Stmt{elseS}}
 	after := assign(3)
 	g, err := Build([]il.Stmt{ifs, after})
 	if err != nil {
@@ -50,7 +53,7 @@ func TestIfElseDiamond(t *testing.T) {
 
 func TestIfNoElseFallthrough(t *testing.T) {
 	thenS := assign(1)
-	ifs := &il.If{Cond: il.Ref(0, ctype.IntType), Then: []il.Stmt{thenS}}
+	ifs := &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{thenS}}
 	after := assign(2)
 	g, err := Build([]il.Stmt{ifs, after})
 	if err != nil {
@@ -65,7 +68,7 @@ func TestIfNoElseFallthrough(t *testing.T) {
 
 func TestWhileBackEdge(t *testing.T) {
 	bodyS := assign(1)
-	w := &il.While{Cond: il.Ref(0, ctype.IntType), Body: []il.Stmt{bodyS}}
+	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{bodyS}}
 	g, err := Build([]il.Stmt{w})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +135,7 @@ func TestGotoIntoLoopDetected(t *testing.T) {
 	// §5.2: a branch entering a loop body disqualifies DO conversion.
 	inLbl := &il.Label{Name: ".in"}
 	bodyS := assign(1)
-	w := &il.While{Cond: il.Ref(0, ctype.IntType), Body: []il.Stmt{inLbl, bodyS}}
+	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{inLbl, bodyS}}
 	gt := &il.Goto{Target: ".in"}
 	g, err := Build([]il.Stmt{gt, w})
 	if err != nil {
@@ -146,7 +149,7 @@ func TestGotoIntoLoopDetected(t *testing.T) {
 
 func TestCleanLoopNotEntered(t *testing.T) {
 	bodyS := assign(1)
-	w := &il.While{Cond: il.Ref(0, ctype.IntType), Body: []il.Stmt{bodyS}}
+	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{bodyS}}
 	g, err := Build([]il.Stmt{assign(2), w})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +161,7 @@ func TestCleanLoopNotEntered(t *testing.T) {
 
 func TestDoLoopEdges(t *testing.T) {
 	bodyS := assign(1)
-	d := &il.DoLoop{IV: 0, Init: il.Int(0), Limit: il.Int(9), Step: il.Int(1), Body: []il.Stmt{bodyS}}
+	d := &il.DoLoop{IV: 0, Init: heap.Int(0), Limit: heap.Int(9), Step: heap.Int(1), Body: []il.Stmt{bodyS}}
 	g, err := Build([]il.Stmt{d})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +195,7 @@ func TestDominators(t *testing.T) {
 	// entry → c → {t, e} → join
 	thenS := assign(1)
 	elseS := assign(2)
-	ifs := &il.If{Cond: il.Ref(0, ctype.IntType), Then: []il.Stmt{thenS}, Else: []il.Stmt{elseS}}
+	ifs := &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{thenS}, Else: []il.Stmt{elseS}}
 	join := assign(3)
 	g, err := Build([]il.Stmt{ifs, join})
 	if err != nil {
@@ -215,7 +218,7 @@ func TestDominators(t *testing.T) {
 
 func TestDominatorsLoop(t *testing.T) {
 	bodyS := assign(1)
-	w := &il.While{Cond: il.Ref(0, ctype.IntType), Body: []il.Stmt{bodyS}}
+	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{bodyS}}
 	after := assign(2)
 	g, err := Build([]il.Stmt{w, after})
 	if err != nil {

@@ -346,7 +346,7 @@ func (g *gen) stmts(list []il.Stmt) error {
 func (g *gen) stmt(s il.Stmt) error {
 	switch n := s.(type) {
 	case *il.Assign:
-		return g.assign(n)
+		return g.assign(n.Dst, n.Src)
 	case *il.PredAssign:
 		return g.predAssign(n)
 	case *il.Call:
@@ -395,13 +395,13 @@ func (g *gen) stmt(s il.Stmt) error {
 	return errf("unhandled statement %T", s)
 }
 
-func (g *gen) assign(n *il.Assign) error {
-	switch dst := n.Dst.(type) {
+func (g *gen) assign(to, src il.Expr) error {
+	switch dst := to.(type) {
 	case *il.VarRef:
 		v := &g.p.Vars[dst.ID]
 		loc := g.locs[dst.ID]
 		if isFloatType(v.Type) {
-			r, err := g.evalFlt(n.Src)
+			r, err := g.evalFlt(src)
 			if err != nil {
 				return err
 			}
@@ -414,7 +414,7 @@ func (g *gen) assign(n *il.Assign) error {
 			g.putFlt(r)
 			return nil
 		}
-		r, err := g.evalInt(n.Src)
+		r, err := g.evalInt(src)
 		if err != nil {
 			return err
 		}
@@ -433,7 +433,7 @@ func (g *gen) assign(n *il.Assign) error {
 		}
 		t := dst.T
 		if isFloatType(t) {
-			val, err := g.evalFlt(n.Src)
+			val, err := g.evalFlt(src)
 			if err != nil {
 				return err
 			}
@@ -444,7 +444,7 @@ func (g *gen) assign(n *il.Assign) error {
 			g.emit(titan.Instr{Op: op, Rs1: addr, Rs2: val})
 			g.putFlt(val)
 		} else {
-			val, err := g.evalInt(n.Src)
+			val, err := g.evalInt(src)
 			if err != nil {
 				return err
 			}
@@ -463,7 +463,7 @@ func (g *gen) assign(n *il.Assign) error {
 		g.putInt(addr)
 		return nil
 	}
-	return errf("bad assignment destination %T", n.Dst)
+	return errf("bad assignment destination %T", to)
 }
 
 // predAssign lowers a predicated store in its serial (branchy) form: the
@@ -478,7 +478,7 @@ func (g *gen) predAssign(n *il.PredAssign) error {
 	skipL := g.newLabel("pskip")
 	g.emit(titan.Instr{Op: titan.OpBeqz, Rs1: cond, Sym: skipL})
 	g.putInt(cond)
-	if err := g.assign(&il.Assign{Dst: n.Dst, Src: n.Src, Pos: n.Pos}); err != nil {
+	if err := g.assign(n.Dst, n.Src); err != nil {
 		return err
 	}
 	g.label(skipL)

@@ -12,6 +12,9 @@ import (
 	"repro/internal/titan"
 )
 
+// heap is the nil arena: hand-built test IL is allocated node by node.
+var heap *il.Arena
+
 // gen compiles source to a Titan program without the IL optimizer, so the
 // tests see codegen's own output.
 func genProgram(t *testing.T, src string) *titan.Program {
@@ -207,15 +210,15 @@ func TestVectorAssignCodegen(t *testing.T) {
 	p.Body = []il.Stmt{
 		&il.VectorAssign{
 			DstBase:   &il.AddrOf{ID: av, T: pt},
-			DstStride: il.Int(4),
-			Len:       il.Int(64),
+			DstStride: heap.Int(4),
+			Len:       heap.Int(64),
 			Elem:      ctype.FloatType,
 			RHS: &il.Bin{Op: il.OpMul,
-				L: &il.VecRef{Base: &il.AddrOf{ID: bv, T: pt}, Stride: il.Int(4), T: ctype.FloatType},
+				L: &il.VecRef{Base: &il.AddrOf{ID: bv, T: pt}, Stride: heap.Int(4), T: ctype.FloatType},
 				R: &il.ConstFloat{Val: 2, T: ctype.FloatType},
 				T: ctype.FloatType},
 		},
-		&il.Return{Val: il.Int(0)},
+		&il.Return{Val: heap.Int(0)},
 	}
 	tp, err := Generate(prog)
 	if err != nil {

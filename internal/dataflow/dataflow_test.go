@@ -11,6 +11,9 @@ import (
 	"repro/internal/lower"
 )
 
+// heap is the nil arena: hand-built test IL is allocated node by node.
+var heap *il.Arena
+
 func compileProc(t *testing.T, src, name string) *il.Proc {
 	t.Helper()
 	f, err := parser.Parse(src)
@@ -291,8 +294,8 @@ func TestDoLoopDefinesIV(t *testing.T) {
 	p := il.NewProc("f", ctype.VoidType)
 	iv := p.AddVar(il.Var{Name: "i", Type: ctype.IntType, Class: il.ClassLocal})
 	x := p.AddVar(il.Var{Name: "x", Type: ctype.IntType, Class: il.ClassLocal})
-	use := &il.Assign{Dst: il.Ref(x, ctype.IntType), Src: il.Ref(iv, ctype.IntType)}
-	loop := &il.DoLoop{IV: iv, Init: il.Int(0), Limit: il.Int(9), Step: il.Int(1), Body: []il.Stmt{use}}
+	use := &il.Assign{Dst: heap.VarRef(x, ctype.IntType), Src: heap.VarRef(iv, ctype.IntType)}
+	loop := &il.DoLoop{IV: iv, Init: heap.Int(0), Limit: heap.Int(9), Step: heap.Int(1), Body: []il.Stmt{use}}
 	p.Body = []il.Stmt{loop}
 	a := analyze(t, p)
 	defs := a.ReachingDefs(use, iv)

@@ -146,7 +146,7 @@ func AnalyzeLoop(p *il.Proc, loop *il.DoLoop, opts Options) *LoopDeps {
 	for i, s := range loop.Body {
 		switch n := s.(type) {
 		case *il.Assign:
-			if ld.collectStmtRefs(p, loop, i, n) {
+			if ld.collectStmtRefs(p, loop, i, n.Dst, n.Src) {
 				ld.Barrier[i] = true
 			}
 		case *il.PredAssign:
@@ -198,7 +198,7 @@ func tripCount(loop *il.DoLoop) int64 {
 
 // collectStmtRefs extracts the refs of one assignment; reports whether the
 // statement contains something that must act as a barrier (volatile).
-func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, as *il.Assign) bool {
+func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, dst, src il.Expr) bool {
 	barrier := false
 	add := func(addr il.Expr, size int, write, volatile bool) {
 		r := normalizeRef(p, loop, addr)
@@ -212,7 +212,7 @@ func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, as *il
 		}
 		ld.Refs = append(ld.Refs, r)
 	}
-	if ld, ok := as.Dst.(*il.Load); ok {
+	if ld, ok := dst.(*il.Load); ok {
 		add(ld.Addr, ld.T.Size(), true, ld.Volatile)
 	}
 	collectLoads := func(e il.Expr) {
@@ -223,15 +223,15 @@ func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, as *il
 			return true
 		})
 	}
-	if ldst, ok := as.Dst.(*il.Load); ok {
+	if ldst, ok := dst.(*il.Load); ok {
 		collectLoads(ldst.Addr)
 	}
-	collectLoads(as.Src)
+	collectLoads(src)
 	// Direct reads/writes of volatile scalars are barriers too.
-	if p.HasVolatile(as.Src) {
+	if p.HasVolatile(src) {
 		barrier = true
 	}
-	if v, ok := as.Dst.(*il.VarRef); ok && p.Vars[v.ID].IsVolatile() {
+	if v, ok := dst.(*il.VarRef); ok && p.Vars[v.ID].IsVolatile() {
 		barrier = true
 	}
 	return barrier
@@ -242,7 +242,7 @@ func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, as *il
 // own loads — if-conversion evaluates the predicate every iteration, so
 // its reads participate in the dependence graph like any other use.
 func (ld *LoopDeps) collectPredRefs(p *il.Proc, loop *il.DoLoop, idx int, ps *il.PredAssign) bool {
-	barrier := ld.collectStmtRefs(p, loop, idx, &il.Assign{Dst: ps.Dst, Src: ps.Src, Pos: ps.Pos})
+	barrier := ld.collectStmtRefs(p, loop, idx, ps.Dst, ps.Src)
 	il.WalkExpr(ps.Cond, func(x il.Expr) bool {
 		if l, ok := x.(*il.Load); ok {
 			r := normalizeRef(p, loop, l.Addr)
@@ -273,6 +273,13 @@ func normalizeRef(p *il.Proc, loop *il.DoLoop, addr il.Expr) Ref {
 	base := classifyBase(p, lin.rest)
 	return Ref{Base: base, Coef: lin.coef, Offset: lin.offset, Linear: true}
 }
+
+// views is the arena of the expressions the analysis builds for itself
+// (negated, scaled and summed invariant terms): nil, the heap. They
+// describe a reference and never enter a body; the graph may be cached
+// past the compile, and the procedure is often one the caller only reads
+// (the schedule checker on the tuner's base), whose arena is not ours.
+var views *il.Arena
 
 // linForm is addr = rest + coef*iv + offset with rest iv-free.
 type linForm struct {
@@ -315,7 +322,7 @@ func linearize(p *il.Proc, loop *il.DoLoop, e il.Expr) *linForm {
 			// Negated invariant terms remain invariant; wrap them.
 			rest := append([]il.Expr{}, l.rest...)
 			for _, t := range r.rest {
-				rest = append(rest, il.NewUn(il.OpNeg, il.CloneExpr(t), t.Type()))
+				rest = append(rest, views.NewUn(il.OpNeg, views.CloneExpr(t), t.Type()))
 			}
 			return &linForm{coef: l.coef - r.coef, offset: l.offset - r.offset, rest: rest}
 		case il.OpMul:
@@ -361,7 +368,7 @@ func linearize(p *il.Proc, loop *il.DoLoop, e il.Expr) *linForm {
 func scaleLin(l *linForm, c int64) *linForm {
 	out := &linForm{coef: l.coef * c, offset: l.offset * c}
 	for _, t := range l.rest {
-		out.rest = append(out.rest, il.Mul(il.Int(c), il.CloneExpr(t), ctype.IntType))
+		out.rest = append(out.rest, views.Mul(views.Int(c), views.CloneExpr(t), ctype.IntType))
 	}
 	return out
 }
@@ -416,7 +423,7 @@ func sumExprs(list []il.Expr) il.Expr {
 		if out == nil {
 			out = e
 		} else {
-			out = il.Add(out, e, ctype.IntType)
+			out = views.Add(out, e, ctype.IntType)
 		}
 	}
 	return out

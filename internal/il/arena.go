@@ -9,14 +9,22 @@ package il
 //
 // Ownership contract:
 //
-//   - The front end attaches one Arena per Proc (lower.File); every pass
-//     that rewrites a procedure allocates replacement nodes from
-//     p.Arena(). Nodes never migrate between procedures — inline
-//     expansion clones catalog bodies into the caller's arena.
-//   - A nil *Arena is valid everywhere and falls back to individual heap
-//     allocation, so hand-built test IL and catalog-decoded procedures
-//     keep working unchanged (and the serial-heap differential baseline
-//     stays available).
+//   - The arena is the one way to build IL: every constructor, rewriter
+//     and cloner of this package is a method on *Arena (build.go, walk.go,
+//     simplify.go). The front end attaches one Arena per Proc (lower.File)
+//     and every pass that rewrites a procedure builds the replacement
+//     nodes through p.Arena(). Nodes never migrate between procedures —
+//     inline expansion clones catalog bodies into the caller's arena.
+//   - Code that only reads a procedure it does not own (the inliner on a
+//     callee, the schedule checker and the tuner's discovery on a shared
+//     base, dependence views) builds from the caller's arena or from nil,
+//     never from the read procedure's: arenas are single-owner and not
+//     safe for concurrent use.
+//   - A nil *Arena is valid everywhere and allocates each node from the
+//     heap. It is what a procedure with no arena builds from: hand-built
+//     test IL, catalog-decoded procedures (cloned into the caller's arena
+//     at expansion), and the arena-stripped compile that
+//     differential_arena_test.go holds every arena compile equal to.
 //   - Release drops the arena's slab references and retires its bytes
 //     from the process-wide ArenaBytesLive gauge. The nodes themselves
 //     stay valid as long as the IL references them (chunks are reclaimed
@@ -47,7 +55,7 @@ const (
 	arenaChunkMax = 1024
 )
 
-// slab is one node kind's chunked storage. alloc hands out pointers into
+// slab is one node kind's chunked storage. put hands out pointers into
 // the current chunk; when it fills, a new chunk is started and the old
 // one stays reachable through the handed-out pointers.
 type slab[T any] struct {
@@ -55,7 +63,9 @@ type slab[T any] struct {
 	next int // next chunk's capacity
 }
 
-func (s *slab[T]) alloc(a *Arena) *T {
+// put stores v in the slab, which is a field of a, and returns its
+// address.
+func (s *slab[T]) put(a *Arena, v T) *T {
 	if len(s.cur) == cap(s.cur) {
 		if s.next < arenaChunkMin {
 			s.next = arenaChunkMin
@@ -63,14 +73,16 @@ func (s *slab[T]) alloc(a *Arena) *T {
 			s.next *= 2
 		}
 		s.cur = make([]T, 0, s.next)
-		var zero T
-		a.grew(int64(unsafe.Sizeof(zero)) * int64(s.next))
+		n := int64(unsafe.Sizeof(v)) * int64(s.next)
+		a.bytes += n
+		liveBytes.Add(n)
 	}
-	s.cur = s.cur[:len(s.cur)+1]
+	s.cur = append(s.cur, v)
 	return &s.cur[len(s.cur)-1]
 }
 
-func (s *slab[T]) drop() { s.cur = nil; s.next = 0 }
+// onHeap is what every allocator does under a nil arena.
+func onHeap[T any](v T) *T { return &v }
 
 // Arena owns chunked slabs for every IL node kind. The zero value is
 // ready to use; a nil *Arena is valid and allocates from the heap.
@@ -78,8 +90,7 @@ func (s *slab[T]) drop() { s.cur = nil; s.next = 0 }
 // the pass manager's worker pool never runs two passes over one
 // procedure at once.
 type Arena struct {
-	bytes    int64
-	released bool
+	bytes int64
 
 	constInts   slab[ConstInt]
 	constFloats slab[ConstFloat]
@@ -98,6 +109,9 @@ type Arena struct {
 	whiles      slab[While]
 	doLoops     slab[DoLoop]
 	doPars      slab[DoParallel]
+	syncInfos   slab[SyncInfo]
+	syncPosts   slab[SyncPost]
+	syncWaits   slab[SyncWait]
 	vecAssigns  slab[VectorAssign]
 	gotos       slab[Goto]
 	labels      slab[Label]
@@ -107,50 +121,16 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-func (a *Arena) grew(n int64) {
-	a.bytes += n
-	liveBytes.Add(n)
-}
-
-// Bytes reports the bytes of chunk storage the arena has allocated.
-func (a *Arena) Bytes() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.bytes
-}
-
 // Release drops the arena's slab references and retires its bytes from
 // the ArenaBytesLive gauge. Safe to call more than once; a released
 // arena keeps working (new allocations open fresh chunks and are
-// accounted again).
+// accounted, and retired by the next Release).
 func (a *Arena) Release() {
-	if a == nil || a.released {
+	if a == nil {
 		return
 	}
-	a.released = true
 	liveBytes.Add(-a.bytes)
-	a.bytes = 0
-	a.constInts.drop()
-	a.constFloats.drop()
-	a.varRefs.drop()
-	a.addrOfs.drop()
-	a.loads.drop()
-	a.bins.drop()
-	a.uns.drop()
-	a.casts.drop()
-	a.vecRefs.drop()
-	a.assigns.drop()
-	a.predAssigns.drop()
-	a.calls.drop()
-	a.ifs.drop()
-	a.whiles.drop()
-	a.doLoops.drop()
-	a.doPars.drop()
-	a.vecAssigns.drop()
-	a.gotos.drop()
-	a.labels.drop()
-	a.returns.drop()
+	*a = Arena{}
 }
 
 // ---------------------------------------------------------------- expressions
@@ -160,19 +140,18 @@ func (a *Arena) ConstInt(v int64, t *ctype.Type) *ConstInt {
 	if a == nil {
 		return &ConstInt{Val: v, T: t}
 	}
-	n := a.constInts.alloc(a)
-	n.Val, n.T = v, t
-	return n
+	return a.constInts.put(a, ConstInt{Val: v, T: t})
 }
+
+// Int allocates a constant of type int.
+func (a *Arena) Int(v int64) *ConstInt { return a.ConstInt(v, ctype.IntType) }
 
 // ConstFloat allocates a floating constant.
 func (a *Arena) ConstFloat(v float64, t *ctype.Type) *ConstFloat {
 	if a == nil {
 		return &ConstFloat{Val: v, T: t}
 	}
-	n := a.constFloats.alloc(a)
-	n.Val, n.T = v, t
-	return n
+	return a.constFloats.put(a, ConstFloat{Val: v, T: t})
 }
 
 // VarRef allocates a variable reference.
@@ -180,9 +159,7 @@ func (a *Arena) VarRef(id VarID, t *ctype.Type) *VarRef {
 	if a == nil {
 		return &VarRef{ID: id, T: t}
 	}
-	n := a.varRefs.alloc(a)
-	n.ID, n.T = id, t
-	return n
+	return a.varRefs.put(a, VarRef{ID: id, T: t})
 }
 
 // AddrOf allocates an address-of expression.
@@ -190,9 +167,7 @@ func (a *Arena) AddrOf(id VarID, t *ctype.Type) *AddrOf {
 	if a == nil {
 		return &AddrOf{ID: id, T: t}
 	}
-	n := a.addrOfs.alloc(a)
-	n.ID, n.T = id, t
-	return n
+	return a.addrOfs.put(a, AddrOf{ID: id, T: t})
 }
 
 // Load allocates a memory load.
@@ -200,39 +175,31 @@ func (a *Arena) Load(addr Expr, t *ctype.Type, volatile bool) *Load {
 	if a == nil {
 		return &Load{Addr: addr, T: t, Volatile: volatile}
 	}
-	n := a.loads.alloc(a)
-	n.Addr, n.T, n.Volatile = addr, t, volatile
-	return n
+	return a.loads.put(a, Load{Addr: addr, T: t, Volatile: volatile})
 }
 
-// Bin allocates a binary expression (no folding; see NewBinIn).
+// Bin allocates a binary expression (no folding; see NewBin).
 func (a *Arena) Bin(op Op, l, r Expr, t *ctype.Type) *Bin {
 	if a == nil {
 		return &Bin{Op: op, L: l, R: r, T: t}
 	}
-	n := a.bins.alloc(a)
-	n.Op, n.L, n.R, n.T = op, l, r, t
-	return n
+	return a.bins.put(a, Bin{Op: op, L: l, R: r, T: t})
 }
 
-// Un allocates a unary expression (no folding; see NewUnIn).
+// Un allocates a unary expression (no folding; see NewUn).
 func (a *Arena) Un(op Op, x Expr, t *ctype.Type) *Un {
 	if a == nil {
 		return &Un{Op: op, X: x, T: t}
 	}
-	n := a.uns.alloc(a)
-	n.Op, n.X, n.T = op, x, t
-	return n
+	return a.uns.put(a, Un{Op: op, X: x, T: t})
 }
 
-// Cast allocates a cast (no simplification; see NewCastIn).
+// Cast allocates a cast (no simplification; see NewCast).
 func (a *Arena) Cast(x Expr, t *ctype.Type) *Cast {
 	if a == nil {
 		return &Cast{X: x, T: t}
 	}
-	n := a.casts.alloc(a)
-	n.X, n.T = x, t
-	return n
+	return a.casts.put(a, Cast{X: x, T: t})
 }
 
 // VecRef allocates a vector section reference.
@@ -240,9 +207,7 @@ func (a *Arena) VecRef(base, stride Expr, t *ctype.Type) *VecRef {
 	if a == nil {
 		return &VecRef{Base: base, Stride: stride, T: t}
 	}
-	n := a.vecRefs.alloc(a)
-	n.Base, n.Stride, n.T = base, stride, t
-	return n
+	return a.vecRefs.put(a, VecRef{Base: base, Stride: stride, T: t})
 }
 
 // ---------------------------------------------------------------- statements
@@ -250,120 +215,111 @@ func (a *Arena) VecRef(base, stride Expr, t *ctype.Type) *VecRef {
 // Assign allocates an assignment statement.
 func (a *Arena) Assign(s Assign) *Assign {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.assigns.alloc(a)
-	*n = s
-	return n
+	return a.assigns.put(a, s)
 }
 
 // PredAssign allocates a predicated-store statement.
 func (a *Arena) PredAssign(s PredAssign) *PredAssign {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.predAssigns.alloc(a)
-	*n = s
-	return n
+	return a.predAssigns.put(a, s)
 }
 
 // Call allocates a call statement.
 func (a *Arena) Call(s Call) *Call {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.calls.alloc(a)
-	*n = s
-	return n
+	return a.calls.put(a, s)
 }
 
 // If allocates an if statement.
 func (a *Arena) If(s If) *If {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.ifs.alloc(a)
-	*n = s
-	return n
+	return a.ifs.put(a, s)
 }
 
 // While allocates a while statement.
 func (a *Arena) While(s While) *While {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.whiles.alloc(a)
-	*n = s
-	return n
+	return a.whiles.put(a, s)
 }
 
 // DoLoop allocates a DO loop.
 func (a *Arena) DoLoop(s DoLoop) *DoLoop {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.doLoops.alloc(a)
-	*n = s
-	return n
+	return a.doLoops.put(a, s)
 }
 
 // DoParallel allocates a parallel DO loop.
 func (a *Arena) DoParallel(s DoParallel) *DoParallel {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.doPars.alloc(a)
-	*n = s
-	return n
+	return a.doPars.put(a, s)
+}
+
+// SyncInfo allocates a DoParallel's DOACROSS annotation.
+func (a *Arena) SyncInfo(s SyncInfo) *SyncInfo {
+	if a == nil {
+		return onHeap(s)
+	}
+	return a.syncInfos.put(a, s)
+}
+
+// SyncPost allocates a DOACROSS post marker.
+func (a *Arena) SyncPost(s SyncPost) *SyncPost {
+	if a == nil {
+		return onHeap(s)
+	}
+	return a.syncPosts.put(a, s)
+}
+
+// SyncWait allocates a DOACROSS wait marker.
+func (a *Arena) SyncWait(s SyncWait) *SyncWait {
+	if a == nil {
+		return onHeap(s)
+	}
+	return a.syncWaits.put(a, s)
 }
 
 // VectorAssign allocates a vector assignment.
 func (a *Arena) VectorAssign(s VectorAssign) *VectorAssign {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.vecAssigns.alloc(a)
-	*n = s
-	return n
+	return a.vecAssigns.put(a, s)
 }
 
 // Goto allocates a goto.
 func (a *Arena) Goto(s Goto) *Goto {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.gotos.alloc(a)
-	*n = s
-	return n
+	return a.gotos.put(a, s)
 }
 
 // Label allocates a label.
 func (a *Arena) Label(s Label) *Label {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.labels.alloc(a)
-	*n = s
-	return n
+	return a.labels.put(a, s)
 }
 
 // Return allocates a return.
 func (a *Arena) Return(s Return) *Return {
 	if a == nil {
-		n := s
-		return &n
+		return onHeap(s)
 	}
-	n := a.returns.alloc(a)
-	*n = s
-	return n
+	return a.returns.put(a, s)
 }

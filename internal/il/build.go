@@ -2,19 +2,11 @@ package il
 
 import "repro/internal/ctype"
 
-// This file provides smart constructors used throughout the optimizer. The
-// binary constructors fold constant operands and apply simple algebraic
+// This file provides smart constructors used throughout the optimizer,
+// as methods on the arena the nodes come from (nil: the heap). The binary
+// constructors fold constant operands and apply simple algebraic
 // identities, which keeps address arithmetic built by the lowering and
 // substitution passes in a canonical, readable form.
-
-// Int returns an int constant.
-func Int(v int64) *ConstInt { return &ConstInt{Val: v, T: ctype.IntType} }
-
-// Flt returns a float constant of type t (float or double).
-func Flt(v float64, t *ctype.Type) *ConstFloat { return &ConstFloat{Val: v, T: t} }
-
-// Ref returns a variable reference.
-func Ref(id VarID, t *ctype.Type) *VarRef { return &VarRef{ID: id, T: t} }
 
 // IsIntConst reports whether e is an integer constant, returning its value.
 func IsIntConst(e Expr) (int64, bool) {
@@ -41,12 +33,20 @@ func IsOne(e Expr) bool {
 	return ok && c.Val == 1
 }
 
-// NewBin builds a binary expression, folding integer constant operands and
-// applying the identities x+0, x-0, x*1, x*0, 0+x, 1*x, x/1.
-func NewBin(op Op, l, r Expr, t *ctype.Type) Expr { return NewBinIn(nil, op, l, r, t) }
+// binFold says what NewBin makes of an operator and its operands.
+type binFold int
 
-// NewBinIn is NewBin allocating from arena a (nil allocates from the heap).
-func NewBinIn(a *Arena, op Op, l, r Expr, t *ctype.Type) Expr {
+const (
+	keepBin binFold = iota // a fresh Bin of the same operands
+	isInt                  // the integer constant foldBin returns
+	isFloat                // the float constant foldBin returns
+	isLeft                 // the left operand
+	isRight                // the right operand
+)
+
+// foldBin is the one folding decision: NewBin acts on it and BinFoldable
+// reports it.
+func foldBin(op Op, l, r Expr, t *ctype.Type) (binFold, int64, float64) {
 	lc, lok := l.(*ConstInt)
 	rc, rok := r.(*ConstInt)
 	if lok && rok && t.IsInteger() {
@@ -57,7 +57,7 @@ func NewBinIn(a *Arena, op Op, l, r Expr, t *ctype.Type) Expr {
 			(unsignedType(rc.T) && rc.Val < 0)
 		if !unsignedHazard {
 			if v, ok := foldInt(op, lc.Val, rc.Val); ok {
-				return a.ConstInt(v, t)
+				return isInt, v, 0
 			}
 		}
 	}
@@ -65,35 +65,51 @@ func NewBinIn(a *Arena, op Op, l, r Expr, t *ctype.Type) Expr {
 	rf, rfok := r.(*ConstFloat)
 	if lfok && rfok && t.IsFloat() {
 		if v, ok := foldFloat(op, lf.Val, rf.Val); ok {
-			return a.ConstFloat(v, t)
+			return isFloat, 0, v
 		}
 	}
 	switch op {
 	case OpAdd:
 		if IsZero(l) {
-			return r
+			return isRight, 0, 0
 		}
 		if IsZero(r) {
-			return l
+			return isLeft, 0, 0
 		}
 	case OpSub:
 		if IsZero(r) {
-			return l
+			return isLeft, 0, 0
 		}
 	case OpMul:
 		if IsOne(l) {
-			return r
+			return isRight, 0, 0
 		}
 		if IsOne(r) {
-			return l
+			return isLeft, 0, 0
 		}
 		if t.IsInteger() && (IsZero(l) || IsZero(r)) {
-			return a.ConstInt(0, t)
+			return isInt, 0, 0
 		}
 	case OpDiv:
 		if IsOne(r) {
-			return l
+			return isLeft, 0, 0
 		}
+	}
+	return keepBin, 0, 0
+}
+
+// NewBin builds a binary expression, folding integer constant operands and
+// applying the identities x+0, x-0, x*1, x*0, 0+x, 1*x, x/1.
+func (a *Arena) NewBin(op Op, l, r Expr, t *ctype.Type) Expr {
+	switch f, iv, fv := foldBin(op, l, r, t); f {
+	case isInt:
+		return a.ConstInt(iv, t)
+	case isFloat:
+		return a.ConstFloat(fv, t)
+	case isLeft:
+		return l
+	case isRight:
+		return r
 	}
 	return a.Bin(op, l, r, t)
 }
@@ -102,39 +118,11 @@ func unsignedType(t *ctype.Type) bool { return t != nil && t.Unsigned }
 
 // BinFoldable reports whether NewBin(op, l, r, t) would return anything
 // other than a fresh Bin with the same operands — i.e. whether constant
-// folding or an algebraic identity applies. It mirrors NewBinIn's checks
-// exactly, letting callers skip the constructor (and its allocation) on
-// the common nothing-to-fold path.
+// folding or an algebraic identity applies — letting callers skip the
+// constructor (and its allocation) on the common nothing-to-fold path.
 func BinFoldable(op Op, l, r Expr, t *ctype.Type) bool {
-	lc, lok := l.(*ConstInt)
-	rc, rok := r.(*ConstInt)
-	if lok && rok && t.IsInteger() {
-		unsignedHazard := (unsignedType(lc.T) && lc.Val < 0) ||
-			(unsignedType(rc.T) && rc.Val < 0)
-		if !unsignedHazard {
-			if _, ok := foldInt(op, lc.Val, rc.Val); ok {
-				return true
-			}
-		}
-	}
-	lf, lfok := l.(*ConstFloat)
-	rf, rfok := r.(*ConstFloat)
-	if lfok && rfok && t.IsFloat() {
-		if _, ok := foldFloat(op, lf.Val, rf.Val); ok {
-			return true
-		}
-	}
-	switch op {
-	case OpAdd:
-		return IsZero(l) || IsZero(r)
-	case OpSub:
-		return IsZero(r)
-	case OpMul:
-		return IsOne(l) || IsOne(r) || (t.IsInteger() && (IsZero(l) || IsZero(r)))
-	case OpDiv:
-		return IsOne(r)
-	}
-	return false
+	f, _, _ := foldBin(op, l, r, t)
+	return f != keepBin
 }
 
 func foldInt(op Op, a, b int64) (int64, bool) {
@@ -236,19 +224,16 @@ func FoldCompareFloat(op Op, a, b float64) (int64, bool) {
 }
 
 // Add builds l+r of type t with folding.
-func Add(l, r Expr, t *ctype.Type) Expr { return NewBin(OpAdd, l, r, t) }
+func (a *Arena) Add(l, r Expr, t *ctype.Type) Expr { return a.NewBin(OpAdd, l, r, t) }
 
 // Sub builds l-r of type t with folding.
-func Sub(l, r Expr, t *ctype.Type) Expr { return NewBin(OpSub, l, r, t) }
+func (a *Arena) Sub(l, r Expr, t *ctype.Type) Expr { return a.NewBin(OpSub, l, r, t) }
 
 // Mul builds l*r of type t with folding.
-func Mul(l, r Expr, t *ctype.Type) Expr { return NewBin(OpMul, l, r, t) }
+func (a *Arena) Mul(l, r Expr, t *ctype.Type) Expr { return a.NewBin(OpMul, l, r, t) }
 
 // NewUn builds a unary expression, folding constants.
-func NewUn(op Op, x Expr, t *ctype.Type) Expr { return NewUnIn(nil, op, x, t) }
-
-// NewUnIn is NewUn allocating from arena a.
-func NewUnIn(a *Arena, op Op, x Expr, t *ctype.Type) Expr {
+func (a *Arena) NewUn(op Op, x Expr, t *ctype.Type) Expr {
 	if c, ok := x.(*ConstInt); ok {
 		switch op {
 		case OpNeg:
@@ -271,10 +256,7 @@ func NewUnIn(a *Arena, op Op, x Expr, t *ctype.Type) Expr {
 
 // NewCast builds a cast, folding constant operands and eliding identity
 // casts between same-kind scalar types.
-func NewCast(x Expr, to *ctype.Type) Expr { return NewCastIn(nil, x, to) }
-
-// NewCastIn is NewCast allocating from arena a.
-func NewCastIn(a *Arena, x Expr, to *ctype.Type) Expr {
+func (a *Arena) NewCast(x Expr, to *ctype.Type) Expr {
 	if x.Type() != nil && x.Type().Kind == to.Kind && x.Type().Unsigned == to.Unsigned {
 		return x
 	}

@@ -15,6 +15,12 @@
 //     VarID (an index into the procedure's variable table), globals by
 //     name, and callees by name, so a procedure can be written to a catalog
 //     and inlined into another translation unit (§7).
+//
+// IL is built one way: every constructor, rewriter and cloner is a method
+// on *Arena (arena.go has the ownership contract), normally the owning
+// procedure's p.Arena(). A nil *Arena is valid and allocates from the
+// heap; a procedure with no arena — hand-built test IL, a catalog-decoded
+// procedure — builds from that.
 package il
 
 import (

@@ -10,22 +10,25 @@ import (
 	"repro/internal/ctype"
 )
 
+// h is the nil arena hand-built test IL is allocated from: the heap.
+var h *Arena
+
 func TestSmartConstructorsFold(t *testing.T) {
 	cases := []struct {
 		got  Expr
 		want int64
 	}{
-		{NewBin(OpAdd, Int(2), Int(3), ctype.IntType), 5},
-		{NewBin(OpSub, Int(2), Int(3), ctype.IntType), -1},
-		{NewBin(OpMul, Int(4), Int(3), ctype.IntType), 12},
-		{NewBin(OpDiv, Int(7), Int(2), ctype.IntType), 3},
-		{NewBin(OpRem, Int(7), Int(2), ctype.IntType), 1},
-		{NewBin(OpShl, Int(1), Int(4), ctype.IntType), 16},
-		{NewBin(OpLt, Int(1), Int(2), ctype.IntType), 1},
-		{NewBin(OpGe, Int(1), Int(2), ctype.IntType), 0},
-		{NewUn(OpNeg, Int(5), ctype.IntType), -5},
-		{NewUn(OpNot, Int(0), ctype.IntType), 1},
-		{NewUn(OpBitNot, Int(0), ctype.IntType), -1},
+		{h.NewBin(OpAdd, h.Int(2), h.Int(3), ctype.IntType), 5},
+		{h.NewBin(OpSub, h.Int(2), h.Int(3), ctype.IntType), -1},
+		{h.NewBin(OpMul, h.Int(4), h.Int(3), ctype.IntType), 12},
+		{h.NewBin(OpDiv, h.Int(7), h.Int(2), ctype.IntType), 3},
+		{h.NewBin(OpRem, h.Int(7), h.Int(2), ctype.IntType), 1},
+		{h.NewBin(OpShl, h.Int(1), h.Int(4), ctype.IntType), 16},
+		{h.NewBin(OpLt, h.Int(1), h.Int(2), ctype.IntType), 1},
+		{h.NewBin(OpGe, h.Int(1), h.Int(2), ctype.IntType), 0},
+		{h.NewUn(OpNeg, h.Int(5), ctype.IntType), -5},
+		{h.NewUn(OpNot, h.Int(0), ctype.IntType), 1},
+		{h.NewUn(OpBitNot, h.Int(0), ctype.IntType), -1},
 	}
 	for i, c := range cases {
 		ci, ok := c.got.(*ConstInt)
@@ -40,50 +43,50 @@ func TestSmartConstructorsFold(t *testing.T) {
 }
 
 func TestIdentities(t *testing.T) {
-	x := Ref(0, ctype.IntType)
-	if got := NewBin(OpAdd, x, Int(0), ctype.IntType); got != x {
+	x := h.VarRef(0, ctype.IntType)
+	if got := h.NewBin(OpAdd, x, h.Int(0), ctype.IntType); got != x {
 		t.Errorf("x+0: %s", got)
 	}
-	if got := NewBin(OpAdd, Int(0), x, ctype.IntType); got != x {
+	if got := h.NewBin(OpAdd, h.Int(0), x, ctype.IntType); got != x {
 		t.Errorf("0+x: %s", got)
 	}
-	if got := NewBin(OpMul, x, Int(1), ctype.IntType); got != x {
+	if got := h.NewBin(OpMul, x, h.Int(1), ctype.IntType); got != x {
 		t.Errorf("x*1: %s", got)
 	}
-	if got := NewBin(OpMul, Int(0), x, ctype.IntType); !IsZero(got) {
+	if got := h.NewBin(OpMul, h.Int(0), x, ctype.IntType); !IsZero(got) {
 		t.Errorf("0*x: %s", got)
 	}
-	if got := NewBin(OpSub, x, Int(0), ctype.IntType); got != x {
+	if got := h.NewBin(OpSub, x, h.Int(0), ctype.IntType); got != x {
 		t.Errorf("x-0: %s", got)
 	}
-	if got := NewBin(OpDiv, x, Int(1), ctype.IntType); got != x {
+	if got := h.NewBin(OpDiv, x, h.Int(1), ctype.IntType); got != x {
 		t.Errorf("x/1: %s", got)
 	}
 }
 
 func TestNoFoldDivZero(t *testing.T) {
-	e := NewBin(OpDiv, Int(1), Int(0), ctype.IntType)
+	e := h.NewBin(OpDiv, h.Int(1), h.Int(0), ctype.IntType)
 	if _, ok := e.(*ConstInt); ok {
 		t.Error("1/0 must not fold")
 	}
 }
 
 func TestFloatFold(t *testing.T) {
-	e := NewBin(OpMul, Flt(2, ctype.FloatType), Flt(3, ctype.FloatType), ctype.FloatType)
+	e := h.NewBin(OpMul, h.ConstFloat(2, ctype.FloatType), h.ConstFloat(3, ctype.FloatType), ctype.FloatType)
 	if c, ok := e.(*ConstFloat); !ok || c.Val != 6 {
 		t.Errorf("2.0*3.0: %s", e)
 	}
 }
 
 func TestCastFold(t *testing.T) {
-	if c, ok := NewCast(Int(3), ctype.FloatType).(*ConstFloat); !ok || c.Val != 3 {
+	if c, ok := h.NewCast(h.Int(3), ctype.FloatType).(*ConstFloat); !ok || c.Val != 3 {
 		t.Error("(float)3 should fold")
 	}
-	if c, ok := NewCast(Flt(2.7, ctype.FloatType), ctype.IntType).(*ConstInt); !ok || c.Val != 2 {
+	if c, ok := h.NewCast(h.ConstFloat(2.7, ctype.FloatType), ctype.IntType).(*ConstInt); !ok || c.Val != 2 {
 		t.Error("(int)2.7 should fold to 2")
 	}
-	x := Ref(0, ctype.IntType)
-	if NewCast(x, ctype.IntType) != x {
+	x := h.VarRef(0, ctype.IntType)
+	if h.NewCast(x, ctype.IntType) != x {
 		t.Error("identity cast should be elided")
 	}
 }
@@ -98,10 +101,10 @@ func mkProc() *Proc {
 func TestCloneIndependence(t *testing.T) {
 	p := mkProc()
 	orig := &Assign{
-		Dst: Ref(0, ctype.IntType),
-		Src: &Bin{Op: OpAdd, L: Ref(1, ctype.IntType), R: Int(1), T: ctype.IntType},
+		Dst: h.VarRef(0, ctype.IntType),
+		Src: &Bin{Op: OpAdd, L: h.VarRef(1, ctype.IntType), R: h.Int(1), T: ctype.IntType},
 	}
-	cl := CloneStmt(orig).(*Assign)
+	cl := h.CloneStmt(orig).(*Assign)
 	cl.Src.(*Bin).R.(*ConstInt).Val = 99
 	if orig.Src.(*Bin).R.(*ConstInt).Val != 1 {
 		t.Error("clone shares structure with original")
@@ -111,13 +114,13 @@ func TestCloneIndependence(t *testing.T) {
 
 func TestCloneLoops(t *testing.T) {
 	body := []Stmt{
-		&Assign{Dst: Ref(0, ctype.IntType), Src: Int(1)},
-		&If{Cond: Ref(1, ctype.IntType), Then: []Stmt{&Goto{Target: "L"}}},
+		&Assign{Dst: h.VarRef(0, ctype.IntType), Src: h.Int(1)},
+		&If{Cond: h.VarRef(1, ctype.IntType), Then: []Stmt{&Goto{Target: "L"}}},
 		&Label{Name: "L"},
 	}
-	loop := &DoLoop{IV: 0, Init: Int(0), Limit: Int(9), Step: Int(1), Body: body}
-	cl := CloneStmt(loop).(*DoLoop)
-	cl.Body[0].(*Assign).Src = Int(42)
+	loop := &DoLoop{IV: 0, Init: h.Int(0), Limit: h.Int(9), Step: h.Int(1), Body: body}
+	cl := h.CloneStmt(loop).(*DoLoop)
+	cl.Body[0].(*Assign).Src = h.Int(42)
 	if v, _ := IsIntConst(loop.Body[0].(*Assign).Src); v != 1 {
 		t.Error("loop clone shares body")
 	}
@@ -128,8 +131,8 @@ func TestCloneLoops(t *testing.T) {
 
 func TestWalkStmtsVisitsNested(t *testing.T) {
 	prog := []Stmt{
-		&While{Cond: Int(1), Body: []Stmt{
-			&If{Cond: Int(1), Then: []Stmt{&Return{}}, Else: []Stmt{&Goto{Target: "x"}}},
+		&While{Cond: h.Int(1), Body: []Stmt{
+			&If{Cond: h.Int(1), Then: []Stmt{&Return{}}, Else: []Stmt{&Goto{Target: "x"}}},
 		}},
 		&Label{Name: "x"},
 	}
@@ -146,8 +149,8 @@ func TestWalkStmtsVisitsNested(t *testing.T) {
 
 func TestWalkExprPrune(t *testing.T) {
 	e := &Bin{Op: OpAdd,
-		L: &Load{Addr: Ref(0, ctype.PointerTo(ctype.IntType)), T: ctype.IntType},
-		R: Int(1), T: ctype.IntType}
+		L: &Load{Addr: h.VarRef(0, ctype.PointerTo(ctype.IntType)), T: ctype.IntType},
+		R: h.Int(1), T: ctype.IntType}
 	count := 0
 	WalkExpr(e, func(x Expr) bool {
 		count++
@@ -162,10 +165,10 @@ func TestWalkExprPrune(t *testing.T) {
 func TestRewriteExpr(t *testing.T) {
 	// Replace VarRef(0) with constant 7 in (v0 + v1): should fold nothing
 	// but substitute correctly.
-	e := &Bin{Op: OpAdd, L: Ref(0, ctype.IntType), R: Ref(1, ctype.IntType), T: ctype.IntType}
-	out := RewriteExpr(e, func(x Expr) Expr {
+	e := &Bin{Op: OpAdd, L: h.VarRef(0, ctype.IntType), R: h.VarRef(1, ctype.IntType), T: ctype.IntType}
+	out := h.RewriteExpr(e, func(x Expr) Expr {
 		if v, ok := x.(*VarRef); ok && v.ID == 0 {
-			return Int(7)
+			return h.Int(7)
 		}
 		return x
 	})
@@ -180,23 +183,23 @@ func TestRewriteExpr(t *testing.T) {
 }
 
 func TestExprEqual(t *testing.T) {
-	a := &Bin{Op: OpMul, L: Ref(2, ctype.IntType), R: Int(4), T: ctype.IntType}
-	b := &Bin{Op: OpMul, L: Ref(2, ctype.IntType), R: Int(4), T: ctype.IntType}
-	c := &Bin{Op: OpMul, L: Ref(2, ctype.IntType), R: Int(5), T: ctype.IntType}
+	a := &Bin{Op: OpMul, L: h.VarRef(2, ctype.IntType), R: h.Int(4), T: ctype.IntType}
+	b := &Bin{Op: OpMul, L: h.VarRef(2, ctype.IntType), R: h.Int(4), T: ctype.IntType}
+	c := &Bin{Op: OpMul, L: h.VarRef(2, ctype.IntType), R: h.Int(5), T: ctype.IntType}
 	if !ExprEqual(a, b) {
 		t.Error("a != b")
 	}
 	if ExprEqual(a, c) {
 		t.Error("a == c")
 	}
-	if !ExprEqual(CloneExpr(a), a) {
+	if !ExprEqual(h.CloneExpr(a), a) {
 		t.Error("clone not equal")
 	}
 }
 
 func TestUsesVar(t *testing.T) {
-	e := &Load{Addr: &Bin{Op: OpAdd, L: Ref(3, ctype.PointerTo(ctype.FloatType)),
-		R: Ref(4, ctype.IntType), T: ctype.PointerTo(ctype.FloatType)}, T: ctype.FloatType}
+	e := &Load{Addr: &Bin{Op: OpAdd, L: h.VarRef(3, ctype.PointerTo(ctype.FloatType)),
+		R: h.VarRef(4, ctype.IntType), T: ctype.PointerTo(ctype.FloatType)}, T: ctype.FloatType}
 	if !UsesVar(e, 3) || !UsesVar(e, 4) || UsesVar(e, 5) {
 		t.Error("UsesVar wrong")
 	}
@@ -210,24 +213,24 @@ func TestHasVolatile(t *testing.T) {
 	p := NewProc("f", ctype.VoidType)
 	vol := p.AddVar(Var{Name: "ks", Type: ctype.Qualified(ctype.IntType, true, false), Class: ClassGlobal})
 	norm := p.AddVar(Var{Name: "x", Type: ctype.IntType, Class: ClassLocal})
-	if !p.HasVolatile(Ref(vol, p.Vars[vol].Type)) {
+	if !p.HasVolatile(h.VarRef(vol, p.Vars[vol].Type)) {
 		t.Error("volatile var ref not detected")
 	}
-	if p.HasVolatile(Ref(norm, ctype.IntType)) {
+	if p.HasVolatile(h.VarRef(norm, ctype.IntType)) {
 		t.Error("normal var flagged volatile")
 	}
-	vl := &Load{Addr: Ref(norm, ctype.PointerTo(ctype.IntType)), T: ctype.IntType, Volatile: true}
+	vl := &Load{Addr: h.VarRef(norm, ctype.PointerTo(ctype.IntType)), T: ctype.IntType, Volatile: true}
 	if !p.HasVolatile(vl) {
 		t.Error("volatile load not detected")
 	}
 }
 
 func TestDefinedVarAndIsStore(t *testing.T) {
-	a := &Assign{Dst: Ref(2, ctype.IntType), Src: Int(1)}
+	a := &Assign{Dst: h.VarRef(2, ctype.IntType), Src: h.Int(1)}
 	if DefinedVar(a) != 2 || IsStore(a) {
 		t.Error("scalar assign misclassified")
 	}
-	st := &Assign{Dst: &Load{Addr: Ref(0, ctype.PointerTo(ctype.IntType)), T: ctype.IntType}, Src: Int(1)}
+	st := &Assign{Dst: &Load{Addr: h.VarRef(0, ctype.PointerTo(ctype.IntType)), T: ctype.IntType}, Src: h.Int(1)}
 	if DefinedVar(st) != NoVar || !IsStore(st) {
 		t.Error("store misclassified")
 	}
@@ -244,11 +247,11 @@ func TestProcPrinting(t *testing.T) {
 	p.Params = []VarID{x, n}
 	i := p.AddVar(Var{Name: "i", Type: ctype.IntType, Class: ClassLocal})
 	p.Body = []Stmt{
-		&DoLoop{IV: i, Init: Int(0), Limit: Sub(Ref(n, ctype.IntType), Int(1), ctype.IntType), Step: Int(1),
+		&DoLoop{IV: i, Init: h.Int(0), Limit: h.Sub(h.VarRef(n, ctype.IntType), h.Int(1), ctype.IntType), Step: h.Int(1),
 			Body: []Stmt{
 				&Assign{
-					Dst: &Load{Addr: Add(Ref(x, p.Vars[x].Type), Mul(Int(4), Ref(i, ctype.IntType), ctype.IntType), p.Vars[x].Type), T: ctype.FloatType},
-					Src: Flt(0, ctype.FloatType),
+					Dst: &Load{Addr: h.Add(h.VarRef(x, p.Vars[x].Type), h.Mul(h.Int(4), h.VarRef(i, ctype.IntType), ctype.IntType), p.Vars[x].Type), T: ctype.FloatType},
+					Src: h.ConstFloat(0, ctype.FloatType),
 				},
 			}},
 	}
@@ -276,8 +279,8 @@ func TestNewTempAndLabelUnique(t *testing.T) {
 
 func TestCountStmts(t *testing.T) {
 	body := []Stmt{
-		&Assign{Dst: Ref(0, ctype.IntType), Src: Int(1)},
-		&If{Cond: Int(1), Then: []Stmt{&Return{}, &Return{}}},
+		&Assign{Dst: h.VarRef(0, ctype.IntType), Src: h.Int(1)},
+		&If{Cond: h.Int(1), Then: []Stmt{&Return{}, &Return{}}},
 	}
 	if got := CountStmts(body); got != 4 {
 		t.Errorf("CountStmts = %d, want 4", got)
@@ -289,11 +292,11 @@ func randomExpr(r *rand.Rand, depth int) Expr {
 	if depth <= 0 || r.Intn(3) == 0 {
 		switch r.Intn(3) {
 		case 0:
-			return Int(int64(r.Intn(100) - 50))
+			return h.Int(int64(r.Intn(100) - 50))
 		case 1:
-			return Ref(0, ctype.IntType)
+			return h.VarRef(0, ctype.IntType)
 		default:
-			return Ref(1, ctype.IntType)
+			return h.VarRef(1, ctype.IntType)
 		}
 	}
 	ops := []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpEq, OpLt}
@@ -307,13 +310,13 @@ func TestQuickCloneEqual(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomExpr(r, 4)
-		cl := CloneExpr(e)
+		cl := h.CloneExpr(e)
 		if !ExprEqual(e, cl) {
 			return false
 		}
-		RewriteExpr(cl, func(x Expr) Expr {
+		h.RewriteExpr(cl, func(x Expr) Expr {
 			if c, ok := x.(*ConstInt); ok {
-				return Int(c.Val + 1)
+				return h.Int(c.Val + 1)
 			}
 			return x
 		})
@@ -330,7 +333,7 @@ func TestQuickFoldCorrect(t *testing.T) {
 	f := func(a, b int32, opIdx uint8) bool {
 		ops := []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpEq, OpNe, OpLt, OpGt, OpLe, OpGe}
 		op := ops[int(opIdx)%len(ops)]
-		e := NewBin(op, Int(int64(a)), Int(int64(b)), ctype.IntType)
+		e := h.NewBin(op, h.Int(int64(a)), h.Int(int64(b)), ctype.IntType)
 		want, ok := eval(op, int64(a), int64(b))
 		if !ok {
 			return true
@@ -356,19 +359,19 @@ func TestProgramClone(t *testing.T) {
 	i := p.AddVar(Var{Name: "i", Type: ctype.IntType, Class: ClassLocal})
 	p.Params = []VarID{a}
 	elem := func() Expr {
-		return &Load{Addr: NewBin(OpAdd, Ref(a, fp), NewBin(OpMul, Ref(i, ctype.IntType), Int(4), ctype.IntType), fp), T: ctype.FloatType}
+		return &Load{Addr: h.NewBin(OpAdd, h.VarRef(a, fp), h.NewBin(OpMul, h.VarRef(i, ctype.IntType), h.Int(4), ctype.IntType), fp), T: ctype.FloatType}
 	}
 	p.Body = []Stmt{
-		&DoParallel{IV: i, Init: Int(1), Limit: Int(99), Step: Int(1), Width: 2,
+		&DoParallel{IV: i, Init: h.Int(1), Limit: h.Int(99), Step: h.Int(1), Width: 2,
 			Sync: &SyncInfo{Distance: 3, Stride: 2, Desc: "a[i-3] -> a[i]"},
 			Body: []Stmt{
 				&SyncWait{Distance: 3},
-				&PredAssign{Cond: NewBin(OpLt, elem(), Flt(0, ctype.FloatType), ctype.IntType), Dst: elem(), Src: Flt(0, ctype.FloatType)},
+				&PredAssign{Cond: h.NewBin(OpLt, elem(), h.ConstFloat(0, ctype.FloatType), ctype.IntType), Dst: elem(), Src: h.ConstFloat(0, ctype.FloatType)},
 				&SyncPost{},
 			}},
-		&VectorAssign{DstBase: Ref(a, fp), DstStride: Int(4), Len: Int(32), Elem: ctype.FloatType,
-			RHS:  &VecRef{Base: Ref(a, fp), Stride: Int(4), T: ctype.FloatType},
-			Mask: NewBin(OpGt, &VecRef{Base: Ref(a, fp), Stride: Int(4), T: ctype.FloatType}, Flt(1, ctype.FloatType), ctype.IntType)},
+		&VectorAssign{DstBase: h.VarRef(a, fp), DstStride: h.Int(4), Len: h.Int(32), Elem: ctype.FloatType,
+			RHS:  &VecRef{Base: h.VarRef(a, fp), Stride: h.Int(4), T: ctype.FloatType},
+			Mask: h.NewBin(OpGt, &VecRef{Base: h.VarRef(a, fp), Stride: h.Int(4), T: ctype.FloatType}, h.ConstFloat(1, ctype.FloatType), ctype.IntType)},
 		&Label{Name: p.NewLabel("done")},
 		&Return{},
 	}
@@ -395,7 +398,7 @@ func TestProgramClone(t *testing.T) {
 	before := prog.String()
 	par := cp.Body[0].(*DoParallel)
 	par.Sync.Distance = 7
-	par.Body[1].(*PredAssign).Src = Flt(5, ctype.FloatType)
+	par.Body[1].(*PredAssign).Src = h.ConstFloat(5, ctype.FloatType)
 	cp.Body[1].(*VectorAssign).Mask = nil
 	cp.NewTemp(ctype.IntType)
 	cp.Params[0] = i
@@ -407,5 +410,31 @@ func TestProgramClone(t *testing.T) {
 	c.Release()
 	if ArenaBytesLive() != live {
 		t.Errorf("arena bytes live %d after releasing the clone, %d before cloning", ArenaBytesLive(), live)
+	}
+}
+
+// TestBinFoldableIsNewBin: BinFoldable is true exactly when NewBin returns
+// something other than a fresh Bin of the same operands, over every
+// operator, operand shape and result type.
+func TestBinFoldableIsNewBin(t *testing.T) {
+	types := []*ctype.Type{ctype.IntType, ctype.UIntType, ctype.DoubleType, ctype.PointerTo(ctype.IntType)}
+	for op := OpAdd; op <= OpGe; op++ { // the binary operators
+		for _, typ := range types {
+			operands := []Expr{
+				h.ConstInt(0, typ), h.ConstInt(1, typ), h.ConstInt(-1, typ), h.ConstInt(7, typ),
+				h.VarRef(0, typ), h.ConstFloat(0, ctype.DoubleType), h.ConstFloat(2.5, ctype.DoubleType),
+			}
+			for _, l := range operands {
+				for _, r := range operands {
+					got := h.NewBin(op, l, r, typ)
+					b, isBin := got.(*Bin)
+					fresh := isBin && b.Op == op && b.L == l && b.R == r && b.T == typ
+					if BinFoldable(op, l, r, typ) == fresh {
+						t.Errorf("BinFoldable(%s, %s, %s, %s) = %v but NewBin returned %s",
+							op, l, r, typ, !fresh, got)
+					}
+				}
+			}
+		}
 	}
 }

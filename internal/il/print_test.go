@@ -23,24 +23,24 @@ func TestStmtStringForms(t *testing.T) {
 		s    Stmt
 		want []string
 	}{
-		{&Assign{Dst: Ref(0, intT), Src: Int(5)}, []string{"x = 5"}},
-		{&Assign{Dst: &Load{Addr: Ref(1, p.Vars[1].Type), T: ctype.FloatType}, Src: Flt(1, ctype.FloatType)},
+		{&Assign{Dst: h.VarRef(0, intT), Src: h.Int(5)}, []string{"x = 5"}},
+		{&Assign{Dst: &Load{Addr: h.VarRef(1, p.Vars[1].Type), T: ctype.FloatType}, Src: h.ConstFloat(1, ctype.FloatType)},
 			[]string{"*(p) = 1"}},
-		{&Call{Dst: 0, Callee: "g", Args: []Expr{Int(1), Int(2)}, T: intT},
+		{&Call{Dst: 0, Callee: "g", Args: []Expr{h.Int(1), h.Int(2)}, T: intT},
 			[]string{"x = call g(1, 2)"}},
 		{&Call{Dst: NoVar, Callee: "h", T: ctype.VoidType}, []string{"call h()"}},
-		{&Call{Dst: NoVar, FunPtr: Ref(0, intT), T: ctype.VoidType}, []string{"call (*x)()"}},
-		{&If{Cond: Ref(0, intT), Then: []Stmt{&Return{}}, Else: []Stmt{&Return{Val: Int(1)}}},
+		{&Call{Dst: NoVar, FunPtr: h.VarRef(0, intT), T: ctype.VoidType}, []string{"call (*x)()"}},
+		{&If{Cond: h.VarRef(0, intT), Then: []Stmt{&Return{}}, Else: []Stmt{&Return{Val: h.Int(1)}}},
 			[]string{"if x {", "} else {", "return 1"}},
-		{&While{Cond: Ref(0, intT), Safe: true, Body: []Stmt{&Goto{Target: "L"}}},
+		{&While{Cond: h.VarRef(0, intT), Safe: true, Body: []Stmt{&Goto{Target: "L"}}},
 			[]string{"while x /*safe*/", "goto L"}},
-		{&DoLoop{IV: 0, Init: Int(0), Limit: Int(9), Step: Int(1), Safe: true},
+		{&DoLoop{IV: 0, Init: h.Int(0), Limit: h.Int(9), Step: h.Int(1), Safe: true},
 			[]string{"do x = 0, 9, 1 /*safe*/"}},
-		{&DoParallel{IV: 0, Init: Int(0), Limit: Int(9), Step: Int(2)},
+		{&DoParallel{IV: 0, Init: h.Int(0), Limit: h.Int(9), Step: h.Int(2)},
 			[]string{"do parallel x = 0, 9, 2"}},
-		{&VectorAssign{DstBase: Ref(1, p.Vars[1].Type), DstStride: Int(4), Len: Int(8),
+		{&VectorAssign{DstBase: h.VarRef(1, p.Vars[1].Type), DstStride: h.Int(4), Len: h.Int(8),
 			Elem: ctype.FloatType,
-			RHS:  &VecRef{Base: Ref(1, p.Vars[1].Type), Stride: Int(4), T: ctype.FloatType}},
+			RHS:  &VecRef{Base: h.VarRef(1, p.Vars[1].Type), Stride: h.Int(4), T: ctype.FloatType}},
 			[]string{"[p :4](0:8) = [p :4]"}},
 		{&Label{Name: "top"}, []string{"top:"}},
 		{&Return{}, []string{"return"}},
@@ -61,13 +61,13 @@ func TestExprStringForms(t *testing.T) {
 		e    Expr
 		want string
 	}{
-		{Int(7), "7"},
-		{Flt(2.5, ctype.FloatType), "2.5"},
-		{Ref(0, ctype.IntType), "x"},
+		{h.Int(7), "7"},
+		{h.ConstFloat(2.5, ctype.FloatType), "2.5"},
+		{h.VarRef(0, ctype.IntType), "x"},
 		{&AddrOf{ID: 0, T: ctype.PointerTo(ctype.IntType)}, "&x"},
-		{&Load{Addr: Ref(1, p.Vars[1].Type), T: ctype.FloatType, Volatile: true}, "*(volatile)(p)"},
-		{&Un{Op: OpNot, X: Ref(0, ctype.IntType), T: ctype.IntType}, "(! x)"},
-		{&Cast{X: Ref(0, ctype.IntType), T: ctype.FloatType}, "(float)(x)"},
+		{&Load{Addr: h.VarRef(1, p.Vars[1].Type), T: ctype.FloatType, Volatile: true}, "*(volatile)(p)"},
+		{&Un{Op: OpNot, X: h.VarRef(0, ctype.IntType), T: ctype.IntType}, "(! x)"},
+		{&Cast{X: h.VarRef(0, ctype.IntType), T: ctype.FloatType}, "(float)(x)"},
 	}
 	for _, c := range cases {
 		if got := p.ExprString(c.e); got != c.want {
@@ -81,11 +81,11 @@ func TestExprStringForms(t *testing.T) {
 
 func TestRawStringMethods(t *testing.T) {
 	// The raw String() forms (v-numbers) used outside a proc context.
-	e := &Bin{Op: OpAdd, L: &VarRef{ID: 3, T: ctype.IntType}, R: Int(1), T: ctype.IntType}
+	e := &Bin{Op: OpAdd, L: &VarRef{ID: 3, T: ctype.IntType}, R: h.Int(1), T: ctype.IntType}
 	if e.String() != "(v3 + 1)" {
 		t.Errorf("Bin.String: %s", e)
 	}
-	s := &Assign{Dst: &VarRef{ID: 0, T: ctype.IntType}, Src: Int(2)}
+	s := &Assign{Dst: &VarRef{ID: 0, T: ctype.IntType}, Src: h.Int(2)}
 	if s.String() != "v0 = 2" {
 		t.Errorf("Assign.String: %s", s)
 	}
@@ -93,23 +93,23 @@ func TestRawStringMethods(t *testing.T) {
 	if g.String() != "goto L" {
 		t.Errorf("Goto.String: %s", g)
 	}
-	w := &While{Cond: Int(1), Body: []Stmt{s}}
+	w := &While{Cond: h.Int(1), Body: []Stmt{s}}
 	if !strings.Contains(w.String(), "while 1 [1 stmts]") {
 		t.Errorf("While.String: %s", w)
 	}
-	ifs := &If{Cond: Int(0)}
+	ifs := &If{Cond: h.Int(0)}
 	if !strings.Contains(ifs.String(), "if 0") {
 		t.Errorf("If.String: %s", ifs)
 	}
-	va := &VectorAssign{DstBase: Int(0), DstStride: Int(4), Len: Int(8), RHS: Int(1)}
+	va := &VectorAssign{DstBase: h.Int(0), DstStride: h.Int(4), Len: h.Int(8), RHS: h.Int(1)}
 	if !strings.Contains(va.String(), "](0:8)") {
 		t.Errorf("VectorAssign.String: %s", va)
 	}
-	d := &DoParallel{IV: 1, Init: Int(0), Limit: Int(3), Step: Int(1)}
+	d := &DoParallel{IV: 1, Init: h.Int(0), Limit: h.Int(3), Step: h.Int(1)}
 	if !strings.Contains(d.String(), "do parallel v1") {
 		t.Errorf("DoParallel.String: %s", d)
 	}
-	vr := &VecRef{Base: Int(0), Stride: Int(4), T: ctype.FloatType}
+	vr := &VecRef{Base: h.Int(0), Stride: h.Int(4), T: ctype.FloatType}
 	if vr.String() != "[0 :4]" {
 		t.Errorf("VecRef.String: %s", vr)
 	}
@@ -117,7 +117,7 @@ func TestRawStringMethods(t *testing.T) {
 	if c.String() != "v2 = call f()" {
 		t.Errorf("Call.String: %s", c)
 	}
-	r := &Return{Val: Int(1)}
+	r := &Return{Val: h.Int(1)}
 	if r.String() != "return 1" {
 		t.Errorf("Return.String: %s", r)
 	}
@@ -131,7 +131,7 @@ func TestProgramString(t *testing.T) {
 		t.Error("duplicate global added")
 	}
 	p := mkP()
-	p.Body = []Stmt{&Return{Val: Int(0)}}
+	p.Body = []Stmt{&Return{Val: h.Int(0)}}
 	prog.Procs = append(prog.Procs, p)
 	out := prog.String()
 	if !strings.Contains(out, "global int g") || !strings.Contains(out, "proc demo") {

@@ -12,32 +12,28 @@ import (
 // The pass turns the induction-variable algebra the optimizer generates —
 // (a + 4·n) + (−4·n), x + 0, 2·i + 3·i — back into readable, cheap forms.
 // Expressions containing volatile references are returned unchanged.
-func SimplifyLinear(e Expr) Expr { return SimplifyLinearIn(nil, e) }
-
-// SimplifyLinearIn is SimplifyLinear with rebuilt nodes allocated from
-// arena a (nil allocates from the heap).
-func SimplifyLinearIn(a *Arena, e Expr) Expr {
+// Rebuilt nodes come from arena a.
+func (a *Arena) SimplifyLinear(e Expr) Expr {
 	t := e.Type()
 	if t == nil || !(t.IsInteger() || t.Kind == ctype.Pointer) {
 		return e
 	}
 	var c collector
-	c.terms = c.buf[:0]
 	if !c.collect(e, 1) {
 		return e
 	}
 	// Only rebuild when something actually combined or vanished; the
 	// canonical form is idempotent, so the folding fixpoint terminates.
 	zeroed := false
-	for i := range c.terms {
-		if c.terms[i].coef == 0 {
+	for i := 0; i < c.n; i++ {
+		if c.term(i).coef == 0 {
 			zeroed = true
 		}
 	}
 	if !c.combined && !zeroed && c.constCount < 2 {
 		return e
 	}
-	if len(c.terms) == 0 {
+	if c.n == 0 {
 		return a.ConstInt(c.constant, t)
 	}
 	// Rebuild: terms in first-seen order, constant last.
@@ -49,8 +45,8 @@ func SimplifyLinearIn(a *Arena, e Expr) Expr {
 		}
 		out = a.Bin(OpAdd, out, x, t)
 	}
-	for i := range c.terms {
-		tm := &c.terms[i]
+	for i := 0; i < c.n; i++ {
+		tm := c.term(i)
 		if tm.coef == 0 {
 			continue
 		}
@@ -58,12 +54,12 @@ func SimplifyLinearIn(a *Arena, e Expr) Expr {
 		// (or with a merged duplicate term).
 		switch {
 		case tm.coef == 1:
-			add(CloneExprIn(a, tm.expr))
+			add(a.CloneExpr(tm.expr))
 		case tm.coef == -1:
-			add(a.Un(OpNeg, CloneExprIn(a, tm.expr), ctype.IntType))
+			add(a.Un(OpNeg, a.CloneExpr(tm.expr), ctype.IntType))
 		default:
 			add(a.Bin(OpMul, a.ConstInt(tm.coef, ctype.IntType),
-				CloneExprIn(a, tm.expr), ctype.IntType))
+				a.CloneExpr(tm.expr), ctype.IntType))
 		}
 	}
 	if out == nil {
@@ -95,19 +91,25 @@ type term struct {
 	coef int64
 }
 
-// collector accumulates the additive terms of a sum. Terms are held in a
-// small slice in first-seen order and matched structurally (sameTerm),
-// which keeps collection allocation-free for the common few-term case —
-// the previous implementation keyed a map by e.String(), which built a
-// string per node visit.
+// collector accumulates the additive terms of a sum, in first-seen order
+// and matched structurally (sameTerm). The first len(buf) terms live in
+// the collector itself and only the rest in a slice: the few-term case
+// then allocates nothing, where one slice over buf would have moved the
+// whole collector to the heap (a store through c leaks what it stores).
 type collector struct {
 	constant   int64
 	constCount int
-	terms      []term
 	combined   bool
-	// buf backs terms for the common few-term case, keeping collection
-	// allocation-free (the collector itself lives on the caller's stack).
-	buf [8]term
+	n          int
+	buf        [8]term
+	more       []term
+}
+
+func (c *collector) term(i int) *term {
+	if i < len(c.buf) {
+		return &c.buf[i]
+	}
+	return &c.more[i-len(c.buf)]
 }
 
 // collect walks e as a signed sum; returns false when the expression is
@@ -185,14 +187,19 @@ func (c *collector) addTerm(e Expr, coef int64) bool {
 	if impure {
 		return false
 	}
-	for i := range c.terms {
-		if sameTerm(c.terms[i].expr, e) {
-			c.terms[i].coef += coef
+	for i := 0; i < c.n; i++ {
+		if tm := c.term(i); sameTerm(tm.expr, e) {
+			tm.coef += coef
 			c.combined = true
 			return true
 		}
 	}
-	c.terms = append(c.terms, term{expr: e, coef: coef})
+	if c.n < len(c.buf) {
+		c.buf[c.n] = term{expr: e, coef: coef}
+	} else {
+		c.more = append(c.more, term{expr: e, coef: coef})
+	}
+	c.n++
 	return true
 }
 

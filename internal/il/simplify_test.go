@@ -10,14 +10,14 @@ import (
 
 func TestSimplifyCancellation(t *testing.T) {
 	it := ctype.IntType
-	a := Ref(0, ctype.PointerTo(ctype.FloatType))
-	n := Ref(1, it)
+	a := h.VarRef(0, ctype.PointerTo(ctype.FloatType))
+	n := h.VarRef(1, it)
 	// (a + 4*n) + (-4*n)  →  a
 	e := &Bin{Op: OpAdd,
-		L: &Bin{Op: OpAdd, L: a, R: &Bin{Op: OpMul, L: Int(4), R: n, T: it}, T: a.T},
-		R: &Bin{Op: OpMul, L: Int(-4), R: Ref(1, it), T: it},
+		L: &Bin{Op: OpAdd, L: a, R: &Bin{Op: OpMul, L: h.Int(4), R: n, T: it}, T: a.T},
+		R: &Bin{Op: OpMul, L: h.Int(-4), R: h.VarRef(1, it), T: it},
 		T: a.T}
-	got := SimplifyLinear(e)
+	got := h.SimplifyLinear(e)
 	if v, ok := got.(*VarRef); !ok || v.ID != 0 {
 		t.Errorf("got %s", got)
 	}
@@ -25,13 +25,13 @@ func TestSimplifyCancellation(t *testing.T) {
 
 func TestSimplifyLikeTerms(t *testing.T) {
 	it := ctype.IntType
-	i := Ref(2, it)
+	i := h.VarRef(2, it)
 	// 2*i + 3*i → 5*i
 	e := &Bin{Op: OpAdd,
-		L: &Bin{Op: OpMul, L: Int(2), R: i, T: it},
-		R: &Bin{Op: OpMul, L: Int(3), R: Ref(2, it), T: it},
+		L: &Bin{Op: OpMul, L: h.Int(2), R: i, T: it},
+		R: &Bin{Op: OpMul, L: h.Int(3), R: h.VarRef(2, it), T: it},
 		T: it}
-	got := SimplifyLinear(e)
+	got := h.SimplifyLinear(e)
 	b, ok := got.(*Bin)
 	if !ok || b.Op != OpMul {
 		t.Fatalf("got %s", got)
@@ -43,12 +43,12 @@ func TestSimplifyLikeTerms(t *testing.T) {
 
 func TestSimplifyConstantMerge(t *testing.T) {
 	it := ctype.IntType
-	x := Ref(0, it)
+	x := h.VarRef(0, it)
 	// (x + 2) + 3 → x + 5
 	e := &Bin{Op: OpAdd,
-		L: &Bin{Op: OpAdd, L: x, R: Int(2), T: it},
-		R: Int(3), T: it}
-	got := SimplifyLinear(e)
+		L: &Bin{Op: OpAdd, L: x, R: h.Int(2), T: it},
+		R: h.Int(3), T: it}
+	got := h.SimplifyLinear(e)
 	b, ok := got.(*Bin)
 	if !ok || b.Op != OpAdd {
 		t.Fatalf("got %s", got)
@@ -58,9 +58,9 @@ func TestSimplifyConstantMerge(t *testing.T) {
 	}
 	// (x + 2) - 5 → x - 3
 	e2 := &Bin{Op: OpSub,
-		L: &Bin{Op: OpAdd, L: Ref(0, it), R: Int(2), T: it},
-		R: Int(5), T: it}
-	got2 := SimplifyLinear(e2)
+		L: &Bin{Op: OpAdd, L: h.VarRef(0, it), R: h.Int(2), T: it},
+		R: h.Int(5), T: it}
+	got2 := h.SimplifyLinear(e2)
 	b2, ok := got2.(*Bin)
 	if !ok || b2.Op != OpSub {
 		t.Fatalf("got %s", got2)
@@ -72,30 +72,30 @@ func TestSimplifyConstantMerge(t *testing.T) {
 
 func TestSimplifyLeavesUncombinable(t *testing.T) {
 	it := ctype.IntType
-	e := &Bin{Op: OpAdd, L: Ref(0, it), R: Ref(1, it), T: it}
-	if got := SimplifyLinear(e); got != e {
+	e := &Bin{Op: OpAdd, L: h.VarRef(0, it), R: h.VarRef(1, it), T: it}
+	if got := h.SimplifyLinear(e); got != e {
 		t.Errorf("uncombinable rebuilt: %s", got)
 	}
 	// Volatile loads must not be touched.
 	vol := &Bin{Op: OpAdd,
-		L: &Load{Addr: Ref(0, ctype.PointerTo(it)), T: it, Volatile: true},
-		R: &Load{Addr: Ref(0, ctype.PointerTo(it)), T: it, Volatile: true},
+		L: &Load{Addr: h.VarRef(0, ctype.PointerTo(it)), T: it, Volatile: true},
+		R: &Load{Addr: h.VarRef(0, ctype.PointerTo(it)), T: it, Volatile: true},
 		T: it}
-	if got := SimplifyLinear(vol); got != vol {
+	if got := h.SimplifyLinear(vol); got != vol {
 		t.Errorf("volatile sum rebuilt: %s", got)
 	}
 	// Floats are out of scope.
-	fe := &Bin{Op: OpAdd, L: Flt(1, ctype.FloatType), R: Flt(2, ctype.FloatType), T: ctype.FloatType}
-	if got := SimplifyLinear(fe); got != fe {
+	fe := &Bin{Op: OpAdd, L: h.ConstFloat(1, ctype.FloatType), R: h.ConstFloat(2, ctype.FloatType), T: ctype.FloatType}
+	if got := h.SimplifyLinear(fe); got != fe {
 		t.Errorf("float sum touched: %s", got)
 	}
 }
 
 func TestSimplifyToZero(t *testing.T) {
 	it := ctype.IntType
-	x := Ref(0, it)
-	e := &Bin{Op: OpSub, L: x, R: Ref(0, it), T: it}
-	got := SimplifyLinear(e)
+	x := h.VarRef(0, it)
+	e := &Bin{Op: OpSub, L: x, R: h.VarRef(0, it), T: it}
+	got := h.SimplifyLinear(e)
 	if v, ok := IsIntConst(got); !ok || v != 0 {
 		t.Errorf("x - x = %s", got)
 	}
@@ -135,11 +135,11 @@ func randomLinear(r *rand.Rand, depth int) Expr {
 	if depth <= 0 || r.Intn(3) == 0 {
 		switch r.Intn(3) {
 		case 0:
-			return Int(int64(r.Intn(11) - 5))
+			return h.Int(int64(r.Intn(11) - 5))
 		case 1:
-			return Ref(0, it)
+			return h.VarRef(0, it)
 		default:
-			return Ref(1, it)
+			return h.VarRef(1, it)
 		}
 	}
 	switch r.Intn(4) {
@@ -148,7 +148,7 @@ func randomLinear(r *rand.Rand, depth int) Expr {
 	case 1:
 		return &Bin{Op: OpSub, L: randomLinear(r, depth-1), R: randomLinear(r, depth-1), T: it}
 	case 2:
-		return &Bin{Op: OpMul, L: Int(int64(r.Intn(7) - 3)), R: randomLinear(r, depth-1), T: it}
+		return &Bin{Op: OpMul, L: h.Int(int64(r.Intn(7) - 3)), R: randomLinear(r, depth-1), T: it}
 	default:
 		return &Un{Op: OpNeg, X: randomLinear(r, depth-1), T: it}
 	}
@@ -159,15 +159,36 @@ func TestQuickSimplifyPreservesValue(t *testing.T) {
 	f := func(seed int64, a, b int8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := randomLinear(r, 5)
-		s := SimplifyLinear(e)
+		s := h.SimplifyLinear(e)
 		v0, v1 := int64(a), int64(b)
 		if evalLinear(e, v0, v1) != evalLinear(s, v0, v1) {
 			return false
 		}
-		s2 := SimplifyLinear(s)
+		s2 := h.SimplifyLinear(s)
 		return evalLinear(s2, v0, v1) == evalLinear(s, v0, v1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSimplifyLinearCanonicalAllocatesNothing pins the collector to the
+// stack: a sum that is already canonical comes back unchanged, and finding
+// that out must not allocate (the scratch used to escape on every call).
+func TestSimplifyLinearCanonicalAllocatesNothing(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	it := ctype.IntType
+	pt := ctype.PointerTo(ctype.FloatType)
+	// a + 4*i + j + 8: nothing combines, nothing vanishes, one constant.
+	e := h.Add(h.Add(h.Add(h.VarRef(0, pt), h.Mul(h.Int(4), h.VarRef(1, it), it), pt), h.VarRef(2, it), pt), h.Int(8), pt)
+	var got Expr
+	allocs := testing.AllocsPerRun(100, func() { got = h.SimplifyLinear(e) })
+	if got != e {
+		t.Fatalf("canonical sum was rebuilt: %s -> %s", e, got)
+	}
+	if allocs != 0 {
+		t.Errorf("SimplifyLinear of a canonical sum allocates %v objects, want 0", allocs)
 	}
 }

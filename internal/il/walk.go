@@ -99,46 +99,41 @@ func StmtExprs(s Stmt, f func(Expr)) {
 // whole subtree the subtree is returned untouched. Rewriters therefore
 // must not mutate the node they receive — they return a replacement (or
 // the argument) instead. The input tree is never mutated.
-func RewriteExpr(e Expr, f func(Expr) Expr) Expr {
-	return RewriteExprIn(nil, e, f)
-}
-
-// RewriteExprIn is RewriteExpr with the copied spine nodes allocated
-// from arena a (nil allocates from the heap). Passes rewriting a
-// procedure pass p.Arena().
-func RewriteExprIn(a *Arena, e Expr, f func(Expr) Expr) Expr {
+// The copied spine nodes come from arena a; passes rewriting a procedure
+// use p.Arena().
+func (a *Arena) RewriteExpr(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
 	}
 	switch n := e.(type) {
 	case *Load:
-		addr := RewriteExprIn(a, n.Addr, f)
+		addr := a.RewriteExpr(n.Addr, f)
 		if addr != n.Addr {
 			return f(a.Load(addr, n.T, n.Volatile))
 		}
 		return f(n)
 	case *Bin:
-		l := RewriteExprIn(a, n.L, f)
-		r := RewriteExprIn(a, n.R, f)
+		l := a.RewriteExpr(n.L, f)
+		r := a.RewriteExpr(n.R, f)
 		if l != n.L || r != n.R {
 			return f(a.Bin(n.Op, l, r, n.T))
 		}
 		return f(n)
 	case *Un:
-		x := RewriteExprIn(a, n.X, f)
+		x := a.RewriteExpr(n.X, f)
 		if x != n.X {
 			return f(a.Un(n.Op, x, n.T))
 		}
 		return f(n)
 	case *Cast:
-		x := RewriteExprIn(a, n.X, f)
+		x := a.RewriteExpr(n.X, f)
 		if x != n.X {
 			return f(a.Cast(x, n.T))
 		}
 		return f(n)
 	case *VecRef:
-		base := RewriteExprIn(a, n.Base, f)
-		stride := RewriteExprIn(a, n.Stride, f)
+		base := a.RewriteExpr(n.Base, f)
+		stride := a.RewriteExpr(n.Stride, f)
 		if base != n.Base || stride != n.Stride {
 			return f(a.VecRef(base, stride, n.T))
 		}
@@ -150,53 +145,48 @@ func RewriteExprIn(a *Arena, e Expr, f func(Expr) Expr) Expr {
 
 // RewriteStmtExprs applies RewriteExpr with f to every expression operand
 // of s, in place.
-func RewriteStmtExprs(s Stmt, f func(Expr) Expr) {
-	RewriteStmtExprsIn(nil, s, f)
-}
-
-// RewriteStmtExprsIn is RewriteStmtExprs allocating from arena a.
-func RewriteStmtExprsIn(a *Arena, s Stmt, f func(Expr) Expr) {
+func (a *Arena) RewriteStmtExprs(s Stmt, f func(Expr) Expr) {
 	switch n := s.(type) {
 	case *Assign:
 		// The destination of a store is an expression too, but a VarRef
 		// destination is a definition, not a use; rewriters that must
 		// distinguish handle Assign themselves before calling this.
-		n.Dst = RewriteExprIn(a, n.Dst, f)
-		n.Src = RewriteExprIn(a, n.Src, f)
+		n.Dst = a.RewriteExpr(n.Dst, f)
+		n.Src = a.RewriteExpr(n.Src, f)
 	case *PredAssign:
-		n.Cond = RewriteExprIn(a, n.Cond, f)
-		n.Dst = RewriteExprIn(a, n.Dst, f)
-		n.Src = RewriteExprIn(a, n.Src, f)
+		n.Cond = a.RewriteExpr(n.Cond, f)
+		n.Dst = a.RewriteExpr(n.Dst, f)
+		n.Src = a.RewriteExpr(n.Src, f)
 	case *Call:
 		if n.FunPtr != nil {
-			n.FunPtr = RewriteExprIn(a, n.FunPtr, f)
+			n.FunPtr = a.RewriteExpr(n.FunPtr, f)
 		}
 		for i := range n.Args {
-			n.Args[i] = RewriteExprIn(a, n.Args[i], f)
+			n.Args[i] = a.RewriteExpr(n.Args[i], f)
 		}
 	case *If:
-		n.Cond = RewriteExprIn(a, n.Cond, f)
+		n.Cond = a.RewriteExpr(n.Cond, f)
 	case *While:
-		n.Cond = RewriteExprIn(a, n.Cond, f)
+		n.Cond = a.RewriteExpr(n.Cond, f)
 	case *DoLoop:
-		n.Init = RewriteExprIn(a, n.Init, f)
-		n.Limit = RewriteExprIn(a, n.Limit, f)
-		n.Step = RewriteExprIn(a, n.Step, f)
+		n.Init = a.RewriteExpr(n.Init, f)
+		n.Limit = a.RewriteExpr(n.Limit, f)
+		n.Step = a.RewriteExpr(n.Step, f)
 	case *DoParallel:
-		n.Init = RewriteExprIn(a, n.Init, f)
-		n.Limit = RewriteExprIn(a, n.Limit, f)
-		n.Step = RewriteExprIn(a, n.Step, f)
+		n.Init = a.RewriteExpr(n.Init, f)
+		n.Limit = a.RewriteExpr(n.Limit, f)
+		n.Step = a.RewriteExpr(n.Step, f)
 	case *VectorAssign:
-		n.DstBase = RewriteExprIn(a, n.DstBase, f)
-		n.DstStride = RewriteExprIn(a, n.DstStride, f)
-		n.Len = RewriteExprIn(a, n.Len, f)
-		n.RHS = RewriteExprIn(a, n.RHS, f)
+		n.DstBase = a.RewriteExpr(n.DstBase, f)
+		n.DstStride = a.RewriteExpr(n.DstStride, f)
+		n.Len = a.RewriteExpr(n.Len, f)
+		n.RHS = a.RewriteExpr(n.RHS, f)
 		if n.Mask != nil {
-			n.Mask = RewriteExprIn(a, n.Mask, f)
+			n.Mask = a.RewriteExpr(n.Mask, f)
 		}
 	case *Return:
 		if n.Val != nil {
-			n.Val = RewriteExprIn(a, n.Val, f)
+			n.Val = a.RewriteExpr(n.Val, f)
 		}
 	}
 }
@@ -205,33 +195,25 @@ func RewriteStmtExprsIn(a *Arena, s Stmt, f func(Expr) Expr) {
 // of s and of all statements nested inside it. Scalar assignment
 // destinations are definitions, not uses, and are left alone; store
 // destinations have their address rewritten.
-func RewriteTreeExprs(s Stmt, f func(Expr) Expr) {
-	RewriteTreeExprsIn(nil, s, f)
-}
-
-// RewriteTreeExprsIn is RewriteTreeExprs allocating from arena a.
-func RewriteTreeExprsIn(a *Arena, s Stmt, f func(Expr) Expr) {
+func (a *Arena) RewriteTreeExprs(s Stmt, f func(Expr) Expr) {
 	WalkStmts([]Stmt{s}, func(sub Stmt) bool {
 		if as, ok := sub.(*Assign); ok {
 			if ld, isStore := as.Dst.(*Load); isStore {
-				if addr := RewriteExprIn(a, ld.Addr, f); addr != ld.Addr {
+				if addr := a.RewriteExpr(ld.Addr, f); addr != ld.Addr {
 					as.Dst = a.Load(addr, ld.T, ld.Volatile)
 				}
 			}
-			as.Src = RewriteExprIn(a, as.Src, f)
+			as.Src = a.RewriteExpr(as.Src, f)
 			return true
 		}
-		RewriteStmtExprsIn(a, sub, f)
+		a.RewriteStmtExprs(sub, f)
 		return true
 	})
 }
 
-// CloneExpr deep-copies an expression.
-func CloneExpr(e Expr) Expr { return CloneExprIn(nil, e) }
-
-// CloneExprIn deep-copies an expression into arena a (nil copies to the
+// CloneExpr deep-copies an expression into arena a (nil copies to the
 // heap).
-func CloneExprIn(a *Arena, e Expr) Expr {
+func (a *Arena) CloneExpr(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
@@ -245,80 +227,73 @@ func CloneExprIn(a *Arena, e Expr) Expr {
 	case *AddrOf:
 		return a.AddrOf(n.ID, n.T)
 	case *Load:
-		return a.Load(CloneExprIn(a, n.Addr), n.T, n.Volatile)
+		return a.Load(a.CloneExpr(n.Addr), n.T, n.Volatile)
 	case *Bin:
-		return a.Bin(n.Op, CloneExprIn(a, n.L), CloneExprIn(a, n.R), n.T)
+		return a.Bin(n.Op, a.CloneExpr(n.L), a.CloneExpr(n.R), n.T)
 	case *Un:
-		return a.Un(n.Op, CloneExprIn(a, n.X), n.T)
+		return a.Un(n.Op, a.CloneExpr(n.X), n.T)
 	case *Cast:
-		return a.Cast(CloneExprIn(a, n.X), n.T)
+		return a.Cast(a.CloneExpr(n.X), n.T)
 	case *VecRef:
-		return a.VecRef(CloneExprIn(a, n.Base), CloneExprIn(a, n.Stride), n.T)
+		return a.VecRef(a.CloneExpr(n.Base), a.CloneExpr(n.Stride), n.T)
 	}
 	panic("il: CloneExpr of unknown node")
 }
 
-// CloneStmt deep-copies a statement.
-func CloneStmt(s Stmt) Stmt { return CloneStmtIn(nil, s) }
-
-// CloneStmtIn deep-copies a statement into arena a.
-func CloneStmtIn(a *Arena, s Stmt) Stmt {
+// CloneStmt deep-copies a statement into arena a.
+func (a *Arena) CloneStmt(s Stmt) Stmt {
 	switch n := s.(type) {
 	case *Assign:
-		return a.Assign(Assign{Dst: CloneExprIn(a, n.Dst), Src: CloneExprIn(a, n.Src), Pos: n.Pos})
+		return a.Assign(Assign{Dst: a.CloneExpr(n.Dst), Src: a.CloneExpr(n.Src), Pos: n.Pos})
 	case *PredAssign:
-		return a.PredAssign(PredAssign{Cond: CloneExprIn(a, n.Cond), Dst: CloneExprIn(a, n.Dst),
-			Src: CloneExprIn(a, n.Src), Pos: n.Pos})
+		return a.PredAssign(PredAssign{Cond: a.CloneExpr(n.Cond), Dst: a.CloneExpr(n.Dst),
+			Src: a.CloneExpr(n.Src), Pos: n.Pos})
 	case *Call:
-		m := a.Call(Call{Dst: n.Dst, Callee: n.Callee, T: n.T, FunPtr: CloneExprIn(a, n.FunPtr), Pos: n.Pos})
+		m := a.Call(Call{Dst: n.Dst, Callee: n.Callee, T: n.T, FunPtr: a.CloneExpr(n.FunPtr), Pos: n.Pos})
 		for _, arg := range n.Args {
-			m.Args = append(m.Args, CloneExprIn(a, arg))
+			m.Args = append(m.Args, a.CloneExpr(arg))
 		}
 		return m
 	case *If:
-		return a.If(If{Cond: CloneExprIn(a, n.Cond), Then: CloneStmtsIn(a, n.Then), Else: CloneStmtsIn(a, n.Else), Pos: n.Pos})
+		return a.If(If{Cond: a.CloneExpr(n.Cond), Then: a.CloneStmts(n.Then), Else: a.CloneStmts(n.Else), Pos: n.Pos})
 	case *While:
-		return a.While(While{Cond: CloneExprIn(a, n.Cond), Body: CloneStmtsIn(a, n.Body), Safe: n.Safe, Pos: n.Pos})
+		return a.While(While{Cond: a.CloneExpr(n.Cond), Body: a.CloneStmts(n.Body), Safe: n.Safe, Pos: n.Pos})
 	case *DoLoop:
-		return a.DoLoop(DoLoop{IV: n.IV, Init: CloneExprIn(a, n.Init), Limit: CloneExprIn(a, n.Limit),
-			Step: CloneExprIn(a, n.Step), Body: CloneStmtsIn(a, n.Body), Safe: n.Safe, Pos: n.Pos})
+		return a.DoLoop(DoLoop{IV: n.IV, Init: a.CloneExpr(n.Init), Limit: a.CloneExpr(n.Limit),
+			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Safe: n.Safe, Pos: n.Pos})
 	case *DoParallel:
-		m := a.DoParallel(DoParallel{IV: n.IV, Init: CloneExprIn(a, n.Init), Limit: CloneExprIn(a, n.Limit),
-			Step: CloneExprIn(a, n.Step), Body: CloneStmtsIn(a, n.Body), Width: n.Width, Pos: n.Pos})
+		m := a.DoParallel(DoParallel{IV: n.IV, Init: a.CloneExpr(n.Init), Limit: a.CloneExpr(n.Limit),
+			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Width: n.Width, Pos: n.Pos})
 		if n.Sync != nil {
-			info := *n.Sync
-			m.Sync = &info
+			m.Sync = a.SyncInfo(*n.Sync)
 		}
 		return m
 	case *SyncPost:
-		return &SyncPost{Pos: n.Pos}
+		return a.SyncPost(*n)
 	case *SyncWait:
-		return &SyncWait{Distance: n.Distance, Pos: n.Pos}
+		return a.SyncWait(*n)
 	case *VectorAssign:
-		return a.VectorAssign(VectorAssign{DstBase: CloneExprIn(a, n.DstBase), DstStride: CloneExprIn(a, n.DstStride),
-			Len: CloneExprIn(a, n.Len), Elem: n.Elem, RHS: CloneExprIn(a, n.RHS),
-			Mask: CloneExprIn(a, n.Mask), Pos: n.Pos})
+		return a.VectorAssign(VectorAssign{DstBase: a.CloneExpr(n.DstBase), DstStride: a.CloneExpr(n.DstStride),
+			Len: a.CloneExpr(n.Len), Elem: n.Elem, RHS: a.CloneExpr(n.RHS),
+			Mask: a.CloneExpr(n.Mask), Pos: n.Pos})
 	case *Goto:
 		return a.Goto(*n)
 	case *Label:
 		return a.Label(*n)
 	case *Return:
-		return a.Return(Return{Val: CloneExprIn(a, n.Val), Pos: n.Pos})
+		return a.Return(Return{Val: a.CloneExpr(n.Val), Pos: n.Pos})
 	}
 	panic("il: CloneStmt of unknown node")
 }
 
-// CloneStmts deep-copies a statement list.
-func CloneStmts(list []Stmt) []Stmt { return CloneStmtsIn(nil, list) }
-
-// CloneStmtsIn deep-copies a statement list into arena a.
-func CloneStmtsIn(a *Arena, list []Stmt) []Stmt {
+// CloneStmts deep-copies a statement list into arena a.
+func (a *Arena) CloneStmts(list []Stmt) []Stmt {
 	if list == nil {
 		return nil
 	}
 	out := make([]Stmt, len(list))
 	for i, s := range list {
-		out[i] = CloneStmtIn(a, s)
+		out[i] = a.CloneStmt(s)
 	}
 	return out
 }
@@ -453,7 +428,7 @@ func (p *Proc) Clone() *Proc {
 		Ret:      p.Ret,
 		Params:   append([]VarID(nil), p.Params...),
 		Vars:     append([]Var(nil), p.Vars...),
-		Body:     CloneStmtsIn(a, p.Body),
+		Body:     a.CloneStmts(p.Body),
 		Variadic: p.Variadic,
 		labelSeq: p.labelSeq,
 		arena:    a,

@@ -809,7 +809,7 @@ func (d *decoder) stmtBody() il.Stmt {
 
 func (d *decoder) expr() il.Expr {
 	if !d.enter() {
-		return il.Int(0)
+		return &il.ConstInt{T: ctype.IntType}
 	}
 	defer func() { d.depth-- }()
 	switch tag := d.u64(); tag {
@@ -860,7 +860,7 @@ func (d *decoder) expr() il.Expr {
 		if d.err == nil {
 			d.err = fmt.Errorf("catalog: unknown expr tag %d", tag)
 		}
-		return il.Int(0)
+		return &il.ConstInt{T: ctype.IntType}
 	}
 }
 

@@ -258,18 +258,20 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 	endLabel := p.NewLabel(prefix + "end")
 
 	// Bind arguments to parameter temporaries (the profusion of
-	// temporaries §9 shows; copy propagation cleans them up).
+	// temporaries §9 shows; copy propagation cleans them up). Everything
+	// built here comes from the caller's arena: the callee is only read.
+	a := p.Arena()
 	var out []il.Stmt
 	for i, arg := range call.Args {
 		pid := varMap[callee.Params[i]]
-		out = append(out, &il.Assign{Dst: il.Ref(pid, p.Vars[pid].Type), Src: il.CloneExpr(arg)})
+		out = append(out, a.Assign(il.Assign{Dst: a.VarRef(pid, p.Vars[pid].Type), Src: a.CloneExpr(arg)}))
 	}
 
 	// Clone and rewrite the body.
-	body := il.CloneStmts(callee.Body)
+	body := a.CloneStmts(callee.Body)
 	body = rewriteInlined(body, varMap, prefix, call.Dst, endLabel, p)
 	out = append(out, body...)
-	out = append(out, &il.Label{Name: endLabel})
+	out = append(out, a.Label(il.Label{Name: endLabel}))
 
 	// Report the expansion. When the cloned body carries its own source
 	// position (unit-local callees, version-2 catalogs), the remark points
@@ -304,13 +306,14 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 // rewriteInlined renames variables and labels and turns returns into
 // result assignment + goto end.
 func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.VarID, endLabel string, p *il.Proc) []il.Stmt {
+	a := p.Arena()
 	mapExpr := func(e il.Expr) il.Expr {
-		return il.RewriteExpr(e, func(x il.Expr) il.Expr {
+		return a.RewriteExpr(e, func(x il.Expr) il.Expr {
 			switch n := x.(type) {
 			case *il.VarRef:
-				return il.Ref(varMap[n.ID], n.T)
+				return a.VarRef(varMap[n.ID], n.T)
 			case *il.AddrOf:
-				return &il.AddrOf{ID: varMap[n.ID], T: n.T}
+				return a.AddrOf(varMap[n.ID], n.T)
 			}
 			return x
 		})
@@ -322,9 +325,9 @@ func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.Var
 			switch n := s.(type) {
 			case *il.Assign:
 				if ld, ok := n.Dst.(*il.Load); ok {
-					n.Dst = &il.Load{Addr: mapExpr(ld.Addr), T: ld.T, Volatile: ld.Volatile}
+					n.Dst = a.Load(mapExpr(ld.Addr), ld.T, ld.Volatile)
 				} else if v, ok := n.Dst.(*il.VarRef); ok {
-					n.Dst = il.Ref(varMap[v.ID], v.T)
+					n.Dst = a.VarRef(varMap[v.ID], v.T)
 				}
 				n.Src = mapExpr(n.Src)
 				out = append(out, n)
@@ -369,18 +372,18 @@ func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.Var
 				n.RHS = mapExpr(n.RHS)
 				out = append(out, n)
 			case *il.Goto:
-				out = append(out, &il.Goto{Target: prefix + n.Target})
+				out = append(out, a.Goto(il.Goto{Target: prefix + n.Target}))
 			case *il.Label:
-				out = append(out, &il.Label{Name: prefix + n.Name})
+				out = append(out, a.Label(il.Label{Name: prefix + n.Name}))
 			case *il.Return:
 				if n.Val != nil && dst != il.NoVar {
-					out = append(out, &il.Assign{Dst: il.Ref(dst, p.Vars[dst].Type), Src: mapExpr(n.Val)})
+					out = append(out, a.Assign(il.Assign{Dst: a.VarRef(dst, p.Vars[dst].Type), Src: mapExpr(n.Val)}))
 				} else if n.Val != nil {
 					// Result discarded: still evaluate side-effect-free
 					// value? Values are pure in this IL; drop it.
 					_ = n
 				}
-				out = append(out, &il.Goto{Target: endLabel})
+				out = append(out, a.Goto(il.Goto{Target: endLabel}))
 			default:
 				out = append(out, s)
 			}

@@ -214,18 +214,6 @@ func writeCell(b []byte, t *ctype.Type, iv int64, fv float64) {
 	}
 }
 
-// Arena-allocating shorthands for the constant and arithmetic builders the
-// lowering uses on nearly every expression.
-func (lw *lowerer) intC(v int64) *il.ConstInt { return lw.ar.ConstInt(v, ctype.IntType) }
-
-func (lw *lowerer) addC(l, r il.Expr, t *ctype.Type) il.Expr {
-	return il.NewBinIn(lw.ar, il.OpAdd, l, r, t)
-}
-
-func (lw *lowerer) mulC(l, r il.Expr, t *ctype.Type) il.Expr {
-	return il.NewBinIn(lw.ar, il.OpMul, l, r, t)
-}
-
 // varID returns the procedure-local variable for a symbol, creating the
 // table entry on first use. Globals and function statics become ClassGlobal
 // / ClassStatic entries that name program-level storage.
@@ -407,7 +395,7 @@ func (lw *lowerer) initList(d *ast.VarDecl, sym *sema.Symbol, id il.VarID) ([]il
 		return append(out, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(id, sym.Type), Src: lw.coerce(e, sym.Type)})), nil
 	}
 	for i, cell := range cells {
-		addr := lw.addC(il.CloneExprIn(lw.ar, base), lw.intC(int64(cell.Offset)), ctype.PointerTo(cell.Type))
+		addr := lw.ar.Add(lw.ar.CloneExpr(base), lw.ar.Int(int64(cell.Offset)), ctype.PointerTo(cell.Type))
 		dst := lw.ar.Load(addr, cell.Type, cell.Type.Volatile)
 		if i < len(d.InitList) {
 			sl, e, err := lw.expr(d.InitList[i])
@@ -423,7 +411,7 @@ func (lw *lowerer) initList(d *ast.VarDecl, sym *sema.Symbol, id il.VarID) ([]il
 		if cell.Type.IsFloat() {
 			zero = lw.ar.ConstFloat(0, cell.Type)
 		} else {
-			zero = lw.intC(0)
+			zero = lw.ar.Int(0)
 		}
 		out = append(out, lw.ar.Assign(il.Assign{Dst: dst, Src: zero}))
 	}
@@ -469,7 +457,7 @@ func (lw *lowerer) whileLoop(cond ast.Expr, body ast.Stmt, post ast.Expr) ([]il.
 		loopBody = append(loopBody, postSL...)
 	}
 	// Duplicate the condition's statement list at the loop bottom (§4).
-	loopBody = append(loopBody, il.CloneStmtsIn(lw.ar, condSL)...)
+	loopBody = append(loopBody, lw.ar.CloneStmts(condSL)...)
 
 	out := condSL
 	out = append(out, lw.ar.While(il.While{Cond: condE, Body: loopBody, Safe: safe}))
@@ -507,7 +495,7 @@ func (lw *lowerer) doWhile(n *ast.DoWhileStmt) ([]il.Stmt, error) {
 		out = append(out, lw.ar.Label(il.Label{Name: contLbl}))
 	}
 	out = append(out, condSL...)
-	out = append(out, &il.If{Cond: condE, Then: []il.Stmt{lw.ar.Goto(il.Goto{Target: top})}})
+	out = append(out, lw.ar.If(il.If{Cond: condE, Then: []il.Stmt{lw.ar.Goto(il.Goto{Target: top})}}))
 	if breakUsed {
 		out = append(out, lw.ar.Label(il.Label{Name: breakLbl}))
 	}
@@ -555,10 +543,10 @@ func (lw *lowerer) switchStmt(n *ast.SwitchStmt) ([]il.Stmt, error) {
 			defaultLbl = a.label
 			continue
 		}
-		out = append(out, &il.If{
-			Cond: il.NewBinIn(lw.ar, il.OpEq, lw.ar.VarRef(tag, ctype.IntType), lw.intC(*a.val), ctype.IntType),
+		out = append(out, lw.ar.If(il.If{
+			Cond: lw.ar.NewBin(il.OpEq, lw.ar.VarRef(tag, ctype.IntType), lw.ar.Int(*a.val), ctype.IntType),
 			Then: []il.Stmt{lw.ar.Goto(il.Goto{Target: a.label})},
-		})
+		}))
 	}
 	out = append(out, lw.ar.Goto(il.Goto{Target: defaultLbl}))
 
@@ -661,7 +649,7 @@ func (lw *lowerer) cond(e ast.Expr) ([]il.Stmt, il.Expr, error) {
 	// Pointers and floats compare against zero; integers are used directly.
 	t := v.Type()
 	if t != nil && t.IsFloat() {
-		v = il.NewBinIn(lw.ar, il.OpNe, v, lw.ar.ConstFloat(0, t), ctype.IntType)
+		v = lw.ar.NewBin(il.OpNe, v, lw.ar.ConstFloat(0, t), ctype.IntType)
 	}
 	return sl, v, nil
 }
@@ -670,9 +658,9 @@ func (lw *lowerer) cond(e ast.Expr) ([]il.Stmt, il.Expr, error) {
 func (lw *lowerer) expr(e ast.Expr) ([]il.Stmt, il.Expr, error) {
 	switch n := e.(type) {
 	case *ast.IntConst:
-		return nil, &il.ConstInt{Val: n.Value, T: n.Type()}, nil
+		return nil, lw.ar.ConstInt(n.Value, n.Type()), nil
 	case *ast.FloatConst:
-		return nil, &il.ConstFloat{Val: n.Value, T: n.Type()}, nil
+		return nil, lw.ar.ConstFloat(n.Value, n.Type()), nil
 	case *ast.StrConst:
 		return nil, lw.stringLit(n), nil
 	case *ast.IdentExpr:
@@ -725,7 +713,7 @@ func (lw *lowerer) expr(e ast.Expr) ([]il.Stmt, il.Expr, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return sl, il.NewCastIn(lw.ar, v, n.To), nil
+		return sl, lw.ar.NewCast(v, n.To), nil
 	case *ast.SizeofExpr:
 		var t *ctype.Type
 		if n.OfType != nil {
@@ -733,7 +721,7 @@ func (lw *lowerer) expr(e ast.Expr) ([]il.Stmt, il.Expr, error) {
 		} else {
 			t = n.X.Type()
 		}
-		return nil, lw.intC(int64(t.Size())), nil
+		return nil, lw.ar.Int(int64(t.Size())), nil
 	}
 	return nil, nil, errf(e.Pos(), "unhandled expression %T", e)
 }
@@ -803,8 +791,8 @@ func (lw *lowerer) lvalueAddr(e ast.Expr) (addrRes, bool, error) {
 			return addrRes{}, false, err
 		}
 		elem := xt.Elem
-		off := lw.mulC(lw.intC(int64(elem.Size())), iE, ctype.IntType)
-		addr := lw.addC(bE, off, bE.Type())
+		off := lw.ar.Mul(lw.ar.Int(int64(elem.Size())), iE, ctype.IntType)
+		addr := lw.ar.Add(bE, off, bE.Type())
 		return addrRes{sl: append(bSL, iSL...), e: addr}, elem.Volatile, nil
 	case *ast.MemberExpr:
 		var base addrRes
@@ -829,7 +817,7 @@ func (lw *lowerer) lvalueAddr(e ast.Expr) (addrRes, bool, error) {
 			st = n.X.Type()
 		}
 		f := st.Field(n.Name)
-		addr := lw.addC(base.e, lw.intC(int64(f.Offset)), base.e.Type())
+		addr := lw.ar.Add(base.e, lw.ar.Int(int64(f.Offset)), base.e.Type())
 		return addrRes{sl: base.sl, e: addr}, f.Type.Volatile, nil
 	}
 	return addrRes{}, false, errf(e.Pos(), "not an lvalue: %T", e)
@@ -851,22 +839,22 @@ func (lw *lowerer) unary(n *ast.UnaryExpr) ([]il.Stmt, il.Expr, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return sl, il.NewUnIn(lw.ar, il.OpNeg, lw.coerce(v, n.Type()), n.Type()), nil
+		return sl, lw.ar.NewUn(il.OpNeg, lw.coerce(v, n.Type()), n.Type()), nil
 	case ast.BitNot:
 		sl, v, err := lw.expr(n.X)
 		if err != nil {
 			return nil, nil, err
 		}
-		return sl, il.NewUnIn(lw.ar, il.OpBitNot, lw.coerce(v, n.Type()), n.Type()), nil
+		return sl, lw.ar.NewUn(il.OpBitNot, lw.coerce(v, n.Type()), n.Type()), nil
 	case ast.Not:
 		sl, v, err := lw.expr(n.X)
 		if err != nil {
 			return nil, nil, err
 		}
 		if v.Type() != nil && v.Type().IsFloat() {
-			return sl, il.NewBinIn(lw.ar, il.OpEq, v, lw.ar.ConstFloat(0, v.Type()), ctype.IntType), nil
+			return sl, lw.ar.NewBin(il.OpEq, v, lw.ar.ConstFloat(0, v.Type()), ctype.IntType), nil
 		}
-		return sl, il.NewUnIn(lw.ar, il.OpNot, v, ctype.IntType), nil
+		return sl, lw.ar.NewUn(il.OpNot, v, ctype.IntType), nil
 	case ast.Deref:
 		sl, v, err := lw.expr(n.X)
 		if err != nil {
@@ -901,9 +889,9 @@ func (lw *lowerer) incDec(n *ast.UnaryExpr, needValue bool) ([]il.Stmt, il.Expr,
 	if n.Op == ast.PreDec || n.Op == ast.PostDec {
 		op = il.OpSub
 	}
-	delta := lw.intC(1)
+	delta := lw.ar.Int(1)
 	if t.Kind == ctype.Pointer {
-		delta = lw.intC(scale(n.X.Type()))
+		delta = lw.ar.Int(scale(n.X.Type()))
 	}
 	isPost := n.Op == ast.PostInc || n.Op == ast.PostDec
 
@@ -911,19 +899,19 @@ func (lw *lowerer) incDec(n *ast.UnaryExpr, needValue bool) ([]il.Stmt, il.Expr,
 	if id, simple := lw.simpleVar(n.X); simple {
 		vref := lw.ar.VarRef(id, lw.proc.Vars[id].Type)
 		if !needValue {
-			return []il.Stmt{lw.ar.Assign(il.Assign{Dst: vref, Src: il.NewBinIn(lw.ar, op, il.CloneExprIn(lw.ar, vref), delta, t)})}, nil, nil
+			return []il.Stmt{lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.NewBin(op, lw.ar.CloneExpr(vref), delta, t)})}, nil, nil
 		}
 		tmp := lw.proc.NewTemp(t)
 		var sl []il.Stmt
 		if isPost {
 			// t = a; a = t ± d; value t  (the paper's §5.3 shape)
 			sl = append(sl,
-				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: il.CloneExprIn(lw.ar, vref)}),
-				lw.ar.Assign(il.Assign{Dst: il.CloneExprIn(lw.ar, vref).(*il.VarRef), Src: il.NewBinIn(lw.ar, op, lw.ar.VarRef(tmp, t), delta, t)}))
+				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: lw.ar.CloneExpr(vref)}),
+				lw.ar.Assign(il.Assign{Dst: lw.ar.CloneExpr(vref).(*il.VarRef), Src: lw.ar.NewBin(op, lw.ar.VarRef(tmp, t), delta, t)}))
 		} else {
 			sl = append(sl,
-				lw.ar.Assign(il.Assign{Dst: il.CloneExprIn(lw.ar, vref).(*il.VarRef), Src: il.NewBinIn(lw.ar, op, il.CloneExprIn(lw.ar, vref), delta, t)}),
-				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: il.CloneExprIn(lw.ar, vref)}))
+				lw.ar.Assign(il.Assign{Dst: lw.ar.CloneExpr(vref).(*il.VarRef), Src: lw.ar.NewBin(op, lw.ar.CloneExpr(vref), delta, t)}),
+				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: lw.ar.CloneExpr(vref)}))
 		}
 		return sl, lw.ar.VarRef(tmp, t), nil
 	}
@@ -940,7 +928,7 @@ func (lw *lowerer) incDec(n *ast.UnaryExpr, needValue bool) ([]il.Stmt, il.Expr,
 	loadOld := lw.ar.Load(lw.ar.VarRef(addrTmp, addrT), t, vol)
 	valTmp := lw.proc.NewTemp(t)
 	sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(valTmp, t), Src: loadOld}))
-	newVal := il.NewBinIn(lw.ar, op, lw.ar.VarRef(valTmp, t), delta, t)
+	newVal := lw.ar.NewBin(op, lw.ar.VarRef(valTmp, t), delta, t)
 	sl = append(sl, lw.ar.Assign(il.Assign{
 		Dst: lw.ar.Load(lw.ar.VarRef(addrTmp, addrT), t, vol),
 		Src: newVal,
@@ -952,7 +940,7 @@ func (lw *lowerer) incDec(n *ast.UnaryExpr, needValue bool) ([]il.Stmt, il.Expr,
 		return sl, lw.ar.VarRef(valTmp, t), nil
 	}
 	resTmp := lw.proc.NewTemp(t)
-	sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(resTmp, t), Src: il.NewBinIn(lw.ar, op, lw.ar.VarRef(valTmp, t), delta, t)}))
+	sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(resTmp, t), Src: lw.ar.NewBin(op, lw.ar.VarRef(valTmp, t), delta, t)}))
 	return sl, lw.ar.VarRef(resTmp, t), nil
 }
 
@@ -1001,23 +989,23 @@ func (lw *lowerer) binary(n *ast.BinaryExpr) ([]il.Stmt, il.Expr, error) {
 	if n.Op == ast.Add || n.Op == ast.Sub {
 		switch {
 		case lt.Kind == ctype.Pointer && rt.IsInteger():
-			off := lw.mulC(lw.intC(scale(lt)), rE, ctype.IntType)
-			return sl, il.NewBinIn(lw.ar, op, lE, off, lt), nil
+			off := lw.ar.Mul(lw.ar.Int(scale(lt)), rE, ctype.IntType)
+			return sl, lw.ar.NewBin(op, lE, off, lt), nil
 		case rt.Kind == ctype.Pointer && lt.IsInteger() && n.Op == ast.Add:
-			off := lw.mulC(lw.intC(scale(rt)), lE, ctype.IntType)
-			return sl, il.NewBinIn(lw.ar, op, rE, off, rt), nil
+			off := lw.ar.Mul(lw.ar.Int(scale(rt)), lE, ctype.IntType)
+			return sl, lw.ar.NewBin(op, rE, off, rt), nil
 		case lt.Kind == ctype.Pointer && rt.Kind == ctype.Pointer && n.Op == ast.Sub:
-			diff := il.NewBinIn(lw.ar, il.OpSub, lE, rE, ctype.IntType)
-			return sl, il.NewBinIn(lw.ar, il.OpDiv, diff, lw.intC(scale(lt)), ctype.IntType), nil
+			diff := lw.ar.NewBin(il.OpSub, lE, rE, ctype.IntType)
+			return sl, lw.ar.NewBin(il.OpDiv, diff, lw.ar.Int(scale(lt)), ctype.IntType), nil
 		}
 	}
 
 	if op.IsComparison() {
 		common := ctype.Common(lt, rt)
-		return sl, il.NewBinIn(lw.ar, op, lw.coerce(lE, common), lw.coerce(rE, common), ctype.IntType), nil
+		return sl, lw.ar.NewBin(op, lw.coerce(lE, common), lw.coerce(rE, common), ctype.IntType), nil
 	}
 	t := n.Type()
-	return sl, il.NewBinIn(lw.ar, op, lw.coerce(lE, t), lw.coerce(rE, t), t), nil
+	return sl, lw.ar.NewBin(op, lw.coerce(lE, t), lw.coerce(rE, t), t), nil
 }
 
 // logical lowers && and || into an If assigning a temp, since the IL has no
@@ -1037,7 +1025,7 @@ func (lw *lowerer) logical(n *ast.BinaryExpr) ([]il.Stmt, il.Expr, error) {
 		if b, ok := e.(*il.Bin); ok && b.Op.IsComparison() {
 			return e
 		}
-		return il.NewBinIn(lw.ar, il.OpNe, e, lw.intC(0), ctype.IntType)
+		return lw.ar.NewBin(il.OpNe, e, lw.ar.Int(0), ctype.IntType)
 	}
 	set := func(e il.Expr) il.Stmt {
 		return lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, ctype.IntType), Src: bool01(e)})
@@ -1046,9 +1034,9 @@ func (lw *lowerer) logical(n *ast.BinaryExpr) ([]il.Stmt, il.Expr, error) {
 	var out []il.Stmt
 	out = append(out, lSL...)
 	if n.Op == ast.LogAnd {
-		out = append(out, set(lw.intC(0)), lw.ar.If(il.If{Cond: lE, Then: inner}))
+		out = append(out, set(lw.ar.Int(0)), lw.ar.If(il.If{Cond: lE, Then: inner}))
 	} else {
-		out = append(out, set(lw.intC(1)), lw.ar.If(il.If{Cond: il.NewUnIn(lw.ar, il.OpNot, lE, ctype.IntType), Then: inner}))
+		out = append(out, set(lw.ar.Int(1)), lw.ar.If(il.If{Cond: lw.ar.NewUn(il.OpNot, lE, ctype.IntType), Then: inner}))
 	}
 	return out, lw.ar.VarRef(tmp, ctype.IntType), nil
 }
@@ -1102,11 +1090,11 @@ func (lw *lowerer) assignCommon(n *ast.AssignExpr, needValue bool) ([]il.Stmt, i
 		op := binOpMap[*n.Op]
 		// Pointer compound assignment scales.
 		if lt.Decay().Kind == ctype.Pointer {
-			off := lw.mulC(lw.intC(scale(lt)), rE, ctype.IntType)
-			return il.NewBinIn(lw.ar, op, cur, off, lt.Decay())
+			off := lw.ar.Mul(lw.ar.Int(scale(lt)), rE, ctype.IntType)
+			return lw.ar.NewBin(op, cur, off, lt.Decay())
 		}
 		common := ctype.Common(lt.Decay(), n.R.Type().Decay())
-		v := il.NewBinIn(lw.ar, op, lw.coerce(cur, common), lw.coerce(rE, common), common)
+		v := lw.ar.NewBin(op, lw.coerce(cur, common), lw.coerce(rE, common), common)
 		return lw.coerce(v, lt)
 	}
 
@@ -1115,12 +1103,12 @@ func (lw *lowerer) assignCommon(n *ast.AssignExpr, needValue bool) ([]il.Stmt, i
 		var sl []il.Stmt
 		sl = append(sl, rSL...)
 		if !needValue {
-			sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: makeRHS(il.CloneExprIn(lw.ar, vref))}))
+			sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: makeRHS(lw.ar.CloneExpr(vref))}))
 			return sl, nil, nil
 		}
 		// t = RHS; v = t; value t — writes v once, never reads it.
 		tmp := lw.proc.NewTemp(lt)
-		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, lt), Src: makeRHS(il.CloneExprIn(lw.ar, vref))}))
+		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, lt), Src: makeRHS(lw.ar.CloneExpr(vref))}))
 		sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.VarRef(tmp, lt)}))
 		return sl, lw.ar.VarRef(tmp, lt), nil
 	}
@@ -1140,7 +1128,7 @@ func (lw *lowerer) assignCommon(n *ast.AssignExpr, needValue bool) ([]il.Stmt, i
 		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(at, addrT), Src: addr}))
 		addr = lw.ar.VarRef(at, addrT)
 	}
-	cur := lw.ar.Load(il.CloneExprIn(lw.ar, addr), lt, vol)
+	cur := lw.ar.Load(lw.ar.CloneExpr(addr), lt, vol)
 	if !needValue {
 		sl = append(sl, lw.ar.Assign(il.Assign{
 			Dst: lw.ar.Load(addr, lt, vol),
@@ -1186,7 +1174,7 @@ func (lw *lowerer) call(n *ast.CallExpr, needValue bool) ([]il.Stmt, il.Expr, er
 		dst = lw.proc.NewTemp(retT)
 		result = lw.ar.VarRef(dst, retT)
 	}
-	call := &il.Call{Dst: dst, Args: args, T: retT}
+	call := lw.ar.Call(il.Call{Dst: dst, Args: args, T: retT})
 	if id, ok := n.Fun.(*ast.IdentExpr); ok {
 		sym := lw.info.Uses[id]
 		if sym != nil && sym.Kind == sema.SymFunc {
@@ -1229,5 +1217,5 @@ func (lw *lowerer) coerce(e il.Expr, to *ctype.Type) il.Expr {
 	if from.Kind == ctype.Pointer && to.IsInteger() || from.IsInteger() && to.Kind == ctype.Pointer {
 		return e // same word
 	}
-	return il.NewCastIn(lw.ar, e, to)
+	return lw.ar.NewCast(e, to)
 }

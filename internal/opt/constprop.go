@@ -49,7 +49,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// constant.
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		subst := func(e il.Expr) il.Expr {
-			return il.RewriteExprIn(ar, e, func(x il.Expr) il.Expr {
+			return ar.RewriteExpr(e, func(x il.Expr) il.Expr {
 				v, ok := x.(*il.VarRef)
 				if !ok {
 					return x
@@ -68,7 +68,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 			}
 			n.Src = subst(n.Src)
 		default:
-			il.RewriteStmtExprsIn(ar, s, func(x il.Expr) il.Expr {
+			ar.RewriteStmtExprs(s, func(x il.Expr) il.Expr {
 				if v, ok := x.(*il.VarRef); ok {
 					if c := constValueAt(p, ar, a, s, v.ID); c != nil {
 						changed++
@@ -88,7 +88,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// exactly so real folds are detectable here.
 	folds := 0
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
-		il.RewriteStmtExprsIn(ar, s, func(e il.Expr) il.Expr {
+		ar.RewriteStmtExprs(s, func(e il.Expr) il.Expr {
 			f := foldNode(ar, e)
 			if f != e {
 				folds++
@@ -145,7 +145,7 @@ func constValueAt(p *il.Proc, ar *il.Arena, a *dataflow.Analysis, s il.Stmt, v i
 	if bad || val == nil {
 		return nil
 	}
-	return il.CloneExprIn(ar, val)
+	return ar.CloneExpr(val)
 }
 
 // foldNode rebuilds one expression node through the folding constructors,
@@ -169,18 +169,18 @@ func foldNode(ar *il.Arena, e il.Expr) il.Expr {
 		// argument when nothing combines).
 		var folded il.Expr = n
 		if il.BinFoldable(n.Op, n.L, n.R, n.T) {
-			folded = il.NewBinIn(ar, n.Op, n.L, n.R, n.T)
+			folded = ar.NewBin(n.Op, n.L, n.R, n.T)
 		}
 		if b, stillBin := folded.(*il.Bin); stillBin {
 			if b.Op == il.OpAdd || b.Op == il.OpSub {
-				return il.SimplifyLinearIn(ar, folded)
+				return ar.SimplifyLinear(folded)
 			}
 		}
 		return folded
 	case *il.Un:
 		switch n.X.(type) {
 		case *il.ConstInt, *il.ConstFloat:
-			folded := il.NewUnIn(ar, n.Op, n.X, n.T)
+			folded := ar.NewUn(n.Op, n.X, n.T)
 			if u, still := folded.(*il.Un); still && u.Op == n.Op && u.X == n.X {
 				return n
 			}
@@ -197,7 +197,7 @@ func foldNode(ar *il.Arena, e il.Expr) il.Expr {
 				return n
 			}
 		}
-		folded := il.NewCastIn(ar, n.X, n.T)
+		folded := ar.NewCast(n.X, n.T)
 		if c, still := folded.(*il.Cast); still && c.X == n.X {
 			return n
 		}

@@ -338,7 +338,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 			for _, ci := range copiesByDst[v.ID] {
 				if avail.get(ci) && copies[ci].stmt != s {
 					rewrites++
-					return il.CloneExprIn(ar, copies[ci].src)
+					return ar.CloneExpr(copies[ci].src)
 				}
 			}
 			return x
@@ -346,11 +346,11 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 		switch n := s.(type) {
 		case *il.Assign:
 			if ld, ok := n.Dst.(*il.Load); ok {
-				ld.Addr = il.RewriteExprIn(ar, ld.Addr, replace)
+				ld.Addr = ar.RewriteExpr(ld.Addr, replace)
 			}
-			n.Src = il.RewriteExprIn(ar, n.Src, replace)
+			n.Src = ar.RewriteExpr(n.Src, replace)
 		default:
-			il.RewriteStmtExprsIn(ar, s, replace)
+			ar.RewriteStmtExprs(s, replace)
 		}
 		return true
 	})

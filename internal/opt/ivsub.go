@@ -93,8 +93,9 @@ func ivsubLoop(p *il.Proc, loop *il.DoLoop, full bool, changed *int, em *emitter
 // kExpr returns the loop's iteration-index expression (0, 1, 2, ...) and
 // any preheader statements needed to snapshot a varying Init.
 func kExpr(p *il.Proc, loop *il.DoLoop) (il.Expr, []il.Stmt) {
+	ar := p.Arena()
 	stepC, _ := il.IsIntConst(loop.Step)
-	ivRef := il.Ref(loop.IV, ctype.IntType)
+	ivRef := ar.VarRef(loop.IV, ctype.IntType)
 	var pre []il.Stmt
 
 	init := loop.Init
@@ -102,18 +103,18 @@ func kExpr(p *il.Proc, loop *il.DoLoop) (il.Expr, []il.Stmt) {
 		// Init is evaluated once at entry; snapshot it so the closed forms
 		// can refer to it even though the body changes its variables.
 		t := p.NewTemp(ctype.IntType)
-		pre = append(pre, &il.Assign{Dst: il.Ref(t, ctype.IntType), Src: il.CloneExpr(init)})
-		loop.Init = il.Ref(t, ctype.IntType)
+		pre = append(pre, ar.Assign(il.Assign{Dst: ar.VarRef(t, ctype.IntType), Src: ar.CloneExpr(init)}))
+		loop.Init = ar.VarRef(t, ctype.IntType)
 		init = loop.Init
 	}
 	switch stepC {
 	case 1:
-		return il.Sub(ivRef, il.CloneExpr(init), ctype.IntType), pre
+		return ar.Sub(ivRef, ar.CloneExpr(init), ctype.IntType), pre
 	case -1:
-		return il.Sub(il.CloneExpr(init), ivRef, ctype.IntType), pre
+		return ar.Sub(ar.CloneExpr(init), ivRef, ctype.IntType), pre
 	default:
-		diff := il.Sub(ivRef, il.CloneExpr(init), ctype.IntType)
-		return il.NewBin(il.OpDiv, diff, il.CloneExpr(loop.Step), ctype.IntType), pre
+		diff := ar.Sub(ivRef, ar.CloneExpr(init), ctype.IntType)
+		return ar.NewBin(il.OpDiv, diff, ar.CloneExpr(loop.Step), ctype.IntType), pre
 	}
 }
 
@@ -177,7 +178,8 @@ type basicIV struct {
 // execution (the §5.3 requirement for front-end-generated code).
 func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
 	// One pass of symbolic execution over the top-level statements.
-	env := newSymEnv()
+	ar := p.Arena()
+	env := newSymEnv(ar)
 	ok := true
 	for _, s := range loop.Body {
 		if !env.exec(p, s) {
@@ -247,7 +249,7 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
 			as := loop.Body[idxs[0]].(*il.Assign)
 			next = as.Src
 		}
-		step, ok := matchRecurrence(il.CloneExpr(next), vid)
+		step, ok := matchRecurrence(ar, ar.CloneExpr(next), vid)
 		if !ok || !exprInvariantInBody(p, loop.Body, step) {
 			continue
 		}
@@ -264,19 +266,20 @@ func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *in
 	if len(ivs) == 0 {
 		return nil
 	}
+	ar := p.Arena()
 	k, pre := kExpr(p, loop)
 
 	for _, biv := range ivs {
 		t := p.Vars[biv.v].Type
 		v0 := p.AddVar(il.Var{Name: p.Vars[biv.v].Name + ".0", Type: t, Class: il.ClassTemp})
-		pre = append(pre, &il.Assign{Dst: il.Ref(v0, t), Src: il.Ref(biv.v, t)})
+		pre = append(pre, ar.Assign(il.Assign{Dst: ar.VarRef(v0, t), Src: ar.VarRef(biv.v, t)}))
 
 		valueAt := func(afterUpdate bool) il.Expr {
-			occ := il.CloneExpr(k)
+			occ := ar.CloneExpr(k)
 			if afterUpdate {
-				occ = il.Add(occ, il.Int(1), ctype.IntType)
+				occ = ar.Add(occ, ar.Int(1), ctype.IntType)
 			}
-			return il.Add(il.Ref(v0, t), il.Mul(il.CloneExpr(biv.step), occ, ctype.IntType), t)
+			return ar.Add(ar.VarRef(v0, t), ar.Mul(ar.CloneExpr(biv.step), occ, ctype.IntType), t)
 		}
 
 		for i, s := range loop.Body {
@@ -286,7 +289,7 @@ func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *in
 				// destination stays v so the variable remains correct for
 				// any use after the loop.
 				as := s.(*il.Assign)
-				as.Src = il.RewriteExpr(as.Src, func(x il.Expr) il.Expr {
+				as.Src = ar.RewriteExpr(as.Src, func(x il.Expr) il.Expr {
 					if vr, ok := x.(*il.VarRef); ok && vr.ID == biv.v {
 						*changed++
 						return valueAt(false)
@@ -295,7 +298,7 @@ func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *in
 				})
 				continue
 			}
-			il.RewriteTreeExprs(s, func(x il.Expr) il.Expr {
+			ar.RewriteTreeExprs(s, func(x il.Expr) il.Expr {
 				if vr, ok := x.(*il.VarRef); ok && vr.ID == biv.v {
 					*changed++
 					return valueAt(after)
@@ -317,6 +320,7 @@ func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *in
 // so the front end's pointer-bump pattern never resolves. Returns the
 // number of substitutions.
 func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int {
+	ar := p.Arena()
 	changed := 0
 	body := loop.Body
 	defined := bodyDefinedVars(p, body)
@@ -371,10 +375,10 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 					"forward substitution of %s blocked: a later statement redefines an operand (§5.3)", v.Name)
 				break
 			}
-			il.RewriteTreeExprs(t, func(x il.Expr) il.Expr {
+			ar.RewriteTreeExprs(t, func(x il.Expr) il.Expr {
 				if vr, ok := x.(*il.VarRef); ok && vr.ID == dst.ID {
 					changed++
-					return il.CloneExpr(as.Src)
+					return ar.CloneExpr(as.Src)
 				}
 				return x
 			})

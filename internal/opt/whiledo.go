@@ -199,8 +199,9 @@ func tryCandidate(p *il.Proc, a *dataflow.Analysis, w *il.While, prev []il.Stmt,
 		return nil
 	}
 
+	ar := p.Arena()
 	t := v.Type
-	ivRef := il.Ref(iv, t)
+	ivRef := ar.VarRef(iv, t)
 	var limit il.Expr
 	switch rel {
 	case relNonZero:
@@ -208,35 +209,35 @@ func tryCandidate(p *il.Proc, a *dataflow.Analysis, w *il.While, prev []il.Stmt,
 		if stepC >= 0 {
 			return nil
 		}
-		limit = il.Int(1)
+		limit = ar.Int(1)
 	case relLT: // i < bound
 		if stepC <= 0 {
 			return nil
 		}
-		limit = il.Sub(il.CloneExpr(bound), il.Int(1), t)
+		limit = ar.Sub(ar.CloneExpr(bound), ar.Int(1), t)
 	case relLE:
 		if stepC <= 0 {
 			return nil
 		}
-		limit = il.CloneExpr(bound)
+		limit = ar.CloneExpr(bound)
 	case relGT: // i > bound, counting down
 		if stepC >= 0 {
 			return nil
 		}
-		limit = il.Add(il.CloneExpr(bound), il.Int(1), t)
+		limit = ar.Add(ar.CloneExpr(bound), ar.Int(1), t)
 	case relGE:
 		if stepC >= 0 {
 			return nil
 		}
-		limit = il.CloneExpr(bound)
+		limit = ar.CloneExpr(bound)
 	case relNE:
 		// i != bound terminates exactly when the step divides the
 		// distance; like the paper's while(i) case we accept the unit
 		// steps that C loops produce in practice.
 		if stepC == 1 {
-			limit = il.Sub(il.CloneExpr(bound), il.Int(1), t)
+			limit = ar.Sub(ar.CloneExpr(bound), ar.Int(1), t)
 		} else if stepC == -1 {
-			limit = il.Add(il.CloneExpr(bound), il.Int(1), t)
+			limit = ar.Add(ar.CloneExpr(bound), ar.Int(1), t)
 		} else {
 			return nil
 		}
@@ -245,15 +246,15 @@ func tryCandidate(p *il.Proc, a *dataflow.Analysis, w *il.While, prev []il.Stmt,
 	}
 
 	dummy := p.AddVar(il.Var{Name: p.Vars[iv].Name + ".do", Type: ctype.IntType, Class: il.ClassTemp})
-	return &il.DoLoop{
+	return ar.DoLoop(il.DoLoop{
 		IV:    dummy,
 		Init:  ivRef,
 		Limit: limit,
-		Step:  il.Int(stepC),
+		Step:  ar.Int(stepC),
 		Body:  w.Body,
 		Safe:  w.Safe,
 		Pos:   w.Pos,
-	}
+	})
 }
 
 type relKind int
@@ -376,20 +377,21 @@ func findLabel(list []il.Stmt, name string) bool {
 // symEnv is a symbolic environment mapping variables to expressions over
 // the values the variables held at the environment's start point.
 type symEnv struct {
+	ar      *il.Arena // of the procedure being executed
 	vals    map[il.VarID]il.Expr
 	unknown map[il.VarID]bool
 }
 
-func newSymEnv() *symEnv {
-	return &symEnv{vals: map[il.VarID]il.Expr{}, unknown: map[il.VarID]bool{}}
+func newSymEnv(ar *il.Arena) *symEnv {
+	return &symEnv{ar: ar, vals: map[il.VarID]il.Expr{}, unknown: map[il.VarID]bool{}}
 }
 
 // lookup returns the symbolic value of v (Ref(v) meaning "entry value").
 func (se *symEnv) lookup(v il.VarID, t *il.VarRef) il.Expr {
 	if e, ok := se.vals[v]; ok {
-		return il.CloneExpr(e)
+		return se.ar.CloneExpr(e)
 	}
-	return il.CloneExpr(t)
+	return se.ar.CloneExpr(t)
 }
 
 const symEnvMaxNodes = 64
@@ -399,7 +401,7 @@ const symEnvMaxNodes = 64
 func (se *symEnv) subst(e il.Expr) (il.Expr, bool) {
 	bad := false
 	nodes := 0
-	out := il.RewriteExpr(e, func(x il.Expr) il.Expr {
+	out := se.ar.RewriteExpr(e, func(x il.Expr) il.Expr {
 		nodes++
 		if v, ok := x.(*il.VarRef); ok {
 			if se.unknown[v.ID] {
@@ -492,7 +494,8 @@ func (se *symEnv) exec(p *il.Proc, s il.Stmt) bool {
 // prev and body, §4) to recover head-invariant relations such as
 // "n == t-1 at the loop head" that arise from while(n--)-style loops.
 func bodyRecurrence(p *il.Proc, body, prev []il.Stmt, iv il.VarID) (il.Expr, bool) {
-	env := newSymEnv()
+	ar := p.Arena()
+	env := newSymEnv(ar)
 	for _, s := range body {
 		if !env.exec(p, s) {
 			return nil, false
@@ -502,18 +505,18 @@ func bodyRecurrence(p *il.Proc, body, prev []il.Stmt, iv il.VarID) (il.Expr, boo
 	if !ok {
 		return nil, false
 	}
-	next = il.CloneExpr(next)
+	next = ar.CloneExpr(next)
 
 	// Apply head facts derived from the duplicated suffix until the
 	// expression mentions iv or stops changing.
 	facts := headFacts(p, body, prev)
 	for i := 0; i < 4 && !il.UsesVar(next, iv); i++ {
 		changed := false
-		next = il.RewriteExpr(next, func(x il.Expr) il.Expr {
+		next = ar.RewriteExpr(next, func(x il.Expr) il.Expr {
 			if v, ok := x.(*il.VarRef); ok {
 				if f, ok := facts[v.ID]; ok {
 					changed = true
-					return il.CloneExpr(f)
+					return ar.CloneExpr(f)
 				}
 			}
 			return x
@@ -523,11 +526,11 @@ func bodyRecurrence(p *il.Proc, body, prev []il.Stmt, iv il.VarID) (il.Expr, boo
 		}
 	}
 
-	return matchRecurrence(next, iv)
+	return matchRecurrence(ar, next, iv)
 }
 
 // matchRecurrence matches e against iv + c / c + iv / iv - c.
-func matchRecurrence(e il.Expr, iv il.VarID) (il.Expr, bool) {
+func matchRecurrence(ar *il.Arena, e il.Expr, iv il.VarID) (il.Expr, bool) {
 	b, ok := e.(*il.Bin)
 	if !ok {
 		return nil, false
@@ -537,7 +540,7 @@ func matchRecurrence(e il.Expr, iv il.VarID) (il.Expr, bool) {
 		case il.OpAdd:
 			return b.R, true
 		case il.OpSub:
-			return il.NewUn(il.OpNeg, il.CloneExpr(b.R), b.R.Type()), true
+			return ar.NewUn(il.OpNeg, ar.CloneExpr(b.R), b.R.Type()), true
 		}
 	}
 	if v, ok := b.R.(*il.VarRef); ok && v.ID == iv && b.Op == il.OpAdd && !il.UsesVar(b.L, iv) {
@@ -556,7 +559,8 @@ func headFacts(p *il.Proc, body, prev []il.Stmt) map[il.VarID]il.Expr {
 		return nil
 	}
 	suffix := body[len(body)-k:]
-	env := newSymEnv()
+	ar := p.Arena()
+	env := newSymEnv(ar)
 	for _, s := range suffix {
 		if !env.exec(p, s) {
 			return nil
@@ -579,7 +583,7 @@ func headFacts(p *il.Proc, body, prev []il.Stmt) map[il.VarID]il.Expr {
 	for _, x := range keys {
 		if y, ok := env.vals[x].(*il.VarRef); ok {
 			if _, exists := rename[y.ID]; !exists {
-				rename[y.ID] = il.Ref(x, y.T)
+				rename[y.ID] = ar.VarRef(x, y.T)
 			}
 		}
 	}
@@ -593,14 +597,14 @@ func headFacts(p *il.Proc, body, prev []il.Stmt) map[il.VarID]il.Expr {
 			continue
 		}
 		ok := true
-		f := il.RewriteExpr(val, func(e il.Expr) il.Expr {
+		f := ar.RewriteExpr(val, func(e il.Expr) il.Expr {
 			v, isVar := e.(*il.VarRef)
 			if !isVar {
 				return e
 			}
 			// Every VarRef in val denotes the variable's pre-suffix value.
 			if r, has := rename[v.ID]; has {
-				return il.CloneExpr(r)
+				return ar.CloneExpr(r)
 			}
 			if _, defined := env.vals[v.ID]; defined {
 				// Redefined by the suffix with no renaming: the pre-value

@@ -175,56 +175,56 @@ func convertListLoop(prog *il.Program, p *il.Proc, w *il.While) ([]il.Stmt, bool
 	iv := p.AddVar(il.Var{Name: fmt.Sprintf("li%d", len(p.Vars)), Type: ctype.IntType, Class: il.ClassTemp})
 	node := p.AddVar(il.Var{Name: fmt.Sprintf("lnode%d", len(p.Vars)), Type: ptrT, Class: il.ClassTemp})
 
+	a := p.Arena()
 	intT := ctype.IntType
 	bufAddr := func(idx il.Expr) il.Expr {
-		return il.Add(&il.AddrOf{ID: bufID, T: ctype.PointerTo(ctype.PointerTo(ctype.VoidType))},
-			il.Mul(il.Int(4), idx, intT), ctype.PointerTo(ptrT))
+		return a.Add(a.AddrOf(bufID, ctype.PointerTo(ctype.PointerTo(ctype.VoidType))),
+			a.Mul(a.Int(4), idx, intT), ctype.PointerTo(ptrT))
 	}
 
 	// Serial collection: n = 0; while (p && n < CAP) { buf[n] = p; n++;
 	// chase }. The && is expressed with the IL's pure operators.
-	collect := &il.While{
-		Cond: il.Ref(ptr, ptrT),
-		Body: []il.Stmt{
-			&il.If{
-				Cond: il.NewBin(il.OpGe, il.Ref(count, intT), il.Int(listBufCap), intT),
-				Then: []il.Stmt{&il.Goto{Target: ""}}, // patched below
-			},
-			&il.Assign{
-				Dst: &il.Load{Addr: bufAddr(il.Ref(count, intT)), T: ptrT},
-				Src: il.Ref(ptr, ptrT),
-			},
-			&il.Assign{Dst: il.Ref(count, intT), Src: il.Add(il.Ref(count, intT), il.Int(1), intT)},
-			il.CloneStmt(chase),
-		},
-	}
 	exitLbl := p.NewLabel("lful")
-	collect.Body[0].(*il.If).Then[0].(*il.Goto).Target = exitLbl
+	collect := a.While(il.While{
+		Cond: a.VarRef(ptr, ptrT),
+		Body: []il.Stmt{
+			a.If(il.If{
+				Cond: a.NewBin(il.OpGe, a.VarRef(count, intT), a.Int(listBufCap), intT),
+				Then: []il.Stmt{a.Goto(il.Goto{Target: exitLbl})},
+			}),
+			a.Assign(il.Assign{
+				Dst: a.Load(bufAddr(a.VarRef(count, intT)), ptrT, false),
+				Src: a.VarRef(ptr, ptrT),
+			}),
+			a.Assign(il.Assign{Dst: a.VarRef(count, intT), Src: a.Add(a.VarRef(count, intT), a.Int(1), intT)}),
+			a.CloneStmt(chase),
+		},
+	})
 
 	// Parallel per-node work: body with ptr replaced by the node temp.
 	parBody := []il.Stmt{
-		&il.Assign{Dst: il.Ref(node, ptrT), Src: &il.Load{Addr: bufAddr(il.Ref(iv, intT)), T: ptrT}},
+		a.Assign(il.Assign{Dst: a.VarRef(node, ptrT), Src: a.Load(bufAddr(a.VarRef(iv, intT)), ptrT, false)}),
 	}
 	for _, s := range body {
-		cl := il.CloneStmt(s)
-		il.RewriteTreeExprs(cl, func(e il.Expr) il.Expr {
+		cl := a.CloneStmt(s)
+		a.RewriteTreeExprs(cl, func(e il.Expr) il.Expr {
 			if v, isVar := e.(*il.VarRef); isVar && v.ID == ptr {
-				return il.Ref(node, ptrT)
+				return a.VarRef(node, ptrT)
 			}
 			return e
 		})
 		parBody = append(parBody, cl)
 	}
-	par := &il.DoParallel{IV: iv, Init: il.Int(0),
-		Limit: il.Sub(il.Ref(count, intT), il.Int(1), intT), Step: il.Int(1), Body: parBody}
+	par := a.DoParallel(il.DoParallel{IV: iv, Init: a.Int(0),
+		Limit: a.Sub(a.VarRef(count, intT), a.Int(1), intT), Step: a.Int(1), Body: parBody})
 
 	// Tail: whatever remains past the buffer runs with the original loop.
-	tail := &il.While{Cond: il.Ref(ptr, ptrT), Body: il.CloneStmts(w.Body)}
+	tail := a.While(il.While{Cond: a.VarRef(ptr, ptrT), Body: a.CloneStmts(w.Body)})
 
 	out := []il.Stmt{
-		&il.Assign{Dst: il.Ref(count, intT), Src: il.Int(0)},
+		a.Assign(il.Assign{Dst: a.VarRef(count, intT), Src: a.Int(0)}),
 		collect,
-		&il.Label{Name: exitLbl},
+		a.Label(il.Label{Name: exitLbl}),
 		par,
 		tail,
 	}

@@ -66,8 +66,8 @@ func walkNests(p *il.Proc, list []il.Stmt, r *diag.Reporter, st *NestStats) []il
 					Pos: n.Pos, Proc: p.Name, Pass: "nest-parallelize",
 					Message: "outer loop of nest parallelized: outer stride clears the inner sweep"})
 				p.BumpGeneration()
-				out = append(out, &il.DoParallel{IV: n.IV, Init: n.Init,
-					Limit: n.Limit, Step: n.Step, Body: n.Body, Pos: n.Pos})
+				out = append(out, p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
+					Limit: n.Limit, Step: n.Step, Body: n.Body, Pos: n.Pos}))
 				continue
 			}
 		}
@@ -379,10 +379,10 @@ func linearize2(p *il.Proc, addr il.Expr, ivOuter, ivInner il.VarID) (nestRef, b
 			case ivInner:
 				r.c2 += scale
 			default:
-				addBase(&base, e, scale, &okAll)
+				addBase(p.Arena(), &base, e, scale, &okAll)
 			}
 		case *il.AddrOf:
-			addBase(&base, e, scale, &okAll)
+			addBase(p.Arena(), &base, e, scale, &okAll)
 		case *il.Cast:
 			walk(n.X, scale)
 		case *il.Un:
@@ -428,7 +428,7 @@ func linearize2(p *il.Proc, addr il.Expr, ivOuter, ivInner il.VarID) (nestRef, b
 // addBase accumulates invariant terms into the base expression; scaled
 // invariant terms are allowed only with coefficient 1 (anything fancier is
 // conservative).
-func addBase(base *il.Expr, e il.Expr, scale int64, ok *bool) {
+func addBase(a *il.Arena, base *il.Expr, e il.Expr, scale int64, ok *bool) {
 	if scale != 1 {
 		*ok = false
 		return
@@ -437,5 +437,5 @@ func addBase(base *il.Expr, e il.Expr, scale int64, ok *bool) {
 		*base = e
 		return
 	}
-	*base = &il.Bin{Op: il.OpAdd, L: *base, R: e, T: (*base).Type()}
+	*base = a.Bin(il.OpAdd, *base, e, (*base).Type())
 }

@@ -126,8 +126,8 @@ func (w *walker) walk(p *il.Proc, list []il.Stmt) []il.Stmt {
 				// The loop object changes identity and kind; stale cached
 				// analyses of the enclosing procedure must not survive.
 				p.BumpGeneration()
-				out = append(out, &il.DoParallel{IV: n.IV, Init: n.Init,
-					Limit: n.Limit, Step: n.Step, Body: n.Body, Width: width, Pos: n.Pos})
+				out = append(out, p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
+					Limit: n.Limit, Step: n.Step, Body: n.Body, Width: width, Pos: n.Pos}))
 				continue
 			}
 			// Carried dependences are not necessarily fatal: when every
@@ -273,11 +273,12 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 			stride = sched.SyncStride
 		}
 	}
+	a := p.Arena()
 	body := make([]il.Stmt, 0, len(n.Body)+2)
 	body = append(body, n.Body[:plan.WaitIdx]...)
-	body = append(body, &il.SyncWait{Distance: plan.Distance, Pos: n.Pos})
+	body = append(body, a.SyncWait(il.SyncWait{Distance: plan.Distance, Pos: n.Pos}))
 	body = append(body, n.Body[plan.WaitIdx:plan.PostIdx+1]...)
-	body = append(body, &il.SyncPost{Pos: n.Pos})
+	body = append(body, a.SyncPost(il.SyncPost{Pos: n.Pos}))
 	body = append(body, n.Body[plan.PostIdx+1:]...)
 	w.st.LoopsDoacross++
 	remark(w.r, p, n, diag.ParDoacross, map[string]string{
@@ -286,10 +287,10 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 		"sync_stride": fmt.Sprintf("%d", stride),
 	}, "loop pipelined DOACROSS: carried dependence %s synchronized at distance %d", plan.Dep, plan.Distance)
 	p.BumpGeneration()
-	return &il.DoParallel{IV: n.IV, Init: n.Init, Limit: n.Limit, Step: n.Step,
+	return a.DoParallel(il.DoParallel{IV: n.IV, Init: n.Init, Limit: n.Limit, Step: n.Step,
 		Body: body, Width: width,
-		Sync: &il.SyncInfo{Distance: plan.Distance, Stride: stride, Desc: plan.Dep},
-		Pos:  n.Pos}
+		Sync: a.SyncInfo(il.SyncInfo{Distance: plan.Distance, Stride: stride, Desc: plan.Dep}),
+		Pos:  n.Pos})
 }
 
 // bodyCost is a crude per-iteration cycle estimate: one cycle per

@@ -219,18 +219,19 @@ func unroll(p *il.Proc, loop *il.DoLoop, factor int, st *Stats) ([]il.Stmt, bool
 	}
 	// The remainder continues at the main loop's exit IV (codegen defines
 	// it: Init + trips·Step), covering the trips the widened step skips.
-	rem := &il.DoLoop{IV: loop.IV, Init: il.Ref(loop.IV, ivType),
-		Limit: il.CloneExpr(loop.Limit), Step: il.CloneExpr(loop.Step),
-		Body: il.CloneStmts(loop.Body), Safe: loop.Safe, Pos: loop.Pos}
+	a := p.Arena()
+	rem := a.DoLoop(il.DoLoop{IV: loop.IV, Init: a.VarRef(loop.IV, ivType),
+		Limit: a.CloneExpr(loop.Limit), Step: a.CloneExpr(loop.Step),
+		Body: a.CloneStmts(loop.Body), Safe: loop.Safe, Pos: loop.Pos})
 	var body []il.Stmt
 	for j := 0; j < factor; j++ {
-		clone := il.CloneStmts(loop.Body)
+		clone := a.CloneStmts(loop.Body)
 		if j > 0 {
 			off := int64(j) * stepC
 			for _, cs := range clone {
-				il.RewriteTreeExprs(cs, func(e il.Expr) il.Expr {
+				a.RewriteTreeExprs(cs, func(e il.Expr) il.Expr {
 					if v, isVar := e.(*il.VarRef); isVar && v.ID == loop.IV {
-						return il.Add(il.Ref(loop.IV, ivType), il.Int(off), ivType)
+						return a.Add(a.VarRef(loop.IV, ivType), a.Int(off), ivType)
 					}
 					return e
 				})
@@ -239,8 +240,8 @@ func unroll(p *il.Proc, loop *il.DoLoop, factor int, st *Stats) ([]il.Stmt, bool
 		body = append(body, clone...)
 	}
 	loop.Body = body
-	loop.Limit = il.Sub(il.CloneExpr(loop.Limit), il.Int(int64(factor-1)*stepC), ctype.IntType)
-	loop.Step = il.Int(stepC * int64(factor))
+	loop.Limit = a.Sub(a.CloneExpr(loop.Limit), a.Int(int64(factor-1)*stepC), ctype.IntType)
+	loop.Step = a.Int(stepC * int64(factor))
 	st.UnrolledLoops++
 	return []il.Stmt{rem}, true
 }
@@ -312,11 +313,12 @@ func promote(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, boo
 
 	elem := elementType(storeStmt)
 	reg := p.AddVar(il.Var{Name: fmt.Sprintf("f_reg%d", len(p.Vars)), Type: elem, Class: il.ClassTemp})
-	regRef := func() *il.VarRef { return il.Ref(reg, elem) }
+	a := p.Arena()
+	regRef := func() *il.VarRef { return a.VarRef(reg, elem) }
 
 	// Preheader: reg = load at the first iteration's address.
-	initAddr := substIV(loadRef.Expr, loop.IV, loop.Init)
-	pre := []il.Stmt{&il.Assign{Dst: regRef(), Src: &il.Load{Addr: initAddr, T: elem}}}
+	initAddr := substIV(a, loadRef.Expr, loop.IV, loop.Init)
+	pre := []il.Stmt{a.Assign(il.Assign{Dst: regRef(), Src: a.Load(initAddr, elem, false)})}
 
 	// Replace the load and funnel the store through the register.
 	loadExpr := loadRef.Expr
@@ -326,7 +328,7 @@ func promote(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, boo
 		if !ok {
 			continue
 		}
-		as.Src = il.RewriteExpr(as.Src, func(e il.Expr) il.Expr {
+		as.Src = a.RewriteExpr(as.Src, func(e il.Expr) il.Expr {
 			if l, isLoad := e.(*il.Load); isLoad && il.ExprEqual(l.Addr, loadExpr) {
 				replaced++
 				return regRef()
@@ -344,8 +346,8 @@ func promote(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, boo
 		if i == idx {
 			as := s.(*il.Assign)
 			newBody = append(newBody,
-				&il.Assign{Dst: regRef(), Src: as.Src},
-				&il.Assign{Dst: as.Dst, Src: regRef()})
+				a.Assign(il.Assign{Dst: regRef(), Src: as.Src}),
+				a.Assign(il.Assign{Dst: as.Dst, Src: regRef()}))
 			continue
 		}
 		newBody = append(newBody, s)
@@ -364,10 +366,10 @@ func elementType(as *il.Assign) *ctype.Type {
 }
 
 // substIV replaces the loop IV in a cloned expression.
-func substIV(e il.Expr, iv il.VarID, with il.Expr) il.Expr {
-	return il.RewriteExpr(e, func(x il.Expr) il.Expr {
+func substIV(a *il.Arena, e il.Expr, iv il.VarID, with il.Expr) il.Expr {
+	return a.RewriteExpr(e, func(x il.Expr) il.Expr {
 		if v, ok := x.(*il.VarRef); ok && v.ID == iv {
-			return il.CloneExpr(with)
+			return a.CloneExpr(with)
 		}
 		return x
 	})
@@ -386,12 +388,13 @@ type addrClass struct {
 
 // reduce rewrites affine addresses into bumped pointers.
 func reduce(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, bool) {
+	a := p.Arena()
 	stepC, _ := il.IsIntConst(loop.Step)
 	classes := map[string]*addrClass{}
 	var order []*addrClass
 
 	classify := func(addr il.Expr, elem *ctype.Type) (*addrClass, int64, bool) {
-		coef, base, off, ok := affineParts(loop.IV, addr)
+		coef, base, off, ok := affineParts(a, loop.IV, addr)
 		if !ok || coef == 0 {
 			return nil, 0, false
 		}
@@ -438,9 +441,9 @@ func reduce(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, bool
 	for _, c := range order {
 		pt := ctype.PointerTo(c.t)
 		c.ptr = p.AddVar(il.Var{Name: fmt.Sprintf("temp_p%d", len(p.Vars)), Type: pt, Class: il.ClassTemp})
-		init := il.Add(il.CloneExpr(c.base),
-			il.Mul(il.Int(c.coef), il.CloneExpr(loop.Init), ctype.IntType), pt)
-		pre = append(pre, &il.Assign{Dst: il.Ref(c.ptr, pt), Src: init})
+		init := a.Add(a.CloneExpr(c.base),
+			a.Mul(a.Int(c.coef), a.CloneExpr(loop.Init), ctype.IntType), pt)
+		pre = append(pre, a.Assign(il.Assign{Dst: a.VarRef(c.ptr, pt), Src: init}))
 		st.Pointers++
 	}
 
@@ -452,117 +455,117 @@ func reduce(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, bool
 		}
 		st.ReducedRefs++
 		pt := ctype.PointerTo(elem)
-		return il.Add(il.Ref(c.ptr, pt), il.Int(off), pt)
+		return a.Add(a.VarRef(c.ptr, pt), a.Int(off), pt)
 	}
 	for _, s := range loop.Body {
 		as := s.(*il.Assign)
 		if l, ok := as.Dst.(*il.Load); ok {
-			as.Dst = &il.Load{Addr: rewriteAddr(l.Addr, l.T), T: l.T, Volatile: l.Volatile}
+			as.Dst = a.Load(rewriteAddr(l.Addr, l.T), l.T, l.Volatile)
 		}
-		as.Src = il.RewriteExpr(as.Src, func(e il.Expr) il.Expr {
+		as.Src = a.RewriteExpr(as.Src, func(e il.Expr) il.Expr {
 			if l, ok := e.(*il.Load); ok {
-				return &il.Load{Addr: rewriteAddr(l.Addr, l.T), T: l.T, Volatile: l.Volatile}
+				return a.Load(rewriteAddr(l.Addr, l.T), l.T, l.Volatile)
 			}
 			return e
 		})
 	}
 	for _, c := range order {
 		pt := ctype.PointerTo(c.t)
-		bump := il.Add(il.Ref(c.ptr, pt), il.Int(c.coef*stepC), pt)
-		loop.Body = append(loop.Body, &il.Assign{Dst: il.Ref(c.ptr, pt), Src: bump})
+		bump := a.Add(a.VarRef(c.ptr, pt), a.Int(c.coef*stepC), pt)
+		loop.Body = append(loop.Body, a.Assign(il.Assign{Dst: a.VarRef(c.ptr, pt), Src: bump}))
 	}
 	return pre, true
 }
 
 // affineParts decomposes addr = base + coef·iv + off with base iv-free and
 // off the constant part.
-func affineParts(iv il.VarID, e il.Expr) (coef int64, base il.Expr, off int64, ok bool) {
-	c, rest, okA := affine(iv, e)
+func affineParts(a *il.Arena, iv il.VarID, e il.Expr) (coef int64, base il.Expr, off int64, ok bool) {
+	c, rest, okA := affine(a, iv, e)
 	if !okA {
 		return 0, nil, 0, false
 	}
 	// Split the constant part out of rest. Clone first: splitConst hands
 	// back subtrees that outlive the statement they came from.
 	off = 0
-	base = il.CloneExpr(rest)
-	base, off = splitConst(base)
+	base = a.CloneExpr(rest)
+	base, off = splitConst(a, base)
 	return c, base, off, true
 }
 
 // splitConst pulls additive integer constants out of e.
-func splitConst(e il.Expr) (il.Expr, int64) {
+func splitConst(a *il.Arena, e il.Expr) (il.Expr, int64) {
 	if c, ok := il.IsIntConst(e); ok {
-		return il.Int(0), c
+		return a.Int(0), c
 	}
 	if b, ok := e.(*il.Bin); ok {
 		switch b.Op {
 		case il.OpAdd:
-			l, cl := splitConst(b.L)
-			r, cr := splitConst(b.R)
-			return il.Add(l, r, b.T), cl + cr
+			l, cl := splitConst(a, b.L)
+			r, cr := splitConst(a, b.R)
+			return a.Add(l, r, b.T), cl + cr
 		case il.OpSub:
-			l, cl := splitConst(b.L)
-			r, cr := splitConst(b.R)
-			return il.Sub(l, r, b.T), cl - cr
+			l, cl := splitConst(a, b.L)
+			r, cr := splitConst(a, b.R)
+			return a.Sub(l, r, b.T), cl - cr
 		}
 	}
 	return e, 0
 }
 
 // affine mirrors the vectorizer's decomposition (coef, rest).
-func affine(iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
+func affine(a *il.Arena, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 	switch n := e.(type) {
 	case *il.ConstInt, *il.ConstFloat, *il.AddrOf:
 		return 0, e, true
 	case *il.VarRef:
 		if n.ID == iv {
-			return 1, il.Int(0), true
+			return 1, a.Int(0), true
 		}
 		return 0, e, true
 	case *il.Cast:
 		if !il.UsesVar(n.X, iv) {
 			return 0, e, true
 		}
-		return affine(iv, n.X)
+		return affine(a, iv, n.X)
 	case *il.Bin:
 		switch n.Op {
 		case il.OpAdd:
-			cl, rl, okl := affine(iv, n.L)
-			cr, rr, okr := affine(iv, n.R)
+			cl, rl, okl := affine(a, iv, n.L)
+			cr, rr, okr := affine(a, iv, n.R)
 			if !okl || !okr {
 				return 0, nil, false
 			}
-			return cl + cr, il.Add(rl, rr, n.T), true
+			return cl + cr, a.Add(rl, rr, n.T), true
 		case il.OpSub:
-			cl, rl, okl := affine(iv, n.L)
-			cr, rr, okr := affine(iv, n.R)
+			cl, rl, okl := affine(a, iv, n.L)
+			cr, rr, okr := affine(a, iv, n.R)
 			if !okl || !okr {
 				return 0, nil, false
 			}
-			return cl - cr, il.Sub(rl, rr, n.T), true
+			return cl - cr, a.Sub(rl, rr, n.T), true
 		case il.OpMul:
 			if c, ok := il.IsIntConst(n.L); ok {
-				ci, ri, oki := affine(iv, n.R)
+				ci, ri, oki := affine(a, iv, n.R)
 				if !oki {
 					return 0, nil, false
 				}
-				return c * ci, il.Mul(il.Int(c), ri, n.T), true
+				return c * ci, a.Mul(a.Int(c), ri, n.T), true
 			}
 			if c, ok := il.IsIntConst(n.R); ok {
-				ci, ri, oki := affine(iv, n.L)
+				ci, ri, oki := affine(a, iv, n.L)
 				if !oki {
 					return 0, nil, false
 				}
-				return c * ci, il.Mul(ri, il.Int(c), n.T), true
+				return c * ci, a.Mul(ri, a.Int(c), n.T), true
 			}
 		}
 	case *il.Un:
 		if n.Op == il.OpNeg {
-			c, r, ok := affine(iv, n.X)
+			c, r, ok := affine(a, iv, n.X)
 			if !ok {
 				return 0, nil, false
 			}
-			return -c, il.NewUn(il.OpNeg, r, n.T), true
+			return -c, a.NewUn(il.OpNeg, r, n.T), true
 		}
 	}
 	if !il.UsesVar(e, iv) && pureExpr(e) {
@@ -588,6 +591,7 @@ func pureExpr(e il.Expr) bool {
 // preheader temporaries (loop-invariant code motion with CSE: equal
 // expressions share a temp).
 func hoist(p *il.Proc, loop *il.DoLoop, st *Stats) ([]il.Stmt, bool) {
+	a := p.Arena()
 	defined := map[il.VarID]bool{loop.IV: true}
 	for _, s := range loop.Body {
 		il.WalkStmts([]il.Stmt{s}, func(sub il.Stmt) bool {
@@ -627,7 +631,7 @@ func hoist(p *il.Proc, loop *il.DoLoop, st *Stats) ([]il.Stmt, bool) {
 			continue
 		}
 		rewrite := func(e il.Expr) il.Expr {
-			return il.RewriteExpr(e, func(x il.Expr) il.Expr {
+			return a.RewriteExpr(e, func(x il.Expr) il.Expr {
 				b, isBin := x.(*il.Bin)
 				if !isBin || !invariant(b) || size(b) < 3 {
 					return x
@@ -637,15 +641,15 @@ func hoist(p *il.Proc, loop *il.DoLoop, st *Stats) ([]il.Stmt, bool) {
 				if !have {
 					id = p.NewTemp(b.T)
 					temps[key] = id
-					pre = append(pre, &il.Assign{Dst: il.Ref(id, b.T), Src: il.CloneExpr(b)})
+					pre = append(pre, a.Assign(il.Assign{Dst: a.VarRef(id, b.T), Src: a.CloneExpr(b)}))
 					st.HoistedExprs++
 				}
 				changed = true
-				return il.Ref(id, b.T)
+				return a.VarRef(id, b.T)
 			})
 		}
 		if l, isStore := as.Dst.(*il.Load); isStore {
-			as.Dst = &il.Load{Addr: rewrite(l.Addr), T: l.T, Volatile: l.Volatile}
+			as.Dst = a.Load(rewrite(l.Addr), l.T, l.Volatile)
 		}
 		as.Src = rewrite(as.Src)
 	}

@@ -93,7 +93,7 @@ func ifConvertLoop(p *il.Proc, loop *il.DoLoop, scheds *schedule.Set, r *diag.Re
 		for _, t := range cond.Then {
 			as := t.(*il.Assign)
 			out = append(out, ar.PredAssign(il.PredAssign{
-				Cond: il.CloneExprIn(ar, cond.Cond),
+				Cond: ar.CloneExpr(cond.Cond),
 				Dst:  as.Dst, Src: as.Src, Pos: as.Pos,
 			}))
 			predicated++
@@ -101,7 +101,7 @@ func ifConvertLoop(p *il.Proc, loop *il.DoLoop, scheds *schedule.Set, r *diag.Re
 		for _, t := range cond.Else {
 			as := t.(*il.Assign)
 			out = append(out, ar.PredAssign(il.PredAssign{
-				Cond: il.NewUnIn(ar, il.OpNot, il.CloneExprIn(ar, cond.Cond), cond.Cond.Type()),
+				Cond: ar.NewUn(il.OpNot, ar.CloneExpr(cond.Cond), cond.Cond.Type()),
 				Dst:  as.Dst, Src: as.Src, Pos: as.Pos,
 			}))
 			predicated++

@@ -350,9 +350,10 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 			st.SerialResidue++
 			residue++
 		}
-		out = append(out, &il.DoLoop{IV: loop.IV, Init: il.CloneExpr(loop.Init),
-			Limit: il.CloneExpr(loop.Limit), Step: il.CloneExpr(loop.Step),
-			Body: body, Safe: loop.Safe, Pos: loop.Pos})
+		a := p.Arena()
+		out = append(out, a.DoLoop(il.DoLoop{IV: loop.IV, Init: a.CloneExpr(loop.Init),
+			Limit: a.CloneExpr(loop.Limit), Step: a.CloneExpr(loop.Step),
+			Body: body, Safe: loop.Safe, Pos: loop.Pos}))
 	}
 	// Optimizer-manufactured strip statements inherit the loop's position.
 	il.StampStmts(out, loop.Pos)
@@ -396,26 +397,27 @@ func normalize(p *il.Proc, loop *il.DoLoop) bool {
 		return true
 	}
 	// trips-1 = (Limit-Init)/Step  (exact for DO semantics).
+	a := p.Arena()
 	t := p.Vars[loop.IV].Type
-	diff := il.Sub(il.CloneExpr(loop.Limit), il.CloneExpr(loop.Init), t)
-	limit := il.NewBin(il.OpDiv, diff, il.CloneExpr(loop.Step), t)
+	diff := a.Sub(a.CloneExpr(loop.Limit), a.CloneExpr(loop.Init), t)
+	limit := a.NewBin(il.OpDiv, diff, a.CloneExpr(loop.Step), t)
 	oldIV := loop.IV
 	init := loop.Init
 	step := loop.Step
 	newIV := p.AddVar(il.Var{Name: p.Vars[oldIV].Name + ".n", Type: ctype.IntType, Class: il.ClassTemp})
 	for _, s := range loop.Body {
-		il.RewriteTreeExprs(s, func(e il.Expr) il.Expr {
+		a.RewriteTreeExprs(s, func(e il.Expr) il.Expr {
 			if v, ok := e.(*il.VarRef); ok && v.ID == oldIV {
-				return il.Add(il.CloneExpr(init),
-					il.Mul(il.CloneExpr(step), il.Ref(newIV, ctype.IntType), ctype.IntType), t)
+				return a.Add(a.CloneExpr(init),
+					a.Mul(a.CloneExpr(step), a.VarRef(newIV, ctype.IntType), ctype.IntType), t)
 			}
 			return e
 		})
 	}
 	loop.IV = newIV
-	loop.Init = il.Int(0)
+	loop.Init = a.Int(0)
 	loop.Limit = limit
-	loop.Step = il.Int(1)
+	loop.Step = a.Int(1)
 	return true
 }
 
@@ -456,7 +458,8 @@ func vectorizableStmt(p *il.Proc, loop *il.DoLoop, s il.Stmt, allowMasked bool) 
 // expression never uses the IV.
 func vecOperandOK(p *il.Proc, loop *il.DoLoop, e il.Expr) bool {
 	ok := true
-	resid := il.RewriteExpr(e, func(x il.Expr) il.Expr {
+	a := p.Arena()
+	resid := a.RewriteExpr(e, func(x il.Expr) il.Expr {
 		if ld, isLoad := x.(*il.Load); isLoad {
 			if ld.Volatile {
 				ok = false
@@ -466,7 +469,7 @@ func vecOperandOK(p *il.Proc, loop *il.DoLoop, e il.Expr) bool {
 			}
 			// Stand-in constant so the UsesVar check below only sees
 			// residual (non-address) uses of the IV.
-			return il.Int(0)
+			return a.Int(0)
 		}
 		return x
 	})
@@ -506,6 +509,7 @@ func mustSplit(p *il.Proc, loop *il.DoLoop, addr il.Expr) (int64, il.Expr, bool)
 
 // affine returns (coef, rest) such that e = rest + coef·iv.
 func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
+	a := p.Arena()
 	switch n := e.(type) {
 	case *il.ConstInt:
 		return 0, e, true
@@ -513,7 +517,7 @@ func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 		return 0, e, true
 	case *il.VarRef:
 		if n.ID == iv {
-			return 1, il.Int(0), true
+			return 1, a.Int(0), true
 		}
 		return 0, e, true
 	case *il.AddrOf:
@@ -535,28 +539,28 @@ func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 			if !okl || !okr {
 				return 0, nil, false
 			}
-			return cl + cr, il.Add(rl, rr, e.Type()), true
+			return cl + cr, a.Add(rl, rr, e.Type()), true
 		case il.OpSub:
 			cl, rl, okl := affine(p, iv, n.L)
 			cr, rr, okr := affine(p, iv, n.R)
 			if !okl || !okr {
 				return 0, nil, false
 			}
-			return cl - cr, il.Sub(rl, rr, e.Type()), true
+			return cl - cr, a.Sub(rl, rr, e.Type()), true
 		case il.OpMul:
 			if c, ok := il.IsIntConst(n.L); ok {
 				ci, ri, oki := affine(p, iv, n.R)
 				if !oki {
 					return 0, nil, false
 				}
-				return c * ci, il.Mul(il.Int(c), ri, e.Type()), true
+				return c * ci, a.Mul(a.Int(c), ri, e.Type()), true
 			}
 			if c, ok := il.IsIntConst(n.R); ok {
 				ci, ri, oki := affine(p, iv, n.L)
 				if !oki {
 					return 0, nil, false
 				}
-				return c * ci, il.Mul(ri, il.Int(c), e.Type()), true
+				return c * ci, a.Mul(ri, a.Int(c), e.Type()), true
 			}
 		}
 	case *il.Un:
@@ -565,7 +569,7 @@ func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 			if !ok {
 				return 0, nil, false
 			}
-			return -c, il.NewUn(il.OpNeg, r, e.Type()), true
+			return -c, a.NewUn(il.OpNeg, r, e.Type()), true
 		}
 	}
 	if !il.UsesVar(e, iv) {
@@ -579,11 +583,12 @@ func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 // following the loop's schedule for strip length and parallel shape. A
 // non-nil cond becomes the strip's mask expression.
 func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sched schedule.Schedule, parallelOK bool, st *Stats) []il.Stmt {
+	a := p.Arena()
 	vl := int64(sched.VL)
 	dstCoef, dstBase, _ := affine(p, loop.IV, dst.Addr)
 
 	// Total length = Limit + 1 (normalized).
-	total := il.Add(il.CloneExpr(loop.Limit), il.Int(1), ctype.IntType)
+	total := a.Add(a.CloneExpr(loop.Limit), a.Int(1), ctype.IntType)
 
 	// An expression with loads replaced by vector section references of
 	// the strip origin; the strip IV is added to bases below.
@@ -594,7 +599,7 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sc
 		// Clone per call: the rewrite is copy-on-write, and makeVec runs
 		// once per emitted strip form — without the clone the strip and
 		// remainder statements would share invariant subtrees.
-		return il.RewriteExpr(il.CloneExpr(e), func(x il.Expr) il.Expr {
+		return a.RewriteExpr(a.CloneExpr(e), func(x il.Expr) il.Expr {
 			ld, ok := x.(*il.Load)
 			if !ok {
 				return x
@@ -603,23 +608,22 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sc
 			if coef == 0 {
 				return x // invariant scalar load, broadcast
 			}
-			b := il.Add(base, il.Mul(il.Int(coef), il.CloneExpr(originIV), ctype.IntType), ld.Addr.Type())
-			return &il.VecRef{Base: b, Stride: il.Int(coef), T: ld.T}
+			b := a.Add(base, a.Mul(a.Int(coef), a.CloneExpr(originIV), ctype.IntType), ld.Addr.Type())
+			return a.VecRef(b, a.Int(coef), ld.T)
 		})
 	}
 
 	// Small constant trip counts skip the strip loop entirely (§5.2: 4×4
 	// graphics transforms must not pay strip overhead).
 	if tc, ok := il.IsIntConst(total); ok && tc <= vl && tc > 0 {
-		va := &il.VectorAssign{
-			DstBase:   il.Add(dstBase, il.Mul(il.Int(dstCoef), il.Int(0), ctype.IntType), dst.Addr.Type()),
-			DstStride: il.Int(dstCoef),
-			Len:       il.Int(tc),
+		return []il.Stmt{a.VectorAssign(il.VectorAssign{
+			DstBase:   a.Add(dstBase, a.Mul(a.Int(dstCoef), a.Int(0), ctype.IntType), dst.Addr.Type()),
+			DstStride: a.Int(dstCoef),
+			Len:       a.Int(tc),
 			Elem:      dst.T,
-			RHS:       makeVec(src, il.Int(0)),
-			Mask:      makeVec(cond, il.Int(0)),
-		}
-		return []il.Stmt{va}
+			RHS:       makeVec(src, a.Int(0)),
+			Mask:      makeVec(cond, a.Int(0)),
+		})}
 	}
 
 	// Strip loop:
@@ -629,31 +633,31 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sc
 	//   }
 	vi := p.AddVar(il.Var{Name: "vi", Type: ctype.IntType, Class: il.ClassTemp})
 	vlen := p.AddVar(il.Var{Name: "vlen", Type: ctype.IntType, Class: il.ClassTemp})
-	viRef := il.Ref(vi, ctype.IntType)
-	vlenRef := il.Ref(vlen, ctype.IntType)
+	viRef := a.VarRef(vi, ctype.IntType)
+	vlenRef := a.VarRef(vlen, ctype.IntType)
 
 	body := []il.Stmt{
-		&il.Assign{Dst: vlenRef, Src: il.Sub(total, il.CloneExpr(viRef), ctype.IntType)},
-		&il.If{
-			Cond: il.NewBin(il.OpLt, il.Int(vl), il.CloneExpr(vlenRef), ctype.IntType),
-			Then: []il.Stmt{&il.Assign{Dst: il.CloneExpr(vlenRef).(*il.VarRef), Src: il.Int(vl)}},
-		},
-		&il.VectorAssign{
-			DstBase:   il.Add(dstBase, il.Mul(il.Int(dstCoef), il.CloneExpr(viRef), ctype.IntType), dst.Addr.Type()),
-			DstStride: il.Int(dstCoef),
-			Len:       il.CloneExpr(vlenRef),
+		a.Assign(il.Assign{Dst: vlenRef, Src: a.Sub(total, a.CloneExpr(viRef), ctype.IntType)}),
+		a.If(il.If{
+			Cond: a.NewBin(il.OpLt, a.Int(vl), a.CloneExpr(vlenRef), ctype.IntType),
+			Then: []il.Stmt{a.Assign(il.Assign{Dst: a.CloneExpr(vlenRef), Src: a.Int(vl)})},
+		}),
+		a.VectorAssign(il.VectorAssign{
+			DstBase:   a.Add(dstBase, a.Mul(a.Int(dstCoef), a.CloneExpr(viRef), ctype.IntType), dst.Addr.Type()),
+			DstStride: a.Int(dstCoef),
+			Len:       a.CloneExpr(vlenRef),
 			Elem:      dst.T,
 			RHS:       makeVec(src, viRef),
 			Mask:      makeVec(cond, viRef),
-		},
+		}),
 	}
-	limit := il.CloneExpr(loop.Limit)
+	limit := a.CloneExpr(loop.Limit)
 	if parallelOK {
 		st.ParallelLoops++
-		return []il.Stmt{&il.DoParallel{IV: vi, Init: il.Int(0), Limit: limit, Step: il.Int(vl),
-			Body: body, Width: sched.ParallelWidth}}
+		return []il.Stmt{a.DoParallel(il.DoParallel{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl),
+			Body: body, Width: sched.ParallelWidth})}
 	}
-	return []il.Stmt{&il.DoLoop{IV: vi, Init: il.Int(0), Limit: limit, Step: il.Int(vl), Body: body}}
+	return []il.Stmt{a.DoLoop(il.DoLoop{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl), Body: body})}
 }
 
 // tarjan computes strongly connected components in reverse topological

@@ -1,0 +1,169 @@
+package repro
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// literalAllowed lists the only places outside package il that may build
+// an IL node as a composite literal instead of through an *il.Arena.
+var literalAllowed = []struct{ file, node, why string }{
+	{"internal/inline/catalog.go", "*",
+		"catalog decode: a decoded procedure owns no arena by contract; its body is cloned into the caller's arena at expansion"},
+	{"internal/schedule/check.go", "DoLoop",
+		"CheckInterchange's outer-index view: a loop header over the inner loop's body, handed to depend and dropped; it never enters a procedure"},
+}
+
+// parseIL parses package il's non-test files.
+func parseIL(t *testing.T, fset *token.FileSet) []*ast.File {
+	paths, err := filepath.Glob("internal/il/*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("internal/il: %v (%d files)", err, len(paths))
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	return files
+}
+
+// ilNodeTypes returns the names of package il's node types: everything
+// that implements Expr or Stmt, plus everything the Arena keeps a slab of.
+func ilNodeTypes(t *testing.T, fset *token.FileSet) map[string]bool {
+	nodes := map[string]bool{}
+	for _, f := range parseIL(t, fset) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if n.Recv != nil && (n.Name.Name == "exprNode" || n.Name.Name == "stmtNode") {
+					if star, ok := n.Recv.List[0].Type.(*ast.StarExpr); ok {
+						nodes[star.X.(*ast.Ident).Name] = true
+					}
+				}
+			case *ast.IndexExpr: // slab[T]
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == "slab" {
+					if arg, ok := n.Index.(*ast.Ident); ok && ast.IsExported(arg.Name) {
+						nodes[arg.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if !nodes["Bin"] || !nodes["DoLoop"] || !nodes["SyncInfo"] {
+		t.Fatalf("node type discovery is broken: %v", nodes)
+	}
+	return nodes
+}
+
+// TestILBuildersHaveOneForm: every constructor, rewriter and cloner of
+// package il is a method on *Arena. The arena-less free functions and
+// their …In twins are gone and must not come back.
+func TestILBuildersHaveOneForm(t *testing.T) {
+	heapForm := map[string]bool{}
+	for _, name := range strings.Fields(`NewBin NewUn NewCast Int Flt Ref Add Sub Mul SimplifyLinear
+		RewriteExpr RewriteStmtExprs RewriteTreeExprs CloneExpr CloneStmt CloneStmts`) {
+		heapForm[name] = true
+	}
+	fset := token.NewFileSet()
+	for _, f := range parseIL(t, fset) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			if strings.HasSuffix(fn.Name.Name, "In") {
+				t.Errorf("%s: il.%s: the In suffix told arena twins apart; there are no twins", fset.Position(fn.Pos()), fn.Name.Name)
+			}
+			if fn.Recv == nil && heapForm[fn.Name.Name] {
+				t.Errorf("%s: il.%s is an arena-less builder; make it a method on *Arena", fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+	}
+}
+
+// TestILNodesComeFromAnArena keeps the heap/arena fork from regrowing:
+// outside package il, no non-test file under internal/ or cmd/ builds an IL
+// node as &il.T{…}. Node kinds and call sites have bypassed the arena
+// unnoticed before (the DOACROSS markers, the masked stores).
+func TestILNodesComeFromAnArena(t *testing.T) {
+	fset := token.NewFileSet()
+	nodes := ilNodeTypes(t, fset)
+	used := make([]bool, len(literalAllowed))
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			path = filepath.ToSlash(path)
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
+				strings.HasPrefix(path, "internal/il/") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			ilName := ""
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/il" {
+					ilName = "il"
+					if imp.Name != nil {
+						ilName = imp.Name.Name
+					}
+				}
+			}
+			if ilName == "" {
+				return nil
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				u, ok := n.(*ast.UnaryExpr)
+				if !ok || u.Op != token.AND {
+					return true
+				}
+				lit, ok := u.X.(*ast.CompositeLit)
+				if !ok {
+					return true
+				}
+				sel, ok := lit.Type.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != ilName || !nodes[sel.Sel.Name] {
+					return true
+				}
+				for i, a := range literalAllowed {
+					if a.file == path && (a.node == "*" || a.node == sel.Sel.Name) {
+						used[i] = true
+						return true
+					}
+				}
+				t.Errorf("%s: &%s.%s{…} builds an IL node outside an arena; use p.Arena().%s(…)",
+					fset.Position(u.Pos()), ilName, sel.Sel.Name, sel.Sel.Name)
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, a := range literalAllowed {
+		if !used[i] {
+			t.Errorf("allow-list entry %s (%s) matches nothing; delete it", a.file, a.node)
+		}
+	}
+}
