@@ -78,7 +78,7 @@ func Analyze(p *il.Proc) (*Analysis, error) {
 func (a *Analysis) collectClobbers() {
 	for i := range a.Proc.Vars {
 		v := &a.Proc.Vars[i]
-		if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic {
+		if v.Escapes() {
 			a.clobbers = append(a.clobbers, il.VarID(i))
 		}
 	}
@@ -510,7 +510,7 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 	exitLive := newBitset(nVars)
 	for i := range p.Vars {
 		v := &p.Vars[i]
-		if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic {
+		if v.Escapes() {
 			exitLive.set(i)
 		}
 	}

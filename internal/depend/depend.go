@@ -139,7 +139,7 @@ func (ld *LoopDeps) HasCycleThrough(i int) bool {
 // AnalyzeLoop computes the dependence graph for the top-level statements
 // of a DO loop.
 func AnalyzeLoop(p *il.Proc, loop *il.DoLoop, opts Options) *LoopDeps {
-	ld := &LoopDeps{Loop: loop, Trips: tripCount(loop)}
+	ld := &LoopDeps{Loop: loop, Trips: loop.TripCount()}
 	ld.Barrier = make([]bool, len(loop.Body))
 
 	// Gather memory references and barriers.
@@ -176,32 +176,12 @@ func AnalyzeLoop(p *il.Proc, loop *il.DoLoop, opts Options) *LoopDeps {
 	return ld
 }
 
-// tripCount returns the constant trip count, or -1.
-func tripCount(loop *il.DoLoop) int64 {
-	i, ok1 := il.IsIntConst(loop.Init)
-	l, ok2 := il.IsIntConst(loop.Limit)
-	s, ok3 := il.IsIntConst(loop.Step)
-	if !ok1 || !ok2 || !ok3 || s == 0 {
-		return -1
-	}
-	var t int64
-	if s > 0 {
-		t = (l-i)/s + 1
-	} else {
-		t = (i-l)/(-s) + 1
-	}
-	if t < 0 {
-		return 0
-	}
-	return t
-}
-
 // collectStmtRefs extracts the refs of one assignment; reports whether the
 // statement contains something that must act as a barrier (volatile).
 func (ld *LoopDeps) collectStmtRefs(p *il.Proc, loop *il.DoLoop, idx int, dst, src il.Expr) bool {
 	barrier := false
 	add := func(addr il.Expr, size int, write, volatile bool) {
-		r := normalizeRef(p, loop, addr)
+		r := normalizeRef(loop, addr)
 		r.StmtIdx = idx
 		r.IsWrite = write
 		r.Size = size
@@ -245,7 +225,7 @@ func (ld *LoopDeps) collectPredRefs(p *il.Proc, loop *il.DoLoop, idx int, ps *il
 	barrier := ld.collectStmtRefs(p, loop, idx, ps.Dst, ps.Src)
 	il.WalkExpr(ps.Cond, func(x il.Expr) bool {
 		if l, ok := x.(*il.Load); ok {
-			r := normalizeRef(p, loop, l.Addr)
+			r := normalizeRef(loop, l.Addr)
 			r.StmtIdx = idx
 			r.IsWrite = false
 			r.Size = l.T.Size()
@@ -264,169 +244,73 @@ func (ld *LoopDeps) collectPredRefs(p *il.Proc, loop *il.DoLoop, idx int, ps *il
 	return barrier
 }
 
-// normalizeRef reduces an address expression to base + coef·IV + offset.
-func normalizeRef(p *il.Proc, loop *il.DoLoop, addr il.Expr) Ref {
-	lin := linearize(p, loop, addr)
-	if lin == nil {
-		return Ref{Base: Base{Kind: BaseUnknown}, Linear: false}
-	}
-	base := classifyBase(p, lin.rest)
-	return Ref{Base: base, Coef: lin.coef, Offset: lin.offset, Linear: true}
-}
-
 // views is the arena of the expressions the analysis builds for itself
-// (negated, scaled and summed invariant terms): nil, the heap. They
-// describe a reference and never enter a body; the graph may be cached
-// past the compile, and the procedure is often one the caller only reads
-// (the schedule checker on the tuner's base), whose arena is not ours.
+// (the index-free part of an address, negated and scaled invariant
+// terms): nil, the heap. They describe a reference and never enter a
+// body; the graph may be cached past the compile, and the procedure is
+// often one the caller only reads (the schedule checker on the tuner's
+// base), whose arena is not ours.
 var views *il.Arena
 
-// linForm is addr = rest + coef*iv + offset with rest iv-free.
-type linForm struct {
-	coef   int64
-	offset int64
-	rest   []il.Expr // summed invariant terms
-}
-
-// linearize decomposes addr into linear form over the loop IV. Returns nil
-// when the expression is not affine in the IV.
-func linearize(p *il.Proc, loop *il.DoLoop, e il.Expr) *linForm {
-	switch n := e.(type) {
-	case *il.ConstInt:
-		return &linForm{offset: n.Val}
-	case *il.VarRef:
-		if n.ID == loop.IV {
-			return &linForm{coef: 1}
-		}
-		return &linForm{rest: []il.Expr{n}}
-	case *il.AddrOf:
-		return &linForm{rest: []il.Expr{n}}
-	case *il.Cast:
-		return linearize(p, loop, n.X)
-	case *il.Bin:
-		switch n.Op {
-		case il.OpAdd:
-			l := linearize(p, loop, n.L)
-			r := linearize(p, loop, n.R)
-			if l == nil || r == nil {
-				return nil
-			}
-			return &linForm{coef: l.coef + r.coef, offset: l.offset + r.offset,
-				rest: append(append([]il.Expr{}, l.rest...), r.rest...)}
-		case il.OpSub:
-			l := linearize(p, loop, n.L)
-			r := linearize(p, loop, n.R)
-			if l == nil || r == nil {
-				return nil
-			}
-			// Negated invariant terms remain invariant; wrap them.
-			rest := append([]il.Expr{}, l.rest...)
-			for _, t := range r.rest {
-				rest = append(rest, views.NewUn(il.OpNeg, views.CloneExpr(t), t.Type()))
-			}
-			return &linForm{coef: l.coef - r.coef, offset: l.offset - r.offset, rest: rest}
-		case il.OpMul:
-			if c, ok := il.IsIntConst(n.L); ok {
-				r := linearize(p, loop, n.R)
-				if r == nil {
-					return nil
-				}
-				return scaleLin(r, c)
-			}
-			if c, ok := il.IsIntConst(n.R); ok {
-				l := linearize(p, loop, n.L)
-				if l == nil {
-					return nil
-				}
-				return scaleLin(l, c)
-			}
-			// Products of invariants are invariant.
-			if !il.UsesVar(n.L, loop.IV) && !il.UsesVar(n.R, loop.IV) && pure(n) {
-				return &linForm{rest: []il.Expr{n}}
-			}
-			return nil
-		}
-		if !il.UsesVar(e, loop.IV) && pure(e) {
-			return &linForm{rest: []il.Expr{e}}
-		}
-		return nil
-	case *il.Un:
-		if n.Op == il.OpNeg {
-			x := linearize(p, loop, n.X)
-			if x == nil {
-				return nil
-			}
-			return scaleLin(x, -1)
+// normalizeRef reduces an address expression to base + coef·IV + offset:
+// il's one affine descent, then the index-free part flattened into its
+// terms. That part must be load-free to count as invariant — a store in
+// the body may change what a load reads; otherwise, or when addr is not
+// affine in the IV, the reference is non-linear with an unknown base.
+func normalizeRef(loop *il.DoLoop, addr il.Expr) Ref {
+	coefs, rest, ok := views.Affine(addr, [2]il.VarID{loop.IV, il.NoVar})
+	if ok && il.LoadFree(rest) {
+		if offset, terms, ok := il.LinearTerms(rest); ok {
+			return Ref{Base: classifyBase(terms), Coef: coefs[0], Offset: offset, Linear: true}
 		}
 	}
-	if !il.UsesVar(e, loop.IV) && pure(e) {
-		return &linForm{rest: []il.Expr{e}}
-	}
-	return nil
+	return Ref{Base: Base{Kind: BaseUnknown}}
 }
 
-func scaleLin(l *linForm, c int64) *linForm {
-	out := &linForm{coef: l.coef * c, offset: l.offset * c}
-	for _, t := range l.rest {
-		out.rest = append(out.rest, views.Mul(views.Int(c), views.CloneExpr(t), ctype.IntType))
-	}
-	return out
-}
-
-// pure reports whether e is load-free.
-func pure(e il.Expr) bool {
-	ok := true
-	il.WalkExpr(e, func(x il.Expr) bool {
-		if _, isLoad := x.(*il.Load); isLoad {
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
-// classifyBase finds the root object among the invariant terms.
-func classifyBase(p *il.Proc, rest []il.Expr) Base {
+// classifyBase finds the root object among the invariant terms: exactly
+// one named object or pointer variable taken once; every other term sums
+// into Extra, a −1 multiple as a negation and any other as c·term.
+func classifyBase(terms []il.Term) Base {
 	var rootVar il.VarID = il.NoVar
 	var rootPtr il.VarID = il.NoVar
-	var extras []il.Expr
+	var extra il.Expr
 	roots := 0
-	for _, t := range rest {
-		switch n := t.(type) {
+	for _, t := range terms {
+		e := t.Expr
+		switch n := e.(type) {
 		case *il.AddrOf:
-			rootVar = n.ID
-			roots++
+			if t.Coef == 1 {
+				rootVar = n.ID
+				roots++
+				continue
+			}
 		case *il.VarRef:
-			if n.T != nil && n.T.Kind == ctype.Pointer {
+			if t.Coef == 1 && n.T != nil && n.T.Kind == ctype.Pointer {
 				rootPtr = n.ID
 				roots++
-			} else {
-				extras = append(extras, t)
+				continue
 			}
+		}
+		switch t.Coef {
+		case 1:
+		case -1:
+			e = views.NewUn(il.OpNeg, e, e.Type())
 		default:
-			extras = append(extras, t)
+			e = views.Mul(views.Int(t.Coef), e, ctype.IntType)
+		}
+		if extra == nil {
+			extra = e
+		} else {
+			extra = views.Add(extra, e, ctype.IntType)
 		}
 	}
 	if roots != 1 {
 		return Base{Kind: BaseUnknown}
 	}
-	extra := sumExprs(extras)
 	if rootVar != il.NoVar {
 		return Base{Kind: BaseVar, Var: rootVar, Extra: extra}
 	}
 	return Base{Kind: BasePointer, Var: rootPtr, Extra: extra}
-}
-
-func sumExprs(list []il.Expr) il.Expr {
-	var out il.Expr
-	for _, e := range list {
-		if out == nil {
-			out = e
-		} else {
-			out = views.Add(out, e, ctype.IntType)
-		}
-	}
-	return out
 }
 
 // sameBase reports whether two bases denote the same object with the same

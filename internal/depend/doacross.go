@@ -42,12 +42,17 @@ type DoacrossPlan struct {
 //     privatization cannot break it;
 //   - carried scalar anti/output dependences on processor-private
 //     temporaries vanish under the cyclic spread (each processor keeps
-//     its own register copy); on observable variables they are fatal.
+//     its own register copy); on observable variables they are fatal
+//     (every scalar the body defines carries an output dependence on
+//     itself, so this is UnsafeScalar's question).
 func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
 	for _, b := range ld.Barrier {
 		if b {
 			return nil
 		}
+	}
+	if UnsafeScalar(p, ld.Loop.Body) != "" {
+		return nil
 	}
 	var (
 		g        int64
@@ -64,10 +69,6 @@ func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
 		}
 		if d.Scalar {
 			if d.Kind == Flow {
-				return nil
-			}
-			v := &p.Vars[d.Var]
-			if v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.AddrTaken || v.IsVolatile() {
 				return nil
 			}
 			continue
@@ -95,4 +96,31 @@ func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
 		waitIdx = postIdx // waiting earlier is always sound; see WaitIdx
 	}
 	return &DoacrossPlan{Distance: g, WaitIdx: waitIdx, PostIdx: postIdx, Dep: minDep}
+}
+
+// UnsafeScalar is the scalar half of "these iterations may run on
+// separate processors": it names a scalar the body defines that is
+// observable outside an iteration — it escapes or is volatile, so each
+// processor would race on the one copy — or reports "volatile" when the
+// body touches volatile storage at all; "" means safe. A private scalar is
+// safe because every processor keeps its own register copy and the
+// dependence graph has already rejected carried scalar flow (use before
+// definition). The DOALL, DOACROSS, nest and list-loop parallelizers all
+// ask exactly this.
+func UnsafeScalar(p *il.Proc, body []il.Stmt) string {
+	name := ""
+	il.WalkStmts(body, func(sub il.Stmt) bool {
+		if dv := il.DefinedVar(sub); dv != il.NoVar {
+			if v := &p.Vars[dv]; v.Escapes() || v.IsVolatile() {
+				name = v.Name
+			}
+		}
+		il.StmtExprs(sub, func(e il.Expr) {
+			if name == "" && p.HasVolatile(e) {
+				name = "volatile"
+			}
+		})
+		return name == ""
+	})
+	return name
 }

@@ -83,7 +83,9 @@ const (
 	// induction variables with closed forms in a loop (§5.3).
 	IVSubstituted Code = "iv-substituted"
 	// IVBlocked: §5.3's forward-substitution walk hit a redefinition of an
-	// operand and had to stop (the "blocking/backtracking" outcome).
+	// operand and had to stop (the "blocking/backtracking" outcome), or a
+	// recurrence v = v + step stays out of closed form because step reads
+	// the loop index or memory.
 	IVBlocked Code = "iv-blocked"
 	// ConstUnreachableDelete: constant propagation proved a branch or loop
 	// untaken and deleted the dead code (§8).

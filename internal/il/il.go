@@ -21,6 +21,14 @@
 // procedure's p.Arena(). A nil *Arena is valid and allocates from the
 // heap; a procedure with no arena — hand-built test IL, a catalog-decoded
 // procedure — builds from that.
+//
+// The loop-analysis vocabulary also has one home here, so that dependence
+// analysis, the vectorizer, strength reduction and the parallelizers ask
+// the same question the same way: (*Arena).Affine decomposes an address
+// into rest + coef·iv over one or two loop indices and LinearTerms flattens
+// an index-free sum (affine.go); (*DoLoop).TripCount is the constant trip
+// count, LoadFree says an expression reads no memory, and (*Var).Escapes
+// says code other than a direct reference may touch a variable.
 package il
 
 import (
@@ -67,6 +75,13 @@ type Var struct {
 
 // IsVolatile reports whether accesses to the variable are volatile.
 func (v *Var) IsVolatile() bool { return v.Type != nil && v.Type.Volatile }
+
+// Escapes reports whether code other than a direct reference can read or
+// write the variable: its address was taken, or it is a global or static,
+// so a store, a call or another procedure may touch it.
+func (v *Var) Escapes() bool {
+	return v.AddrTaken || v.Class == ClassGlobal || v.Class == ClassStatic
+}
 
 // ---------------------------------------------------------------- Expressions
 
@@ -372,6 +387,21 @@ func (s *DoLoop) String() string {
 	return fmt.Sprintf("do v%d = %s, %s, %s [%d stmts]", s.IV, s.Init, s.Limit, s.Step, len(s.Body))
 }
 func (s *DoLoop) stmtNode() {}
+
+// TripCount returns the loop's compile-time trip count, or -1 when a
+// bound or the step is not a constant (or the step is zero).
+func (s *DoLoop) TripCount() int64 {
+	init, ok1 := IsIntConst(s.Init)
+	limit, ok2 := IsIntConst(s.Limit)
+	step, ok3 := IsIntConst(s.Step)
+	if !ok1 || !ok2 || !ok3 || step == 0 {
+		return -1
+	}
+	if trips := (limit-init)/step + 1; trips > 0 {
+		return trips
+	}
+	return 0
+}
 
 // DoParallel is a DoLoop whose iterations are independent and may be
 // spread across processors.

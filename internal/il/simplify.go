@@ -26,7 +26,7 @@ func (a *Arena) SimplifyLinear(e Expr) Expr {
 	// canonical form is idempotent, so the folding fixpoint terminates.
 	zeroed := false
 	for i := 0; i < c.n; i++ {
-		if c.term(i).coef == 0 {
+		if c.term(i).Coef == 0 {
 			zeroed = true
 		}
 	}
@@ -47,19 +47,19 @@ func (a *Arena) SimplifyLinear(e Expr) Expr {
 	}
 	for i := 0; i < c.n; i++ {
 		tm := c.term(i)
-		if tm.coef == 0 {
+		if tm.Coef == 0 {
 			continue
 		}
 		// Clone so the rebuilt tree never shares nodes with the original
 		// (or with a merged duplicate term).
 		switch {
-		case tm.coef == 1:
-			add(a.CloneExpr(tm.expr))
-		case tm.coef == -1:
-			add(a.Un(OpNeg, a.CloneExpr(tm.expr), ctype.IntType))
+		case tm.Coef == 1:
+			add(a.CloneExpr(tm.Expr))
+		case tm.Coef == -1:
+			add(a.Un(OpNeg, a.CloneExpr(tm.Expr), ctype.IntType))
 		default:
-			add(a.Bin(OpMul, a.ConstInt(tm.coef, ctype.IntType),
-				a.CloneExpr(tm.expr), ctype.IntType))
+			add(a.Bin(OpMul, a.ConstInt(tm.Coef, ctype.IntType),
+				a.CloneExpr(tm.Expr), ctype.IntType))
 		}
 	}
 	if out == nil {
@@ -86,64 +86,34 @@ func setExprType(e Expr, t *ctype.Type) {
 	}
 }
 
-type term struct {
-	expr Expr
-	coef int64
-}
-
 // collector accumulates the additive terms of a sum, in first-seen order
 // and matched structurally (sameTerm). The first len(buf) terms live in
 // the collector itself and only the rest in a slice: the few-term case
 // then allocates nothing, where one slice over buf would have moved the
 // whole collector to the heap (a store through c leaks what it stores).
 type collector struct {
-	constant   int64
-	constCount int
-	combined   bool
-	n          int
-	buf        [8]term
-	more       []term
+	// throughCasts makes a cast transparent (LinearTerms: an address is
+	// the same address whatever pointer type it is viewed at);
+	// SimplifyLinear rebuilds the sum and must keep each cast where it is.
+	throughCasts bool
+	constant     int64
+	constCount   int
+	combined     bool
+	n            int
+	buf          [8]Term
+	more         []Term
 }
 
-func (c *collector) term(i int) *term {
+func (c *collector) term(i int) *Term {
 	if i < len(c.buf) {
 		return &c.buf[i]
 	}
 	return &c.more[i-len(c.buf)]
 }
 
-// collect walks e as a signed sum; returns false when the expression is
-// not linear enough to be worth rebuilding (or contains volatiles).
-func (c *collector) collect(e Expr, sign int64) bool {
-	switch n := e.(type) {
-	case *ConstInt:
-		c.constant += sign * n.Val
-		c.constCount++
-		return true
-	case *Bin:
-		switch n.Op {
-		case OpAdd:
-			return c.collect(n.L, sign) && c.collect(n.R, sign)
-		case OpSub:
-			return c.collect(n.L, sign) && c.collect(n.R, -sign)
-		case OpMul:
-			if v, ok := IsIntConst(n.L); ok {
-				return c.collectScaled(n.R, sign*v)
-			}
-			if v, ok := IsIntConst(n.R); ok {
-				return c.collectScaled(n.L, sign*v)
-			}
-		}
-	case *Un:
-		if n.Op == OpNeg {
-			return c.collect(n.X, -sign)
-		}
-	}
-	return c.addTerm(e, sign)
-}
-
-// collectScaled handles k·subexpr where subexpr may itself be a sum.
-func (c *collector) collectScaled(e Expr, k int64) bool {
+// collect walks k·e as a sum, distributing k over +, −, negation and
+// constant multiples; returns false when a term contains a volatile load.
+func (c *collector) collect(e Expr, k int64) bool {
 	switch n := e.(type) {
 	case *ConstInt:
 		c.constant += k * n.Val
@@ -152,20 +122,24 @@ func (c *collector) collectScaled(e Expr, k int64) bool {
 	case *Bin:
 		switch n.Op {
 		case OpAdd:
-			return c.collectScaled(n.L, k) && c.collectScaled(n.R, k)
+			return c.collect(n.L, k) && c.collect(n.R, k)
 		case OpSub:
-			return c.collectScaled(n.L, k) && c.collectScaled(n.R, -k)
+			return c.collect(n.L, k) && c.collect(n.R, -k)
 		case OpMul:
 			if v, ok := IsIntConst(n.L); ok {
-				return c.collectScaled(n.R, k*v)
+				return c.collect(n.R, k*v)
 			}
 			if v, ok := IsIntConst(n.R); ok {
-				return c.collectScaled(n.L, k*v)
+				return c.collect(n.L, k*v)
 			}
 		}
 	case *Un:
 		if n.Op == OpNeg {
-			return c.collectScaled(n.X, -k)
+			return c.collect(n.X, -k)
+		}
+	case *Cast:
+		if c.throughCasts {
+			return c.collect(n.X, k)
 		}
 	}
 	return c.addTerm(e, k)
@@ -188,16 +162,16 @@ func (c *collector) addTerm(e Expr, coef int64) bool {
 		return false
 	}
 	for i := 0; i < c.n; i++ {
-		if tm := c.term(i); sameTerm(tm.expr, e) {
-			tm.coef += coef
+		if tm := c.term(i); sameTerm(tm.Expr, e) {
+			tm.Coef += coef
 			c.combined = true
 			return true
 		}
 	}
 	if c.n < len(c.buf) {
-		c.buf[c.n] = term{expr: e, coef: coef}
+		c.buf[c.n] = Term{Expr: e, Coef: coef}
 	} else {
-		c.more = append(c.more, term{expr: e, coef: coef})
+		c.more = append(c.more, Term{Expr: e, Coef: coef})
 	}
 	c.n++
 	return true

@@ -375,16 +375,17 @@ func (p *Proc) HasVolatile(e Expr) bool {
 	return found
 }
 
-// HasLoad reports whether e contains any memory load.
-func HasLoad(e Expr) bool {
-	found := false
+// LoadFree reports whether e reads no memory: its value depends on
+// variables and constants only, so no store can change it.
+func LoadFree(e Expr) bool {
+	free := true
 	WalkExpr(e, func(x Expr) bool {
 		if _, ok := x.(*Load); ok {
-			found = true
+			free = false
 		}
-		return !found
+		return free
 	})
-	return found
+	return free
 }
 
 // DefinedVar returns the variable a statement defines directly (a scalar

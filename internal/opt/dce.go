@@ -94,7 +94,7 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 			}
 			dst := n.Dst.(*il.VarRef)
 			v := &p.Vars[dst.ID]
-			if v.IsVolatile() || v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.AddrTaken {
+			if v.Escapes() || v.IsVolatile() {
 				return true
 			}
 			return p.HasVolatile(n.Src)
@@ -233,8 +233,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 	clobberKill := newCpset(nCopies)
 	for i := range p.Vars {
 		v := &p.Vars[i]
-		if (v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic) &&
-			killByVar[i] != nil {
+		if v.Escapes() && killByVar[i] != nil {
 			clobberKill.or(killByVar[i])
 		}
 	}

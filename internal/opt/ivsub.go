@@ -73,7 +73,7 @@ func ivsubLoop(p *il.Proc, loop *il.DoLoop, full bool, changed *int, em *emitter
 	loopTotal := 0
 	for pass := 0; pass < passes; pass++ {
 		n := 0
-		pre = append(pre, closedFormPass(p, loop, full, &n)...)
+		pre = append(pre, closedFormPass(p, loop, full, &n, em)...)
 		n += forwardSubstPass(p, loop, !full, em)
 		*changed += n
 		loopTotal += n
@@ -140,7 +140,7 @@ func bodyDefinedVars(p *il.Proc, body []il.Stmt) map[il.VarID]bool {
 	clobber := func() {
 		for i := range p.Vars {
 			v := &p.Vars[i]
-			if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic {
+			if v.Escapes() {
 				defined[il.VarID(i)] = true
 			}
 		}
@@ -165,6 +165,19 @@ func bodyDefinedVars(p *il.Proc, body []il.Stmt) map[il.VarID]bool {
 	return defined
 }
 
+// variantOperand names the operand that makes step differ from one
+// iteration to the next whatever the body does — the DO index, or a load
+// — or returns "".
+func variantOperand(loop *il.DoLoop, step il.Expr) string {
+	if il.UsesVar(step, loop.IV) {
+		return "the loop index"
+	}
+	if !il.LoadFree(step) {
+		return "memory"
+	}
+	return ""
+}
+
 // basicIV is a detected auxiliary induction variable.
 type basicIV struct {
 	v      il.VarID
@@ -176,7 +189,7 @@ type basicIV struct {
 // per-iteration effect is v += step. When resolveCopies is set, the
 // recurrence is resolved through the body's temp copies by symbolic
 // execution (the §5.3 requirement for front-end-generated code).
-func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
+func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool, em *emitter) []basicIV {
 	// One pass of symbolic execution over the top-level statements.
 	ar := p.Arena()
 	env := newSymEnv(ar)
@@ -230,7 +243,7 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
 			continue
 		}
 		v := &p.Vars[vid]
-		if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.IsVolatile() {
+		if v.Escapes() || v.IsVolatile() {
 			continue
 		}
 		if !v.Type.IsInteger() && v.Type.Kind != ctype.Pointer {
@@ -250,7 +263,22 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
 			next = as.Src
 		}
 		step, ok := matchRecurrence(ar, ar.CloneExpr(next), vid)
-		if !ok || !exprInvariantInBody(p, loop.Body, step) {
+		if !ok {
+			continue
+		}
+		// v becomes v.0 + step·k only when every iteration adds the same
+		// step. A step that reads the DO index or memory never is — the
+		// header, not the body, defines the index, and a body store may
+		// alias any load — so say so; one whose operand the body redefines
+		// may still become invariant once forward substitution has
+		// rewritten the redefinition (§5.3), and is retried silently.
+		if variant := variantOperand(loop, step); variant != "" {
+			em.remark(diag.IVBlocked, "ivsub", il.StmtPos(loop.Body[idxs[0]]),
+				map[string]string{"var": v.Name, "operand": variant},
+				"closed form of %s blocked: its step reads %s, which changes between iterations (§5.3)", v.Name, variant)
+			continue
+		}
+		if !exprInvariantInBody(p, loop.Body, step) {
 			continue
 		}
 		out = append(out, basicIV{v: vid, step: step, update: idxs[0]})
@@ -261,8 +289,8 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool) []basicIV {
 // closedFormPass replaces uses of each auxiliary IV with its closed form
 // v0 + step*k (before the update) or v0 + step*(k+1) (after), where v0
 // snapshots the variable at loop entry. Returns preheader statements.
-func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *int) []il.Stmt {
-	ivs := detectBasicIVs(p, loop, resolveCopies)
+func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *int, em *emitter) []il.Stmt {
+	ivs := detectBasicIVs(p, loop, resolveCopies, em)
 	if len(ivs) == 0 {
 		return nil
 	}
@@ -323,7 +351,6 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 	ar := p.Arena()
 	changed := 0
 	body := loop.Body
-	defined := bodyDefinedVars(p, body)
 
 	// Count defs per var at top level; vars with nested or multiple defs
 	// are not candidates.
@@ -345,10 +372,10 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 			continue
 		}
 		v := &p.Vars[dst.ID]
-		if v.AddrTaken || v.IsVolatile() || v.Class == il.ClassGlobal || v.Class == il.ClassStatic {
+		if v.Escapes() || v.IsVolatile() {
 			continue
 		}
-		if !pureNoLoad(as.Src) || il.UsesVar(as.Src, dst.ID) {
+		if !il.LoadFree(as.Src) || il.UsesVar(as.Src, dst.ID) {
 			continue
 		}
 		// Operand variables of the source.
@@ -359,7 +386,6 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 			}
 			return true
 		})
-		_ = defined
 
 		// Scan forward, substituting until an operand is redefined.
 		for j := i + 1; j < len(body); j++ {
@@ -402,18 +428,6 @@ func sortVarIDs(a []il.VarID) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-}
-
-// pureNoLoad reports whether e has no loads and no volatile references.
-func pureNoLoad(e il.Expr) bool {
-	pure := true
-	il.WalkExpr(e, func(x il.Expr) bool {
-		if _, ok := x.(*il.Load); ok {
-			pure = false
-		}
-		return pure
-	})
-	return pure
 }
 
 // stmtMayDefine reports whether s (including nested statements) may define

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/diag"
 	"repro/internal/il"
 )
 
@@ -213,6 +214,39 @@ void f(float *a, int n) {
 	})
 	if defs != 2 {
 		t.Errorf("j defs: %d, want 2\n%s", defs, p)
+	}
+}
+
+func TestIVSubRefusesIndexDependentStep(t *testing.T) {
+	// t advances by a different amount each iteration: it has no closed
+	// form t.0 + step·k, and the iv-blocked remark says what varies.
+	src := `
+int f(void) {
+	int i, t;
+	t = 1;
+	for (i = 0; i < 10; i++)
+		t = t + (i & 3) * 3;
+	return t;
+}
+`
+	p := compileProc(t, src, "f")
+	r := &diag.Reporter{}
+	OptimizeDiag(p, DefaultOptions(), nil, r)
+	d := firstDoLoop(p.Body)
+	if d == nil || len(d.Body) != 1 {
+		t.Fatalf("want a DO loop around the one update:\n%s", p)
+	}
+	if as, ok := d.Body[0].(*il.Assign); !ok || !il.UsesVar(as.Src, p.LookupVar("t")) {
+		t.Errorf("t = t + step was rewritten:\n%s", p)
+	}
+	blocked := 0
+	for _, dg := range r.All() {
+		if dg.Code == diag.IVBlocked && dg.Args["var"] == "t" && dg.Args["operand"] == "the loop index" {
+			blocked++
+		}
+	}
+	if blocked != 1 {
+		t.Errorf("iv-blocked remarks naming the loop index: %d, want 1\n%v", blocked, r.All())
 	}
 }
 

@@ -163,7 +163,7 @@ type condCand struct {
 func tryCandidate(p *il.Proc, a *dataflow.Analysis, w *il.While, prev []il.Stmt, bodySet map[il.Stmt]bool, cand condCand) *il.DoLoop {
 	iv, rel, bound := cand.iv, cand.rel, cand.bound
 	v := p.Var(iv)
-	if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.IsVolatile() {
+	if v.Escapes() || v.IsVolatile() {
 		return nil
 	}
 	// Bound must be loop-invariant (§5.2 requirement 2, via use-def).
@@ -280,7 +280,7 @@ func condShapes(p *il.Proc, cond il.Expr) []condCand {
 			out = append(out, condCand{c.ID, relNonZero, nil})
 		}
 	case *il.Bin:
-		if v, ok := c.L.(*il.VarRef); ok && isSimpleBound(c.R) {
+		if v, ok := c.L.(*il.VarRef); ok && il.LoadFree(c.R) {
 			switch c.Op {
 			case il.OpLt:
 				out = append(out, condCand{v.ID, relLT, c.R})
@@ -299,7 +299,7 @@ func condShapes(p *il.Proc, cond il.Expr) []condCand {
 			}
 		}
 		// Mirrored: bound REL i.
-		if v, ok := c.R.(*il.VarRef); ok && isSimpleBound(c.L) {
+		if v, ok := c.R.(*il.VarRef); ok && il.LoadFree(c.L) {
 			switch c.Op {
 			case il.OpGt: // bound > i  ≡  i < bound
 				out = append(out, condCand{v.ID, relLT, c.L})
@@ -319,19 +319,6 @@ func condShapes(p *il.Proc, cond il.Expr) []condCand {
 		}
 	}
 	return out
-}
-
-// isSimpleBound accepts pure expressions (no loads, no calls — those are
-// statements) as candidate bounds.
-func isSimpleBound(e il.Expr) bool {
-	pure := true
-	il.WalkExpr(e, func(x il.Expr) bool {
-		if _, ok := x.(*il.Load); ok {
-			pure = false
-		}
-		return pure
-	})
-	return pure
 }
 
 // invariantIn reports whether no variable used by e is defined inside the
@@ -428,7 +415,7 @@ func (se *symEnv) exec(p *il.Proc, s il.Stmt) bool {
 	poisonMemory := func() {
 		for i := range p.Vars {
 			v := &p.Vars[i]
-			if v.AddrTaken || v.Class == il.ClassGlobal || v.Class == il.ClassStatic {
+			if v.Escapes() {
 				poison(il.VarID(i))
 			}
 		}
@@ -436,7 +423,7 @@ func (se *symEnv) exec(p *il.Proc, s il.Stmt) bool {
 	switch n := s.(type) {
 	case *il.Assign:
 		if dst, ok := n.Dst.(*il.VarRef); ok {
-			if !isSimpleBound(n.Src) {
+			if !il.LoadFree(n.Src) {
 				poison(dst.ID)
 				return true
 			}

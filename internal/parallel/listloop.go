@@ -25,9 +25,10 @@ package parallel
 
 import (
 	"fmt"
-	"repro/internal/diag"
 
 	"repro/internal/ctype"
+	"repro/internal/depend"
+	"repro/internal/diag"
 	"repro/internal/il"
 )
 
@@ -44,14 +45,9 @@ func (s *ListStats) Add(o ListStats) { s.LoopsConverted += o.LoopsConverted }
 
 // ParallelizeListLoops rewrites eligible linked-list while loops in p.
 // The prog is needed to allocate the shared pointer buffer. The caller
-// asserts the §10 independence assumption by calling at all.
-func ParallelizeListLoops(prog *il.Program, p *il.Proc) ListStats {
-	return ParallelizeListLoopsDiag(prog, p, nil)
-}
-
-// ParallelizeListLoopsDiag is ParallelizeListLoops with a diagnostic
-// reporter: each converted chase loop gets a list-parallelized remark.
-func ParallelizeListLoopsDiag(prog *il.Program, p *il.Proc, r *diag.Reporter) ListStats {
+// asserts the §10 independence assumption by calling at all. Each
+// converted chase loop gets a list-parallelized remark on r.
+func ParallelizeListLoops(prog *il.Program, p *il.Proc, r *diag.Reporter) ListStats {
 	var st ListStats
 	p.Body = walkList(prog, p, p.Body, r, &st)
 	return st
@@ -93,8 +89,7 @@ func chaseShape(p *il.Proc, w *il.While) (ptr il.VarID, chase *il.Assign, ok boo
 		return il.NoVar, nil, false
 	}
 	v := &p.Vars[cond.ID]
-	if v.Type == nil || v.Type.Kind != ctype.Pointer || v.AddrTaken ||
-		v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.IsVolatile() {
+	if v.Type == nil || v.Type.Kind != ctype.Pointer || v.Escapes() || v.IsVolatile() {
 		return il.NoVar, nil, false
 	}
 	if len(w.Body) < 2 {
@@ -136,22 +131,13 @@ func convertListLoop(prog *il.Program, p *il.Proc, w *il.While) ([]il.Stmt, bool
 	// Eligibility of the per-node work: straight-line assignments whose
 	// stores root at the node pointer, no calls, no other defs of ptr, no
 	// volatile, no defs of externally visible scalars.
+	if depend.UnsafeScalar(p, body) != "" {
+		return nil, false
+	}
 	for _, s := range body {
 		as, isAssign := s.(*il.Assign)
-		if !isAssign {
+		if !isAssign || il.DefinedVar(s) == ptr {
 			return nil, false
-		}
-		if p.HasVolatile(as.Src) || p.HasVolatile(as.Dst) {
-			return nil, false
-		}
-		if dv := il.DefinedVar(s); dv != il.NoVar {
-			if dv == ptr {
-				return nil, false
-			}
-			v := &p.Vars[dv]
-			if v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.AddrTaken || v.IsVolatile() {
-				return nil, false
-			}
 		}
 		if ld, isStore := as.Dst.(*il.Load); isStore {
 			// The store must be node-relative: its address uses ptr.

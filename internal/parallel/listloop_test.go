@@ -47,7 +47,7 @@ void scale(struct node *head, float k)
 func TestListLoopConverts(t *testing.T) {
 	prog := compileProg(t, listSrc)
 	p := prog.Proc("scale")
-	st := ParallelizeListLoops(prog, p)
+	st := ParallelizeListLoops(prog, p, nil)
 	if st.LoopsConverted != 1 {
 		t.Fatalf("converted %d:\n%s", st.LoopsConverted, p)
 	}
@@ -89,7 +89,7 @@ void walk(struct node *head)
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("walk")
-	if st := ParallelizeListLoops(prog, p); st.LoopsConverted != 0 {
+	if st := ParallelizeListLoops(prog, p, nil); st.LoopsConverted != 0 {
 		t.Fatalf("call-bearing loop converted:\n%s", p)
 	}
 }
@@ -110,7 +110,7 @@ void sum(struct node *head)
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("sum")
-	if st := ParallelizeListLoops(prog, p); st.LoopsConverted != 0 {
+	if st := ParallelizeListLoops(prog, p, nil); st.LoopsConverted != 0 {
 		t.Fatalf("reduction loop converted:\n%s", p)
 	}
 }
@@ -130,7 +130,7 @@ void f(int *p, int n)
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeListLoops(prog, p); st.LoopsConverted != 0 {
+	if st := ParallelizeListLoops(prog, p, nil); st.LoopsConverted != 0 {
 		t.Fatalf("arithmetic loop treated as list chase:\n%s", p)
 	}
 }

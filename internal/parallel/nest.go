@@ -20,6 +20,7 @@ package parallel
 
 import (
 	"repro/internal/ctype"
+	"repro/internal/depend"
 	"repro/internal/diag"
 	"repro/internal/il"
 )
@@ -32,16 +33,11 @@ type NestStats struct {
 // Add folds another procedure's stats into s.
 func (s *NestStats) Add(o NestStats) { s.NestsParallelized += o.NestsParallelized }
 
-// ParallelizeNests converts eligible outer loops of 2-level nests.
-func ParallelizeNests(p *il.Proc) NestStats {
-	return ParallelizeNestsDiag(p, nil)
-}
-
-// ParallelizeNestsDiag is ParallelizeNests with a diagnostic reporter:
-// every converted nest gets a nest-parallelized remark. (Rejections are
+// ParallelizeNests converts eligible outer loops of 2-level nests. Every
+// converted nest gets a nest-parallelized remark on r. (Rejections are
 // silent here — most loops are simply not two-level nests; the later
 // vectorize/parallelize passes give every surviving loop its verdict.)
-func ParallelizeNestsDiag(p *il.Proc, r *diag.Reporter) NestStats {
+func ParallelizeNests(p *il.Proc, r *diag.Reporter) NestStats {
 	var st NestStats
 	p.Body = walkNests(p, p.Body, r, &st)
 	return st
@@ -110,7 +106,7 @@ func nestIndependent(p *il.Proc, outer *il.DoLoop) bool {
 			flat = append(flat, s)
 			innerOf[s] = -1
 		case *il.DoLoop:
-			trips := tripConst(n)
+			trips := n.TripCount()
 			if trips < 0 {
 				return false
 			}
@@ -134,24 +130,7 @@ func nestIndependent(p *il.Proc, outer *il.DoLoop) bool {
 		return false // single-level loops belong to ParallelizeProc
 	}
 
-	// Scalar safety: no externally visible scalar definitions, no
-	// volatiles.
-	unsafe := false
-	il.WalkStmts(outer.Body, func(sub il.Stmt) bool {
-		if as, ok := sub.(*il.Assign); ok {
-			if p.HasVolatile(as.Src) || p.HasVolatile(as.Dst) {
-				unsafe = true
-			}
-		}
-		if dv := il.DefinedVar(sub); dv != il.NoVar {
-			v := &p.Vars[dv]
-			if v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.AddrTaken || v.IsVolatile() {
-				unsafe = true
-			}
-		}
-		return !unsafe
-	})
-	if unsafe {
+	if depend.UnsafeScalar(p, outer.Body) != "" {
 		return false
 	}
 
@@ -194,7 +173,7 @@ func nestIndependent(p *il.Proc, outer *il.DoLoop) bool {
 			checkUses(n.Init)
 			checkUses(n.Limit)
 			checkUses(n.Step)
-			executes := tripConst(n) >= 1
+			executes := n.TripCount() >= 1
 			for _, bs := range n.Body {
 				as := bs.(*il.Assign)
 				if ld, isStore := as.Dst.(*il.Load); isStore {
@@ -227,7 +206,7 @@ func nestIndependent(p *il.Proc, outer *il.DoLoop) bool {
 			stepJ, _ = il.IsIntConst(inners[idx].loop.Step)
 		}
 		collect := func(addr il.Expr, size int64, write bool) bool {
-			r, ok := linearize2(p, addr, outer.IV, innerIV)
+			r, ok := nestAffine(p, addr, outer.IV, innerIV)
 			if !ok {
 				return false
 			}
@@ -308,26 +287,6 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// tripConst returns the constant trip count of a DO loop, or -1.
-func tripConst(loop *il.DoLoop) int64 {
-	i, ok1 := il.IsIntConst(loop.Init)
-	l, ok2 := il.IsIntConst(loop.Limit)
-	s, ok3 := il.IsIntConst(loop.Step)
-	if !ok1 || !ok2 || !ok3 || s == 0 {
-		return -1
-	}
-	var t int64
-	if s > 0 {
-		t = (l-i)/s + 1
-	} else {
-		t = (i-l)/(-s) + 1
-	}
-	if t < 0 {
-		return 0
-	}
-	return t
-}
-
 // distinctObjects reports whether two base expressions are addresses of
 // different named objects.
 func distinctObjects(p *il.Proc, a, b il.Expr) bool {
@@ -358,84 +317,36 @@ func rootObject(e il.Expr) (il.VarID, bool) {
 	return root, ok && count == 1
 }
 
-// linearize2 decomposes addr = base + c1·ivOuter + c2·ivInner + d.
-func linearize2(p *il.Proc, addr il.Expr, ivOuter, ivInner il.VarID) (nestRef, bool) {
-	var r nestRef
-	var base il.Expr
-	okAll := true
-
-	var walk func(e il.Expr, scale int64)
-	walk = func(e il.Expr, scale int64) {
-		if !okAll {
-			return
-		}
-		switch n := e.(type) {
-		case *il.ConstInt:
-			r.d += scale * n.Val
-		case *il.VarRef:
-			switch n.ID {
-			case ivOuter:
-				r.c1 += scale
-			case ivInner:
-				r.c2 += scale
-			default:
-				addBase(p.Arena(), &base, e, scale, &okAll)
-			}
-		case *il.AddrOf:
-			addBase(p.Arena(), &base, e, scale, &okAll)
-		case *il.Cast:
-			walk(n.X, scale)
-		case *il.Un:
-			if n.Op == il.OpNeg {
-				walk(n.X, -scale)
-				return
-			}
-			okAll = false
-		case *il.Bin:
-			switch n.Op {
-			case il.OpAdd:
-				walk(n.L, scale)
-				walk(n.R, scale)
-			case il.OpSub:
-				walk(n.L, scale)
-				walk(n.R, -scale)
-			case il.OpMul:
-				if v, ok := il.IsIntConst(n.L); ok {
-					walk(n.R, scale*v)
-					return
-				}
-				if v, ok := il.IsIntConst(n.R); ok {
-					walk(n.L, scale*v)
-					return
-				}
-				okAll = false
-			default:
-				okAll = false
-			}
-		default:
-			okAll = false
-		}
-	}
-	walk(addr, 1)
-	if !okAll || base == nil {
+// nestAffine decomposes addr = base + c1·ivOuter + c2·ivInner + d: il's
+// one affine descent over the inner index with the outer index second,
+// then the index-free part flattened. The base must be a plain sum of
+// variables and object addresses, each taken once — so it is load-free by
+// construction, and a scaled or repeated invariant keeps the nest serial.
+func nestAffine(p *il.Proc, addr il.Expr, ivOuter, ivInner il.VarID) (nestRef, bool) {
+	a := p.Arena()
+	coefs, rest, ok := a.Affine(addr, [2]il.VarID{ivInner, ivOuter})
+	if !ok {
 		return nestRef{}, false
 	}
-	r.base = base
-	r.baseKey = base.String()
-	return r, true
-}
-
-// addBase accumulates invariant terms into the base expression; scaled
-// invariant terms are allowed only with coefficient 1 (anything fancier is
-// conservative).
-func addBase(a *il.Arena, base *il.Expr, e il.Expr, scale int64, ok *bool) {
-	if scale != 1 {
-		*ok = false
-		return
+	d, terms, ok := il.LinearTerms(rest)
+	if !ok || len(terms) == 0 {
+		return nestRef{}, false
 	}
-	if *base == nil {
-		*base = e
-		return
+	var base il.Expr
+	for _, t := range terms {
+		switch t.Expr.(type) {
+		case *il.VarRef, *il.AddrOf:
+		default:
+			return nestRef{}, false
+		}
+		if t.Coef != 1 {
+			return nestRef{}, false
+		}
+		if base == nil {
+			base = t.Expr
+		} else {
+			base = a.Bin(il.OpAdd, base, t.Expr, base.Type())
+		}
 	}
-	*base = a.Bin(il.OpAdd, *base, e, (*base).Type())
+	return nestRef{c1: coefs[1], c2: coefs[0], d: d, base: base, baseKey: base.String()}, true
 }

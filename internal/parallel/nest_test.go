@@ -31,7 +31,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	st := ParallelizeNests(p)
+	st := ParallelizeNests(p, nil)
 	if st.NestsParallelized != 1 {
 		t.Fatalf("nests: %d\n%s", st.NestsParallelized, p)
 	}
@@ -72,7 +72,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("overlapping nest parallelized:\n%s", p)
 	}
 }
@@ -90,7 +90,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("column-major store parallelized:\n%s", p)
 	}
 }
@@ -108,7 +108,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("reduction nest parallelized:\n%s", p)
 	}
 }
@@ -126,7 +126,7 @@ void f(int n) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("runtime-bound nest parallelized:\n%s", p)
 	}
 }
@@ -144,7 +144,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
 		t.Fatalf("transpose-copy nest not parallelized:\n%s", p)
 	}
 }
@@ -163,7 +163,7 @@ void f(float *a) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
 		t.Fatalf("single-pointer nest not parallelized:\n%s", p)
 	}
 }
@@ -181,7 +181,7 @@ void f(float *a, float *b) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("aliasing pointer nest parallelized:\n%s", p)
 	}
 }
@@ -203,7 +203,7 @@ float f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
 		t.Fatalf("outer-carried scalar reduction parallelized:\n%s", p)
 	}
 }
@@ -225,7 +225,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
 		t.Fatalf("row-sum nest not parallelized:\n%s", p)
 	}
 }

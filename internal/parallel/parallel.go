@@ -39,30 +39,15 @@ func (s *Stats) Add(o Stats) {
 	s.LoopsDoacross += o.LoopsDoacross
 }
 
-// ParallelizeProc converts eligible serial DO loops in place.
-func ParallelizeProc(p *il.Proc, opts depend.Options) Stats {
-	return ParallelizeProcWith(p, opts, nil)
-}
-
-// ParallelizeProcWith is ParallelizeProc against an analysis cache that
-// memoizes the per-loop dependence graphs (nil analyzes directly).
-func ParallelizeProcWith(p *il.Proc, opts depend.Options, ac *analysis.Cache) Stats {
-	return ParallelizeProcDiag(p, opts, ac, nil)
-}
-
-// ParallelizeProcDiag is ParallelizeProcWith with a diagnostic reporter:
-// every examined DO loop gets exactly one parallelize-or-not verdict
-// remark, with the blocking dependence named on rejection.
-func ParallelizeProcDiag(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter) Stats {
-	return ParallelizeProcSched(p, opts, ac, r, nil)
-}
-
-// ParallelizeProcSched is ParallelizeProcDiag driven by explicit per-loop
-// schedules: a loop whose schedule pins serial_strips stays serial (with
-// a par-sched-serial verdict), and a nonzero parallel width caps how many
-// processors the converted loop spreads over. A nil set is the default
+// ParallelizeProc converts eligible serial DO loops in place. Every
+// examined DO loop gets exactly one parallelize-or-not verdict remark on r,
+// with the blocking dependence named on rejection. ac memoizes the
+// per-loop dependence graphs (nil analyzes directly). scheds holds explicit
+// per-loop schedules: a loop whose schedule pins serial_strips stays serial
+// (with a par-sched-serial verdict), and a nonzero parallel width caps how
+// many processors the converted loop spreads over; a nil set is the default
 // plan for every loop.
-func ParallelizeProcSched(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set) Stats {
+func ParallelizeProc(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set) Stats {
 	var st Stats
 	w := walker{opts: opts, ac: ac, r: r, scheds: scheds, st: &st}
 	p.Body = w.walk(p, p.Body)
@@ -187,33 +172,11 @@ func classify(p *il.Proc, loop *il.DoLoop, opts depend.Options, ac *analysis.Cac
 				msg: fmt.Sprintf("loop not parallelized: carried dependence %s", d.String())}
 		}
 	}
-	if v := unsafeScalar(p, loop.Body); v != "" {
+	if v := depend.UnsafeScalar(p, loop.Body); v != "" {
 		return &rejection{code: diag.ParLiveOut, args: map[string]string{"var": v},
 			msg: fmt.Sprintf("loop not parallelized: scalar %s is observable after the loop", v)}
 	}
 	return nil
-}
-
-// unsafeScalar returns the name of a scalar written in the body that is
-// observable after the loop (each processor would race on it), or "".
-// Temporaries local to an iteration are freshly assigned before use; we
-// accept only variables whose every use within the body follows their
-// (single) definition — the dependence pass already rejected carried
-// scalar flow, which covers use-before-def. Globals and address-taken
-// variables remain unsafe because other code can read them after the
-// loop.
-func unsafeScalar(p *il.Proc, body []il.Stmt) string {
-	name := ""
-	il.WalkStmts(body, func(sub il.Stmt) bool {
-		if dv := il.DefinedVar(sub); dv != il.NoVar {
-			v := &p.Vars[dv]
-			if v.Class == il.ClassGlobal || v.Class == il.ClassStatic || v.AddrTaken || v.IsVolatile() {
-				name = v.Name
-			}
-		}
-		return name == ""
-	})
-	return name
 }
 
 // doacrossHandoffCost approximates, in bodyCost units (one unit per
@@ -234,9 +197,6 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	}
 	plan := depend.Doacross(p, w.ac.LoopDeps(p, n, w.opts))
 	if plan == nil {
-		return nil
-	}
-	if unsafeScalar(p, n.Body) != "" {
 		return nil
 	}
 	sched, explicit := w.scheds.Lookup(p.Name, n.Pos)

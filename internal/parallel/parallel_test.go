@@ -54,7 +54,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{})
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	if st.LoopsParallelized != 1 || parCount(p.Body) != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -69,7 +69,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{})
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("recurrence parallelized: %+v\n%s", st, p)
 	}
@@ -84,7 +84,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{})
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("call loop parallelized: %+v\n%s", st, p)
 	}
@@ -103,7 +103,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{})
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("global-writing loop parallelized: %+v\n%s", st, p)
 	}
@@ -117,12 +117,12 @@ void f(int *x, int *y, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	if st := ParallelizeProc(p, depend.Options{}); st.LoopsParallelized != 0 {
+	if st := ParallelizeProc(p, depend.Options{}, nil, nil, nil); st.LoopsParallelized != 0 {
 		t.Fatalf("aliased loop parallelized: %+v\n%s", st, p)
 	}
 	// With Fortran aliasing rules it parallelizes.
 	p2 := compileOpt(t, src, "f")
-	if st := ParallelizeProc(p2, depend.Options{NoAlias: true}); st.LoopsParallelized != 1 {
+	if st := ParallelizeProc(p2, depend.Options{NoAlias: true}, nil, nil, nil); st.LoopsParallelized != 1 {
 		t.Fatalf("noalias loop not parallelized: %+v\n%s", st, p2)
 	}
 }
@@ -139,7 +139,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{})
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	// The inner loop parallelizes; the outer (containing a loop) does not.
 	if st.LoopsParallelized != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
@@ -155,9 +155,9 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	ParallelizeProc(p, depend.Options{})
+	ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	before := parCount(p.Body)
-	ParallelizeProc(p, depend.Options{})
+	ParallelizeProc(p, depend.Options{}, nil, nil, nil)
 	if parCount(p.Body) != before {
 		t.Error("second pass changed parallel loops")
 	}

@@ -135,7 +135,7 @@ func (*nestPass) Name() string { return PassNest }
 
 func (*nestPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, ctx.workers(), func(p *il.Proc) parallel.NestStats {
-		return parallel.ParallelizeNestsDiag(p, ctx.Diags)
+		return parallel.ParallelizeNests(p, ctx.Diags)
 	}) {
 		ctx.Report.Nest.Add(st)
 	}
@@ -182,7 +182,7 @@ func (*parallelPass) Name() string { return PassParallelize }
 
 func (pp *parallelPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, ctx.workers(), func(p *il.Proc) parallel.Stats {
-		return parallel.ParallelizeProcSched(p, pp.dopts, ctx.Analysis, ctx.Diags, ctx.Schedules)
+		return parallel.ParallelizeProc(p, pp.dopts, ctx.Analysis, ctx.Diags, ctx.Schedules)
 	}) {
 		ctx.Report.Parallel.Add(st)
 	}
@@ -199,7 +199,7 @@ func (*listPass) Name() string { return PassListParallel }
 
 func (*listPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, 1, func(p *il.Proc) parallel.ListStats {
-		return parallel.ParallelizeListLoopsDiag(prog, p, ctx.Diags)
+		return parallel.ParallelizeListLoops(prog, p, ctx.Diags)
 	}) {
 		ctx.Report.List.Add(st)
 	}

@@ -478,18 +478,17 @@ func reduce(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, bool
 }
 
 // affineParts decomposes addr = base + coef·iv + off with base iv-free and
-// off the constant part.
+// off the constant part. The base is computed once, in the preheader, so
+// it must be load-free: a store in the body may change what a load reads.
 func affineParts(a *il.Arena, iv il.VarID, e il.Expr) (coef int64, base il.Expr, off int64, ok bool) {
-	c, rest, okA := affine(a, iv, e)
-	if !okA {
+	c, rest, ok := a.Affine(e, [2]il.VarID{iv, il.NoVar})
+	if !ok || !il.LoadFree(rest) {
 		return 0, nil, 0, false
 	}
-	// Split the constant part out of rest. Clone first: splitConst hands
-	// back subtrees that outlive the statement they came from.
-	off = 0
-	base = a.CloneExpr(rest)
-	base, off = splitConst(a, base)
-	return c, base, off, true
+	// Clone first: splitConst hands back subtrees that outlive the
+	// statement they came from.
+	base, off = splitConst(a, a.CloneExpr(rest))
+	return c[0], base, off, true
 }
 
 // splitConst pulls additive integer constants out of e.
@@ -512,79 +511,6 @@ func splitConst(a *il.Arena, e il.Expr) (il.Expr, int64) {
 	return e, 0
 }
 
-// affine mirrors the vectorizer's decomposition (coef, rest).
-func affine(a *il.Arena, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
-	switch n := e.(type) {
-	case *il.ConstInt, *il.ConstFloat, *il.AddrOf:
-		return 0, e, true
-	case *il.VarRef:
-		if n.ID == iv {
-			return 1, a.Int(0), true
-		}
-		return 0, e, true
-	case *il.Cast:
-		if !il.UsesVar(n.X, iv) {
-			return 0, e, true
-		}
-		return affine(a, iv, n.X)
-	case *il.Bin:
-		switch n.Op {
-		case il.OpAdd:
-			cl, rl, okl := affine(a, iv, n.L)
-			cr, rr, okr := affine(a, iv, n.R)
-			if !okl || !okr {
-				return 0, nil, false
-			}
-			return cl + cr, a.Add(rl, rr, n.T), true
-		case il.OpSub:
-			cl, rl, okl := affine(a, iv, n.L)
-			cr, rr, okr := affine(a, iv, n.R)
-			if !okl || !okr {
-				return 0, nil, false
-			}
-			return cl - cr, a.Sub(rl, rr, n.T), true
-		case il.OpMul:
-			if c, ok := il.IsIntConst(n.L); ok {
-				ci, ri, oki := affine(a, iv, n.R)
-				if !oki {
-					return 0, nil, false
-				}
-				return c * ci, a.Mul(a.Int(c), ri, n.T), true
-			}
-			if c, ok := il.IsIntConst(n.R); ok {
-				ci, ri, oki := affine(a, iv, n.L)
-				if !oki {
-					return 0, nil, false
-				}
-				return c * ci, a.Mul(ri, a.Int(c), n.T), true
-			}
-		}
-	case *il.Un:
-		if n.Op == il.OpNeg {
-			c, r, ok := affine(a, iv, n.X)
-			if !ok {
-				return 0, nil, false
-			}
-			return -c, a.NewUn(il.OpNeg, r, n.T), true
-		}
-	}
-	if !il.UsesVar(e, iv) && pureExpr(e) {
-		return 0, e, true
-	}
-	return 0, nil, false
-}
-
-func pureExpr(e il.Expr) bool {
-	ok := true
-	il.WalkExpr(e, func(x il.Expr) bool {
-		if _, isLoad := x.(*il.Load); isLoad {
-			ok = false
-		}
-		return ok
-	})
-	return ok
-}
-
 // ---------------------------------------------------------------- hoisting
 
 // hoist moves pure loop-invariant non-trivial subexpressions into
@@ -602,7 +528,7 @@ func hoist(p *il.Proc, loop *il.DoLoop, st *Stats) ([]il.Stmt, bool) {
 		})
 	}
 	invariant := func(e il.Expr) bool {
-		if !pureExpr(e) {
+		if !il.LoadFree(e) {
 			return false
 		}
 		ok := true

@@ -443,10 +443,7 @@ func vectorizableStmt(p *il.Proc, loop *il.DoLoop, s il.Stmt, allowMasked bool) 
 	if !ok || dst.Volatile {
 		return false
 	}
-	if _, _, ok := splitAffine(p, loop, dst.Addr); !ok {
-		return false
-	}
-	if c, _, _ := mustSplit(p, loop, dst.Addr); c == 0 {
+	if c, _, ok := affine(p, loop.IV, dst.Addr); !ok || c == 0 {
 		return false
 	}
 	// Loads must be affine; the residual expression must not use the IV.
@@ -464,7 +461,7 @@ func vecOperandOK(p *il.Proc, loop *il.DoLoop, e il.Expr) bool {
 			if ld.Volatile {
 				ok = false
 			}
-			if _, _, affine := splitAffine(p, loop, ld.Addr); !affine {
+			if _, _, isAffine := affine(p, loop.IV, ld.Addr); !isAffine {
 				ok = false
 			}
 			// Stand-in constant so the UsesVar check below only sees
@@ -497,85 +494,13 @@ func maskableCond(p *il.Proc, loop *il.DoLoop, e il.Expr) bool {
 	return false
 }
 
-// splitAffine decomposes addr into (coef, base) with base IV-free.
-func splitAffine(p *il.Proc, loop *il.DoLoop, addr il.Expr) (int64, il.Expr, bool) {
-	c, b, ok := affine(p, loop.IV, addr)
-	return c, b, ok
-}
-
-func mustSplit(p *il.Proc, loop *il.DoLoop, addr il.Expr) (int64, il.Expr, bool) {
-	return splitAffine(p, loop, addr)
-}
-
-// affine returns (coef, rest) such that e = rest + coef·iv.
+// affine is il's decomposition over the one loop index: e = rest + coef·iv.
+// rest is taken as found, loads included: a load in an address makes the
+// reference non-linear to depend, whose unknown-base edges then decide
+// whether the statement may leave the serial loop at all.
 func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
-	a := p.Arena()
-	switch n := e.(type) {
-	case *il.ConstInt:
-		return 0, e, true
-	case *il.ConstFloat:
-		return 0, e, true
-	case *il.VarRef:
-		if n.ID == iv {
-			return 1, a.Int(0), true
-		}
-		return 0, e, true
-	case *il.AddrOf:
-		return 0, e, true
-	case *il.Cast:
-		c, r, ok := affine(p, iv, n.X)
-		if !ok {
-			return 0, nil, false
-		}
-		if c == 0 {
-			return 0, e, true
-		}
-		return c, r, true
-	case *il.Bin:
-		switch n.Op {
-		case il.OpAdd:
-			cl, rl, okl := affine(p, iv, n.L)
-			cr, rr, okr := affine(p, iv, n.R)
-			if !okl || !okr {
-				return 0, nil, false
-			}
-			return cl + cr, a.Add(rl, rr, e.Type()), true
-		case il.OpSub:
-			cl, rl, okl := affine(p, iv, n.L)
-			cr, rr, okr := affine(p, iv, n.R)
-			if !okl || !okr {
-				return 0, nil, false
-			}
-			return cl - cr, a.Sub(rl, rr, e.Type()), true
-		case il.OpMul:
-			if c, ok := il.IsIntConst(n.L); ok {
-				ci, ri, oki := affine(p, iv, n.R)
-				if !oki {
-					return 0, nil, false
-				}
-				return c * ci, a.Mul(a.Int(c), ri, e.Type()), true
-			}
-			if c, ok := il.IsIntConst(n.R); ok {
-				ci, ri, oki := affine(p, iv, n.L)
-				if !oki {
-					return 0, nil, false
-				}
-				return c * ci, a.Mul(ri, a.Int(c), e.Type()), true
-			}
-		}
-	case *il.Un:
-		if n.Op == il.OpNeg {
-			c, r, ok := affine(p, iv, n.X)
-			if !ok {
-				return 0, nil, false
-			}
-			return -c, a.NewUn(il.OpNeg, r, e.Type()), true
-		}
-	}
-	if !il.UsesVar(e, iv) {
-		return 0, e, true
-	}
-	return 0, nil, false
+	c, rest, ok := p.Arena().Affine(e, [2]il.VarID{iv, il.NoVar})
+	return c[0], rest, ok
 }
 
 // emitVector produces the strip-mined vector code for one (possibly

@@ -69,6 +69,40 @@ func ilNodeTypes(t *testing.T, fset *token.FileSet) map[string]bool {
 	return nodes
 }
 
+// forEachGoFile parses every Go file under internal/ and cmd/, tests
+// included, and hands each to fn under its slash-separated path.
+func forEachGoFile(t *testing.T, fset *token.FileSet, fn func(path string, f *ast.File)) {
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				return err
+			}
+			fn(filepath.ToSlash(path), f)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ilImportName returns the name f imports package il under, or "".
+func ilImportName(f *ast.File) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/il" {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return "il"
+		}
+	}
+	return ""
+}
+
 // TestILBuildersHaveOneForm: every constructor, rewriter and cloner of
 // package il is a method on *Arena. The arena-less free functions and
 // their …In twins are gone and must not come back.
@@ -103,67 +137,88 @@ func TestILNodesComeFromAnArena(t *testing.T) {
 	fset := token.NewFileSet()
 	nodes := ilNodeTypes(t, fset)
 	used := make([]bool, len(literalAllowed))
-	for _, root := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			path = filepath.ToSlash(path)
-			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-				strings.HasPrefix(path, "internal/il/") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return err
-			}
-			ilName := ""
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/il" {
-					ilName = "il"
-					if imp.Name != nil {
-						ilName = imp.Name.Name
-					}
-				}
-			}
-			if ilName == "" {
-				return nil
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				u, ok := n.(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					return true
-				}
-				lit, ok := u.X.(*ast.CompositeLit)
-				if !ok {
-					return true
-				}
-				sel, ok := lit.Type.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != ilName || !nodes[sel.Sel.Name] {
-					return true
-				}
-				for i, a := range literalAllowed {
-					if a.file == path && (a.node == "*" || a.node == sel.Sel.Name) {
-						used[i] = true
-						return true
-					}
-				}
-				t.Errorf("%s: &%s.%s{…} builds an IL node outside an arena; use p.Arena().%s(…)",
-					fset.Position(u.Pos()), ilName, sel.Sel.Name, sel.Sel.Name)
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/il/") {
+			return
 		}
-	}
+		ilName := ilImportName(f)
+		if ilName == "" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			u, ok := n.(*ast.UnaryExpr)
+			if !ok || u.Op != token.AND {
+				return true
+			}
+			lit, ok := u.X.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			sel, ok := lit.Type.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != ilName || !nodes[sel.Sel.Name] {
+				return true
+			}
+			for i, a := range literalAllowed {
+				if a.file == path && (a.node == "*" || a.node == sel.Sel.Name) {
+					used[i] = true
+					return true
+				}
+			}
+			t.Errorf("%s: &%s.%s{…} builds an IL node outside an arena; use p.Arena().%s(…)",
+				fset.Position(u.Pos()), ilName, sel.Sel.Name, sel.Sel.Name)
+			return true
+		})
+	})
 	for i, a := range literalAllowed {
 		if !used[i] {
 			t.Errorf("allow-list entry %s (%s) matches nothing; delete it", a.file, a.node)
 		}
 	}
+}
+
+// TestOneAffineDecomposer keeps base + coef·iv decomposed in one place:
+// il.Affine finds the form, il.LinearTerms flattens what is left, and the
+// consumers derive from the pair. A walker of its own has to switch on
+// il.OpMul to scale a coefficient, so outside il (and codegen, which
+// selects multiply instructions) no non-test file may; and the walkers and
+// small facts that were folded into il must not be declared again.
+func TestOneAffineDecomposer(t *testing.T) {
+	gone := map[string]bool{}
+	for _, name := range strings.Fields(`tripCount tripConst pureExpr pureNoLoad isSimpleBound
+		linearize2 scaleLin splitAffine mustSplit`) {
+		gone[name] = true
+	}
+	fset := token.NewFileSet()
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && gone[fn.Name.Name] {
+				t.Errorf("%s: %s is back; il has the one spelling (Affine, LinearTerms, TripCount, LoadFree)",
+					fset.Position(fn.Pos()), fn.Name.Name)
+			}
+		}
+		ilName := ilImportName(f)
+		if ilName == "" || strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/codegen/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			cc, ok := n.(*ast.CaseClause)
+			if !ok {
+				return true
+			}
+			for _, x := range cc.List {
+				sel, ok := x.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "OpMul" {
+					continue
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == ilName {
+					t.Errorf("%s: case %s.OpMul outside il and codegen: decompose with (*il.Arena).Affine instead of walking the sum again",
+						fset.Position(cc.Pos()), ilName)
+				}
+			}
+			return true
+		})
+	})
 }
