@@ -37,7 +37,7 @@ func procOf(t *testing.T, src, name string) (*il.Proc, *il.DoLoop) {
 	if p == nil {
 		t.Fatalf("no proc %s", name)
 	}
-	opt.Optimize(p, opt.DefaultOptions())
+	opt.Optimize(p, opt.DefaultOptions(), nil, nil)
 	var loop *il.DoLoop
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if d, ok := s.(*il.DoLoop); ok && loop == nil {

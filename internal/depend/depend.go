@@ -136,6 +136,20 @@ func (ld *LoopDeps) HasCycleThrough(i int) bool {
 	return false
 }
 
+// Carried returns the first dependence that crosses iterations, or nil
+// when the iterations are independent. A barrier statement carries a
+// dependence on itself (barrierDeps), so "no carried edge" also means "no
+// barrier": this is the one answer to "may these iterations run in any
+// order", and where the next legality rule is added.
+func (ld *LoopDeps) Carried() *Dep {
+	for i := range ld.Deps {
+		if ld.Deps[i].Carried {
+			return &ld.Deps[i]
+		}
+	}
+	return nil
+}
+
 // AnalyzeLoop computes the dependence graph for the top-level statements
 // of a DO loop.
 func AnalyzeLoop(p *il.Proc, loop *il.DoLoop, opts Options) *LoopDeps {
@@ -362,15 +376,21 @@ func BasesMayAlias(p *il.Proc, a, b Base, safe bool, opts Options) bool {
 	return mayAlias(p, a, b, safe, opts)
 }
 
-// memoryDeps tests every pair of references.
+// memoryDeps tests every pair of references, a write against itself
+// included: a store whose address does not move with the index writes one
+// location in every iteration (s[0] = s[0] + a[i]), which is an output
+// dependence of the statement on itself at every distance. A moving
+// affine store never meets itself; a non-affine one is not tested yet
+// (ROADMAP 1(f)).
 func (ld *LoopDeps) memoryDeps(p *il.Proc, opts Options) {
 	safe := ld.Loop.Safe
 	for i := range ld.Refs {
-		for j := range ld.Refs {
-			if j <= i {
-				continue
-			}
-			a, b := &ld.Refs[i], &ld.Refs[j]
+		a := &ld.Refs[i]
+		if a.IsWrite && a.Linear && a.Coef == 0 {
+			ld.Deps = append(ld.Deps, Dep{From: a.StmtIdx, To: a.StmtIdx, Kind: Output, Carried: true})
+		}
+		for j := i + 1; j < len(ld.Refs); j++ {
+			b := &ld.Refs[j]
 			if !a.IsWrite && !b.IsWrite {
 				continue
 			}
@@ -402,9 +422,12 @@ func (ld *LoopDeps) testPair(p *il.Proc, a, b *Ref, safe bool, opts Options) {
 	if a.Coef == b.Coef {
 		c := a.Coef
 		if c == 0 {
-			// Invariant addresses: same location iff offsets overlap.
+			// Invariant addresses: same location iff offsets overlap —
+			// and then the same in every iteration, not only this one,
+			// so the pair is carried both ways as well.
 			if overlaps(a.Offset, a.Size, b.Offset, b.Size) {
 				ld.addDep(a, b, 0)
+				ld.addUnknownDep(a, b)
 			}
 			return
 		}

@@ -35,7 +35,7 @@ func loopOf(t *testing.T, src, name string) (*il.Proc, *il.DoLoop) {
 	if p == nil {
 		t.Fatalf("no proc %s", name)
 	}
-	opt.Optimize(p, opt.DefaultOptions())
+	opt.Optimize(p, opt.DefaultOptions(), nil, nil)
 	var loop *il.DoLoop
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if d, ok := s.(*il.DoLoop); ok && loop == nil {
@@ -383,7 +383,9 @@ void f(struct xform *t, int j) {
 }
 
 func TestOutputDepSameLocation(t *testing.T) {
-	// a[0] written every iteration: carried output dependence.
+	// a[0] written every iteration: the store is tested against itself,
+	// and an address that does not move with the index is a carried
+	// output dependence of the statement on itself.
 	src := `
 float a[10];
 void f(int n) {
@@ -393,15 +395,51 @@ void f(int n) {
 `
 	p, loop := loopOf(t, src, "f")
 	ld := AnalyzeLoop(p, loop, Options{})
-	// Invariant address store: coef 0. Same ref pair is (store, store)
-	// only if there are two refs; with one ref there is no pair, so check
-	// the single-ref invariant-store case is at least not misanalyzed as
-	// vectorizable via HasCycleThrough... a single store to a[0] conflicts
-	// with itself across iterations; normalization gives coef 0.
 	if len(ld.Refs) != 1 || ld.Refs[0].Coef != 0 {
 		t.Fatalf("refs: %+v", ld.Refs)
 	}
-	_ = p
+	if !ld.HasCycleThrough(0) {
+		t.Errorf("no carried self-dependence on the invariant store: %v\n%s", ld.Deps, p)
+	}
+	if d := ld.Carried(); d == nil || d.String() != "S0 -output carried(?)-> S0" {
+		t.Errorf("Carried() = %v, want S0 -output carried(?)-> S0", d)
+	}
+}
+
+func TestInvariantWordAcrossStatements(t *testing.T) {
+	// S0 stores a[0], S1 loads it: the same word in every iteration, so
+	// besides the distance-0 flow edge the pair is carried both ways —
+	// iteration k+1's store must wait for iteration k's load.
+	src := `
+float a[10], b[100];
+void f(int n) {
+	int i;
+	for (i = 0; i < n; i++) {
+		a[0] = i;
+		b[i] = a[0];
+	}
+}
+`
+	p, loop := loopOf(t, src, "f")
+	ld := AnalyzeLoop(p, loop, Options{})
+	var sameIter, flow, anti bool
+	for _, d := range ld.Deps {
+		if d.Scalar {
+			continue
+		}
+		switch {
+		case d.From == 0 && d.To == 1 && d.Kind == Flow && !d.Carried:
+			sameIter = true
+		case d.From == 0 && d.To == 1 && d.Kind == Flow && d.Carried:
+			flow = true
+		case d.From == 1 && d.To == 0 && d.Kind == Anti && d.Carried:
+			anti = true
+		}
+	}
+	if !sameIter || !flow || !anti {
+		t.Errorf("distance-0 flow %v, carried flow %v, carried anti %v; want all three: %v\n%s",
+			sameIter, flow, anti, ld.Deps, p)
+	}
 }
 
 func TestUnknownAddressConservative(t *testing.T) {

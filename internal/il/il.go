@@ -29,6 +29,11 @@
 // an index-free sum (affine.go); (*DoLoop).TripCount is the constant trip
 // count, LoadFree says an expression reads no memory, and (*Var).Escapes
 // says code other than a direct reference may touch a variable.
+//
+// Only this package knows which statements hold statement lists (If,
+// While, DoLoop, DoParallel): WalkStmts reads a statement tree and
+// RewriteStmts rewrites one bottom-up, and every phase that edits a
+// procedure's statements is a callback on it (walk.go).
 package il
 
 import (

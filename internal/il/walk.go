@@ -1,7 +1,8 @@
 package il
 
 // This file provides the traversal, rewriting, and cloning utilities the
-// optimizer phases are built on.
+// optimizer phases are built on. WalkStmts (read) and RewriteStmts
+// (rewrite) are the two statement-tree walks the phases are callbacks on.
 
 // WalkExpr calls f on e and every subexpression, pre-order. If f returns
 // false the subtree below the node is skipped.
@@ -45,6 +46,50 @@ func WalkStmts(stmts []Stmt, f func(Stmt) bool) {
 			WalkStmts(n.Body, f)
 		}
 	}
+}
+
+// RewriteStmts rebuilds a statement tree bottom-up and returns the new
+// list. For each statement in order: its nested lists are rewritten first,
+// unless a non-nil enter returns false for it (enter runs before the
+// descent, so it is also where a pass acts on a loop before its body is
+// visited); then leave decides its fate. leave returns replaced == false
+// to keep s, or true with the statements that take its place (none
+// deletes it). prev holds the already-rewritten statements before s in
+// the same list; leave must neither keep nor append to it.
+//
+// The result reuses the storage of list until it would outgrow what has
+// been read: a walk that keeps every statement allocates nothing, and
+// pure deletions filter in place. Callers therefore assign the result
+// back where list came from and do not use list again.
+func RewriteStmts(list []Stmt, enter func(Stmt) bool, leave func(s Stmt, prev []Stmt) (repl []Stmt, replaced bool)) []Stmt {
+	out := list[:0]
+	inPlace := true
+	for i, s := range list {
+		if enter == nil || enter(s) {
+			switch n := s.(type) {
+			case *If:
+				n.Then = RewriteStmts(n.Then, enter, leave)
+				n.Else = RewriteStmts(n.Else, enter, leave)
+			case *While:
+				n.Body = RewriteStmts(n.Body, enter, leave)
+			case *DoLoop:
+				n.Body = RewriteStmts(n.Body, enter, leave)
+			case *DoParallel:
+				n.Body = RewriteStmts(n.Body, enter, leave)
+			}
+		}
+		repl, replaced := leave(s, out[:len(out):len(out)])
+		if !replaced {
+			out = append(out, s)
+			continue
+		}
+		if inPlace && len(out)+len(repl) > i+1 {
+			out = append(make([]Stmt, 0, len(list)+len(repl)-1), out...)
+			inPlace = false
+		}
+		out = append(out, repl...)
+	}
+	return out
 }
 
 // StmtExprs calls f on each top-level expression operand of s (not

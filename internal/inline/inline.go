@@ -141,29 +141,20 @@ func (in *Inliner) ExpandProc(p *il.Proc) int {
 	return count
 }
 
+// expandList replaces every expandable call in the tree under list by the
+// callee's renamed body, counting the expansions in n.
 func (in *Inliner) expandList(p *il.Proc, list []il.Stmt, stack map[string]bool, n *int) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *il.Call:
-			if repl, ok := in.expandCall(p, st, stack); ok {
-				*n++
-				out = append(out, repl...)
-				continue
-			}
-		case *il.If:
-			st.Then = in.expandList(p, st.Then, stack, n)
-			st.Else = in.expandList(p, st.Else, stack, n)
-		case *il.While:
-			st.Body = in.expandList(p, st.Body, stack, n)
-		case *il.DoLoop:
-			st.Body = in.expandList(p, st.Body, stack, n)
-		case *il.DoParallel:
-			st.Body = in.expandList(p, st.Body, stack, n)
+	return il.RewriteStmts(list, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		call, ok := s.(*il.Call)
+		if !ok {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		repl, ok := in.expandCall(p, call, stack)
+		if ok {
+			*n++
+		}
+		return repl, ok
+	})
 }
 
 // Inlinable reports whether the named procedure could be expanded (used by

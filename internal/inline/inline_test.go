@@ -49,7 +49,7 @@ int f(int a) { return twice(a) + 1; }
 		return true
 	})
 	// After the scalar pipeline, f(a) should reduce to return a+a+1.
-	opt.Optimize(fp, opt.DefaultOptions())
+	opt.Optimize(fp, opt.DefaultOptions(), nil, nil)
 	if len(fp.Body) != 1 {
 		t.Errorf("not fully simplified:\n%s", fp)
 	}
@@ -136,7 +136,7 @@ int f(int a) { return quad(a); }
 		}
 		return true
 	})
-	opt.Optimize(fp, opt.DefaultOptions())
+	opt.Optimize(fp, opt.DefaultOptions(), nil, nil)
 	out := fp.String()
 	if !strings.Contains(out, "*") {
 		t.Errorf("multiplications missing:\n%s", out)
@@ -164,7 +164,7 @@ void caller(float *x, float y, float z)
 	if n := in.ExpandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
-	opt.Optimize(cp, opt.DefaultOptions())
+	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
 	// The store must be gone and the body empty.
 	il.WalkStmts(cp.Body, func(s il.Stmt) bool {
 		if il.IsStore(s) {
@@ -203,7 +203,7 @@ int main()
 	if n := in.ExpandProc(mp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
-	opt.Optimize(mp, opt.DefaultOptions())
+	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
 	st := vector.VectorizeProc(mp, vector.Config{Parallel: true})
 	if st.ParallelLoops != 1 || st.VectorStmts != 1 {
 		t.Fatalf("§9 shape not reached: %+v\n%s", st, mp)
@@ -241,21 +241,21 @@ int main()
 `
 	prog := compile(t, src)
 	mp := prog.Proc("main")
-	opt.Optimize(mp, opt.DefaultOptions())
+	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
 	st := vector.VectorizeProc(mp, vector.Config{Parallel: true})
 	if st.VectorStmts != 0 {
 		t.Fatalf("vectorized without inlining: %+v", st)
 	}
 	// And daxpy itself cannot vectorize due to aliasing.
 	dp := prog.Proc("daxpy")
-	opt.Optimize(dp, opt.DefaultOptions())
+	opt.Optimize(dp, opt.DefaultOptions(), nil, nil)
 	st2 := vector.VectorizeProc(dp, vector.Config{})
 	if st2.VectorStmts != 0 {
 		t.Fatalf("aliased daxpy vectorized: %+v\n%s", st2, dp)
 	}
 	// Unless pointer parameters get Fortran semantics (§9's other route).
 	dp2 := compile(t, src).Proc("daxpy")
-	opt.Optimize(dp2, opt.DefaultOptions())
+	opt.Optimize(dp2, opt.DefaultOptions(), nil, nil)
 	st3 := vector.VectorizeProc(dp2, vector.Config{Depend: depend.Options{NoAlias: true}})
 	if st3.VectorStmts != 1 {
 		t.Fatalf("noalias daxpy not vectorized: %+v\n%s", st3, dp2)
@@ -434,7 +434,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	in1 := New(prog1, DefaultConfig())
 	f1 := prog1.Proc("f")
 	in1.ExpandProc(f1)
-	opt.Optimize(f1, opt.DefaultOptions())
+	opt.Optimize(f1, opt.DefaultOptions(), nil, nil)
 
 	// Route 2: catalog.
 	libProg := compile(t, lib)
@@ -453,7 +453,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	if n := in2.ExpandProc(f2); n != 1 {
 		t.Fatalf("catalog expansion: %d", n)
 	}
-	opt.Optimize(f2, opt.DefaultOptions())
+	opt.Optimize(f2, opt.DefaultOptions(), nil, nil)
 
 	if f1.String() != f2.String() {
 		t.Errorf("catalog and same-file inlining differ:\n--- same file\n%s\n--- catalog\n%s", f1, f2)
@@ -505,7 +505,7 @@ void clearall(int n)
 	if n := in.ExpandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
-	opt.Optimize(cp, opt.DefaultOptions())
+	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
 	st := vector.VectorizeProc(cp, vector.Config{})
 	if st.VectorStmts < 1 {
 		t.Fatalf("row reference did not vectorize after inlining: %+v\n%s", st, cp)
@@ -525,7 +525,7 @@ void kernel(void) {
 `
 	prog := compile(t, src)
 	for _, p := range prog.Procs {
-		opt.Optimize(p, opt.DefaultOptions())
+		opt.Optimize(p, opt.DefaultOptions(), nil, nil)
 		vector.VectorizeProc(p, vector.Config{Parallel: true})
 	}
 	var buf bytes.Buffer

@@ -6,26 +6,18 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/diag"
 	"repro/internal/il"
+	"repro/internal/token"
 )
 
-// PropagateConstants performs constant propagation off the use-def graph,
+// propagateConstants performs constant propagation off the use-def graph,
 // combined with the unreachable-code elimination of §8: when an if
 // condition simplifies to a constant, the untaken branch is deleted, and
 // the constant assignments whose definitions were blocked by the deleted
 // code get another round of propagation (here, by iterating to a fixpoint,
 // which subsumes the paper's re-queueing heuristic).
 //
-// It returns the number of rewrites performed.
-func PropagateConstants(p *il.Proc) int { return PropagateConstantsWith(p, nil) }
-
-// PropagateConstantsWith is PropagateConstants against an analysis cache
-// (nil re-solves every round).
-func PropagateConstantsWith(p *il.Proc, ac *analysis.Cache) int {
-	return propagateConstants(p, ac, nil)
-}
-
-// propagateConstants is the emitter-threaded implementation: §8's
-// unreachable-code deletions surface as const-unreachable-delete remarks.
+// §8's deletions surface as const-unreachable-delete remarks. A nil cache
+// re-solves every round. It returns the number of rewrites performed.
 func propagateConstants(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	total := 0
 	for {
@@ -209,60 +201,44 @@ func foldNode(ar *il.Arena, e il.Expr) il.Expr {
 // simplifyControl deletes untaken branches of constant ifs and zero-trip
 // loops, splicing the surviving statements in place.
 func simplifyControl(list []il.Stmt, changed *int, em *emitter) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
+	deleted := func(pos token.Pos, why string) ([]il.Stmt, bool) {
+		*changed++
+		em.remark(diag.ConstUnreachableDelete, "constprop", pos, nil, "%s", why)
+		return nil, true
+	}
+	return il.RewriteStmts(list, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
 		switch n := s.(type) {
 		case *il.If:
-			n.Then = simplifyControl(n.Then, changed, em)
-			n.Else = simplifyControl(n.Else, changed, em)
 			if c, ok := il.IsIntConst(n.Cond); ok {
 				*changed++
-				kept := "then"
+				kept, arm := "then", n.Then
 				if c == 0 {
-					kept = "else"
+					kept, arm = "else", n.Else
 				}
 				em.remark(diag.ConstUnreachableDelete, "constprop", n.Pos,
 					map[string]string{"kept": kept},
 					"condition is the constant %d; untaken branch deleted (§8)", c)
-				if c != 0 {
-					out = append(out, n.Then...)
-				} else {
-					out = append(out, n.Else...)
-				}
-				continue
+				return arm, true
 			}
 			if len(n.Then) == 0 && len(n.Else) == 0 {
 				*changed++
-				continue
+				return nil, true
 			}
 		case *il.While:
-			n.Body = simplifyControl(n.Body, changed, em)
 			if c, ok := il.IsIntConst(n.Cond); ok && c == 0 {
-				*changed++
-				em.remark(diag.ConstUnreachableDelete, "constprop", n.Pos, nil,
-					"while condition is constant zero; loop deleted (§8)")
-				continue
+				return deleted(n.Pos, "while condition is constant zero; loop deleted (§8)")
 			}
 		case *il.DoLoop:
-			n.Body = simplifyControl(n.Body, changed, em)
 			if zeroTrip(n.Init, n.Limit, n.Step) {
-				*changed++
-				em.remark(diag.ConstUnreachableDelete, "constprop", n.Pos, nil,
-					"DO loop provably executes zero times; deleted (§8)")
-				continue
+				return deleted(n.Pos, "DO loop provably executes zero times; deleted (§8)")
 			}
 		case *il.DoParallel:
-			n.Body = simplifyControl(n.Body, changed, em)
 			if zeroTrip(n.Init, n.Limit, n.Step) {
-				*changed++
-				em.remark(diag.ConstUnreachableDelete, "constprop", n.Pos, nil,
-					"parallel DO loop provably executes zero times; deleted (§8)")
-				continue
+				return deleted(n.Pos, "parallel DO loop provably executes zero times; deleted (§8)")
 			}
 		}
-		out = append(out, s)
-	}
-	return out
+		return nil, false
+	})
 }
 
 // zeroTrip reports whether a DO loop provably executes zero times.
@@ -345,9 +321,9 @@ func postpassUnreachable(p *il.Proc, em *emitter) int {
 	return removed
 }
 
-// RemoveUnusedLabels deletes labels that no goto targets. Run after the
+// removeUnusedLabels deletes labels that no goto targets. Run after the
 // other passes so label bookkeeping does not block loop conversion.
-func RemoveUnusedLabels(p *il.Proc) int {
+func removeUnusedLabels(p *il.Proc) int {
 	targets := map[string]bool{}
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if g, ok := s.(*il.Goto); ok {
@@ -356,29 +332,12 @@ func RemoveUnusedLabels(p *il.Proc) int {
 		return true
 	})
 	removed := 0
-	var clean func([]il.Stmt) []il.Stmt
-	clean = func(list []il.Stmt) []il.Stmt {
-		out := list[:0] // in place: write index never passes read index
-		for _, s := range list {
-			if l, ok := s.(*il.Label); ok && !targets[l.Name] {
-				removed++
-				continue
-			}
-			switch n := s.(type) {
-			case *il.If:
-				n.Then = clean(n.Then)
-				n.Else = clean(n.Else)
-			case *il.While:
-				n.Body = clean(n.Body)
-			case *il.DoLoop:
-				n.Body = clean(n.Body)
-			case *il.DoParallel:
-				n.Body = clean(n.Body)
-			}
-			out = append(out, s)
+	p.Body = il.RewriteStmts(p.Body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		if l, ok := s.(*il.Label); ok && !targets[l.Name] {
+			removed++
+			return nil, true
 		}
-		return out
-	}
-	p.Body = clean(p.Body)
+		return nil, false
+	})
 	return p.Changed(removed)
 }

@@ -17,8 +17,8 @@ int f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
-	EliminateDeadCode(p)
+	propagateConstants(p, nil, nil)
+	eliminateDeadCode(p, nil)
 	ret := lastReturn(t, p)
 	if v, ok := il.IsIntConst(ret.Val); !ok || v != 5 {
 		t.Errorf("return: %s\n%s", p.ExprString(ret.Val), p)
@@ -50,7 +50,7 @@ int f(int c) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	ret := lastReturn(t, p)
 	if v, ok := il.IsIntConst(ret.Val); !ok || v != 7 {
 		t.Errorf("return: %s", p.ExprString(ret.Val))
@@ -66,7 +66,7 @@ int f(int c) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	ret := lastReturn(t, p)
 	if _, ok := il.IsIntConst(ret.Val); ok {
 		t.Error("merged different constants")
@@ -83,7 +83,7 @@ int f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	// The If must be gone.
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if _, ok := s.(*il.If); ok {
@@ -111,7 +111,7 @@ int f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	ret := lastReturn(t, p)
 	if v, ok := il.IsIntConst(ret.Val); !ok || v != 2 {
 		t.Errorf("cascade failed: return %s\n%s", p.ExprString(ret.Val), p)
@@ -136,9 +136,9 @@ lb_1: ;
 `
 	p := compileProc(t, src, "f")
 	before := il.CountStmts(p.Body)
-	PropagateConstants(p)
-	RemoveUnusedLabels(p)
-	EliminateDeadCode(p)
+	propagateConstants(p, nil, nil)
+	removeUnusedLabels(p)
+	eliminateDeadCode(p, nil)
 	after := il.CountStmts(p.Body)
 	// The store must be gone.
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
@@ -160,8 +160,8 @@ void f(float *x) {
 }
 `
 	p := compileProc(t, src, "f")
-	ConvertWhileLoops(p)
-	PropagateConstants(p)
+	convertWhileLoops(p, nil, nil)
+	propagateConstants(p, nil, nil)
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		switch s.(type) {
 		case *il.DoLoop, *il.While:
@@ -174,7 +174,7 @@ void f(float *x) {
 func TestWhileFalseRemoved(t *testing.T) {
 	src := "void f(float *x) { while (0) *x = 1; }"
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	if len(p.Body) != 0 {
 		t.Errorf("while(0) survived:\n%s", p)
 	}
@@ -191,7 +191,7 @@ int f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	ret := lastReturn(t, p)
 	if _, ok := il.IsIntConst(ret.Val); ok {
 		t.Errorf("volatile read replaced by constant:\n%s", p)
@@ -204,7 +204,7 @@ volatile int ks;
 void f(void) { ks = 0; }
 `
 	p := compileProc(t, src, "f")
-	EliminateDeadCode(p)
+	eliminateDeadCode(p, nil)
 	if len(p.Body) != 1 {
 		t.Errorf("volatile store removed:\n%s", p)
 	}
@@ -219,7 +219,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	EliminateDeadCode(p)
+	eliminateDeadCode(p, nil)
 	if len(p.Body) != 1 {
 		t.Errorf("dead assign survived:\n%s", p)
 	}
@@ -235,7 +235,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	EliminateDeadCode(p)
+	eliminateDeadCode(p, nil)
 	if len(p.Body) != 3 {
 		t.Errorf("live chain damaged:\n%s", p)
 	}
@@ -244,7 +244,7 @@ int f(int a) {
 func TestDCEKeepsStores(t *testing.T) {
 	src := "void f(float *p) { *p = 1; }"
 	p := compileProc(t, src, "f")
-	EliminateDeadCode(p)
+	eliminateDeadCode(p, nil)
 	if len(p.Body) != 1 {
 		t.Errorf("store removed:\n%s", p)
 	}
@@ -261,8 +261,8 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	ConvertWhileLoops(p)
-	EliminateDeadCode(p)
+	convertWhileLoops(p, nil, nil)
+	eliminateDeadCode(p, nil)
 	// t's assignment is dead; then i's update is dead (only used by
 	// itself); loop body empties and the DoLoop disappears.
 	left := 0
@@ -283,7 +283,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateCopies(p)
+	propagateCopies(p, nil)
 	var call *il.Call
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if c, ok := s.(*il.Call); ok {
@@ -308,7 +308,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateCopies(p)
+	propagateCopies(p, nil)
 	// r = b must NOT become r = a.
 	as := p.Body[2].(*il.Assign)
 	v, ok := as.Src.(*il.VarRef)
@@ -337,7 +337,7 @@ int f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateCopies(p)
+	propagateCopies(p, nil)
 	// find r = r + b
 	found := false
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
@@ -372,8 +372,8 @@ float f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateCopies(p)
-	EliminateDeadCode(p)
+	propagateCopies(p, nil)
+	eliminateDeadCode(p, nil)
 	ret := lastReturn(t, p)
 	ld, ok := ret.Val.(*il.Load)
 	if !ok {
@@ -396,7 +396,7 @@ out:
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
+	propagateConstants(p, nil, nil)
 	adds := 0
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if as, ok := s.(*il.Assign); ok {
@@ -420,8 +420,8 @@ out:
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
-	RemoveUnusedLabels(p)
+	propagateConstants(p, nil, nil)
+	removeUnusedLabels(p)
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		switch s.(type) {
 		case *il.Goto, *il.Label:
@@ -441,8 +441,8 @@ int f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	PropagateConstants(p)
-	EliminateDeadCode(p)
+	propagateConstants(p, nil, nil)
+	eliminateDeadCode(p, nil)
 	ret, ok := p.Body[0].(*il.Return)
 	if !ok {
 		t.Fatalf("stmt 0: %T\n%s", p.Body[0], p)
@@ -464,8 +464,8 @@ void f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	ConvertWhileLoops(p)
-	PropagateConstants(p)
+	convertWhileLoops(p, nil, nil)
+	propagateConstants(p, nil, nil)
 	d := firstDoLoop(p.Body)
 	if d == nil {
 		t.Fatalf("no DoLoop:\n%s", p)

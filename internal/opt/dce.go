@@ -6,15 +6,12 @@ import (
 	"repro/internal/il"
 )
 
-// EliminateDeadCode removes assignments to variables that are not live
+// eliminateDeadCode removes assignments to variables that are not live
 // afterwards ("dead, not unreachable, code" — §9). Inlining makes this
 // crucial: parameter-binding temporaries die as soon as substitution and
-// constant propagation run. Returns the number of statements removed.
-func EliminateDeadCode(p *il.Proc) int { return EliminateDeadCodeWith(p, nil) }
-
-// EliminateDeadCodeWith is EliminateDeadCode against an analysis cache
-// (nil re-solves every round).
-func EliminateDeadCodeWith(p *il.Proc, ac *analysis.Cache) int {
+// constant propagation run. Returns the number of statements removed. A
+// nil cache re-solves every round.
+func eliminateDeadCode(p *il.Proc, ac *analysis.Cache) int {
 	total := 0
 	for {
 		n := dceOnce(p, ac)
@@ -32,47 +29,26 @@ func dceOnce(p *il.Proc, ac *analysis.Cache) int {
 	}
 	needed := markNeededDefs(p, a)
 	removed := 0
-	var clean func([]il.Stmt) []il.Stmt
-	clean = func(list []il.Stmt) []il.Stmt {
-		out := list[:0] // in place: write index never passes read index
-		for _, s := range list {
-			switch n := s.(type) {
-			case *il.Assign:
-				if dst, ok := n.Dst.(*il.VarRef); ok {
-					dead := !lv.LiveOut(s, dst.ID) || !needed[s]
-					v := &p.Vars[dst.ID]
-					if dead && !v.IsVolatile() && !p.HasVolatile(n.Src) {
-						removed++
-						continue
-					}
-				}
-			case *il.If:
-				n.Then = clean(n.Then)
-				n.Else = clean(n.Else)
-				if len(n.Then) == 0 && len(n.Else) == 0 && !p.HasVolatile(n.Cond) {
-					removed++
-					continue
-				}
-			case *il.While:
-				n.Body = clean(n.Body)
-			case *il.DoLoop:
-				n.Body = clean(n.Body)
-				if len(n.Body) == 0 && !lv.LiveOut(s, n.IV) {
-					removed++
-					continue
-				}
-			case *il.DoParallel:
-				n.Body = clean(n.Body)
-				if len(n.Body) == 0 && !lv.LiveOut(s, n.IV) {
-					removed++
-					continue
-				}
+	p.Body = il.RewriteStmts(p.Body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		dead := false
+		switch n := s.(type) {
+		case *il.Assign:
+			if dst, ok := n.Dst.(*il.VarRef); ok {
+				unused := !lv.LiveOut(s, dst.ID) || !needed[s]
+				dead = unused && !p.Vars[dst.ID].IsVolatile() && !p.HasVolatile(n.Src)
 			}
-			out = append(out, s)
+		case *il.If:
+			dead = len(n.Then) == 0 && len(n.Else) == 0 && !p.HasVolatile(n.Cond)
+		case *il.DoLoop:
+			dead = len(n.Body) == 0 && !lv.LiveOut(s, n.IV)
+		case *il.DoParallel:
+			dead = len(n.Body) == 0 && !lv.LiveOut(s, n.IV)
 		}
-		return out
-	}
-	p.Body = clean(p.Body)
+		if dead {
+			removed++
+		}
+		return nil, dead
+	})
 	return p.Changed(removed)
 }
 
@@ -128,18 +104,15 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 	return marked
 }
 
-// PropagateCopies replaces uses of a variable with the source of a copy
+// propagateCopies replaces uses of a variable with the source of a copy
 // assignment `v = w`, `v = &x`, or `v = <pure expression>` when that copy
 // is available on every path (the classic available-copies dataflow,
 // extended to forward propagation of load-free expressions — the paper's
 // "propagating address constants", which is safe because strength
 // reduction and subexpression elimination undo any recomputation it
-// introduces, §11). Returns the number of rewrites performed.
-func PropagateCopies(p *il.Proc) int { return PropagateCopiesWith(p, nil) }
-
-// PropagateCopiesWith is PropagateCopies against an analysis cache (nil
-// re-solves every round).
-func PropagateCopiesWith(p *il.Proc, ac *analysis.Cache) int {
+// introduces, §11). Returns the number of rewrites performed. A nil cache
+// re-solves every round.
+func propagateCopies(p *il.Proc, ac *analysis.Cache) int {
 	total := 0
 	for {
 		n := copyPropOnce(p, ac)

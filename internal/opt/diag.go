@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 
-	"repro/internal/analysis"
 	"repro/internal/diag"
 	"repro/internal/il"
 	"repro/internal/token"
@@ -14,7 +13,7 @@ import (
 // site that stays blocked (or a loop already converted) would re-report
 // each round; the emitter dedupes on (code, position, message) so each
 // decision surfaces exactly once per procedure. A nil emitter drops
-// everything, which keeps the non-diagnostic entry points allocation-free.
+// everything, which keeps a run without a reporter allocation-free.
 type emitter struct {
 	r    *diag.Reporter
 	proc string
@@ -69,13 +68,4 @@ func procPos(p *il.Proc) token.Pos {
 		return true
 	})
 	return pos
-}
-
-// OptimizeDiag is OptimizeWith with the optimizer's decisions reported as
-// structured diagnostics: while→DO conversions (§5.2), induction-variable
-// substitutions and §5.3 blocking outcomes, §8 unreachable-code deletions,
-// and a warning when the scalar fixpoint is capped before convergence.
-// A nil reporter makes it equivalent to OptimizeWith.
-func OptimizeDiag(p *il.Proc, opts Options, ac *analysis.Cache, r *diag.Reporter) Counts {
-	return optimize(p, opts, ac, newEmitter(r, p.Name))
 }

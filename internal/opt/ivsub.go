@@ -8,54 +8,33 @@ import (
 	"repro/internal/il"
 )
 
-// SubstituteInductionVariables performs §5.3's induction-variable
-// substitution on every DO loop: auxiliary induction variables (variables
-// advanced by a loop-invariant amount each iteration, including the
-// pointer-bump temps the front end emits for *a++) are rewritten into
-// closed form over the loop's iteration count, and pure assignments are
+// ivsubProc performs §5.3's induction-variable substitution on every DO
+// loop, innermost first: auxiliary induction variables (variables advanced
+// by a loop-invariant amount each iteration, including the pointer-bump
+// temps the front end emits for *a++) are rewritten into closed form over
+// the loop's iteration count, and pure assignments are
 // forward-substituted into later statements with the paper's
 // blocking/backtracking bookkeeping — a statement rejected only because a
 // later statement redefines one of its operands is re-examined when the
 // blocker is itself rewritten. Returns the number of rewrites performed.
-func SubstituteInductionVariables(p *il.Proc) int {
-	return ivsubProc(p, true, nil)
-}
-
-// SubstituteInductionVariablesSimple is the A2 ablation: recurrence
-// detection does not resolve through the front end's temp copies and only
-// one substitution pass runs, which is the "straightforward technique"
-// §5.3 says cannot handle the translated *a++ loop.
-func SubstituteInductionVariablesSimple(p *il.Proc) int {
-	return ivsubProc(p, false, nil)
-}
-
+//
+// full == false is the A2 ablation: recurrence detection does not resolve
+// through the front end's temp copies and only one substitution pass runs,
+// which is the "straightforward technique" §5.3 says cannot handle the
+// translated *a++ loop.
 func ivsubProc(p *il.Proc, full bool, em *emitter) int {
 	changed := 0
-	p.Body = ivsubList(p, p.Body, full, &changed, em)
-	return p.Changed(changed)
-}
-
-// ivsubList processes loops innermost-first, splicing preheader statements
-// before rewritten loops.
-func ivsubList(p *il.Proc, list []il.Stmt, full bool, changed *int, em *emitter) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = ivsubList(p, n.Then, full, changed, em)
-			n.Else = ivsubList(p, n.Else, full, changed, em)
-		case *il.While:
-			n.Body = ivsubList(p, n.Body, full, changed, em)
-		case *il.DoLoop:
-			n.Body = ivsubList(p, n.Body, full, changed, em)
-			pre := ivsubLoop(p, n, full, changed, em)
-			out = append(out, pre...)
-		case *il.DoParallel:
-			n.Body = ivsubList(p, n.Body, full, changed, em)
+	p.Body = il.RewriteStmts(p.Body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		loop, ok := s.(*il.DoLoop)
+		if !ok {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		if pre := ivsubLoop(p, loop, full, &changed, em); len(pre) > 0 {
+			return append(pre, s), true // preheader statements go before the loop
+		}
+		return nil, false
+	})
+	return p.Changed(changed)
 }
 
 // ivLimit bounds the substitution passes: n passes worst case (§5.3).

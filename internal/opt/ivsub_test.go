@@ -12,7 +12,7 @@ import (
 func runPipeline(t *testing.T, src, name string) *il.Proc {
 	t.Helper()
 	p := compileProc(t, src, name)
-	Optimize(p, DefaultOptions())
+	Optimize(p, DefaultOptions(), nil, nil)
 	return p
 }
 
@@ -79,7 +79,7 @@ void f(float *a, float *b, int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	Optimize(p, Options{IVSub: true, SimpleIVSub: true, NoCopyProp: true})
+	Optimize(p, Options{IVSub: true, SimpleIVSub: true, NoCopyProp: true}, nil, nil)
 	d := firstDoLoop(p.Body)
 	if d == nil {
 		t.Fatalf("no DO loop:\n%s", p)
@@ -231,7 +231,7 @@ int f(void) {
 `
 	p := compileProc(t, src, "f")
 	r := &diag.Reporter{}
-	OptimizeDiag(p, DefaultOptions(), nil, r)
+	Optimize(p, DefaultOptions(), nil, r)
 	d := firstDoLoop(p.Body)
 	if d == nil || len(d.Body) != 1 {
 		t.Fatalf("want a DO loop around the one update:\n%s", p)

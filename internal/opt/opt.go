@@ -20,61 +20,48 @@ type Options struct {
 	// models the "straightforward" 1980s pipeline of §5.3 that cannot
 	// resolve the front end's pointer-bump temporaries.
 	NoCopyProp bool
-	// NoWhileConversion disables while→DO conversion (for ablations).
-	NoWhileConversion bool
 }
 
 // DefaultOptions enables the full paper pipeline.
 func DefaultOptions() Options { return Options{IVSub: true} }
 
-// SubPass is one named step of the scalar optimizer. Run returns the
+// subPass is one named step of the scalar optimizer. run returns the
 // number of changes it made to the procedure.
-type SubPass struct {
-	Name string
-	Run  func(*il.Proc) int
+type subPass struct {
+	name string
+	run  func(*il.Proc) int
 }
 
-// SubPasses returns the scalar sub-passes opts enables, in the paper's
+// subPasses returns the scalar sub-passes opts enables, in the paper's
 // §5.2 order: while loops convert to DO loops immediately after use-def
 // chains are available (each sub-pass builds its own), then the DO-loop
 // simplifications — constant propagation, induction-variable
 // substitution, copy propagation — and finally dead-code elimination.
-// This slice is the single place the scalar phase order is written down;
-// both the fixpoint driver below and the pass manager's snapshot and
-// instrumentation layers consume it.
-func SubPasses(opts Options) []SubPass { return SubPassesWith(opts, nil) }
-
-// SubPassesWith is SubPasses with the sub-passes bound to an analysis
-// cache; a nil cache re-solves every analysis (the uncached baseline).
-func SubPassesWith(opts Options, ac *analysis.Cache) []SubPass {
-	return subPassesDiag(opts, ac, nil)
-}
-
-// subPassesDiag builds the sub-pass list with each sub-pass reporting its
-// decisions through em (nil reports nothing).
-func subPassesDiag(opts Options, ac *analysis.Cache, em *emitter) []SubPass {
+// This slice is the single place the scalar phase order is written down.
+// The sub-passes are bound to the analysis cache (nil re-solves every
+// analysis, the uncached baseline) and report their decisions through em
+// (nil reports nothing).
+func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
 	constprop := func(p *il.Proc) int { return propagateConstants(p, ac, em) }
-	var sp []SubPass
-	if !opts.NoWhileConversion {
-		sp = append(sp, SubPass{"while-to-do", func(p *il.Proc) int { return convertWhileLoops(p, ac, em) }})
+	sp := []subPass{
+		{"while-to-do", func(p *il.Proc) int { return convertWhileLoops(p, ac, em) }},
+		{"constprop", constprop},
 	}
-	sp = append(sp, SubPass{"constprop", constprop})
 	if opts.IVSub {
 		if opts.SimpleIVSub {
-			sp = append(sp, SubPass{"ivsub-simple", func(p *il.Proc) int { return ivsubProc(p, false, em) }})
+			sp = append(sp, subPass{"ivsub-simple", func(p *il.Proc) int { return ivsubProc(p, false, em) }})
 		} else {
-			sp = append(sp, SubPass{"ivsub", func(p *il.Proc) int { return ivsubProc(p, true, em) }})
+			sp = append(sp, subPass{"ivsub", func(p *il.Proc) int { return ivsubProc(p, true, em) }})
 		}
 	}
 	if !opts.NoCopyProp {
-		sp = append(sp, SubPass{"copyprop", func(p *il.Proc) int { return PropagateCopiesWith(p, ac) }})
+		sp = append(sp, subPass{"copyprop", func(p *il.Proc) int { return propagateCopies(p, ac) }})
 	}
-	sp = append(sp,
-		SubPass{"constprop-after", constprop},
-		SubPass{"dce", func(p *il.Proc) int { return EliminateDeadCodeWith(p, ac) }},
-		SubPass{"unused-labels", RemoveUnusedLabels},
+	return append(sp,
+		subPass{"constprop-after", constprop},
+		subPass{"dce", func(p *il.Proc) int { return eliminateDeadCode(p, ac) }},
+		subPass{"unused-labels", removeUnusedLabels},
 	)
-	return sp
 }
 
 // FixpointCapped is the Counts key recording how many procedures hit
@@ -100,29 +87,27 @@ func (c Counts) Add(o Counts) {
 }
 
 // Optimize runs the scalar optimization pipeline on one procedure in the
-// paper's order (§5.2); see SubPasses. The pipeline iterates to a bounded
+// paper's order (§5.2); see subPasses. The pipeline iterates to a bounded
 // fixpoint since each sub-pass exposes opportunities for the others. The
 // returned Counts report changes per sub-pass across all rounds.
-func Optimize(p *il.Proc, opts Options) Counts {
-	return OptimizeWith(p, opts, analysis.NewCache())
-}
-
-// OptimizeWith is Optimize against a caller-owned analysis cache. The
-// final no-change rounds of the fixpoint — and any sub-pass that makes no
-// changes in between — become cache hits instead of full re-solves. A nil
-// cache re-solves everything (the uncached baseline).
-func OptimizeWith(p *il.Proc, opts Options, ac *analysis.Cache) Counts {
-	return optimize(p, opts, ac, nil)
-}
-
-func optimize(p *il.Proc, opts Options, ac *analysis.Cache, em *emitter) Counts {
-	sub := subPassesDiag(opts, ac, em)
+//
+// With a caller-owned analysis cache the final no-change rounds of the
+// fixpoint — and any sub-pass that makes no changes in between — become
+// cache hits instead of full re-solves; a nil cache re-solves everything
+// (the uncached baseline). The optimizer's decisions are reported to r as
+// structured diagnostics: while→DO conversions (§5.2), induction-variable
+// substitutions and §5.3 blocking outcomes, §8 unreachable-code deletions,
+// and a warning when the fixpoint is capped before convergence. A nil
+// reporter drops them.
+func Optimize(p *il.Proc, opts Options, ac *analysis.Cache, r *diag.Reporter) Counts {
+	em := newEmitter(r, p.Name)
+	sub := subPasses(opts, ac, em)
 	counts := Counts{}
 	for round := 0; round < maxRounds; round++ {
 		changed := 0
 		for _, s := range sub {
-			n := s.Run(p)
-			counts[s.Name] += n
+			n := s.run(p)
+			counts[s.name] += n
 			changed += n
 		}
 		if changed == 0 {
@@ -133,22 +118,6 @@ func optimize(p *il.Proc, opts Options, ac *analysis.Cache, em *emitter) Counts 
 			em.warn(diag.FixpointCapped, "scalar-opt", procPos(p),
 				"scalar optimizer hit the %d-round cap with changes still being made; results are valid but may not be fully propagated", maxRounds)
 		}
-	}
-	return counts
-}
-
-// OptimizeProgram runs Optimize over every procedure and returns the
-// merged counts.
-func OptimizeProgram(prog *il.Program, opts Options) Counts {
-	return OptimizeProgramWith(prog, opts, analysis.NewCache())
-}
-
-// OptimizeProgramWith runs OptimizeWith over every procedure with a
-// shared cache and returns the merged counts.
-func OptimizeProgramWith(prog *il.Program, opts Options, ac *analysis.Cache) Counts {
-	counts := Counts{}
-	for _, p := range prog.Procs {
-		counts.Add(OptimizeWith(p, opts, ac))
 	}
 	return counts
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/il"
 )
 
-// ConvertWhileLoops converts while loops that are "DO loops cast in a
+// convertWhileLoops converts while loops that are "DO loops cast in a
 // different guise" (§5.2) into Fortran-style DoLoops. Returns the number of
 // loops converted.
 //
@@ -29,25 +29,8 @@ import (
 // Following the paper's own output, the body is left untouched — a fresh
 // dummy variable counts the iterations, and the original updates to i stay
 // in place for induction-variable substitution and dead-code elimination
-// to clean up.
-func ConvertWhileLoops(p *il.Proc) int { return ConvertWhileLoopsWith(p, nil) }
-
-// conversion records one while→DO rewrite of a sweep, for the between-
-// sweep §5.2 chain splice.
-type conversion struct {
-	w *il.While
-	d *il.DoLoop
-}
-
-// ConvertWhileLoopsWith is ConvertWhileLoops against an analysis cache
-// (nil analyzes directly).
-func ConvertWhileLoopsWith(p *il.Proc, ac *analysis.Cache) int {
-	return convertWhileLoops(p, ac, nil)
-}
-
-// convertWhileLoops is the emitter-threaded implementation: each
-// conversion is reported as a whiledo-converted remark at the while loop's
-// source position (§5.2).
+// to clean up. Each conversion is reported as a whiledo-converted remark
+// at the while loop's source position. A nil cache analyzes directly.
 func convertWhileLoops(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// Converting a loop invalidates the analysis for enclosing loops, so
 	// the conversion iterates — each sweep converts the loops whose
@@ -84,31 +67,31 @@ func convertWhileLoops(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	}
 }
 
+// conversion records one while→DO rewrite of a sweep, for the between-
+// sweep §5.2 chain splice.
+type conversion struct {
+	w *il.While
+	d *il.DoLoop
+}
+
+// convertList is one sweep: every while loop of the tree that tryConvert
+// accepts, innermost first, is replaced by its DO loop.
 func convertList(p *il.Proc, a *dataflow.Analysis, list []il.Stmt, n *int, convs *[]conversion, em *emitter) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch st := s.(type) {
-		case *il.While:
-			st.Body = convertList(p, a, st.Body, n, convs, em)
-			if d := tryConvert(p, a, st, out); d != nil {
-				*n++
-				*convs = append(*convs, conversion{st, d})
-				em.remark(diag.WhileConverted, "while-to-do", st.Pos, nil,
-					"while loop proven countable and converted to a DO loop")
-				out = append(out, d)
-				continue
-			}
-		case *il.If:
-			st.Then = convertList(p, a, st.Then, n, convs, em)
-			st.Else = convertList(p, a, st.Else, n, convs, em)
-		case *il.DoLoop:
-			st.Body = convertList(p, a, st.Body, n, convs, em)
-		case *il.DoParallel:
-			st.Body = convertList(p, a, st.Body, n, convs, em)
+	return il.RewriteStmts(list, nil, func(s il.Stmt, prev []il.Stmt) ([]il.Stmt, bool) {
+		w, ok := s.(*il.While)
+		if !ok {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		d := tryConvert(p, a, w, prev)
+		if d == nil {
+			return nil, false
+		}
+		*n++
+		*convs = append(*convs, conversion{w, d})
+		em.remark(diag.WhileConverted, "while-to-do", w.Pos, nil,
+			"while loop proven countable and converted to a DO loop")
+		return []il.Stmt{d}, true
+	})
 }
 
 // tryConvert returns the DoLoop replacing w, or nil. prev holds the

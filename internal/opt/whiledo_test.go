@@ -58,7 +58,7 @@ func countLoops(body []il.Stmt) (whiles, dos int) {
 
 func TestConvertCountedForLoop(t *testing.T) {
 	p := compileProc(t, "void f(int n) { int i; for (i = 0; i < n; i++) ; }", "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d loops\n%s", got, p)
 	}
 	d := firstDoLoop(p.Body)
@@ -89,7 +89,7 @@ void f(int n, int s) {
 `
 	p := compileProc(t, src, "f")
 	// Step s is not a compile-time constant: direction unknown → no convert.
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (step sign unknown)\n%s", got, p)
 	}
 }
@@ -106,7 +106,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	d := firstDoLoop(p.Body)
@@ -127,7 +127,7 @@ func TestConvertWhileNMinusMinus(t *testing.T) {
 	// statement list; recurrence runs through the head facts.
 	src := "void f(int n) { while (n--) ; }"
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	d := firstDoLoop(p.Body)
@@ -147,7 +147,7 @@ void f(float *a, float *b, int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 }
@@ -165,7 +165,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (bound varies)\n%s", got, p)
 	}
 }
@@ -184,7 +184,7 @@ inside:
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (goto into loop)\n%s", got, p)
 	}
 }
@@ -198,7 +198,7 @@ void f(int n, int c) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (break exits loop)\n%s", got, p)
 	}
 }
@@ -213,7 +213,7 @@ void f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (volatile condition)\n%s", got, p)
 	}
 }
@@ -231,7 +231,7 @@ void f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (global iv + call)\n%s", got, p)
 	}
 }
@@ -249,7 +249,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (addr-taken iv)\n%s", got, p)
 	}
 }
@@ -262,7 +262,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	d := firstDoLoop(p.Body)
@@ -277,7 +277,7 @@ void f(int n) {
 func TestConvertNEForm(t *testing.T) {
 	src := "void f(int n) { int i; for (i = 0; i != n; i++) ; }"
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 }
@@ -286,7 +286,7 @@ func TestConvertMirroredCond(t *testing.T) {
 	// n > i  ≡  i < n
 	src := "void f(int n) { int i; for (i = 0; n > i; i++) ; }"
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	d := firstDoLoop(p.Body)
@@ -306,7 +306,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (direction mismatch)\n%s", got, p)
 	}
 }
@@ -322,7 +322,7 @@ void f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 2 {
+	if got := convertWhileLoops(p, nil, nil); got != 2 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	w, d := countLoops(p.Body)
@@ -343,7 +343,7 @@ void f(int n, int c) {
 }
 `
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 0 {
+	if got := convertWhileLoops(p, nil, nil); got != 0 {
 		t.Fatalf("converted %d (two updates)\n%s", got, p)
 	}
 }
@@ -351,7 +351,7 @@ void f(int n, int c) {
 func TestSafeFlagPreserved(t *testing.T) {
 	src := "void f(float *x, int n) {\n#pragma safe\n\twhile (n) { *x++ = 0; n--; }\n}"
 	p := compileProc(t, src, "f")
-	if got := ConvertWhileLoops(p); got != 1 {
+	if got := convertWhileLoops(p, nil, nil); got != 1 {
 		t.Fatalf("converted %d\n%s", got, p)
 	}
 	if d := firstDoLoop(p.Body); !d.Safe {

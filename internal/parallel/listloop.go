@@ -49,37 +49,24 @@ func (s *ListStats) Add(o ListStats) { s.LoopsConverted += o.LoopsConverted }
 // converted chase loop gets a list-parallelized remark on r.
 func ParallelizeListLoops(prog *il.Program, p *il.Proc, r *diag.Reporter) ListStats {
 	var st ListStats
-	p.Body = walkList(prog, p, p.Body, r, &st)
-	return st
-}
-
-func walkList(prog *il.Program, p *il.Proc, list []il.Stmt, r *diag.Reporter, st *ListStats) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = walkList(prog, p, n.Then, r, st)
-			n.Else = walkList(prog, p, n.Else, r, st)
-		case *il.DoLoop:
-			n.Body = walkList(prog, p, n.Body, r, st)
-		case *il.DoParallel:
-			// leave
-		case *il.While:
-			n.Body = walkList(prog, p, n.Body, r, st)
-			if repl, ok := convertListLoop(prog, p, n); ok {
-				st.LoopsConverted++
-				il.StampStmts(repl, n.Pos)
-				r.Report(diag.Diagnostic{Severity: diag.SevRemark, Code: diag.ListParallelized,
-					Pos: n.Pos, Proc: p.Name, Pass: "list-parallelize",
-					Message: "linked-list chase loop parallelized under the independent-storage assumption (§10)"})
-				p.BumpGeneration()
-				out = append(out, repl...)
-				continue
-			}
+	p.Body = il.RewriteStmts(p.Body, serialOnly, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		n, ok := s.(*il.While)
+		if !ok {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		repl, ok := convertListLoop(prog, p, n)
+		if !ok {
+			return nil, false
+		}
+		st.LoopsConverted++
+		il.StampStmts(repl, n.Pos)
+		r.Report(diag.Diagnostic{Severity: diag.SevRemark, Code: diag.ListParallelized,
+			Pos: n.Pos, Proc: p.Name, Pass: "list-parallelize",
+			Message: "linked-list chase loop parallelized under the independent-storage assumption (§10)"})
+		p.BumpGeneration()
+		return repl, true
+	})
+	return st
 }
 
 // chaseShape matches the loop against while(ptr){...; ptr = *(ptr+off)}.

@@ -26,7 +26,7 @@ func compileProg(t *testing.T, src string) *il.Program {
 		t.Fatalf("lower: %v", err)
 	}
 	for _, p := range prog.Procs {
-		opt.Optimize(p, opt.DefaultOptions())
+		opt.Optimize(p, opt.DefaultOptions(), nil, nil)
 	}
 	return prog
 }

@@ -39,37 +39,20 @@ func (s *NestStats) Add(o NestStats) { s.NestsParallelized += o.NestsParallelize
 // vectorize/parallelize passes give every surviving loop its verdict.)
 func ParallelizeNests(p *il.Proc, r *diag.Reporter) NestStats {
 	var st NestStats
-	p.Body = walkNests(p, p.Body, r, &st)
-	return st
-}
-
-func walkNests(p *il.Proc, list []il.Stmt, r *diag.Reporter, st *NestStats) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = walkNests(p, n.Then, r, st)
-			n.Else = walkNests(p, n.Else, r, st)
-		case *il.While:
-			n.Body = walkNests(p, n.Body, r, st)
-		case *il.DoParallel:
-			// already parallel
-		case *il.DoLoop:
-			n.Body = walkNests(p, n.Body, r, st)
-			if nestIndependent(p, n) {
-				st.NestsParallelized++
-				r.Report(diag.Diagnostic{Severity: diag.SevRemark, Code: diag.NestParallelized,
-					Pos: n.Pos, Proc: p.Name, Pass: "nest-parallelize",
-					Message: "outer loop of nest parallelized: outer stride clears the inner sweep"})
-				p.BumpGeneration()
-				out = append(out, p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
-					Limit: n.Limit, Step: n.Step, Body: n.Body, Pos: n.Pos}))
-				continue
-			}
+	p.Body = il.RewriteStmts(p.Body, serialOnly, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		n, ok := s.(*il.DoLoop)
+		if !ok || !nestIndependent(p, n) {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		st.NestsParallelized++
+		r.Report(diag.Diagnostic{Severity: diag.SevRemark, Code: diag.NestParallelized,
+			Pos: n.Pos, Proc: p.Name, Pass: "nest-parallelize",
+			Message: "outer loop of nest parallelized: outer stride clears the inner sweep"})
+		p.BumpGeneration()
+		return []il.Stmt{p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
+			Limit: n.Limit, Step: n.Step, Body: n.Body, Pos: n.Pos})}, true
+	})
+	return st
 }
 
 // nestRef is one memory access in two-level affine form.

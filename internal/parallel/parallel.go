@@ -50,11 +50,26 @@ func (s *Stats) Add(o Stats) {
 func ParallelizeProc(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set) Stats {
 	var st Stats
 	w := walker{opts: opts, ac: ac, r: r, scheds: scheds, st: &st}
-	p.Body = w.walk(p, p.Body)
+	p.Body = il.RewriteStmts(p.Body, serialOnly, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		if n, ok := s.(*il.DoLoop); ok {
+			if dp := w.convert(p, n); dp != nil {
+				return []il.Stmt{dp}, true
+			}
+		}
+		return nil, false
+	})
 	return st
 }
 
-// walker carries the per-run configuration through the statement walk.
+// serialOnly keeps this package's passes out of do-parallel bodies: a loop
+// that is already parallel (vectorizer or nest output) is left alone —
+// nested parallelism is not profitable on a 4-processor machine.
+func serialOnly(s il.Stmt) bool {
+	_, par := s.(*il.DoParallel)
+	return !par
+}
+
+// walker carries the per-run configuration to each loop's verdict.
 type walker struct {
 	opts   depend.Options
 	ac     *analysis.Cache
@@ -76,62 +91,44 @@ func remark(r *diag.Reporter, p *il.Proc, loop *il.DoLoop, code diag.Code, args 
 	})
 }
 
-func (w *walker) walk(p *il.Proc, list []il.Stmt) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = w.walk(p, n.Then)
-			n.Else = w.walk(p, n.Else)
-		case *il.While:
-			n.Body = w.walk(p, n.Body)
-		case *il.DoParallel:
-			// Already parallel (vectorizer output); leave its body alone —
-			// nested parallelism is not profitable on a 4-processor
-			// machine.
-		case *il.DoLoop:
-			n.Body = w.walk(p, n.Body)
-			w.st.LoopsExamined++
-			rej := classify(p, n, w.opts, w.ac)
-			if rej == nil {
-				sched, explicit := w.scheds.Lookup(p.Name, n.Pos)
-				if explicit && sched.SerialStrips {
-					remark(w.r, p, n, diag.ParSchedSerial, map[string]string{"schedule": sched.String()},
-						"loop kept serial: iterations are independent but the loop schedule pins serial strips")
-					out = append(out, s)
-					continue
-				}
-				width := 0
-				if explicit {
-					width = sched.ParallelWidth
-				}
-				w.st.LoopsParallelized++
-				remark(w.r, p, n, diag.ParParallelized, map[string]string{"schedule": sched.String()},
-					"loop parallelized: iterations are independent")
-				// The loop object changes identity and kind; stale cached
-				// analyses of the enclosing procedure must not survive.
-				p.BumpGeneration()
-				out = append(out, p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
-					Limit: n.Limit, Step: n.Step, Body: n.Body, Width: width, Pos: n.Pos}))
-				continue
-			}
-			// Carried dependences are not necessarily fatal: when every
-			// one has a computable constant distance the loop can
-			// pipeline DOACROSS (§2's spreading plus post/wait).
-			if rej.code == diag.ParCarriedDep {
-				if dp := w.doacross(p, n); dp != nil {
-					out = append(out, dp)
-					continue
-				}
-			}
-			remark(w.r, p, n, rej.code, rej.args, "%s", rej.msg)
+// convert gives one serial DO loop (its body already visited) its verdict
+// and returns the do-parallel replacing it, or nil when it stays serial.
+func (w *walker) convert(p *il.Proc, n *il.DoLoop) *il.DoParallel {
+	w.st.LoopsExamined++
+	rej := classify(p, n, w.opts, w.ac)
+	if rej == nil {
+		sched, explicit := w.scheds.Lookup(p.Name, n.Pos)
+		if explicit && sched.SerialStrips {
+			remark(w.r, p, n, diag.ParSchedSerial, map[string]string{"schedule": sched.String()},
+				"loop kept serial: iterations are independent but the loop schedule pins serial strips")
+			return nil
 		}
-		out = append(out, s)
+		width := 0
+		if explicit {
+			width = sched.ParallelWidth
+		}
+		w.st.LoopsParallelized++
+		remark(w.r, p, n, diag.ParParallelized, map[string]string{"schedule": sched.String()},
+			"loop parallelized: iterations are independent")
+		// The loop object changes identity and kind; stale cached
+		// analyses of the enclosing procedure must not survive.
+		p.BumpGeneration()
+		return p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
+			Limit: n.Limit, Step: n.Step, Body: n.Body, Width: width, Pos: n.Pos})
 	}
-	return out
+	// Carried dependences are not necessarily fatal: when every
+	// one has a computable constant distance the loop can
+	// pipeline DOACROSS (§2's spreading plus post/wait).
+	if rej.code == diag.ParCarriedDep {
+		if dp := w.doacross(p, n); dp != nil {
+			return dp
+		}
+	}
+	remark(w.r, p, n, rej.code, rej.args, "%s", rej.msg)
+	return nil
 }
 
-// rejection is one deferred verdict remark: the walker files it unless a
+// rejection is one deferred verdict remark: convert files it unless a
 // DOACROSS conversion supersedes it.
 type rejection struct {
 	code diag.Code
@@ -156,21 +153,20 @@ func classify(p *il.Proc, loop *il.DoLoop, opts depend.Options, ac *analysis.Cac
 		}
 	}
 	ld := ac.LoopDeps(p, loop, opts)
-	for i, b := range ld.Barrier {
-		if b {
-			return &rejection{code: diag.ParBarrier, args: map[string]string{"stmt": loop.Body[i].String()},
-				msg: fmt.Sprintf("loop not parallelized: statement S%d is a dependence barrier", i)}
-		}
-	}
-	for _, d := range ld.Deps {
-		if d.Carried {
-			args := map[string]string{"dep": d.String()}
-			if d.Known {
-				args["distance"] = fmt.Sprintf("%d", d.Distance)
+	if d := ld.Carried(); d != nil {
+		// A barrier is named as one, ahead of the edges it induces.
+		for i, b := range ld.Barrier {
+			if b {
+				return &rejection{code: diag.ParBarrier, args: map[string]string{"stmt": loop.Body[i].String()},
+					msg: fmt.Sprintf("loop not parallelized: statement S%d is a dependence barrier", i)}
 			}
-			return &rejection{code: diag.ParCarriedDep, args: args,
-				msg: fmt.Sprintf("loop not parallelized: carried dependence %s", d.String())}
 		}
+		args := map[string]string{"dep": d.String()}
+		if d.Known {
+			args["distance"] = fmt.Sprintf("%d", d.Distance)
+		}
+		return &rejection{code: diag.ParCarriedDep, args: args,
+			msg: fmt.Sprintf("loop not parallelized: carried dependence %s", d.String())}
 	}
 	if v := depend.UnsafeScalar(p, loop.Body); v != "" {
 		return &rejection{code: diag.ParLiveOut, args: map[string]string{"var": v},

@@ -29,7 +29,7 @@ func compileOpt(t *testing.T, src, name string) *il.Proc {
 	if p == nil {
 		t.Fatalf("no proc %s", name)
 	}
-	opt.Optimize(p, opt.DefaultOptions())
+	opt.Optimize(p, opt.DefaultOptions(), nil, nil)
 	return p
 }
 

@@ -121,7 +121,7 @@ func (sp *scalarPass) Run(prog *il.Program, ctx *Context) error {
 		ctx.Report.Scalar = opt.Counts{}
 	}
 	for _, c := range forEachProc(prog, ctx.workers(), func(p *il.Proc) opt.Counts {
-		return opt.OptimizeDiag(p, sp.opts, ctx.Analysis, ctx.Diags)
+		return opt.Optimize(p, sp.opts, ctx.Analysis, ctx.Diags)
 	}) {
 		ctx.Report.Scalar.Add(c)
 	}

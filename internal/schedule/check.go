@@ -32,33 +32,19 @@ func Check(p *il.Proc, loop *il.DoLoop, s Schedule, ac *analysis.Cache, opts dep
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if s.ParallelWidth > 0 && !s.SerialStrips {
-		ld := ac.LoopDeps(p, loop, opts)
-		for i, b := range ld.Barrier {
-			if b {
-				return fmt.Errorf("schedule: parallel width %d illegal: statement S%d is a barrier", s.ParallelWidth, i)
-			}
-		}
-		for i := range ld.Deps {
-			if d := &ld.Deps[i]; d.Carried && s.SyncStride == 0 {
-				return fmt.Errorf("schedule: parallel width %d illegal: carried dependence %s", s.ParallelWidth, d)
-			}
+	if s.ParallelWidth > 0 && !s.SerialStrips && s.SyncStride == 0 {
+		if d := ac.LoopDeps(p, loop, opts).Carried(); d != nil {
+			return fmt.Errorf("schedule: parallel width %d illegal: carried dependence %s", s.ParallelWidth, d)
 		}
 	}
 	if s.SyncStride > 0 && !s.SerialStrips {
 		// A sync stride only makes sense for DOACROSS: the loop must have
 		// carried dependences the parallelizer can plan post/wait for, and
 		// coalesced posting (stride > 1) must keep the awaited iteration
-		// strictly earlier than the waiter at the scheduled width.
+		// strictly earlier than the waiter at the scheduled width. (A
+		// barrier statement carries a dependence no plan can order.)
 		ld := ac.LoopDeps(p, loop, opts)
-		carried := false
-		for i := range ld.Deps {
-			if ld.Deps[i].Carried {
-				carried = true
-				break
-			}
-		}
-		if carried {
+		if ld.Carried() != nil {
 			plan := depend.Doacross(p, ld)
 			if plan == nil {
 				return fmt.Errorf("schedule: sync stride %d illegal: no computable DOACROSS plan for the loop's carried dependences", s.SyncStride)
@@ -128,12 +114,12 @@ func CheckInterchange(p *il.Proc, loop *il.DoLoop, opts depend.Options) error {
 	// latter via a synthetic loop iterating the outer IV directly over
 	// the innermost statements. Synthetic loops are never cached — their
 	// identity is fresh each call.
-	if d := carriedDep(depend.AnalyzeLoop(p, inner, opts)); d != nil {
+	if d := depend.AnalyzeLoop(p, inner, opts).Carried(); d != nil {
 		return fmt.Errorf("schedule: interchange illegal: inner-carried dependence %s", d)
 	}
 	outerView := &il.DoLoop{IV: loop.IV, Init: loop.Init, Limit: loop.Limit,
 		Step: loop.Step, Body: inner.Body, Safe: loop.Safe || inner.Safe, Pos: loop.Pos}
-	if d := carriedDep(depend.AnalyzeLoop(p, outerView, opts)); d != nil {
+	if d := depend.AnalyzeLoop(p, outerView, opts).Carried(); d != nil {
 		return fmt.Errorf("schedule: interchange illegal: outer-carried dependence %s", d)
 	}
 	return nil
@@ -147,20 +133,4 @@ func perfectNestInner(loop *il.DoLoop) (*il.DoLoop, bool) {
 	}
 	inner, ok := loop.Body[0].(*il.DoLoop)
 	return inner, ok
-}
-
-// carriedDep returns the first carried dependence or barrier-induced
-// edge in ld, or nil when iterations are independent.
-func carriedDep(ld *depend.LoopDeps) *depend.Dep {
-	for i, b := range ld.Barrier {
-		if b {
-			return &depend.Dep{From: i, To: i, Kind: depend.Output, Carried: true}
-		}
-	}
-	for i := range ld.Deps {
-		if ld.Deps[i].Carried {
-			return &ld.Deps[i]
-		}
-	}
-	return nil
 }

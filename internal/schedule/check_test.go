@@ -73,6 +73,44 @@ void f(int n)
 }
 `
 
+// invariantStoreSrc stores to one address in every iteration, and
+// invariantWordSrc stores and loads one word in different statements:
+// neither moves with the index, so both carry dependences.
+const invariantStoreSrc = `
+int a[128], s[2];
+void f(int n)
+{
+	int i;
+	for (i = 0; i < n; i++)
+		s[0] = s[0] + a[i];
+}
+`
+
+const invariantWordSrc = `
+float a[128], s[2];
+void f(int n)
+{
+	int i;
+	for (i = 0; i < n; i++) {
+		s[0] = i;
+		a[i] = s[0];
+	}
+}
+`
+
+// repeatNestSrc is a perfect rectangular nest whose store does not move
+// with the outer index: every r writes all of a[].
+const repeatNestSrc = `
+float a[16], b[16];
+void f(void)
+{
+	int r, j;
+	for (r = 0; r < 4; r++)
+		for (j = 0; j < 16; j++)
+			a[j] = b[j] * 2.0f;
+}
+`
+
 const rectNestSrc = `
 float m[16][16], s[16][16];
 void f(void)
@@ -117,6 +155,15 @@ func TestCheckParallelWidth(t *testing.T) {
 	p, loops = loopsOf(t, callBodySrc, "f")
 	if check(p, loops[0], width) == nil {
 		t.Error("loop with a call barrier accepted for parallel spreading")
+	}
+
+	p, loops = loopsOf(t, invariantStoreSrc, "f")
+	if err := check(p, loops[0], width); err == nil || !strings.Contains(err.Error(), "S0 -output carried(?)-> S0") {
+		t.Errorf("store to a fixed address: %v, want the store's output dependence on itself", err)
+	}
+	p, loops = loopsOf(t, invariantWordSrc, "f")
+	if err := check(p, loops[0], width); err == nil || !strings.Contains(err.Error(), "carried") {
+		t.Errorf("store and load of one fixed word: %v, want a carried dependence", err)
 	}
 
 	// Serial strips sidestep the dependence question entirely: the strip
@@ -170,6 +217,11 @@ func TestCheckInterchange(t *testing.T) {
 	p, loops = loopsOf(t, independentSrc, "f")
 	if check(p, loops[0], ic) == nil {
 		t.Error("non-nest loop accepted for interchange")
+	}
+
+	p, loops = loopsOf(t, repeatNestSrc, "f")
+	if err := check(p, loops[0], ic); err == nil || !strings.Contains(err.Error(), "outer-carried dependence") {
+		t.Errorf("nest whose store does not move with the outer index: %v, want an outer-carried dependence", err)
 	}
 }
 

@@ -74,34 +74,18 @@ type Config struct {
 // OptimizeLoops transforms every serial innermost DO loop of p.
 func OptimizeLoops(p *il.Proc, cfg Config) Stats {
 	var st Stats
-	p.Body = walk(p, p.Body, cfg, &st)
-	return st
-}
-
-func walk(p *il.Proc, list []il.Stmt, cfg Config, st *Stats) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = walk(p, n.Then, cfg, st)
-			n.Else = walk(p, n.Else, cfg, st)
-		case *il.While:
-			n.Body = walk(p, n.Body, cfg, st)
-		case *il.DoParallel:
-			n.Body = walk(p, n.Body, cfg, st)
-		case *il.DoLoop:
-			n.Body = walk(p, n.Body, cfg, st)
-			if eligible(n) {
-				pre, post := transformLoop(p, n, cfg, st)
-				out = append(out, pre...)
-				out = append(out, s)
-				out = append(out, post...)
-				continue
-			}
+	p.Body = il.RewriteStmts(p.Body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		loop, ok := s.(*il.DoLoop)
+		if !ok || !eligible(loop) {
+			return nil, false
 		}
-		out = append(out, s)
-	}
-	return out
+		pre, post := transformLoop(p, loop, cfg, &st)
+		if len(pre)+len(post) == 0 {
+			return nil, false
+		}
+		return append(append(pre, s), post...), true
+	})
+	return st
 }
 
 // eligible restricts the pass to innermost serial loops of straight-line

@@ -106,21 +106,6 @@ var deadDecisions = map[string][]schedule.LoopKey{
 	"bench/sparsesaxpy":                 {{Proc: "ssaxpy", Line: 7, Col: 2}},
 }
 
-// racyCandidates are the searches the race detector cannot watch. Each
-// measures an interchange candidate for the kernel's repeat loop
-// (`for (r...) kernel(...)`, inlined), and after the interchange the
-// parallelizer spreads the r iterations — which all store the same values
-// to the same elements — across processors. The stores are idempotent, so
-// the run is deterministic and the candidate merely loses; but simulated
-// processors are goroutines, and the detector rightly reports them
-// writing one address. That legality hole predates the golden (the
-// commit it was generated at reports the same race) and belongs to the
-// parallelizer, not the tuner.
-var racyCandidates = map[string]bool{
-	"benchmark/programs/daxpy.c@4":     true,
-	"benchmark/programs/vectoradd.c@4": true,
-}
-
 func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
 	t.Helper()
 	res, err := tune.Tune(u.Src, driver.FullOptions(), tune.Config{Processors: procs})
@@ -208,9 +193,6 @@ func TestDecisionsGolden(t *testing.T) {
 		// so a regenerated golden cannot pin one either.
 		if w.TunedCycles > w.DefaultCycles {
 			t.Errorf("%s: tuner regressed: tuned %d > default %d cycles", id, w.TunedCycles, w.DefaultCycles)
-		}
-		if raceDetector && racyCandidates[id] {
-			continue
 		}
 		g := searchFor(t, units[i/2], w.Processors)
 		// Drop the listed dead-procedure decisions from the golden side;

@@ -473,9 +473,6 @@ func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options, cfg Config) [
 	// dependence distance cannot cover at the scheduled width).
 	if !independent {
 		for _, ss := range []int{1, 2, 4, 8} {
-			if ss > schedule.MaxSyncStride {
-				continue
-			}
 			try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, SyncStride: ss})
 			if cfg.processors() > 1 {
 				for w := 2; w <= cfg.processors() && w <= titan.MaxProcessors; w *= 2 {
@@ -485,9 +482,7 @@ func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options, cfg Config) [
 		}
 	}
 	for _, k := range []int{2, 4, 8} {
-		if k <= schedule.MaxUnroll {
-			try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: k})
-		}
+		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: k})
 	}
 	// Conditional bodies add the mask axis. Masked execution is already
 	// the default plan, so the alternatives worth measuring are keeping
@@ -505,7 +500,8 @@ func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options, cfg Config) [
 // loopHasCond reports whether the loop body contains a conditional (or an
 // already-predicated statement) the mask strategy could act on. The tuner
 // discovers loops before the ifconvert pass, so guarded stores still
-// appear as If statements here.
+// appear as If statements here. schedule.Check cannot stand in for it:
+// its mask rule accepts "off" on any loop.
 func loopHasCond(loop *il.DoLoop) bool {
 	found := false
 	il.WalkStmts(loop.Body, func(s il.Stmt) bool {

@@ -39,27 +39,15 @@ func (s *IfConvStats) Add(o IfConvStats) {
 // vectorizer later refuses to mask such loops.
 func IfConvertProc(p *il.Proc, scheds *schedule.Set, r *diag.Reporter) IfConvStats {
 	var st IfConvStats
-	ifConvertList(p, p.Body, scheds, r, &st)
-	return st
-}
-
-func ifConvertList(p *il.Proc, list []il.Stmt, scheds *schedule.Set, r *diag.Reporter, st *IfConvStats) {
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			ifConvertList(p, n.Then, scheds, r, st)
-			ifConvertList(p, n.Else, scheds, r, st)
-		case *il.While:
-			ifConvertList(p, n.Body, scheds, r, st)
-		case *il.DoParallel:
-			ifConvertList(p, n.Body, scheds, r, st)
-		case *il.DoLoop:
-			ifConvertList(p, n.Body, scheds, r, st)
-			if isInnermost(n.Body) {
-				ifConvertLoop(p, n, scheds, r, st)
-			}
+	il.WalkStmts(p.Body, func(s il.Stmt) bool {
+		loop, ok := s.(*il.DoLoop)
+		if !ok || !isInnermost(loop.Body) {
+			return true
 		}
-	}
+		ifConvertLoop(p, loop, scheds, r, &st)
+		return false // nothing below an innermost loop to visit
+	})
+	return st
 }
 
 // ifConvertLoop rewrites the loop body in place, replacing each

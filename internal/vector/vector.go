@@ -83,39 +83,30 @@ func (s *Stats) Add(o Stats) {
 	s.SerialResidue += o.SerialResidue
 }
 
-// VectorizeProc vectorizes every innermost DO loop in the procedure.
+// VectorizeProc vectorizes every innermost DO loop in the procedure. A
+// scheduled interchange happens on the way down, before the walk descends
+// into the nest, so the vectorizer sees the interchanged inner dimension.
 func VectorizeProc(p *il.Proc, cfg Config) Stats {
 	var st Stats
-	p.Body = vectorizeList(p, p.Body, cfg, &st)
-	return st
-}
-
-func vectorizeList(p *il.Proc, list []il.Stmt, cfg Config, st *Stats) []il.Stmt {
-	out := make([]il.Stmt, 0, len(list))
-	for _, s := range list {
-		switch n := s.(type) {
-		case *il.If:
-			n.Then = vectorizeList(p, n.Then, cfg, st)
-			n.Else = vectorizeList(p, n.Else, cfg, st)
-		case *il.While:
-			n.Body = vectorizeList(p, n.Body, cfg, st)
-		case *il.DoLoop:
-			maybeInterchange(p, n, cfg)
-			n.Body = vectorizeList(p, n.Body, cfg, st)
-			if isInnermost(n.Body) {
-				st.LoopsExamined++
-				if repl, ok := vectorizeLoop(p, n, cfg, st); ok {
-					st.LoopsVectorized++
-					out = append(out, repl...)
-					continue
-				}
-			}
-		case *il.DoParallel:
-			n.Body = vectorizeList(p, n.Body, cfg, st)
+	enter := func(s il.Stmt) bool {
+		if outer, ok := s.(*il.DoLoop); ok {
+			maybeInterchange(p, outer, cfg)
 		}
-		out = append(out, s)
+		return true
 	}
-	return out
+	p.Body = il.RewriteStmts(p.Body, enter, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		loop, ok := s.(*il.DoLoop)
+		if !ok || !isInnermost(loop.Body) {
+			return nil, false
+		}
+		st.LoopsExamined++
+		repl, ok := vectorizeLoop(p, loop, cfg, &st)
+		if ok {
+			st.LoopsVectorized++
+		}
+		return repl, ok
+	})
+	return st
 }
 
 // isInnermost reports whether the body contains no loops.
@@ -133,8 +124,7 @@ func isInnermost(body []il.Stmt) bool {
 
 // maybeInterchange swaps the headers of a perfect two-level nest when the
 // outer loop's explicit schedule asks for it and the swap is provably
-// legal (every direction vector is (=,=)). Runs before the walk descends,
-// so the vectorizer then sees the interchanged inner dimension.
+// legal (every direction vector is (=,=)).
 func maybeInterchange(p *il.Proc, outer *il.DoLoop, cfg Config) {
 	s, explicit := cfg.Schedules.Lookup(p.Name, outer.Pos)
 	if !explicit || !s.Interchange {
@@ -242,13 +232,7 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 		vec := false
 		if len(scc) == 1 {
 			i := scc[0]
-			selfCycle := false
-			for _, d := range ld.Deps {
-				if d.From == i && d.To == i && d.Carried {
-					selfCycle = true
-				}
-			}
-			if !selfCycle && !ld.Barrier[i] && vectorizableStmt(p, loop, loop.Body[i], allowMasked) {
+			if !ld.HasCycleThrough(i) && !ld.Barrier[i] && vectorizableStmt(p, loop, loop.Body[i], allowMasked) {
 				vec = true
 			}
 		}
@@ -313,13 +297,7 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 
 	// No carried dependence anywhere ⇒ strips are independent ⇒ parallel,
 	// unless the loop's schedule pins the strips serial.
-	carried := false
-	for _, d := range ld.Deps {
-		if d.Carried {
-			carried = true
-		}
-	}
-	parallelOK := cfg.Parallel && !carried && !sched.SerialStrips
+	parallelOK := cfg.Parallel && ld.Carried() == nil && !sched.SerialStrips
 
 	var out []il.Stmt
 	vecStmts, maskedStmts, residue := 0, 0, 0

@@ -6,16 +6,30 @@ package repro
 // p=1 and p=4, exits with what unoptimized scalar code exits with.
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/depend"
+	"repro/internal/diag"
 	"repro/internal/driver"
+	"repro/internal/il"
+	"repro/internal/pass"
+	"repro/internal/schedule"
 	"repro/internal/titan"
+	"repro/internal/token"
 )
 
 var miscompileCases = []struct {
 	name string
 	src  string
 	opts []driver.Options
+	// sched, when set, is a loop of main and the explicit plan the case
+	// compiles it under.
+	sched *scheduledLoop
+	// check asserts on the compile itself, for a case whose exit code is
+	// right by luck on some engine: nest is the scheduled loop as the loop
+	// phases first see it (nil without sched).
+	check func(t *testing.T, res *driver.Result, diags []diag.Diagnostic, nest *il.DoLoop)
 }{
 	{
 		// The step of t = t + step must be invariant in the loop before
@@ -33,6 +47,113 @@ int main(void)
 `,
 		opts: []driver.Options{driver.ScalarOptions(), driver.FullOptions()},
 	},
+	{
+		// A store whose address does not move with the index writes one
+		// location in every iteration: an output dependence on itself.
+		// The reference engine runs a region's processors one after
+		// another and the fast engine's race is not deterministic, so
+		// the verdict is asserted too.
+		name: "depend-invariant-address-store",
+		src: `
+int a[60000], s[2];
+
+int main(void)
+{
+	int i;
+	for (i = 0; i < 60000; i++)
+		a[i] = i & 7;
+	for (i = 0; i < 60000; i++)
+		s[0] = s[0] + a[i];
+	return s[0] % 251;
+}
+`,
+		opts: []driver.Options{driver.FullOptions()},
+		check: func(t *testing.T, res *driver.Result, diags []diag.Diagnostic, _ *il.DoLoop) {
+			const want = "S0 -output carried(?)-> S0"
+			verdict := false
+			for _, d := range diags {
+				if d.Pass != "parallelize" || d.Pos.Line != 9 {
+					continue
+				}
+				verdict = true
+				if d.Code != diag.ParCarriedDep || d.Args["dep"] != want {
+					t.Errorf("the loop's verdict is %s, want %s naming %s", d.String(), diag.ParCarriedDep, want)
+				}
+			}
+			if !verdict {
+				t.Error("the loop storing to s[0] has no parallelize verdict")
+			}
+			main := res.IL.Proc("main")
+			sID := main.LookupVar("s")
+			il.WalkStmts(main.Body, func(st il.Stmt) bool {
+				dp, ok := st.(*il.DoParallel)
+				if !ok {
+					return true
+				}
+				il.WalkStmts(dp.Body, func(in il.Stmt) bool {
+					if as, ok := in.(*il.Assign); ok && il.IsStore(as) && il.UsesVar(as.Dst, sID) {
+						t.Errorf("a do parallel encloses the store %s", as)
+					}
+					return true
+				})
+				return true
+			})
+		},
+	},
+	{
+		// The same store after an interchange: every iteration of the
+		// kernel's repeat loop writes all of a[], so a[512-n] does not
+		// move with r and the nest is not permutable. The stores are
+		// idempotent, so only the legality check and the race detector
+		// can see it.
+		name: "interchange-invariant-store",
+		src: `
+float a[512], b[512], c[512];
+
+void daxpy(float *x, float *y, float *z, float alpha, int n)
+{
+	if (n <= 0)
+		return;
+	if (alpha == 0)
+		return;
+	for (; n; n--)
+		*x++ = *y++ + alpha * *z++;
+}
+
+int main(void)
+{
+	int i, r, chk;
+	for (i = 0; i < 512; i++) {
+		b[i] = i;
+		c[i] = 512 - i;
+	}
+	for (r = 0; r < 12; r++) daxpy(a, b, c, 0.5f, 512);
+	chk = 0;
+	for (i = 0; i < 512; i++)
+		chk = (chk + (int)(a[i] * 2.0f)) % 65521;
+	return chk % 251;
+}
+`,
+		opts:  []driver.Options{driver.FullOptions()},
+		sched: &scheduledLoop{token.Pos{Line: 21, Col: 2}, schedule.Schedule{VL: 32, Unroll: 1, Interchange: true}},
+		check: func(t *testing.T, res *driver.Result, diags []diag.Diagnostic, nest *il.DoLoop) {
+			err := schedule.CheckInterchange(res.IL.Proc("main"), nest, depend.Options{})
+			if err == nil || !strings.Contains(err.Error(), "outer-carried dependence") {
+				t.Errorf("CheckInterchange on the repeat nest = %v, want an outer-carried dependence", err)
+			}
+			for _, d := range diags {
+				if d.Code == diag.VectInterchanged {
+					t.Errorf("the repeat nest was interchanged: %s", d.String())
+				}
+			}
+		},
+	},
+}
+
+// scheduledLoop is one loop of main, by source position, and its plan.
+type scheduledLoop struct {
+	pos  token.Pos
+	plan schedule.Schedule
 }
 
 func TestMiscompile(t *testing.T) {
@@ -43,9 +164,34 @@ func TestMiscompile(t *testing.T) {
 				t.Fatalf("-O0: %v", err)
 			}
 			for _, opts := range tc.opts {
-				res, err := driver.Compile(tc.src, opts)
+				ctx := pass.NewContext()
+				var nest *il.DoLoop
+				if tc.sched != nil {
+					ctx.Schedules = schedule.NewSet()
+					ctx.Schedules.Put(schedule.KeyFor("main", tc.sched.pos), tc.sched.plan)
+					// The loop as the loop phases first see it, cloned
+					// because they rewrite it.
+					ctx.Snapshot = func(name string, prog *il.Program) {
+						if name != pass.PassScalar {
+							return
+						}
+						il.WalkStmts(prog.Proc("main").Body, func(s il.Stmt) bool {
+							if loop, ok := s.(*il.DoLoop); ok && loop.Pos == tc.sched.pos {
+								nest = (*il.Arena)(nil).CloneStmt(loop).(*il.DoLoop)
+							}
+							return true
+						})
+					}
+				}
+				res, err := driver.CompileWith(tc.src, opts, ctx)
 				if err != nil {
 					t.Fatalf("%+v: %v", opts, err)
+				}
+				if tc.sched != nil && nest == nil {
+					t.Fatalf("no DO loop of main at %v to schedule", tc.sched.pos)
+				}
+				if tc.check != nil {
+					tc.check(t, res, ctx.Diags.All(), nest)
 				}
 				for _, procs := range []int{1, 4} {
 					fast, errF := titan.NewMachine(res.Machine, procs).Run("main")

@@ -222,3 +222,96 @@ func TestOneAffineDecomposer(t *testing.T) {
 		})
 	})
 }
+
+// walkerAllowed lists the only functions outside package il that may
+// descend into a statement's nested lists by calling themselves.
+var walkerAllowed = []struct{ file, fn, why string }{
+	{"internal/opt/constprop.go", "postpassUnreachable",
+		"top-down, not bottom-up: each nested list is cleaned knowing the label control falls to after its parent, which a leave callback is not told"},
+	{"internal/inline/inline.go", "rewriteInlined",
+		"the renaming clone: it rewrites every field of every statement kind of a callee body (variables, IVs, labels, returns), a map over a fresh copy rather than an edit of the procedure"},
+}
+
+// TestOneStatementTreeRewriter keeps "which statements hold statement
+// lists" known to package il alone: il.WalkStmts reads a tree,
+// il.RewriteStmts rewrites one, and the phases are callbacks on them. A
+// walker of its own has to assign a nested list from a call to itself, so
+// outside il no non-test function — nor a function literal bound to a
+// variable — may; a forgotten case in such a switch is a silently
+// unvisited body.
+func TestOneStatementTreeRewriter(t *testing.T) {
+	fset := token.NewFileSet()
+	used := make([]bool, len(walkerAllowed))
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/il/") {
+			return
+		}
+		// check reports the assignments in body that store self's own
+		// result into a nested-list field.
+		check := func(owner, self string, body ast.Node) {
+			ast.Inspect(body, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, lhs := range as.Lhs {
+					field, ok := lhs.(*ast.SelectorExpr)
+					if !ok || (field.Sel.Name != "Then" && field.Sel.Name != "Else" && field.Sel.Name != "Body") {
+						continue
+					}
+					call, ok := as.Rhs[i].(*ast.CallExpr)
+					if !ok {
+						continue
+					}
+					callee := ""
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						callee = fun.Name
+					case *ast.SelectorExpr:
+						callee = fun.Sel.Name
+					}
+					if callee != self {
+						continue
+					}
+					allowed := false
+					for j, a := range walkerAllowed {
+						if a.file == path && a.fn == owner {
+							used[j], allowed = true, true
+						}
+					}
+					if !allowed {
+						t.Errorf("%s: %s walks nested statement lists by itself (.%s = %s(…)); make it a callback on il.RewriteStmts or il.WalkStmts",
+							fset.Position(as.Pos()), owner, field.Sel.Name, self)
+					}
+				}
+				return true
+			})
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			check(fn.Name.Name, fn.Name.Name, fn.Body)
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				as, ok := n.(*ast.AssignStmt)
+				if !ok || len(as.Lhs) != len(as.Rhs) {
+					return true
+				}
+				for i, rhs := range as.Rhs {
+					lit, isLit := rhs.(*ast.FuncLit)
+					name, isIdent := as.Lhs[i].(*ast.Ident)
+					if isLit && isIdent {
+						check(fn.Name.Name, name.Name, lit.Body)
+					}
+				}
+				return true
+			})
+		}
+	})
+	for i, a := range walkerAllowed {
+		if !used[i] {
+			t.Errorf("allow-list entry %s (%s) matches nothing; delete it", a.file, a.fn)
+		}
+	}
+}
