@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"unsafe"
@@ -149,15 +150,35 @@ func srcOff(o operand, r int32) int32 {
 	return offSbZero
 }
 
-// decode builds the decoded form of every function, once. Concurrent
-// Machines sharing a Program race here only through the sync.Once.
+// decode builds the decoded form of every function and the program's
+// vector-slot bound, once. Concurrent Machines sharing a Program race
+// here only through the sync.Once.
 func (p *Program) decode() {
 	p.decOnce.Do(func() {
 		p.decoded = make(map[string]*dfunc, len(p.Funcs))
 		for name, f := range p.Funcs {
 			p.decoded[name] = decodeFunc(f)
+			p.vregs = max(p.vregs, vecSlots(f))
 		}
 	})
+}
+
+// vecSlots is one past the highest vector-register slot, wrapped into the
+// file, that an instruction of f names; 0 when f has no vector operand.
+func vecSlots(f *Func) int {
+	n := 0
+	slot := func(o operand, r int) {
+		if o.file == VecReg {
+			n = max(n, vslot(r)+1)
+		}
+	}
+	for _, in := range f.Instrs {
+		info := &opTable[in.Op]
+		slot(info.rd, in.Rd)
+		slot(info.rs1, in.Rs1)
+		slot(info.rs2, in.Rs2)
+	}
+	return n
 }
 
 // fusableALU ops may lead a fuseBranch pair: register-only, no faults,
@@ -304,7 +325,7 @@ func (m *Machine) runFastEntry(entry string) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("titan: no function %q", entry)
 	}
-	c := &m.root
+	c := m.root
 	if m.rootUsed {
 		c = new(cpu)
 	}
@@ -520,18 +541,8 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 			c.r[d.rd] = int64(c.f[d.rs1])
 
 		case OpVsetl:
-			vl := c.r[d.rs1]
-			if vl < 0 {
-				vl = 0
-			}
-			if vl > MaxVL {
-				vl = MaxVL
-			}
-			c.vl = vl
-			c.vlc = vl
-			if vl == 0 {
-				c.vlc = 1
-			}
+			c.setVL(c.r[d.rs1])
+			c.vlc = max(c.vl, 1)
 		case OpVld:
 			if err := c.vldFast(d, df.name, pc); err != nil {
 				return err
@@ -671,7 +682,7 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 			if cell < 0 || cell >= NumSyncCells {
 				return &Fault{Addr: cell, Size: 8, Kind: "sync wait", Func: df.name, PC: pc}
 			}
-			t, err := c.sync.waitFast(int(cell), c.r[d.rs2], df.name)
+			t, err := c.sync.waitFast(int(c.pid), int(cell), c.r[d.rs2], df.name)
 			if err != nil {
 				return err
 			}
@@ -773,7 +784,7 @@ func (c *cpu) callFast(d *dinstr, df *dfunc, pc int, maxInstrs int64) error {
 
 // parallelRegionFast runs [start, end) once per processor, one goroutine
 // each, over the shared memory slab. Registers, the VRF, and the
-// scoreboard are private per processor (cpu is copied by value); output
+// scoreboard are private per processor (forkTo copies them); output
 // goes to a private builder per processor and is concatenated in pid
 // order at the join, which makes it byte-identical to the reference's
 // serialized pid-order execution. Memory is genuinely shared and
@@ -787,12 +798,21 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 	join := c.fork()
 	parentOut := c.out
 	savedSync, savedFrame := c.sync, c.inRegionFrame
+	// Pids 1.. fork copies of the cpu's live state into the Machine's
+	// reusable scratch block, which also holds the region's fabric and
+	// WaitGroup, so a region allocates nothing but its goroutines.
+	var scr *regionScratch
+	if procs > 1 || hasSync {
+		scr = c.m.claimScratch()
+		defer c.m.releaseScratch(scr)
+	}
 	// A sync region gets its fabric even on one processor: posts must land
 	// somewhere, and a wait that nothing could satisfy must deadlock
 	// (procs == 1 trips the all-blocked detection immediately).
 	var ss *syncState
 	if hasSync {
-		ss = newSyncState(procs)
+		ss = &scr.fabric
+		ss.reset(procs)
 	}
 	// Pid 0 executes on c itself: its state is the one the join adopts
 	// anyway, so a P-processor region costs P-1 struct copies.
@@ -809,33 +829,30 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 		join.finish(c, 1)
 		return nil
 	}
-	// Pids 1.. fork copies of the full cpu (registers, VRF, scoreboard)
-	// from the Machine's reusable scratch block, so a region allocates
-	// nothing. Every processor writes output to its own builder and the
-	// join concatenates them in pid order, byte-identical to the
-	// reference's serialized pid-order run.
-	scr := c.m.claimScratch()
-	defer c.m.releaseScratch(scr)
+	// Every processor writes output to its own builder and the join
+	// concatenates them in pid order, byte-identical to the reference's
+	// serialized pid-order run.
+	//
 	// Sync regions must fan out for real even on a single-core host:
 	// their processors block on each other mid-region, which the
 	// serialized fallback cannot express (goroutines still interleave
 	// at the blocking points under GOMAXPROCS=1).
 	concurrent := engineHostParallelism > 1 || hasSync
-	var wg sync.WaitGroup
 	if concurrent {
 		for pid := 1; pid < procs; pid++ {
 			sub := &scr.subs[pid-1]
 			c.forkTo(sub, pid, &scr.outs[pid])
-			wg.Add(1)
-			// ss goes in as an argument: captured, it would live on the
-			// heap, one allocation per region even on the paths above.
-			go func(sub *cpu, err *error, ss *syncState) {
+			scr.wg.Add(1)
+			// ss and the WaitGroup go in as arguments: captured, they
+			// would live on the heap, one allocation per region even on
+			// the paths above.
+			go func(sub *cpu, err *error, ss *syncState, wg *sync.WaitGroup) {
 				defer wg.Done()
 				*err = sub.runFast(df, start, end, maxInstrs)
 				if ss != nil {
 					ss.finish()
 				}
-			}(sub, &scr.errs[pid], ss)
+			}(sub, &scr.errs[pid], ss, &scr.wg)
 		}
 	} else {
 		// Single host core: goroutines cannot overlap, so fan-out is
@@ -861,7 +878,7 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 	c.out = parentOut
 	c.sync, c.inRegionFrame = savedSync, savedFrame
 	if concurrent {
-		wg.Wait()
+		scr.wg.Wait()
 		for pid := 1; pid < procs; pid++ {
 			if scr.errs[pid] == nil {
 				join.add(pid, &scr.subs[pid-1])
@@ -915,24 +932,38 @@ func vecRangeOK(base, stride, vl, width, memLen int64) bool {
 	return lo >= 0 && hi+width <= memLen
 }
 
+// slabOK is the condition under which the vector-memory kernels run on
+// the slab: a non-empty strip of a valid element kind whose register
+// window at slot does not wrap the file and whose every lane address is
+// in memory (vecRangeOK), so that no lane, masked off or not, can fault.
+// Elsewhere the reference per-lane walk runs, and faults, with the lane
+// address they name, are its own.
+func (c *cpu) slabOK(slot int32, base, stride, kind int64) bool {
+	width := elemWidth(kind)
+	return c.vl > 0 && width != 0 && int64(slot)+c.vl <= VRFWords &&
+		vecRangeOK(base, stride, c.vl, width, int64(len(c.m.mem)))
+}
+
+// laneWord is word w of mask register mr clipped to the lanes below vl:
+// bit j is set when lane 64·w+j is active.
+func (c *cpu) laneWord(mr, w int) uint64 {
+	on := c.mk[mr][w]
+	if rem := c.vl - int64(w)*64; rem < 64 {
+		on &= 1<<uint(rem) - 1
+	}
+	return on
+}
+
 // vldFast is the engine's OpVld: one element-kind switch and one bounds
 // check per instruction instead of per element, a contiguous float64
 // fast path that reinterprets the slab, and a strided fallback with the
-// switch hoisted. Out-of-range or overflow-prone operands fall back to
-// the reference per-element walk so faults are identical.
+// switch hoisted.
 func (c *cpu) vldFast(d *dinstr, fn string, pc int) error {
 	vl := c.vl
-	if vl == 0 {
-		return nil
-	}
-	width := elemWidth(d.imm)
-	if width == 0 {
-		return fmt.Errorf("titan: bad vector element kind %d", d.imm)
-	}
 	base := c.r[d.rs1]
 	stride := c.r[d.rs2]
 	slot := int(d.rd)
-	if int64(slot)+vl > VRFWords || !vecRangeOK(base, stride, vl, width, int64(len(c.m.mem))) {
+	if !c.slabOK(d.rd, base, stride, d.imm) {
 		return c.vecMem(Instr{Op: OpVld, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 	}
 	dst := c.vrf[slot : slot+int(vl)]
@@ -971,17 +1002,10 @@ func (c *cpu) vldFast(d *dinstr, fn string, pc int) error {
 // vstFast is the engine's OpVst, mirroring vldFast.
 func (c *cpu) vstFast(d *dinstr, fn string, pc int) error {
 	vl := c.vl
-	if vl == 0 {
-		return nil
-	}
-	width := elemWidth(d.imm)
-	if width == 0 {
-		return fmt.Errorf("titan: bad vector element kind %d", d.imm)
-	}
 	base := c.r[d.rs1]
 	stride := c.r[d.rs2]
 	slot := int(d.rd)
-	if int64(slot)+vl > VRFWords || !vecRangeOK(base, stride, vl, width, int64(len(c.m.mem))) {
+	if !c.slabOK(d.rd, base, stride, d.imm) {
 		return c.vecMem(Instr{Op: OpVst, Rd: slot, Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
 	}
 	src := c.vrf[slot : slot+int(vl)]
@@ -1192,59 +1216,136 @@ func (c *cpu) vcmpVSFast(d *dinstr, f func(a, s float64) bool) {
 	c.mk[d.rd] = out
 }
 
-// vldmFast is the engine's vld.m: a dense (all-true mask) strip takes
-// the vldFast slab kernel after the bounds pre-check proves no lane can
-// fault; everything else — partial masks, wrap-around, potential faults
-// — runs the reference per-lane walk, so lane suppression and masked
-// fault naming are identical by construction.
+// vldmFast is the engine's vld.m. Where the dense kernels run (slabOK:
+// no lane, active or not, can fault) an all-true mask takes vldFast and
+// any other mask a slab kernel over its active lanes, read off the packed
+// mask words, the element-kind switch hoisted out of the lane loop.
+// Everything else runs the reference per-lane walk, so lane suppression
+// and masked fault naming are identical by construction.
 func (c *cpu) vldmFast(d *dinstr, fn string, pc int) error {
-	vl := c.vl
 	mr := mslot(int(d.imm >> 8))
 	kind := d.imm & 0xff
-	width := elemWidth(kind)
-	if vl > 0 && width != 0 && int64(d.rd)+vl <= VRFWords &&
-		vecRangeOK(c.r[d.rs1], c.r[d.rs2], vl, width, int64(len(c.m.mem))) &&
-		c.maskAllTrue(mr) {
-		c.countMask(mr)
+	base, stride := c.r[d.rs1], c.r[d.rs2]
+	if !c.slabOK(d.rd, base, stride, kind) {
+		return c.vecMem(Instr{Op: OpVldm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	}
+	c.countMask(mr)
+	if c.maskAllTrue(mr) {
 		dd := *d
 		dd.op = OpVld
 		dd.imm = kind
 		return c.vldFast(&dd, fn, pc)
 	}
-	return c.vecMem(Instr{Op: OpVldm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	dst := c.vrf[d.rd : int64(d.rd)+c.vl]
+	mem := c.m.mem
+	for w := 0; w*64 < len(dst); w++ {
+		on := c.laneWord(mr, w)
+		switch kind {
+		case ElemF64:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = math.Float64frombits(binary.LittleEndian.Uint64(mem[base+int64(k)*stride:]))
+			}
+		case ElemF32:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = float64(math.Float32frombits(binary.LittleEndian.Uint32(mem[base+int64(k)*stride:])))
+			}
+		case ElemI32:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = float64(int32(binary.LittleEndian.Uint32(mem[base+int64(k)*stride:])))
+			}
+		}
+	}
+	return nil
 }
 
 // vstmFast is the engine's vst.m, mirroring vldmFast.
 func (c *cpu) vstmFast(d *dinstr, fn string, pc int) error {
-	vl := c.vl
 	mr := mslot(int(d.imm >> 8))
 	kind := d.imm & 0xff
-	width := elemWidth(kind)
-	if vl > 0 && width != 0 && int64(d.rd)+vl <= VRFWords &&
-		vecRangeOK(c.r[d.rs1], c.r[d.rs2], vl, width, int64(len(c.m.mem))) &&
-		c.maskAllTrue(mr) {
-		c.countMask(mr)
+	base, stride := c.r[d.rs1], c.r[d.rs2]
+	if !c.slabOK(d.rd, base, stride, kind) {
+		return c.vecMem(Instr{Op: OpVstm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	}
+	c.countMask(mr)
+	if c.maskAllTrue(mr) {
 		dd := *d
 		dd.op = OpVst
 		dd.imm = kind
 		return c.vstFast(&dd, fn, pc)
 	}
-	return c.vecMem(Instr{Op: OpVstm, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, fn, pc)
+	src := c.vrf[d.rd : int64(d.rd)+c.vl]
+	mem := c.m.mem
+	for w := 0; w*64 < len(src); w++ {
+		on := c.laneWord(mr, w)
+		switch kind {
+		case ElemF64:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				binary.LittleEndian.PutUint64(mem[base+int64(k)*stride:], math.Float64bits(src[k]))
+			}
+		case ElemF32:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				binary.LittleEndian.PutUint32(mem[base+int64(k)*stride:], math.Float32bits(float32(src[k])))
+			}
+		case ElemI32:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				binary.LittleEndian.PutUint32(mem[base+int64(k)*stride:], uint32(int32(src[k])))
+			}
+		}
+	}
+	return nil
 }
 
 // vbinmFast is the engine's masked vector arithmetic: all-true masks
-// take the dense vbinFast kernels (denseOp is the op's dense twin),
-// partial masks run the reference per-lane walk.
+// take the dense vbinFast kernels (denseOp is the op's dense twin), other
+// masks a slab kernel over their active lanes, and windows that wrap the
+// file the reference per-lane walk.
 func (c *cpu) vbinmFast(d *dinstr, denseOp Op, f func(a, b float64) float64) {
 	vl := int(c.vl)
 	mr := mslot(int(d.imm >> 8))
-	if int(d.rd)+vl <= VRFWords && int(d.rs1)+vl <= VRFWords && int(d.rs2)+vl <= VRFWords &&
-		c.maskAllTrue(mr) {
-		c.countMask(mr)
+	rd, r1, r2 := int(d.rd), int(d.rs1), int(d.rs2)
+	if rd+vl > VRFWords || r1+vl > VRFWords || r2+vl > VRFWords {
+		c.vecBin(Instr{Op: d.op, Rd: rd, Rs1: r1, Rs2: r2, Imm: d.imm}, f)
+		return
+	}
+	c.countMask(mr)
+	if c.maskAllTrue(mr) {
 		dd := *d
 		dd.op = denseOp
 		c.vbinFast(&dd)
 		return
 	}
-	c.vecBin(Instr{Op: d.op, Rd: int(d.rd), Rs1: int(d.rs1), Rs2: int(d.rs2), Imm: d.imm}, f)
+	// Lanes in increasing order, like the reference, for overlapping
+	// windows.
+	dst, a, b := c.vrf[rd:rd+vl], c.vrf[r1:r1+vl], c.vrf[r2:r2+vl]
+	for w := 0; w*64 < vl; w++ {
+		on := c.laneWord(mr, w)
+		switch denseOp {
+		case OpVadd:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = a[k] + b[k]
+			}
+		case OpVsub:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = a[k] - b[k]
+			}
+		case OpVmul:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = a[k] * b[k]
+			}
+		case OpVdiv:
+			for ; on != 0; on &= on - 1 {
+				k := w*64 + bits.TrailingZeros64(on)
+				dst[k] = a[k] / b[k]
+			}
+		}
+	}
 }

@@ -162,6 +162,112 @@ func TestEngineDifferentialVRFWrap(t *testing.T) {
 	diffRun(t, mk, seed, 1)
 }
 
+// maskedFlags is where maskedOps's lane flags live, above the data it
+// seeds.
+const maskedFlags = 4096 + 64<<10
+
+// maskedOps is a masked strip of vl lanes on one processor: lane k of mask
+// register 1 is bit k%64 of mask (set from flags in memory by vld and
+// vcmp.nes), then vld.m of element kind from base + k·stride into slot,
+// the masked arithmetic op (vadd.m … vdiv.m) of it and the flags, and
+// vst.m back — what the engine runs as slab kernels or, where a lane could
+// fault or the window wraps the file, as the reference walk. seedMasked is
+// its memory.
+func maskedOps(kind, base, stride, vl int64, mask uint64, slot int, arith Op) func() *Program {
+	return func() *Program {
+		return mkProg([]Instr{
+			{Op: OpLdi, Rd: 9, Imm: vl},
+			{Op: OpVsetl, Rs1: 9},
+			{Op: OpLdi, Rd: 10, Imm: maskedFlags},
+			{Op: OpLdi, Rd: 11, Imm: 4},
+			{Op: OpVld, Rd: 0, Rs1: 10, Rs2: 11, Imm: ElemF32},
+			{Op: OpFldi, Rd: 1, FImm: 0},
+			{Op: OpVcmpNes, Rd: 1, Rs1: 0, Rs2: 1},
+			{Op: OpLdi, Rd: 12, Imm: base},
+			{Op: OpLdi, Rd: 13, Imm: stride},
+			{Op: OpVldm, Rd: slot, Rs1: 12, Rs2: 13, Imm: maskImm(kind&0xff, 1)},
+			{Op: arith, Rd: slot, Rs1: slot, Rs2: 0, Imm: maskImm(0, 1)},
+			{Op: OpVstm, Rd: slot, Rs1: 12, Rs2: 13, Imm: maskImm(kind&0xff, 1)},
+			{Op: OpRet},
+		}, nil)
+	}
+}
+
+func seedMasked(mask uint64) func(*Machine) {
+	return func(m *Machine) {
+		for a := int64(4096); a < maskedFlags; a += 4 {
+			putF32(m.mem, a, float32(a%97)-40)
+		}
+		for k := int64(0); k < MaxVL; k++ {
+			putF32(m.mem, maskedFlags+4*k, float32(mask>>(k%64)&1))
+		}
+	}
+}
+
+// TestEngineDifferentialMasked holds the masked slab kernels to the
+// reference walk: partial masks over every element kind and forward,
+// backward and zero strides, strips crossing a mask word, faults at the
+// top of memory on the first and on a later active lane, all-false masks
+// over addresses no lane may touch, and windows wrapping the file.
+func TestEngineDifferentialMasked(t *testing.T) {
+	const top = 1 << 20 // mkProg's MemSize
+	sparse := uint64(1)<<63 | 1<<40 | 1<<2
+	arith := []Op{OpVaddm, OpVsubm, OpVmulm, OpVdivm}
+	for i, kind := range []int64{ElemF32, ElemF64, ElemI32} {
+		w := elemWidth(kind)
+		for j, stride := range []int64{w, -w, 0, 3 * w} {
+			for _, mask := range []uint64{0x5555555555555555, 1, sparse} {
+				base := int64(8192)
+				if stride < 0 {
+					base = 40000
+				}
+				op := arith[(i+j)%len(arith)]
+				diffRun(t, maskedOps(kind, base, stride, 100, mask, 64, op), seedMasked(mask), 1)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		base, stride int64
+		vl           int64
+		mask         uint64
+		slot         int
+		fault        bool // at lane 3's address, the top of memory
+	}{
+		// Lanes 3.. are past the top of memory.
+		{"fault on the first active lane", top - 12, 4, 8, 0b1000, 64, true},
+		{"fault on a later active lane", top - 12, 4, 8, 0b1001, 64, true},
+		{"active lanes below the top", top - 12, 4, 8, 0b0111, 64, false},
+		{"all-false past the top", top + 4096, 4, 100, 0, 64, false},
+		{"all-false at a negative stride", 64, -4096, 100, 0, 64, false},
+		{"window wraps the file", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, VRFWords - 10, false},
+	} {
+		prog := maskedOps(ElemF32, tc.base, tc.stride, tc.vl, tc.mask, tc.slot, OpVmulm)
+		diffRun(t, prog, seedMasked(tc.mask), 1)
+		m := NewMachine(prog(), 1)
+		seedMasked(tc.mask)(m)
+		before := string(m.mem)
+		_, err := m.Run("main")
+		var f *Fault
+		if tc.fault && (!errors.As(err, &f) || f.Addr != top) || !tc.fault && err != nil {
+			t.Errorf("%s: err %v, want a fault at %d: %v", tc.name, err, int64(top), tc.fault)
+		}
+		if tc.mask == 0 && string(m.mem) != before {
+			t.Errorf("%s: an all-false strip changed memory", tc.name)
+		}
+	}
+}
+
+// FuzzMaskedOps runs maskedOps over arbitrary operands on both engines:
+// the same Result and final memory, or the same error text. arith picks
+// the arithmetic op, mod 4.
+func FuzzMaskedOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, kind, base, stride, vl int64, mask uint64, slot int, arith uint8) {
+		op := OpVaddm + Op(arith%4)
+		diffRun(t, maskedOps(kind, base, stride, vl, mask, slot, op), seedMasked(mask), 1)
+	})
+}
+
 // parallelCyclicProg writes i into slot i of a 256-element array,
 // iterations cyclically distributed over the processors, then each
 // processor prints its pid once.
@@ -388,29 +494,54 @@ func TestEngineUnknownLabelLazy(t *testing.T) {
 	}
 }
 
-// TestEngineParallelRegionAllocs guards the vecReady-map removal: a
-// region fork is a struct copy plus one slab per join, not a per-slot
-// map clone. The bound is loose but would catch a reintroduced
-// per-element or per-slot allocation.
+// maskedLoopProg runs n partially masked read-modify-write strips (vld.m,
+// vadd.m, vst.m under iota < 2, two lanes of four).
+func maskedLoopProg(n int64) *Program {
+	return mkProg(append(iotaProgPrefix(),
+		Instr{Op: OpFldi, Rd: 3, FImm: 2},
+		Instr{Op: OpVcmpLts, Rd: 0, Rs1: 0, Rs2: 3},
+		Instr{Op: OpLdi, Rd: 20, Imm: n},
+		// L:
+		Instr{Op: OpVldm, Rd: 200, Rs1: 13, Rs2: 12, Imm: maskImm(ElemF32, 0)},
+		Instr{Op: OpVaddm, Rd: 200, Rs1: 200, Rs2: 0, Imm: maskImm(0, 0)},
+		Instr{Op: OpVstm, Rd: 200, Rs1: 13, Rs2: 12, Imm: maskImm(ElemF32, 0)},
+		Instr{Op: OpAddi, Rd: 20, Rs1: 20, Imm: -1},
+		Instr{Op: OpBnez, Rs1: 20, Sym: "L"},
+		Instr{Op: OpRet},
+	), map[string]int{"L": len(iotaProgPrefix()) + 3})
+}
+
+// TestEngineParallelRegionAllocs: what a run allocates is its regions'
+// goroutines (one closure per go statement), their printf output and the
+// Result's — the contexts, the DOACROSS fabric and the join's WaitGroup
+// are the machine's, recycled with it. So on a released machine a run
+// allocates the same at trip count n and 8n: nothing per iteration, per
+// wait, per post or per masked lane.
 func TestEngineParallelRegionAllocs(t *testing.T) {
 	forceGoroutineRegions(t)
-	prog := parallelCyclicProg()
-	m := NewMachine(prog, 1) // warm the decode cache
-	seedPidFmt(m)
-	if _, err := m.Run("main"); err != nil {
-		t.Fatal(err)
+	allocs := func(prog *Program, procs int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			m := NewMachine(prog, procs)
+			seedPidFmt(m)
+			if _, err := m.Run("main"); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
+		})
 	}
-	allocs := testing.AllocsPerRun(10, func() {
-		m := NewMachine(prog, 4)
-		seedPidFmt(m)
-		if _, err := m.Run("main"); err != nil {
-			t.Fatal(err)
+	// Three goroutines, four printf lines and their concatenation; the
+	// old map-based scoreboard cost thousands.
+	if a := allocs(parallelCyclicProg(), 4); a > 40 {
+		t.Errorf("a 4-processor region with printf allocates %v objects per run", a)
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  func(n int64) *Program
+		procs int
+	}{{"doacross", doacrossProg, 4}, {"masked", maskedLoopProg, 1}} {
+		if n, n8 := allocs(tc.prog(200), tc.procs), allocs(tc.prog(1600), tc.procs); n != n8 {
+			t.Errorf("%s: a run allocates %v objects at n=200 and %v at n=1600", tc.name, n, n8)
 		}
-	})
-	// NewMachine's slab + the region's subs/outs/errs slices + printf
-	// formatting; the old map-based scoreboard cost thousands.
-	if allocs > 200 {
-		t.Errorf("parallel run allocates %v objects", allocs)
 	}
 }
 

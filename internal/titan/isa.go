@@ -638,11 +638,14 @@ type Program struct {
 	MemSize int64
 
 	// Decoded form for the fast engine (engine.go), built once on first
-	// Run and then shared read-only by every Machine simulating this
+	// run and then shared read-only by every Machine simulating this
 	// program — Programs are always handled by pointer. Mutating Funcs
-	// after a Run is not supported.
+	// after a run is not supported. vregs, built with it for both engines,
+	// is one past the highest vector-register slot any instruction names,
+	// the base of every context's live extent (see cpuState.vhi).
 	decOnce sync.Once
 	decoded map[string]*dfunc
+	vregs   int
 }
 
 // Equal reports whether two programs are the same code over the same

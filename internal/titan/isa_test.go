@@ -51,7 +51,7 @@ func TestOpTable(t *testing.T) {
 // rs1 — slot 0 and r0 in practice.
 func TestDispatchIgnoresUnusedFields(t *testing.T) {
 	for _, in := range []Instr{{Op: OpPid, Rd: 5}, {Op: OpNproc, Rd: 5}, {Op: OpVmov, Rd: 128, Rs1: 256}} {
-		ref := &cpu{vlc: 1}
+		ref := &cpu{cpuState: cpuState{vlc: 1}}
 		ref.intReady[0], ref.vecReady[0] = 1000, 1000
 		fast := *ref
 		ref.dispatch(in)

@@ -122,16 +122,17 @@ type Machine struct {
 	// Scratch block for the fast engine's parallel-region forks
 	// (engine.go): it comes with the machine and is reused by every
 	// region, so a run with many regions never allocates the ~130 KB
-	// per-processor contexts. scratchBusy arbitrates the rare nested or
-	// concurrent claim, which falls back to a fresh block.
+	// per-processor contexts or the synchronization fabric. scratchBusy
+	// arbitrates the rare nested or concurrent claim, which falls back to
+	// a fresh block.
 	scratch     *regionScratch
 	scratchBusy atomic.Bool
 
-	// root is the fast engine's top-level cpu, carved out of the
-	// Machine allocation so Run allocates nothing. A second Run on the
-	// same machine (it continues from the memory the first left, but
-	// callers may) gets a fresh cpu instead.
-	root     cpu
+	// root is the fast engine's top-level cpu, built with the machine so
+	// Run allocates nothing. A second Run on the same machine (it
+	// continues from the memory the first left, but callers may) gets a
+	// fresh cpu instead.
+	root     *cpu
 	rootUsed bool
 
 	// procStats accumulates the per-processor busy/stall/idle breakdown
@@ -149,12 +150,37 @@ func (m *Machine) recordProcStat(pid int, busy, stall, joinIdle int64) {
 }
 
 // regionScratch is the reusable per-region fork state: processor
-// contexts for pids 1.. (pid 0 runs on the parent cpu), plus per-pid
-// output sinks and error slots.
+// contexts for pids 1.. (pid 0 runs on the parent cpu), per-pid output
+// sinks and error slots, the DOACROSS fabric and the join's WaitGroup.
 type regionScratch struct {
-	subs [MaxProcessors - 1]cpu
-	outs [MaxProcessors]strings.Builder
-	errs [MaxProcessors]error
+	subs   []cpu // at least Processors-1
+	outs   [MaxProcessors]strings.Builder
+	errs   [MaxProcessors]error
+	fabric syncState
+	wg     sync.WaitGroup
+}
+
+func newRegionScratch(processors int) *regionScratch {
+	s := &regionScratch{subs: make([]cpu, processors-1)}
+	s.fabric.reset(0)
+	return s
+}
+
+// reset clears everything a previous owner left in s, every context to
+// its live extent and the fabric's histories to their capacity, and
+// makes it hold at least processors-1 contexts.
+func (s *regionScratch) reset(processors int) {
+	for i := range s.subs {
+		s.subs[i].reset()
+	}
+	if len(s.subs) < processors-1 {
+		s.subs = make([]cpu, processors-1)
+	}
+	for i := range s.outs {
+		s.outs[i].Reset()
+	}
+	clear(s.errs[:])
+	s.fabric.clear()
 }
 
 // claimScratch hands out the machine's region scratch block, or a fresh
@@ -162,11 +188,11 @@ type regionScratch struct {
 func (m *Machine) claimScratch() *regionScratch {
 	if m.scratchBusy.CompareAndSwap(false, true) {
 		if m.scratch == nil {
-			m.scratch = new(regionScratch)
+			m.scratch = newRegionScratch(m.Processors)
 		}
 		return m.scratch
 	}
-	return new(regionScratch)
+	return newRegionScratch(m.Processors)
 }
 
 func (m *Machine) releaseScratch(s *regionScratch) {
@@ -177,7 +203,7 @@ func (m *Machine) releaseScratch(s *regionScratch) {
 
 // machines holds released machines for NewMachine to reuse: the image,
 // the root cpu and the region scratch are what a machine costs to build
-// (a page fault per 4 KB of image, 520 KB of contexts), and a search or a
+// (a page fault per 4 KB of image, ~130 KB per context), and a search or a
 // server builds thousands. It is a plain bounded free list, not a
 // sync.Pool: a collection empties a sync.Pool, and a compile server's
 // heap is small enough next to what a compile allocates that one comes
@@ -212,9 +238,11 @@ func NewMachine(prog *Program, processors int) *Machine {
 // have left is cleared before the new program sees it: the whole image to
 // its exact new length, every processor context, the output, the
 // statistics and the public knobs; only the allocations survive. Clearing
-// just what the last run dirtied would be cheaper and is not done: a wild
-// store lands anywhere, so the ranges would have to be tracked on every
-// simulated store to be trusted.
+// just what the last run dirtied of the image would be cheaper and is not
+// done: a wild store lands anywhere, so the ranges would have to be
+// tracked on every simulated store to be trusted. A context's vector file
+// is another matter — no store lands outside its live extent (see
+// cpuState.vhi) — so a context is cleared over that extent only.
 func (m *Machine) load(prog *Program, processors int) {
 	if processors < 1 {
 		processors = 1
@@ -227,7 +255,7 @@ func (m *Machine) load(prog *Program, processors int) {
 	if size < dataEnd+1<<16 {
 		size = dataEnd + 1<<16
 	}
-	mem, scratch := m.mem, m.scratch
+	mem, root, scratch := m.mem, m.root, m.scratch
 	*m = Machine{prog: prog, Processors: processors, stackLimit: PageAlign(dataEnd)}
 	if int64(cap(mem)) >= size {
 		mem = mem[:size]
@@ -235,14 +263,19 @@ func (m *Machine) load(prog *Program, processors int) {
 	} else {
 		mem = make([]byte, size)
 	}
+	if root != nil {
+		root.reset()
+	} else {
+		root = new(cpu)
+	}
 	if scratch != nil {
-		*scratch = regionScratch{}
+		scratch.reset(processors)
 	} else if processors > 1 {
 		// The fast engine's region scratch comes with the machine so
 		// parallel regions never allocate at run time.
-		scratch = new(regionScratch)
+		scratch = newRegionScratch(processors)
 	}
-	m.mem, m.scratch = mem, scratch
+	m.mem, m.root, m.scratch = mem, root, scratch
 	copy(m.mem[prog.DataBase:], prog.Data)
 }
 
@@ -281,23 +314,40 @@ func (c *cpu) openFrame(frame int64, fn string, pc int) error {
 	return nil
 }
 
-// cpu is one processor context. It is copied by value at parallel-region
-// forks, so every field (including the vector register file and the
-// scoreboard arrays) must be value state; shared state reaches it through
-// m (the memory slab) and out (the output sink).
+// cpu is one processor context: its cpuState, and the vector register
+// file with its scoreboard, of which only the live extent [0, vhi) is
+// ever copied or cleared (see copyLive). vecReady is indexed by VRF slot
+// like the file itself: fixed arrays, so a fork allocates nothing.
 type cpu struct {
+	cpuState
+	vrf      [VRFWords]float64
+	vecReady [VRFWords]int64
+}
+
+// cpuState is a processor context apart from the two VRF-sized arrays.
+// It is copied whole at parallel-region forks, so every field must be
+// value state; shared state reaches it through m (the memory slab) and
+// out (the output sink). It comes first in cpu: the fast engine's
+// decoded scoreboard offsets are offsets into cpu.
+type cpuState struct {
 	m   *Machine
 	out *strings.Builder
 	r   [NumIntRegs]int64
 	f   [NumFltRegs]float64
-	vrf [VRFWords]float64
 	// mk is the vector-mask register file: one bit per lane, packed into
-	// uint64 words. A fixed array like vrf so parallel-region forks stay
-	// plain struct copies. Compares write bits for lanes [0, vl) and
-	// clear the rest, so every mask register is always canonical (no
-	// stale bits beyond the last vsetl length that produced it).
+	// uint64 words. A fixed array so parallel-region forks stay plain
+	// struct copies. Compares write bits for lanes [0, vl) and clear the
+	// rest, so a mask register has no bits beyond the vl that produced it
+	// (a later, shorter vsetl leaves some: readers clip to vl).
 	mk [NumMaskRegs][maskWords]uint64
 	vl int64
+	// vhi bounds the live extent of vrf and vecReady: every word at or
+	// past it is zero in both. Every write to either lands at an
+	// instruction's static slot plus a lane below vl, wrapped into the
+	// file, so the program's highest slot + 1 (Program.vregs) plus the
+	// largest vl this context has set, capped at VRFWords, is such a
+	// bound. vsetl keeps it; no store has to.
+	vhi int
 	// vlc is vl clamped to at least 1, the value the timing model and
 	// FLOP accounting use. The fast engine keeps it alongside vl
 	// (updated at Vsetl, 1 at entry) so the per-instruction charge
@@ -318,14 +368,10 @@ type cpu struct {
 	inRegionFrame bool
 	syncStall     int64
 
-	// Scoreboard state. vecReady is indexed by VRF slot (mod VRFWords,
-	// like the register file itself): a fixed array instead of a map so
-	// parallel-region forks are plain struct copies with no per-region
-	// allocation.
+	// Scoreboard state (vecReady is in cpu).
 	clock     int64 // dispatch clock
 	intReady  [NumIntRegs]int64
 	fltReady  [NumFltRegs]int64
-	vecReady  [VRFWords]int64
 	maskReady [NumMaskRegs]int64
 	intUnit   int64 // next cycle the unit can accept work
 	fltUnit   int64
@@ -354,6 +400,35 @@ type argval struct {
 	i     int64
 	f     float64
 	isFlt bool
+}
+
+// setVL is vsetl: vl ← n clamped to [0, MaxVL], the live extent grown to
+// cover the lanes it opens.
+func (c *cpu) setVL(n int64) {
+	c.vl = min(max(n, 0), MaxVL)
+	if h := c.m.prog.vregs + int(c.vl); h > c.vhi {
+		c.vhi = min(h, VRFWords)
+	}
+}
+
+// copyLive makes c a copy of src: cpuState whole, the vector file and its
+// scoreboard over src's live extent, and what c held past it cleared, so
+// that every word past c.vhi is zero again.
+func (c *cpu) copyLive(src *cpu) {
+	if c.vhi > src.vhi {
+		clear(c.vrf[src.vhi:c.vhi])
+		clear(c.vecReady[src.vhi:c.vhi])
+	}
+	c.cpuState = src.cpuState
+	copy(c.vrf[:c.vhi], src.vrf[:c.vhi])
+	copy(c.vecReady[:c.vhi], src.vecReady[:c.vhi])
+}
+
+// reset makes c a new context: zero over its live extent and in cpuState.
+func (c *cpu) reset() {
+	clear(c.vrf[:c.vhi])
+	clear(c.vecReady[:c.vhi])
+	c.cpuState = cpuState{}
 }
 
 // vslot maps an arbitrary slot index into the vector register file,
@@ -390,12 +465,8 @@ func (c *cpu) maskBit(mr int, k int64) bool {
 // operation over the current vector length.
 func (c *cpu) countMask(mr int) {
 	active := int64(0)
-	for k := int64(0); k < c.vl; k += 64 {
-		w := c.mk[mr][k>>6]
-		if rem := c.vl - k; rem < 64 {
-			w &= 1<<uint(rem) - 1
-		}
-		active += int64(bits.OnesCount64(w))
+	for w := 0; int64(w)*64 < c.vl; w++ {
+		active += int64(bits.OnesCount64(c.laneWord(mr, w)))
 	}
 	c.maskOps++
 	c.maskActive += active
@@ -439,6 +510,7 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("titan: no function %q", entry)
 	}
+	m.prog.decode() // for vregs
 	c := new(cpu)
 	maxInstrs, err := m.begin(c, entry, f.Frame)
 	if err != nil {
@@ -456,6 +528,7 @@ func (m *Machine) begin(c *cpu, entry string, frame int64) (maxInstrs int64, err
 	c.m = m
 	c.out = &m.out
 	c.vlc = 1
+	c.vhi = m.prog.vregs
 	c.r[RegSP] = int64(len(m.mem)) - 8
 	maxInstrs = m.MaxInstrs
 	if maxInstrs == 0 {
@@ -727,14 +800,7 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 			c.r[in.Rd] = int64(c.f[in.Rs1])
 
 		case OpVsetl:
-			vl := c.r[in.Rs1]
-			if vl < 0 {
-				vl = 0
-			}
-			if vl > MaxVL {
-				vl = MaxVL
-			}
-			c.vl = vl
+			c.setVL(c.r[in.Rs1])
 		case OpVld, OpVst, OpVldm, OpVstm:
 			if err := c.vecMem(in, f.Name, pc); err != nil {
 				return err
@@ -1129,11 +1195,11 @@ func (j *regionJoin) finish(c *cpu, procs int) {
 
 // forkTo makes sub processor pid of a region c is forking, with out (reset)
 // for its output. The copy is the whole context — registers, VRF,
-// scoreboard — except the argument list, whose backing array the struct
-// copy would share: it is cloned so that processors appending to it
-// (concurrently, in the fast engine) cannot collide.
+// scoreboard, by copyLive — except the argument list, whose backing array
+// the struct copy would share: it is cloned so that processors appending
+// to it (concurrently, in the fast engine) cannot collide.
 func (c *cpu) forkTo(sub *cpu, pid int, out *strings.Builder) {
-	*sub = *c
+	sub.copyLive(c)
 	sub.pid = int64(pid)
 	out.Reset()
 	sub.out = out
@@ -1199,7 +1265,7 @@ func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 		c.out.WriteString(outs[pid].String())
 	}
 	out, sync, frame := c.out, c.sync, c.inRegionFrame
-	*c = subs[0]
+	c.copyLive(&subs[0])
 	c.out, c.sync, c.inRegionFrame = out, sync, frame
 	join.finish(c, procs)
 	return nil

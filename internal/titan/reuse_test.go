@@ -2,6 +2,7 @@ package titan_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,8 +11,10 @@ import (
 )
 
 // scribbler fills its whole image — globals, stack and all — with 0xFF,
-// a quarter per processor, and prints a byte: run at four processors it
-// leaves every piece of a machine's state dirty.
+// a quarter per processor, has every processor broadcast -1 into a full
+// strip wrapping the end of its vector file and post to a sync cell, and
+// prints a byte: run at four processors it leaves every piece of a
+// machine's state dirty.
 func scribbler(size int64) *titan.Program {
 	return &titan.Program{
 		Funcs: map[string]*titan.Func{"main": {Name: "main", Instrs: []titan.Instr{
@@ -25,6 +28,11 @@ func scribbler(size int64) *titan.Program {
 			{Op: titan.OpAddi, Rd: 12, Rs1: 12, Imm: 4},
 			{Op: titan.OpCmpLt, Rd: 15, Rs1: 12, Rs2: 13},
 			{Op: titan.OpBnez, Rs1: 15, Sym: "L"},
+			{Op: titan.OpLdi, Rd: 17, Imm: titan.MaxVL},
+			{Op: titan.OpVsetl, Rs1: 17},
+			{Op: titan.OpCvtIF, Rd: 1, Rs1: 14},
+			{Op: titan.OpVbcast, Rd: titan.VRFWords - titan.MaxVL/2, Rs1: 1},
+			{Op: titan.OpPost, Rs1: 10, Rs2: 11},
 			{Op: titan.OpParEnd},
 			{Op: titan.OpLdi, Rd: 16, Imm: '!'},
 			{Op: titan.OpArg, Rs1: 16},
@@ -49,6 +57,9 @@ func dirtyPool(t *testing.T, size int64) *titan.Machine {
 	if mem := m.Mem(); mem[0] != 0xFF || mem[len(mem)-1] != 0xFF {
 		t.Fatal("scribbler left the ends of its image alone")
 	}
+	if dirty := m.VectorDirty(); !reflect.DeepEqual(dirty, []bool{true, true, true, true}) {
+		t.Fatalf("scribbler left some processor context's vector state clean (root, then scratch): %v", dirty)
+	}
 	m.MaxInstrs = 7
 	m.Trace = func(string) {}
 	m.Release()
@@ -69,8 +80,9 @@ func recycled(t *testing.T, size int64, prog *titan.Program, procs int) *titan.M
 
 // A recycled machine shows nothing of the one it was: the image has the
 // new program's exact length and holds its Data and zeros, whether the
-// old image was larger or smaller, and contexts, statistics, output and
-// knobs are a new machine's.
+// old image was larger or smaller, and contexts (the root and every
+// scratch one, vector files and the sync fabric included), statistics,
+// output and knobs are a new machine's.
 func TestReuseIsInvisible(t *testing.T) {
 	const dirty = 1 << 20
 	data := []byte("globals")

@@ -47,10 +47,13 @@ type syncCell struct {
 	hist []syncEntry
 }
 
-// syncState is the per-region synchronization fabric.
+// syncState is the per-region synchronization fabric. The fast engine's
+// lives in the machine's region scratch and is reset for every region;
+// the cell histories keep their capacity, so posting allocates nothing
+// once a machine has seen its longest region.
 type syncState struct {
 	mu    sync.Mutex
-	cond  *sync.Cond
+	cond  sync.Cond // on mu
 	cells [NumSyncCells]syncCell
 	// procs/waiting/done/waiters drive distributed deadlock detection in
 	// the fast engine: when every processor still in the region is
@@ -60,24 +63,44 @@ type syncState struct {
 	waiting int
 	done    int
 	dead    bool
-	waiters map[*syncWaiter]struct{}
+	waiters [MaxProcessors]syncWaiter // by pid
 }
 
 // syncWaiter records what a processor currently inside waitFast is
 // blocked on, so deadlock detection can tell "blocked forever" apart
 // from "released but not yet rescheduled by the host".
 type syncWaiter struct {
+	on   bool
 	cell int
 	th   int64
 }
 
 func newSyncState(procs int) *syncState {
-	ss := &syncState{procs: procs, waiters: make(map[*syncWaiter]struct{})}
-	ss.cond = sync.NewCond(&ss.mu)
+	ss := new(syncState)
+	ss.reset(procs)
+	return ss
+}
+
+// reset readies ss for a region of procs processors: no cell posted, no
+// processor waiting or done.
+func (ss *syncState) reset(procs int) {
+	ss.cond.L = &ss.mu
 	for i := range ss.cells {
 		ss.cells[i].val = math.MinInt64
+		ss.cells[i].hist = ss.cells[i].hist[:0]
 	}
-	return ss
+	ss.procs, ss.waiting, ss.done, ss.dead = procs, 0, 0, false
+	clear(ss.waiters[:])
+}
+
+// clear is reset to nothing at all, the histories' spare capacity
+// included: a recycled machine's fabric holds no post of its previous
+// owner.
+func (ss *syncState) clear() {
+	for i := range ss.cells {
+		clear(ss.cells[i].hist[:cap(ss.cells[i].hist)])
+	}
+	ss.reset(0)
 }
 
 // post publishes val into cell at completion cycle t. Values that do not
@@ -118,14 +141,13 @@ func (ss *syncState) peek(cell int, th int64) (int64, bool) {
 	return cl.releaseTime(th), true
 }
 
-// waitFast blocks until cell reaches th and returns the satisfying
-// post's completion cycle. If every processor still in the region is
-// blocked (or finished), no post can arrive and the region is declared
-// deadlocked.
-func (ss *syncState) waitFast(cell int, th int64, fname string) (int64, error) {
+// waitFast blocks processor pid until cell reaches th and returns the
+// satisfying post's completion cycle. If every processor still in the
+// region is blocked (or finished), no post can arrive and the region is
+// declared deadlocked.
+func (ss *syncState) waitFast(pid, cell int, th int64, fname string) (int64, error) {
 	ss.mu.Lock()
-	w := &syncWaiter{cell: cell, th: th}
-	ss.waiters[w] = struct{}{}
+	ss.waiters[pid] = syncWaiter{on: true, cell: cell, th: th}
 	for ss.cells[cell].val < th && !ss.dead {
 		if ss.waiting+ss.done+1 >= ss.procs && !ss.anySatisfiedLocked() {
 			ss.dead = true
@@ -136,7 +158,7 @@ func (ss *syncState) waitFast(cell int, th int64, fname string) (int64, error) {
 		ss.cond.Wait()
 		ss.waiting--
 	}
-	delete(ss.waiters, w)
+	ss.waiters[pid].on = false
 	if ss.cells[cell].val < th {
 		ss.mu.Unlock()
 		return 0, fmt.Errorf("titan: sync deadlock in parallel region in %s", fname)
@@ -151,8 +173,8 @@ func (ss *syncState) waitFast(cell int, th int64, fname string) (int64, error) {
 // host has not rescheduled it yet, so the region can still make progress
 // and declaring deadlock would be a false positive. Caller holds ss.mu.
 func (ss *syncState) anySatisfiedLocked() bool {
-	for w := range ss.waiters {
-		if ss.cells[w.cell].val >= w.th {
+	for _, w := range ss.waiters[:ss.procs] {
+		if w.on && ss.cells[w.cell].val >= w.th {
 			return true
 		}
 	}

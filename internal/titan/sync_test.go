@@ -140,6 +140,62 @@ func TestSyncDeadlock(t *testing.T) {
 	}
 }
 
+// TestSyncDeadlockAfterSatisfiedWait: processors that waited, were
+// released and finished leave nothing behind that keeps the region alive —
+// pid 0's wait on a cell nobody posts is still a deadlock on both engines.
+func TestSyncDeadlockAfterSatisfiedWait(t *testing.T) {
+	prog := mkProg([]Instr{
+		{Op: OpParBegin},
+		{Op: OpPid, Rd: 10},
+		{Op: OpLdi, Rd: 12, Imm: 1},
+		{Op: OpBnez, Rs1: 10, Sym: "P"},
+		{Op: OpLdi, Rd: 11, Imm: 5},
+		{Op: OpWait, Rs1: 11, Rs2: 12}, // never posted
+		{Op: OpJmp, Sym: "E"},
+		// P: the other processors post their own cell and wait on it.
+		{Op: OpPost, Rs1: 10, Rs2: 12},
+		{Op: OpWait, Rs1: 10, Rs2: 12},
+		// E:
+		{Op: OpParEnd},
+		{Op: OpRet},
+	}, map[string]int{"P": 7, "E": 9})
+	for _, procs := range []int{2, 4} {
+		_, errFast := NewMachine(prog, procs).Run("main")
+		_, errRef := NewMachine(prog, procs).RunReference("main")
+		for name, err := range map[string]error{"fast": errFast, "ref": errRef} {
+			if err == nil || !strings.Contains(err.Error(), "sync deadlock in parallel region") {
+				t.Errorf("p=%d %s: err = %v, want sync deadlock", procs, name, err)
+			}
+		}
+	}
+}
+
+// TestSyncFabricPerRegion: a run of two DOACROSS regions, the second on
+// the fabric the first left (the fast engine reuses it), matches the
+// reference, which gives each region a new one: no post of the first
+// region releases a wait of the second.
+func TestSyncFabricPerRegion(t *testing.T) {
+	rec := doacrossProg(200).Funcs["main"]
+	rec.Name = "rec"
+	prog := &Program{
+		Funcs: map[string]*Func{
+			"main": {Name: "main", Instrs: []Instr{
+				{Op: OpCall, Sym: "rec"},
+				{Op: OpCall, Sym: "rec"},
+				{Op: OpRet},
+			}},
+			"rec": rec,
+		},
+		DataBase: 4096,
+		MemSize:  1 << 20,
+	}
+	for _, procs := range []int{1, 2, 4} {
+		if res := diffRun(t, func() *Program { return prog }, nil, procs); res.ExitCode != 200 {
+			t.Errorf("p=%d: recurrence result %d, want 200", procs, res.ExitCode)
+		}
+	}
+}
+
 // TestSyncMalformedOperands: cell indices outside [0, NumSyncCells)
 // fault with the named sync access, identically on both engines.
 func TestSyncMalformedOperands(t *testing.T) {

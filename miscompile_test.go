@@ -69,35 +69,42 @@ int main(void)
 `,
 		opts: []driver.Options{driver.FullOptions()},
 		check: func(t *testing.T, res *driver.Result, diags []diag.Diagnostic, _ *il.DoLoop) {
-			const want = "S0 -output carried(?)-> S0"
-			verdict := false
-			for _, d := range diags {
-				if d.Pass != "parallelize" || d.Pos.Line != 9 {
-					continue
-				}
-				verdict = true
-				if d.Code != diag.ParCarriedDep || d.Args["dep"] != want {
-					t.Errorf("the loop's verdict is %s, want %s naming %s", d.String(), diag.ParCarriedDep, want)
-				}
-			}
-			if !verdict {
-				t.Error("the loop storing to s[0] has no parallelize verdict")
-			}
-			main := res.IL.Proc("main")
-			sID := main.LookupVar("s")
-			il.WalkStmts(main.Body, func(st il.Stmt) bool {
-				dp, ok := st.(*il.DoParallel)
-				if !ok {
-					return true
-				}
-				il.WalkStmts(dp.Body, func(in il.Stmt) bool {
-					if as, ok := in.(*il.Assign); ok && il.IsStore(as) && il.UsesVar(as.Dst, sID) {
-						t.Errorf("a do parallel encloses the store %s", as)
-					}
-					return true
-				})
-				return true
-			})
+			wantSerialStore(t, res, diags, 9, "s")
+		},
+	},
+	{
+		// A body-local array is one object for the whole loop, shared by
+		// every processor of a do parallel (they run on the forker's
+		// frame): its stores do not move with the index, so they depend on
+		// themselves like any other store to a fixed address. Before that
+		// rule the loop was parallelized, and both engines exited 13 at
+		// p=1 and p=4 where -O0 exits 164.
+		name: "parallel-body-local-array",
+		src: `
+float a[4000], b[4000], c[4000];
+
+int main(void)
+{
+	int i, s;
+	for (i = 0; i < 4000; i++) {
+		a[i] = i & 7;
+		b[i] = i & 3;
+	}
+	for (i = 0; i < 4000; i++) {
+		float t[2];
+		t[0] = a[i] + 1.0f;
+		t[1] = b[i] + 2.0f;
+		c[i] = t[0] * t[1] + t[1];
+	}
+	s = 0;
+	for (i = 0; i < 4000; i++)
+		s = (s + (int)c[i]) % 65521;
+	return s % 251;
+}
+`,
+		opts: []driver.Options{driver.FullOptions()},
+		check: func(t *testing.T, res *driver.Result, diags []diag.Diagnostic, _ *il.DoLoop) {
+			wantSerialStore(t, res, diags, 11, "t")
 		},
 	},
 	{
@@ -148,6 +155,42 @@ int main(void)
 			}
 		},
 	},
+}
+
+// wantSerialStore asserts that the loop of main at line stores to a fixed
+// address of variable v: its parallelize verdict names the store's output
+// dependence on itself, and no do parallel encloses a store to v.
+func wantSerialStore(t *testing.T, res *driver.Result, diags []diag.Diagnostic, line int, v string) {
+	t.Helper()
+	const want = "S0 -output carried(?)-> S0"
+	verdict := false
+	for _, d := range diags {
+		if d.Pass != "parallelize" || d.Pos.Line != line {
+			continue
+		}
+		verdict = true
+		if d.Code != diag.ParCarriedDep || d.Args["dep"] != want {
+			t.Errorf("the loop's verdict is %s, want %s naming %s", d.String(), diag.ParCarriedDep, want)
+		}
+	}
+	if !verdict {
+		t.Errorf("the loop storing to %s has no parallelize verdict", v)
+	}
+	main := res.IL.Proc("main")
+	id := main.LookupVar(v)
+	il.WalkStmts(main.Body, func(st il.Stmt) bool {
+		dp, ok := st.(*il.DoParallel)
+		if !ok {
+			return true
+		}
+		il.WalkStmts(dp.Body, func(in il.Stmt) bool {
+			if as, ok := in.(*il.Assign); ok && il.IsStore(as) && il.UsesVar(as.Dst, id) {
+				t.Errorf("a do parallel encloses the store %s", as)
+			}
+			return true
+		})
+		return true
+	})
 }
 
 // scheduledLoop is one loop of main, by source position, and its plan.
