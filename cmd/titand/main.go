@@ -14,7 +14,7 @@
 //	-queue N          queued compiles beyond the running ones before
 //	                  requests are rejected with 503 (default 64)
 //	-timeout D        per-request wait bound, e.g. 30s (default 60s)
-//	-cache-mb N       in-memory artifact cache budget (default 64)
+//	-cache-mb N       memory budget for everything titand stores (default 64)
 //	-cache-dir DIR    also persist artifacts under DIR so restarts
 //	                  serve them warm (default off)
 //	-rate N           per-client admitted compiles per second
@@ -32,8 +32,8 @@
 //
 // Endpoints: POST /compile, POST /compile/batch, POST+GET /catalogs,
 // GET /metrics, GET /healthz (liveness), GET /readyz (readiness), and
-// the peer cache tier (GET/PUT /cache/{key}, GET/PUT /schedules/{key},
-// GET /catalogs/{id}). SIGINT/SIGTERM shut down gracefully: readiness
+// the peer tier of the store (GET/PUT /cache/{key}, /schedules/{key} and
+// /catalogs/{id}). SIGINT/SIGTERM shut down gracefully: readiness
 // goes false, the listener closes, in-flight compiles drain and publish
 // to the cache, then the process exits.
 package main
@@ -60,7 +60,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "concurrent compiles (0: GOMAXPROCS)")
 		queue     = flag.Int("queue", 64, "queued compiles before 503")
 		timeout   = flag.Duration("timeout", 60*time.Second, "per-request wait bound")
-		cacheMB   = flag.Int64("cache-mb", 64, "in-memory artifact cache budget (MiB)")
+		cacheMB   = flag.Int64("cache-mb", 64, "memory budget for everything titand stores (MiB)")
 		cacheDir  = flag.String("cache-dir", "", "persist artifacts under this directory (off when empty)")
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight compiles at shutdown")
 		rate      = flag.Float64("rate", 0, "per-client admitted compiles per second (0: off)")

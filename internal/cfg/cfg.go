@@ -251,89 +251,6 @@ func (g *Graph) RPO() []int {
 	return order
 }
 
-// Dominators computes the immediate-dominator-free dominator sets using the
-// standard iterative algorithm. dom[n] contains every node that dominates n
-// (including n itself). Unreachable nodes get nil.
-func (g *Graph) Dominators() []map[int]bool {
-	reach := g.Reachable()
-	dom := make([]map[int]bool, len(g.Nodes))
-	all := map[int]bool{}
-	for id := range g.Nodes {
-		if reach[id] {
-			all[id] = true
-		}
-	}
-	for id := range g.Nodes {
-		if !reach[id] {
-			continue
-		}
-		if id == g.Entry {
-			dom[id] = map[int]bool{id: true}
-		} else {
-			dom[id] = copySet(all)
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for id := range g.Nodes {
-			if !reach[id] || id == g.Entry {
-				continue
-			}
-			var inter map[int]bool
-			for _, p := range g.Nodes[id].Preds {
-				if !reach[p] {
-					continue
-				}
-				if inter == nil {
-					inter = copySet(dom[p])
-				} else {
-					inter = intersect(inter, dom[p])
-				}
-			}
-			if inter == nil {
-				inter = map[int]bool{}
-			}
-			inter[id] = true
-			if !sameSet(inter, dom[id]) {
-				dom[id] = inter
-				changed = true
-			}
-		}
-	}
-	return dom
-}
-
-func copySet(s map[int]bool) map[int]bool {
-	c := make(map[int]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func intersect(a, b map[int]bool) map[int]bool {
-	out := map[int]bool{}
-	for k := range a {
-		if b[k] {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func sameSet(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // EntersBody reports whether any edge from outside the given statement set
 // targets a node inside it other than through the loop head. bodyStmts is
 // the set of statements forming a loop body; head is the loop's condition

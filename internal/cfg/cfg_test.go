@@ -190,45 +190,3 @@ func TestDoLoopEdges(t *testing.T) {
 		t.Errorf("head preds %v", h.Preds)
 	}
 }
-
-func TestDominators(t *testing.T) {
-	// entry → c → {t, e} → join
-	thenS := assign(1)
-	elseS := assign(2)
-	ifs := &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{thenS}, Else: []il.Stmt{elseS}}
-	join := assign(3)
-	g, err := Build([]il.Stmt{ifs, join})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := g.Dominators()
-	c := g.NodeOf[ifs].ID
-	j := g.NodeOf[join].ID
-	tn := g.NodeOf[thenS].ID
-	if !dom[j][c] {
-		t.Error("cond should dominate join")
-	}
-	if dom[j][tn] {
-		t.Error("then-branch should not dominate join")
-	}
-	if !dom[tn][c] {
-		t.Error("cond should dominate then")
-	}
-}
-
-func TestDominatorsLoop(t *testing.T) {
-	bodyS := assign(1)
-	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{bodyS}}
-	after := assign(2)
-	g, err := Build([]il.Stmt{w, after})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dom := g.Dominators()
-	if !dom[g.NodeOf[after].ID][g.NodeOf[w].ID] {
-		t.Error("loop head should dominate code after loop")
-	}
-	if !dom[g.NodeOf[bodyS].ID][g.NodeOf[w].ID] {
-		t.Error("loop head should dominate body")
-	}
-}

@@ -15,8 +15,8 @@ import (
 )
 
 // Peer is one remote cluster member: a thin HTTP client over the peer
-// tier (GET/PUT /cache/{key}, GET/PUT /schedules/{key}, GET+POST
-// /catalogs) with a per-attempt timeout, bounded retries with jittered
+// tier (GET and PUT of /cache/{key}, /schedules/{key} and
+// /catalogs/{id}) with a per-attempt timeout, bounded retries with jittered
 // exponential backoff, and a circuit breaker. Every outcome is counted;
 // Status folds the counters into /metrics.
 type Peer struct {
@@ -151,8 +151,8 @@ func (p *Peer) fetchOnce(path string) ([]byte, bool, error) {
 	}
 }
 
-// Push writes blob to path on the peer (PUT for the cache and schedule
-// tiers, POST for catalog uploads). Push is the write-through half of
+// Push writes blob to path on the peer with method (the service's
+// write-throughs are all PUTs). Push is the write-through half of
 // ownership: the node that did the work hands the result to the key's
 // owner so every future cluster-wide lookup finds it in one hop.
 func (p *Peer) Push(method, path, contentType string, blob []byte) error {
@@ -265,10 +265,3 @@ func backoff(attempt int) time.Duration {
 	}
 	return base + time.Duration(rand.Int64N(int64(base)/2+1))
 }
-
-// CachePath/SchedulePath/CatalogPath build the peer-tier URLs for a
-// key. Keys are hex digests (enforced by the serving side), so they are
-// path-safe as-is; escaping is belt and suspenders.
-func CachePath(key string) string    { return "/cache/" + url.PathEscape(key) }
-func SchedulePath(key string) string { return "/schedules/" + url.PathEscape(key) }
-func CatalogPath(id string) string   { return "/catalogs/" + url.PathEscape(id) }

@@ -261,22 +261,6 @@ func (a *Analysis) solve() {
 	}
 }
 
-// ReachingDefs returns the definitions of v reaching the entry of statement
-// s. Returns nil if s has no CFG node.
-func (a *Analysis) ReachingDefs(s il.Stmt, v il.VarID) []*Def {
-	n, ok := a.Graph.NodeOf[s]
-	if !ok {
-		return nil
-	}
-	return a.reachingAt(n, v)
-}
-
-func (a *Analysis) reachingAt(n *cfg.Node, v il.VarID) []*Def {
-	var out []*Def
-	a.forEachReachingAt(n, v, func(d *Def) { out = append(out, d) })
-	return out
-}
-
 // ForEachReachingDef calls fn for every definition of v reaching the entry
 // of s, in def-ID order, without materializing a slice.
 func (a *Analysis) ForEachReachingDef(s il.Stmt, v il.VarID, fn func(*Def)) {
@@ -332,34 +316,19 @@ func (a *Analysis) maskOf(v il.VarID) bitset {
 	return m
 }
 
-// UniqueDef returns the single unambiguous definition of v reaching s, or
-// nil if there are several, none, or only ambiguous ones.
-func (a *Analysis) UniqueDef(s il.Stmt, v il.VarID) *Def {
-	defs := a.ReachingDefs(s, v)
-	if len(defs) != 1 || defs[0].Ambiguous {
-		return nil
-	}
-	return defs[0]
-}
-
 // DefsInside returns the definitions of v whose node's statement is in the
 // given set.
 func (a *Analysis) DefsInside(v il.VarID, set map[il.Stmt]bool) []*Def {
+	if int(v) >= len(a.defsOf) {
+		return nil
+	}
 	var out []*Def
-	for _, d := range a.DefsOf(v) {
+	for _, d := range a.defsOf[v] {
 		if d.Node.Stmt != nil && set[d.Node.Stmt] {
 			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// DefsOf returns all definitions of v.
-func (a *Analysis) DefsOf(v il.VarID) []*Def {
-	if int(v) >= len(a.defsOf) {
-		return nil
-	}
-	return a.defsOf[v]
 }
 
 // SpliceWhileConversion patches the analysis in place after while→DO
@@ -373,7 +342,8 @@ func (a *Analysis) DefsOf(v il.VarID) []*Def {
 // The patched analysis answers the conversion queries (NodeOf, EntersBody,
 // DefsInside) exactly as a rebuilt one would; it deliberately omits the
 // dummy's synthetic entry definition, so it must not outlive the
-// conversion pass (UniqueDef on the dummy would be over-precise).
+// conversion pass (a unique-reaching-definition query on the dummy would
+// be over-precise).
 // Returns false when w has no node; the caller falls back to Analyze.
 func (a *Analysis) SpliceWhileConversion(w *il.While, d *il.DoLoop) bool {
 	n, ok := a.Graph.NodeOf[w]

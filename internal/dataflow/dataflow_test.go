@@ -14,6 +14,23 @@ import (
 // heap is the nil arena: hand-built test IL is allocated node by node.
 var heap *il.Arena
 
+// reachingDefs collects the definitions of v reaching the entry of s.
+func reachingDefs(a *Analysis, s il.Stmt, v il.VarID) []*Def {
+	var out []*Def
+	a.ForEachReachingDef(s, v, func(d *Def) { out = append(out, d) })
+	return out
+}
+
+// uniqueDef is the single unambiguous definition of v reaching s, or nil
+// if there are several, none, or only ambiguous ones.
+func uniqueDef(a *Analysis, s il.Stmt, v il.VarID) *Def {
+	defs := reachingDefs(a, s, v)
+	if len(defs) != 1 || defs[0].Ambiguous {
+		return nil
+	}
+	return defs[0]
+}
+
 func compileProc(t *testing.T, src, name string) *il.Proc {
 	t.Helper()
 	f, err := parser.Parse(src)
@@ -50,7 +67,7 @@ func TestStraightLineUniqueDef(t *testing.T) {
 	// At "b = a", the unique def of a is "a = 1".
 	bAssign := p.Body[1].(*il.Assign)
 	aID := p.LookupVar("a")
-	d := a.UniqueDef(bAssign, aID)
+	d := uniqueDef(a, bAssign, aID)
 	if d == nil {
 		t.Fatalf("no unique def of a:\n%s", p)
 	}
@@ -82,12 +99,12 @@ int f(int c) {
 	if bAssign == nil {
 		t.Fatalf("no b = a found:\n%s", p)
 	}
-	defs := a.ReachingDefs(*bAssign, p.LookupVar("a"))
+	defs := reachingDefs(a, *bAssign, p.LookupVar("a"))
 	if len(defs) != 2 {
 		t.Errorf("defs of a at merge: %d, want 2", len(defs))
 	}
-	if a.UniqueDef(*bAssign, p.LookupVar("a")) != nil {
-		t.Error("UniqueDef should fail at a merge")
+	if uniqueDef(a, *bAssign, p.LookupVar("a")) != nil {
+		t.Error("uniqueDef should fail at a merge")
 	}
 }
 
@@ -95,7 +112,7 @@ func TestParamEntryDef(t *testing.T) {
 	p := compileProc(t, "int f(int n) { return n; }", "f")
 	a := analyze(t, p)
 	ret := p.Body[0].(*il.Return)
-	d := a.UniqueDef(ret, p.LookupVar("n"))
+	d := uniqueDef(a, ret, p.LookupVar("n"))
 	if d == nil || !d.Entry {
 		t.Errorf("param def: %+v", d)
 	}
@@ -115,7 +132,7 @@ void f(int n) {
 	p := compileProc(t, src, "f")
 	a := analyze(t, p)
 	w := p.Body[1].(*il.While)
-	defs := a.ReachingDefs(w, p.LookupVar("i"))
+	defs := reachingDefs(a, w, p.LookupVar("i"))
 	if len(defs) != 2 {
 		t.Fatalf("defs of i at loop head: %d, want 2\n%s", len(defs), p)
 	}
@@ -150,10 +167,10 @@ int f(void) {
 	a := analyze(t, p)
 	ret := p.Body[2].(*il.Return)
 	gID := p.LookupVar("g")
-	if a.UniqueDef(ret, gID) != nil {
+	if uniqueDef(a, ret, gID) != nil {
 		t.Error("call should clobber global g")
 	}
-	defs := a.ReachingDefs(ret, gID)
+	defs := reachingDefs(a, ret, gID)
 	foundAmbig := false
 	for _, d := range defs {
 		if d.Ambiguous && !d.Entry {
@@ -185,7 +202,7 @@ void f(int *p) {
 			}
 		}
 	}
-	if a.UniqueDef(yAssign, p.LookupVar("x")) == nil {
+	if uniqueDef(a, yAssign, p.LookupVar("x")) == nil {
 		t.Error("store should not clobber non-addr-taken x")
 	}
 }
@@ -203,7 +220,7 @@ int f(void) {
 	p := compileProc(t, src, "f")
 	a := analyze(t, p)
 	ret := p.Body[2].(*il.Return)
-	if a.UniqueDef(ret, p.LookupVar("x")) != nil {
+	if uniqueDef(a, ret, p.LookupVar("x")) != nil {
 		t.Error("call with &x should clobber x")
 	}
 }
@@ -298,7 +315,7 @@ func TestDoLoopDefinesIV(t *testing.T) {
 	loop := &il.DoLoop{IV: iv, Init: heap.Int(0), Limit: heap.Int(9), Step: heap.Int(1), Body: []il.Stmt{use}}
 	p.Body = []il.Stmt{loop}
 	a := analyze(t, p)
-	defs := a.ReachingDefs(use, iv)
+	defs := reachingDefs(a, use, iv)
 	foundIV := false
 	for _, d := range defs {
 		if d.Node.IVDef == iv {

@@ -26,7 +26,7 @@ import (
 // return equal keys exactly when Compile would produce identical
 // artifacts for them.
 func CacheKey(src string, opts Options) (string, error) {
-	canon, err := CanonicalOptions(opts)
+	canon, err := canonicalOptions(opts)
 	if err != nil {
 		return "", err
 	}
@@ -37,7 +37,7 @@ func CacheKey(src string, opts Options) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// CanonicalOptions renders opts in the canonical textual form CacheKey
+// canonicalOptions renders opts in the canonical textual form CacheKey
 // hashes. The encoding mirrors what the pipeline actually consumes
 // (pass.BuildPipeline and the codegen scheduling rule), so semantically
 // inert differences collapse:
@@ -52,7 +52,7 @@ func CacheKey(src string, opts Options) (string, error) {
 //     scalarizer actually sees (§6's "only when consumed" rule);
 //   - NoAlias renders only when a dependence-analysis client runs;
 //   - scheduling renders as the derived boolean codegen tests.
-func CanonicalOptions(opts Options) (string, error) {
+func canonicalOptions(opts Options) (string, error) {
 	var sb strings.Builder
 	sb.WriteString("opts/v1\n")
 

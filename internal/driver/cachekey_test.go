@@ -131,9 +131,9 @@ func TestCacheKeySourceSensitive(t *testing.T) {
 }
 
 func TestCanonicalOptionsReadable(t *testing.T) {
-	canon, err := CanonicalOptions(FullOptions())
+	canon, err := canonicalOptions(FullOptions())
 	if err != nil {
-		t.Fatalf("CanonicalOptions: %v", err)
+		t.Fatalf("canonicalOptions: %v", err)
 	}
 	for _, want := range []string{"opts/v1", "inline=true", "vectorize=true", "vl=32", "schedule=true"} {
 		if !strings.Contains(canon, want) {

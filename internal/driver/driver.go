@@ -175,11 +175,6 @@ func LowerWith(src string, ctx *pass.Context) (*Result, error) {
 	return res, nil
 }
 
-// OptimizeIL applies the mid-end phases to res.IL in place.
-func OptimizeIL(res *Result, opts Options) error {
-	return OptimizeILWith(res, opts, nil)
-}
-
 // OptimizeILWith runs the pass manager's pipeline over res.IL and records
 // the report (and its stat mirrors) on res.
 func OptimizeILWith(res *Result, opts Options, ctx *pass.Context) error {
@@ -196,13 +191,13 @@ func OptimizeILWith(res *Result, opts Options, ctx *pass.Context) error {
 
 // Run compiles and simulates in one step, starting at main.
 func Run(src string, opts Options, processors int) (titan.Result, error) {
-	return RunEntry(src, "", opts, processors)
+	return runEntry(src, "", opts, processors)
 }
 
-// RunEntry compiles and simulates starting at the named entry procedure
+// runEntry compiles and simulates starting at the named entry procedure
 // (main when entry is empty). A missing entry is reported as a compile
 // error naming the functions the program does define.
-func RunEntry(src, entry string, opts Options, processors int) (titan.Result, error) {
+func runEntry(src, entry string, opts Options, processors int) (titan.Result, error) {
 	if entry == "" {
 		entry = "main"
 	}

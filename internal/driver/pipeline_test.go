@@ -150,7 +150,7 @@ func TestReportDeterministicUnderWorkerPool(t *testing.T) {
 // TestRunEntryMissing pins the clear error for an absent entry symbol.
 func TestRunEntryMissing(t *testing.T) {
 	src := "int helper(int x) { return x + 1; }"
-	if _, err := RunEntry(src, "main", ScalarOptions(), 1); err == nil {
+	if _, err := runEntry(src, "main", ScalarOptions(), 1); err == nil {
 		t.Fatal("missing entry function should error")
 	} else if want := `entry function "main" is not defined`; !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not contain %q", err, want)
@@ -163,7 +163,7 @@ func TestRunEntryNamed(t *testing.T) {
 int main(void) { return 1; }
 int start(void) { return 42; }
 `
-	r, err := RunEntry(src, "start", ScalarOptions(), 1)
+	r, err := runEntry(src, "start", ScalarOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ int start(void) { return 42; }
 		t.Errorf("exit = %d, want 42", r.ExitCode)
 	}
 	// Default entry is still main.
-	r, err = RunEntry(src, "", ScalarOptions(), 1)
+	r, err = runEntry(src, "", ScalarOptions(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

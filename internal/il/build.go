@@ -27,8 +27,8 @@ func IsZero(e Expr) bool {
 	return false
 }
 
-// IsOne reports whether e is the integer constant one.
-func IsOne(e Expr) bool {
+// isOne reports whether e is the integer constant one.
+func isOne(e Expr) bool {
 	c, ok := e.(*ConstInt)
 	return ok && c.Val == 1
 }
@@ -81,17 +81,17 @@ func foldBin(op Op, l, r Expr, t *ctype.Type) (binFold, int64, float64) {
 			return isLeft, 0, 0
 		}
 	case OpMul:
-		if IsOne(l) {
+		if isOne(l) {
 			return isRight, 0, 0
 		}
-		if IsOne(r) {
+		if isOne(r) {
 			return isLeft, 0, 0
 		}
 		if t.IsInteger() && (IsZero(l) || IsZero(r)) {
 			return isInt, 0, 0
 		}
 	case OpDiv:
-		if IsOne(r) {
+		if isOne(r) {
 			return isLeft, 0, 0
 		}
 	}

@@ -48,7 +48,7 @@ type Inliner struct {
 
 	// Diags receives §7's expansion decisions: inline-expanded,
 	// inline-recursive, inline-refused, and inline-static-export. Nil
-	// drops them. ExpandProc revisits surviving calls once per depth
+	// drops them. expandProc revisits surviving calls once per depth
 	// round, so refusals are deduplicated per (code, site, message).
 	Diags *diag.Reporter
 
@@ -80,7 +80,7 @@ func (in *Inliner) report(d diag.Diagnostic) {
 	in.Diags.Report(d)
 }
 
-// refuseReason names why Inlinable rejected a known callee.
+// refuseReason names why inlinable rejected a known callee.
 func (in *Inliner) refuseReason(callee *il.Proc) string {
 	switch {
 	case callee.Variadic:
@@ -118,16 +118,16 @@ func (in *Inliner) lookup(name string) *il.Proc {
 func (in *Inliner) ExpandProgram() int {
 	n := 0
 	for _, p := range in.Prog.Procs {
-		n += in.ExpandProc(p)
+		n += in.expandProc(p)
 	}
 	return n
 }
 
-// ExpandProc expands eligible calls in p until none remain or the depth
+// expandProc expands eligible calls in p until none remain or the depth
 // bound hits. Calls introduced by expansion are themselves candidates
 // (inlined functions may inline other functions, §7); the stack of names
 // being expanded guards against recursion.
-func (in *Inliner) ExpandProc(p *il.Proc) int {
+func (in *Inliner) expandProc(p *il.Proc) int {
 	count := 0
 	for depth := 0; depth < in.Cfg.MaxDepth; depth++ {
 		n := 0
@@ -157,9 +157,8 @@ func (in *Inliner) expandList(p *il.Proc, list []il.Stmt, stack map[string]bool,
 	})
 }
 
-// Inlinable reports whether the named procedure could be expanded (used by
-// diagnostics and tests).
-func (in *Inliner) Inlinable(name string) bool {
+// inlinable reports whether the named procedure could be expanded.
+func (in *Inliner) inlinable(name string) bool {
 	callee := in.lookup(name)
 	if callee == nil || callee.Variadic {
 		return false
@@ -187,7 +186,7 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 		})
 		return nil, false
 	}
-	if !in.Inlinable(call.Callee) {
+	if !in.inlinable(call.Callee) {
 		// Unknown callees (externs with no catalog body) are an absence,
 		// not a decision; only known-but-refused callees get a remark.
 		if known := in.lookup(call.Callee); known != nil {

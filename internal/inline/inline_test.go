@@ -39,7 +39,7 @@ int f(int a) { return twice(a) + 1; }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	if n := in.ExpandProc(fp); n != 1 {
+	if n := in.expandProc(fp); n != 1 {
 		t.Fatalf("expanded %d\n%s", n, fp)
 	}
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
@@ -64,7 +64,7 @@ void f(void) { bump(); bump(); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	if n := in.ExpandProc(fp); n != 2 {
+	if n := in.expandProc(fp); n != 2 {
 		t.Fatalf("expanded %d\n%s", n, fp)
 	}
 	// Two increments of the global remain.
@@ -88,7 +88,7 @@ int f(void) { return fact(5); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	in.ExpandProc(fp)
+	in.expandProc(fp)
 	// fact is expanded once into f, but the recursive call inside must
 	// survive (no infinite expansion).
 	calls := 0
@@ -113,7 +113,7 @@ int f(int x) { return even(x); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	in.ExpandProc(fp) // must terminate
+	in.expandProc(fp) // must terminate
 	if il.CountStmts(fp.Body) > 2000 {
 		t.Errorf("expansion blew up: %d stmts", il.CountStmts(fp.Body))
 	}
@@ -129,7 +129,7 @@ int f(int a) { return quad(a); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	in.ExpandProc(fp)
+	in.expandProc(fp)
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
 		if _, ok := s.(*il.Call); ok {
 			t.Errorf("call survived nested expansion:\n%s", fp)
@@ -161,7 +161,7 @@ void caller(float *x, float y, float z)
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	cp := prog.Proc("caller")
-	if n := in.ExpandProc(cp); n != 1 {
+	if n := in.expandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
@@ -200,7 +200,7 @@ int main()
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	mp := prog.Proc("main")
-	if n := in.ExpandProc(mp); n != 1 {
+	if n := in.expandProc(mp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
@@ -272,7 +272,7 @@ int f(void) { return counter(); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	in.ExpandProc(fp)
+	in.expandProc(fp)
 	// The inlined body must reference the exported static, not a fresh
 	// local.
 	found := false
@@ -297,7 +297,7 @@ void f(void) { printf("hi"); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	if n := in.ExpandProc(fp); n != 0 {
+	if n := in.expandProc(fp); n != 0 {
 		t.Fatalf("inlined a variadic: %d", n)
 	}
 }
@@ -312,7 +312,7 @@ func TestSizeLimit(t *testing.T) {
 	prog := compile(t, sb.String())
 	in := New(prog, Config{MaxStmts: 10, MaxDepth: 4})
 	fp := prog.Proc("f")
-	if n := in.ExpandProc(fp); n != 0 {
+	if n := in.expandProc(fp); n != 0 {
 		t.Fatalf("inlined oversized callee: %d", n)
 	}
 }
@@ -328,7 +328,7 @@ int f(int v) { return a1(v) + a2(v); }
 	cfg.Only = map[string]bool{"a1": true}
 	in := New(prog, cfg)
 	fp := prog.Proc("f")
-	if n := in.ExpandProc(fp); n != 1 {
+	if n := in.expandProc(fp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	remaining := 0
@@ -358,7 +358,7 @@ int f(int a) { return sign(a); }
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	fp := prog.Proc("f")
-	in.ExpandProc(fp)
+	in.expandProc(fp)
 	// No Return nodes from the callee (only f's own return).
 	returns := 0
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
@@ -433,7 +433,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	prog1 := compile(t, combined)
 	in1 := New(prog1, DefaultConfig())
 	f1 := prog1.Proc("f")
-	in1.ExpandProc(f1)
+	in1.expandProc(f1)
 	opt.Optimize(f1, opt.DefaultOptions(), nil, nil)
 
 	// Route 2: catalog.
@@ -450,7 +450,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	in2 := New(prog2, DefaultConfig())
 	in2.AddCatalog(cat)
 	f2 := prog2.Proc("f")
-	if n := in2.ExpandProc(f2); n != 1 {
+	if n := in2.expandProc(f2); n != 1 {
 		t.Fatalf("catalog expansion: %d", n)
 	}
 	opt.Optimize(f2, opt.DefaultOptions(), nil, nil)
@@ -502,7 +502,7 @@ void clearall(int n)
 	prog := compile(t, src)
 	in := New(prog, DefaultConfig())
 	cp := prog.Proc("clearall")
-	if n := in.ExpandProc(cp); n != 1 {
+	if n := in.expandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
@@ -567,7 +567,7 @@ int f(int x) { return b(x) + 1; }
 	cfg.MaxDepth = 1
 	in := New(prog, cfg)
 	fp := prog.Proc("f")
-	in.ExpandProc(fp)
+	in.expandProc(fp)
 	// With depth 1 the nested expansion loop runs once; deep calls remain.
 	calls := 0
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/ctype"
-	"repro/internal/lexer"
 	"repro/internal/token"
 )
 
@@ -59,23 +58,6 @@ func newParser(toks []token.Token) *parser {
 
 // Parse parses a complete translation unit.
 func Parse(src string) (*ast.File, error) { return ParseWorkers(src, 1) }
-
-// ParseExpr parses a single expression (used by tests).
-func ParseExpr(src string) (ast.Expr, error) {
-	toks, err := lexer.Tokenize(src)
-	if err != nil {
-		return nil, err
-	}
-	p := newParser(toks)
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().Kind != token.EOF {
-		return nil, p.errorf("trailing input after expression")
-	}
-	return e, nil
-}
 
 func (p *parser) peek() token.Token { return p.toks[p.pos] }
 func (p *parser) peekN(n int) token.Token {

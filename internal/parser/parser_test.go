@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/ctype"
+	"repro/internal/lexer"
+	"repro/internal/token"
 )
 
 func parseOne(t *testing.T, src string) *ast.File {
@@ -238,11 +240,28 @@ out:
 	}
 }
 
+// parseExpr parses src as a single expression.
+func parseExpr(src string) (ast.Expr, error) {
+	toks, err := lexer.Tokenize(src)
+	if err != nil {
+		return nil, err
+	}
+	p := newParser(toks)
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if p.peek().Kind != token.EOF {
+		return nil, p.errorf("trailing input after expression")
+	}
+	return e, nil
+}
+
 func mustExpr(t *testing.T, src string) ast.Expr {
 	t.Helper()
-	e, err := ParseExpr(src)
+	e, err := parseExpr(src)
 	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
+		t.Fatalf("parseExpr(%q): %v", src, err)
 	}
 	return e
 }
@@ -479,7 +498,7 @@ func TestSyntaxErrors(t *testing.T) {
 }
 
 func TestTrailingInputError(t *testing.T) {
-	if _, err := ParseExpr("a b"); err == nil {
+	if _, err := parseExpr("a b"); err == nil {
 		t.Error("expected trailing-input error")
 	}
 }

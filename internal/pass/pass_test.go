@@ -63,9 +63,9 @@ func TestManagerInstrumentation(t *testing.T) {
 		t.Fatalf("want one %s row, got %+v", PassScalar, rep.Passes)
 	}
 	row := rep.Passes[0]
-	if row.StmtsBefore != 2 || row.StmtsAfter != 1 || row.Delta() != -1 {
+	if row.StmtsBefore != 2 || row.StmtsAfter != 1 || row.delta() != -1 {
 		t.Errorf("stmt accounting: %d -> %d (%+d), want 2 -> 1 (-1)",
-			row.StmtsBefore, row.StmtsAfter, row.Delta())
+			row.StmtsBefore, row.StmtsAfter, row.delta())
 	}
 	changes := 0
 	for _, n := range rep.Scalar {

@@ -26,8 +26,8 @@ type PassStat struct {
 	StmtsAfter  int           `json:"stmts_after"`
 }
 
-// Delta is the signed IL statement change the pass made.
-func (s PassStat) Delta() int { return s.StmtsAfter - s.StmtsBefore }
+// delta is the signed IL statement change the pass made.
+func (s PassStat) delta() int { return s.StmtsAfter - s.StmtsBefore }
 
 // Report is the unified instrumentation record of one pipeline run: the
 // per-pass timing table plus every phase's domain stats folded together.
@@ -74,7 +74,7 @@ func (r *Report) String() string {
 	var total time.Duration
 	for _, p := range r.Passes {
 		fmt.Fprintf(&sb, "%-16s  %10s  %5d -> %-5d (%+d)\n",
-			p.Name, fmtDuration(p.Duration), p.StmtsBefore, p.StmtsAfter, p.Delta())
+			p.Name, fmtDuration(p.Duration), p.StmtsBefore, p.StmtsAfter, p.delta())
 		total += p.Duration
 	}
 	fmt.Fprintf(&sb, "%-16s  %10s\n", "total", fmtDuration(total))

@@ -72,16 +72,16 @@ func FormatStats(r titan.Result, wall time.Duration) string {
 		}
 		line += fmt.Sprintf(" mask_ops=%d mask_lane_utilization=%.2f", r.MaskOps, util)
 	}
-	if procs := FormatProcStats(r); procs != "" {
+	if procs := formatProcStats(r); procs != "" {
 		line += "\n" + procs
 	}
 	return line
 }
 
-// FormatProcStats renders the per-processor busy/stall/idle breakdown of
+// formatProcStats renders the per-processor busy/stall/idle breakdown of
 // the run's parallel regions, one line per processor that did work, or
 // "" when the program never forked.
-func FormatProcStats(r titan.Result) string {
+func formatProcStats(r titan.Result) string {
 	out := ""
 	for pid, ps := range r.Procs {
 		if ps.Busy == 0 && ps.SyncStall == 0 && ps.JoinIdle == 0 {

@@ -75,9 +75,9 @@ func (s *Server) respondArtifact(w http.ResponseWriter, blob []byte, start time.
 	w.Write(stamp)
 }
 
-// checkArtifact is the ingest gate for artifact bytes this process did
-// not produce itself (a peer's PUT /cache/{key}, a peer's answer to a
-// fetch). Because hits splice a stamp onto the stored bytes unread, the
+// checkArtifact is the artifact kind's ingest gate, for bytes this
+// process did not produce itself (a peer's PUT /cache/{key}, a peer's
+// answer to a fetch). Because hits splice a stamp onto the stored bytes unread, the
 // bytes must be a lone JSON object of the artifact shape and nothing
 // else: no unknown fields (an old-shape blob carrying "cached" would
 // otherwise reach a client with duplicate keys), the embedded key equal
@@ -103,14 +103,4 @@ func checkArtifact(key string, blob []byte) error {
 		return errors.New("artifact has trailing bytes after its closing brace")
 	}
 	return nil
-}
-
-// ingestPeerArtifact runs the ingest gate on bytes a peer supplied and
-// counts a rejection in /metrics.
-func (s *Server) ingestPeerArtifact(key string, blob []byte) error {
-	err := checkArtifact(key, blob)
-	if err != nil {
-		s.metrics.peerReject()
-	}
-	return err
 }

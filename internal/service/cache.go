@@ -6,16 +6,23 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
 )
 
-// Cache is the content-addressed artifact store: an in-memory LRU held
-// under a byte budget, with an optional disk tier underneath so a
-// restarted daemon serves its old artifacts warm. Keys are hex digests
-// (driver.CacheKey plus the request's run spec), so equal keys imply
-// equal artifacts and Put is idempotent.
+// Cache is titand's one content-addressed store. Every kind of bytes the
+// daemon keeps — compile artifacts, tuned schedule plans and §7 catalogs
+// (see kind) — lives in it under one in-memory byte budget, and
+// artifacts have an optional disk tier underneath so a restarted daemon
+// serves its old artifacts warm. Keys are hex digests (artifact and plan
+// keys derive from driver.CacheKey, catalog ids are content
+// fingerprints), so equal keys imply equal bytes and a put is idempotent.
+//
+// Evictable kinds share one LRU. Pinned kinds are never evicted but count
+// against the same budget: a pinned put that would push the pinned bytes
+// past it is refused, and everything else gives way to pinned entries.
 //
 // Disk entries are written with a SHA-256 content header and verified
 // on every read: a flipped bit (disk rot, torn write, an operator's
@@ -23,22 +30,37 @@ import (
 // deletes it and reports a miss rather than serving a corrupt artifact.
 type Cache struct {
 	mu        sync.Mutex
-	budget    int64 // in-memory byte budget; <= 0 means unbounded
-	bytes     int64
-	order     *list.List // front = most recently used
-	items     map[string]*list.Element
+	budget    int64      // in-memory byte budget; <= 0 means unbounded
+	bytes     int64      // every entry's raw bytes
+	pinned    int64      // the pinned entries' share of bytes
+	order     *list.List // evictable entries, front = most recently used
+	items     map[slot]*item
+	perKind   map[*kind]int
 	dir       string // disk tier root; "" disables it
 	evictions int64
 	diskErrs  int64
 	corrupt   int64
 }
 
-type cacheItem struct {
-	key  string
-	blob []byte
+// slot names one entry. The kind is part of the name because one digest
+// can key two kinds: a tuned request without a run has its plan's key.
+type slot struct {
+	k   *kind
+	key string
 }
 
-// CacheStats is the /metrics view of the cache.
+// item is one entry: the bytes as stored and served, and the value they
+// decode to (nil for artifacts, whose bytes are the value). Both are set
+// before the item is published and never change.
+type item struct {
+	slot
+	raw []byte
+	val any
+	el  *list.Element // position in order; nil when pinned
+}
+
+// CacheStats is the /metrics view of the cache. Entries and Bytes span
+// every kind.
 type CacheStats struct {
 	Entries     int   `json:"entries"`
 	Bytes       int64 `json:"bytes"`
@@ -48,11 +70,13 @@ type CacheStats struct {
 	// CorruptDrops counts disk entries that failed SHA-256 verification
 	// on read and were deleted instead of served.
 	CorruptDrops int64 `json:"corrupt_drops"`
-	// PeerRejects counts artifacts and tuned plans a peer supplied (a
-	// PUT /cache/{key} or /schedules/{key}, or its answer to a fetch)
-	// that failed the ingest check and never entered a cache. The server counts these, not the Cache, which
-	// stores whatever bytes it is given.
+	// PeerRejects counts entries a peer supplied (a PUT to the peer tier,
+	// or its answer to a fetch) that failed their kind's ingest check and
+	// never entered the store. The server counts these, not the Cache,
+	// which stores whatever bytes it is given.
 	PeerRejects int64 `json:"peer_rejects"`
+
+	perKind map[*kind]int // entries per kind, for the per-kind /metrics counts
 }
 
 // Cache tiers reported by Get (plus the two pseudo-tiers the compile
@@ -87,26 +111,25 @@ func NewCache(budgetBytes int64, dir string) (*Cache, error) {
 		}
 	}
 	return &Cache{
-		budget: budgetBytes,
-		order:  list.New(),
-		items:  map[string]*list.Element{},
-		dir:    dir,
+		budget:  budgetBytes,
+		order:   list.New(),
+		items:   map[slot]*item{},
+		perKind: map[*kind]int{},
+		dir:     dir,
 	}, nil
 }
 
 // Get returns the artifact for key and the tier that served it
 // (TierMemory, TierDisk, or TierNone when absent). A disk hit is
 // verified against its content digest, then promoted into memory.
-func (c *Cache) Get(key string) ([]byte, string) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.order.MoveToFront(el)
-		blob := el.Value.(*cacheItem).blob
-		c.mu.Unlock()
-		return blob, TierMemory
+func (c *Cache) Get(key string) ([]byte, string) { return c.get(artifactKind, key) }
+
+// get is Get for any kind; only artifacts have a disk tier.
+func (c *Cache) get(k *kind, key string) ([]byte, string) {
+	if it, ok := c.lookup(k, key); ok {
+		return it.raw, TierMemory
 	}
-	c.mu.Unlock()
-	if c.dir == "" {
+	if k != artifactKind || c.dir == "" {
 		return nil, TierNone
 	}
 	raw, err := os.ReadFile(c.path(key))
@@ -122,8 +145,19 @@ func (c *Cache) Get(key string) ([]byte, string) {
 		c.mu.Unlock()
 		return nil, TierNone
 	}
-	c.put(key, blob, false)
+	c.put(k, key, blob, nil, false)
 	return blob, TierDisk
+}
+
+// lookup is the memory tier: k's entry under key, refreshed in the LRU.
+func (c *Cache) lookup(k *kind, key string) (*item, bool) {
+	c.mu.Lock()
+	it, ok := c.items[slot{k, key}]
+	if ok && it.el != nil {
+		c.order.MoveToFront(it.el)
+	}
+	c.mu.Unlock()
+	return it, ok
 }
 
 // decodeDiskEntry strips and verifies the content header.
@@ -156,40 +190,56 @@ func encodeDiskEntry(blob []byte) []byte {
 // Put stores an artifact in memory (budget permitting) and, when a disk
 // tier is configured, durably on disk. Disk failures are counted, not
 // fatal: the cache is an accelerator, never a correctness dependency.
-func (c *Cache) Put(key string, blob []byte) { c.put(key, blob, true) }
+func (c *Cache) Put(key string, blob []byte) { c.put(artifactKind, key, blob, nil, true) }
 
-// PutLocal stores an artifact in memory only. The remote tier uses it
-// to promote peer-fetched artifacts: the owning peer is the durable
-// copy, so replicating it onto every reader's disk would just multiply
-// the fleet's storage by the node count.
-func (c *Cache) PutLocal(key string, blob []byte) { c.put(key, blob, false) }
-
-func (c *Cache) put(key string, blob []byte, writeDisk bool) {
+// put stores raw and the value it decodes to under k and key in memory
+// and, for an artifact with writeDisk, on disk. A repeat put of a held
+// entry only refreshes it. An evictable entry that cannot fit beside the
+// pinned ones stays out of memory (it would evict everything and still
+// not help the next request); a pinned one is refused with an error that
+// names the budget.
+func (c *Cache) put(k *kind, key string, raw []byte, val any, writeDisk bool) error {
+	s := slot{k, key}
+	size := int64(len(raw))
 	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		// Content-addressed: same key means same artifact; just refresh.
-		c.order.MoveToFront(el)
-	} else if c.budget <= 0 || int64(len(blob)) <= c.budget {
-		c.items[key] = c.order.PushFront(&cacheItem{key: key, blob: blob})
-		c.bytes += int64(len(blob))
-		for c.budget > 0 && c.bytes > c.budget && c.order.Len() > 1 {
-			back := c.order.Back()
-			it := back.Value.(*cacheItem)
-			c.order.Remove(back)
-			delete(c.items, it.key)
-			c.bytes -= int64(len(it.blob))
+	if it, ok := c.items[s]; ok {
+		// Content-addressed: same key means same bytes; just refresh.
+		if it.el != nil {
+			c.order.MoveToFront(it.el)
+		}
+	} else if c.budget > 0 && c.pinned+size > c.budget {
+		if !k.evictable {
+			pinned := c.pinned
+			c.mu.Unlock()
+			return fmt.Errorf("%d bytes do not fit the %d-byte memory budget (titand -cache-mb): pinned catalogs already hold %d",
+				size, c.budget, pinned)
+		}
+	} else {
+		it := &item{slot: s, raw: raw, val: val}
+		if k.evictable {
+			it.el = c.order.PushFront(it)
+		} else {
+			c.pinned += size
+		}
+		c.items[s] = it
+		c.perKind[k]++
+		c.bytes += size
+		// The new entry is never the victim: pinned+size <= budget.
+		for c.budget > 0 && c.bytes > c.budget {
+			old := c.order.Remove(c.order.Back()).(*item)
+			delete(c.items, old.slot)
+			c.perKind[old.k]--
+			c.bytes -= int64(len(old.raw))
 			c.evictions++
 		}
 	}
-	// else: a single blob over the whole budget never enters memory —
-	// it would evict everything and still not help the next request.
 	c.mu.Unlock()
 
-	if writeDisk && c.dir != "" {
+	if writeDisk && k == artifactKind && c.dir != "" {
 		// Atomic publish so a concurrent Get never reads a half-written
 		// artifact and a crash never leaves one behind.
 		tmp := c.path(key) + ".tmp"
-		err := os.WriteFile(tmp, encodeDiskEntry(blob), 0o644)
+		err := os.WriteFile(tmp, encodeDiskEntry(raw), 0o644)
 		if err == nil {
 			err = os.Rename(tmp, c.path(key))
 		}
@@ -200,6 +250,7 @@ func (c *Cache) put(key string, blob []byte, writeDisk bool) {
 			c.mu.Unlock()
 		}
 	}
+	return nil
 }
 
 // Stats snapshots the counters for /metrics.
@@ -207,12 +258,13 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
-		Entries:      c.order.Len(),
+		Entries:      len(c.items),
 		Bytes:        c.bytes,
 		BudgetBytes:  c.budget,
 		Evictions:    c.evictions,
 		DiskErrors:   c.diskErrs,
 		CorruptDrops: c.corrupt,
+		perKind:      maps.Clone(c.perKind),
 	}
 }
 

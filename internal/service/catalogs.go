@@ -3,29 +3,24 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/inline"
 )
 
-// catalogRegistry is §7 as a network service: procedure catalogs are
-// uploaded once, keyed by content fingerprint, and attached to compiles
-// by that id. Catalogs are immutable after upload — the inliner clones
-// callee bodies out of them — so one registry entry serves any number of
-// concurrent compiles.
-type catalogRegistry struct {
-	mu   sync.RWMutex
-	cats map[string]*inline.Catalog
-	raws map[string][]byte // serialized form, re-served to cluster peers
-	meta map[string]CatalogRecord
-}
+// Catalogs are §7 as a network service: procedure catalogs are uploaded
+// once, keyed by content fingerprint, and attached to compiles by that
+// id. They are the store's pinned kind — clients hold the ids, so an
+// entry is never evicted — and they are immutable after upload (the
+// inliner clones callee bodies out of them), so one decoded catalog
+// serves any number of concurrent compiles.
 
-// CatalogRecord is the registry's metadata for one catalog.
+// CatalogRecord is the store's metadata for one catalog.
 type CatalogRecord struct {
 	ID       string    `json:"id"` // content fingerprint (SHA-256 hex)
 	Name     string    `json:"name,omitempty"`
@@ -35,85 +30,66 @@ type CatalogRecord struct {
 	Uploaded time.Time `json:"uploaded"`
 }
 
-func newCatalogRegistry() *catalogRegistry {
-	return &catalogRegistry{
-		cats: map[string]*inline.Catalog{},
-		raws: map[string][]byte{},
-		meta: map[string]CatalogRecord{},
-	}
+// catalogEntry is the value the store holds for a catalog.
+type catalogEntry struct {
+	cat *inline.Catalog
+	rec CatalogRecord
 }
 
-// add registers a catalog under its fingerprint, keeping the serialized
-// bytes so the registry can re-serve them to cluster peers; re-adding
-// identical content is idempotent and keeps the original record.
-func (r *catalogRegistry) add(cat *inline.Catalog, name string, raw []byte) (CatalogRecord, bool, error) {
+// decodeCatalog reads serialized catalog bytes and names them by their
+// content fingerprint.
+func decodeCatalog(raw []byte) (*catalogEntry, error) {
+	cat, err := inline.ReadCatalog(bytes.NewReader(raw))
+	if err != nil {
+		return nil, err
+	}
 	id, err := cat.Fingerprint()
 	if err != nil {
-		return CatalogRecord{}, false, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec, ok := r.meta[id]; ok {
-		return rec, false, nil
+		return nil, err
 	}
 	procs := make([]string, 0, len(cat.Procs))
 	for _, p := range cat.Procs {
 		procs = append(procs, p.Name)
 	}
 	sort.Strings(procs)
-	rec := CatalogRecord{ID: id, Name: name, Procs: procs, Globals: len(cat.Globals), Bytes: len(raw), Uploaded: time.Now().UTC()}
-	r.cats[id] = cat
-	r.raws[id] = append([]byte(nil), raw...)
-	r.meta[id] = rec
-	return rec, true, nil
+	rec := CatalogRecord{ID: id, Procs: procs, Globals: len(cat.Globals), Bytes: len(raw), Uploaded: time.Now().UTC()}
+	return &catalogEntry{cat: cat, rec: rec}, nil
 }
 
-// resolveKnown maps catalog ids to the decoded catalogs this registry
-// holds, returning the ids it does not. The caller decides what a miss
-// means (an error single-node, a peer fetch in cluster mode). The
-// decoded catalogs are shared by pointer — they are immutable after
-// upload — so a batch of compiles resolves once and every unit reuses
-// the same decoded tables.
-func (r *catalogRegistry) resolveKnown(ids []string) (cats []*inline.Catalog, missing []string) {
+// checkCatalog is the catalog kind's ingest gate: the bytes decode to a
+// catalog whose fingerprint is the id they are stored under.
+func checkCatalog(id string, raw []byte) (*catalogEntry, error) {
+	ce, err := decodeCatalog(raw)
+	if err == nil && ce.rec.ID != id {
+		err = fmt.Errorf("catalog fingerprint %s does not match id %s", ce.rec.ID, id)
+	}
+	return ce, err
+}
+
+// resolveCatalogs maps catalog ids to decoded catalogs, from the store
+// or, in cluster mode, from peers in ring order. The decoded catalogs are
+// shared by pointer, so a batch of compiles resolves once and every unit
+// reuses the same tables.
+func (s *Server) resolveCatalogs(ids []string) ([]*inline.Catalog, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	cats = make([]*inline.Catalog, 0, len(ids))
+	cats := make([]*inline.Catalog, 0, len(ids))
 	for _, id := range ids {
-		if c, ok := r.cats[id]; ok {
-			cats = append(cats, c)
-		} else {
-			missing = append(missing, id)
+		ce, ok := s.catalogs.get(id)
+		if !ok {
+			_, val, err := s.fetch(catalogKind, id)
+			if errors.Is(err, errNotHeld) {
+				return nil, fmt.Errorf("unknown catalog %q: not held here or by any reachable peer; upload it via POST /catalogs first", id)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("catalog %s: %w", id, err)
+			}
+			ce = val.(*catalogEntry)
 		}
+		cats = append(cats, ce.cat)
 	}
-	return cats, missing
-}
-
-// raw returns the serialized bytes of a registered catalog.
-func (r *catalogRegistry) raw(id string) ([]byte, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	b, ok := r.raws[id]
-	return b, ok
-}
-
-func (r *catalogRegistry) list() []CatalogRecord {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]CatalogRecord, 0, len(r.meta))
-	for _, rec := range r.meta {
-		out = append(out, rec)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-func (r *catalogRegistry) count() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.cats)
+	return cats, nil
 }
 
 // CatalogUploadResponse is the POST /catalogs body.
@@ -129,7 +105,8 @@ type CatalogListResponse struct {
 }
 
 // handleCatalogs serves POST (upload one serialized catalog, body as
-// produced by titancc -emit-catalog) and GET (list the registry).
+// produced by titancc -emit-catalog; also how older peers write catalogs
+// through) and GET (list the catalogs held here).
 func (s *Server) handleCatalogs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
@@ -138,26 +115,30 @@ func (s *Server) handleCatalogs(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading catalog body: %w", err))
 			return
 		}
-		cat, err := inline.ReadCatalog(bytes.NewReader(body))
+		ce, err := decodeCatalog(body)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		rec, created, err := s.registry.add(cat, r.URL.Query().Get("name"), body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
+		if held, ok := s.catalogs.get(ce.rec.ID); ok {
+			writeJSON(w, http.StatusOK, CatalogUploadResponse{Catalog: held.rec})
 			return
 		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusCreated
-			// Hand the catalog to its ring owner so any node can resolve
-			// it in one hop, wherever the client happened to upload it.
-			s.pushCatalogToOwner(rec.ID, body)
+		ce.rec.Name = r.URL.Query().Get("name")
+		// Held here and handed to the ring owner, so any node resolves it
+		// in one hop wherever the client happened to upload it.
+		if err := s.publish(catalogKind, ce.rec.ID, body, ce); err != nil {
+			httpError(w, http.StatusInsufficientStorage, err)
+			return
 		}
-		writeJSON(w, status, CatalogUploadResponse{Catalog: rec, Created: created})
+		writeJSON(w, http.StatusCreated, CatalogUploadResponse{Catalog: ce.rec, Created: true})
 	case http.MethodGet:
-		recs := s.registry.list()
+		held := s.catalogs.all()
+		recs := make([]CatalogRecord, len(held))
+		for i, ce := range held {
+			recs[i] = ce.rec
+		}
+		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
 		writeJSON(w, http.StatusOK, CatalogListResponse{Catalogs: recs, Count: len(recs)})
 	default:
 		w.Header().Set("Allow", "GET, POST")

@@ -615,7 +615,10 @@ func TestPeerTierEndpoints(t *testing.T) {
 	if resp := do("GET", "/schedules/"+key, nil); resp.StatusCode != http.StatusOK {
 		t.Errorf("plan after PUT: %d", resp.StatusCode)
 	}
-	if resp := do("GET", "/catalogs/deadbeef", nil); resp.StatusCode != http.StatusNotFound {
+	if resp := do("GET", "/catalogs/deadbeef", nil); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed catalog id: %d", resp.StatusCode)
+	}
+	if resp := do("GET", "/catalogs/"+key, nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("catalog miss: %d", resp.StatusCode)
 	}
 }

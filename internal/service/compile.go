@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/driver"
 	"repro/internal/inline"
 	"repro/internal/pass"
@@ -238,16 +237,16 @@ func (s *Server) serveUnit(ctx context.Context, req CompileRequest, opts driver.
 		s.metrics.hit(tier)
 		return unitOutcome{blob: blob, cached: true, tier: tier}
 	}
-	if blob, ok := s.remoteFetch(key); ok {
+	// A remote hit lands in local memory, so the node's next request
+	// for the key is a memory hit.
+	if blob, _, err := s.fetch(artifactKind, key); err == nil {
 		s.metrics.hit(TierRemote)
-		// Promote into local memory (not disk: the owner keeps the
-		// durable copy) so the node's next request is a memory hit.
-		s.cache.PutLocal(key, blob)
 		return unitOutcome{blob: blob, cached: true, tier: TierRemote}
 	}
 
-	fl, leader := s.flight.do(key, &s.inflight, func() ([]byte, error) {
-		return s.compile(key, req, opts)
+	fl, leader := s.flight.do(key, &s.inflight, func() ([]byte, any, error) {
+		blob, err := s.compile(key, req, opts)
+		return blob, nil, err
 	})
 
 	timeout := time.NewTimer(s.cfg.Timeout)
@@ -332,58 +331,6 @@ func (s *Server) queueWaitEstimate(queued int) time.Duration {
 		est = 30 * time.Second
 	}
 	return est
-}
-
-// remoteFetch consults the cluster for a key this node does not own:
-// when the owner is a remote peer, ask it (deduplicating concurrent
-// fetches of the same key singleflight-style). Reports false — degrade
-// to a local compile — when clustering is off, this node is the owner,
-// the owner misses, the owner is unreachable, or what it answered is not
-// a well-formed artifact for this key.
-func (s *Server) remoteFetch(key string) ([]byte, bool) {
-	if !s.cluster.Enabled() {
-		return nil, false
-	}
-	owner := s.cluster.Owner(key)
-	if owner == nil {
-		return nil, false // we own it; a local miss means compile
-	}
-	fl, _ := s.flight.do("remote\x00"+key, &s.inflight, func() ([]byte, error) {
-		blob, found, err := owner.Fetch(cluster.CachePath(key))
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, errRemoteMiss
-		}
-		// What the owner answered is served under key from now on, so it
-		// passes the same gate as a PUT; a rejected blob is a peer miss.
-		if err := s.ingestPeerArtifact(key, blob); err != nil {
-			return nil, err
-		}
-		return blob, nil
-	})
-	<-fl.done
-	return fl.blob, fl.err == nil
-}
-
-// errRemoteMiss marks a clean 404 from the owning peer (vs. a failure).
-var errRemoteMiss = errors.New("service: owner peer does not have the key")
-
-// pushToOwner write-throughs a freshly compiled artifact to the key's
-// owning peer, asynchronously and best-effort: the push rides the drain
-// WaitGroup so shutdown doesn't strand it, but a failed push costs only
-// future cache efficiency (the peer counters record it).
-func (s *Server) pushToOwner(key string, blob []byte) {
-	owner := s.cluster.Owner(key)
-	if owner == nil {
-		return
-	}
-	s.inflight.Add(1)
-	go func() {
-		defer s.inflight.Done()
-		owner.Push(http.MethodPut, cluster.CachePath(key), "application/json", blob)
-	}()
 }
 
 // requestKey extends the driver's content-addressed compile key with the
@@ -487,19 +434,20 @@ func (s *Server) compile(key string, req CompileRequest, opts driver.Options) ([
 	if err != nil {
 		return nil, err
 	}
-	s.cache.Put(key, blob)
-	s.pushToOwner(key, blob)
+	s.publish(artifactKind, key, blob, nil)
 	s.metrics.miss(res.Report)
 	return blob, nil
 }
 
 // tunedSchedules returns the tuned schedule set for the request's unit:
-// from the local schedule cache when a previous request already paid for
-// the search, else from the plan's owning cluster peer, else by running
-// the autotuner (and publishing the result locally and to the owner).
-// The plan key is the base compile fingerprint plus the tuning entry —
-// NOT the run spec — so requests that differ only in processor count
-// share one tuned plan, cluster-wide.
+// from the store when a previous request already paid for the search,
+// else from the plan's owning cluster peer, else by running the
+// autotuner (and publishing the result locally and to the owner). Tuning
+// is by far the most expensive thing the daemon does — dozens of
+// candidate compiles, each simulated — so its result is kept one level
+// above the artifact: the plan key is the base compile fingerprint plus
+// the tuning entry, NOT the run spec, so requests that differ only in
+// processor count share one tuned plan, cluster-wide.
 func (s *Server) tunedSchedules(req CompileRequest, opts driver.Options) (*tune.Result, error) {
 	key, err := planKey(req, opts)
 	if err != nil {
@@ -509,10 +457,9 @@ func (s *Server) tunedSchedules(req CompileRequest, opts driver.Options) (*tune.
 		s.metrics.schedHit()
 		return tres, nil
 	}
-	if tres, ok := s.remotePlanFetch(key); ok {
+	if _, val, err := s.fetch(planKind, key); err == nil {
 		s.metrics.schedRemoteHit()
-		s.schedules.put(key, tres)
-		return tres, nil
+		return val.(*tune.Result), nil
 	}
 	s.metrics.schedMiss()
 	procs := req.Processors
@@ -523,9 +470,12 @@ func (s *Server) tunedSchedules(req CompileRequest, opts driver.Options) (*tune.
 	if err != nil {
 		return nil, fmt.Errorf("autotune: %w", err)
 	}
-	s.schedules.put(key, tres)
+	raw, err := json.Marshal(tres)
+	if err != nil {
+		return nil, fmt.Errorf("encoding tuned plan: %w", err)
+	}
+	s.publish(planKind, key, raw, tres)
 	s.metrics.tuned()
-	s.pushPlanToOwner(key, tres)
 	return tres, nil
 }
 
@@ -539,6 +489,21 @@ func planKey(req CompileRequest, opts driver.Options) (string, error) {
 	}
 	sum := sha256.Sum256([]byte(base + "\ntune:entry=" + req.Entry))
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// checkPlan is the plan kind's ingest gate. A plan is compiled with as
+// soon as it is held, so it has to decode and obey the machine-range
+// invariants (VL bounds, unroll bounds, known mask strategies): a corrupt
+// or newer-versioned plan must not enter the store and poison compiles.
+func checkPlan(body []byte) (*tune.Result, error) {
+	var tres tune.Result
+	if err := json.Unmarshal(body, &tres); err != nil {
+		return nil, fmt.Errorf("plan does not decode: %w", err)
+	}
+	if err := tres.Schedules.Validate(); err != nil {
+		return nil, fmt.Errorf("plan rejected: %w", err)
+	}
+	return &tres, nil
 }
 
 // compileError writes a compile failure, attaching the positioned

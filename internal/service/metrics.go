@@ -56,11 +56,10 @@ type BatchCounters struct {
 	Units   int64 `json:"units"`
 }
 
-// TuneCounters tracks the autotuner's schedule cache. A tuned request
-// either reuses a cached plan (ScheduleCacheHits), pulls one the owning
-// peer already paid for (PlanRemoteHits), or pays for a fresh search
-// (each completed search becomes one Tunes). Entries is the live cache
-// size.
+// TuneCounters tracks tuned plans. A tuned request either reuses a plan
+// the store holds (ScheduleCacheHits), pulls one the owning peer already
+// paid for (PlanRemoteHits), or pays for a fresh search (each completed
+// search becomes one Tunes). Entries is the number of plans held now.
 type TuneCounters struct {
 	Tunes               int64 `json:"tunes"`
 	ScheduleCacheHits   int64 `json:"schedule_cache_hits"`
@@ -297,7 +296,7 @@ func (m *metrics) observe(d time.Duration) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) snapshot(cache CacheStats, catalogs, schedEntries int, clu *cluster.Snapshot) MetricsResponse {
+func (m *metrics) snapshot(cache CacheStats, clu *cluster.Snapshot) MetricsResponse {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	passes := make(map[string]PassTotals, len(m.passes))
@@ -316,13 +315,13 @@ func (m *metrics) snapshot(cache CacheStats, catalogs, schedEntries int, clu *cl
 		lat.MeanNS = lat.TotalNS / lat.Count
 	}
 	tc := m.tuneCtrs
-	tc.Entries = schedEntries
+	tc.Entries = cache.perKind[planKind]
 	cache.PeerRejects = m.peerRej
 	return MetricsResponse{
 		UptimeNS:       time.Since(m.start).Nanoseconds(),
 		Compiles:       m.compiles,
 		Cache:          cache,
-		Catalogs:       catalogs,
+		Catalogs:       cache.perKind[catalogKind],
 		Passes:         passes,
 		Analysis:       m.analysis,
 		Remarks:        remarks,

@@ -32,9 +32,7 @@ type bucket struct {
 	last   time.Time
 }
 
-// maxBuckets bounds the client table; when it fills, buckets idle long
-// enough to have fully refilled are dropped (they are indistinguishable
-// from fresh ones, so dropping them is free).
+// maxBuckets bounds the client table, whose keys a client chooses.
 const maxBuckets = 8192
 
 func newRateLimiter(rate, burst float64) *rateLimiter {
@@ -71,14 +69,23 @@ func (l *rateLimiter) take(client string, n float64) (bool, time.Duration) {
 	return false, time.Duration(need / l.rate * float64(time.Second))
 }
 
-// sweep drops buckets that have been idle long enough to refill
-// completely. Called with the lock held.
+// sweep makes room in a full client table. It drops the buckets idle
+// long enough to have refilled completely, which are indistinguishable
+// from fresh ones; if every bucket is still in use, it drops arbitrary
+// ones, whose clients restart from a full bucket — a cost in fairness,
+// never in memory. Called with the lock held.
 func (l *rateLimiter) sweep(now time.Time) {
 	full := time.Duration(l.burst / l.rate * float64(time.Second))
 	for id, b := range l.buckets {
 		if now.Sub(b.last) > full {
 			delete(l.buckets, id)
 		}
+	}
+	for id := range l.buckets {
+		if len(l.buckets) < maxBuckets {
+			break
+		}
+		delete(l.buckets, id)
 	}
 }
 

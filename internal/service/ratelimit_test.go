@@ -56,6 +56,20 @@ func TestRateLimiterSweep(t *testing.T) {
 	}
 }
 
+// TestRateLimiterTableBounded: a client inventing a new ID per request
+// cannot grow the table past maxBuckets, even when no bucket is idle.
+func TestRateLimiterTableBounded(t *testing.T) {
+	l := newRateLimiter(1, 1)
+	now := time.Unix(0, 0)
+	l.now = func() time.Time { return now }
+	for i := 0; i < maxBuckets+100; i++ {
+		l.take(fmt.Sprintf("id%d", i), 1)
+		if len(l.buckets) > maxBuckets {
+			t.Fatalf("after %d clients the table holds %d buckets", i+1, len(l.buckets))
+		}
+	}
+}
+
 func TestRetryAfterSeconds(t *testing.T) {
 	for _, tc := range []struct {
 		wait time.Duration

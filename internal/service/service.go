@@ -11,9 +11,9 @@
 //	                       pass report, and optionally a simulation result
 //	POST /compile/batch  — a whole translation set in one round-trip,
 //	                       sharing decoded catalogs across the units
-//	POST /catalogs       — upload a §7 procedure catalog; registered by
+//	POST /catalogs       — upload a §7 procedure catalog; held under its
 //	                       content fingerprint
-//	GET  /catalogs       — list the catalog registry
+//	GET  /catalogs       — list the catalogs held
 //	GET  /metrics        — aggregated pass.Report, cache/queue/cluster
 //	                       counters, latency summary
 //	GET  /healthz        — liveness (is the process up)
@@ -21,19 +21,22 @@
 //	                       peer ring is bootstrapping)
 //
 // Compiles run on a bounded worker pool behind a bounded queue (overload
-// answers 503 with a Retry-After, not collapse), identical in-flight
-// requests are deduplicated singleflight-style, and results land in an
-// in-memory LRU under a byte budget with an optional disk tier so
-// restarts stay warm. An optional per-client token bucket keeps one
-// greedy client from starving the admission queue for everyone else.
+// answers 503 with a Retry-After, not collapse), and identical in-flight
+// requests are deduplicated singleflight-style. Everything the daemon
+// keeps — compile artifacts, tuned schedule plans and catalogs — is one
+// content-addressed store (Cache, over three kinds) under one byte
+// budget: artifacts and plans share an LRU, catalogs are pinned against
+// the same budget, and artifacts have an optional disk tier so restarts
+// stay warm. An optional per-client token bucket keeps one greedy client
+// from starving the admission queue for everyone else.
 //
-// In cluster mode (see internal/cluster) N daemons share one cache
-// namespace: artifact keys, tuned-schedule plans, and catalogs each have
-// an owner node on a consistent-hash ring, a local miss consults the
-// owner before recompiling (GET /cache/{key} on the peer tier), and
-// completed work is written through to its owner — so a unit compiled or
-// tuned anywhere is a one-hop hit everywhere. Peer failures degrade to
-// local compilation; they never fail a request.
+// In cluster mode (see internal/cluster) N daemons share the store's
+// namespace: every key has an owner node on a consistent-hash ring, a
+// local miss consults the peer tier (GET {prefix}{key}) before
+// recomputing, and completed work is written through to its owner (PUT
+// {prefix}{key}) — so a unit compiled or tuned anywhere is a one-hop hit
+// everywhere. Peer failures degrade to local work; they never fail a
+// request.
 //
 // Shutdown drains: in-flight compiles finish and publish to the cache
 // before the daemon exits.
@@ -48,6 +51,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/tune"
 )
 
 // Config sizes the daemon. The zero value is usable: every field has a
@@ -61,8 +65,9 @@ type Config struct {
 	// Timeout bounds how long one request waits for its compile
 	// (default 60s). The compile itself keeps running to warm the cache.
 	Timeout time.Duration
-	// CacheBytes is the in-memory artifact budget (default 64 MiB,
-	// negative = unbounded).
+	// CacheBytes is the memory budget for everything titand stores:
+	// artifacts, tuned plans and catalogs (default 64 MiB, negative =
+	// unbounded).
 	CacheBytes int64
 	// CacheDir, when set, adds a disk tier under this directory so a
 	// restarted daemon stays warm.
@@ -72,9 +77,9 @@ type Config struct {
 	// MaxBatchUnits bounds the translation units in one POST
 	// /compile/batch (default 256).
 	MaxBatchUnits int
-	// Cluster, when non-nil, joins this node to a peer ring: cache
-	// keys, tuned plans, and catalogs gain cluster-wide owners, and a
-	// local miss consults the owner before recompiling. The caller
+	// Cluster, when non-nil, joins this node to a peer ring: every key
+	// the store holds gains a cluster-wide owner, and a local miss
+	// consults the peer tier before recomputing. The caller
 	// retains ownership (titand closes it at shutdown).
 	Cluster *cluster.Cluster
 	// RatePerSec > 0 enables per-client admission rate limiting: each
@@ -118,8 +123,8 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg       Config
 	cache     *Cache
-	schedules *scheduleCache
-	registry  *catalogRegistry
+	schedules store[*tune.Result]
+	catalogs  store[*catalogEntry]
 	metrics   *metrics
 	flight    flightGroup
 	cluster   *cluster.Cluster // nil in single-node mode
@@ -145,8 +150,8 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		cache:     cache,
-		schedules: newScheduleCache(),
-		registry:  newCatalogRegistry(),
+		schedules: store[*tune.Result]{cache, planKind},
+		catalogs:  store[*catalogEntry]{cache, catalogKind},
 		metrics:   newMetrics(),
 		cluster:   cfg.Cluster,
 		queueSem:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
@@ -168,13 +173,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	// Peer tier: owner-side storage for the cluster's remote cache,
-	// tuned-plan, and catalog lookups.
-	mux.HandleFunc("GET /cache/{key}", s.handleCacheGet)
-	mux.HandleFunc("PUT /cache/{key}", s.handleCachePut)
-	mux.HandleFunc("GET /schedules/{key}", s.handleScheduleGet)
-	mux.HandleFunc("PUT /schedules/{key}", s.handleSchedulePut)
-	mux.HandleFunc("GET /catalogs/{id}", s.handleCatalogGet)
+	// Peer tier: owner-side storage for every kind the store holds.
+	for _, k := range []*kind{artifactKind, planKind, catalogKind} {
+		mux.HandleFunc("GET "+k.prefix+"{key}", s.handleGet(k))
+		mux.HandleFunc("PUT "+k.prefix+"{key}", s.handlePut(k))
+	}
 	return mux
 }
 
@@ -185,7 +188,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK,
-		s.metrics.snapshot(s.cache.Stats(), s.registry.count(), s.schedules.len(), s.cluster.Snapshot()))
+		s.metrics.snapshot(s.cache.Stats(), s.cluster.Snapshot()))
 }
 
 // HealthResponse is the GET /healthz and /readyz body.
@@ -200,7 +203,7 @@ type HealthResponse struct {
 // to restart the process, so reporting unhealthy during a graceful
 // drain would turn every deploy into a kill.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.snapshot(CacheStats{}, 0, 0, nil)
+	snap := s.metrics.snapshot(CacheStats{}, nil)
 	writeJSON(w, http.StatusOK,
 		HealthResponse{Status: "ok", InFlight: snap.Compiles.InFlight, UptimeNS: snap.UptimeNS})
 }
@@ -211,7 +214,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // remote tier). Load balancers and cluster peers route around nodes
 // that answer not-ready.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	snap := s.metrics.snapshot(CacheStats{}, 0, 0, nil)
+	snap := s.metrics.snapshot(CacheStats{}, nil)
 	h := HealthResponse{Status: "ready", InFlight: snap.Compiles.InFlight, UptimeNS: snap.UptimeNS}
 	status := http.StatusOK
 	switch {

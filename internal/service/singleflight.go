@@ -2,10 +2,10 @@ package service
 
 import "sync"
 
-// flightGroup deduplicates concurrent identical compiles: the first
-// request for a key becomes the leader and runs the work; every request
-// for the same key that arrives while it runs joins the same flight and
-// shares the result. NeuroVectorizer-style workloads fire bursts of
+// flightGroup deduplicates concurrent identical work — compiles, and
+// fetches from peers: the first request for a key becomes the leader and
+// runs the work; every request for the same key that arrives while it
+// runs joins the same flight and shares the result. NeuroVectorizer-style workloads fire bursts of
 // byte-identical requests, so without this every burst would compile the
 // same unit once per connection.
 type flightGroup struct {
@@ -13,11 +13,13 @@ type flightGroup struct {
 	flights map[string]*flight
 }
 
-// flight is one in-progress computation. blob/err are written once,
-// before done is closed; waiters read them only after <-done.
+// flight is one in-progress computation. blob/val/err are written once,
+// before done is closed; waiters read them only after <-done. val is the
+// decoded value of a peer fetch (nil for a compile, whose blob is all).
 type flight struct {
 	done chan struct{}
 	blob []byte
+	val  any
 	err  error
 }
 
@@ -26,7 +28,7 @@ type flight struct {
 // on wg — the daemon's drain path waits on wg, so an in-flight compile
 // whose requester timed out still completes and lands in the cache
 // before shutdown.
-func (g *flightGroup) do(key string, wg *sync.WaitGroup, fn func() ([]byte, error)) (*flight, bool) {
+func (g *flightGroup) do(key string, wg *sync.WaitGroup, fn func() ([]byte, any, error)) (*flight, bool) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = map[string]*flight{}
@@ -42,7 +44,7 @@ func (g *flightGroup) do(key string, wg *sync.WaitGroup, fn func() ([]byte, erro
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.blob, f.err = fn()
+		f.blob, f.val, f.err = fn()
 		g.mu.Lock()
 		delete(g.flights, key)
 		g.mu.Unlock()

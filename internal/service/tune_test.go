@@ -128,10 +128,10 @@ func TestCompileVLValidation(t *testing.T) {
 
 // FuzzPlanIngest: the gate every peer-supplied tuned plan passes (a PUT
 // /schedules/{key} body, an owner's answer to a fetch) never panics, and
-// whatever it lets into the schedule cache is a plan this node can
-// compile with and hand on: every schedule in it is inside the machine's
-// ranges, and it re-encodes to a body the gate accepts again, unchanged
-// from then on (what pushPlanToOwner and GET /schedules/{key} send).
+// whatever it lets into the store is a plan this node can compile with
+// and hand on: every schedule in it is inside the machine's ranges, and
+// it re-encodes to a body the gate accepts again, unchanged from then on
+// (the encoding publish writes through for a plan searched here).
 func FuzzPlanIngest(f *testing.F) {
 	// Searched plans are in the seed corpus (testdata/fuzz); these are
 	// the shapes the gate exists for.
