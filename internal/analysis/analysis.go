@@ -3,14 +3,18 @@
 // dependence graphs — so sub-passes that made no changes reuse the
 // previous solution instead of re-solving from scratch.
 //
-// Invalidation is generation-based: every mutating rewrite bumps the
-// owning il.Proc's generation counter (il.Proc.Changed / AddVar do it
-// structurally), and each cached artifact is keyed by the generation it
-// was computed at. A query under a newer generation discards the stale
-// state and recomputes; a query under the same generation is a hit.
-// Dependence graphs are additionally keyed by loop identity and
-// depend.Options, so the vector, parallel, and strength passes share one
-// analysis of an unchanged loop instead of triple-analyzing it.
+// Invalidation is counter-based: every mutating rewrite advances the
+// owning il.Proc's generation (il.Proc.Changed / AddVar do it
+// structurally), and each cached artifact is keyed by the counter that
+// covers what it reads. The CFG and reaching definitions read only the
+// statement tree, the definition sites and Var.Escapes, so they are keyed
+// by il.Proc.Shape, which Rewrote — a rewrite of expressions inside
+// existing statements — leaves alone. Liveness and dependence graphs read
+// uses, so they are keyed by il.Proc.Generation. A query under a newer
+// counter discards the stale state and recomputes; a query under the same
+// one is a hit. Dependence graphs are additionally keyed by loop identity
+// and depend.Options, so the vector, parallel, and strength passes share
+// one analysis of an unchanged loop instead of triple-analyzing it.
 //
 // A nil *Cache is valid and computes every query directly (the uncached
 // pre-cache behavior); the differential tests compare the two modes.
@@ -49,8 +53,9 @@ func (s *Stats) Add(o Stats) {
 	s.DependMisses += o.DependMisses
 }
 
-// Cache memoizes analyses per (procedure, generation). The zero value is
-// not usable; call NewCache. A nil *Cache computes everything uncached.
+// Cache memoizes analyses per (procedure, shape or generation). The zero
+// value is not usable; call NewCache. A nil *Cache computes everything
+// uncached.
 type Cache struct {
 	mu    sync.Mutex
 	procs map[*il.Proc]*procState
@@ -73,7 +78,8 @@ type depKey struct {
 
 type procState struct {
 	mu    sync.Mutex
-	gen   uint64
+	shape uint64 // keys df
+	gen   uint64 // keys lv and deps
 	df    *dataflow.Analysis
 	dfErr error
 	dfOK  bool
@@ -85,26 +91,30 @@ func (c *Cache) state(p *il.Proc) *procState {
 	c.mu.Lock()
 	ps := c.procs[p]
 	if ps == nil {
-		ps = &procState{gen: p.Generation(), deps: map[depKey]*depend.LoopDeps{}}
+		ps = &procState{shape: p.Shape(), gen: p.Generation(), deps: map[depKey]*depend.LoopDeps{}}
 		c.procs[p] = ps
 	}
 	c.mu.Unlock()
 	return ps
 }
 
-// sync discards everything computed under an older generation. Caller
-// holds ps.mu.
+// sync discards everything computed under an older counter: the dataflow
+// under an older shape, liveness and dependence graphs under an older
+// generation. Caller holds ps.mu.
 func (ps *procState) sync(p *il.Proc) {
+	if s := p.Shape(); s != ps.shape {
+		ps.shape = s
+		ps.df, ps.dfErr, ps.dfOK = nil, nil, false
+	}
 	if g := p.Generation(); g != ps.gen {
 		ps.gen = g
-		ps.df, ps.dfErr, ps.dfOK = nil, nil, false
 		ps.lv = nil
 		clear(ps.deps)
 	}
 }
 
 // Dataflow returns the CFG + reaching-definition analysis for p at its
-// current generation.
+// current shape.
 func (c *Cache) Dataflow(p *il.Proc) (*dataflow.Analysis, error) {
 	if c == nil {
 		return dataflow.Analyze(p)
@@ -128,8 +138,8 @@ func (c *Cache) dataflowLocked(ps *procState, p *il.Proc) {
 }
 
 // DataflowLiveness returns the reaching-definition analysis and the
-// live-variable solution over the same CFG, computing at most one of
-// each per generation.
+// live-variable solution over the same CFG, computing at most one
+// analysis per shape and one liveness per generation.
 func (c *Cache) DataflowLiveness(p *il.Proc) (*dataflow.Analysis, *dataflow.Liveness, error) {
 	if c == nil {
 		a, err := dataflow.Analyze(p)

@@ -150,6 +150,50 @@ func TestLoopDepsKeyedByLoopAndOptions(t *testing.T) {
 	}
 }
 
+// A rewrite of expressions inside existing statements keeps the CFG and
+// the reaching definitions, which are keyed by the shape, and invalidates
+// what reads uses: liveness and dependence graphs.
+func TestRewroteKeepsDataflowOnly(t *testing.T) {
+	p, loop := procOf(t, loopSrc, "f")
+	if loop == nil {
+		t.Fatal("no DO loop")
+	}
+	c := NewCache()
+	a1, lv1, err := c.DataflowLiveness(p)
+	if err != nil {
+		t.Fatalf("liveness: %v", err)
+	}
+	ld1 := c.LoopDeps(p, loop, depend.Options{})
+
+	shape := p.Shape()
+	if p.Rewrote(1) != 1 || p.Shape() != shape {
+		t.Fatalf("Rewrote moved the shape %d → %d", shape, p.Shape())
+	}
+	a2, lv2, err := c.DataflowLiveness(p)
+	if err != nil {
+		t.Fatalf("liveness: %v", err)
+	}
+	if a2 != a1 {
+		t.Error("Rewrote discarded the reaching definitions")
+	}
+	if lv2 == lv1 {
+		t.Error("stale liveness survived Rewrote")
+	}
+	if ld2 := c.LoopDeps(p, loop, depend.Options{}); ld2 == ld1 {
+		t.Error("stale dependence graph survived Rewrote")
+	}
+	st := c.Stats()
+	if st.DataflowHits != 1 || st.DataflowMisses != 1 || st.LivenessMisses != 2 || st.DependMisses != 2 {
+		t.Errorf("stats = %+v, want 1 dataflow hit / 1 miss, 2 liveness and 2 dependence misses", st)
+	}
+
+	// Changed moves the shape, and the reaching definitions go with it.
+	p.Changed(1)
+	if a3, _ := c.Dataflow(p); a3 == a1 {
+		t.Error("stale analysis survived Changed")
+	}
+}
+
 // A nil cache must behave exactly like calling the analyses directly:
 // every query computes, nothing is retained, stats stay zero.
 func TestNilCachePassthrough(t *testing.T) {

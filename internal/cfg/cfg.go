@@ -25,10 +25,6 @@ type Node struct {
 	IVDef il.VarID
 	// Latch marks the per-iteration re-entry node of a DO loop.
 	Latch bool
-	// Inline storage for the first few edges; most nodes have at most two
-	// successors and two predecessors, so edge wiring rarely allocates.
-	succBuf [2]int
-	predBuf [2]int
 }
 
 // Graph is the CFG of one procedure.
@@ -43,63 +39,81 @@ type Graph struct {
 	Labels map[string]int
 }
 
+// builder wires the graph. The nodes that fall out of the statements
+// wired so far sit on one shared stack: a statement consumes the nodes
+// above its base as its predecessors and leaves its own fall-through
+// nodes there, so wiring a list allocates nothing per statement. Edges
+// are collected in order and handed to the nodes once all are known.
 type builder struct {
-	g           *Graph
-	gotoFixups  []fixup
-	returnNodes []int
-	// nodeSlab is the chunk nodes are carved from; full chunks are
-	// abandoned (still referenced via g.Nodes), keeping pointers stable.
-	nodeSlab []Node
+	g     *Graph
+	slab  []Node
+	exits []int
+	edges []edge
 }
 
-type fixup struct {
-	from   int
-	target string
-}
+type edge struct{ from, to int }
 
-// Build constructs the CFG for a procedure body.
+// Build constructs the CFG for a procedure body. One walk counts the
+// nodes and edges first, so the graph's node slab, node list, statement
+// map and edge lists are each allocated once, at their final size.
 func Build(body []il.Stmt) (*Graph, error) {
+	// Every node but the exit has one edge out per time it falls through:
+	// the entry and each statement once, a condition a second time, a DO
+	// head once to its latch and the latch twice.
+	nodes, edges, stmts, labels := 2, 1, 0, 0
+	il.WalkStmts(body, func(s il.Stmt) bool {
+		nodes++
+		edges++
+		stmts++
+		switch s.(type) {
+		case *il.If, *il.While:
+			edges++
+		case *il.DoLoop, *il.DoParallel:
+			nodes++ // the latch
+			edges += 2
+		case *il.Label:
+			labels++
+		}
+		return true
+	})
 	g := &Graph{
-		NodeOf: map[il.Stmt]*Node{},
-		Labels: map[string]int{},
+		Nodes:  make([]*Node, 0, nodes),
+		NodeOf: make(map[il.Stmt]*Node, stmts),
+		Labels: make(map[string]int, labels),
 	}
-	b := &builder{g: g}
+	b := &builder{g: g, slab: make([]Node, nodes), exits: make([]int, 0, nodes), edges: make([]edge, 0, edges)}
 	entry := b.newNode(nil)
 	exit := b.newNode(nil)
 	g.Entry, g.Exit = entry.ID, exit.ID
 
-	exits := b.list(body, []int{entry.ID})
-	for _, e := range exits {
+	b.exits = append(b.exits, entry.ID)
+	b.list(body, 0)
+	for _, e := range b.exits {
 		b.edge(e, exit.ID)
 	}
-	for _, r := range b.returnNodes {
-		b.edge(r, exit.ID)
-	}
-	for _, f := range b.gotoFixups {
-		target, ok := g.Labels[f.target]
-		if !ok {
-			return nil, fmt.Errorf("cfg: goto undefined label %q", f.target)
+	// Returns and gotos leave nothing on the stack; their edges are added
+	// here, in node order, once every label is known.
+	for _, n := range g.Nodes {
+		if _, ok := n.Stmt.(*il.Return); ok {
+			b.edge(n.ID, exit.ID)
 		}
-		b.edge(f.from, target)
 	}
+	for _, n := range g.Nodes {
+		if gt, ok := n.Stmt.(*il.Goto); ok {
+			target, ok := g.Labels[gt.Target]
+			if !ok {
+				return nil, fmt.Errorf("cfg: goto undefined label %q", gt.Target)
+			}
+			b.edge(n.ID, target)
+		}
+	}
+	b.wire()
 	return g, nil
 }
 
 func (b *builder) newNode(s il.Stmt) *Node {
-	if len(b.nodeSlab) == cap(b.nodeSlab) {
-		c := 2 * cap(b.nodeSlab)
-		if c < 64 {
-			c = 64
-		}
-		if c > 1024 {
-			c = 1024
-		}
-		b.nodeSlab = make([]Node, 0, c)
-	}
-	b.nodeSlab = append(b.nodeSlab, Node{ID: len(b.g.Nodes), Stmt: s, IVDef: il.NoVar})
-	n := &b.nodeSlab[len(b.nodeSlab)-1]
-	n.Succs = n.succBuf[:0]
-	n.Preds = n.predBuf[:0]
+	n := &b.slab[len(b.g.Nodes)]
+	*n = Node{ID: len(b.g.Nodes), Stmt: s, IVDef: il.NoVar}
 	b.g.Nodes = append(b.g.Nodes, n)
 	if s != nil {
 		b.g.NodeOf[s] = n
@@ -107,71 +121,94 @@ func (b *builder) newNode(s il.Stmt) *Node {
 	return n
 }
 
-func (b *builder) edge(from, to int) {
-	b.g.Nodes[from].Succs = append(b.g.Nodes[from].Succs, to)
-	b.g.Nodes[to].Preds = append(b.g.Nodes[to].Preds, from)
+func (b *builder) edge(from, to int) { b.edges = append(b.edges, edge{from, to}) }
+
+// wire gives every node its successor and predecessor lists, each in the
+// order its edges were added, carved from one backing array.
+func (b *builder) wire() {
+	nodes := b.g.Nodes
+	n := len(nodes)
+	deg := make([]int, 2*n) // successors of i at i, predecessors at n+i
+	for _, e := range b.edges {
+		deg[e.from]++
+		deg[n+e.to]++
+	}
+	backing := make([]int, 2*len(b.edges))
+	off := 0
+	for i, nd := range nodes {
+		nd.Succs = backing[off : off : off+deg[i]]
+		off += deg[i]
+		nd.Preds = backing[off : off : off+deg[n+i]]
+		off += deg[n+i]
+	}
+	for _, e := range b.edges {
+		nodes[e.from].Succs = append(nodes[e.from].Succs, e.to)
+		nodes[e.to].Preds = append(nodes[e.to].Preds, e.from)
+	}
 }
 
-// list wires a statement list; froms are the nodes that fall into it.
-// It returns the nodes that fall out of its end.
-func (b *builder) list(stmts []il.Stmt, froms []int) []int {
+// list wires a statement list; the nodes above base on the exit stack
+// fall into it, and on return the nodes that fall out of its end are
+// there instead.
+func (b *builder) list(stmts []il.Stmt, base int) {
 	for _, s := range stmts {
-		froms = b.stmt(s, froms)
+		b.stmt(s, base)
 	}
-	return froms
 }
 
-func (b *builder) stmt(s il.Stmt, froms []int) []int {
-	connect := func(n *Node) {
-		for _, f := range froms {
-			b.edge(f, n.ID)
-		}
+// enter creates s's node, wires every node above base to it and pops
+// them.
+func (b *builder) enter(s il.Stmt, base int) *Node {
+	nd := b.newNode(s)
+	for _, f := range b.exits[base:] {
+		b.edge(f, nd.ID)
 	}
+	b.exits = b.exits[:base]
+	return nd
+}
+
+// loopBack wires every node above base back to the loop's control node
+// and leaves that node as the loop's one fall-through.
+func (b *builder) loopBack(ctl *Node, base int) {
+	for _, e := range b.exits[base:] {
+		b.edge(e, ctl.ID)
+	}
+	b.exits = append(b.exits[:base], ctl.ID)
+}
+
+func (b *builder) stmt(s il.Stmt, base int) {
 	switch n := s.(type) {
 	case *il.Assign, *il.PredAssign, *il.Call, *il.VectorAssign, *il.SyncPost, *il.SyncWait:
-		nd := b.newNode(s)
-		connect(nd)
-		return []int{nd.ID}
-	case *il.Return:
-		nd := b.newNode(s)
-		connect(nd)
-		// Edge to exit is added by Build via returned empty fallthrough:
-		// wire directly here since Build only connects final exits.
-		b.returnNodes = append(b.returnNodes, nd.ID)
-		return nil
-	case *il.Goto:
-		nd := b.newNode(s)
-		connect(nd)
-		b.gotoFixups = append(b.gotoFixups, fixup{nd.ID, n.Target})
-		return nil
+		nd := b.enter(s, base)
+		b.exits = append(b.exits, nd.ID)
+	case *il.Return, *il.Goto:
+		b.enter(s, base) // no fall-through; Build adds the edge out
 	case *il.Label:
-		nd := b.newNode(s)
-		connect(nd)
+		nd := b.enter(s, base)
 		b.g.Labels[n.Name] = nd.ID
-		return []int{nd.ID}
+		b.exits = append(b.exits, nd.ID)
 	case *il.If:
-		cond := b.newNode(s)
-		connect(cond)
-		thenExits := b.list(n.Then, []int{cond.ID})
-		if len(n.Else) == 0 {
-			return append(thenExits, cond.ID)
+		cond := b.enter(s, base)
+		b.exits = append(b.exits, cond.ID)
+		b.list(n.Then, base)
+		// The condition falls into the else arm, or past the if.
+		mid := len(b.exits)
+		b.exits = append(b.exits, cond.ID)
+		if len(n.Else) != 0 {
+			b.list(n.Else, mid)
 		}
-		elseExits := b.list(n.Else, []int{cond.ID})
-		return append(thenExits, elseExits...)
 	case *il.While:
-		cond := b.newNode(s)
-		connect(cond)
-		bodyExits := b.list(n.Body, []int{cond.ID})
-		for _, e := range bodyExits {
-			b.edge(e, cond.ID)
-		}
-		return []int{cond.ID}
+		cond := b.enter(s, base)
+		b.exits = append(b.exits, cond.ID)
+		b.list(n.Body, base)
+		b.loopBack(cond, base)
 	case *il.DoLoop:
-		return b.doLoop(s, n.IV, n.Body, froms, connect)
+		b.doLoop(s, n.IV, n.Body, base)
 	case *il.DoParallel:
-		return b.doLoop(s, n.IV, n.Body, froms, connect)
+		b.doLoop(s, n.IV, n.Body, base)
+	default:
+		panic(fmt.Sprintf("cfg: unhandled statement %T", s))
 	}
-	panic(fmt.Sprintf("cfg: unhandled statement %T", s))
 }
 
 // doLoop wires a DO loop as two nodes. The head evaluates Init/Limit/Step
@@ -179,33 +216,34 @@ func (b *builder) stmt(s il.Stmt, froms []int) []int {
 // control point that advances the IV. Modeling the bounds evaluation
 // outside the cycle is what lets reaching definitions treat Init as
 // evaluated once (a DoLoop's own IV update must not reach its Init).
-func (b *builder) doLoop(s il.Stmt, iv il.VarID, body []il.Stmt, froms []int, connect func(*Node)) []int {
-	head := b.newNode(s)
+func (b *builder) doLoop(s il.Stmt, iv il.VarID, body []il.Stmt, base int) {
+	head := b.enter(s, base)
 	head.IVDef = iv
-	connect(head)
 	latch := b.newNode(nil)
 	latch.IVDef = iv
 	latch.Latch = true
 	b.edge(head.ID, latch.ID)
-	bodyExits := b.list(body, []int{latch.ID})
-	for _, e := range bodyExits {
-		b.edge(e, latch.ID)
-	}
-	return []int{latch.ID}
+	b.exits = append(b.exits, latch.ID)
+	b.list(body, base)
+	b.loopBack(latch, base)
 }
 
-// Reachable returns the set of node IDs reachable from Entry.
-func (g *Graph) Reachable() map[int]bool {
-	seen := map[int]bool{}
-	work := []int{g.Entry}
+// Reachable reports, per node ID, whether the node is reachable from
+// Entry.
+func (g *Graph) Reachable() []bool {
+	seen := make([]bool, len(g.Nodes))
+	work := make([]int, 1, len(g.Nodes))
+	work[0] = g.Entry
+	seen[g.Entry] = true
 	for len(work) > 0 {
 		n := work[len(work)-1]
 		work = work[:len(work)-1]
-		if seen[n] {
-			continue
+		for _, s := range g.Nodes[n].Succs {
+			if !seen[s] {
+				seen[s] = true
+				work = append(work, s)
+			}
 		}
-		seen[n] = true
-		work = append(work, g.Nodes[n].Succs...)
 	}
 	return seen
 }
@@ -222,9 +260,11 @@ func (g *Graph) RPO() []int {
 	seen := make([]bool, len(g.Nodes))
 	// Iterative DFS with an explicit edge cursor per frame: a node is
 	// appended once all its successors are done (postorder), then the
-	// whole sequence is reversed.
+	// whole sequence is reversed. Each node is pushed at most once, so the
+	// stack never outgrows the graph.
 	type frame struct{ id, next int }
-	stack := []frame{{g.Entry, 0}}
+	stack := make([]frame, 1, len(g.Nodes))
+	stack[0] = frame{g.Entry, 0}
 	seen[g.Entry] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]

@@ -32,6 +32,22 @@ func TestStraightLine(t *testing.T) {
 	}
 }
 
+// Build counts its nodes before it allocates them: the node list is
+// exactly as long as it was sized, so it never grew (and the slab behind
+// it, sized the same, never needed a second chunk).
+func TestBuildSizesNodesExactly(t *testing.T) {
+	loop := &il.DoLoop{IV: 0, Init: heap.Int(0), Limit: heap.Int(9), Step: heap.Int(1),
+		Body: []il.Stmt{assign(1), &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{assign(2)}}}}
+	w := &il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{assign(3), &il.Goto{Target: ".L"}}}
+	g, err := Build([]il.Stmt{assign(0), loop, w, &il.Label{Name: ".L"}, &il.Return{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Nodes) != 13 || cap(g.Nodes) != len(g.Nodes) {
+		t.Errorf("len(Nodes) = %d, cap = %d; want both 13", len(g.Nodes), cap(g.Nodes))
+	}
+}
+
 func TestIfElseDiamond(t *testing.T) {
 	thenS := assign(1)
 	elseS := assign(2)

@@ -34,15 +34,14 @@ type Analysis struct {
 	Proc  *il.Proc
 	Graph *cfg.Graph
 
+	// Defs point into one slab sized by a counting pass, so the pointers
+	// are stable; only the while→DO splice adds a def after it.
 	Defs []*Def
 	// defsOf is indexed by VarID (grown on demand for variables created
 	// after the analysis, e.g. while→DO dummy IVs).
 	defsOf [][]*Def
-	// defSlab is the current chunk Defs are carved from; a full chunk is
-	// abandoned (still referenced through Defs) and a fresh one started,
-	// so Def pointers stay stable.
-	defSlab []Def
-	// in[n] is the bitset of defs reaching node n's entry.
+	// in[n] is the bitset of defs reaching node n's entry; gen, kill, in
+	// and out are carved from one backing allocation.
 	in  []bitset
 	out []bitset
 	// gen/kill per node.
@@ -60,7 +59,9 @@ type Analysis struct {
 	maskBacking []uint64
 }
 
-// Analyze builds the CFG and reaching-definition chains for p.
+// Analyze builds the CFG and reaching-definition chains for p. Every
+// table it allocates is sized to the procedure up front, so one solve
+// costs the same number of allocations however large p is.
 func Analyze(p *il.Proc) (*Analysis, error) {
 	g, err := cfg.Build(p.Body)
 	if err != nil {
@@ -76,35 +77,45 @@ func Analyze(p *il.Proc) (*Analysis, error) {
 // collectClobbers precomputes the variables a memory write or call might
 // define.
 func (a *Analysis) collectClobbers() {
+	a.clobbers = make([]il.VarID, 0, len(a.Proc.Vars))
 	for i := range a.Proc.Vars {
-		v := &a.Proc.Vars[i]
-		if v.Escapes() {
+		if a.Proc.Vars[i].Escapes() {
 			a.clobbers = append(a.clobbers, il.VarID(i))
 		}
 	}
 }
 
-// clobberSet returns the variables a memory write or call might define.
-func (a *Analysis) clobberSet(call bool) []il.VarID {
-	_ = call
-	return a.clobbers
-}
-
-func (a *Analysis) addDef(node *cfg.Node, v il.VarID, ambiguous, entry bool) *Def {
-	if len(a.defSlab) == cap(a.defSlab) {
-		n := 2 * cap(a.defSlab)
-		if n < 256 {
-			n = 256
-		}
-		if n > 4096 {
-			n = 4096
-		}
-		a.defSlab = make([]Def, 0, n)
+// nodeDefs calls def for each definition node n performs, in def-ID
+// order. It is the one statement of what a node defines: collectDefs runs
+// it once to count and once to emit.
+func (a *Analysis) nodeDefs(n *cfg.Node, def func(v il.VarID, ambiguous bool)) {
+	// DO-loop heads define the IV's initial value; latches define its
+	// per-iteration advance.
+	if n.IVDef != il.NoVar {
+		def(n.IVDef, false)
 	}
-	a.defSlab = append(a.defSlab, Def{ID: len(a.Defs), Node: node, Var: v, Ambiguous: ambiguous, Entry: entry})
-	d := &a.defSlab[len(a.defSlab)-1]
-	a.Defs = append(a.Defs, d)
-	return d
+	clobber := func() {
+		for _, v := range a.clobbers {
+			def(v, true)
+		}
+	}
+	switch s := n.Stmt.(type) {
+	case *il.Assign:
+		if v, ok := s.Dst.(*il.VarRef); ok {
+			def(v.ID, false)
+		} else {
+			clobber()
+		}
+	case *il.PredAssign, *il.VectorAssign:
+		// A predicated or vector store may or may not write memory; either
+		// way it only ever clobbers, never defines, a scalar.
+		clobber()
+	case *il.Call:
+		if s.Dst != il.NoVar {
+			def(s.Dst, false)
+		}
+		clobber()
+	}
 }
 
 // indexDefs builds defsOf from the collected Defs, carving the per-var
@@ -127,60 +138,36 @@ func (a *Analysis) indexDefs() {
 }
 
 func (a *Analysis) collectDefs() {
-	nNodes := len(a.Graph.Nodes)
-	a.defsAt = make([][]*Def, nNodes)
+	nodes := a.Graph.Nodes
+	vars := a.Proc.Vars
+	nDefs := len(vars) // the entry definitions
+	for _, n := range nodes {
+		a.nodeDefs(n, func(il.VarID, bool) { nDefs++ })
+	}
+	slab := make([]Def, nDefs)
+	a.Defs = make([]*Def, 0, nDefs)
+	add := func(n *cfg.Node, v il.VarID, ambiguous, entry bool) {
+		d := &slab[len(a.Defs)]
+		*d = Def{ID: len(a.Defs), Node: n, Var: v, Ambiguous: ambiguous, Entry: entry}
+		a.Defs = append(a.Defs, d)
+	}
 
 	// Defs are appended to a.Defs node-by-node, so each node's def list is
 	// a contiguous range of a.Defs — defsAt slices that range (capped, so
 	// the while→DO splice's later append reallocates) instead of growing
 	// per-node slices. The entry node carries no statement or IV, so the
 	// per-node loop below never adds to its range.
-	entryNode := a.Graph.Nodes[a.Graph.Entry]
-	for i := range a.Proc.Vars {
+	a.defsAt = make([][]*Def, len(nodes))
+	entryNode := nodes[a.Graph.Entry]
+	for i := range vars {
 		// Entry definitions: every variable has an initial (unknown) value;
 		// parameters are unambiguous, everything else ambiguous.
-		id := il.VarID(i)
-		isParam := a.Proc.Vars[i].Class == il.ClassParam
-		a.addDef(entryNode, id, !isParam, true)
+		add(entryNode, il.VarID(i), vars[i].Class != il.ClassParam, true)
 	}
 	a.defsAt[entryNode.ID] = a.Defs[0:len(a.Defs):len(a.Defs)]
-
-	for _, n := range a.Graph.Nodes {
+	for _, n := range nodes {
 		start := len(a.Defs)
-		// DO-loop heads define the IV's initial value; latches define its
-		// per-iteration advance.
-		if n.IVDef != il.NoVar {
-			a.addDef(n, n.IVDef, false, false)
-		}
-		if n.Stmt != nil {
-			switch s := n.Stmt.(type) {
-			case *il.Assign:
-				if v, ok := s.Dst.(*il.VarRef); ok {
-					a.addDef(n, v.ID, false, false)
-				} else {
-					for _, v := range a.clobberSet(false) {
-						a.addDef(n, v, true, false)
-					}
-				}
-			case *il.PredAssign:
-				// A predicated store may or may not write memory; either way
-				// it only ever clobbers, never defines, a scalar.
-				for _, v := range a.clobberSet(false) {
-					a.addDef(n, v, true, false)
-				}
-			case *il.VectorAssign:
-				for _, v := range a.clobberSet(false) {
-					a.addDef(n, v, true, false)
-				}
-			case *il.Call:
-				if s.Dst != il.NoVar {
-					a.addDef(n, s.Dst, false, false)
-				}
-				for _, v := range a.clobberSet(true) {
-					a.addDef(n, v, true, false)
-				}
-			}
-		}
+		a.nodeDefs(n, func(v il.VarID, ambiguous bool) { add(n, v, ambiguous, false) })
 		if end := len(a.Defs); end > start {
 			a.defsAt[n.ID] = a.Defs[start:end:end]
 		}
@@ -188,12 +175,16 @@ func (a *Analysis) collectDefs() {
 
 	a.indexDefs()
 
-	// gen/kill, carved from one backing slab (capped sub-slices, so a
-	// later grow reallocates instead of clobbering its neighbor).
-	nDefs := len(a.Defs)
-	a.gen = newBitsetSlab(nNodes, nDefs)
-	a.kill = newBitsetSlab(nNodes, nDefs)
-	for id := range a.Graph.Nodes {
+	// gen, kill, in and out, carved from one backing slab (capped
+	// sub-slices, so a later grow reallocates instead of clobbering its
+	// neighbor).
+	nNodes := len(nodes)
+	sets := newBitsetSlab(4*nNodes, nDefs)
+	a.gen = sets[:nNodes:nNodes]
+	a.kill = sets[nNodes : 2*nNodes : 2*nNodes]
+	a.in = sets[2*nNodes : 3*nNodes : 3*nNodes]
+	a.out = sets[3*nNodes:]
+	for id := range nodes {
 		for _, d := range a.defsAt[id] {
 			a.gen[id].set(d.ID)
 			if !d.Ambiguous {
@@ -219,9 +210,6 @@ func (a *Analysis) collectDefs() {
 func (a *Analysis) solve() {
 	nNodes := len(a.Graph.Nodes)
 	nDefs := len(a.Defs)
-	a.in = newBitsetSlab(nNodes, nDefs)
-	a.out = newBitsetSlab(nNodes, nDefs)
-
 	order := a.Graph.RPO()
 	dirty := make([]bool, nNodes)
 	for i := range dirty {
@@ -294,16 +282,17 @@ func (a *Analysis) maskOf(v il.VarID) bitset {
 			return m
 		}
 	}
+	if a.defMask == nil {
+		a.defMask = make([]bitset, len(a.defsOf))
+	}
 	for int(v) >= len(a.defMask) {
 		a.defMask = append(a.defMask, nil)
 	}
 	words := (len(a.Defs) + 63) / 64
 	if len(a.maskBacking) < words {
-		c := 16 * words
-		if c < 256 {
-			c = 256
-		}
-		a.maskBacking = make([]uint64, c)
+		// Room for every variable's mask; only a def or a variable the
+		// while→DO splice added can need a second backing.
+		a.maskBacking = make([]uint64, max(len(a.defsOf), 1)*words)
 	}
 	m := bitset(a.maskBacking[:words:words])
 	a.maskBacking = a.maskBacking[words:]
@@ -355,7 +344,8 @@ func (a *Analysis) SpliceWhileConversion(w *il.While, d *il.DoLoop) bool {
 	n.Stmt = d
 	n.IVDef = d.IV
 
-	def := a.addDef(n, d.IV, false, false)
+	def := &Def{ID: len(a.Defs), Node: n, Var: d.IV}
+	a.Defs = append(a.Defs, def)
 	for int(d.IV) >= len(a.defsOf) {
 		a.defsOf = append(a.defsOf, nil)
 	}
@@ -397,10 +387,12 @@ func growTo(b bitset, width int) bitset {
 	return b
 }
 
-// UsedVars returns the variables read by statement s (in its expressions;
-// a scalar assignment destination is not a use, but a store's address is).
-func UsedVars(s il.Stmt) []il.VarID {
-	var order []il.VarID
+// AppendUsedVars appends to buf, once each, the variables read by
+// statement s (in its expressions; a scalar assignment destination is not
+// a use, but a store's address is). Callers reuse one buffer across
+// statements as buf[:0].
+func AppendUsedVars(buf []il.VarID, s il.Stmt) []il.VarID {
+	start := len(buf)
 	add := func(e il.Expr) {
 		il.WalkExpr(e, func(x il.Expr) bool {
 			id := il.NoVar
@@ -413,12 +405,12 @@ func UsedVars(s il.Stmt) []il.VarID {
 			if id != il.NoVar {
 				// Statements reference few distinct variables; a linear
 				// dedup scan beats a per-call map.
-				for _, o := range order {
+				for _, o := range buf[start:] {
 					if o == id {
 						return true
 					}
 				}
-				order = append(order, id)
+				buf = append(buf, id)
 			}
 			return true
 		})
@@ -428,10 +420,10 @@ func UsedVars(s il.Stmt) []il.VarID {
 			add(ld.Addr)
 		}
 		add(as.Src)
-		return order
+		return buf
 	}
 	il.StmtExprs(s, add)
-	return order
+	return buf
 }
 
 // ---------------------------------------------------------------- liveness
@@ -458,18 +450,20 @@ func (lv *Liveness) LiveOut(s il.Stmt, v il.VarID) bool {
 func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 	nVars := len(p.Vars)
 	nNodes := len(g.Nodes)
-	use := make([]bitset, nNodes)
-	def := make([]bitset, nNodes)
+	// use, def, liveIn and liveOut, carved from one backing slab.
+	sets := newBitsetSlab(4*nNodes, nVars)
+	use, def := sets[:nNodes], sets[nNodes:2*nNodes]
+	liveIn, liveOut := sets[2*nNodes:3*nNodes], sets[3*nNodes:]
+	var used []il.VarID
 	for id, n := range g.Nodes {
-		use[id] = newBitset(nVars)
-		def[id] = newBitset(nVars)
 		if n.IVDef != il.NoVar {
 			def[id].set(int(n.IVDef))
 		}
 		if n.Stmt == nil {
 			continue
 		}
-		for _, v := range UsedVars(n.Stmt) {
+		used = AppendUsedVars(used[:0], n.Stmt)
+		for _, v := range used {
 			use[id].set(int(v))
 		}
 		if dv := il.DefinedVar(n.Stmt); dv != il.NoVar {
@@ -488,8 +482,6 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 	// Backward worklist over postorder (successors-first), with the same
 	// reused-scratch scheme as the forward solver: no per-sweep bitset
 	// allocations, and converged regions are skipped.
-	liveIn := newBitsetSlab(nNodes, nVars)
-	liveOut := newBitsetSlab(nNodes, nVars)
 	copy(liveOut[g.Exit], exitLive)
 	copy(liveIn[g.Exit], exitLive)
 
@@ -554,17 +546,6 @@ func (b bitset) clear() {
 	}
 }
 
-// forEach calls fn for every set bit, in ascending order, skipping zero
-// words and using TrailingZeros64 within non-zero ones.
-func (b bitset) forEach(fn func(int)) {
-	for w, word := range b {
-		for word != 0 {
-			fn(w*64 + bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-}
-
 // newBitsetSlab carves n bitsets of the given width out of one backing
 // allocation. The sub-slices are capped (three-index), so a later append
 // reallocates the grown set instead of clobbering its neighbor.
@@ -588,12 +569,6 @@ func (b bitset) andNot(o bitset) {
 	for i := range b {
 		b[i] &^= o[i]
 	}
-}
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
 }
 
 func (b bitset) equal(o bitset) bool {

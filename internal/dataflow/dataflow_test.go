@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/il"
@@ -228,7 +229,7 @@ int f(void) {
 func TestUsedVars(t *testing.T) {
 	p := compileProc(t, "void f(int *p, int i, int j) { *(p+i) = j; }", "f")
 	st := p.Body[0].(*il.Assign)
-	used := UsedVars(st)
+	used := AppendUsedVars(nil, st)
 	names := map[string]bool{}
 	for _, v := range used {
 		names[p.Vars[v].Name] = true
@@ -236,12 +237,18 @@ func TestUsedVars(t *testing.T) {
 	if !names["p"] || !names["i"] || !names["j"] {
 		t.Errorf("used: %v", names)
 	}
+	// A caller's prefix is kept, and a variable already in it is still
+	// appended: each call lists its own statement's uses.
+	prefix := []il.VarID{p.LookupVar("j")}
+	if again := AppendUsedVars(prefix, st); len(again) != 1+len(used) || again[0] != prefix[0] {
+		t.Errorf("AppendUsedVars(%v, st) = %v, want the prefix then %v", prefix, again, used)
+	}
 }
 
 func TestUsedVarsExcludesScalarDst(t *testing.T) {
 	p := compileProc(t, "void f(int a, int b) { a = b; }", "f")
 	st := p.Body[0].(*il.Assign)
-	for _, v := range UsedVars(st) {
+	for _, v := range AppendUsedVars(nil, st) {
 		if p.Vars[v].Name == "a" {
 			t.Error("scalar destination counted as use")
 		}
@@ -304,6 +311,37 @@ func TestLivenessGlobalsLiveAtExit(t *testing.T) {
 	lv := ComputeLiveness(p, a.Graph)
 	if !lv.LiveOut(p.Body[0], p.LookupVar("g")) {
 		t.Error("global must be live at exit")
+	}
+}
+
+// allocSrc is a procedure whose body repeats one block k times: an
+// update, a diamond with a store, a while loop and a call.
+func allocSrc(k int) string {
+	var b strings.Builder
+	b.WriteString("int g;\nvoid h(void);\nint f(int n, int *q) {\n\tint a, b;\n\ta = 0;\n\tb = 1;\n")
+	for i := 0; i < k; i++ {
+		b.WriteString("\ta = a + n;\n\tif (a > b) b = b + a; else *q = a;\n\twhile (b > 100) b = b - 7;\n\th();\n")
+	}
+	b.WriteString("\treturn a + b;\n}\n")
+	return b.String()
+}
+
+// One CFG + chain solve and one liveness solve allocate a fixed number of
+// objects, each sized to the procedure: a body four times as long costs
+// no more allocations.
+func TestSolveAllocationsIndependentOfSize(t *testing.T) {
+	allocs := func(k int) float64 {
+		p := compileProc(t, allocSrc(k), "f")
+		return testing.AllocsPerRun(20, func() {
+			a, err := Analyze(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ComputeLiveness(p, a.Graph)
+		})
+	}
+	if small, large := allocs(4), allocs(16); small != large {
+		t.Errorf("Analyze + ComputeLiveness: %.0f allocations at 4 blocks, %.0f at 16", small, large)
 	}
 }
 

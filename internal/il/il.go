@@ -573,6 +573,10 @@ type Proc struct {
 	// Changed (or call BumpGeneration directly); AddVar bumps on its own
 	// so growing the variable table can never be forgotten.
 	gen uint64
+	// shape counts the mutations that can move a definition site: every
+	// one gen counts except Rewrote's. The CFG and reaching definitions
+	// read nothing else, so they are keyed by it.
+	shape uint64
 }
 
 // NewProc returns an empty procedure.
@@ -592,14 +596,34 @@ func (p *Proc) SetArena(a *Arena) { p.arena = a }
 // change, so any analysis computed inside the window is still valid.
 func (p *Proc) Generation() uint64 { return p.gen }
 
+// Shape returns the counter of mutations that can add, remove or move a
+// statement, change a scalar destination or add a variable. It advances
+// with Generation except under Rewrote, so two equal readings bracket a
+// window in which the CFG and every definition site stayed put.
+func (p *Proc) Shape() uint64 { return p.shape }
+
 // BumpGeneration invalidates every cached analysis of the procedure.
-func (p *Proc) BumpGeneration() { p.gen++ }
+func (p *Proc) BumpGeneration() { p.gen++; p.shape++ }
 
 // Changed notes that a pass made n changes to the procedure: any nonzero
 // count bumps the generation so generation-keyed analysis caches
 // invalidate. It returns n, so mutating passes end with
 // `return p.Changed(n)` and cannot forget the bump.
 func (p *Proc) Changed(n int) int {
+	if n != 0 {
+		p.BumpGeneration()
+	}
+	return n
+}
+
+// Rewrote notes n rewrites that only replaced expressions inside existing
+// statements: no statement was added, removed or moved, no scalar
+// destination changed and no variable was added. It advances the
+// generation but not the shape, so the CFG and reaching definitions
+// survive while everything that reads uses is recomputed. A caller that
+// breaks the contract leaves use-def chains silently stale, so the
+// callers are an allow-list (structure_test.go).
+func (p *Proc) Rewrote(n int) int {
 	if n != 0 {
 		p.gen++
 	}
@@ -611,7 +635,7 @@ func (p *Proc) Changed(n int) int {
 // it bumps the generation itself.
 func (p *Proc) AddVar(v Var) VarID {
 	p.Vars = append(p.Vars, v)
-	p.gen++
+	p.BumpGeneration()
 	return VarID(len(p.Vars) - 1)
 }
 

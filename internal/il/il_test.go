@@ -376,6 +376,7 @@ func TestProgramClone(t *testing.T) {
 		&Return{},
 	}
 	p.BumpGeneration()
+	p.Rewrote(1) // the two counters now differ, so each must be carried
 	prog := &Program{Procs: []*Proc{p}, Globals: []GlobalVar{{Name: "g", Type: ctype.IntType}}}
 
 	live := ArenaBytesLive()
@@ -384,8 +385,8 @@ func TestProgramClone(t *testing.T) {
 		t.Fatalf("clone prints differently:\n%s\nwant:\n%s", got, want)
 	}
 	cp := c.Procs[0]
-	if cp.Generation() != p.Generation() {
-		t.Errorf("clone generation %d, original %d", cp.Generation(), p.Generation())
+	if cp.Generation() != p.Generation() || cp.Shape() != p.Shape() {
+		t.Errorf("clone generation/shape %d/%d, original %d/%d", cp.Generation(), cp.Shape(), p.Generation(), p.Shape())
 	}
 	if got, want := cp.NewLabel("x"), p.NewLabel("x"); got != want {
 		t.Errorf("clone's next label %s, original's %s", got, want)

@@ -463,10 +463,10 @@ func IsStore(s Stmt) bool {
 
 // Clone deep-copies the procedure: its statements and expressions into a
 // fresh arena, its variable table and parameter list into fresh slices,
-// with the label counter and the generation carried over, so every pass
-// behaves on the copy exactly as it would have on the original and
-// neither can observe the other being rewritten. Types are shared; they
-// are immutable.
+// with the label counter and both mutation counters carried over, so
+// every pass behaves on the copy exactly as it would have on the original
+// and neither can observe the other being rewritten. Types are shared;
+// they are immutable.
 func (p *Proc) Clone() *Proc {
 	a := NewArena()
 	return &Proc{
@@ -479,6 +479,7 @@ func (p *Proc) Clone() *Proc {
 		labelSeq: p.labelSeq,
 		arena:    a,
 		gen:      p.gen,
+		shape:    p.shape,
 	}
 }
 

@@ -34,7 +34,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	if err != nil {
 		return 0
 	}
-	changed := 0
+	substs := 0
 	ar := p.Arena()
 
 	// Substitute uses whose every reaching definition assigns the same
@@ -47,7 +47,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 					return x
 				}
 				if c := constValueAt(p, ar, a, s, v.ID); c != nil {
-					changed++
+					substs++
 					return c
 				}
 				return x
@@ -63,7 +63,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 			ar.RewriteStmtExprs(s, func(x il.Expr) il.Expr {
 				if v, ok := x.(*il.VarRef); ok {
 					if c := constValueAt(p, ar, a, s, v.ID); c != nil {
-						changed++
+						substs++
 						return c
 					}
 				}
@@ -77,7 +77,8 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// propagation fixpoint (they cannot enable further substitutions on
 	// their own), but they do rewrite uses, so they must invalidate any
 	// cached liveness: foldNode preserves node identity on no-change
-	// exactly so real folds are detectable here.
+	// exactly so real folds are detectable here. Substitutions and folds
+	// only replace expressions, so they keep the reaching definitions.
 	folds := 0
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		ar.RewriteStmtExprs(s, func(e il.Expr) il.Expr {
@@ -89,15 +90,15 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 		})
 		return true
 	})
+	p.Rewrote(substs + folds)
 
-	// Simplify control flow on constant conditions (§8).
-	p.Body = simplifyControl(p.Body, &changed, em)
-
-	// Remove code made unreachable by unconditional transfers (§8's
-	// vectorizer postpass).
-	changed += postpassUnreachable(p, em)
-	p.Changed(changed + folds)
-	return changed
+	// Simplify control flow on constant conditions (§8), then remove code
+	// made unreachable by unconditional transfers (§8's vectorizer
+	// postpass). Both delete statements.
+	deleted := 0
+	p.Body = simplifyControl(p.Body, &deleted, em)
+	deleted += postpassUnreachable(p, em)
+	return substs + p.Changed(deleted)
 }
 
 // constValueAt returns the constant value of v at statement s if every

@@ -92,10 +92,12 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 		}
 		return true
 	})
+	var used []il.VarID
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, v := range dataflow.UsedVars(s) {
+		used = dataflow.AppendUsedVars(used[:0], s)
+		for _, v := range used {
 			a.ForEachReachingDef(s, v, func(d *dataflow.Def) {
 				need(d.Node.Stmt)
 			})
@@ -326,7 +328,9 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 		}
 		return true
 	})
-	return p.Changed(rewrites)
+	// Only uses were replaced: every statement and definition site stayed
+	// where it was, so the reaching definitions are still exact.
+	return p.Rewrote(rewrites)
 }
 
 // cpset is a bitset over copy indices, carved from a shared slab.

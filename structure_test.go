@@ -315,3 +315,56 @@ func TestOneStatementTreeRewriter(t *testing.T) {
 		}
 	}
 }
+
+// rewroteAllowed lists the only functions outside package il that may
+// report through il.Proc.Rewrote, each with the reason its rewrites leave
+// every statement and definition site where it was.
+var rewroteAllowed = []struct{ file, fn, why string }{
+	{"internal/opt/dce.go", "copyPropOnce",
+		"copy propagation replaces uses inside existing statements; a store's destination stays a store and a scalar destination is never rewritten"},
+	{"internal/opt/constprop.go", "propagateOnce",
+		"constant substitution and folding replace expressions inside existing statements; the deletions after them (simplifyControl, postpassUnreachable) report through Changed"},
+}
+
+// TestRewroteCallersAllowListed: Rewrote keeps the cached reaching
+// definitions, so a caller that moves a definition leaves use-def chains
+// silently stale. Outside il, no non-test function but the allow-listed
+// ones may call it; a new caller is a reviewed edit of this list.
+func TestRewroteCallersAllowListed(t *testing.T) {
+	fset := token.NewFileSet()
+	used := make([]bool, len(rewroteAllowed))
+	forEachGoFile(t, fset, func(path string, f *ast.File) {
+		if strings.HasSuffix(path, "_test.go") || strings.HasPrefix(path, "internal/il/") {
+			return
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Rewrote" {
+					return true
+				}
+				for i, a := range rewroteAllowed {
+					if a.file == path && a.fn == fn.Name.Name {
+						used[i] = true
+						return true
+					}
+				}
+				t.Errorf("%s: %s calls Rewrote; a rewrite that may move a statement or definition reports through Changed",
+					fset.Position(call.Pos()), fn.Name.Name)
+				return true
+			})
+		}
+	})
+	for i, a := range rewroteAllowed {
+		if !used[i] {
+			t.Errorf("allow-list entry %s (%s) matches nothing; delete it", a.file, a.fn)
+		}
+	}
+}
