@@ -16,6 +16,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ctype"
 	"repro/internal/il"
@@ -86,11 +87,17 @@ func Generate(prog *il.Program) (*titan.Program, error) {
 	}
 	tp.Data = data
 
+	// One emit buffer serves every procedure; each function keeps an
+	// exactly-sized copy of what the peephole leaves in it.
+	var buf []titan.Instr
 	for _, p := range prog.Procs {
-		f, err := genProc(p, tp)
+		f, err := genProc(p, tp, buf[:0])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
+		buf = f.Instrs
+		f.Instrs = make([]titan.Instr, len(buf))
+		copy(f.Instrs, buf)
 		tp.Funcs[p.Name] = f
 	}
 	// Sized only now: a procedure naming an extern grows Data.
@@ -99,7 +106,6 @@ func Generate(prog *il.Program) (*titan.Program, error) {
 		stack += f.Frame
 	}
 	tp.MemSize = titan.PageAlign(tp.DataBase+int64(len(tp.Data))) + titan.PageAlign(stack)
-	Peephole(tp)
 	return tp, nil
 }
 
@@ -186,11 +192,13 @@ type syncGen struct {
 	cd     int // r: post countdown
 }
 
-func genProc(p *il.Proc, tp *titan.Program) (*titan.Func, error) {
+// genProc lowers one procedure, emitting into buf, and runs the peephole
+// over the result.
+func genProc(p *il.Proc, tp *titan.Program, buf []titan.Instr) (*titan.Func, error) {
 	g := &gen{
 		p:  p,
 		tp: tp,
-		f:  &titan.Func{Name: p.Name, Labels: map[string]int{}},
+		f:  &titan.Func{Name: p.Name, Instrs: buf, Labels: map[string]int{}},
 	}
 	for r := scratchLo; r <= scratchHi; r++ {
 		g.intFree = append(g.intFree, r)
@@ -233,6 +241,7 @@ func genProc(p *il.Proc, tp *titan.Program) (*titan.Func, error) {
 		return nil, err
 	}
 	g.emit(titan.Instr{Op: titan.OpRet})
+	coalesceCopies(g.f)
 	return g.f, nil
 }
 
@@ -295,7 +304,7 @@ func (g *gen) label(name string) { g.f.Labels[name] = len(g.f.Instrs) }
 
 func (g *gen) newLabel(hint string) string {
 	g.labelSeq++
-	return fmt.Sprintf(".%s.%s%d", g.p.Name, hint, g.labelSeq)
+	return "." + g.p.Name + "." + hint + strconv.Itoa(g.labelSeq)
 }
 
 // scratch register management.

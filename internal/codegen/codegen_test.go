@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -379,6 +380,60 @@ func TestScheduleKeepsPostAfterStoreBeforeRedefinition(t *testing.T) {
 	}
 	if pos[titan.OpAddi] < pos[titan.OpPost] {
 		t.Errorf("posted register redefined before the post:\n%s", f.Disassemble())
+	}
+}
+
+// blocksFunc is k copies of one block — scalar and vector loads, a
+// dependent chain, stores and a mask-governed vector op — each ended by a
+// branch to the next, so the scheduler sees k blocks of the same shape.
+func blocksFunc(k int) *titan.Func {
+	f := &titan.Func{Name: "f", Labels: map[string]int{}}
+	for b := 0; b < k; b++ {
+		f.Instrs = append(f.Instrs,
+			titan.Instr{Op: titan.OpFld4, Rd: 20, Rs1: 32},
+			titan.Instr{Op: titan.OpFadd, Rd: 21, Rs1: 20, Rs2: 20},
+			titan.Instr{Op: titan.OpVld, Rd: 0, Rs1: 33, Rs2: 34, Imm: titan.ElemF32},
+			titan.Instr{Op: titan.OpVaddm, Rd: 128, Rs1: 0, Rs2: 0, Imm: 1 << 8},
+			titan.Instr{Op: titan.OpVst, Rd: 128, Rs1: 35, Rs2: 34, Imm: titan.ElemF32},
+			titan.Instr{Op: titan.OpFld4, Rd: 22, Rs1: 36},
+			titan.Instr{Op: titan.OpFst4, Rs1: 37, Rs2: 21},
+			titan.Instr{Op: titan.OpAddi, Rd: 32, Rs1: 32, Imm: 4},
+			titan.Instr{Op: titan.OpBnez, Rs1: 32, Sym: fmt.Sprint("b", b+1)},
+		)
+		f.Labels[fmt.Sprint("b", b+1)] = len(f.Instrs)
+	}
+	f.Instrs = append(f.Instrs, titan.Instr{Op: titan.OpRet})
+	return f
+}
+
+// The scheduler's scratch lives for one call and grows with the largest
+// block, not with how many blocks there are.
+func TestScheduleAllocsIndependentOfBlocks(t *testing.T) {
+	allocs := func(k int) float64 {
+		tp := &titan.Program{Funcs: map[string]*titan.Func{"f": blocksFunc(k)}}
+		return testing.AllocsPerRun(20, func() { Schedule(tp) })
+	}
+	if few, many := allocs(8), allocs(32); few != many {
+		t.Errorf("Schedule allocates %v times for 8 blocks, %v for 32", few, many)
+	}
+}
+
+// Every function keeps exactly the instructions the peephole left, in a
+// slice of its own.
+func TestGenerateSizesInstrs(t *testing.T) {
+	tp := genProgram(t, `
+int g;
+int twice(int x) { int y; y = x + x; return y; }
+void bump(int n) { int i; for (i = 0; i < n; i++) g = g + twice(i); }
+int main(void) { int a, b; a = 1; b = a + 2; bump(b); return g; }
+`)
+	for name, f := range tp.Funcs {
+		if cap(f.Instrs) != len(f.Instrs) {
+			t.Errorf("%s: %d instructions in a slice of capacity %d", name, len(f.Instrs), cap(f.Instrs))
+		}
+	}
+	if r := runMain(t, tp); r.ExitCode != 6 {
+		t.Errorf("exit %d", r.ExitCode)
 	}
 }
 

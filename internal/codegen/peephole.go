@@ -11,19 +11,15 @@ package codegen
 // value has no later use. Beyond code size, this matters for timing: a
 // trailing fmov adds a full FP-unit latency to every loop-carried
 // recurrence (the §6 f_reg chain).
+//
+// It is the last step of generating each procedure, and it compacts the
+// function's instructions where they are.
 
 import (
 	"slices"
 
 	"repro/internal/titan"
 )
-
-// Peephole runs local cleanups over every function.
-func Peephole(tp *titan.Program) {
-	for _, f := range tp.Funcs {
-		coalesceCopies(f)
-	}
-}
 
 func coalesceCopies(f *titan.Func) {
 	// Branch targets invalidate adjacency assumptions.
@@ -32,7 +28,7 @@ func coalesceCopies(f *titan.Func) {
 		isTarget[idx] = true
 	}
 
-	removed := map[int]bool{}
+	removed := make([]bool, len(f.Instrs))
 	for i := 0; i+1 < len(f.Instrs); i++ {
 		if removed[i] || isTarget[i+1] {
 			continue
@@ -58,23 +54,23 @@ func coalesceCopies(f *titan.Func) {
 		def.Rd = mv.Rd
 		removed[i+1] = true
 	}
-	if len(removed) == 0 {
+	if !slices.Contains(removed, true) {
 		return
 	}
-	var out []titan.Instr
 	oldToNew := make([]int, len(f.Instrs)+1)
+	w := 0
 	for i, in := range f.Instrs {
-		oldToNew[i] = len(out)
-		if removed[i] {
-			continue
+		oldToNew[i] = w
+		if !removed[i] {
+			f.Instrs[w] = in
+			w++
 		}
-		out = append(out, in)
 	}
-	oldToNew[len(f.Instrs)] = len(out)
+	oldToNew[len(f.Instrs)] = w
 	for l, idx := range f.Labels {
 		f.Labels[l] = oldToNew[idx]
 	}
-	f.Instrs = out
+	f.Instrs = f.Instrs[:w]
 }
 
 // regOf names register r of the integer or the float file.

@@ -25,80 +25,57 @@ package codegen
 
 import "repro/internal/titan"
 
-// Schedule reorders every function's basic blocks in place.
+// Schedule reorders every function's basic blocks in place. A block never
+// moves, only the instructions inside it, so every label keeps its index.
+// One scratch serves every block of the call and is never shared.
 func Schedule(tp *titan.Program) {
+	var s scheduler
 	for _, f := range tp.Funcs {
-		scheduleFunc(f)
+		s.scheduleFunc(f)
 	}
 }
 
-func scheduleFunc(f *titan.Func) {
+// scheduler is the list scheduler's scratch, grown to the largest
+// function and block of one Schedule call.
+type scheduler struct {
+	isTarget                                 []bool
+	edges                                    []depEdge
+	npred, off, fill, succ, prio, ord, loads []int
+	tmp                                      []titan.Instr
+	refs                                     refTable
+}
+
+type depEdge struct{ from, to int }
+
+// resize returns s with length n, reusing its backing when it is large
+// enough; callers clear or overwrite what they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (s *scheduler) scheduleFunc(f *titan.Func) {
 	// Block boundaries: label targets and control transfers.
-	isTarget := make([]bool, len(f.Instrs)+1)
+	s.isTarget = resize(s.isTarget, len(f.Instrs)+1)
+	clear(s.isTarget)
 	for _, idx := range f.Labels {
-		isTarget[idx] = true
+		s.isTarget[idx] = true
 	}
-	var out []titan.Instr
-	// oldToNew maps old block-start indices to new positions; labels only
-	// ever point at block starts (label targets force boundaries).
-	oldToNew := map[int]int{}
-
-	flush := func(block []titan.Instr, oldStart int) {
-		oldToNew[oldStart] = len(out)
-		if len(block) <= 2 {
-			// Nothing to reorder; skip the scheduler's bookkeeping.
-			out = append(out, block...)
-			return
-		}
-		order := scheduleBlock(block)
-		for _, oi := range order {
-			out = append(out, block[oi])
-		}
-	}
-
 	start := 0
-	for i := 0; i <= len(f.Instrs); i++ {
-		atEnd := i == len(f.Instrs)
-		if !atEnd && isTarget[i] {
-			if i > start {
-				flush(f.Instrs[start:i], start)
-			}
-			oldToNew[i] = len(out)
+	for i, in := range f.Instrs {
+		if s.isTarget[i] {
+			s.scheduleBlock(f.Instrs[start:i])
 			start = i
 		}
-		if atEnd {
-			if i > start {
-				flush(f.Instrs[start:i], start)
-			}
-			oldToNew[i] = len(out)
-			break
-		}
-		if f.Instrs[i].Op.IsControl() {
-			// Schedule the straight-line prefix, keep the control
-			// instruction as the block terminator.
-			if i > start {
-				flush(f.Instrs[start:i], start)
-			}
-			oldToNew[i] = len(out)
-			out = append(out, f.Instrs[i])
+		if in.Op.IsControl() {
+			// The control instruction stays the block's terminator.
+			s.scheduleBlock(f.Instrs[start:i])
 			start = i + 1
 		}
 	}
-
-	// Remap labels. Every label target was recorded as a block start or a
-	// control-instruction position.
-	newLabels := make(map[string]int, len(f.Labels))
-	for l, idx := range f.Labels {
-		n, ok := oldToNew[idx]
-		if !ok {
-			// Defensive: leave the function unscheduled rather than emit
-			// a wrong branch target.
-			return
-		}
-		newLabels[l] = n
-	}
-	f.Labels = newLabels
-	f.Instrs = out
+	s.scheduleBlock(f.Instrs[start:])
 }
 
 // latencyOf is the scheduler's priority weight for an op's result: a
@@ -133,53 +110,47 @@ func latencyOf(op titan.Op) int {
 	}
 }
 
-// scheduleBlock returns a legal execution order (indices into block) that
+// scheduleBlock reorders block in place into a legal execution order that
 // greedily minimizes the in-order dispatch makespan: list scheduling with
 // critical-path priority.
-func scheduleBlock(block []titan.Instr) []int {
+func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	n := len(block)
 	if n <= 2 {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return order
+		return // nothing to reorder
 	}
 
-	// Build dependences. Edges are collected into one pooled list and the
-	// per-node successor slices carved from a single backing array
-	// afterwards (insertion order preserved), instead of growing n small
-	// slices.
-	type depEdge struct{ from, to int }
-	var edges []depEdge
-	npred := make([]int, n)
+	// Build dependences. Every edge runs from an earlier instruction to a
+	// later one, so the graph is acyclic and program order is legal.
+	s.edges = s.edges[:0]
+	npred := resize(s.npred, n)
+	clear(npred)
 	addEdge := func(a, b int) {
-		edges = append(edges, depEdge{a, b})
+		s.edges = append(s.edges, depEdge{a, b})
 		npred[b]++
 	}
-	lastDef := map[titan.Ref]int{}
-	lastUses := map[titan.Ref][]int{}
+	s.refs.reset()
 	lastStore := -1
-	var loadsSinceStore []int
-	for i := 0; i < n; i++ {
+	loads := s.loads[:0]
+	for i := range block {
 		refs := block[i].Refs()
 		for _, u := range refs.Uses() {
-			if d, ok := lastDef[u]; ok {
-				addEdge(d, i) // RAW
+			r := s.refs.slot(u)
+			if r.def >= 0 {
+				addEdge(r.def, i) // RAW
 			}
-			lastUses[u] = append(lastUses[u], i)
+			s.refs.use(r, i)
 		}
 		for _, d := range refs.Defs() {
-			if pd, ok := lastDef[d]; ok {
-				addEdge(pd, i) // WAW
+			r := s.refs.slot(d)
+			if r.def >= 0 {
+				addEdge(r.def, i) // WAW
 			}
-			for _, u := range lastUses[d] {
-				if u != i {
-					addEdge(u, i) // WAR
+			for u := r.uses; u >= 0; u = s.refs.uses[u].next {
+				if at := s.refs.uses[u].at; at != i {
+					addEdge(at, i) // WAR
 				}
 			}
-			lastDef[d] = i
-			lastUses[d] = nil
+			r.def, r.uses = i, -1
 		}
 		// Memory ordering.
 		switch block[i].Op.Mem() {
@@ -187,44 +158,46 @@ func scheduleBlock(block []titan.Instr) []int {
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
-			for _, l := range loadsSinceStore {
+			for _, l := range loads {
 				addEdge(l, i)
 			}
 			lastStore = i
-			loadsSinceStore = nil
+			loads = loads[:0]
 		case titan.MemLoad:
 			if lastStore >= 0 {
 				addEdge(lastStore, i)
 			}
-			loadsSinceStore = append(loadsSinceStore, i)
+			loads = append(loads, i)
 		}
 	}
-	succ := make([][]int, n)
-	succBacking := make([]int, len(edges))
-	cnt := make([]int, n)
-	for _, e := range edges {
-		cnt[e.from]++
+	s.loads = loads
+
+	// Successors in CSR form: node i's are succ[off[i]:off[i+1]].
+	off := resize(s.off, n+1)
+	clear(off)
+	for _, e := range s.edges {
+		off[e.from+1]++
 	}
-	off := 0
 	for i := 0; i < n; i++ {
-		succ[i] = succBacking[off : off : off+cnt[i]]
-		off += cnt[i]
+		off[i+1] += off[i]
 	}
-	for _, e := range edges {
-		succ[e.from] = append(succ[e.from], e.to)
+	fill := resize(s.fill, n)
+	copy(fill, off)
+	succ := resize(s.succ, len(s.edges))
+	for _, e := range s.edges {
+		succ[fill[e.from]] = e.to
+		fill[e.from]++
 	}
 
 	// Critical-path priority: longest latency-weighted path to any sink.
 	// Loads get a small bonus — a load whose consumer lives in a later
 	// block has no in-block successors, yet issuing it early still hides
 	// its latency downstream.
-	prio := make([]int, n)
+	prio := resize(s.prio, n)
 	for i := n - 1; i >= 0; i-- {
 		best := 0
-		for _, s := range succ[i] {
-			if prio[s] > best {
-				best = prio[s]
-			}
+		for _, t := range succ[off[i]:off[i+1]] {
+			best = max(best, prio[t])
 		}
 		prio[i] = best + latencyOf(block[i].Op)
 		if block[i].Op.Mem() == titan.MemLoad {
@@ -233,33 +206,101 @@ func scheduleBlock(block []titan.Instr) []int {
 	}
 
 	// List schedule: among ready instructions pick highest priority,
-	// breaking ties by original order (stability).
-	order := make([]int, 0, n)
-	scheduled := make([]bool, n)
+	// breaking ties by original order (stability). The earliest
+	// unscheduled instruction is always ready; npred −1 marks a scheduled
+	// one.
+	order := s.ord[:0]
 	for len(order) < n {
 		best := -1
 		for i := 0; i < n; i++ {
-			if scheduled[i] || npred[i] > 0 {
+			if npred[i] != 0 {
 				continue
 			}
 			if best == -1 || prio[i] > prio[best] {
 				best = i
 			}
 		}
-		if best == -1 {
-			// Cycle (cannot happen with a well-formed DAG); bail out to
-			// original order for safety.
-			order = order[:0]
-			for i := 0; i < n; i++ {
-				order = append(order, i)
-			}
-			return order
-		}
-		scheduled[best] = true
+		npred[best] = -1
 		order = append(order, best)
-		for _, s := range succ[best] {
-			npred[s]--
+		for _, t := range succ[off[best]:off[best+1]] {
+			npred[t]--
 		}
 	}
-	return order
+	s.tmp = append(s.tmp[:0], block...)
+	for k, i := range order {
+		block[k] = s.tmp[i]
+	}
+	s.npred, s.off, s.fill, s.succ, s.prio, s.ord = npred, off, fill, succ, prio, order
+}
+
+// refTable maps each register one block touches to the block's last
+// definition of it and the uses since. Integer, float, mask and VL
+// registers have dense slots, which belong to the block only while they
+// carry its epoch, so starting a block clears nothing. Vector slots, and
+// any number outside its file, go in a short list each block empties.
+// The uses are linked lists threaded through one pool.
+type refTable struct {
+	epoch uint32
+	dense [denseRefs]refSlot
+	other []otherRef
+	uses  []useNode
+}
+
+type refSlot struct {
+	epoch     uint32
+	def, uses int // last definition and head of the uses since; -1 if none
+}
+
+type otherRef struct {
+	ref titan.Ref
+	refSlot
+}
+
+type useNode struct{ at, next int }
+
+const (
+	denseFlt  = titan.NumIntRegs
+	denseMask = denseFlt + titan.NumFltRegs
+	denseVL   = denseMask + titan.NumMaskRegs
+	denseRefs = denseVL + 1
+)
+
+func (t *refTable) reset() {
+	t.epoch++
+	t.other = t.other[:0]
+	t.uses = t.uses[:0]
+}
+
+// slot returns r's entry for the current block.
+func (t *refTable) slot(r titan.Ref) *refSlot {
+	i := -1
+	switch {
+	case r.File == titan.IntReg && uint(r.Num) < titan.NumIntRegs:
+		i = r.Num
+	case r.File == titan.FltReg && uint(r.Num) < titan.NumFltRegs:
+		i = denseFlt + r.Num
+	case r.File == titan.MaskReg && uint(r.Num) < titan.NumMaskRegs:
+		i = denseMask + r.Num
+	case r.File == titan.VLReg && r.Num == 0:
+		i = denseVL
+	}
+	if i >= 0 {
+		if t.dense[i].epoch != t.epoch {
+			t.dense[i] = refSlot{epoch: t.epoch, def: -1, uses: -1}
+		}
+		return &t.dense[i]
+	}
+	for k := range t.other {
+		if t.other[k].ref == r {
+			return &t.other[k].refSlot
+		}
+	}
+	t.other = append(t.other, otherRef{r, refSlot{def: -1, uses: -1}})
+	return &t.other[len(t.other)-1].refSlot
+}
+
+// use records that instruction at reads r's register.
+func (t *refTable) use(r *refSlot, at int) {
+	t.uses = append(t.uses, useNode{at, r.uses})
+	r.uses = len(t.uses) - 1
 }
