@@ -66,14 +66,19 @@ func compileAndSimulate(t *testing.T, src string, opts driver.Options, ac *analy
 // bit-identical IL, identical phase stats, and identical simulated
 // cycles on every evaluation workload under both the scalar and the
 // full configuration. Beyond the E-series, the corpus has many procedures
-// with while→DO splices (raceProgram), a masked loop (clip) and a
-// DOACROSS loop (lagrec3), so shape-keyed chains that outlive copy and
-// constant propagation meet every later phase. race12/full stops at the
-// IL: with its 24 loops inlined into main, codegen runs out of loop
-// registers (ROADMAP item 4), with or without the cache.
+// with while→DO splices (raceProgram), a masked loop (clip), a DOACROSS
+// loop (lagrec3) and a unit in the benchmark's compile shapes
+// (manyProcsUnit), so shape-keyed chains that outlive copy and constant
+// propagation meet every later phase. The cache re-solves a stale
+// procedure into its old solution's storage and the uncached run solves
+// into fresh storage every time, so this also compares recycled storage
+// against fresh. race12/full stops at the IL: with its 24 loops inlined
+// into main, codegen runs out of loop registers (ROADMAP item 4), with or
+// without the cache.
 func TestCacheDifferentialIdentical(t *testing.T) {
 	workloads := append(evalWorkloads(), bench.Clip(256), bench.LagRecurrence(256),
-		bench.Workload{Name: "race12", Src: raceProgram(12)})
+		bench.Workload{Name: "race12", Src: raceProgram(12)},
+		bench.Workload{Name: "manyprocs", Src: manyProcsUnit()})
 	configs := []struct {
 		name string
 		opts driver.Options

@@ -16,6 +16,13 @@
 // and depend.Options, so the vector, parallel, and strength passes share
 // one analysis of an unchanged loop instead of triple-analyzing it.
 //
+// Each procedure owns one set of CFG, chain and liveness storage: a stale
+// solution is kept as its spare, and the next miss re-solves into it. So
+// a solution is valid until the next query for its procedure under a
+// newer counter; no caller may keep a *dataflow.Def, a *cfg.Node or a
+// solution across one. Storage is per procedure, never shared between
+// goroutines.
+//
 // A nil *Cache is valid and computes every query directly (the uncached
 // pre-cache behavior); the differential tests compare the two modes.
 // One Cache may be used from concurrent goroutines as long as no two
@@ -76,14 +83,18 @@ type depKey struct {
 	opts depend.Options
 }
 
+// procState is one procedure's entry. df and lv are its analysis
+// storage: dfOK and lvOK say whether they hold the solution under the
+// current shape and generation, and a miss re-solves into them.
 type procState struct {
 	mu    sync.Mutex
 	shape uint64 // keys df
 	gen   uint64 // keys lv and deps
-	df    *dataflow.Analysis
+	df    dataflow.Analysis
 	dfErr error
 	dfOK  bool
-	lv    *dataflow.Liveness
+	lv    dataflow.Liveness
+	lvOK  bool
 	deps  map[depKey]*depend.LoopDeps
 }
 
@@ -98,17 +109,18 @@ func (c *Cache) state(p *il.Proc) *procState {
 	return ps
 }
 
-// sync discards everything computed under an older counter: the dataflow
-// under an older shape, liveness and dependence graphs under an older
-// generation. Caller holds ps.mu.
+// sync marks stale everything computed under an older counter: the
+// dataflow under an older shape, liveness and dependence graphs under an
+// older generation. The stale dataflow and liveness stay as storage for
+// the next miss. Caller holds ps.mu.
 func (ps *procState) sync(p *il.Proc) {
 	if s := p.Shape(); s != ps.shape {
 		ps.shape = s
-		ps.df, ps.dfErr, ps.dfOK = nil, nil, false
+		ps.dfErr, ps.dfOK = nil, false
 	}
 	if g := p.Generation(); g != ps.gen {
 		ps.gen = g
-		ps.lv = nil
+		ps.lvOK = false
 		clear(ps.deps)
 	}
 }
@@ -122,19 +134,22 @@ func (c *Cache) Dataflow(p *il.Proc) (*dataflow.Analysis, error) {
 	ps := c.state(p)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	c.dataflowLocked(ps, p)
-	return ps.df, ps.dfErr
+	if err := c.dataflowLocked(ps, p); err != nil {
+		return nil, err
+	}
+	return &ps.df, nil
 }
 
-func (c *Cache) dataflowLocked(ps *procState, p *il.Proc) {
+func (c *Cache) dataflowLocked(ps *procState, p *il.Proc) error {
 	ps.sync(p)
 	if ps.dfOK {
 		c.dfHits.Add(1)
-		return
+		return ps.dfErr
 	}
-	ps.df, ps.dfErr = dataflow.Analyze(p)
+	ps.dfErr = ps.df.Reanalyze(p)
 	ps.dfOK = true
 	c.dfMisses.Add(1)
+	return ps.dfErr
 }
 
 // DataflowLiveness returns the reaching-definition analysis and the
@@ -151,17 +166,17 @@ func (c *Cache) DataflowLiveness(p *il.Proc) (*dataflow.Analysis, *dataflow.Live
 	ps := c.state(p)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	c.dataflowLocked(ps, p)
-	if ps.dfErr != nil {
-		return nil, nil, ps.dfErr
+	if err := c.dataflowLocked(ps, p); err != nil {
+		return nil, nil, err
 	}
-	if ps.lv != nil {
+	if ps.lvOK {
 		c.lvHits.Add(1)
 	} else {
-		ps.lv = dataflow.ComputeLiveness(p, ps.df.Graph)
+		ps.lv.Recompute(p, ps.df.Graph)
+		ps.lvOK = true
 		c.lvMisses.Add(1)
 	}
-	return ps.df, ps.lv, nil
+	return &ps.df, &ps.lv, nil
 }
 
 // LoopDeps returns the dependence graph of loop under opts at p's current

@@ -4,10 +4,12 @@
 package analysis_test
 
 import (
+	"slices"
 	"testing"
 
 	. "repro/internal/analysis"
 
+	"repro/internal/dataflow"
 	"repro/internal/depend"
 	"repro/internal/il"
 	"repro/internal/lower"
@@ -48,6 +50,48 @@ func procOf(t *testing.T, src, name string) (*il.Proc, *il.DoLoop) {
 	return p, loop
 }
 
+// chainKey names a definition independently of the analysis that found
+// it: its node's statement and position in the graph, its variable and
+// its kind.
+type chainKey struct {
+	stmt             il.Stmt
+	node             int
+	v                il.VarID
+	ambiguous, entry bool
+}
+
+// checkFresh fails unless a (and lv, when not nil) answers every
+// statement × variable query as a fresh dataflow.Analyze of p does. The
+// cache re-solves into the storage of a stale solution, so this is what
+// says nothing stale shows through.
+func checkFresh(t *testing.T, p *il.Proc, a *dataflow.Analysis, lv *dataflow.Liveness) {
+	t.Helper()
+	fa, err := dataflow.Analyze(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flv := dataflow.ComputeLiveness(p, fa.Graph)
+	chain := func(a *dataflow.Analysis, s il.Stmt, v il.VarID) []chainKey {
+		var out []chainKey
+		a.ForEachReachingDef(s, v, func(d *dataflow.Def) {
+			out = append(out, chainKey{d.Node.Stmt, d.Node.ID, d.Var, d.Ambiguous, d.Entry})
+		})
+		return out
+	}
+	il.WalkStmts(p.Body, func(s il.Stmt) bool {
+		for i := range p.Vars {
+			v := il.VarID(i)
+			if got, want := chain(a, s, v), chain(fa, s, v); !slices.Equal(got, want) {
+				t.Errorf("defs of %s reaching %v: cached %v, fresh %v", p.Vars[v].Name, s, got, want)
+			}
+			if lv != nil && lv.LiveOut(s, v) != flv.LiveOut(s, v) {
+				t.Errorf("%s live after %v: cached %v, fresh %v", p.Vars[v].Name, s, lv.LiveOut(s, v), flv.LiveOut(s, v))
+			}
+		}
+		return true
+	})
+}
+
 const loopSrc = `
 float a[100], b[100];
 void f(int n) {
@@ -75,18 +119,17 @@ func TestDataflowHitAndInvalidation(t *testing.T) {
 		t.Errorf("stats after repeat query = %+v, want 1 hit / 1 miss", st)
 	}
 
-	// A generation bump must force a recompute.
+	// A generation bump must force a recompute, which re-solves into the
+	// stale solution's storage: the miss count, not the pointer, says so.
 	p.BumpGeneration()
 	a3, err := c.Dataflow(p)
 	if err != nil {
 		t.Fatalf("dataflow: %v", err)
 	}
-	if a3 == a1 {
-		t.Errorf("stale analysis survived a generation bump")
-	}
 	if st := c.Stats(); st.DataflowHits != 1 || st.DataflowMisses != 2 {
 		t.Errorf("stats after invalidation = %+v, want 1 hit / 2 misses", st)
 	}
+	checkFresh(t, p, a3, nil)
 }
 
 func TestDataflowLivenessSharesSolution(t *testing.T) {
@@ -118,9 +161,14 @@ func TestDataflowLivenessSharesSolution(t *testing.T) {
 	}
 
 	p.BumpGeneration()
-	if _, lv3, err := c.DataflowLiveness(p); err != nil || lv3 == lv1 {
-		t.Errorf("stale liveness survived a generation bump (err=%v)", err)
+	a3, lv3, err := c.DataflowLiveness(p)
+	if err != nil {
+		t.Fatalf("liveness: %v", err)
 	}
+	if st := c.Stats(); st.DataflowMisses != 2 || st.LivenessMisses != 2 {
+		t.Errorf("stats after a generation bump = %+v, want 2 dataflow and 2 liveness misses", st)
+	}
+	checkFresh(t, p, a3, lv3)
 }
 
 func TestLoopDepsKeyedByLoopAndOptions(t *testing.T) {
@@ -173,11 +221,8 @@ func TestRewroteKeepsDataflowOnly(t *testing.T) {
 	if err != nil {
 		t.Fatalf("liveness: %v", err)
 	}
-	if a2 != a1 {
-		t.Error("Rewrote discarded the reaching definitions")
-	}
-	if lv2 == lv1 {
-		t.Error("stale liveness survived Rewrote")
+	if a2 != a1 || lv2 != lv1 {
+		t.Error("the procedure's analysis storage moved")
 	}
 	if ld2 := c.LoopDeps(p, loop, depend.Options{}); ld2 == ld1 {
 		t.Error("stale dependence graph survived Rewrote")
@@ -186,12 +231,21 @@ func TestRewroteKeepsDataflowOnly(t *testing.T) {
 	if st.DataflowHits != 1 || st.DataflowMisses != 1 || st.LivenessMisses != 2 || st.DependMisses != 2 {
 		t.Errorf("stats = %+v, want 1 dataflow hit / 1 miss, 2 liveness and 2 dependence misses", st)
 	}
+	checkFresh(t, p, a2, lv2)
 
-	// Changed moves the shape, and the reaching definitions go with it.
+	// Changed moves the shape, and the reaching definitions go with it:
+	// a new first statement moves every node and definition of the
+	// re-solve off where the stale solution had it.
+	p.Body = append([]il.Stmt{&il.Label{Name: ".top"}}, p.Body...)
 	p.Changed(1)
-	if a3, _ := c.Dataflow(p); a3 == a1 {
-		t.Error("stale analysis survived Changed")
+	a3, err := c.Dataflow(p)
+	if err != nil {
+		t.Fatalf("dataflow: %v", err)
 	}
+	if st := c.Stats(); st.DataflowMisses != 2 {
+		t.Errorf("stats after Changed = %+v, want 2 dataflow misses", st)
+	}
+	checkFresh(t, p, a3, nil)
 }
 
 // A nil cache must behave exactly like calling the analyses directly:

@@ -37,6 +37,15 @@ type Graph struct {
 	NodeOf map[il.Stmt]*Node
 	// Labels maps label names to their nodes.
 	Labels map[string]int
+
+	// Storage Rebuild, RPO and Reachable reuse: the builder's tables and
+	// the searches'.
+	b     builder
+	order []int
+	seen  []bool
+	stack []frame
+	reach []bool
+	work  []int
 }
 
 // builder wires the graph. The nodes that fall out of the statements
@@ -49,14 +58,43 @@ type builder struct {
 	slab  []Node
 	exits []int
 	edges []edge
+	deg   []int // successors of node i at i, predecessors at len(Nodes)+i
+	adj   []int // the Succs and Preds backing
 }
 
 type edge struct{ from, to int }
 
-// Build constructs the CFG for a procedure body. One walk counts the
-// nodes and edges first, so the graph's node slab, node list, statement
-// map and edge lists are each allocated once, at their final size.
+// frame is one level of RPO's depth-first search: a node and the index
+// of its next successor to visit.
+type frame struct{ id, next int }
+
+// reuse sets *s to n zero elements, reusing its backing array when that
+// is large enough, and returns it.
+func reuse[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
+}
+
+// Build constructs the CFG for a procedure body: Rebuild on empty storage.
 func Build(body []il.Stmt) (*Graph, error) {
+	g := new(Graph)
+	if err := g.Rebuild(body); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// Rebuild replaces g with the CFG of body. One walk counts the nodes and
+// edges first, so the node slab, node list, statement map and edge lists
+// are each sized once; each reuses g's storage where that is large enough
+// (first use allocates it at the exact size). Every *Node, edge list and
+// slice g handed out before is overwritten.
+func (g *Graph) Rebuild(body []il.Stmt) error {
 	// Every node but the exit has one edge out per time it falls through:
 	// the entry and each statement once, a condition a second time, a DO
 	// head once to its latch and the latch twice.
@@ -76,12 +114,18 @@ func Build(body []il.Stmt) (*Graph, error) {
 		}
 		return true
 	})
-	g := &Graph{
-		Nodes:  make([]*Node, 0, nodes),
-		NodeOf: make(map[il.Stmt]*Node, stmts),
-		Labels: make(map[string]int, labels),
+	g.Nodes = reuse(&g.Nodes, nodes)[:0]
+	if g.NodeOf == nil {
+		g.NodeOf = make(map[il.Stmt]*Node, stmts)
+		g.Labels = make(map[string]int, labels)
 	}
-	b := &builder{g: g, slab: make([]Node, nodes), exits: make([]int, 0, nodes), edges: make([]edge, 0, edges)}
+	clear(g.NodeOf)
+	clear(g.Labels)
+	b := &g.b
+	b.g = g
+	reuse(&b.slab, nodes)
+	b.exits = reuse(&b.exits, nodes)[:0]
+	b.edges = reuse(&b.edges, edges)[:0]
 	entry := b.newNode(nil)
 	exit := b.newNode(nil)
 	g.Entry, g.Exit = entry.ID, exit.ID
@@ -102,13 +146,13 @@ func Build(body []il.Stmt) (*Graph, error) {
 		if gt, ok := n.Stmt.(*il.Goto); ok {
 			target, ok := g.Labels[gt.Target]
 			if !ok {
-				return nil, fmt.Errorf("cfg: goto undefined label %q", gt.Target)
+				return fmt.Errorf("cfg: goto undefined label %q", gt.Target)
 			}
 			b.edge(n.ID, target)
 		}
 	}
 	b.wire()
-	return g, nil
+	return nil
 }
 
 func (b *builder) newNode(s il.Stmt) *Node {
@@ -128,12 +172,12 @@ func (b *builder) edge(from, to int) { b.edges = append(b.edges, edge{from, to})
 func (b *builder) wire() {
 	nodes := b.g.Nodes
 	n := len(nodes)
-	deg := make([]int, 2*n) // successors of i at i, predecessors at n+i
+	deg := reuse(&b.deg, 2*n)
 	for _, e := range b.edges {
 		deg[e.from]++
 		deg[n+e.to]++
 	}
-	backing := make([]int, 2*len(b.edges))
+	backing := reuse(&b.adj, 2*len(b.edges))
 	off := 0
 	for i, nd := range nodes {
 		nd.Succs = backing[off : off : off+deg[i]]
@@ -229,11 +273,11 @@ func (b *builder) doLoop(s il.Stmt, iv il.VarID, body []il.Stmt, base int) {
 }
 
 // Reachable reports, per node ID, whether the node is reachable from
-// Entry.
+// Entry. The result is g's own storage: the next Reachable or Rebuild
+// overwrites it.
 func (g *Graph) Reachable() []bool {
-	seen := make([]bool, len(g.Nodes))
-	work := make([]int, 1, len(g.Nodes))
-	work[0] = g.Entry
+	seen := reuse(&g.reach, len(g.Nodes))
+	work := append(reuse(&g.work, len(g.Nodes))[:0], g.Entry)
 	seen[g.Entry] = true
 	for len(work) > 0 {
 		n := work[len(work)-1]
@@ -254,17 +298,15 @@ func (g *Graph) Reachable() []bool {
 // graph is acyclic, so the worklist solver converges in a couple of
 // passes instead of one fixpoint round per loop depth. Appending the
 // unreachable tail keeps the solved sets defined at every node (queries
-// walk all statements, reachable or not).
+// walk all statements, reachable or not). The order is g's own storage:
+// the next RPO or Rebuild overwrites it.
 func (g *Graph) RPO() []int {
-	order := make([]int, 0, len(g.Nodes))
-	seen := make([]bool, len(g.Nodes))
+	order, seen := reuse(&g.order, len(g.Nodes))[:0], reuse(&g.seen, len(g.Nodes))
 	// Iterative DFS with an explicit edge cursor per frame: a node is
 	// appended once all its successors are done (postorder), then the
 	// whole sequence is reversed. Each node is pushed at most once, so the
 	// stack never outgrows the graph.
-	type frame struct{ id, next int }
-	stack := make([]frame, 1, len(g.Nodes))
-	stack[0] = frame{g.Entry, 0}
+	stack := append(reuse(&g.stack, len(g.Nodes))[:0], frame{g.Entry, 0})
 	seen[g.Entry] = true
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]

@@ -1,6 +1,9 @@
 package cfg
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/ctype"
@@ -204,5 +207,89 @@ func TestDoLoopEdges(t *testing.T) {
 	// head, which has a single outside predecessor.
 	if len(h.Preds) != 1 {
 		t.Errorf("head preds %v", h.Preds)
+	}
+}
+
+// sameGraph reports where g differs from want, a graph built fresh from
+// the same body: the nodes and their edges, NodeOf, Labels, RPO and
+// reachability.
+func sameGraph(g, want *Graph) string {
+	if len(g.Nodes) != len(want.Nodes) || g.Entry != want.Entry || g.Exit != want.Exit {
+		return "size"
+	}
+	for i, n := range g.Nodes {
+		m := want.Nodes[i]
+		if n.ID != i || n.Stmt != m.Stmt || n.IVDef != m.IVDef || n.Latch != m.Latch ||
+			!slices.Equal(n.Succs, m.Succs) || !slices.Equal(n.Preds, m.Preds) {
+			return fmt.Sprintf("node %d", i)
+		}
+	}
+	if len(g.NodeOf) != len(want.NodeOf) {
+		return "NodeOf"
+	}
+	for s, n := range want.NodeOf {
+		if g.NodeOf[s] != g.Nodes[n.ID] {
+			return fmt.Sprintf("NodeOf[%T]", s)
+		}
+	}
+	if !maps.Equal(g.Labels, want.Labels) {
+		return "Labels"
+	}
+	if !slices.Equal(g.RPO(), want.RPO()) || !slices.Equal(g.Reachable(), want.Reachable()) {
+		return "RPO or reachability"
+	}
+	return ""
+}
+
+// Rebuilding one graph from a large body, a small one with a label and a
+// return, and the large one again gives, each time, the graph Build
+// gives: nothing of the previous body shows through the reused storage.
+func TestRebuildMatchesBuild(t *testing.T) {
+	large := []il.Stmt{assign(0)}
+	for i := 0; i < 6; i++ {
+		large = append(large,
+			&il.DoLoop{IV: 0, Init: heap.Int(0), Limit: heap.Int(9), Step: heap.Int(1),
+				Body: []il.Stmt{assign(1), &il.If{Cond: heap.VarRef(0, ctype.IntType), Then: []il.Stmt{assign(2)}, Else: []il.Stmt{assign(3)}}}},
+			&il.While{Cond: heap.VarRef(0, ctype.IntType), Body: []il.Stmt{assign(3)}})
+	}
+	small := []il.Stmt{&il.Goto{Target: ".L"}, assign(1), &il.Label{Name: ".L"}, &il.Return{}, assign(2)}
+	var g Graph
+	for _, body := range [][]il.Stmt{large, small, large, small} {
+		if err := g.Rebuild(body); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := sameGraph(&g, want); diff != "" {
+			t.Fatalf("%d statements: rebuilt graph differs from Build at %s", len(body), diff)
+		}
+	}
+	if err := g.Rebuild([]il.Stmt{&il.Goto{Target: ".nope"}}); err == nil {
+		t.Fatal("Rebuild accepted a goto to an undefined label")
+	}
+}
+
+// Rebuilding an unchanged body, and walking it in RPO and for
+// reachability, allocates nothing once the first build sized the
+// storage.
+func TestRebuildAllocatesNothing(t *testing.T) {
+	body := []il.Stmt{assign(0), &il.While{Cond: heap.VarRef(0, ctype.IntType),
+		Body: []il.Stmt{assign(1), &il.If{Cond: heap.VarRef(1, ctype.IntType), Then: []il.Stmt{&il.Goto{Target: ".L"}}}}},
+		&il.Label{Name: ".L"}, &il.Return{}}
+	g, err := Build(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := g.Rebuild(body); err != nil {
+			t.Fatal(err)
+		}
+		g.RPO()
+		g.Reachable()
+	})
+	if allocs != 0 {
+		t.Errorf("Rebuild + RPO + Reachable of an unchanged body: %.0f allocations, want 0", allocs)
 	}
 }

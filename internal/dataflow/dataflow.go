@@ -7,6 +7,9 @@
 // and conservative for memory: a call may define every global, static and
 // address-taken variable; a store through a pointer may define every
 // address-taken or global variable.
+//
+// Reanalyze and Recompute re-solve into a solution's own storage, so a
+// solution is valid until the next re-solve of it.
 package dataflow
 
 import (
@@ -54,30 +57,57 @@ type Analysis struct {
 	clobbers []il.VarID
 	// defMask lazily caches, per variable, the bitset of its def IDs, so
 	// chain queries intersect words instead of probing def-by-def. Masks
-	// are bump-allocated from maskBacking.
+	// are carved from maskBacking, whose first maskUsed words are taken.
 	defMask     []bitset
 	maskBacking []uint64
+	maskUsed    int
+
+	// Storage a re-solve reuses: the def slab, defsOf's backing and
+	// counts, the bitset slab (gen, kill, in, out and the solver's two
+	// scratch sets) and the solver's dirty flags.
+	slab     []Def
+	defsBuf  []*Def
+	counts   []int
+	setWords []uint64
+	sets     []bitset
+	dirty    []bool
 }
 
-// Analyze builds the CFG and reaching-definition chains for p. Every
-// table it allocates is sized to the procedure up front, so one solve
-// costs the same number of allocations however large p is.
+// Analyze builds the CFG and reaching-definition chains for p: Reanalyze
+// on empty storage. Every table is sized to the procedure up front, so
+// one solve costs the same number of allocations however large p is.
 func Analyze(p *il.Proc) (*Analysis, error) {
-	g, err := cfg.Build(p.Body)
-	if err != nil {
+	a := new(Analysis)
+	if err := a.Reanalyze(p); err != nil {
 		return nil, err
 	}
-	a := &Analysis{Proc: p, Graph: g, defsOf: make([][]*Def, len(p.Vars))}
+	return a, nil
+}
+
+// Reanalyze replaces a with the CFG and reaching-definition chains of p,
+// solved in a's own storage: each table is reused where it is large
+// enough and allocated at its exact size where it is not, so re-solving a
+// procedure no larger than before allocates nothing. Every *Def, node and
+// set a handed out before is overwritten.
+func (a *Analysis) Reanalyze(p *il.Proc) error {
+	if a.Graph == nil {
+		a.Graph = new(cfg.Graph)
+	}
+	if err := a.Graph.Rebuild(p.Body); err != nil {
+		return err
+	}
+	a.Proc = p
+	reuse(&a.defsOf, len(p.Vars))
 	a.collectClobbers()
 	a.collectDefs()
 	a.solve()
-	return a, nil
+	return nil
 }
 
 // collectClobbers precomputes the variables a memory write or call might
 // define.
 func (a *Analysis) collectClobbers() {
-	a.clobbers = make([]il.VarID, 0, len(a.Proc.Vars))
+	a.clobbers = reuse(&a.clobbers, len(a.Proc.Vars))[:0]
 	for i := range a.Proc.Vars {
 		if a.Proc.Vars[i].Escapes() {
 			a.clobbers = append(a.clobbers, il.VarID(i))
@@ -122,11 +152,11 @@ func (a *Analysis) nodeDefs(n *cfg.Node, def func(v il.VarID, ambiguous bool)) {
 // slices out of one backing array (capped, so a later append — the
 // while→DO splice — reallocates instead of clobbering a neighbor).
 func (a *Analysis) indexDefs() {
-	counts := make([]int, len(a.defsOf))
+	counts := reuse(&a.counts, len(a.defsOf))
 	for _, d := range a.Defs {
 		counts[d.Var]++
 	}
-	backing := make([]*Def, len(a.Defs))
+	backing := reuse(&a.defsBuf, len(a.Defs))
 	off := 0
 	for v, c := range counts {
 		a.defsOf[v] = backing[off : off : off+c]
@@ -144,8 +174,8 @@ func (a *Analysis) collectDefs() {
 	for _, n := range nodes {
 		a.nodeDefs(n, func(il.VarID, bool) { nDefs++ })
 	}
-	slab := make([]Def, nDefs)
-	a.Defs = make([]*Def, 0, nDefs)
+	slab := reuse(&a.slab, nDefs)
+	a.Defs = reuse(&a.Defs, nDefs)[:0]
 	add := func(n *cfg.Node, v il.VarID, ambiguous, entry bool) {
 		d := &slab[len(a.Defs)]
 		*d = Def{ID: len(a.Defs), Node: n, Var: v, Ambiguous: ambiguous, Entry: entry}
@@ -157,7 +187,7 @@ func (a *Analysis) collectDefs() {
 	// the while→DO splice's later append reallocates) instead of growing
 	// per-node slices. The entry node carries no statement or IV, so the
 	// per-node loop below never adds to its range.
-	a.defsAt = make([][]*Def, len(nodes))
+	reuse(&a.defsAt, len(nodes))
 	entryNode := nodes[a.Graph.Entry]
 	for i := range vars {
 		// Entry definitions: every variable has an initial (unknown) value;
@@ -175,15 +205,18 @@ func (a *Analysis) collectDefs() {
 
 	a.indexDefs()
 
-	// gen, kill, in and out, carved from one backing slab (capped
-	// sub-slices, so a later grow reallocates instead of clobbering its
-	// neighbor).
+	// gen, kill, in, out and the solver's scratch, carved from one
+	// backing slab (capped sub-slices, so a later grow reallocates instead
+	// of clobbering its neighbor). A variable's def mask is as wide as a
+	// set, so the masks are carved afresh too.
 	nNodes := len(nodes)
-	sets := newBitsetSlab(4*nNodes, nDefs)
+	sets := carve(&a.sets, &a.setWords, 4*nNodes+2, nDefs)
 	a.gen = sets[:nNodes:nNodes]
 	a.kill = sets[nNodes : 2*nNodes : 2*nNodes]
 	a.in = sets[2*nNodes : 3*nNodes : 3*nNodes]
-	a.out = sets[3*nNodes:]
+	a.out = sets[3*nNodes : 4*nNodes : 4*nNodes]
+	reuse(&a.defMask, len(a.defsOf))
+	a.maskUsed = 0
 	for id := range nodes {
 		for _, d := range a.defsAt[id] {
 			a.gen[id].set(d.ID)
@@ -209,14 +242,12 @@ func (a *Analysis) collectDefs() {
 // Gauss–Seidel iteration produced.
 func (a *Analysis) solve() {
 	nNodes := len(a.Graph.Nodes)
-	nDefs := len(a.Defs)
 	order := a.Graph.RPO()
-	dirty := make([]bool, nNodes)
+	dirty := reuse(&a.dirty, nNodes)
 	for i := range dirty {
 		dirty[i] = true
 	}
-	inScratch := newBitset(nDefs)
-	outScratch := newBitset(nDefs)
+	inScratch, outScratch := a.sets[4*nNodes], a.sets[4*nNodes+1]
 	anyDirty := true
 	for anyDirty {
 		anyDirty = false
@@ -282,20 +313,19 @@ func (a *Analysis) maskOf(v il.VarID) bitset {
 			return m
 		}
 	}
-	if a.defMask == nil {
-		a.defMask = make([]bitset, len(a.defsOf))
-	}
 	for int(v) >= len(a.defMask) {
 		a.defMask = append(a.defMask, nil)
 	}
 	words := (len(a.Defs) + 63) / 64
-	if len(a.maskBacking) < words {
+	if len(a.maskBacking)-a.maskUsed < words {
 		// Room for every variable's mask; only a def or a variable the
 		// while→DO splice added can need a second backing.
 		a.maskBacking = make([]uint64, max(len(a.defsOf), 1)*words)
+		a.maskUsed = 0
 	}
-	m := bitset(a.maskBacking[:words:words])
-	a.maskBacking = a.maskBacking[words:]
+	m := bitset(a.maskBacking[a.maskUsed : a.maskUsed+words : a.maskUsed+words])
+	a.maskUsed += words
+	clear(m) // a re-solve reuses the words
 	if int(v) < len(a.defsOf) {
 		for _, d := range a.defsOf[v] {
 			m.set(d.ID)
@@ -433,7 +463,14 @@ type Liveness struct {
 	Graph *cfg.Graph
 	// liveOut[n] is the set of variables live at n's exit.
 	liveOut []bitset
-	nVars   int
+
+	// Storage Recompute reuses: the bitset slab (use, def, liveIn,
+	// liveOut, the exit set and two scratch sets), the dirty flags and a
+	// statement's used variables.
+	setWords []uint64
+	sets     []bitset
+	dirty    []bool
+	used     []il.VarID
 }
 
 // LiveOut reports whether v is live after statement s.
@@ -445,16 +482,25 @@ func (lv *Liveness) LiveOut(s il.Stmt, v il.VarID) bool {
 	return lv.liveOut[n.ID].get(int(v))
 }
 
-// ComputeLiveness runs backward live-variable analysis. Global, static and
-// address-taken variables are treated as live at procedure exit.
+// ComputeLiveness runs backward live-variable analysis: Recompute on
+// empty storage.
 func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
+	lv := new(Liveness)
+	lv.Recompute(p, g)
+	return lv
+}
+
+// Recompute replaces lv with the live variables of p over g, solved in
+// lv's own storage. Global, static and address-taken variables are
+// treated as live at procedure exit.
+func (lv *Liveness) Recompute(p *il.Proc, g *cfg.Graph) {
 	nVars := len(p.Vars)
 	nNodes := len(g.Nodes)
-	// use, def, liveIn and liveOut, carved from one backing slab.
-	sets := newBitsetSlab(4*nNodes, nVars)
+	// use, def, liveIn, liveOut and the solver's sets, carved from one
+	// backing slab.
+	sets := carve(&lv.sets, &lv.setWords, 4*nNodes+3, nVars)
 	use, def := sets[:nNodes], sets[nNodes:2*nNodes]
-	liveIn, liveOut := sets[2*nNodes:3*nNodes], sets[3*nNodes:]
-	var used []il.VarID
+	liveIn, liveOut := sets[2*nNodes:3*nNodes], sets[3*nNodes:4*nNodes]
 	for id, n := range g.Nodes {
 		if n.IVDef != il.NoVar {
 			def[id].set(int(n.IVDef))
@@ -462,8 +508,8 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 		if n.Stmt == nil {
 			continue
 		}
-		used = AppendUsedVars(used[:0], n.Stmt)
-		for _, v := range used {
+		lv.used = AppendUsedVars(lv.used[:0], n.Stmt)
+		for _, v := range lv.used {
 			use[id].set(int(v))
 		}
 		if dv := il.DefinedVar(n.Stmt); dv != il.NoVar {
@@ -471,7 +517,7 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 		}
 	}
 	// Variables observable after return.
-	exitLive := newBitset(nVars)
+	exitLive := sets[4*nNodes]
 	for i := range p.Vars {
 		v := &p.Vars[i]
 		if v.Escapes() {
@@ -486,19 +532,16 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 	copy(liveIn[g.Exit], exitLive)
 
 	order := g.RPO()
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	dirty := make([]bool, nNodes)
+	dirty := reuse(&lv.dirty, nNodes)
 	for i := range dirty {
 		dirty[i] = true
 	}
-	outScratch := newBitset(nVars)
-	inScratch := newBitset(nVars)
+	outScratch, inScratch := sets[4*nNodes+1], sets[4*nNodes+2]
 	anyDirty := true
 	for anyDirty {
 		anyDirty = false
-		for _, id := range order {
+		for i := len(order) - 1; i >= 0; i-- {
+			id := order[i]
 			if !dirty[id] {
 				continue
 			}
@@ -528,14 +571,12 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 			}
 		}
 	}
-	return &Liveness{Graph: g, liveOut: liveOut, nVars: nVars}
+	lv.Graph, lv.liveOut = g, liveOut
 }
 
 // ---------------------------------------------------------------- bitsets
 
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
 func (b bitset) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
@@ -546,17 +587,29 @@ func (b bitset) clear() {
 	}
 }
 
-// newBitsetSlab carves n bitsets of the given width out of one backing
-// allocation. The sub-slices are capped (three-index), so a later append
-// reallocates the grown set instead of clobbering its neighbor.
-func newBitsetSlab(n, width int) []bitset {
+// carve returns n empty bitsets of the given width, carved from one
+// backing array; *sets and *backing are reused where they are large
+// enough (see reuse). The sets are capped (three-index), so a later
+// append reallocates the grown set instead of clobbering its neighbor.
+func carve(sets *[]bitset, backing *[]uint64, n, width int) []bitset {
 	words := (width + 63) / 64
-	backing := make([]uint64, n*words)
-	out := make([]bitset, n)
+	b, out := reuse(backing, n*words), reuse(sets, n)
 	for i := range out {
-		out[i] = bitset(backing[i*words : (i+1)*words : (i+1)*words])
+		out[i] = bitset(b[i*words : (i+1)*words : (i+1)*words])
 	}
 	return out
+}
+
+// reuse sets *s to n zero elements, reusing its backing array when that
+// is large enough, and returns it.
+func reuse[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
 }
 
 func (b bitset) or(o bitset) {

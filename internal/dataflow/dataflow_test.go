@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -364,4 +367,111 @@ func TestDoLoopDefinesIV(t *testing.T) {
 		t.Errorf("DoLoop should define its IV; defs: %d", len(defs))
 	}
 	_ = loop
+}
+
+// sameSolution reports the first table in which got differs from a
+// fresh solve want of the same procedure: the CFG (statements, edges,
+// NodeOf, Labels, RPO), the definitions, the gen/kill/in/out sets, every
+// variable's def mask and the live-out sets.
+func sameSolution(got, want *Analysis, gotLV, wantLV *Liveness) string {
+	g, w := got.Graph, want.Graph
+	if len(g.Nodes) != len(w.Nodes) || g.Entry != w.Entry || g.Exit != w.Exit {
+		return "graph size"
+	}
+	for i, n := range g.Nodes {
+		m := w.Nodes[i]
+		if n.ID != i || n.Stmt != m.Stmt || n.IVDef != m.IVDef || n.Latch != m.Latch ||
+			!slices.Equal(n.Succs, m.Succs) || !slices.Equal(n.Preds, m.Preds) {
+			return fmt.Sprintf("node %d", i)
+		}
+	}
+	if len(g.NodeOf) != len(w.NodeOf) {
+		return "NodeOf size"
+	}
+	for s, n := range w.NodeOf {
+		if g.NodeOf[s] == nil || g.NodeOf[s].ID != n.ID {
+			return fmt.Sprintf("NodeOf[%v]", s)
+		}
+	}
+	if !maps.Equal(g.Labels, w.Labels) || !slices.Equal(g.RPO(), w.RPO()) {
+		return "labels or RPO"
+	}
+	if len(got.Defs) != len(want.Defs) {
+		return "def count"
+	}
+	for i, d := range got.Defs {
+		e := want.Defs[i]
+		if d.ID != e.ID || d.Node.ID != e.Node.ID || d.Var != e.Var || d.Ambiguous != e.Ambiguous || d.Entry != e.Entry {
+			return fmt.Sprintf("def %d", i)
+		}
+	}
+	for id := range g.Nodes {
+		if !slices.Equal(got.gen[id], want.gen[id]) || !slices.Equal(got.kill[id], want.kill[id]) ||
+			!slices.Equal(got.in[id], want.in[id]) || !slices.Equal(got.out[id], want.out[id]) {
+			return fmt.Sprintf("gen/kill/in/out at node %d", id)
+		}
+		if !slices.Equal(gotLV.liveOut[id], wantLV.liveOut[id]) {
+			return fmt.Sprintf("live-out at node %d", id)
+		}
+	}
+	for v := range got.Proc.Vars {
+		if !slices.Equal(got.maskOf(il.VarID(v)), want.maskOf(il.VarID(v))) {
+			return fmt.Sprintf("def mask of %s", got.Proc.Vars[v].Name)
+		}
+	}
+	return ""
+}
+
+// A large procedure, a small one and the large one again, solved into one
+// Analysis and one Liveness: each solve equals a fresh one, so nothing
+// the previous procedure left in the reused storage shows through. The
+// small procedure has more variables and a goto, so every table both
+// shrinks and grows along the way, and its def masks are all built before
+// the storage is reused.
+func TestReanalyzeMatchesFresh(t *testing.T) {
+	large := compileProc(t, allocSrc(12), "f")
+	small := compileProc(t, `
+int g;
+int f(int x, int y) {
+	int a, b, c, d, e;
+	a = x; b = y; c = a + b; d = c * 2; e = d - a;
+	if (e > 3) goto out;
+	g = e;
+out:
+	return a + b + c + d + e;
+}
+`, "f")
+	var a Analysis
+	var lv Liveness
+	for _, p := range []*il.Proc{large, small, large, small} {
+		if err := a.Reanalyze(p); err != nil {
+			t.Fatal(err)
+		}
+		lv.Recompute(p, a.Graph)
+		fresh := analyze(t, p)
+		if diff := sameSolution(&a, fresh, &lv, ComputeLiveness(p, fresh.Graph)); diff != "" {
+			t.Fatalf("%d statements: re-solved %s differs from a fresh solve", len(p.Body), diff)
+		}
+	}
+}
+
+// Re-solving an unchanged procedure into its own storage allocates
+// nothing: the CFG, the chains and the liveness all fit in what the first
+// solve sized.
+func TestReanalyzeAllocatesNothing(t *testing.T) {
+	p := compileProc(t, allocSrc(8), "f")
+	a := analyze(t, p)
+	lv := ComputeLiveness(p, a.Graph)
+	var w il.VarID
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := a.Reanalyze(p); err != nil {
+			t.Fatal(err)
+		}
+		lv.Recompute(p, a.Graph)
+		a.ForEachReachingDef(p.Body[len(p.Body)-1], p.LookupVar("a"), func(d *Def) { w = d.Var })
+	})
+	if allocs != 0 {
+		t.Errorf("Reanalyze + Recompute of an unchanged procedure: %.0f allocations, want 0", allocs)
+	}
+	_ = w
 }

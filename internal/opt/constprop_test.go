@@ -18,7 +18,7 @@ int f(void) {
 `
 	p := compileProc(t, src, "f")
 	propagateConstants(p, nil, nil)
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	ret := lastReturn(t, p)
 	if v, ok := il.IsIntConst(ret.Val); !ok || v != 5 {
 		t.Errorf("return: %s\n%s", p.ExprString(ret.Val), p)
@@ -138,7 +138,7 @@ lb_1: ;
 	before := il.CountStmts(p.Body)
 	propagateConstants(p, nil, nil)
 	removeUnusedLabels(p)
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	after := il.CountStmts(p.Body)
 	// The store must be gone.
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
@@ -204,7 +204,7 @@ volatile int ks;
 void f(void) { ks = 0; }
 `
 	p := compileProc(t, src, "f")
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	if len(p.Body) != 1 {
 		t.Errorf("volatile store removed:\n%s", p)
 	}
@@ -219,7 +219,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	if len(p.Body) != 1 {
 		t.Errorf("dead assign survived:\n%s", p)
 	}
@@ -235,7 +235,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	if len(p.Body) != 3 {
 		t.Errorf("live chain damaged:\n%s", p)
 	}
@@ -244,7 +244,7 @@ int f(int a) {
 func TestDCEKeepsStores(t *testing.T) {
 	src := "void f(float *p) { *p = 1; }"
 	p := compileProc(t, src, "f")
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	if len(p.Body) != 1 {
 		t.Errorf("store removed:\n%s", p)
 	}
@@ -262,7 +262,7 @@ void f(int n) {
 `
 	p := compileProc(t, src, "f")
 	convertWhileLoops(p, nil, nil)
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	// t's assignment is dead; then i's update is dead (only used by
 	// itself); loop body empties and the DoLoop disappears.
 	left := 0
@@ -283,7 +283,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	propagateCopies(p, nil)
+	propagateCopies(p, nil, new(scratch))
 	var call *il.Call
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if c, ok := s.(*il.Call); ok {
@@ -308,7 +308,7 @@ int f(int a) {
 }
 `
 	p := compileProc(t, src, "f")
-	propagateCopies(p, nil)
+	propagateCopies(p, nil, new(scratch))
 	// r = b must NOT become r = a.
 	as := p.Body[2].(*il.Assign)
 	v, ok := as.Src.(*il.VarRef)
@@ -337,7 +337,7 @@ int f(int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	propagateCopies(p, nil)
+	propagateCopies(p, nil, new(scratch))
 	// find r = r + b
 	found := false
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
@@ -372,8 +372,8 @@ float f(void) {
 }
 `
 	p := compileProc(t, src, "f")
-	propagateCopies(p, nil)
-	eliminateDeadCode(p, nil)
+	propagateCopies(p, nil, new(scratch))
+	eliminateDeadCode(p, nil, new(scratch))
 	ret := lastReturn(t, p)
 	ld, ok := ret.Val.(*il.Load)
 	if !ok {
@@ -442,7 +442,7 @@ int f(void) {
 `
 	p := compileProc(t, src, "f")
 	propagateConstants(p, nil, nil)
-	eliminateDeadCode(p, nil)
+	eliminateDeadCode(p, nil, new(scratch))
 	ret, ok := p.Body[0].(*il.Return)
 	if !ok {
 		t.Fatalf("stmt 0: %T\n%s", p.Body[0], p)

@@ -11,10 +11,10 @@ import (
 // crucial: parameter-binding temporaries die as soon as substitution and
 // constant propagation run. Returns the number of statements removed. A
 // nil cache re-solves every round.
-func eliminateDeadCode(p *il.Proc, ac *analysis.Cache) int {
+func eliminateDeadCode(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	total := 0
 	for {
-		n := dceOnce(p, ac)
+		n := dceOnce(p, ac, sc)
 		total += n
 		if n == 0 {
 			return total
@@ -22,12 +22,12 @@ func eliminateDeadCode(p *il.Proc, ac *analysis.Cache) int {
 	}
 }
 
-func dceOnce(p *il.Proc, ac *analysis.Cache) int {
+func dceOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	a, lv, err := ac.DataflowLiveness(p)
 	if err != nil {
 		return 0
 	}
-	needed := markNeededDefs(p, a)
+	needed := markNeededDefs(p, a, sc)
 	removed := 0
 	p.Body = il.RewriteStmts(p.Body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
 		dead := false
@@ -57,8 +57,9 @@ func dceOnce(p *il.Proc, ac *analysis.Cache) int {
 // to externally visible variables) seed a worklist, and every definition
 // transitively feeding an essential use is marked. Pure assignments whose
 // statement never gets marked are dead even when they feed themselves in a
-// cycle (i = i + 1 with no other use).
-func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
+// cycle (i = i + 1 with no other use). The marked set is sc's, cleared
+// here.
+func markNeededDefs(p *il.Proc, a *dataflow.Analysis, sc *scratch) map[il.Stmt]bool {
 	essential := func(s il.Stmt) bool {
 		switch n := s.(type) {
 		case *il.Call, *il.Return, *il.PredAssign, *il.VectorAssign, *il.If, *il.While,
@@ -78,8 +79,11 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 		return false
 	}
 
-	marked := map[il.Stmt]bool{}
-	var work []il.Stmt
+	if sc.marked == nil {
+		sc.marked = map[il.Stmt]bool{}
+	}
+	marked, work := sc.marked, sc.work[:0]
+	clear(marked)
 	need := func(s il.Stmt) {
 		if s != nil && !marked[s] {
 			marked[s] = true
@@ -103,6 +107,7 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 			})
 		}
 	}
+	sc.work = work
 	return marked
 }
 
@@ -114,10 +119,10 @@ func markNeededDefs(p *il.Proc, a *dataflow.Analysis) map[il.Stmt]bool {
 // reduction and subexpression elimination undo any recomputation it
 // introduces, §11). Returns the number of rewrites performed. A nil cache
 // re-solves every round.
-func propagateCopies(p *il.Proc, ac *analysis.Cache) int {
+func propagateCopies(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	total := 0
 	for {
-		n := copyPropOnce(p, ac)
+		n := copyPropOnce(p, ac, sc)
 		total += n
 		if n == 0 {
 			return total
@@ -125,18 +130,36 @@ func propagateCopies(p *il.Proc, ac *analysis.Cache) int {
 	}
 }
 
-// copy instance: statement assigning v = <pure expr>.
+// copy instance: statement assigning v = <pure expr>, whose source
+// variables are scratch.srcVars[lo:hi]. next is 1 + the index of the next
+// copy to the same destination (0: none).
 type copyInst struct {
-	stmt    *il.Assign
-	dst     il.VarID
-	src     il.Expr
-	srcVars []il.VarID
+	stmt         *il.Assign
+	dst          il.VarID
+	src          il.Expr
+	lo, hi, next int
+}
+
+// scratch is the copy-propagation and dead-code storage of one Optimize
+// call. Each copyPropOnce and dceOnce clears what it uses and re-carves
+// it, so the scalar fixpoint's repeated solves allocate for the largest
+// only. Optimize runs on one procedure on one goroutine, so it is never
+// shared.
+type scratch struct {
+	copies    []copyInst
+	copyIdx   map[il.Stmt]int
+	srcVars   []il.VarID // every copy's source variables
+	firstCopy []int      // per variable, 1 + the index of its first copy
+	words     []uint64   // every cpset of one copyPropOnce
+	sets      []cpset
+	marked    map[il.Stmt]bool // dead-code elimination's mark set
+	work      []il.Stmt
 }
 
 // copyExprLimit bounds the size of propagated expressions.
 const copyExprLimit = 16
 
-func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
+func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	a, err := ac.Dataflow(p)
 	if err != nil {
 		return 0
@@ -146,8 +169,11 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 
 	// Collect copy instances: pure, load-free, volatile-free sources of
 	// bounded size that do not reference their own destination.
-	var copies []copyInst
-	copyIdx := map[il.Stmt]int{}
+	if sc.copyIdx == nil {
+		sc.copyIdx = map[il.Stmt]int{}
+	}
+	copies, copyIdx, srcVars := sc.copies[:0], sc.copyIdx, sc.srcVars[:0]
+	clear(copyIdx)
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		as, ok := s.(*il.Assign)
 		if !ok {
@@ -159,7 +185,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 		}
 		nodes := 0
 		pure := true
-		var srcVars []il.VarID
+		lo := len(srcVars)
 		il.WalkExpr(as.Src, func(x il.Expr) bool {
 			nodes++
 			switch n := x.(type) {
@@ -174,52 +200,50 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 			return pure
 		})
 		if !pure || nodes > copyExprLimit {
+			srcVars = srcVars[:lo]
 			return true
 		}
 		copyIdx[s] = len(copies)
-		copies = append(copies, copyInst{as, dst.ID, as.Src, srcVars})
+		copies = append(copies, copyInst{as, dst.ID, as.Src, lo, len(srcVars), 0})
 		return true
 	})
+	sc.copies, sc.srcVars = copies, srcVars
 	if len(copies) == 0 {
 		return 0
 	}
 
+	// Every set of this call comes from one slab: killByVar, gen, kill,
+	// in and out, then clobberKill, all and the two scratch sets.
 	// killByVar[v] is the set of copies invalidated by a definition of v
 	// (v is their destination or a source operand); clobberKill is its
 	// union over the clobberable (address-taken/global/static) variables.
-	// copiesByDst[v] lists v's copies in copy-index order.
-	nCopies := len(copies)
-	killByVar := make([]cpset, len(p.Vars))
-	copiesByDst := make([][]int, len(p.Vars))
-	killsOf := func(v il.VarID) cpset {
-		if killByVar[v] == nil {
-			killByVar[v] = newCpset(nCopies)
-		}
-		return killByVar[v]
-	}
-	for ci := range copies {
+	// firstCopy and next chain each variable's copies in copy-index order.
+	nCopies, nVars, nNodes := len(copies), len(p.Vars), len(g.Nodes)
+	sets := sc.carve(nVars+4*nNodes+4, nCopies)
+	killByVar, sets := sets[:nVars], sets[nVars:]
+	gen, kill := sets[:nNodes], sets[nNodes:2*nNodes]
+	in, out := sets[2*nNodes:3*nNodes], sets[3*nNodes:4*nNodes]
+	clobberKill, all := sets[4*nNodes], sets[4*nNodes+1]
+	inScratch, outScratch := sets[4*nNodes+2], sets[4*nNodes+3]
+	firstCopy := reuse(&sc.firstCopy, nVars)
+	for ci := nCopies - 1; ci >= 0; ci-- {
 		c := &copies[ci]
-		killsOf(c.dst).set(ci)
-		copiesByDst[c.dst] = append(copiesByDst[c.dst], ci)
-		for _, sv := range c.srcVars {
-			killsOf(sv).set(ci)
+		c.next, firstCopy[c.dst] = firstCopy[c.dst], ci+1
+		killByVar[c.dst].set(ci)
+		for _, sv := range srcVars[c.lo:c.hi] {
+			killByVar[sv].set(ci)
 		}
 	}
-	clobberKill := newCpset(nCopies)
 	for i := range p.Vars {
-		v := &p.Vars[i]
-		if v.Escapes() && killByVar[i] != nil {
+		if p.Vars[i].Escapes() {
 			clobberKill.or(killByVar[i])
 		}
 	}
 
 	// gen/kill bitsets over copies.
-	nNodes := len(g.Nodes)
-	gen := newCpsetSlab(nNodes, nCopies)
-	kill := newCpsetSlab(nNodes, nCopies)
 	for id, n := range g.Nodes {
 		if s := n.Stmt; s != nil {
-			if dv := il.DefinedVar(s); dv != il.NoVar && killByVar[dv] != nil {
+			if dv := il.DefinedVar(s); dv != il.NoVar {
 				kill[id].or(killByVar[dv])
 			}
 			clobbers := false
@@ -238,7 +262,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 				gen[id].set(ci)
 			}
 		}
-		if n.IVDef != il.NoVar && killByVar[n.IVDef] != nil {
+		if n.IVDef != il.NoVar {
 			kill[id].or(killByVar[n.IVDef])
 		}
 	}
@@ -246,10 +270,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 	// Forward must-analysis: in[n] = ∩ out[preds]; entry = ∅. Non-entry
 	// nodes start at ⊤ (all copies); the Gauss–Seidel sweep converges to
 	// the same greatest fixpoint the map-based sets produced.
-	in := newCpsetSlab(nNodes, nCopies)
-	out := newCpsetSlab(nNodes, nCopies)
 	reach := g.Reachable()
-	all := newCpset(nCopies)
 	for i := 0; i < nCopies; i++ {
 		all.set(i)
 	}
@@ -259,8 +280,6 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 			copy(out[i], all)
 		}
 	}
-	inScratch := newCpset(nCopies)
-	outScratch := newCpset(nCopies)
 	changed := true
 	for changed {
 		changed = false
@@ -309,7 +328,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 			}
 			// Iterate in copy-index order for determinism when several
 			// copies of the same destination are available.
-			for _, ci := range copiesByDst[v.ID] {
+			for ci := firstCopy[v.ID] - 1; ci >= 0; ci = copies[ci].next - 1 {
 				if avail.get(ci) && copies[ci].stmt != s {
 					rewrites++
 					return ar.CloneExpr(copies[ci].src)
@@ -335,8 +354,6 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache) int {
 
 // cpset is a bitset over copy indices, carved from a shared slab.
 type cpset []uint64
-
-func newCpset(n int) cpset { return make(cpset, (n+63)/64) }
 
 func (b cpset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
 func (b cpset) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
@@ -374,14 +391,26 @@ func (b cpset) equal(o cpset) bool {
 	return true
 }
 
-// newCpsetSlab carves n sets of the given width from one backing
-// allocation (capped sub-slices, so growth cannot clobber a neighbor).
-func newCpsetSlab(n, width int) []cpset {
+// carve returns n empty sets of the given width from sc's one word slab
+// (capped sub-slices, so growth cannot clobber a neighbor). The slab and
+// the set headers are reused where they are large enough.
+func (sc *scratch) carve(n, width int) []cpset {
 	words := (width + 63) / 64
-	backing := make([]uint64, n*words)
-	out := make([]cpset, n)
-	for i := range out {
-		out[i] = cpset(backing[i*words : (i+1)*words : (i+1)*words])
+	b, sets := reuse(&sc.words, n*words), reuse(&sc.sets, n)
+	for i := range sets {
+		sets[i] = cpset(b[i*words : (i+1)*words : (i+1)*words])
 	}
-	return out
+	return sets
+}
+
+// reuse sets *s to n zero elements, reusing its backing array when that
+// is large enough, and returns it.
+func reuse[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	} else {
+		*s = (*s)[:n]
+		clear(*s)
+	}
+	return *s
 }

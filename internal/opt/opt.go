@@ -40,8 +40,10 @@ type subPass struct {
 // This slice is the single place the scalar phase order is written down.
 // The sub-passes are bound to the analysis cache (nil re-solves every
 // analysis, the uncached baseline) and report their decisions through em
-// (nil reports nothing).
+// (nil reports nothing). Copy propagation and dead-code elimination share
+// one scratch, which lives as long as the returned sub-passes.
 func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
+	sc := new(scratch)
 	constprop := func(p *il.Proc) int { return propagateConstants(p, ac, em) }
 	sp := []subPass{
 		{"while-to-do", func(p *il.Proc) int { return convertWhileLoops(p, ac, em) }},
@@ -55,11 +57,11 @@ func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
 		}
 	}
 	if !opts.NoCopyProp {
-		sp = append(sp, subPass{"copyprop", func(p *il.Proc) int { return propagateCopies(p, ac) }})
+		sp = append(sp, subPass{"copyprop", func(p *il.Proc) int { return propagateCopies(p, ac, sc) }})
 	}
 	return append(sp,
 		subPass{"constprop-after", constprop},
-		subPass{"dce", func(p *il.Proc) int { return eliminateDeadCode(p, ac) }},
+		subPass{"dce", func(p *il.Proc) int { return eliminateDeadCode(p, ac, sc) }},
 		subPass{"unused-labels", removeUnusedLabels},
 	)
 }
@@ -101,7 +103,12 @@ func (c Counts) Add(o Counts) {
 // reporter drops them.
 func Optimize(p *il.Proc, opts Options, ac *analysis.Cache, r *diag.Reporter) Counts {
 	em := newEmitter(r, p.Name)
-	sub := subPasses(opts, ac, em)
+	return fixpoint(p, subPasses(opts, ac, em), em)
+}
+
+// fixpoint runs the sub-passes in order, round after round, until a round
+// changes nothing or maxRounds is reached.
+func fixpoint(p *il.Proc, sub []subPass, em *emitter) Counts {
 	counts := Counts{}
 	for round := 0; round < maxRounds; round++ {
 		changed := 0

@@ -2,8 +2,6 @@ package opt
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -11,10 +9,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dataflow"
 	"repro/internal/il"
-	"repro/internal/inline"
-	"repro/internal/lower"
-	"repro/internal/parser"
-	"repro/internal/sema"
 )
 
 // defKey names a definition independently of the analysis that found it:
@@ -92,61 +86,31 @@ func checkChains(t *testing.T, where string, ac *analysis.Cache, p *il.Proc) str
 //     itself, beyond what the variables it added account for, so no
 //     def-moving sub-pass leans on Rewrote or on an incidental AddVar.
 func TestShapeKeyedDataflowExact(t *testing.T) {
-	var paths []string
-	for _, pat := range []string{"../../benchmark/programs/*.c", "../../testdata/*.c"} {
-		m, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
-	}
-	if len(paths) < 12 {
-		t.Fatalf("corpus has %d programs", len(paths))
-	}
 	rewroteOnly := 0 // sub-passes that advanced only the generation
-	for _, path := range paths {
-		src, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.Parse(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		info, err := sema.Check(f)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		prog, err := lower.File(f, info)
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		inline.New(prog, inline.DefaultConfig()).ExpandProgram()
-		for _, p := range prog.Procs {
-			ac := analysis.NewCache()
-			sub := subPasses(DefaultOptions(), ac, nil)
-			before := checkChains(t, p.Name+" before", ac, p)
-			for round := 0; round < maxRounds; round++ {
-				changed := 0
-				for _, s := range sub {
-					shape, gen, nVars := p.Shape(), p.Generation(), len(p.Vars)
-					changed += s.run(p)
-					where := fmt.Sprintf("%s:%s round %d after %s", filepath.Base(path), p.Name, round, s.name)
-					after := checkChains(t, where, ac, p)
-					if after != before && p.Shape()-shape <= uint64(len(p.Vars)-nVars) {
-						t.Errorf("%s: moved CFG nodes or definitions without advancing the shape itself", where)
-					}
-					if p.Shape() == shape && p.Generation() != gen {
-						rewroteOnly++
-					}
-					before = after
+	forEachCorpusProc(t, func(file string, p *il.Proc) {
+		ac := analysis.NewCache()
+		sub := subPasses(DefaultOptions(), ac, nil)
+		before := checkChains(t, p.Name+" before", ac, p)
+		for round := 0; round < maxRounds; round++ {
+			changed := 0
+			for _, s := range sub {
+				shape, gen, nVars := p.Shape(), p.Generation(), len(p.Vars)
+				changed += s.run(p)
+				where := fmt.Sprintf("%s:%s round %d after %s", file, p.Name, round, s.name)
+				after := checkChains(t, where, ac, p)
+				if after != before && p.Shape()-shape <= uint64(len(p.Vars)-nVars) {
+					t.Errorf("%s: moved CFG nodes or definitions without advancing the shape itself", where)
 				}
-				if changed == 0 {
-					break
+				if p.Shape() == shape && p.Generation() != gen {
+					rewroteOnly++
 				}
+				before = after
+			}
+			if changed == 0 {
+				break
 			}
 		}
-	}
+	})
 	if rewroteOnly == 0 {
 		t.Error("no sub-pass reported through Rewrote alone; the shape key was never exercised")
 	}

@@ -38,8 +38,10 @@ func convertWhileLoops(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// incremental-reconstruction obligation is discharged by splicing each
 	// new DO node into the existing chains (SpliceWhileConversion) instead
 	// of re-solving from scratch; the spliced analysis answers the
-	// conversion queries exactly as a rebuilt one would, and is dropped
-	// when the pass finishes (the generation bump keyed it stale).
+	// conversion queries exactly as a rebuilt one would. p.Changed moved
+	// the shape before the splice, so the cache already holds it stale:
+	// the next query re-solves into its storage. a is used only until
+	// then — it is set to nil before this loop queries again.
 	total := 0
 	var a *dataflow.Analysis
 	for {
