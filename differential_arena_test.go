@@ -75,7 +75,7 @@ func compileArtifacts(t *testing.T, src string, opts driver.Options, workers int
 		remarks.WriteByte('\n')
 	}
 	return arenaArtifacts{
-		ilDump:   driver.DumpIL(res),
+		ilDump:   res.IL.String(),
 		asm:      driver.Disassemble(res),
 		remarks:  remarks.String(),
 		vector:   fmt.Sprintf("%+v", res.VectorStats),
@@ -156,7 +156,7 @@ func TestArenaParallelManyProcs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compile (workers=%d strip=%v): %v", workers, strip, err)
 		}
-		return driver.DumpIL(res)
+		return res.IL.String()
 	}
 	got := compileIL(8, false)
 	want := compileIL(1, true)

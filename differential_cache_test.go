@@ -93,7 +93,7 @@ func TestCacheDifferentialIdentical(t *testing.T) {
 				on, ron := compileAndSimulate(t, w.Src, cfg.opts, analysis.NewCache(), simulate)
 				off, roff := compileAndSimulate(t, w.Src, cfg.opts, nil, simulate)
 
-				if got, want := driver.DumpIL(on), driver.DumpIL(off); got != want {
+				if got, want := on.IL.String(), off.IL.String(); got != want {
 					t.Errorf("IL differs with cache on:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
 				}
 				if on.VectorStats != off.VectorStats {
@@ -172,7 +172,7 @@ func TestAnalysisCacheConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("serial compile: %v", err)
 		}
-		return driver.DumpIL(res)
+		return res.IL.String()
 	}()
 
 	var wg sync.WaitGroup
@@ -188,7 +188,7 @@ func TestAnalysisCacheConcurrent(t *testing.T) {
 					t.Errorf("concurrent compile: %v", err)
 					return
 				}
-				if got := driver.DumpIL(res); got != serial {
+				if got := res.IL.String(); got != serial {
 					t.Errorf("concurrent compile produced different IL than serial compile")
 					return
 				}

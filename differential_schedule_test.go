@@ -97,7 +97,7 @@ func TestScheduleDefaultDifferential(t *testing.T) {
 				legacy, legacyRemarks, lr := compileUnderSchedules(t, w.Src, cfg.opts, nil)
 				explicit, explicitRemarks, er := compileUnderSchedules(t, w.Src, cfg.opts, set)
 
-				if got, want := driver.DumpIL(explicit), driver.DumpIL(legacy); got != want {
+				if got, want := explicit.IL.String(), legacy.IL.String(); got != want {
 					t.Errorf("IL differs under explicit default schedules:\n--- explicit ---\n%s\n--- legacy ---\n%s", got, want)
 				}
 				if got, want := driver.Disassemble(explicit), driver.Disassemble(legacy); got != want {

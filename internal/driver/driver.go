@@ -223,14 +223,6 @@ func WriteCatalogFromSource(w io.Writer, src string) error {
 	return inline.WriteCatalog(w, inline.BuildCatalog(res.IL))
 }
 
-// DumpIL renders the IL of every procedure (the ildump tool's engine).
-func DumpIL(res *Result) string {
-	if res.IL == nil {
-		return ""
-	}
-	return res.IL.String()
-}
-
 // Disassemble renders the generated Titan code.
 func Disassemble(res *Result) string {
 	if res.Machine == nil {
@@ -251,10 +243,4 @@ func sortedFuncNames(tp *titan.Program) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// FormatResult renders a simulation result like the titanrun tool does.
-func FormatResult(r titan.Result, processors int) string {
-	return fmt.Sprintf("exit=%d cycles=%d instrs=%d flops=%d mflops=%.2f procs=%d",
-		r.ExitCode, r.Cycles, r.Instrs, r.FlopCount, r.MFLOPS(), processors)
 }

@@ -505,12 +505,11 @@ func TestDisassembleAndDump(t *testing.T) {
 	if !strings.Contains(Disassemble(res), "main:") {
 		t.Error("disassembly missing main")
 	}
-	if !strings.Contains(DumpIL(res), "proc main") {
+	if !strings.Contains(res.IL.String(), "proc main") {
 		t.Error("IL dump missing main")
 	}
-	r, _ := titan.NewMachine(res.Machine, 1).Run("main")
-	if !strings.Contains(FormatResult(r, 1), "exit=7") {
-		t.Error("FormatResult missing exit code")
+	if r, _ := titan.NewMachine(res.Machine, 1).Run("main"); r.ExitCode != 7 {
+		t.Errorf("exit code %d, want 7", r.ExitCode)
 	}
 }
 

@@ -1,0 +1,42 @@
+package driver
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzFrontEndDiagnostics: for any source, the front end (lex, parse,
+// sema, lower) either succeeds or fails with an error that
+// ErrorDiagnostic maps to a positioned diagnostic, line and column at
+// least 1. It never panics. The seeds are testdata/*.c and the rejected
+// sources of TestInitializerErrors; finds live in
+// testdata/fuzz/FuzzFrontEndDiagnostics, replayed by plain `go test`.
+func FuzzFrontEndDiagnostics(f *testing.F) {
+	files, err := filepath.Glob("../../testdata/*.c")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed programs: %v", err)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, src := range initializerErrors {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			return
+		}
+		_, err := LowerWith(src, nil)
+		if err == nil {
+			return
+		}
+		if d, ok := ErrorDiagnostic(err); !ok || d.Pos.Line < 1 || d.Pos.Col < 1 {
+			t.Fatalf("rejected with %q, diagnostic %+v (ok=%v)", err, d, ok)
+		}
+	})
+}

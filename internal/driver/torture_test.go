@@ -511,14 +511,17 @@ func TestInitializerLists(t *testing.T) {
 	}
 }
 
+// initializerErrors are sources the front end must reject; they also
+// seed FuzzFrontEndDiagnostics.
+var initializerErrors = []string{
+	"int a[2] = {1, 2, 3}; int main(void){return 0;}",
+	"int g; int x = g; int main(void){return 0;}",         // non-constant global init
+	"int a[2] = {1, g}; int g; int main(void){return 0;}", // undeclared then declared
+	"struct s {int a;}; struct s v = {1, 2}; int main(void){return 0;}",
+}
+
 func TestInitializerErrors(t *testing.T) {
-	bad := []string{
-		"int a[2] = {1, 2, 3}; int main(void){return 0;}",
-		"int g; int x = g; int main(void){return 0;}",         // non-constant global init
-		"int a[2] = {1, g}; int g; int main(void){return 0;}", // undeclared then declared
-		"struct s {int a;}; struct s v = {1, 2}; int main(void){return 0;}",
-	}
-	for _, src := range bad {
+	for _, src := range initializerErrors {
 		if _, err := Compile(src, ScalarOptions()); err == nil {
 			t.Errorf("accepted:\n%s", src)
 		}

@@ -5,7 +5,7 @@ import (
 	"strings"
 )
 
-// This file renders procedures in a readable named form for ildump, golden
+// This file renders procedures in a readable named form for titancc, golden
 // tests, and debugging.
 
 // ExprString renders e with variable names from the procedure's table.

@@ -43,9 +43,9 @@ type Options struct {
 	// DisableIVSub turns induction-variable substitution off entirely.
 	DisableIVSub bool
 	// ForceIVSub runs induction-variable substitution even when neither
-	// vectorization nor strength reduction is enabled (ildump's phase
-	// view; normally ivsub only pays off when a later phase consumes it —
-	// §6).
+	// vectorization nor strength reduction is enabled (the golden IL
+	// tests' view; normally ivsub only pays off when a later phase
+	// consumes it — §6).
 	ForceIVSub bool
 	// NoStrengthPromotion / NoStrengthReduction toggle §6 sub-passes.
 	NoStrengthPromotion bool

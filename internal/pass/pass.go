@@ -4,9 +4,10 @@
 // on the serial residue — and BuildPipeline is the single place that order
 // is written down. A Manager runs the pipeline over an il.Program with
 // unified per-pass instrumentation (wall time, statement counts, the loop
-// phases' stats folded into one Report), an optional IL-snapshot hook (the
-// ildump tool is a thin consumer), a between-pass IL verifier, and a
-// bounded worker pool that runs the per-procedure phases concurrently.
+// phases' stats folded into one Report), an optional IL-snapshot hook
+// (titancc -dump-after is a thin consumer), a between-pass IL verifier,
+// and a bounded worker pool that runs the per-procedure phases
+// concurrently.
 package pass
 
 import (

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -348,6 +349,54 @@ func topLevelKeys(t *testing.T, data []byte) []string {
 	return keys
 }
 
+// procsIngestCases are run objects' procs lists as a peer might send
+// them, and whether the ingest gate must take them.
+var procsIngestCases = []struct {
+	name string
+	json string
+	ok   bool
+}{
+	{"two processors", `[{"pid":0,"busy_cycles":9,"sync_stall_cycles":1,"join_idle_cycles":0},{"pid":3,"busy_cycles":8,"sync_stall_cycles":0,"join_idle_cycles":2}]`, true},
+	{"pid past the last processor", `[{"pid":4,"busy_cycles":9}]`, false},
+	{"negative pid", `[{"pid":-1,"busy_cycles":9}]`, false},
+	{"huge pid", `[{"pid":9223372036854775807,"busy_cycles":9}]`, false},
+	{"repeated pid", `[{"pid":1,"busy_cycles":9},{"pid":1,"busy_cycles":8}]`, false},
+	{"unknown member", `[{"pid":0,"busy":9}]`, false},
+	{"not a list", `{"pid":0}`, false},
+}
+
+// runBlob is a stored artifact under key whose run carries procs.
+func runBlob(key, procs string) []byte {
+	return []byte(`{"key":"` + key + `","il":"","asm":"","report":null,"run":{"cycles":5,"flops":0,"instrs":4,"exit_code":0,"procs":` + procs + `,"mflops":0,"processors":4,"host_nanos":1}}`)
+}
+
+// TestArtifactIngestProcs: the procs decoder on the ingest path refuses
+// an out-of-range or repeated pid and an unknown member with an error,
+// and takes a well-formed list.
+func TestArtifactIngestProcs(t *testing.T) {
+	key := strings.Repeat("ab", 32)
+	for _, c := range procsIngestCases {
+		if err := checkArtifact(key, runBlob(key, c.json)); (err == nil) != c.ok {
+			t.Errorf("%s: checkArtifact error %v, want accepted=%v", c.name, err, c.ok)
+		}
+	}
+	// The corpus's artifact with a run predates the procs decoder and
+	// must still pass the gate.
+	raw, err := os.ReadFile("testdata/fuzz/FuzzArtifactIngest/compiled-artifact-with-run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(raw), "\n")
+	seedKey, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+	blob, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+	if err1 != nil || err2 != nil {
+		t.Fatalf("corpus entry does not parse: %v %v", err1, err2)
+	}
+	if err := checkArtifact(seedKey, []byte(blob)); err != nil {
+		t.Errorf("compiled-artifact-with-run refused: %v", err)
+	}
+}
+
 // FuzzArtifactIngest: the ingest gate never panics, and whatever it
 // lets into the cache can be served — the spliced reply is valid JSON,
 // decodes to a CompileResponse under the requested key, and its stamped
@@ -363,6 +412,9 @@ func FuzzArtifactIngest(f *testing.F) {
 	f.Add(key, []byte(`{"key":"`+key+`","asm":"re`), false, byte(0), int64(7))
 	f.Add("", []byte(`{}`), false, byte(0), int64(0))
 	f.Add("", []byte(`null`), false, byte(0), int64(0))
+	for _, procs := range procsIngestCases {
+		f.Add(key, runBlob(key, procs.json), true, byte(1), int64(7))
+	}
 	f.Fuzz(func(t *testing.T, key string, blob []byte, cached bool, tierIndex byte, elapsed int64) {
 		if checkArtifact(key, blob) != nil {
 			return

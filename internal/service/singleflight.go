@@ -1,6 +1,9 @@
 package service
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // flightGroup deduplicates concurrent identical work — compiles, and
 // fetches from peers: the first request for a key becomes the leader and
@@ -27,7 +30,8 @@ type flight struct {
 // returned leader flag) has fn run in a dedicated goroutine registered
 // on wg — the daemon's drain path waits on wg, so an in-flight compile
 // whose requester timed out still completes and lands in the cache
-// before shutdown.
+// before shutdown. A panic in fn ends the flight with a *panicError, so
+// every caller on it gets an error instead of the process exiting.
 func (g *flightGroup) do(key string, wg *sync.WaitGroup, fn func() ([]byte, any, error)) (*flight, bool) {
 	g.mu.Lock()
 	if g.flights == nil {
@@ -44,11 +48,29 @@ func (g *flightGroup) do(key string, wg *sync.WaitGroup, fn func() ([]byte, any,
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.blob, f.val, f.err = fn()
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					f.err = &panicError{key: key, value: p}
+				}
+			}()
+			f.blob, f.val, f.err = fn()
+		}()
 		g.mu.Lock()
 		delete(g.flights, key)
 		g.mu.Unlock()
 		close(f.done)
 	}()
 	return f, true
+}
+
+// panicError is a flight whose work panicked: a compiler bug, answered
+// as a 500 that names the key so the unit can be reproduced.
+type panicError struct {
+	key   string
+	value any
+}
+
+func (e *panicError) Error() string {
+	return fmt.Sprintf("internal error compiling %s: panic: %v", e.key, e.value)
 }

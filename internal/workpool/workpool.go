@@ -14,7 +14,10 @@ import "sync"
 // the workers finish in.
 //
 // fn(i) must touch only state owned by index i (plus read-only shared
-// state); workers <= 1 runs serially on the calling goroutine.
+// state); workers <= 1 runs serially on the calling goroutine. A panic in
+// fn reaches the calling goroutine, as it would serially: the panicking
+// worker leaves the indexes it has not started unrun, and once every
+// worker has finished ForEachN re-panics with the first worker's value.
 func ForEachN(n, workers int, fn func(int)) {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -28,11 +31,19 @@ func ForEachN(n, workers int, fn func(int)) {
 	// Feed indexes through a channel so `workers` goroutines bound the
 	// concurrency however many items the caller has.
 	idx := make(chan int)
+	panics := make([]any, workers) // what worker w recovered
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				// Drain, so the feeder below is never left blocked.
+				if panics[w] = recover(); panics[w] != nil {
+					for range idx {
+					}
+				}
+			}()
 			for i := range idx {
 				fn(i)
 			}
@@ -43,4 +54,9 @@ func ForEachN(n, workers int, fn func(int)) {
 	}
 	close(idx)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 }

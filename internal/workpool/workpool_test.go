@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestForEachNCoversEveryIndex: every index in [0, n) runs exactly once,
@@ -59,5 +60,30 @@ func TestForEachNBoundsConcurrency(t *testing.T) {
 	}
 	if peak < 1 {
 		t.Errorf("nothing ran")
+	}
+}
+
+// TestForEachNPanicReachesCaller: a panic in one worker's fn(3) surfaces
+// on the calling goroutine, where a deferred recover can contain it, and
+// only after every other call has returned.
+func TestForEachNPanicReachesCaller(t *testing.T) {
+	var running atomic.Int32
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		ForEachN(64, 4, func(i int) {
+			if i == 3 {
+				panic("fn(3)")
+			}
+			running.Add(1)
+			time.Sleep(time.Millisecond)
+			running.Add(-1)
+		})
+		return nil
+	}()
+	if got != "fn(3)" {
+		t.Fatalf("recovered %v on the caller, want fn(3)'s panic", got)
+	}
+	if n := running.Load(); n != 0 {
+		t.Errorf("%d calls still running when the panic reached the caller", n)
 	}
 }

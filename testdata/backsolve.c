@@ -1,6 +1,6 @@
 /* The paper's section 6 example: a recurrence that cannot vectorize but
  * responds to dependence-driven register promotion and strength reduction.
- *   go run ./cmd/titanrun -configs testdata/backsolve.c
+ *   go run ./cmd/titancc -run -table testdata/backsolve.c
  *   go run ./cmd/titancc -noalias -S testdata/backsolve.c       */
 float x[2048], y[2048], z[2048];
 

@@ -1,5 +1,5 @@
 /* The paper's section 5.3 pointer-copy loop. Watch the induction-variable
- * substitution with:  go run ./cmd/ildump testdata/copyloop.c */
+ * substitution with:  go run ./cmd/titancc -dump-after=all testdata/copyloop.c */
 float dst[1024], src[1024];
 
 void copyloop(float *a, float *b, int n)

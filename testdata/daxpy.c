@@ -1,5 +1,5 @@
 /* The paper's section 9 program: compile with
- *   go run ./cmd/titanrun -configs testdata/daxpy.c
+ *   go run ./cmd/titancc -run -table testdata/daxpy.c
  * to reproduce the inlining -> vectorization -> parallelization chain. */
 void daxpy(float *x, float *y, float *z, float alpha, int n)
 {
