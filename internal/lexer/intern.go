@@ -2,12 +2,14 @@ package lexer
 
 import "strings"
 
-// Interner is a per-compile symbol table that canonicalizes identifier and
-// string-literal spellings: every occurrence of the same text yields the
-// same backing string. Beyond deduplication, interning copies the (small)
-// spellings out of the source buffer, so tokens, AST nodes, and the IL no
-// longer pin the whole source text via substring references — the buffer
-// becomes collectable as soon as lexing finishes.
+// Interner is a per-compile symbol table that canonicalizes identifier,
+// string-literal and #pragma spellings: every occurrence of the same text
+// yields the same backing string. Beyond deduplication, interning copies
+// the (small) spellings out of the source buffer, so AST nodes and the IL
+// do not pin the whole source text via substring references. Keyword,
+// operator and number tokens may still hold substrings of the source; that
+// is harmless because the parser keeps none of that Text past the parse,
+// and the token slice dies with it.
 //
 // An Interner is not safe for concurrent use; the front end interns during
 // the single serial lexing pass, before any parallel phase starts. A nil

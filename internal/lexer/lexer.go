@@ -38,8 +38,8 @@ func New(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// NewInterning returns a lexer over src that canonicalizes identifier and
-// string-literal spellings through in (nil interns nothing).
+// NewInterning returns a lexer over src that canonicalizes identifier,
+// string-literal and pragma spellings through in (nil interns nothing).
 func NewInterning(src string, in *Interner) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1, intern: in}
 }
@@ -50,11 +50,15 @@ func Tokenize(src string) ([]token.Token, error) {
 	return TokenizeInterned(src, nil)
 }
 
-// TokenizeInterned is Tokenize with identifier/string-literal interning
-// through the given per-compile interner (nil interns nothing).
+// TokenizeInterned is Tokenize with identifier, string-literal and pragma
+// interning through the given per-compile interner (nil interns nothing).
+//
+// The token slice is allocated once, at len(src)+1: every token but EOF
+// consumes at least one byte of src, so the bound is never exceeded and the
+// slice never regrows.
 func TokenizeInterned(src string, in *Interner) ([]token.Token, error) {
 	lx := NewInterning(src, in)
-	var toks []token.Token
+	toks := make([]token.Token, 0, len(src)+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -181,7 +185,7 @@ func (l *Lexer) lexDirective(pos token.Pos) (token.Token, error) {
 	}
 	body = strings.TrimSpace(body)
 	if rest, ok := strings.CutPrefix(body, "pragma"); ok {
-		return token.Token{Kind: token.Pragma, Text: strings.TrimSpace(rest), Pos: pos}, nil
+		return token.Token{Kind: token.Pragma, Text: l.intern.Intern(strings.TrimSpace(rest)), Pos: pos}, nil
 	}
 	return token.Token{}, l.errorf(pos, "unsupported preprocessor directive %q (input must be preprocessed)", line)
 }
@@ -376,7 +380,7 @@ func (l *Lexer) lexString(pos token.Pos) (token.Token, error) {
 		sb.WriteByte(c)
 	}
 	s := l.intern.Intern(sb.String())
-	return token.Token{Kind: token.StringLit, Text: s, Pos: pos, StrVal: s}, nil
+	return token.Token{Kind: token.StringLit, Text: s, Pos: pos}, nil
 }
 
 // twoCharOps maps the first byte of a multi-char operator to candidate

@@ -1,9 +1,12 @@
 package lexer
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/token"
 )
@@ -151,8 +154,8 @@ func TestStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].StrVal != "hello\tworld\n" {
-		t.Errorf("got %q", toks[0].StrVal)
+	if toks[0].Text != "hello\tworld\n" {
+		t.Errorf("got %q", toks[0].Text)
 	}
 }
 
@@ -258,4 +261,71 @@ func itoa(n int64) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// TestTokenizeSizedOnce pins the token slice's one allocation at the sound
+// bound len(src)+1: every token but EOF consumes at least one byte.
+func TestTokenizeSizedOnce(t *testing.T) {
+	paths, err := filepath.Glob("../../testdata/*.c")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no programs match testdata/*.c (%v)", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks, err := Tokenize(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		if cap(toks) != len(src)+1 {
+			t.Errorf("%s: cap(toks) = %d, want len(src)+1 = %d", p, cap(toks), len(src)+1)
+		}
+	}
+
+	// One byte per token fills the bound exactly, with no regrowth.
+	dense := strings.Repeat("a;", 4096)
+	toks, err := Tokenize(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != len(dense)+1 || cap(toks) != len(dense)+1 {
+		t.Errorf("dense source: len %d cap %d, want both %d", len(toks), cap(toks), len(dense)+1)
+	}
+
+	for _, src := range []string{"", " \t\n\r\f\v\n"} {
+		toks, err := Tokenize(src)
+		if err != nil || len(toks) != 1 || toks[0].Kind != token.EOF {
+			t.Errorf("Tokenize(%q) = %v, %v; want [EOF]", src, toks, err)
+		}
+	}
+
+	plain := strings.Repeat("x = y + z1 * (w - v) / u; p->q[r] <<= s && !t;\n", 64)
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Tokenize(plain); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Tokenize of identifiers and operators: %v allocations, want 1", n)
+	}
+}
+
+// TestInternedTextLeavesSource: under an Interner, identifier,
+// string-literal and pragma Text is a copy, not a substring pinning src.
+func TestInternedTextLeavesSource(t *testing.T) {
+	src := "#pragma safe\nint count; char *s = \"msg\";"
+	toks, err := TokenizeInterned(src, NewInterner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for _, tk := range toks {
+		switch tk.Kind {
+		case token.Pragma, token.Ident, token.StringLit:
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(tk.Text))); p >= lo && p < lo+uintptr(len(src)) {
+				t.Errorf("%v %q points into the source", tk.Kind, tk.Text)
+			}
+		}
+	}
 }

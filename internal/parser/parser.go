@@ -1236,7 +1236,7 @@ func (p *parser) parsePrimary() (ast.Expr, error) {
 		return fc, nil
 	case token.StringLit:
 		p.next()
-		s := &ast.StrConst{Value: t.StrVal}
+		s := &ast.StrConst{Value: t.Text}
 		setPos(s, t.Pos)
 		return s, nil
 	case token.Ident:

@@ -848,10 +848,7 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 			// the paths above.
 			go func(sub *cpu, err *error, ss *syncState, wg *sync.WaitGroup) {
 				defer wg.Done()
-				*err = sub.runFast(df, start, end, maxInstrs)
-				if ss != nil {
-					ss.finish()
-				}
+				*err = sub.runForked(df, start, end, maxInstrs, ss)
 			}(sub, &scr.errs[pid], ss, &scr.wg)
 		}
 	} else {
@@ -864,7 +861,7 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 		sub := &scr.subs[0]
 		for pid := 1; pid < procs; pid++ {
 			c.forkTo(sub, pid, &scr.outs[pid])
-			if scr.errs[pid] = sub.runFast(df, start, end, maxInstrs); scr.errs[pid] == nil {
+			if scr.errs[pid] = sub.runForked(df, start, end, maxInstrs, nil); scr.errs[pid] == nil {
 				join.add(pid, sub)
 			}
 		}
@@ -899,6 +896,24 @@ func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, has
 	join.add(0, c)
 	join.finish(c, procs)
 	return nil
+}
+
+// runForked is runFast for a forked processor, pid 1 and up. A panic,
+// which only an engine bug or a malformed program can raise, becomes that
+// processor's error instead of ending the process from a goroutine nobody
+// recovers; the region's lowest-erroring-pid rule then reports it. Either
+// way the processor leaves the sync fabric, so a sync region's other
+// processors see it gone and cannot wait on it forever.
+func (c *cpu) runForked(df *dfunc, start, end int, maxInstrs int64, ss *syncState) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("titan: processor %d panicked in parallel region in %s: %v", c.pid, df.name, r)
+		}
+		if ss != nil {
+			ss.finish()
+		}
+	}()
+	return c.runFast(df, start, end, maxInstrs)
 }
 
 // hostLE reports whether the host is little-endian, gating the slab

@@ -3,6 +3,7 @@ package titan
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // doacrossProg hand-assembles the DOACROSS shape codegen emits for a
@@ -288,4 +289,76 @@ func TestSyncPlainRegionStats(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestForkedProcessorPanic: a panic on a forked processor is that
+// processor's error, not the end of the process, and a sync region's
+// other processors do not wait on it forever. The panic is planted after
+// decode: the one instruction only the panicking pid reaches writes a
+// register the file does not have, the shape of engine bug a recover must
+// contain (the decoder rejects such registers in real programs).
+func TestForkedProcessorPanic(t *testing.T) {
+	// plant decodes prog and corrupts main's instruction at pc.
+	plant := func(prog *Program, pc int) *Program {
+		prog.decode()
+		prog.decoded["main"].code[pc].rd = 1 << 20
+		return prog
+	}
+	// DOALL: pid 2 panics, the others run the empty region.
+	doall := func() *Program {
+		return plant(mkProg([]Instr{
+			{Op: OpParBegin},
+			{Op: OpPid, Rd: 10},
+			{Op: OpLdi, Rd: 12, Imm: 2},
+			{Op: OpCmpEq, Rd: 13, Rs1: 10, Rs2: 12},
+			{Op: OpBeqz, Rs1: 13, Sym: "E"},
+			{Op: OpLdi, Rd: 14, Imm: 1}, // pid 2 only
+			// E:
+			{Op: OpParEnd},
+			{Op: OpRet},
+		}, map[string]int{"E": 6}), 5)
+	}
+	// Sync: pid 1 panics before the post that pids 2 and 3 wait on; pid 0
+	// leaves at once, so pid 1 is the lowest erroring pid.
+	syncRegion := func() *Program {
+		return plant(mkProg([]Instr{
+			{Op: OpParBegin},
+			{Op: OpPid, Rd: 10},
+			{Op: OpLdi, Rd: 12, Imm: 1},
+			{Op: OpCmpEq, Rd: 13, Rs1: 10, Rs2: 12},
+			{Op: OpBnez, Rs1: 13, Sym: "B"},
+			{Op: OpBeqz, Rs1: 10, Sym: "E"},
+			{Op: OpWait, Rs1: 12, Rs2: 12}, // cell 1 reaching 1: pid 1's post
+			{Op: OpJmp, Sym: "E"},
+			// B: pid 1
+			{Op: OpLdi, Rd: 14, Imm: 1},
+			{Op: OpPost, Rs1: 12, Rs2: 12},
+			// E:
+			{Op: OpParEnd},
+			{Op: OpRet},
+		}, map[string]int{"B": 8, "E": 10}), 8)
+	}
+	run := func(name string, prog *Program, want string) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			_, err := NewMachine(prog, 4).Run("main")
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want one containing %q", name, err, want)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: the region did not finish", name)
+		}
+	}
+	run("sync", syncRegion(), "processor 1 panicked")
+	old := engineHostParallelism
+	t.Cleanup(func() { engineHostParallelism = old })
+	engineHostParallelism = 1
+	run("doall serialized", doall(), "processor 2 panicked")
+	engineHostParallelism = MaxProcessors
+	run("doall concurrent", doall(), "processor 2 panicked")
 }

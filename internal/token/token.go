@@ -165,15 +165,21 @@ type Pos struct {
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
 // Token is a single lexical token.
+//
+// Text is the token's spelling, with three exceptions: for a StringLit it
+// is the unescaped value, for a CharLit the one decoded byte, and for a
+// Pragma the directive body. Identifier, string-literal and pragma Text is
+// interned by a lexer given an Interner; keyword, operator and number Text
+// is not, and may be a substring of the source, which the token slice can
+// pin because it dies with the parse.
 type Token struct {
 	Kind Kind
-	Text string // raw spelling; for Pragma, the directive body
+	Text string
 	Pos  Pos
 
 	// Decoded literal values, valid per Kind.
 	IntVal   int64   // IntLit, CharLit
 	FloatVal float64 // FloatLit
-	StrVal   string  // StringLit (unescaped)
 }
 
 // String renders the token for diagnostics.
