@@ -17,7 +17,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/diag"
 	"repro/internal/driver"
-	"repro/internal/titan"
 )
 
 // doacrossWorkloads is the recurrence suite: a lag-3 autoregressive
@@ -90,14 +89,16 @@ func TestDoacrossMatchesReferenceAndSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 2, 4} {
-				fast, errF := titan.NewMachine(res.Machine, procs).Run("main")
-				ref, errR := titan.NewMachine(res.Machine, procs).RunReference("main")
-				if errF != nil || errR != nil {
-					t.Fatalf("p=%d: engine err %v, reference err %v", procs, errF, errR)
+			for _, procs := range testProcs {
+				runs, err := engineRuns(res.Machine, procs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if fast != ref {
-					t.Errorf("p=%d: engine %+v != reference %+v", procs, fast, ref)
+				fast := runs[0].Result
+				for _, r := range runs[1:] {
+					if r.Result != fast {
+						t.Errorf("p=%d: engine %+v != %s %+v", procs, fast, r.name, r.Result)
+					}
 				}
 				if fast.ExitCode != serial.ExitCode || fast.Output != serial.Output {
 					t.Errorf("p=%d: exit/output (%d, %q) differs from serial compile (%d, %q)",

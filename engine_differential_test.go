@@ -5,10 +5,11 @@ package repro
 // engine (titan.Machine.Run) must produce a bit-identical Result —
 // cycles, flops, instruction count, exit code, and output — to the
 // reference interpreter (RunReference) at every supported processor
-// count. Run with -race these tests also prove the goroutine-backed
-// parallel regions clean.
+// count, the reference in both of its region orders. Run with -race these
+// tests also prove the goroutine-backed parallel regions clean.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -29,6 +30,42 @@ func eseriesWorkloads() []bench.Workload {
 	}
 }
 
+// testProcs is every processor count the machine supports. 3 is among
+// them because it splits a loop unevenly, which 2 and 4 do not.
+var testProcs = []int{1, 2, 3, 4}
+
+// engineRun is one execution of a program, named for error messages.
+type engineRun struct {
+	name string
+	titan.Result
+}
+
+// engineRuns runs prog's main at procs processors on the fast engine
+// (first) and on the reference engine, at procs > 1 in both region
+// orders. A program whose reversed run differs from the others has a race
+// between processors that its final memory shows.
+func engineRuns(prog *titan.Program, procs int) ([]engineRun, error) {
+	runs := []engineRun{{name: "engine"}, {name: "reference"}, {name: "reversed reference"}}
+	if procs == 1 {
+		runs = runs[:2]
+	}
+	for i := range runs {
+		m := titan.NewMachine(prog, procs)
+		run := m.Run
+		if i > 0 {
+			run = m.RunReference
+		}
+		m.ReverseRegions = i == 2
+		r, err := run("main")
+		m.Release()
+		if err != nil {
+			return nil, fmt.Errorf("p=%d %s: %v", procs, runs[i].name, err)
+		}
+		runs[i].Result = r
+	}
+	return runs, nil
+}
+
 func TestEngineMatchesReferenceOnESeries(t *testing.T) {
 	for _, w := range eseriesWorkloads() {
 		w := w
@@ -38,14 +75,15 @@ func TestEngineMatchesReferenceOnESeries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 2, 4} {
-				fast, errF := titan.NewMachine(res.Machine, procs).Run("main")
-				ref, errR := titan.NewMachine(res.Machine, procs).RunReference("main")
-				if errF != nil || errR != nil {
-					t.Fatalf("p=%d: engine err %v, reference err %v", procs, errF, errR)
+			for _, procs := range testProcs {
+				runs, err := engineRuns(res.Machine, procs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if fast != ref {
-					t.Errorf("p=%d: engine %+v != reference %+v", procs, fast, ref)
+				for _, r := range runs[1:] {
+					if r.Result != runs[0].Result {
+						t.Errorf("p=%d: engine %+v != %s %+v", procs, runs[0].Result, r.name, r.Result)
+					}
 				}
 			}
 		})

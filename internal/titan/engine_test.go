@@ -552,3 +552,41 @@ func binaryPutF64(mem []byte, addr int64, v float64) {
 		mem[addr+int64(i)] = byte(bits >> (8 * i))
 	}
 }
+
+// TestReverseRegionsOrder: every processor stores its pid to one word, a
+// race the last writer wins. The reference engine's round-robin decides
+// the winner — pid p-1 in ascending order, pid 0 under ReverseRegions —
+// and nothing else: both orders retire the same instructions in the same
+// simulated time.
+func TestReverseRegionsOrder(t *testing.T) {
+	prog := mkProg([]Instr{
+		{Op: OpLdi, Rd: 15, Imm: 8192},
+		{Op: OpParBegin},
+		{Op: OpPid, Rd: 10},
+		{Op: OpSt4, Rs1: 15, Rs2: 10},
+		{Op: OpParEnd},
+		{Op: OpLd4, Rd: RegRetInt, Rs1: 15},
+		{Op: OpRet},
+	}, nil)
+	for procs := 2; procs <= MaxProcessors; procs++ {
+		var res [2]Result
+		for i, reverse := range []bool{false, true} {
+			m := NewMachine(prog, procs)
+			m.ReverseRegions = reverse
+			r, err := m.RunReference("main")
+			m.Release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
+		}
+		if res[0].ExitCode != int64(procs-1) || res[1].ExitCode != 0 {
+			t.Errorf("p=%d: last writer %d ascending, %d descending; want %d and 0",
+				procs, res[0].ExitCode, res[1].ExitCode, procs-1)
+		}
+		res[1].ExitCode = res[0].ExitCode
+		if res[0] != res[1] {
+			t.Errorf("p=%d: the order moved simulated time:\n ascending  %+v\n descending %+v", procs, res[0], res[1])
+		}
+	}
+}

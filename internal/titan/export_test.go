@@ -54,8 +54,8 @@ func (m *Machine) Leftover() string {
 		return "processor statistics"
 	case m.out.Len() != 0:
 		return "output"
-	case m.Trace != nil || m.MaxInstrs != 0:
-		return "Trace or MaxInstrs"
+	case m.Trace != nil || m.MaxInstrs != 0 || m.ReverseRegions:
+		return "Trace, MaxInstrs or ReverseRegions"
 	}
 	return ""
 }

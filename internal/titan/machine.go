@@ -166,6 +166,12 @@ type Machine struct {
 	Trace func(string)
 	// MaxInstrs guards against runaway programs (0: default bound).
 	MaxInstrs int64
+	// ReverseRegions makes the reference engine run a parallel region's
+	// processors round-robin in descending pid order, p-1 … 0. Simulated
+	// time does not depend on that host order; only memory written by a
+	// race does, so a program whose result differs between the two
+	// orders has a race between processors. The fast engine ignores it.
+	ReverseRegions bool
 
 	out strings.Builder
 
@@ -1265,7 +1271,7 @@ func (w *waitBlocked) Error() string { return "titan: wait blocked" }
 
 // parallelRegion is the reference execution of [start, end): processors
 // run serialized on the host thread, a deterministic round-robin in pid
-// order, each until it finishes the region or blocks on an unsatisfied
+// order (descending under Machine.ReverseRegions), each until it finishes the region or blocks on an unsatisfied
 // wait (a region without post/wait is one round, every processor run to
 // completion). A full round with no processor retiring anything means no
 // post can ever arrive — deadlock. Per-processor output is buffered and
@@ -1287,7 +1293,11 @@ func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 	}
 	for live := procs; live > 0; {
 		progress := false
-		for pid := range subs {
+		for k := range subs {
+			pid := k
+			if c.m.ReverseRegions {
+				pid = procs - 1 - k
+			}
 			if pcs[pid] < 0 {
 				continue
 			}

@@ -62,6 +62,7 @@ func dirtyPool(t *testing.T, size int64) *titan.Machine {
 	}
 	m.MaxInstrs = 7
 	m.Trace = func(string) {}
+	m.ReverseRegions = true
 	m.Release()
 	return m
 }

@@ -87,17 +87,16 @@ func TestMaskedBitIdenticalToScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, procs := range []int{1, 2, 4} {
-				fast, err := titan.NewMachine(maskedRes.Machine, procs).Run("main")
+			for _, procs := range testProcs {
+				runs, err := engineRuns(maskedRes.Machine, procs)
 				if err != nil {
-					t.Fatalf("p=%d: %v", procs, err)
+					t.Fatal(err)
 				}
-				ref, err := titan.NewMachine(maskedRes.Machine, procs).RunReference("main")
-				if err != nil {
-					t.Fatalf("p=%d reference: %v", procs, err)
-				}
-				if fast != ref {
-					t.Errorf("p=%d: fast engine %+v != reference %+v", procs, fast, ref)
+				fast := runs[0].Result
+				for _, r := range runs[1:] {
+					if r.Result != fast {
+						t.Errorf("p=%d: fast engine %+v != %s %+v", procs, fast, r.name, r.Result)
+					}
 				}
 				if fast.ExitCode != scalar.ExitCode || fast.Output != scalar.Output {
 					t.Errorf("p=%d: masked exit=%d output=%q, scalar exit=%d output=%q",
