@@ -377,16 +377,15 @@ func BasesMayAlias(p *il.Proc, a, b Base, safe bool, opts Options) bool {
 }
 
 // memoryDeps tests every pair of references, a write against itself
-// included: a store whose address does not move with the index writes one
-// location in every iteration (s[0] = s[0] + a[i]), which is an output
-// dependence of the statement on itself at every distance. A moving
-// affine store never meets itself; a non-affine one is not tested yet
-// (ROADMAP 1(f)).
+// included: a store that is not provably moving may write one location in
+// two iterations (s[0] = s[0] + a[i], a[i & 1] = i), which is an output
+// dependence of the statement on itself. Only an affine store that
+// advances by at least its own size per index step never meets itself.
 func (ld *LoopDeps) memoryDeps(p *il.Proc, opts Options) {
 	safe := ld.Loop.Safe
 	for i := range ld.Refs {
 		a := &ld.Refs[i]
-		if a.IsWrite && a.Linear && a.Coef == 0 {
+		if a.IsWrite && (!a.Linear || a.Coef == 0 || abs64(a.Coef) < int64(a.Size)) {
 			ld.Deps = append(ld.Deps, Dep{From: a.StmtIdx, To: a.StmtIdx, Kind: Output, Carried: true})
 		}
 		for j := i + 1; j < len(ld.Refs); j++ {

@@ -281,6 +281,41 @@ void f(float *a, int n) {
 	}
 }
 
+// An IV whose constant step is m times a constant DO step s (|s| > 1)
+// closes to v0 + m·(iv − init), with no division by s: the store address
+// is affine in the DO index with coefficient m·4 bytes.
+func TestIVSubStepMultipleOfDoStep(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		coef       int64
+	}{
+		{"m=1", "for (i = 0; i < n; i += 4) a[i] = 1;", 4},
+		{"m=2", "for (i = 0; i < n; i += 4) { a[j] = 1; j = j + 8; }", 8},
+		{"negative step", "for (i = n; i > 0; i -= 2) { a[j] = 1; j = j + 2; }", -4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := "void f(float *a, int n) {\n\tint i, j;\n\tj = 0;\n\t" + tc.body + "\n}\n"
+			p := runPipeline(t, src, "f")
+			d := firstDoLoop(p.Body)
+			if d == nil {
+				t.Fatalf("no DO loop:\n%s", p)
+			}
+			stores := storesInLoop(p)
+			if len(stores) != 1 {
+				t.Fatalf("stores: %d\n%s", len(stores), p)
+			}
+			addr := stores[0].Dst.(*il.Load).Addr
+			coefs, _, ok := (*il.Arena)(nil).Affine(addr, [2]il.VarID{d.IV, il.NoVar})
+			if !ok || coefs[0] != tc.coef {
+				t.Errorf("address %s: affine %v, coefficient %d; want %d", p.ExprString(addr), ok, coefs[0], tc.coef)
+			}
+			if len(d.Body) != 1 {
+				t.Errorf("the IV update survived:\n%s", p)
+			}
+		})
+	}
+}
+
 func TestIVSubPreservesValueAfterLoop(t *testing.T) {
 	// iv is used after the loop: its update must keep producing the right
 	// final value (the update stays, in closed form).
