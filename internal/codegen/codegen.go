@@ -436,7 +436,7 @@ func (g *gen) assign(to, src il.Expr) error {
 		g.putInt(r)
 		return nil
 	case *il.Load:
-		addr, err := g.evalInt(dst.Addr)
+		addr, disp, err := g.evalAddr(dst.Addr)
 		if err != nil {
 			return err
 		}
@@ -450,7 +450,7 @@ func (g *gen) assign(to, src il.Expr) error {
 			if t.Kind == ctype.Double {
 				op = titan.OpFst8
 			}
-			g.emit(titan.Instr{Op: op, Rs1: addr, Rs2: val})
+			g.emit(titan.Instr{Op: op, Rs1: addr, Rs2: val, Imm: disp})
 			g.putFlt(val)
 		} else {
 			val, err := g.evalInt(src)
@@ -466,7 +466,7 @@ func (g *gen) assign(to, src il.Expr) error {
 			default:
 				op = titan.OpSt4
 			}
-			g.emit(titan.Instr{Op: op, Rs1: addr, Rs2: val})
+			g.emit(titan.Instr{Op: op, Rs1: addr, Rs2: val, Imm: disp})
 			g.putInt(val)
 		}
 		g.putInt(addr)

@@ -510,3 +510,136 @@ int main(void) {
 		t.Errorf("exit %d", r.ExitCode)
 	}
 }
+
+// A constant address term folds into the load's displacement: a[i+3] of
+// a global is one muli of i and one fld4 at &a+12, and a[i-3] is the same
+// at &a-12.
+func TestAddressFoldsIntoDisplacement(t *testing.T) {
+	tp := genProgram(t, `
+float a[100];
+float f(int i) { return a[i+3]; }
+float g(int i) { return a[i-3]; }
+int main(void) { return 0; }
+`)
+	base := tp.GlobalAddr["a"]
+	for _, tc := range []struct {
+		fn   string
+		disp int64
+	}{{"f", base + 12}, {"g", base - 12}} {
+		var muls, loads []titan.Instr
+		for _, in := range tp.Funcs[tc.fn].Instrs {
+			switch in.Op {
+			case titan.OpMuli:
+				muls = append(muls, in)
+			case titan.OpFld4:
+				loads = append(loads, in)
+			case titan.OpMov, titan.OpRet: // the parameter copy and the return
+			default:
+				t.Errorf("%s: address arithmetic left in %s", tc.fn, in)
+			}
+		}
+		if len(muls) != 1 || muls[0].Imm != 4 || len(loads) != 1 ||
+			loads[0].Rs1 != muls[0].Rd || loads[0].Imm != tc.disp {
+			t.Errorf("%s: want muli r, i, 4 and fld4 at %d(r):\n%s", tc.fn, tc.disp, tp.Funcs[tc.fn].Disassemble())
+		}
+	}
+}
+
+// A constant on either side of + or * is an immediate: 4*x is a muli and
+// 3+x an addi, with no ldi of the constant.
+func TestConstantOperandIsImmediate(t *testing.T) {
+	tp := genProgram(t, `
+int h(int x) { return 4*x + (3+x); }
+int main(void) { return h(5); }
+`)
+	ops := map[titan.Op]int64{}
+	for _, in := range tp.Funcs["h"].Instrs {
+		if in.Op == titan.OpLdi {
+			t.Errorf("constant materialized: %s", in)
+		}
+		ops[in.Op] = in.Imm
+	}
+	if ops[titan.OpMuli] != 4 || ops[titan.OpAddi] != 3 {
+		t.Errorf("want muli by 4 and addi of 3:\n%s", tp.Funcs["h"].Disassemble())
+	}
+	if r := runMain(t, tp); r.ExitCode != 28 {
+		t.Errorf("exit %d, want 28", r.ExitCode)
+	}
+}
+
+// Stack arrays and pointer parameters take displacements from a register
+// base too, stores and loads alike, and read back what they wrote.
+func TestDisplacementOffStackAndPointer(t *testing.T) {
+	tp := genProgram(t, `
+float buf[16];
+float s(int i) {
+	float t[8];
+	int k;
+	for (k = 0; k < 8; k++)
+		t[k] = k;
+	t[i+1] = 20.0f;
+	return t[i+1] + t[i-1] + t[7];
+}
+float q(float *p, int i) { p[i+2] = 5.0f; return p[i+2] + p[i-1]; }
+int main(void) {
+	int k;
+	for (k = 0; k < 16; k++)
+		buf[k] = k;
+	return (int)s(3) * 100 + (int)q(buf + 4, 3);
+}
+`)
+	for _, fn := range []string{"s", "q"} {
+		folded := false
+		for _, in := range tp.Funcs[fn].Instrs {
+			folded = folded || in.Op == titan.OpFst4 && in.Imm != 0
+		}
+		if !folded {
+			t.Errorf("%s: no store takes a displacement:\n%s", fn, tp.Funcs[fn].Disassemble())
+		}
+	}
+	if r := runMain(t, tp); r.ExitCode != 2911 {
+		t.Errorf("exit %d, want 2911", r.ExitCode)
+	}
+}
+
+// Vector memory ops have no displacement (their immediate is the element
+// kind), so a vector base keeps its constant terms in the register.
+func TestVectorBaseKeepsItsOffset(t *testing.T) {
+	p := il.NewProc("main", ctype.IntType)
+	prog := &il.Program{Procs: []*il.Proc{p}}
+	ft := ctype.ArrayOf(ctype.FloatType, 16)
+	prog.AddGlobal(il.GlobalVar{Name: "a", Type: ft})
+	prog.AddGlobal(il.GlobalVar{Name: "b", Type: ft})
+	av := p.AddVar(il.Var{Name: "a", Type: ft, Class: il.ClassGlobal})
+	bv := p.AddVar(il.Var{Name: "b", Type: ft, Class: il.ClassGlobal})
+	pt := ctype.PointerTo(ctype.FloatType)
+	at := func(v il.VarID, off int64) il.Expr {
+		return heap.Add(&il.AddrOf{ID: v, T: pt}, heap.Int(off), pt)
+	}
+	p.Body = []il.Stmt{
+		// b[2..9] = 3; a[3..10] = b[2..9] * 2
+		&il.VectorAssign{DstBase: at(bv, 8), DstStride: heap.Int(4), Len: heap.Int(8), Elem: ctype.FloatType,
+			RHS: &il.ConstFloat{Val: 3, T: ctype.FloatType}},
+		&il.VectorAssign{DstBase: at(av, 12), DstStride: heap.Int(4), Len: heap.Int(8), Elem: ctype.FloatType,
+			RHS: &il.Bin{Op: il.OpMul,
+				L: &il.VecRef{Base: at(bv, 8), Stride: heap.Int(4), T: ctype.FloatType},
+				R: &il.ConstFloat{Val: 2, T: ctype.FloatType},
+				T: ctype.FloatType}},
+		// a[10] * 10 + a[2]: 60 when both bases kept their offsets.
+		&il.Return{Val: &il.Cast{T: ctype.IntType, X: heap.Add(
+			heap.Mul(heap.Load(at(av, 40), ctype.FloatType, false), &il.ConstFloat{Val: 10, T: ctype.FloatType}, ctype.FloatType),
+			heap.Load(at(av, 8), ctype.FloatType, false), ctype.FloatType)}},
+	}
+	tp, err := Generate(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range tp.Funcs["main"].Instrs {
+		if (in.Op == titan.OpVld || in.Op == titan.OpVst) && in.Imm != elemKind(ctype.FloatType) {
+			t.Errorf("%s: immediate %d is not the element kind", in, in.Imm)
+		}
+	}
+	if r := runMain(t, tp); r.ExitCode != 60 {
+		t.Errorf("exit %d, want 60:\n%s", r.ExitCode, tp.Funcs["main"].Disassemble())
+	}
+}

@@ -70,7 +70,7 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 		}
 		return r, nil
 	case *il.Load:
-		addr, err := g.evalInt(n.Addr)
+		addr, disp, err := g.evalAddr(n.Addr)
 		if err != nil {
 			return 0, err
 		}
@@ -84,7 +84,7 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 			if n.T.Kind == ctype.Double {
 				op = titan.OpFld8
 			}
-			g.emit(titan.Instr{Op: op, Rd: fr, Rs1: addr})
+			g.emit(titan.Instr{Op: op, Rd: fr, Rs1: addr, Imm: disp})
 			g.putInt(addr)
 			r, err := g.getInt()
 			if err != nil {
@@ -107,7 +107,7 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 		default:
 			op = titan.OpLd4
 		}
-		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr})
+		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr, Imm: disp})
 		g.putInt(addr)
 		// Narrow unsigned loads zero-extend (the memory ops sign-extend).
 		if n.T.Unsigned && n.T.Size() < 4 {
@@ -158,6 +158,117 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 		return r, nil
 	}
 	return 0, errf("cannot evaluate %T in integer context", e)
+}
+
+// immOperand splits an integer +, - or * with a constant operand into the
+// other operand and the constant; the constant of - must be on the right.
+func immOperand(n *il.Bin) (x il.Expr, c int64, ok bool) {
+	if n.Op != il.OpAdd && n.Op != il.OpSub && n.Op != il.OpMul {
+		return nil, 0, false
+	}
+	if c, ok := il.IsIntConst(n.R); ok {
+		return n.L, c, true
+	}
+	if c, ok := il.IsIntConst(n.L); ok && n.Op != il.OpSub {
+		return n.R, c, true
+	}
+	return nil, 0, false
+}
+
+// evalAddr evaluates the address of a load or store for the Titan's
+// rs1+imm form: the returned register plus the displacement is addr. The
+// constant terms and global addresses of addr fold into the displacement,
+// and a constant scale distributes over a constant offset, so &a + 4*(i+3)
+// is one muli of i by 4 at displacement &a+12. An address that is all
+// constant is materialized whole, at displacement 0.
+func (g *gen) evalAddr(addr il.Expr) (int, int64, error) {
+	r, disp, err := g.addrParts(addr)
+	if err != nil || r >= 0 {
+		return r, disp, err
+	}
+	if r, err = g.getInt(); err != nil {
+		return 0, 0, err
+	}
+	g.emit(titan.Instr{Op: titan.OpLdi, Rd: r, Imm: disp})
+	return r, 0, nil
+}
+
+// addrParts splits the integer expression e into a register (-1: none)
+// plus a constant. Registers are 64 bits and so is the address
+// arithmetic, so moving constants across + and * never changes the sum.
+func (g *gen) addrParts(e il.Expr) (int, int64, error) {
+	switch n := e.(type) {
+	case *il.ConstInt:
+		return -1, n.Val, nil
+	case *il.AddrOf:
+		switch loc := g.locs[n.ID]; loc.kind {
+		case locGlobal:
+			return -1, loc.off, nil
+		case locStack:
+			return regSP, loc.off, nil
+		}
+	case *il.Cast:
+		if !isFloatType(n.X.Type()) {
+			return g.addrParts(n.X) // integer casts generate nothing
+		}
+	case *il.Bin:
+		switch n.Op {
+		case il.OpAdd:
+			return g.addrSum(n)
+		case il.OpSub:
+			if c, ok := il.IsIntConst(n.R); ok {
+				r, d, err := g.addrParts(n.L)
+				return r, d - c, err
+			}
+		case il.OpMul:
+			if x, c, ok := immOperand(n); ok {
+				r, d, err := g.addrParts(x)
+				if err != nil || r < 0 {
+					return r, c * d, err
+				}
+				m, err := g.getInt()
+				if err != nil {
+					return 0, 0, err
+				}
+				g.emit(titan.Instr{Op: titan.OpMuli, Rd: m, Rs1: r, Imm: c})
+				g.putInt(r)
+				return m, c * d, nil
+			}
+		}
+	}
+	r, err := g.evalInt(e)
+	return r, 0, err
+}
+
+// addrSum is addrParts of l + r: the deeper operand first, as binInt
+// orders them, and one add when both leave a register.
+func (g *gen) addrSum(n *il.Bin) (int, int64, error) {
+	first, second := n.L, n.R
+	if depth(n.R) > depth(n.L) {
+		first, second = n.R, n.L
+	}
+	a, da, err := g.addrParts(first)
+	if err != nil {
+		return 0, 0, err
+	}
+	b, db, err := g.addrParts(second)
+	if err != nil {
+		return 0, 0, err
+	}
+	switch {
+	case a < 0:
+		return b, da + db, nil
+	case b < 0:
+		return a, da + db, nil
+	}
+	d, err := g.getInt()
+	if err != nil {
+		return 0, 0, err
+	}
+	g.emit(titan.Instr{Op: titan.OpAdd, Rd: d, Rs1: a, Rs2: b})
+	g.putInt(a)
+	g.putInt(b)
+	return d, da + db, nil
 }
 
 // isUnsigned reports whether an expression's C type is unsigned.
@@ -221,9 +332,11 @@ func (g *gen) binInt(n *il.Bin) (int, error) {
 		return d, nil
 	}
 
-	// x + const and x * const use immediate forms.
-	if c, ok := il.IsIntConst(n.R); ok && (n.Op == il.OpAdd || n.Op == il.OpSub || n.Op == il.OpMul) {
-		l, err := g.evalInt(n.L)
+	// x + const and x * const use immediate forms, and so do const + x
+	// and const * x.
+	x, c, ok := immOperand(n)
+	if ok {
+		l, err := g.evalInt(x)
 		if err != nil {
 			return 0, err
 		}
@@ -413,7 +526,7 @@ func (g *gen) evalFlt(e il.Expr) (int, error) {
 			g.putInt(ir)
 			return r, nil
 		}
-		addr, err := g.evalInt(n.Addr)
+		addr, disp, err := g.evalAddr(n.Addr)
 		if err != nil {
 			return 0, err
 		}
@@ -425,7 +538,7 @@ func (g *gen) evalFlt(e il.Expr) (int, error) {
 		if n.T.Kind == ctype.Double {
 			op = titan.OpFld8
 		}
-		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr})
+		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr, Imm: disp})
 		g.putInt(addr)
 		return r, nil
 	case *il.Bin:
