@@ -69,43 +69,6 @@ func goldenUnits(t *testing.T) []bench.Workload {
 	return units
 }
 
-// deadDecisions lists, per unit (at either processor count), the loops the
-// golden has a decision for that the tuner no longer examines: they sit in the
-// out-of-line copy of a procedure whose every call was inlined, which is
-// unreachable from the entry and never runs. The golden was generated at
-// the commit before the tuner learned to skip them; every other decision
-// in it must still be reproduced exactly.
-var deadDecisions = map[string][]schedule.LoopKey{
-	"testdata/backsolve.c":              {{Proc: "backsolve", Line: 13, Col: 2}},
-	"testdata/clip.c":                   {{Proc: "clip", Line: 8, Col: 2}},
-	"testdata/copyloop.c":               {{Proc: "copyloop", Line: 7, Col: 2}},
-	"testdata/daxpy.c":                  {{Proc: "daxpy", Line: 10, Col: 2}},
-	"benchmark/programs/backsolve.c":    {{Proc: "backsolve", Line: 15, Col: 2}},
-	"benchmark/programs/clip.c":         {{Proc: "clip", Line: 11, Col: 2}},
-	"benchmark/programs/copyloop.c":     {{Proc: "copyloop", Line: 9, Col: 2}},
-	"benchmark/programs/daxpy.c":        {{Proc: "daxpy", Line: 14, Col: 2}},
-	"benchmark/programs/lagrec3.c":      {{Proc: "lagrec", Line: 12, Col: 2}},
-	"benchmark/programs/reverseaxpy.c":  {{Proc: "raxpy", Line: 12, Col: 2}},
-	"benchmark/programs/smooth8.c":      {{Proc: "smooth", Line: 12, Col: 2}},
-	"benchmark/programs/sparsesaxpy.c":  {{Proc: "ssaxpy", Line: 11, Col: 2}},
-	"benchmark/programs/threshacc.c":    {{Proc: "thresh", Line: 10, Col: 2}},
-	"benchmark/programs/transform4x4.c": {{Proc: "transform", Line: 21, Col: 4}, {Proc: "transform", Line: 26, Col: 3}},
-	"benchmark/programs/vectoradd.c":    {{Proc: "vadd", Line: 10, Col: 2}},
-	"benchmark/programs/wavefront.c":    {{Proc: "wave", Line: 11, Col: 2}},
-	"bench/backsolve":                   {{Proc: "backsolve", Line: 10, Col: 2}},
-	"bench/daxpy":                       {{Proc: "daxpy", Line: 10, Col: 2}},
-	"bench/copyloop":                    {{Proc: "copyloop", Line: 6, Col: 2}},
-	"bench/reverseaxpy":                 {{Proc: "raxpy", Line: 8, Col: 2}},
-	"bench/vectoradd":                   {{Proc: "vadd", Line: 7, Col: 2}},
-	"bench/transform4x4":                {{Proc: "transform", Line: 16, Col: 4}, {Proc: "transform", Line: 20, Col: 3}},
-	"bench/lagrec3":                     {{Proc: "lagrec", Line: 7, Col: 2}},
-	"bench/smooth8":                     {{Proc: "smooth", Line: 7, Col: 2}},
-	"bench/wavefront":                   {{Proc: "wave", Line: 7, Col: 2}},
-	"bench/clip":                        {{Proc: "clip", Line: 7, Col: 2}},
-	"bench/threshacc":                   {{Proc: "thresh", Line: 7, Col: 2}},
-	"bench/sparsesaxpy":                 {{Proc: "ssaxpy", Line: 7, Col: 2}},
-}
-
 func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
 	t.Helper()
 	res, err := tune.Tune(u.Src, driver.FullOptions(), tune.Config{Processors: procs})
@@ -122,7 +85,7 @@ func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
 // 1 and 4 processors. The golden was generated at the last commit whose
 // tuner compiled every candidate from source, so it stands in for that
 // deleted path: a change to how candidates are measured must not change
-// what is decided. UPDATE_GOLDEN=1 rewrites it (empty deadDecisions then).
+// what is decided. UPDATE_GOLDEN=1 rewrites it.
 func TestDecisionsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dozens of full searches")
@@ -195,28 +158,6 @@ func TestDecisionsGolden(t *testing.T) {
 			t.Errorf("%s: tuner regressed: tuned %d > default %d cycles", id, w.TunedCycles, w.DefaultCycles)
 		}
 		g := searchFor(t, units[i/2], w.Processors)
-		// Drop the listed dead-procedure decisions from the golden side;
-		// their candidates were never measured on this side either.
-		dead := map[schedule.LoopKey]bool{}
-		for _, k := range deadDecisions[w.Name] {
-			dead[k] = true
-		}
-		var live []tune.Decision
-		deadCandidates := 0
-		for _, d := range w.Decisions {
-			if dead[d.Loop] {
-				if !d.Schedule.IsDefault() {
-					t.Errorf("%s: golden adopted %s for dead loop %+v; it cannot be excepted", id, d.Schedule, d.Loop)
-				}
-				deadCandidates += d.Candidates
-				delete(dead, d.Loop)
-				continue
-			}
-			live = append(live, d)
-		}
-		for k := range dead {
-			t.Errorf("%s: deadDecisions lists %+v, which the golden has no decision for", id, k)
-		}
 		gs, _ := json.Marshal(g.Schedules)
 		ws, _ := json.Marshal(w.Schedules)
 		if string(gs) != string(ws) {
@@ -226,15 +167,14 @@ func TestDecisionsGolden(t *testing.T) {
 			t.Errorf("%s: cycles default %d tuned %d, golden %d and %d", id,
 				g.DefaultCycles, g.TunedCycles, w.DefaultCycles, w.TunedCycles)
 		}
-		if !reflect.DeepEqual(g.Decisions, live) {
-			t.Errorf("%s: decisions\n  got    %+v\n  golden %+v", id, g.Decisions, live)
+		if !reflect.DeepEqual(g.Decisions, w.Decisions) {
+			t.Errorf("%s: decisions\n  got    %+v\n  golden %+v", id, g.Decisions, w.Decisions)
 		}
 		if g.simulated != simulated[id] {
 			t.Errorf("%s: simulated %d programs, golden %d", id, g.simulated, simulated[id])
 		}
-		if g.Measured != w.Measured-deadCandidates {
-			t.Errorf("%s: measured %d candidates, golden %d less %d for dead loops", id,
-				g.Measured, w.Measured, deadCandidates)
+		if g.Measured != w.Measured {
+			t.Errorf("%s: measured %d candidates, golden %d", id, g.Measured, w.Measured)
 		}
 	}
 }
