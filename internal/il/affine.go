@@ -3,10 +3,10 @@ package il
 // This file is the one home of the loop-analysis normal form (§5): an
 // address or subscript as  rest + coef·iv,  with rest free of the index.
 // Affine finds the form as a tree; LinearTerms flattens an index-free sum
-// into constant + Σ coef·term. Dependence analysis, the vectorizer,
-// strength reduction and the nest parallelizer all derive from the pair;
-// what each demands of rest on top (load-free, one root, unit
-// coefficients) is the consumer's own rule, applied after the descent.
+// into constant + Σ coef·term. Dependence analysis (of loops and of
+// 2-nests), the vectorizer and strength reduction all derive from the
+// pair; what each demands of rest on top (load-free, one root) is the
+// consumer's own rule, applied after the descent.
 
 // Affine decomposes e over the loop indices ivs (the second NoVar when
 // there is one loop):  e = rest + coefs[0]·ivs[0] + coefs[1]·ivs[1],  with

@@ -3,6 +3,7 @@ package parallel
 import (
 	"testing"
 
+	"repro/internal/depend"
 	"repro/internal/il"
 )
 
@@ -31,7 +32,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	st := ParallelizeNests(p, nil)
+	st := ParallelizeNests(p, depend.Options{}, nil)
 	if st.NestsParallelized != 1 {
 		t.Fatalf("nests: %d\n%s", st.NestsParallelized, p)
 	}
@@ -72,7 +73,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("overlapping nest parallelized:\n%s", p)
 	}
 }
@@ -90,7 +91,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("column-major store parallelized:\n%s", p)
 	}
 }
@@ -108,7 +109,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("reduction nest parallelized:\n%s", p)
 	}
 }
@@ -126,7 +127,7 @@ void f(int n) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("runtime-bound nest parallelized:\n%s", p)
 	}
 }
@@ -144,7 +145,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 1 {
 		t.Fatalf("transpose-copy nest not parallelized:\n%s", p)
 	}
 }
@@ -163,7 +164,7 @@ void f(float *a) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 1 {
 		t.Fatalf("single-pointer nest not parallelized:\n%s", p)
 	}
 }
@@ -181,7 +182,7 @@ void f(float *a, float *b) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("aliasing pointer nest parallelized:\n%s", p)
 	}
 }
@@ -203,7 +204,7 @@ float f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 0 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 0 {
 		t.Fatalf("outer-carried scalar reduction parallelized:\n%s", p)
 	}
 }
@@ -225,7 +226,7 @@ void f(void) {
 `
 	prog := compileProg(t, src)
 	p := prog.Proc("f")
-	if st := ParallelizeNests(p, nil); st.NestsParallelized != 1 {
+	if st := ParallelizeNests(p, depend.Options{}, nil); st.NestsParallelized != 1 {
 		t.Fatalf("row-sum nest not parallelized:\n%s", p)
 	}
 }

@@ -38,7 +38,7 @@ func BuildPipeline(opts Options) []Pass {
 		// Loop nests parallelize at the outer level before the vectorizer
 		// rewrites the inner loops (§2's outer-parallel/inner-vector
 		// pattern).
-		ps = append(ps, &nestPass{})
+		ps = append(ps, &nestPass{dopts: dopts})
 	}
 	if opts.Vectorize {
 		// If-conversion flattens guarded stores to predicated statements so
@@ -129,13 +129,13 @@ func (sp *scalarPass) Run(prog *il.Program, ctx *Context) error {
 }
 
 // nestPass parallelizes the outer loops of independent 2-level nests.
-type nestPass struct{}
+type nestPass struct{ dopts depend.Options }
 
 func (*nestPass) Name() string { return PassNest }
 
-func (*nestPass) Run(prog *il.Program, ctx *Context) error {
+func (np *nestPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, ctx.workers(), func(p *il.Proc) parallel.NestStats {
-		return parallel.ParallelizeNests(p, ctx.Diags)
+		return parallel.ParallelizeNests(p, np.dopts, ctx.Diags)
 	}) {
 		ctx.Report.Nest.Add(st)
 	}

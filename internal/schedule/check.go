@@ -21,10 +21,9 @@ import (
 //     nonzero step and an all-Assign body, so body replicas can be
 //     stamped out with IV+j·step substitution.
 //   - Interchange requires a perfect two-level nest with rectangular
-//     bounds (inner bounds invariant in the outer IV) where neither
-//     level carries a dependence over the innermost statements — every
-//     direction vector is (=,=), so the swap trivially preserves all
-//     dependences.
+//     bounds (inner bounds invariant in the outer IV) and no dependence
+//     whose direction is or may be (<,>), the one direction vector the
+//     swap reverses.
 //
 // The phases keep their own guards as well; Check is the tuner's and
 // the service's gate, not the only line of defense.
@@ -93,10 +92,15 @@ func Check(p *il.Proc, loop *il.DoLoop, s Schedule, ac *analysis.Cache, opts dep
 }
 
 // CheckInterchange verifies loop is a perfect rectangular two-level nest
-// whose innermost statements carry no dependence over either index.
+// that no dependence forbids swapping: one with direction (<,>) would run
+// its sink before its source once the inner loop is outermost, so no edge
+// of the nest's graph is, or may be, (<,>).
 func CheckInterchange(p *il.Proc, loop *il.DoLoop, opts depend.Options) error {
-	inner, ok := perfectNestInner(loop)
-	if !ok {
+	var inner *il.DoLoop // the outer body must be exactly the inner loop
+	if len(loop.Body) == 1 {
+		inner, _ = loop.Body[0].(*il.DoLoop)
+	}
+	if inner == nil {
 		return fmt.Errorf("schedule: interchange illegal: loop is not a perfect two-level nest")
 	}
 	for _, e := range []il.Expr{inner.Init, inner.Limit, inner.Step} {
@@ -104,33 +108,15 @@ func CheckInterchange(p *il.Proc, loop *il.DoLoop, opts depend.Options) error {
 			return fmt.Errorf("schedule: interchange illegal: inner bounds depend on the outer index (triangular nest)")
 		}
 	}
-	if _, ok := loop.Step.(*il.ConstInt); !ok {
-		return fmt.Errorf("schedule: interchange illegal: outer step is not constant")
+	_, constStep := loop.Step.(*il.ConstInt)
+	nd := depend.AnalyzeNest(p, loop, opts)
+	if !constStep || nd == nil {
+		return fmt.Errorf("schedule: interchange illegal: a step is not constant or the body is not all assignments")
 	}
-	if _, ok := inner.Step.(*il.ConstInt); !ok {
-		return fmt.Errorf("schedule: interchange illegal: inner step is not constant")
-	}
-	// Dependences over the inner index, then over the outer index: the
-	// latter via a synthetic loop iterating the outer IV directly over
-	// the innermost statements. Synthetic loops are never cached — their
-	// identity is fresh each call.
-	if d := depend.AnalyzeLoop(p, inner, opts).Carried(); d != nil {
-		return fmt.Errorf("schedule: interchange illegal: inner-carried dependence %s", d)
-	}
-	outerView := &il.DoLoop{IV: loop.IV, Init: loop.Init, Limit: loop.Limit,
-		Step: loop.Step, Body: inner.Body, Safe: loop.Safe || inner.Safe, Pos: loop.Pos}
-	if d := depend.AnalyzeLoop(p, outerView, opts).Carried(); d != nil {
-		return fmt.Errorf("schedule: interchange illegal: outer-carried dependence %s", d)
+	for _, d := range nd.Deps {
+		if d.Dir[0]&depend.LT != 0 && d.Dir[1]&depend.GT != 0 {
+			return fmt.Errorf("schedule: interchange illegal: dependence %s would be reversed", d.String())
+		}
 	}
 	return nil
-}
-
-// perfectNestInner returns the inner loop of a perfect two-level nest:
-// the outer body must be exactly the inner DoLoop.
-func perfectNestInner(loop *il.DoLoop) (*il.DoLoop, bool) {
-	if len(loop.Body) != 1 {
-		return nil, false
-	}
-	inner, ok := loop.Body[0].(*il.DoLoop)
-	return inner, ok
 }

@@ -99,7 +99,10 @@ void f(int n)
 `
 
 // repeatNestSrc is a perfect rectangular nest whose store does not move
-// with the outer index: every r writes all of a[].
+// with the outer index: every r writes all of a[], a dependence of
+// direction (<,=) that interchange keeps. diagonalNestSrc's dependence
+// has direction (<,>): interchanged, a[i-1][j+1] would be read before
+// it is written.
 const repeatNestSrc = `
 float a[16], b[16];
 void f(void)
@@ -108,6 +111,17 @@ void f(void)
 	for (r = 0; r < 4; r++)
 		for (j = 0; j < 16; j++)
 			a[j] = b[j] * 2.0f;
+}
+`
+
+const diagonalNestSrc = `
+float a[16][16];
+void f(void)
+{
+	int i, j;
+	for (i = 1; i < 16; i++)
+		for (j = 0; j < 15; j++)
+			a[i][j] = a[i-1][j+1];
 }
 `
 
@@ -199,8 +213,8 @@ func TestCheckUnroll(t *testing.T) {
 	}
 }
 
-// TestCheckInterchange: only perfect rectangular 2-nests with
-// direction-free dependence interchange.
+// TestCheckInterchange: only perfect rectangular 2-nests interchange,
+// and only when no dependence has direction (<,>).
 func TestCheckInterchange(t *testing.T) {
 	ic := schedule.Schedule{VL: 32, Unroll: 1, Interchange: true}
 
@@ -220,8 +234,13 @@ func TestCheckInterchange(t *testing.T) {
 	}
 
 	p, loops = loopsOf(t, repeatNestSrc, "f")
-	if err := check(p, loops[0], ic); err == nil || !strings.Contains(err.Error(), "outer-carried dependence") {
-		t.Errorf("nest whose store does not move with the outer index: %v, want an outer-carried dependence", err)
+	if err := check(p, loops[0], ic); err != nil {
+		t.Errorf("nest whose store does not move with the outer index, direction (<,=): %v", err)
+	}
+
+	p, loops = loopsOf(t, diagonalNestSrc, "f")
+	if err := check(p, loops[0], ic); err == nil || !strings.Contains(err.Error(), "S0 -flow (<,>)-> S0") {
+		t.Errorf("nest with a (<,>) dependence: %v, want it refused naming S0 -flow (<,>)-> S0", err)
 	}
 }
 

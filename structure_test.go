@@ -16,8 +16,6 @@ import (
 var literalAllowed = []struct{ file, node, why string }{
 	{"internal/inline/catalog.go", "*",
 		"catalog decode: a decoded procedure owns no arena by contract; its body is cloned into the caller's arena at expansion"},
-	{"internal/schedule/check.go", "DoLoop",
-		"CheckInterchange's outer-index view: a loop header over the inner loop's body, handed to depend and dropped; it never enters a procedure"},
 }
 
 // parseIL parses package il's non-test files.
