@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/il"
 	"repro/internal/pass"
@@ -50,7 +51,7 @@ func TestArenaSavesAllocations(t *testing.T) {
 }
 
 // TestArenaTailWaste pins the arena's chunk geometry (il/arena.go): over
-// each compile of the testdata corpus and of manyProcsUnit, at scalar and
+// each compile of the testdata corpus and of bench.ManyProcs, at scalar and
 // full options, the chunk capacity the procedures' arenas hold but no node
 // fills stays within 1.25× the bytes of the nodes themselves. Doubling
 // chunks alone strand up to about the nodes' own size; the rest is the
@@ -62,7 +63,7 @@ func TestArenaTailWaste(t *testing.T) {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no programs match testdata/*.c (%v)", err)
 	}
-	srcs := map[string]string{"manyprocs": manyProcsUnit()}
+	srcs := map[string]string{"manyprocs": bench.ManyProcs().Src}
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {

@@ -9,7 +9,6 @@ package repro
 // workloads, so a stale cache entry that survives a rewrite cannot hide.
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -37,19 +36,12 @@ func evalWorkloads() []bench.Workload {
 }
 
 // compileAndSimulate compiles src under opts with the given analysis
-// cache (nil = caching off) and, when simulate is set, runs the result,
-// returning the compile artifacts and the simulation outcome.
-func compileAndSimulate(t *testing.T, src string, opts driver.Options, ac *analysis.Cache, simulate bool) (*driver.Result, titan.Result) {
+// cache (nil = caching off) and runs the result, returning the compile
+// artifacts and the simulation outcome.
+func compileAndSimulate(t *testing.T, src string, opts driver.Options, ac *analysis.Cache) (*driver.Result, titan.Result) {
 	t.Helper()
 	ctx := pass.NewContext()
 	ctx.Analysis = ac
-	if !simulate {
-		res, err := driver.CompileILWith(src, opts, ctx)
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
-		return res, titan.Result{}
-	}
 	res, err := driver.CompileWith(src, opts, ctx)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -66,19 +58,16 @@ func compileAndSimulate(t *testing.T, src string, opts driver.Options, ac *analy
 // bit-identical IL, identical phase stats, and identical simulated
 // cycles on every evaluation workload under both the scalar and the
 // full configuration. Beyond the E-series, the corpus has many procedures
-// with while→DO splices (raceProgram), a masked loop (clip), a DOACROSS
+// with while→DO splices (bench.RaceProgram), a masked loop (clip), a DOACROSS
 // loop (lagrec3) and a unit in the benchmark's compile shapes
-// (manyProcsUnit), so shape-keyed chains that outlive copy and constant
+// (bench.ManyProcs), so shape-keyed chains that outlive copy and constant
 // propagation meet every later phase. The cache re-solves a stale
 // procedure into its old solution's storage and the uncached run solves
 // into fresh storage every time, so this also compares recycled storage
-// against fresh. race12/full stops at the IL: with its 24 loops inlined
-// into main, codegen runs out of loop registers (ROADMAP item 4), with or
-// without the cache.
+// against fresh.
 func TestCacheDifferentialIdentical(t *testing.T) {
 	workloads := append(evalWorkloads(), bench.Clip(256), bench.LagRecurrence(256),
-		bench.Workload{Name: "race12", Src: raceProgram(12)},
-		bench.Workload{Name: "manyprocs", Src: manyProcsUnit()})
+		bench.RaceProgram(12), bench.ManyProcs())
 	configs := []struct {
 		name string
 		opts driver.Options
@@ -89,9 +78,8 @@ func TestCacheDifferentialIdentical(t *testing.T) {
 	for _, w := range workloads {
 		for _, cfg := range configs {
 			t.Run(w.Name+"/"+cfg.name, func(t *testing.T) {
-				simulate := w.Name != "race12" || cfg.name == "scalar"
-				on, ron := compileAndSimulate(t, w.Src, cfg.opts, analysis.NewCache(), simulate)
-				off, roff := compileAndSimulate(t, w.Src, cfg.opts, nil, simulate)
+				on, ron := compileAndSimulate(t, w.Src, cfg.opts, analysis.NewCache())
+				off, roff := compileAndSimulate(t, w.Src, cfg.opts, nil)
 
 				if got, want := on.IL.String(), off.IL.String(); got != want {
 					t.Errorf("IL differs with cache on:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
@@ -127,34 +115,6 @@ func TestCacheDifferentialIdentical(t *testing.T) {
 	}
 }
 
-// raceProgram builds one source with n independent loop procedures so the
-// pass manager's worker pool analyzes many procedures concurrently
-// against one shared cache.
-func raceProgram(n int) string {
-	var sb []byte
-	sb = fmt.Appendf(sb, "float a[256], b[256], c[256];\n")
-	for i := 0; i < n; i++ {
-		sb = fmt.Appendf(sb, `
-void k%d(int n)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		a[i] = b[i] * %d.0f + c[i];
-	while (n) {
-		c[n-1] = a[n-1] + b[n-1];
-		n--;
-	}
-}
-`, i, i+1)
-	}
-	sb = fmt.Appendf(sb, "\nint main(void)\n{\n")
-	for i := 0; i < n; i++ {
-		sb = fmt.Appendf(sb, "\tk%d(64);\n", i)
-	}
-	sb = fmt.Appendf(sb, "\treturn 0;\n}\n")
-	return string(sb)
-}
-
 // TestAnalysisCacheConcurrent hammers one shared analysis cache through
 // the pass manager's worker pool: a program with many loop procedures,
 // compiled repeatedly with a wide worker pool, plus several whole
@@ -162,7 +122,7 @@ void k%d(int n)
 // check for the cache's locking; under plain `go test` it still verifies
 // the concurrent result matches the serial one.
 func TestAnalysisCacheConcurrent(t *testing.T) {
-	src := raceProgram(12)
+	src := bench.RaceProgram(12).Src
 	opts := driver.FullOptions()
 
 	serial := func() string {

@@ -20,6 +20,16 @@ var heap *il.Arena
 // tests see codegen's own output.
 func genProgram(t *testing.T, src string) *titan.Program {
 	t.Helper()
+	tp, err := Generate(lowerProgram(t, src))
+	if err != nil {
+		t.Fatalf("codegen: %v", err)
+	}
+	return tp
+}
+
+// lowerProgram lowers source to IL, unoptimized.
+func lowerProgram(t *testing.T, src string) *il.Program {
+	t.Helper()
 	f, err := parser.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
@@ -32,11 +42,7 @@ func genProgram(t *testing.T, src string) *titan.Program {
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
-	tp, err := Generate(prog)
-	if err != nil {
-		t.Fatalf("codegen: %v", err)
-	}
-	return tp
+	return prog
 }
 
 func runMain(t *testing.T, tp *titan.Program) titan.Result {

@@ -7,6 +7,7 @@ package repro
 // what unoptimized scalar code exits with.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/il"
 	"repro/internal/pass"
 	"repro/internal/schedule"
+	"repro/internal/titan"
 	"repro/internal/token"
 )
 
@@ -274,6 +276,80 @@ int main(void)
 			wantUnspreadStore(t, res, "a")
 		},
 	},
+	{
+		// A scalar without a register is one frame slot, and every
+		// processor of a do parallel region runs on the forker's frame:
+		// a scalar the region keeps private is shared there. Sixteen
+		// locals live across the nests used to crowd the nests' scalars
+		// out of the register file, and the fast engine exited 150, 186,
+		// 188, 5, 54, 75, 76 or 98 in 8 of 15 runs at p=2..4 where -O0
+		// exits 84. Its race is not deterministic, so the frame accesses
+		// are asserted too.
+		name: "codegen-region-scalar-frame-slot",
+		src: `
+float m[64][4], v[64][4];
+int g[16];
+
+int main(void)
+{
+	int i, j, chk;
+	int x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15;
+	for (i = 0; i < 16; i++)
+		g[i] = 3 * i + 1;
+	x0 = g[0];
+	x1 = g[1];
+	x2 = g[2];
+	x3 = g[3];
+	x4 = g[4];
+	x5 = g[5];
+	x6 = g[6];
+	x7 = g[7];
+	x8 = g[8];
+	x9 = g[9];
+	x10 = g[10];
+	x11 = g[11];
+	x12 = g[12];
+	x13 = g[13];
+	x14 = g[14];
+	x15 = g[15];
+	for (i = 0; i < 64; i++)
+		for (j = 0; j < 4; j++)
+			v[i][j] = i + j;
+	for (i = 0; i < 64; i++)
+		for (j = 0; j < 4; j++)
+			m[i][j] = v[i][j] * 2.0f;
+	chk = 0;
+	for (i = 0; i < 64; i++)
+		for (j = 0; j < 4; j++)
+			chk = (chk + (int)m[i][j] * (j + 1)) % 65521;
+	return (chk + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10 + x11 + x12 + x13 + x14 + x15) % 251;
+}
+`,
+		opts: []driver.Options{{OptLevel: 1, Parallelize: true, StrengthReduce: true}},
+		check: func(t *testing.T, res *driver.Result, _ []diag.Diagnostic, _ *il.DoLoop) {
+			wantRegionsOffFrame(t, res)
+		},
+	},
+}
+
+// wantRegionsOffFrame asserts that no instruction of main between a
+// par.begin and its par.end reads the stack pointer: every processor of
+// the region would reach the same frame.
+func wantRegionsOffFrame(t *testing.T, res *driver.Result) {
+	t.Helper()
+	sp := titan.Ref{File: titan.IntReg, Num: titan.RegSP}
+	inRegion := false
+	for _, in := range res.Machine.Funcs["main"].Instrs {
+		refs := in.Refs()
+		switch {
+		case in.Op == titan.OpParBegin:
+			inRegion = true
+		case in.Op == titan.OpParEnd:
+			inRegion = false
+		case inRegion && slices.Contains(refs.Uses(), sp):
+			t.Errorf("%s addresses the frame inside a do parallel region", in)
+		}
+	}
 }
 
 // wantSerialStore asserts that the loop of main at line stores to a fixed
