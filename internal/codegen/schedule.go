@@ -1,16 +1,17 @@
 package codegen
 
 // This file implements §6's instruction scheduling: within each basic
-// block, instructions are list-scheduled by critical-path priority so that
-// independent integer and floating-point instructions interleave and loads
-// issue as early as their operands allow. The Titan dispatches in order,
-// one instruction per cycle at best, so emission order is the schedule —
-// hoisting loads above a dependent FP chain hides the memory latency, and
-// mixing pointer bumps between FP operations fills the integer unit's
-// otherwise idle slots ("changing the instruction order so that integer
-// and floating point instructions overlap and so that memory access and
-// computation overlap can provide a significant speedup in many
-// programs", §2).
+// block, instructions are list-scheduled against an estimate of the
+// Titan's own dispatch so that independent integer and floating-point
+// instructions interleave and loads issue as early as their operands
+// allow. The Titan dispatches in order, one instruction per cycle at best,
+// each as soon as the operands it waits for are ready and its unit is
+// free, so emission order is the schedule — hoisting loads above a
+// dependent FP chain hides the memory latency, and mixing pointer bumps
+// between FP operations fills the integer unit's otherwise idle slots
+// ("changing the instruction order so that integer and floating point
+// instructions overlap and so that memory access and computation overlap
+// can provide a significant speedup in many programs", §2).
 //
 // Memory ordering is conservative: stores order against all other memory
 // operations; loads reorder freely with loads. The dependence information
@@ -20,10 +21,14 @@ package codegen
 // order like stores: the accesses around them are what they synchronize.
 //
 // Which registers an instruction reads and writes, how it orders against
-// memory and whether it ends a block are the machine's facts and come from
-// its opcode table (titan.Instr.Refs, titan.Op.Mem, titan.Op.IsControl).
+// memory, whether it ends a block and what it costs on which unit are the
+// machine's facts and come from its opcode table (titan.Instr.Refs,
+// titan.Op.Mem, titan.Op.IsControl, titan.Op.Timing).
 
-import "repro/internal/titan"
+import (
+	"repro/internal/titan"
+	"repro/internal/vector"
+)
 
 // Schedule reorders every function's basic blocks in place. A block never
 // moves, only the instructions inside it, so every label keeps its index.
@@ -38,14 +43,29 @@ func Schedule(tp *titan.Program) {
 // scheduler is the list scheduler's scratch, grown to the largest
 // function and block of one Schedule call.
 type scheduler struct {
-	isTarget                                 []bool
-	edges                                    []depEdge
-	npred, off, fill, succ, prio, ord, loads []int
-	tmp                                      []titan.Instr
-	refs                                     refTable
+	isTarget                              []bool
+	edges, succ                           []depEdge
+	npred, off, prio, loads, ready, avail []int
+	tmp                                   []titan.Instr
+	refs                                  refTable
 }
 
-type depEdge struct{ from, to int }
+// depEdge orders instruction to after instruction from. Where to waits
+// for from's result, to dispatches no earlier than that result is ready;
+// any other edge only orders, and to may dispatch a cycle after from.
+type depEdge struct {
+	from, to int32
+	waits    bool
+}
+
+// delay is how many cycles after from issues to may issue, lat being
+// from's result latency.
+func (e depEdge) delay(lat int) int {
+	if e.waits {
+		return lat
+	}
+	return 1
+}
 
 // resize returns s with length n, reusing its backing when it is large
 // enough; callers clear or overwrite what they read.
@@ -78,41 +98,18 @@ func (s *scheduler) scheduleFunc(f *titan.Func) {
 	s.scheduleBlock(f.Instrs[start:])
 }
 
-// latencyOf is the scheduler's priority weight for an op's result: a
-// heuristic, not an ISA fact — the machine's latencies are titan's opcode
-// table, and these depart from it (DESIGN.md, "Execution engine", lists
-// where). They are kept because they are what the pinned schedules were
-// chosen with: the machine's own numbers reorder masked kernels, some for
-// the better and some for the worse.
-func latencyOf(op titan.Op) int {
-	switch op {
-	case titan.OpMul, titan.OpMuli:
-		return 4
-	case titan.OpDiv, titan.OpRem:
-		return 12
-	case titan.OpLd1, titan.OpLd2, titan.OpLd4, titan.OpFld4, titan.OpFld8:
-		return 6
-	case titan.OpFadd, titan.OpFsub, titan.OpFmul, titan.OpFneg,
-		titan.OpCvtIF, titan.OpCvtFI, titan.OpFmov, titan.OpFldi:
-		return 6
-	case titan.OpFdiv:
-		return 18
-	case titan.OpVld, titan.OpVst, titan.OpVadd, titan.OpVsub, titan.OpVmul,
-		titan.OpVadds, titan.OpVsubs, titan.OpVsubsr, titan.OpVmuls, titan.OpVbcast,
-		titan.OpVldm, titan.OpVstm, titan.OpVaddm, titan.OpVsubm, titan.OpVmulm,
-		titan.OpVcmpLt, titan.OpVcmpLe, titan.OpVcmpEq, titan.OpVcmpNe,
-		titan.OpVcmpLts, titan.OpVcmpLes, titan.OpVcmpEqs, titan.OpVcmpNes:
-		return 16
-	case titan.OpVdiv, titan.OpVdivs, titan.OpVdivsr, titan.OpVdivm:
-		return 32
-	default:
-		return 1
-	}
+// cost is op's unit, the cycles until its result is ready and the cycles
+// it holds its unit, from titan's opcode table. A vector op is costed at
+// the vectorizer's strip length.
+func cost(op titan.Op) (u titan.Unit, lat, occ int) {
+	t := op.Timing()
+	vl := int(t.VScale) * vector.DefaultVL
+	return t.Unit, int(t.Lat) + vl, int(t.Occ) + vl
 }
 
 // scheduleBlock reorders block in place into a legal execution order that
-// greedily minimizes the in-order dispatch makespan: list scheduling with
-// critical-path priority.
+// greedily minimizes the in-order dispatch makespan: list scheduling
+// against an estimate of the machine's own dispatch.
 func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	n := len(block)
 	if n <= 2 {
@@ -120,12 +117,15 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	}
 
 	// Build dependences. Every edge runs from an earlier instruction to a
-	// later one, so the graph is acyclic and program order is legal.
+	// later one, so the graph is acyclic and program order is legal. Only
+	// a read waits for the value it reads, and a store's data is not
+	// waited for: it drains through the store buffer. Anti, output and
+	// memory edges order and nothing more, as the machine has it.
 	s.edges = s.edges[:0]
 	npred := resize(s.npred, n)
 	clear(npred)
-	addEdge := func(a, b int) {
-		s.edges = append(s.edges, depEdge{a, b})
+	addEdge := func(a, b int, waits bool) {
+		s.edges = append(s.edges, depEdge{int32(a), int32(b), waits})
 		npred[b]++
 	}
 	s.refs.reset()
@@ -133,21 +133,21 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	loads := s.loads[:0]
 	for i := range block {
 		refs := block[i].Refs()
-		for _, u := range refs.Uses() {
+		for k, u := range refs.Uses() {
 			r := s.refs.slot(u)
 			if r.def >= 0 {
-				addEdge(r.def, i) // RAW
+				addEdge(r.def, i, !refs.IsData(k)) // RAW
 			}
 			s.refs.use(r, i)
 		}
 		for _, d := range refs.Defs() {
 			r := s.refs.slot(d)
 			if r.def >= 0 {
-				addEdge(r.def, i) // WAW
+				addEdge(r.def, i, false) // WAW
 			}
 			for u := r.uses; u >= 0; u = s.refs.uses[u].next {
 				if at := s.refs.uses[u].at; at != i {
-					addEdge(at, i) // WAR
+					addEdge(at, i, false) // WAR
 				}
 			}
 			r.def, r.uses = i, -1
@@ -156,81 +156,97 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 		switch block[i].Op.Mem() {
 		case titan.MemStore, titan.MemFence:
 			if lastStore >= 0 {
-				addEdge(lastStore, i)
+				addEdge(lastStore, i, false)
 			}
 			for _, l := range loads {
-				addEdge(l, i)
+				addEdge(l, i, false)
 			}
 			lastStore = i
 			loads = loads[:0]
 		case titan.MemLoad:
 			if lastStore >= 0 {
-				addEdge(lastStore, i)
+				addEdge(lastStore, i, false)
 			}
 			loads = append(loads, i)
 		}
 	}
 	s.loads = loads
 
-	// Successors in CSR form: node i's are succ[off[i]:off[i+1]].
+	// Successors in CSR form: node i's are succ[off[i]:off[i+1]]. off[i]
+	// counts up to the end of i's and back down to their start.
 	off := resize(s.off, n+1)
 	clear(off)
 	for _, e := range s.edges {
-		off[e.from+1]++
+		off[e.from]++
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
-	fill := resize(s.fill, n)
-	copy(fill, off)
 	succ := resize(s.succ, len(s.edges))
 	for _, e := range s.edges {
-		succ[fill[e.from]] = e.to
-		fill[e.from]++
+		off[e.from]--
+		succ[off[e.from]] = e
 	}
 
-	// Critical-path priority: longest latency-weighted path to any sink.
-	// Loads get a small bonus — a load whose consumer lives in a later
-	// block has no in-block successors, yet issuing it early still hides
-	// its latency downstream.
+	// Critical-path priority: longest path to the end of the block, each
+	// edge weighing its delay and a sink its latency. Loads get a small
+	// bonus — a load whose consumer lives in a later block has no in-block
+	// successors, yet issuing it early still hides its latency downstream.
 	prio := resize(s.prio, n)
 	for i := n - 1; i >= 0; i-- {
-		best := 0
-		for _, t := range succ[off[i]:off[i+1]] {
-			best = max(best, prio[t])
+		_, lat, _ := cost(block[i].Op)
+		p := 0
+		for _, e := range succ[off[i]:off[i+1]] {
+			p = max(p, e.delay(lat)+prio[e.to])
 		}
-		prio[i] = best + latencyOf(block[i].Op)
+		if p == 0 { // a sink
+			p = lat
+		}
 		if block[i].Op.Mem() == titan.MemLoad {
-			prio[i] += 2
+			p += 2
 		}
+		prio[i] = p
 	}
 
-	// List schedule: among ready instructions pick highest priority,
-	// breaking ties by original order (stability). The earliest
-	// unscheduled instruction is always ready; npred −1 marks a scheduled
-	// one.
-	order := s.ord[:0]
-	for len(order) < n {
-		best := -1
-		for i := 0; i < n; i++ {
-			if npred[i] != 0 {
-				continue
-			}
-			if best == -1 || prio[i] > prio[best] {
-				best = i
-			}
-		}
-		npred[best] = -1
-		order = append(order, best)
-		for _, t := range succ[off[best]:off[best+1]] {
-			npred[t]--
+	// List schedule, dispatching as titan's cpu.dispatch does: one
+	// instruction per cycle in order, each at the first cycle its
+	// operands and unit allow. Of the instructions whose predecessors are
+	// all placed (avail), pick the one that issues earliest, then the
+	// highest priority, then the earliest in the block.
+	ready := resize(s.ready, n)
+	clear(ready)
+	avail := resize(s.avail, n)[:0]
+	for i := range n {
+		if npred[i] == 0 {
+			avail = append(avail, i)
 		}
 	}
 	s.tmp = append(s.tmp[:0], block...)
-	for k, i := range order {
-		block[k] = s.tmp[i]
+	var unit [titan.NumUnits]int
+	clock := 0
+	for placed := range n {
+		k, at := 0, 0
+		for j, i := range avail {
+			u, _, _ := cost(s.tmp[i].Op)
+			issue := max(ready[i], unit[u], clock)
+			if b := avail[k]; j == 0 || issue < at || issue == at && (prio[i] > prio[b] || prio[i] == prio[b] && i < b) {
+				k, at = j, issue
+			}
+		}
+		best := avail[k]
+		avail[k] = avail[len(avail)-1]
+		avail = avail[:len(avail)-1]
+		block[placed] = s.tmp[best]
+		u, lat, occ := cost(s.tmp[best].Op)
+		clock, unit[u] = at+1, at+occ
+		for _, e := range succ[off[best]:off[best+1]] {
+			ready[e.to] = max(ready[e.to], at+e.delay(lat))
+			if npred[e.to]--; npred[e.to] == 0 {
+				avail = append(avail, int(e.to))
+			}
+		}
 	}
-	s.npred, s.off, s.fill, s.succ, s.prio, s.ord = npred, off, fill, succ, prio, order
+	s.npred, s.off, s.succ, s.prio, s.ready, s.avail = npred, off, succ, prio, ready, avail
 }
 
 // refTable maps each register one block touches to the block's last

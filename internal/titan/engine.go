@@ -99,9 +99,9 @@ var (
 	offSbZero    = int32(unsafe.Offsetof(cpu{}.sbZero))
 	offSbSink    = int32(unsafe.Offsetof(cpu{}.sbSink))
 	offUnit      = [...]int32{
-		uInt: int32(unsafe.Offsetof(cpu{}.intUnit)),
-		uFlt: int32(unsafe.Offsetof(cpu{}.fltUnit)),
-		uMem: int32(unsafe.Offsetof(cpu{}.memUnit)),
+		UnitInt: int32(unsafe.Offsetof(cpu{}.intUnit)),
+		UnitFlt: int32(unsafe.Offsetof(cpu{}.fltUnit)),
+		UnitMem: int32(unsafe.Offsetof(cpu{}.memUnit)),
 	}
 )
 
@@ -231,8 +231,8 @@ func decodeFunc(f *Func) *dfunc {
 		if info.rd.role == roleDef {
 			d.doff = sbOff(info.rd.file, d.rd)
 		}
-		d.unitOff = offUnit[info.time.unit]
-		d.lat, d.occ, d.vsc = info.time.lat, info.time.occ, info.time.vscale
+		d.unitOff = offUnit[info.time.Unit]
+		d.lat, d.occ, d.vsc = info.time.Lat, info.time.Occ, info.time.VScale
 		switch info.flops {
 		case flopOne:
 			d.flc = 1

@@ -210,11 +210,11 @@ type Instr struct {
 // per-instruction fact is stated here and nowhere else. Instr.String reads
 // name and syntax; the reference dispatch (machine.go) and the fast
 // engine's decoder (engine.go) read the operand files and roles, the
-// governing mask and the timing; Refs, Mem, IsControl and Transfers give
-// the compiler's list scheduler and peephole their def/use, memory-order
-// and block-boundary classes. What an instruction computes is not here: it
-// is the semantic switch of each engine, written twice on purpose so that
-// one checks the other.
+// governing mask and the timing; Refs, Mem, IsControl, Transfers and
+// Timing give the compiler's list scheduler and peephole their def/use,
+// memory-order and block-boundary classes and the cost dispatch charges.
+// What an instruction computes is not here: it is the semantic switch of
+// each engine, written twice on purpose so that one checks the other.
 var opTable = [numOps]opInfo{
 	OpNop:   {name: "nop", time: tALU},
 	OpLdi:   {name: "ldi", syn: synRdImm, rd: wI, time: tALU},
@@ -336,7 +336,7 @@ type opInfo struct {
 	rd, rs1, rs2 operand
 	// masked: a governing mask register, read, rides in Imm bits 8 and up.
 	masked bool
-	time   timing
+	time   Timing
 	vl     vlUse
 	flops  flopKind
 	mem    MemClass
@@ -380,42 +380,46 @@ var (
 	wM, rM     = operand{MaskReg, roleDef}, operand{MaskReg, roleUse}
 )
 
-// unitKind selects the functional unit that executes an op.
-type unitKind uint8
+// Unit selects the functional unit that executes an op.
+type Unit uint8
 
 const (
-	uInt unitKind = iota
-	uFlt
-	uMem
+	UnitInt Unit = iota
+	UnitFlt
+	UnitMem
+	NumUnits
 )
 
-// timing is an op's cost on the scoreboard: it occupies unit for
-// occ + vscale·VL cycles and its result is ready lat + vscale·VL cycles
+// Timing is an op's cost on the scoreboard: it occupies Unit for
+// Occ + VScale·VL cycles and its result is ready Lat + VScale·VL cycles
 // after issue (VL counted as at least 1).
-type timing struct {
-	unit     unitKind
-	lat, occ int32
-	vscale   int32
+type Timing struct {
+	Unit     Unit
+	Lat, Occ int32
+	VScale   int32
 }
 
+// Timing is the op's row of the scoreboard, as dispatch charges it.
+func (op Op) Timing() Timing { return opTable[op].time }
+
 var (
-	tALU    = timing{uInt, 1, 1, 0}
-	tMul    = timing{uInt, 4, 1, 0}
-	tDiv    = timing{uInt, 12, 8, 0}
-	tMask   = timing{uInt, 2, 1, 0}
-	tBranch = timing{uInt, 2, 1, 0}
-	tCall   = timing{uInt, 10, 10, 0}
-	tRet    = timing{uInt, 8, 8, 0}
-	tLoad   = timing{uMem, 6, 1, 0}
-	tStore  = timing{uMem, 1, 1, 0}
-	tWait   = timing{uMem, waitLatency, 1, 0}
-	tFP     = timing{uFlt, 6, 1, 0}
-	tFdiv   = timing{uFlt, 18, 12, 0}
+	tALU    = Timing{UnitInt, 1, 1, 0}
+	tMul    = Timing{UnitInt, 4, 1, 0}
+	tDiv    = Timing{UnitInt, 12, 8, 0}
+	tMask   = Timing{UnitInt, 2, 1, 0}
+	tBranch = Timing{UnitInt, 2, 1, 0}
+	tCall   = Timing{UnitInt, 10, 10, 0}
+	tRet    = Timing{UnitInt, 8, 8, 0}
+	tLoad   = Timing{UnitMem, 6, 1, 0}
+	tStore  = Timing{UnitMem, 1, 1, 0}
+	tWait   = Timing{UnitMem, waitLatency, 1, 0}
+	tFP     = Timing{UnitFlt, 6, 1, 0}
+	tFdiv   = Timing{UnitFlt, 18, 12, 0}
 	// The per-processor memory path is highly pipelined (§2): one element
 	// per cycle after a short set-up.
-	tVecMem = timing{uMem, 6, 2, 1}
-	tVec    = timing{uFlt, 8, 4, 1}
-	tVdiv   = timing{uFlt, 12, 8, 2}
+	tVecMem = Timing{UnitMem, 6, 2, 1}
+	tVec    = Timing{UnitFlt, 8, 4, 1}
+	tVdiv   = Timing{UnitFlt, 12, 8, 2}
 )
 
 // vlUse says whether an op reads the vector length (every lane-wise op,
@@ -556,6 +560,7 @@ type Refs struct {
 	uses [5]Ref
 	nDef int
 	nUse int
+	data uint8 // bit k: uses[k] is store data
 }
 
 // Defs is the registers written.
@@ -564,12 +569,19 @@ func (r *Refs) Defs() []Ref { return r.defs[:r.nDef] }
 // Uses is the registers read, store data included.
 func (r *Refs) Uses() []Ref { return r.uses[:r.nUse] }
 
+// IsData reports whether Uses()[k] is store data, which dispatch does not
+// wait for.
+func (r *Refs) IsData(k int) bool { return r.data>>k&1 != 0 }
+
 func (r *Refs) add(o operand, n int) {
 	switch o.role {
 	case roleDef:
 		r.defs[r.nDef] = Ref{o.file, n}
 		r.nDef++
 	case roleUse, roleData:
+		if o.role == roleData {
+			r.data |= 1 << r.nUse
+		}
 		r.uses[r.nUse] = Ref{o.file, n}
 		r.nUse++
 	}

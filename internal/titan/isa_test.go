@@ -21,8 +21,8 @@ func TestOpTable(t *testing.T) {
 			t.Errorf("ops %d and %d are both named %q", prev, op, info.name)
 		}
 		names[info.name] = op
-		if info.time.lat < 1 || info.time.occ < 1 {
-			t.Errorf("%s: latency %d, occupancy %d", info.name, info.time.lat, info.time.occ)
+		if info.time.Lat < 1 || info.time.Occ < 1 {
+			t.Errorf("%s: latency %d, occupancy %d", info.name, info.time.Lat, info.time.Occ)
 		}
 		data := 0
 		for _, o := range []operand{info.rd, info.rs1, info.rs2} {
@@ -39,7 +39,7 @@ func TestOpTable(t *testing.T) {
 		if strings.HasSuffix(info.name, ".m") != info.masked {
 			t.Errorf("%s: masked = %v", info.name, info.masked)
 		}
-		if (info.time.vscale > 0 || info.flops == flopPerLane || info.masked) && info.vl != vlRead {
+		if (info.time.VScale > 0 || info.flops == flopPerLane || info.masked) && info.vl != vlRead {
 			t.Errorf("%s works lane by lane but does not read VL", info.name)
 		}
 	}
@@ -59,6 +59,25 @@ func TestDispatchIgnoresUnusedFields(t *testing.T) {
 		if ref.cycles >= 1000 || fast.cycles != ref.cycles {
 			t.Errorf("%v: done at cycle %d (reference), %d (engine); register 0, busy until 1000, is not an operand",
 				in, ref.cycles, fast.cycles)
+		}
+	}
+}
+
+// What the compiler's scheduler reads of the table: Refs marks a store's
+// data and nothing else as not waited for, and Timing is the row dispatch
+// charges.
+func TestRefsMarkStoreDataAndTimingIsTheRow(t *testing.T) {
+	for op := Op(0); op < numOps; op++ {
+		refs := Instr{Op: op}.Refs()
+		data := int64(0)
+		for k := range refs.Uses() {
+			data += b2i(refs.IsData(k))
+		}
+		if want := b2i(op.Mem() == MemStore); data != want {
+			t.Errorf("%s: %d uses marked store data, want %d", opTable[op].name, data, want)
+		}
+		if op.Timing() != opTable[op].time {
+			t.Errorf("%s: Timing %+v, row %+v", opTable[op].name, op.Timing(), opTable[op].time)
 		}
 	}
 }

@@ -650,16 +650,16 @@ func (c *cpu) dispatch(in Instr) int64 {
 	// Unit, latency, occupancy.
 	vl := max(c.vl, 1)
 	unit := &c.intUnit
-	switch info.time.unit {
-	case uFlt:
+	switch info.time.Unit {
+	case UnitFlt:
 		unit = &c.fltUnit
-	case uMem:
+	case UnitMem:
 		unit = &c.memUnit
 	}
-	scale := int64(info.time.vscale) * vl
+	scale := int64(info.time.VScale) * vl
 	issue := max(ready, *unit)
-	*unit = issue + int64(info.time.occ) + scale
-	done := issue + int64(info.time.lat) + scale
+	*unit = issue + int64(info.time.Occ) + scale
+	done := issue + int64(info.time.Lat) + scale
 	// In-order dispatch: the next instruction cannot dispatch before this
 	// one did.
 	c.clock = issue + 1
