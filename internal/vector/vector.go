@@ -374,11 +374,21 @@ func normalize(p *il.Proc, loop *il.DoLoop) bool {
 	if initConst && initC == 0 && stepC == 1 {
 		return true
 	}
-	// trips-1 = (Limit-Init)/Step  (exact for DO semantics).
+	// trips-1 = floor((Limit-Init)/Step). Division truncates toward zero,
+	// so a loop that runs no times, with Limit short of Init by less than
+	// a step, would get quotient 0: one trip. A unit step cannot fall
+	// short by less than itself; any other adds a step first and takes
+	// one off the quotient, which is exact when it runs and below 0 when
+	// it does not.
 	a := p.Arena()
 	t := p.Vars[loop.IV].Type
 	diff := a.Sub(a.CloneExpr(loop.Limit), a.CloneExpr(loop.Init), t)
-	limit := a.NewBin(il.OpDiv, diff, a.CloneExpr(loop.Step), t)
+	var limit il.Expr
+	if stepC == 1 || stepC == -1 {
+		limit = a.NewBin(il.OpDiv, diff, a.CloneExpr(loop.Step), t)
+	} else {
+		limit = a.Sub(a.NewBin(il.OpDiv, a.Add(diff, a.Int(stepC), t), a.Int(stepC), t), a.Int(1), t)
+	}
 	oldIV := loop.IV
 	init := loop.Init
 	step := loop.Step

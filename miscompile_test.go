@@ -330,6 +330,62 @@ int main(void)
 			wantRegionsOffFrame(t, res)
 		},
 	},
+	{
+		// Normalizing a loop to step 1 counts its trips by dividing by
+		// the step, and Go's division truncates: lo = hi = 8 by 2 made
+		// (7 - 8) / 2 = 0, one trip where the loop runs none. The loop
+		// stays normalized whether or not it then vectorizes.
+		name: "vector-normalize-stepped-zero-trip",
+		src: `
+int a[32], b[32];
+int bounds[2] = {8, 8};
+
+int main(void)
+{
+	int i, k, lo, hi, chk;
+	for (k = 0; k < 32; k++) {
+		a[k] = k;
+		b[k] = 3 * k + 1;
+	}
+	lo = bounds[0];
+	hi = bounds[1];
+	for (i = lo; i < hi; i += 2)
+		a[i] = b[i] * 2 + 1;
+	for (i = lo; i < hi; i += 2)
+		a[i] = a[i - 2] + b[i];
+	chk = 0;
+	for (k = 0; k < 32; k++)
+		chk = (chk * 31 + a[k]) % 65521;
+	return chk % 251;
+}
+`,
+		opts: []driver.Options{{OptLevel: 1, Vectorize: true, StrengthReduce: true}, driver.FullOptions()},
+	},
+	{
+		// A DO loop that runs no times still leaves its index at Init:
+		// unrolled by 4, three trips leave a main loop of none, whose
+		// exit index the remainder loop starts from. Constant
+		// propagation deleted that loop and with it the index's only
+		// definition, so the remainder ran from whatever the register
+		// held.
+		name: "constprop-zero-trip-loop-exit-index",
+		src: `
+int a[16];
+
+int main(void)
+{
+	int i, chk;
+	for (i = 5; i < 8; i++)
+		a[i] = a[i] + i + 1;
+	chk = 0;
+	for (i = 0; i < 16; i++)
+		chk = chk * 3 + a[i];
+	return chk % 251;
+}
+`,
+		opts:  []driver.Options{driver.ScalarOptions()},
+		sched: &scheduledLoop{token.Pos{Line: 7, Col: 2}, schedule.Schedule{VL: 32, Unroll: 4}},
+	},
 }
 
 // wantRegionsOffFrame asserts that no instruction of main between a
