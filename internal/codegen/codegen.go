@@ -611,9 +611,12 @@ func (g *gen) whileStmt(n *il.While) error {
 	return nil
 }
 
-// loopRegs evaluates a DO loop's header into dedicated registers. The IV
-// gets its allocated variable register; limit lives in a scratch register
-// held for the loop's duration.
+// doLoop emits a DO loop bottom-tested: the IV gets its allocated
+// variable register and the limit a scratch register held for the loop's
+// duration. Each iteration ends in the bump and one compare-and-branch
+// back to the top, so an innermost straight-line body is one scheduling
+// block; the guard before the top is elided when the trip count is a
+// constant of at least one.
 func (g *gen) doLoop(n *il.DoLoop) error {
 	stepC, ok := il.IsIntConst(n.Step)
 	if !ok {
@@ -636,30 +639,43 @@ func (g *gen) doLoop(n *il.DoLoop) error {
 	}
 	topL := g.newLabel("dtop")
 	endL := g.newLabel("dend")
+	if n.TripCount() < 1 {
+		if err := g.loopTest(iv, limR, stepC, titan.OpBnez, endL); err != nil {
+			return err
+		}
+	}
 	g.label(topL)
-	t, err := g.getInt()
-	if err != nil {
-		return err
-	}
-	if stepC > 0 {
-		g.emit(titan.Instr{Op: titan.OpCmpGt, Rd: t, Rs1: iv, Rs2: limR})
-	} else {
-		g.emit(titan.Instr{Op: titan.OpCmpLt, Rd: t, Rs1: iv, Rs2: limR})
-	}
-	g.emit(titan.Instr{Op: titan.OpBnez, Rs1: t, Sym: endL})
-	g.putInt(t)
 	if err := g.stmts(n.Body); err != nil {
 		return err
 	}
 	g.emit(titan.Instr{Op: titan.OpAddi, Rd: iv, Rs1: iv, Imm: stepC})
-	g.emit(titan.Instr{Op: titan.OpJmp, Sym: topL})
+	if err := g.loopTest(iv, limR, stepC, titan.OpBeqz, topL); err != nil {
+		return err
+	}
 	g.label(endL)
 	g.putInt(limR)
 	return nil
 }
 
+// loopTest emits the test of iv against the loop limit in step's
+// direction, true once iv has passed it, and a br on that test to target.
+func (g *gen) loopTest(iv, limR int, stepC int64, br titan.Op, target string) error {
+	t, err := g.getInt()
+	if err != nil {
+		return err
+	}
+	cmp := titan.OpCmpGt
+	if stepC < 0 {
+		cmp = titan.OpCmpLt
+	}
+	g.emit(titan.Instr{Op: cmp, Rd: t, Rs1: iv, Rs2: limR})
+	g.emit(titan.Instr{Op: br, Rs1: t, Sym: target})
+	g.putInt(t)
+	return nil
+}
+
 // doParallel emits the §2 iteration-spreading shape: each processor starts
-// at init + pid·step and strides by nproc·step.
+// at init + pid·step and strides by nproc·step, bottom-tested as doLoop is.
 func (g *gen) doParallel(n *il.DoParallel) error {
 	stepC, ok := il.IsIntConst(n.Step)
 	if !ok {
@@ -752,11 +768,15 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 		g.emit(titan.Instr{Op: titan.OpRem, Rd: sy.waitCell, Rs1: sy.waitCell, Rs2: np})
 		g.emit(titan.Instr{Op: titan.OpSub, Rd: sy.selfDiff, Rs1: sy.waitCell, Rs2: pid})
 	}
-	// iv = init + pid*step
-	g.emit(titan.Instr{Op: titan.OpMuli, Rd: pid, Rs1: pid, Imm: stepC})
+	// iv = init + pid*step; stride = nproc*step (reuse np). A unit step
+	// multiplies by nothing.
+	if stepC != 1 {
+		g.emit(titan.Instr{Op: titan.OpMuli, Rd: pid, Rs1: pid, Imm: stepC})
+	}
 	g.emit(titan.Instr{Op: titan.OpAdd, Rd: iv, Rs1: initR, Rs2: pid})
-	// stride = nproc * step (reuse np)
-	g.emit(titan.Instr{Op: titan.OpMuli, Rd: np, Rs1: np, Imm: stepC})
+	if stepC != 1 {
+		g.emit(titan.Instr{Op: titan.OpMuli, Rd: np, Rs1: np, Imm: stepC})
+	}
 	if sy == nil {
 		g.putInt(initR)
 	} else if sy.stride > 1 {
@@ -784,23 +804,21 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 	g.putInt(pid)
 	g.sync = sy
 
+	// Every processor the width cap keeps has pid < MaxProcessors, so a
+	// constant trip count of at least that gives each a first iteration.
+	if il.TripCount(n.Init, n.Limit, n.Step) < titan.MaxProcessors {
+		if err := g.loopTest(iv, limR, stepC, titan.OpBnez, endL); err != nil {
+			return err
+		}
+	}
 	g.label(topL)
-	t, err := g.getInt()
-	if err != nil {
-		return err
-	}
-	if stepC > 0 {
-		g.emit(titan.Instr{Op: titan.OpCmpGt, Rd: t, Rs1: iv, Rs2: limR})
-	} else {
-		g.emit(titan.Instr{Op: titan.OpCmpLt, Rd: t, Rs1: iv, Rs2: limR})
-	}
-	g.emit(titan.Instr{Op: titan.OpBnez, Rs1: t, Sym: endL})
-	g.putInt(t)
 	if err := g.stmts(n.Body); err != nil {
 		return err
 	}
 	g.emit(titan.Instr{Op: titan.OpAdd, Rd: iv, Rs1: iv, Rs2: np})
-	g.emit(titan.Instr{Op: titan.OpJmp, Sym: topL})
+	if err := g.loopTest(iv, limR, stepC, titan.OpBeqz, topL); err != nil {
+		return err
+	}
 	g.label(endL)
 	if sy != nil {
 		// Sentinel: releases every outstanding wait on this processor's

@@ -395,17 +395,22 @@ func (s *DoLoop) stmtNode() {}
 
 // TripCount returns the loop's compile-time trip count, or -1 when a
 // bound or the step is not a constant (or the step is zero).
-func (s *DoLoop) TripCount() int64 {
-	init, ok1 := IsIntConst(s.Init)
-	limit, ok2 := IsIntConst(s.Limit)
-	step, ok3 := IsIntConst(s.Step)
-	if !ok1 || !ok2 || !ok3 || step == 0 {
+func (s *DoLoop) TripCount() int64 { return TripCount(s.Init, s.Limit, s.Step) }
+
+// TripCount returns how many times a DO or do parallel loop from init
+// through limit by step iterates, or -1 when a bound or the step is not a
+// constant (or the step is zero).
+func TripCount(init, limit, step Expr) int64 {
+	i, ok1 := IsIntConst(init)
+	l, ok2 := IsIntConst(limit)
+	s, ok3 := IsIntConst(step)
+	if !ok1 || !ok2 || !ok3 || s == 0 {
 		return -1
 	}
-	if trips := (limit-init)/step + 1; trips > 0 {
-		return trips
+	if s > 0 && l < i || s < 0 && l > i {
+		return 0
 	}
-	return 0
+	return (l-i)/s + 1
 }
 
 // DoParallel is a DoLoop whose iterations are independent and may be

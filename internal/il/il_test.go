@@ -129,6 +129,28 @@ func TestCloneLoops(t *testing.T) {
 	}
 }
 
+// TripCount counts the iterations of a DO loop from init through limit
+// by step, brute force being the reference: a limit short of init by
+// less than a step is no trip, although the truncated quotient is 0.
+func TestTripCount(t *testing.T) {
+	for init := int64(-6); init <= 6; init++ {
+		for limit := int64(-6); limit <= 6; limit++ {
+			for _, step := range []int64{-3, -2, -1, 1, 2, 3} {
+				want := int64(0)
+				for i := init; step > 0 && i <= limit || step < 0 && i >= limit; i += step {
+					want++
+				}
+				if got := TripCount(h.Int(init), h.Int(limit), h.Int(step)); got != want {
+					t.Errorf("TripCount(%d, %d, %d) = %d, want %d", init, limit, step, got, want)
+				}
+			}
+		}
+	}
+	if got := TripCount(h.VarRef(0, ctype.IntType), h.Int(9), h.Int(1)); got != -1 {
+		t.Errorf("TripCount from a variable = %d, want -1", got)
+	}
+}
+
 func TestWalkStmtsVisitsNested(t *testing.T) {
 	prog := []Stmt{
 		&While{Cond: h.Int(1), Body: []Stmt{

@@ -1,0 +1,263 @@
+package repro
+
+// Every DO and do parallel loop is emitted bottom-tested: the body runs
+// once before the first test, so a loop that may run zero times needs a
+// guard, and a processor of a do parallel needs one unless its first
+// iteration init + pid·step surely exists. The table below crosses each
+// loop shape codegen emits with the trip counts around those edges —
+// none, fewer than the processors, a vector strip's remainder — under
+// constant and unfoldable bounds, and holds every build to -O0.
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/driver"
+	"repro/internal/il"
+	"repro/internal/pass"
+	"repro/internal/schedule"
+	"repro/internal/titan"
+	"repro/internal/token"
+)
+
+// tripKernelLine is the source line of the loop under test in
+// tripProgram's output.
+const tripKernelLine = 13
+
+// tripProgram is one loop of trip iterations by step over a[] with body,
+// whose bounds are constants or, unfolded, read from globals; main
+// returns a checksum of a[], which any stray or missing iteration moves.
+func tripProgram(body string, step, trip int, folded bool) string {
+	first, past := 8, 8+trip*step
+	cond := "i < hi"
+	if step < 0 {
+		first, past = 56, 56+trip*step
+		cond = "i > hi"
+	}
+	bounds := fmt.Sprintf("lo = %d;\n\thi = %d;", first, past)
+	if !folded {
+		bounds = "lo = bounds[0];\n\thi = bounds[1];"
+	}
+	return fmt.Sprintf(`int a[96], b[96];
+int bounds[2] = {%d, %d};
+
+int main(void)
+{
+	int i, k, lo, hi, chk;
+	for (k = 0; k < 96; k++) {
+		a[k] = k;
+		b[k] = 3 * k + 1;
+	}
+	%s
+	for (i = lo; %s; i += %d)
+		%s;
+	chk = 0;
+	for (k = 0; k < 96; k++)
+		chk = (chk * 31 + a[k]) %% 65521;
+	return chk;
+}
+`, first, past, bounds, cond, step, body)
+}
+
+// tripKinds is every loop shape codegen emits, an unrolled loop's main
+// and remainder loops included: the options and any plan that compile
+// the kernel into it, its body, the steps it takes and how its loops at
+// the kernel's line are recognized.
+var tripKinds = []struct {
+	name  string
+	opts  driver.Options
+	plan  *schedule.Schedule
+	body  func(step int) string
+	steps []int
+	shape func(loops []il.Stmt) bool
+}{
+	{
+		name:  "serial",
+		opts:  driver.ScalarOptions(),
+		body:  func(int) string { return "a[i] = a[i] + b[i] + i" },
+		steps: []int{1, 2, -1},
+		shape: func(loops []il.Stmt) bool { return len(loops) == 1 && !hasParallel(loops) && !hasVector(loops) },
+	},
+	{
+		name:  "doall",
+		opts:  driver.Options{OptLevel: 1, Parallelize: true, StrengthReduce: true},
+		body:  func(int) string { return "a[i] = b[i] + i" },
+		steps: []int{1, 2, -1},
+		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && !hasVector(loops) && syncDistance(loops) == 0 },
+	},
+	{
+		name:  "doacross1",
+		opts:  driver.FullOptions(),
+		plan:  &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
+		body:  func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", step) },
+		steps: []int{1, 2},
+		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 1 },
+	},
+	{
+		name:  "doacross3",
+		opts:  driver.FullOptions(),
+		plan:  &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
+		body:  func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", 3*step) },
+		steps: []int{1, 2},
+		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 3 },
+	},
+	{
+		name:  "unrolled",
+		opts:  driver.ScalarOptions(),
+		plan:  &schedule.Schedule{VL: 32, Unroll: 4},
+		body:  func(int) string { return "a[i] = a[i] + b[i] + i" },
+		steps: []int{1, 2, -1},
+		shape: func(loops []il.Stmt) bool { return len(loops) == 2 && !hasParallel(loops) && !hasVector(loops) },
+	},
+	{
+		name:  "vector",
+		opts:  driver.Options{OptLevel: 1, Vectorize: true, StrengthReduce: true},
+		body:  func(int) string { return "a[i] = b[i] * 2 + 1" },
+		steps: []int{1, 2, -1},
+		shape: func(loops []il.Stmt) bool { return !hasParallel(loops) && hasVector(loops) },
+	},
+	{
+		name:  "parvector",
+		opts:  driver.FullOptions(),
+		body:  func(int) string { return "a[i] = b[i] * 2 + 1" },
+		steps: []int{1, 2, -1},
+		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && hasVector(loops) },
+	},
+}
+
+func hasParallel(loops []il.Stmt) bool {
+	return slices.ContainsFunc(loops, func(s il.Stmt) bool { _, ok := s.(*il.DoParallel); return ok })
+}
+
+func hasVector(loops []il.Stmt) bool {
+	found := false
+	il.WalkStmts(loops, func(s il.Stmt) bool {
+		_, ok := s.(*il.VectorAssign)
+		found = found || ok
+		return !found
+	})
+	return found
+}
+
+// syncDistance is the DOACROSS distance of the kernel's do parallel, 0
+// when it has none.
+func syncDistance(loops []il.Stmt) int64 {
+	for _, s := range loops {
+		if p, ok := s.(*il.DoParallel); ok && p.Sync != nil {
+			return p.Sync.Distance
+		}
+	}
+	return 0
+}
+
+// tripLoop is one DO or do parallel loop of main: its constant trip
+// count (-1 if none), whether
+// it is at the kernel's line, and where codegen put its top label and
+// its back branch.
+type tripLoop struct {
+	stmt            il.Stmt
+	trips           int64
+	kernel          bool
+	top, backBranch int
+}
+
+// tripLoops lists main's loops in preorder. Codegen emits each loop's
+// top label before its body, so the loops' back branches — the only
+// backward branches — sorted by target are the same loops in the same
+// order.
+func tripLoops(t *testing.T, res *driver.Result) []tripLoop {
+	t.Helper()
+	var loops []tripLoop
+	il.WalkStmts(res.IL.Proc("main").Body, func(s il.Stmt) bool {
+		switch n := s.(type) {
+		case *il.DoLoop:
+			loops = append(loops, tripLoop{stmt: s, trips: n.TripCount(), kernel: n.Pos.Line == tripKernelLine})
+		case *il.DoParallel:
+			loops = append(loops, tripLoop{stmt: s, trips: il.TripCount(n.Init, n.Limit, n.Step), kernel: n.Pos.Line == tripKernelLine})
+		}
+		return true
+	})
+	f := res.Machine.Funcs["main"]
+	var back [][2]int
+	for i, in := range f.Instrs {
+		if top, ok := f.Labels[in.Sym]; ok && top <= i {
+			back = append(back, [2]int{top, i})
+		}
+	}
+	slices.SortFunc(back, func(a, b [2]int) int { return a[0] - b[0] })
+	if len(back) != len(loops) {
+		t.Fatalf("%d loops, %d backward branches:\n%s", len(loops), len(back), f.Disassemble())
+	}
+	for k := range loops {
+		loops[k].top, loops[k].backBranch = back[k][0], back[k][1]
+	}
+	return loops
+}
+
+// guarded reports whether a bnez ahead of the loop's top skips to the
+// instruction after its back branch.
+func guarded(f *titan.Func, l tripLoop) bool {
+	return slices.ContainsFunc(f.Instrs[:l.top], func(in titan.Instr) bool {
+		return in.Op == titan.OpBnez && f.Labels[in.Sym] == l.backBranch+1
+	})
+}
+
+func TestLoopTripBoundaries(t *testing.T) {
+	kernelPos := token.Pos{Line: tripKernelLine, Col: 2}
+	for _, k := range tripKinds {
+		for _, step := range k.steps {
+			for _, trip := range []int{0, 1, 2, 3, 4, 5, 33} {
+				for _, folded := range []bool{true, false} {
+					name := fmt.Sprintf("%s/step=%d/trip=%d/folded=%v", k.name, step, trip, folded)
+					src := tripProgram(k.body(step), step, trip, folded)
+					want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
+					if err != nil {
+						t.Fatalf("%s -O0: %v", name, err)
+					}
+					ctx := pass.NewContext()
+					if k.plan != nil {
+						ctx.Schedules = schedule.NewSet()
+						ctx.Schedules.Put(schedule.KeyFor("main", kernelPos), *k.plan)
+					}
+					res, err := driver.CompileWith(src, k.opts, ctx)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					// Unfolded, the compiler cannot know the trip count:
+					// the kernel takes its kind, and each of its loops
+					// has a guard.
+					if !folded {
+						var kernel []il.Stmt
+						for _, l := range tripLoops(t, res) {
+							if !l.kernel {
+								continue
+							}
+							kernel = append(kernel, l.stmt)
+							if l.trips >= 0 {
+								t.Errorf("%s: the kernel's bounds folded: %s", name, l.stmt)
+							}
+							if !guarded(res.Machine.Funcs["main"], l) {
+								t.Errorf("%s: %s has no guard:\n%s", name, l.stmt, res.Machine.Funcs["main"].Disassemble())
+							}
+						}
+						if !k.shape(kernel) {
+							t.Errorf("%s: the kernel did not compile to a %s loop: %v", name, k.name, kernel)
+						}
+					}
+					for _, procs := range testProcs {
+						runs, err := engineRuns(res.Machine, procs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, r := range runs {
+							if r.ExitCode != want.ExitCode || r.Output != want.Output {
+								t.Errorf("%s p=%d %s: checksum %d, -O0 gives %d", name, procs, r.name, r.ExitCode, want.ExitCode)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
