@@ -21,11 +21,13 @@ package codegen
 // order like stores: the accesses around them are what they synchronize.
 //
 // Which registers an instruction reads and writes, how it orders against
-// memory, whether it ends a block and what it costs on which unit are the
-// machine's facts and come from its opcode table (titan.Instr.Refs,
-// titan.Op.Mem, titan.Op.IsControl, titan.Op.Timing).
+// memory, whether it ends a block and when it issues are the machine's
+// facts (titan.Instr.Refs, titan.Op.Mem, titan.Op.IsControl,
+// titan.Scoreboard), a vector op issuing at the strip length.
 
 import (
+	"sync"
+
 	"repro/internal/titan"
 	"repro/internal/vector"
 )
@@ -34,20 +36,26 @@ import (
 // moves, only the instructions inside it, so every label keeps its index.
 // One scratch serves every block of the call and is never shared.
 func Schedule(tp *titan.Program) {
-	var s scheduler
+	s := schedulers.Get().(*scheduler)
+	defer schedulers.Put(s)
 	for _, f := range tp.Funcs {
 		s.scheduleFunc(f)
 	}
 }
 
+// schedulers keeps scratches between calls, so that a call neither
+// allocates nor clears a scoreboard's VRF-sized array.
+var schedulers = sync.Pool{New: func() any { return new(scheduler) }}
+
 // scheduler is the list scheduler's scratch, grown to the largest
-// function and block of one Schedule call.
+// function and block it has scheduled.
 type scheduler struct {
-	isTarget                              []bool
-	edges, succ                           []depEdge
-	npred, off, prio, loads, ready, avail []int
-	tmp                                   []titan.Instr
-	refs                                  refTable
+	isTarget                       []bool
+	edges, succ                    []depEdge
+	npred, off, prio, loads, avail []int
+	tmp                            []titan.Instr
+	refs                           refTable
+	sb                             titan.Scoreboard
 }
 
 // depEdge orders instruction to after instruction from. Where to waits
@@ -96,15 +104,6 @@ func (s *scheduler) scheduleFunc(f *titan.Func) {
 		}
 	}
 	s.scheduleBlock(f.Instrs[start:])
-}
-
-// cost is op's unit, the cycles until its result is ready and the cycles
-// it holds its unit, from titan's opcode table. A vector op is costed at
-// the vectorizer's strip length.
-func cost(op titan.Op) (u titan.Unit, lat, occ int) {
-	t := op.Timing()
-	vl := int(t.VScale) * vector.DefaultVL
-	return t.Unit, int(t.Lat) + vl, int(t.Occ) + vl
 }
 
 // scheduleBlock reorders block in place into a legal execution order that
@@ -194,7 +193,7 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	// successors, yet issuing it early still hides its latency downstream.
 	prio := resize(s.prio, n)
 	for i := n - 1; i >= 0; i-- {
-		_, lat, _ := cost(block[i].Op)
+		lat := int(s.sb.Latency(block[i].Op, vector.DefaultVL))
 		p := 0
 		for _, e := range succ[off[i]:off[i+1]] {
 			p = max(p, e.delay(lat)+prio[e.to])
@@ -208,13 +207,11 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 		prio[i] = p
 	}
 
-	// List schedule, dispatching as titan's cpu.dispatch does: one
-	// instruction per cycle in order, each at the first cycle its
-	// operands and unit allow. Of the instructions whose predecessors are
-	// all placed (avail), pick the one that issues earliest, then the
-	// highest priority, then the earliest in the block.
-	ready := resize(s.ready, n)
-	clear(ready)
+	// List schedule on a scoreboard idle at the block's start, which waits
+	// for what each edge carries (WAR and WAW edges keep a use's RAW
+	// source the register's last placed definition). Of the instructions
+	// whose predecessors are all placed (avail), pick the one that issues
+	// earliest, then the highest priority, then the earliest in the block.
 	avail := resize(s.avail, n)[:0]
 	for i := range n {
 		if npred[i] == 0 {
@@ -222,13 +219,11 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 		}
 	}
 	s.tmp = append(s.tmp[:0], block...)
-	var unit [titan.NumUnits]int
-	clock := 0
+	s.sb.Reset()
 	for placed := range n {
-		k, at := 0, 0
+		k, at := 0, int64(0)
 		for j, i := range avail {
-			u, _, _ := cost(s.tmp[i].Op)
-			issue := max(ready[i], unit[u], clock)
+			issue := s.sb.IssueAt(&s.tmp[i])
 			if b := avail[k]; j == 0 || issue < at || issue == at && (prio[i] > prio[b] || prio[i] == prio[b] && i < b) {
 				k, at = j, issue
 			}
@@ -237,16 +232,14 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 		avail[k] = avail[len(avail)-1]
 		avail = avail[:len(avail)-1]
 		block[placed] = s.tmp[best]
-		u, lat, occ := cost(s.tmp[best].Op)
-		clock, unit[u] = at+1, at+occ
+		s.sb.Issue(&s.tmp[best], vector.DefaultVL)
 		for _, e := range succ[off[best]:off[best+1]] {
-			ready[e.to] = max(ready[e.to], at+e.delay(lat))
 			if npred[e.to]--; npred[e.to] == 0 {
 				avail = append(avail, int(e.to))
 			}
 		}
 	}
-	s.npred, s.off, s.succ, s.prio, s.ready, s.avail = npred, off, succ, prio, ready, avail
+	s.npred, s.off, s.succ, s.prio, s.avail = npred, off, succ, prio, avail
 }
 
 // refTable maps each register one block touches to the block's last

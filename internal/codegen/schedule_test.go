@@ -12,6 +12,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/il"
 	"repro/internal/titan"
+	"repro/internal/vector"
 )
 
 // The scheduler reorders instructions inside blocks and never moves a
@@ -179,14 +180,18 @@ int main(void) { int i; for (i = 0; i < 1024; i++) x[i] = i * 0.25f; return 0; }
 	}
 }
 
-// FuzzSchedule is the scheduler's legality oracle. Each input is decoded
-// into one straight-line block over a 128-byte memory window, ended by
-// ret, which is scheduled and then checked three ways, none of which
-// reads the scheduler's own tables: the scheduled block is a permutation
-// of the original; every pair of instructions that reads after a write,
-// writes after a read or a write, or touches memory with a store or a
-// fence between them keeps its order; and both orders leave the same
-// exit code and memory on the reference engine.
+// FuzzSchedule is the scheduler's legality and timing oracle. Each input
+// is decoded into one straight-line block over a 128-byte memory window,
+// ended by ret, which is scheduled and then checked four ways. Three read
+// none of the scheduler's own tables: the scheduled block is a
+// permutation of the original; every pair of instructions that reads
+// after a write, writes after a read or a write, or touches memory with a
+// store or a fence between them keeps its order; and both orders leave
+// the same exit code and memory on the reference engine. The fourth is
+// that the scheduler believes the machine: run as the entry, from an idle
+// machine, the scheduled block takes exactly the cycles the scheduler's
+// scoreboard gives the order it emitted, unless the block is one of the
+// departures timingDeparture names.
 func FuzzSchedule(f *testing.F) {
 	for _, seed := range [][]byte{
 		// ldi r10, 3; cvtif f10, r10; fldi f11, 0.25; fmul f12, f10, f11;
@@ -199,6 +204,11 @@ func FuzzSchedule(f *testing.F) {
 		// v64; vadd.m v0, v32, v64, m1; vst.m v0 off r23; mnot m2, m1;
 		// vst v32 as int32.
 		{7, 34, 1, 0, 0, 22, 1, 140, 40, 2, 0, 1, 41, 0, 1, 2, 49, 0, 1, 2, 0, 48, 0, 1, 0, 0, 46, 1, 0, 0, 35, 1, 0, 1},
+		// Scalar, so timed: ldi r10, 3; cvtif f10, r10; fdiv f11, f10,
+		// f10; fdiv f12, f10, f10 (the FP unit busy 12 cycles each);
+		// mul r11, r10, r10; fld8 f13, 16(r20); fadd f14, f13, f11;
+		// fst8 f14, 24(r20); ld4 r2, 24(r20).
+		{0, 0, 1, 131, 32, 0, 1, 27, 1, 0, 0, 27, 2, 0, 0, 4, 2, 1, 1, 19, 3, 2, 24, 4, 3, 1, 21, 4, 3, 14, 0, 6},
 	} {
 		f.Add(seed)
 	}
@@ -216,12 +226,46 @@ func FuzzSchedule(f *testing.F) {
 				}
 			}
 		}
-		want, got := runBlock(t, block), runBlock(t, sched)
+		want, got := runBlock(t, block, "main"), runBlock(t, sched, "main")
 		if got.ExitCode != want.ExitCode || got.Output != want.Output {
 			t.Fatalf("scheduled block exits %d leaving memory %x, the original %d leaving %x:\n%s",
 				got.ExitCode, got.Output, want.ExitCode, want.Output, listing(sched))
 		}
+		if timingDeparture(sched) != "" {
+			return
+		}
+		var sb titan.Scoreboard
+		est := int64(0)
+		for k := range sched {
+			est = max(est, sb.Issue(&sched[k], vector.DefaultVL))
+		}
+		if run := runBlock(t, sched, "blk").Cycles; run != est {
+			t.Fatalf("the scheduled block runs %d cycles from an idle machine, the scheduler's estimate is %d:\n%s",
+				run, est, listing(sched))
+		}
 	})
+}
+
+// timingDeparture names how a scheduled block's run departs from the
+// scheduler's estimate, "" if it does not. The estimate issues every
+// instruction on one scoreboard from an idle machine, ret too: the
+// scheduler gives ret a block of its own, but dispatch issues it right
+// after the block and charges it nothing else, so continuing the block's
+// scoreboard into it is exact. The one departure a fuzzed block can hold:
+//   - "vl": an op that reads VL runs at the head's VL of 1..8, and the
+//     scheduler issues it at vector.DefaultVL.
+//
+// The others the estimate makes (DESIGN.md, "The scheduler's dispatch
+// model") cannot occur here: the block is the entry, so the machine is
+// idle at its start, and it holds no post, wait or branch.
+func timingDeparture(block []titan.Instr) string {
+	for _, in := range block {
+		refs := in.Refs()
+		if slices.Contains(refs.Uses(), titan.Ref{File: titan.VLReg}) {
+			return "vl"
+		}
+	}
+	return ""
 }
 
 // fuzzWindow is the memory the fuzzed blocks load and store: windowSize
@@ -382,10 +426,10 @@ func depends(a, b titan.Instr) bool {
 	return ma != titan.MemNone && mb != titan.MemNone && (orders(ma) || orders(mb))
 }
 
-// runBlock runs block as the function blk on the reference engine, called
-// from a main that then prints the window byte by byte and exits with
-// blk's exit code.
-func runBlock(t *testing.T, block []titan.Instr) titan.Result {
+// runBlock runs block as the function blk on the reference engine from
+// entry: blk itself, or a main that calls it, then prints the window byte
+// by byte and exits with blk's exit code.
+func runBlock(t *testing.T, block []titan.Instr, entry string) titan.Result {
 	t.Helper()
 	main := []titan.Instr{
 		{Op: titan.OpCall, Sym: "blk"},
@@ -411,7 +455,7 @@ func runBlock(t *testing.T, block []titan.Instr) titan.Result {
 		Data: data, DataBase: fuzzWindow, MemSize: 1 << 16,
 	}, 1)
 	defer m.Release()
-	r, err := m.RunReference("main")
+	r, err := m.RunReference(entry)
 	if err != nil {
 		t.Fatalf("%v:\n%s", err, listing(block))
 	}

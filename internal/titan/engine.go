@@ -60,7 +60,7 @@ type dinstr struct {
 	rs2 int32
 	tgt int32 // branch target pc, or par.end index; -1 if unresolved
 	// Byte offsets into the cpu struct of the operand ready-times,
-	// the destination ready-time, and the issuing unit, so charge runs
+	// the destination ready-time, and the issuing unit, so the charge runs
 	// branch-free: absent operands point at cpu.sbZero (always zero)
 	// and absent destinations at cpu.sbSink (never read). s3off is the
 	// governing mask register of masked vector ops (sbZero otherwise).
@@ -89,20 +89,16 @@ type dfunc struct {
 	code  []dinstr
 }
 
-// Byte offsets of the scoreboard arrays and unit clocks within cpu,
+// Byte offsets of the Scoreboard's arrays and unit clocks within cpu,
 // the basis of the decoded charge offsets.
 var (
 	offIntReady  = int32(unsafe.Offsetof(cpu{}.intReady))
 	offFltReady  = int32(unsafe.Offsetof(cpu{}.fltReady))
 	offVecReady  = int32(unsafe.Offsetof(cpu{}.vecReady))
 	offMaskReady = int32(unsafe.Offsetof(cpu{}.maskReady))
+	offUnit      = int32(unsafe.Offsetof(cpu{}.unit))
 	offSbZero    = int32(unsafe.Offsetof(cpu{}.sbZero))
 	offSbSink    = int32(unsafe.Offsetof(cpu{}.sbSink))
-	offUnit      = [...]int32{
-		UnitInt: int32(unsafe.Offsetof(cpu{}.intUnit)),
-		UnitFlt: int32(unsafe.Offsetof(cpu{}.fltUnit)),
-		UnitMem: int32(unsafe.Offsetof(cpu{}.memUnit)),
-	}
 )
 
 // wrapReg maps a vector or mask register index into its file, the way the
@@ -119,7 +115,7 @@ func wrapReg(file RegFile, n int) int32 {
 
 // sbOff resolves the scoreboard slot of register r (already wrapped) of a
 // file to its byte offset in cpu. Register indexes are validated here so
-// the unchecked pointer arithmetic in charge can never stray: the
+// the unchecked pointer arithmetic in the charge can never stray: the
 // reference would panic on the same malformed instruction at execution
 // time, the decoder simply reports it up front.
 func sbOff(file RegFile, r int32) int32 {
@@ -141,7 +137,7 @@ func sbOff(file RegFile, r int32) int32 {
 	}
 }
 
-// srcOff is the slot charge waits on for an operand: the register's when
+// srcOff is the slot the charge waits on for an operand: the register's when
 // the op reads it at dispatch, else the always-zero one.
 func srcOff(o operand, r int32) int32 {
 	if o.role == roleUse {
@@ -231,7 +227,7 @@ func decodeFunc(f *Func) *dfunc {
 		if info.rd.role == roleDef {
 			d.doff = sbOff(info.rd.file, d.rd)
 		}
-		d.unitOff = offUnit[info.time.Unit]
+		d.unitOff = offUnit + 8*int32(info.time.Unit)
 		d.lat, d.occ, d.vsc = info.time.Lat, info.time.Occ, info.time.VScale
 		switch info.flops {
 		case flopOne:
@@ -282,42 +278,6 @@ func decodeFunc(f *Func) *dfunc {
 	return df
 }
 
-// charge advances the scoreboard for one decoded instruction: the
-// reference dispatch with its opTable lookups replaced by decoded byte
-// offsets into the cpu struct, so the hot path is branch-free — operand
-// and destination slots, the issuing unit, the vl scaling, and the FLOP
-// contribution are all straight loads through pre-validated offsets.
-func (c *cpu) charge(d *dinstr) {
-	base := unsafe.Pointer(c)
-	ready := c.clock
-	if t := *(*int64)(unsafe.Add(base, uintptr(d.s1off))); t > ready {
-		ready = t
-	}
-	if t := *(*int64)(unsafe.Add(base, uintptr(d.s2off))); t > ready {
-		ready = t
-	}
-	if t := *(*int64)(unsafe.Add(base, uintptr(d.s3off))); t > ready {
-		ready = t
-	}
-
-	vl := c.vlc
-	scale := int64(d.vsc) * vl
-
-	unit := (*int64)(unsafe.Add(base, uintptr(d.unitOff)))
-	issue := ready
-	if *unit > issue {
-		issue = *unit
-	}
-	*unit = issue + int64(d.occ) + scale
-	done := issue + int64(d.lat) + scale
-	c.clock = issue + 1
-	if done > c.cycles {
-		c.cycles = done
-	}
-	*(*int64)(unsafe.Add(base, uintptr(d.doff))) = done
-	c.flops += int64(d.flc) + int64(d.flv)*vl
-}
-
 // runFastEntry is Run's engine path.
 func (m *Machine) runFastEntry(entry string) (Result, error) {
 	m.prog.decode()
@@ -358,9 +318,9 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 		}
 		d := &code[pc]
 		c.icount++
-		// charge(d), inlined by hand: the compiler judges the method
-		// too large to inline and this is the single hottest call in
-		// the engine (see charge for the commented version).
+		// The charge: cpu.dispatch, its Scoreboard.Issue (the commented
+		// version) reading decoded offsets instead of opTable, written out
+		// by hand as the hottest code in the engine, too large to inline.
 		{
 			cb := unsafe.Pointer(c)
 			ready := c.clock
@@ -702,7 +662,7 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 		if d.fuse != fuseNone {
 			d2 := &code[pc+1]
 			c.icount++
-			// charge(d2), inlined by hand like the dispatch site above.
+			// The charge for d2, written out like the one above.
 			{
 				cb := unsafe.Pointer(c)
 				ready := c.clock

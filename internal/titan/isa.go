@@ -210,9 +210,9 @@ type Instr struct {
 // per-instruction fact is stated here and nowhere else. Instr.String reads
 // name and syntax; the reference dispatch (machine.go) and the fast
 // engine's decoder (engine.go) read the operand files and roles, the
-// governing mask and the timing; Refs, Mem, IsControl, Transfers and
-// Timing give the compiler's list scheduler and peephole their def/use,
-// memory-order and block-boundary classes and the cost dispatch charges.
+// governing mask and the timing, the latter through Scoreboard; Refs,
+// Mem, IsControl and Transfers give the compiler's list scheduler and
+// peephole their def/use, memory-order and block-boundary classes.
 // What an instruction computes is not here: it is the semantic switch of
 // each engine, written twice on purpose so that one checks the other.
 var opTable = [numOps]opInfo{
@@ -336,7 +336,7 @@ type opInfo struct {
 	rd, rs1, rs2 operand
 	// masked: a governing mask register, read, rides in Imm bits 8 and up.
 	masked bool
-	time   Timing
+	time   timing
 	vl     vlUse
 	flops  flopKind
 	mem    MemClass
@@ -390,36 +390,33 @@ const (
 	NumUnits
 )
 
-// Timing is an op's cost on the scoreboard: it occupies Unit for
+// timing is an op's cost on the Scoreboard: it occupies Unit for
 // Occ + VScale·VL cycles and its result is ready Lat + VScale·VL cycles
 // after issue (VL counted as at least 1).
-type Timing struct {
+type timing struct {
 	Unit     Unit
 	Lat, Occ int32
 	VScale   int32
 }
 
-// Timing is the op's row of the scoreboard, as dispatch charges it.
-func (op Op) Timing() Timing { return opTable[op].time }
-
 var (
-	tALU    = Timing{UnitInt, 1, 1, 0}
-	tMul    = Timing{UnitInt, 4, 1, 0}
-	tDiv    = Timing{UnitInt, 12, 8, 0}
-	tMask   = Timing{UnitInt, 2, 1, 0}
-	tBranch = Timing{UnitInt, 2, 1, 0}
-	tCall   = Timing{UnitInt, 10, 10, 0}
-	tRet    = Timing{UnitInt, 8, 8, 0}
-	tLoad   = Timing{UnitMem, 6, 1, 0}
-	tStore  = Timing{UnitMem, 1, 1, 0}
-	tWait   = Timing{UnitMem, waitLatency, 1, 0}
-	tFP     = Timing{UnitFlt, 6, 1, 0}
-	tFdiv   = Timing{UnitFlt, 18, 12, 0}
+	tALU    = timing{UnitInt, 1, 1, 0}
+	tMul    = timing{UnitInt, 4, 1, 0}
+	tDiv    = timing{UnitInt, 12, 8, 0}
+	tMask   = timing{UnitInt, 2, 1, 0}
+	tBranch = timing{UnitInt, 2, 1, 0}
+	tCall   = timing{UnitInt, 10, 10, 0}
+	tRet    = timing{UnitInt, 8, 8, 0}
+	tLoad   = timing{UnitMem, 6, 1, 0}
+	tStore  = timing{UnitMem, 1, 1, 0}
+	tWait   = timing{UnitMem, waitLatency, 1, 0}
+	tFP     = timing{UnitFlt, 6, 1, 0}
+	tFdiv   = timing{UnitFlt, 18, 12, 0}
 	// The per-processor memory path is highly pipelined (§2): one element
 	// per cycle after a short set-up.
-	tVecMem = Timing{UnitMem, 6, 2, 1}
-	tVec    = Timing{UnitFlt, 8, 4, 1}
-	tVdiv   = Timing{UnitFlt, 12, 8, 2}
+	tVecMem = timing{UnitMem, 6, 2, 1}
+	tVec    = timing{UnitFlt, 8, 4, 1}
+	tVdiv   = timing{UnitFlt, 12, 8, 2}
 )
 
 // vlUse says whether an op reads the vector length (every lane-wise op,

@@ -48,25 +48,39 @@ func TestOpTable(t *testing.T) {
 // An instruction waits for the operands it names and no others. The
 // per-engine tables this one replaced had vmov wait on the vector at its
 // unused rs2 field and pid/nproc on the integer register at their unused
-// rs1 — slot 0 and r0 in practice.
+// rs1 — slot 0 and r0 in practice. Each engine runs the one instruction
+// with both busy until cycle 1000.
 func TestDispatchIgnoresUnusedFields(t *testing.T) {
 	for _, in := range []Instr{{Op: OpPid, Rd: 5}, {Op: OpNproc, Rd: 5}, {Op: OpVmov, Rd: 128, Rs1: 256}} {
-		ref := &cpu{cpuState: cpuState{vlc: 1}}
-		ref.intReady[0], ref.vecReady[0] = 1000, 1000
-		fast := *ref
-		ref.dispatch(in)
-		fast.charge(&decodeFunc(&Func{Instrs: []Instr{in}}).code[0])
-		if ref.cycles >= 1000 || fast.cycles != ref.cycles {
+		prog := &Program{Funcs: map[string]*Func{"main": {Name: "main", Instrs: []Instr{in}}}}
+		var done [2]int64
+		for k, fast := range []bool{false, true} {
+			m := NewMachine(prog, 1)
+			m.prog.decode()
+			c := new(cpu)
+			maxInstrs, err := m.begin(c, "main", 0)
+			c.intReady[0], c.vecReady[0] = 1000, 1000
+			if err == nil && fast {
+				err = c.runFast(m.prog.decoded["main"], 0, -1, maxInstrs)
+			} else if err == nil {
+				err = c.exec(prog.Funcs["main"], 0, -1, maxInstrs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			done[k] = c.cycles
+			m.Release()
+		}
+		if done[0] >= 1000 || done[1] != done[0] {
 			t.Errorf("%v: done at cycle %d (reference), %d (engine); register 0, busy until 1000, is not an operand",
-				in, ref.cycles, fast.cycles)
+				in, done[0], done[1])
 		}
 	}
 }
 
 // What the compiler's scheduler reads of the table: Refs marks a store's
-// data and nothing else as not waited for, and Timing is the row dispatch
-// charges.
-func TestRefsMarkStoreDataAndTimingIsTheRow(t *testing.T) {
+// data and nothing else as not waited for.
+func TestRefsMarkStoreData(t *testing.T) {
 	for op := Op(0); op < numOps; op++ {
 		refs := Instr{Op: op}.Refs()
 		data := int64(0)
@@ -75,9 +89,6 @@ func TestRefsMarkStoreDataAndTimingIsTheRow(t *testing.T) {
 		}
 		if want := b2i(op.Mem() == MemStore); data != want {
 			t.Errorf("%s: %d uses marked store data, want %d", opTable[op].name, data, want)
-		}
-		if op.Timing() != opTable[op].time {
-			t.Errorf("%s: Timing %+v, row %+v", opTable[op].name, op.Timing(), opTable[op].time)
 		}
 	}
 }

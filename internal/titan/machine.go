@@ -371,20 +371,19 @@ func (c *cpu) openFrame(frame int64, fn string, pc int) error {
 }
 
 // cpu is one processor context: its cpuState, and the vector register
-// file with its scoreboard, of which only the live extent [0, vhi) is
-// ever copied or cleared (see copyLive). vecReady is indexed by VRF slot
-// like the file itself: fixed arrays, so a fork allocates nothing.
+// file and Scoreboard, of whose VRF-sized arrays only the live extent
+// [0, vhi) is ever copied or cleared (see copyLive). Fixed arrays, so a
+// fork allocates nothing.
 type cpu struct {
 	cpuState
-	vrf      [VRFWords]float64
-	vecReady [VRFWords]int64
+	vrf [VRFWords]float64
+	Scoreboard
 }
 
-// cpuState is a processor context apart from the two VRF-sized arrays.
-// It is copied whole at parallel-region forks, so every field must be
-// value state; shared state reaches it through m (the memory slab) and
-// out (the output sink). It comes first in cpu: the fast engine's
-// decoded scoreboard offsets are offsets into cpu.
+// cpuState is a processor context apart from the vector file and the
+// scoreboard. It is copied whole at parallel-region forks, so every field
+// must be value state; shared state reaches it through m (the memory
+// slab) and out (the output sink).
 type cpuState struct {
 	m   *Machine
 	out *strings.Builder
@@ -424,15 +423,6 @@ type cpuState struct {
 	inRegionFrame bool
 	syncStall     int64
 
-	// Scoreboard state (vecReady is in cpu).
-	clock     int64 // dispatch clock
-	intReady  [NumIntRegs]int64
-	fltReady  [NumFltRegs]int64
-	maskReady [NumMaskRegs]int64
-	intUnit   int64 // next cycle the unit can accept work
-	fltUnit   int64
-	memUnit   int64
-
 	cycles int64 // completion horizon
 	flops  int64
 	icount int64
@@ -467,24 +457,24 @@ func (c *cpu) setVL(n int64) {
 	}
 }
 
-// copyLive makes c a copy of src: cpuState whole, the vector file and its
-// scoreboard over src's live extent, and what c held past it cleared, so
-// that every word past c.vhi is zero again.
+// copyLive makes c a copy of src: all but the VRF-sized arrays whole,
+// those over src's live extent, and what c held past it cleared, so that
+// every word past c.vhi is zero again.
 func (c *cpu) copyLive(src *cpu) {
 	if c.vhi > src.vhi {
 		clear(c.vrf[src.vhi:c.vhi])
 		clear(c.vecReady[src.vhi:c.vhi])
 	}
-	c.cpuState = src.cpuState
+	c.cpuState, c.sbRegs = src.cpuState, src.sbRegs
 	copy(c.vrf[:c.vhi], src.vrf[:c.vhi])
 	copy(c.vecReady[:c.vhi], src.vecReady[:c.vhi])
 }
 
-// reset makes c a new context: zero over its live extent and in cpuState.
+// reset makes c a new context: zero over its live extent and elsewhere.
 func (c *cpu) reset() {
 	clear(c.vrf[:c.vhi])
 	clear(c.vecReady[:c.vhi])
-	c.cpuState = cpuState{}
+	c.cpuState, c.sbRegs = cpuState{}, sbRegs{}
 }
 
 // vslot maps an arbitrary slot index into the vector register file,
@@ -613,62 +603,13 @@ func (m *Machine) result(c *cpu) Result {
 	}
 }
 
-// readyAt is the scoreboard slot of register n of a file: the cycle its
-// pending value arrives.
-func (c *cpu) readyAt(file RegFile, n int) *int64 {
-	switch file {
-	case IntReg:
-		return &c.intReady[n]
-	case FltReg:
-		return &c.fltReady[n]
-	case VecReg:
-		return &c.vecReady[vslot(n)]
-	default:
-		return &c.maskReady[mslot(n)]
-	}
-}
-
-// dispatch charges the scoreboard for one instruction, as its opTable row
-// says, and returns the cycle at which its result is ready. The fast
-// engine's charge does the same from offsets decodeFunc precomputes out of
-// the same row.
+// dispatch issues one instruction at c's vector length, counts its FLOPs
+// and returns the cycle at which its result is ready.
 func (c *cpu) dispatch(in Instr) int64 {
-	info := &opTable[in.Op]
-	// Operand availability. Store data is not waited for: stores drain
-	// through a store buffer, dispatch needs only the address.
-	ready := c.clock
-	if info.rs1.role == roleUse {
-		ready = max(ready, *c.readyAt(info.rs1.file, in.Rs1))
-	}
-	if info.rs2.role == roleUse {
-		ready = max(ready, *c.readyAt(info.rs2.file, in.Rs2))
-	}
-	if info.masked {
-		ready = max(ready, c.maskReady[maskReg(in)])
-	}
-
-	// Unit, latency, occupancy.
 	vl := max(c.vl, 1)
-	unit := &c.intUnit
-	switch info.time.Unit {
-	case UnitFlt:
-		unit = &c.fltUnit
-	case UnitMem:
-		unit = &c.memUnit
-	}
-	scale := int64(info.time.VScale) * vl
-	issue := max(ready, *unit)
-	*unit = issue + int64(info.time.Occ) + scale
-	done := issue + int64(info.time.Lat) + scale
-	// In-order dispatch: the next instruction cannot dispatch before this
-	// one did.
-	c.clock = issue + 1
+	done := c.Issue(&in, vl)
 	c.cycles = max(c.cycles, done)
-
-	if info.rd.role == roleDef {
-		*c.readyAt(info.rd.file, in.Rd) = done
-	}
-	switch info.flops {
+	switch opTable[in.Op].flops {
 	case flopOne:
 		c.flops++
 	case flopPerLane:
@@ -1246,7 +1187,7 @@ func (j *regionJoin) finish(c *cpu, procs int) {
 	c.maskTotal = j.fork.maskTotal + j.sum.maskTotal
 	c.cycles = j.fork.cycles + j.sum.cycles + forkOverhead*int64(procs-1)
 	c.clock = c.cycles
-	c.intUnit, c.fltUnit, c.memUnit = c.cycles, c.cycles, c.cycles
+	c.unit = [NumUnits]int64{c.cycles, c.cycles, c.cycles}
 }
 
 // forkTo makes sub processor pid of a region c is forking, with out (reset)
