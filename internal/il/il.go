@@ -272,6 +272,65 @@ func (e *VecRef) Type() *ctype.Type { return e.T }
 func (e *VecRef) String() string { return fmt.Sprintf("[%s :%s]", e.Base, e.Stride) }
 func (e *VecRef) exprNode()      {}
 
+// VectorOpExact reports whether node e, applied to a vector operand, has
+// an exact vector lowering. The vector register file holds float64, so
+// +, −, × and a floating ÷ compute every lane as the scalar code does, as
+// do negation and a cast that truncates nothing; an integer ÷, a
+// float→int cast, every other operator and every other unary operator do
+// not. The vectorizer declines a statement with such a node and codegen
+// refuses one, so the rule is stated here once.
+func VectorOpExact(e Expr) bool {
+	switch n := e.(type) {
+	case *Bin:
+		switch n.Op {
+		case OpAdd, OpSub, OpMul:
+			return true
+		case OpDiv:
+			return n.T != nil && n.T.IsFloat()
+		}
+		return false
+	case *Un:
+		return n.Op == OpNeg
+	case *Cast:
+		return !(n.T.IsInteger() && n.X.Type() != nil && n.X.Type().IsFloat())
+	}
+	return true
+}
+
+// VectorExact reports whether every node of e that computes on a vector
+// operand (a VecRef below it) is VectorOpExact.
+func VectorExact(e Expr) bool {
+	_, exact := vectorExact(e)
+	return exact
+}
+
+// vectorExact reports whether e carries a vector operand, and whether
+// every node of it that does is VectorOpExact.
+func vectorExact(e Expr) (carries, exact bool) {
+	var kids [2]Expr
+	switch n := e.(type) {
+	case *VecRef:
+		return true, true
+	case *Bin:
+		kids = [2]Expr{n.L, n.R}
+	case *Un:
+		kids[0] = n.X
+	case *Cast:
+		kids[0] = n.X
+	default:
+		return false, true
+	}
+	exact = true
+	for _, k := range kids {
+		if k == nil {
+			continue
+		}
+		c, x := vectorExact(k)
+		carries, exact = carries || c, exact && x
+	}
+	return carries, exact && (!carries || VectorOpExact(e))
+}
+
 // ---------------------------------------------------------------- Statements
 
 // Stmt is an IL statement. Every statement carries the source position of

@@ -386,6 +386,103 @@ int main(void)
 		opts:  []driver.Options{driver.ScalarOptions()},
 		sched: &scheduledLoop{token.Pos{Line: 7, Col: 2}, schedule.Schedule{VL: 32, Unroll: 4}},
 	},
+	{
+		// The vector register file computes in float64, so an integer
+		// quotient on a vector strip kept its fraction: (b / 3) * 3 gave
+		// b back. A statement with a node of no exact vector lowering
+		// stays serial.
+		name: "vector-int-div-truncates",
+		src: `
+int a[96], b[96];
+
+int main(void)
+{
+	int i, chk;
+	for (i = 0; i < 96; i++) {
+		a[i] = i;
+		b[i] = 7 * i + 3;
+	}
+	for (i = 0; i < 96; i++)
+		a[i] = (b[i] / 3) * 3;
+	for (i = 0; i < 96; i++)
+		a[i] = b[i] / 2 * 2 + a[i];
+	chk = 0;
+	for (i = 0; i < 96; i++)
+		chk = (chk * 31 + a[i]) % 65521;
+	return chk % 251;
+}
+`,
+		opts: []driver.Options{{OptLevel: 1, Vectorize: true, StrengthReduce: true}, driver.FullOptions()},
+	},
+	{
+		// For the same reason a float→int cast on a vector strip did not
+		// truncate: (int)f * 2 doubled the fraction too.
+		name: "vector-float-int-cast-truncates",
+		src: `
+int a[96];
+float f[96];
+
+int main(void)
+{
+	int i, chk;
+	for (i = 0; i < 96; i++)
+		f[i] = i * 1.75f;
+	for (i = 0; i < 96; i++)
+		a[i] = (int)(f[i]) * 2;
+	chk = 0;
+	for (i = 0; i < 96; i++)
+		chk = (chk * 31 + a[i]) % 65521;
+	return chk % 251;
+}
+`,
+		opts: []driver.Options{{OptLevel: 1, Vectorize: true, StrengthReduce: true}, driver.FullOptions()},
+	},
+}
+
+// TestVectorInexactOperatorsStaySerial holds the integer operators with no
+// vector lowering at all to the same rule: a loop of %, &, | or >> on an
+// integer array compiles, serial, and answers what -O0 does.
+func TestVectorInexactOperatorsStaySerial(t *testing.T) {
+	for _, op := range []string{"b[i] % 7", "b[i] & 7", "b[i] | 1", "b[i] >> 1"} {
+		src := `
+int a[96], b[96];
+
+int main(void)
+{
+	int i, chk;
+	for (i = 0; i < 96; i++)
+		b[i] = 7 * i + 3;
+	for (i = 0; i < 96; i++)
+		a[i] = ` + op + `;
+	chk = 0;
+	for (i = 0; i < 96; i++)
+		chk = (chk * 31 + a[i]) % 65521;
+	return chk % 251;
+}
+`
+		want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
+		if err != nil {
+			t.Fatalf("%s -O0: %v", op, err)
+		}
+		for _, opts := range []driver.Options{{OptLevel: 1, Vectorize: true, StrengthReduce: true}, driver.FullOptions()} {
+			res, err := driver.Compile(src, opts)
+			if err != nil {
+				t.Fatalf("a[i] = %s, vectorize=%v parallelize=%v: %v", op, opts.Vectorize, opts.Parallelize, err)
+			}
+			for _, procs := range testProcs {
+				runs, err := engineRuns(res.Machine, procs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range runs {
+					if r.ExitCode != want.ExitCode {
+						t.Errorf("a[i] = %s, parallelize=%v p=%d %s: exit %d, -O0 gives %d",
+							op, opts.Parallelize, procs, r.name, r.ExitCode, want.ExitCode)
+					}
+				}
+			}
+		}
+	}
 }
 
 // wantRegionsOffFrame asserts that no instruction of main between a
