@@ -460,7 +460,7 @@ func TestPeepholeSeesPostOperand(t *testing.T) {
 		if !scratchLiveAfter(f, 2, scratchLo, false, isTarget) {
 			t.Errorf("scratch read by a later %v reported dead", f.Instrs[2])
 		}
-		coalesceCopies(f)
+		coalesceCopies(f, new(loopVals))
 		if len(f.Instrs) != 4 {
 			t.Errorf("move coalesced away under a live scratch:\n%s", f.Disassemble())
 		}

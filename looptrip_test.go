@@ -62,65 +62,88 @@ int main(void)
 
 // tripKinds is every loop shape codegen emits, an unrolled loop's main
 // and remainder loops included: the options and any plan that compile
-// the kernel into it, its body, the steps it takes and how its loops at
-// the kernel's line are recognized.
+// the kernel into it, its bodies, the steps it takes and how its loops at
+// the kernel's line are recognized. A kind's second body repeats a
+// subscript and needs the constant heldConst, which the loop must keep in
+// a register rather than load every iteration.
 var tripKinds = []struct {
-	name  string
-	opts  driver.Options
-	plan  *schedule.Schedule
-	body  func(step int) string
-	steps []int
-	shape func(loops []il.Stmt) bool
+	name   string
+	opts   driver.Options
+	plan   *schedule.Schedule
+	bodies [2]func(step int) string
+	steps  []int
+	shape  func(loops []il.Stmt) bool
 }{
 	{
-		name:  "serial",
-		opts:  driver.ScalarOptions(),
-		body:  func(int) string { return "a[i] = a[i] + b[i] + i" },
+		name: "serial",
+		opts: driver.ScalarOptions(),
+		bodies: [2]func(int) string{
+			func(int) string { return "a[i] = a[i] + b[i] + i" },
+			func(int) string { return "a[i] = (a[i] + b[i]) % 1000 + b[i]" },
+		},
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return len(loops) == 1 && !hasParallel(loops) && !hasVector(loops) },
 	},
 	{
-		name:  "doall",
-		opts:  driver.Options{OptLevel: 1, Parallelize: true, StrengthReduce: true},
-		body:  func(int) string { return "a[i] = b[i] + i" },
+		name: "doall",
+		opts: driver.Options{OptLevel: 1, Parallelize: true, StrengthReduce: true},
+		bodies: [2]func(int) string{
+			func(int) string { return "a[i] = b[i] + i" },
+			func(int) string { return "a[i] = (a[i] + b[i]) % 1000 + b[i]" },
+		},
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && !hasVector(loops) && syncDistance(loops) == 0 },
 	},
 	{
-		name:  "doacross1",
-		opts:  driver.FullOptions(),
-		plan:  &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
-		body:  func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", step) },
+		name: "doacross1",
+		opts: driver.FullOptions(),
+		plan: &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
+		bodies: [2]func(int) string{
+			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", step) },
+			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] %% 1000 + b[i]", step) },
+		},
 		steps: []int{1, 2},
 		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 1 },
 	},
 	{
-		name:  "doacross3",
-		opts:  driver.FullOptions(),
-		plan:  &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
-		body:  func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", 3*step) },
+		name: "doacross3",
+		opts: driver.FullOptions(),
+		plan: &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
+		bodies: [2]func(int) string{
+			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", 3*step) },
+			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] %% 1000 + b[i]", 3*step) },
+		},
 		steps: []int{1, 2},
 		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 3 },
 	},
 	{
-		name:  "unrolled",
-		opts:  driver.ScalarOptions(),
-		plan:  &schedule.Schedule{VL: 32, Unroll: 4},
-		body:  func(int) string { return "a[i] = a[i] + b[i] + i" },
+		name: "unrolled",
+		opts: driver.ScalarOptions(),
+		plan: &schedule.Schedule{VL: 32, Unroll: 4},
+		bodies: [2]func(int) string{
+			func(int) string { return "a[i] = a[i] + b[i] + i" },
+			func(int) string { return "a[i] = (a[i] + b[i]) % 1000 + b[i]" },
+		},
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return len(loops) == 2 && !hasParallel(loops) && !hasVector(loops) },
 	},
 	{
-		name:  "vector",
-		opts:  driver.Options{OptLevel: 1, Vectorize: true, StrengthReduce: true},
-		body:  func(int) string { return "a[i] = b[i] * 2 + 1" },
+		name: "vector",
+		opts: driver.Options{OptLevel: 1, Vectorize: true, StrengthReduce: true},
+		bodies: [2]func(int) string{
+			func(int) string { return "a[i] = b[i] * 2 + 1" },
+			func(int) string { return "a[i] = (a[i] + b[i]) * 1000 + b[i]" },
+		},
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return !hasParallel(loops) && hasVector(loops) },
 	},
 	{
-		name:  "parvector",
-		opts:  driver.FullOptions(),
-		body:  func(int) string { return "a[i] = b[i] * 2 + 1" },
+		name: "parvector",
+		opts: driver.FullOptions(),
+		bodies: [2]func(int) string{
+			func(int) string { return "a[i] = b[i] * 2 + 1" },
+			func(int) string { return "a[i] = (a[i] + b[i]) * 1000 + b[i]" },
+		},
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && hasVector(loops) },
 	},
@@ -203,56 +226,84 @@ func guarded(f *titan.Func, l tripLoop) bool {
 	})
 }
 
+// heldConst is the constant each kind's second body needs, which no
+// integer or FP immediate of the operation it feeds can carry.
+const heldConst = 1000
+
+// reloaded reports an instruction between a kernel loop's top and its back
+// branch that loads heldConst.
+func reloaded(f *titan.Func, loops []tripLoop) (titan.Instr, bool) {
+	for _, l := range loops {
+		if !l.kernel {
+			continue
+		}
+		for _, in := range f.Instrs[l.top : l.backBranch+1] {
+			if (in.Op == titan.OpLdi && in.Imm == heldConst) || (in.Op == titan.OpFldi && in.FImm == heldConst) {
+				return in, true
+			}
+		}
+	}
+	return titan.Instr{}, false
+}
+
 func TestLoopTripBoundaries(t *testing.T) {
 	kernelPos := token.Pos{Line: tripKernelLine, Col: 2}
 	for _, k := range tripKinds {
-		for _, step := range k.steps {
-			for _, trip := range []int{0, 1, 2, 3, 4, 5, 33} {
-				for _, folded := range []bool{true, false} {
-					name := fmt.Sprintf("%s/step=%d/trip=%d/folded=%v", k.name, step, trip, folded)
-					src := tripProgram(k.body(step), step, trip, folded)
-					want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
-					if err != nil {
-						t.Fatalf("%s -O0: %v", name, err)
-					}
-					ctx := pass.NewContext()
-					if k.plan != nil {
-						ctx.Schedules = schedule.NewSet()
-						ctx.Schedules.Put(schedule.KeyFor("main", kernelPos), *k.plan)
-					}
-					res, err := driver.CompileWith(src, k.opts, ctx)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					// Unfolded, the compiler cannot know the trip count:
-					// the kernel takes its kind, and each of its loops
-					// has a guard.
-					if !folded {
-						var kernel []il.Stmt
-						for _, l := range tripLoops(t, res) {
-							if !l.kernel {
-								continue
-							}
-							kernel = append(kernel, l.stmt)
-							if l.trips >= 0 {
-								t.Errorf("%s: the kernel's bounds folded: %s", name, l.stmt)
-							}
-							if !guarded(res.Machine.Funcs["main"], l) {
-								t.Errorf("%s: %s has no guard:\n%s", name, l.stmt, res.Machine.Funcs["main"].Disassemble())
-							}
-						}
-						if !k.shape(kernel) {
-							t.Errorf("%s: the kernel did not compile to a %s loop: %v", name, k.name, kernel)
-						}
-					}
-					for _, procs := range testProcs {
-						runs, err := engineRuns(res.Machine, procs)
+		for b, body := range k.bodies {
+			for _, step := range k.steps {
+				for _, trip := range []int{0, 1, 2, 3, 4, 5, 33} {
+					for _, folded := range []bool{true, false} {
+						name := fmt.Sprintf("%s/body=%d/step=%d/trip=%d/folded=%v", k.name, b, step, trip, folded)
+						src := tripProgram(body(step), step, trip, folded)
+						want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
 						if err != nil {
-							t.Fatal(err)
+							t.Fatalf("%s -O0: %v", name, err)
 						}
-						for _, r := range runs {
-							if r.ExitCode != want.ExitCode || r.Output != want.Output {
-								t.Errorf("%s p=%d %s: checksum %d, -O0 gives %d", name, procs, r.name, r.ExitCode, want.ExitCode)
+						ctx := pass.NewContext()
+						if k.plan != nil {
+							ctx.Schedules = schedule.NewSet()
+							ctx.Schedules.Put(schedule.KeyFor("main", kernelPos), *k.plan)
+						}
+						res, err := driver.CompileWith(src, k.opts, ctx)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						loops := tripLoops(t, res)
+						if b == 1 {
+							if in, ok := reloaded(res.Machine.Funcs["main"], loops); ok {
+								t.Errorf("%s: %s inside the kernel:\n%s", name, in, res.Machine.Funcs["main"].Disassemble())
+							}
+						}
+						// Unfolded, the compiler cannot know the trip count:
+						// the kernel takes its kind, and each of its loops
+						// has a guard.
+						if !folded {
+							var kernel []il.Stmt
+							for _, l := range loops {
+								if !l.kernel {
+									continue
+								}
+								kernel = append(kernel, l.stmt)
+								if l.trips >= 0 {
+									t.Errorf("%s: the kernel's bounds folded: %s", name, l.stmt)
+								}
+								if !guarded(res.Machine.Funcs["main"], l) {
+									t.Errorf("%s: %s has no guard:\n%s", name, l.stmt, res.Machine.Funcs["main"].Disassemble())
+								}
+							}
+							if !k.shape(kernel) {
+								t.Errorf("%s: the kernel did not compile to a %s loop: %v", name, k.name, kernel)
+							}
+						}
+						for _, procs := range testProcs {
+							runs, err := engineRuns(res.Machine, procs)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, r := range runs {
+								if r.ExitCode != want.ExitCode || r.Output != want.Output {
+									t.Errorf("%s p=%d %s: checksum %d, -O0 gives %d", name, procs, r.name, r.ExitCode, want.ExitCode)
+								}
 							}
 						}
 					}
