@@ -42,10 +42,11 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 		}
 		loc := g.locs[n.ID]
 		if loc.kind == locIntReg {
-			// Copy into a scratch so callers can overwrite freely? No:
-			// treat variable registers as read-only sources; operations
-			// write to fresh destinations, so returning the var register
-			// directly is safe and avoids a move.
+			// A register at or above varLo that evalInt or evalFlt
+			// returns is a read-only source: operations write fresh
+			// destinations, and putInt/putFlt leave it alone. The
+			// loop-values pass relies on it, renaming a scratch's reads
+			// to a register it keeps a loop value in.
 			return loc.reg, nil
 		}
 		r, err := g.getInt()
