@@ -4,7 +4,7 @@ package repro
 // below carries a computable constant-distance dependence, so before this
 // change the parallelizer rejected it with par-carried-dep and the loop
 // ran serial. Now the loop must compile DOACROSS (a par-doacross remark
-// naming the dependence, its distance, and the sync stride), the fast
+// naming the dependence and its distance), the fast
 // engine must stay bit-identical to the reference interpreter at every
 // processor count, the program output must match the serial compile
 // exactly, and at four processors the pipelined kernel must beat the
@@ -40,9 +40,9 @@ func serialOptions() driver.Options {
 }
 
 // TestDoacrossRemarks pins the compiler verdict: every recurrence kernel
-// gets exactly one par-doacross remark carrying the dependence, the
-// distance, and the sync stride — and no par-carried-dep rejection for
-// the same loop, preserving the one-verdict-per-loop invariant.
+// gets exactly one par-doacross remark carrying the dependence and the
+// distance — and no par-carried-dep rejection for the same loop,
+// preserving the one-verdict-per-loop invariant.
 func TestDoacrossRemarks(t *testing.T) {
 	for _, w := range doacrossWorkloads() {
 		w := w
@@ -58,7 +58,7 @@ func TestDoacrossRemarks(t *testing.T) {
 				t.Fatal("no par-doacross remark: recurrence kernel did not pipeline")
 			}
 			for _, d := range doacross {
-				for _, key := range []string{"dep", "distance", "sync_stride"} {
+				for _, key := range []string{"dep", "distance"} {
 					if d.Args[key] == "" {
 						t.Errorf("par-doacross remark missing %q arg: %s", key, d)
 					}

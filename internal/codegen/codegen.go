@@ -204,16 +204,6 @@ type syncGen struct {
 	iv       int // r: induction variable
 	stepC    int64
 	dist     int64 // dependence distance, iterations
-	stride   int64 // SyncStride: post every stride-th local iteration
-	// stride > 1 extras: producers post only on their lattice
-	// {local index ≡ 0 mod stride}, so consumers round thresholds up to
-	// the producer's lattice (legal only when dist ≥ stride·np, checked
-	// by schedule.Check, which keeps the awaited iteration strictly
-	// earlier than the waiter and the pipeline deadlock-free).
-	baseQ  int // r: init + waitCell·step (producer lattice origin)
-	period int // r: stride·np·step (producer lattice period, iv units)
-	zero   int // r: 0
-	cd     int // r: post countdown
 }
 
 // genProc lowers one procedure, emitting into buf and allocating with sc,
@@ -750,6 +740,8 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 	}
 	g.emit(titan.Instr{Op: titan.OpPid, Rd: pid})
 	g.emit(titan.Instr{Op: titan.OpNproc, Rd: np})
+	topL := g.newLabel("ptop")
+	endL := g.newLabel("pend")
 	prevSync := g.sync
 	g.sync = nil
 	var sy *syncGen
@@ -757,51 +749,14 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 		if stepC <= 0 {
 			return errf("DOACROSS loop requires a positive constant step")
 		}
-		sy = &syncGen{stepC: stepC, dist: n.Sync.Distance, stride: int64(n.Sync.Stride), iv: iv, initR: initR}
-		if sy.stride < 1 {
-			sy.stride = 1
-		}
+		sy = &syncGen{stepC: stepC, dist: n.Sync.Distance, iv: iv, initR: initR}
 		if sy.postCell, err = g.getInt(); err != nil {
 			return err
 		}
-		// The post cell is this processor's id. Computed before the
-		// width cap so sitting-out processors still reach the sentinel
-		// post at the join with a valid cell.
+		// The post cell is this processor's id, and waitCell =
+		// (pid - dist mod np + np) mod np is the processor that runs
+		// iteration iv - dist·step under the cyclic spread.
 		g.emit(titan.Instr{Op: titan.OpMov, Rd: sy.postCell, Rs1: pid})
-		g.hold(sy.postCell)
-	}
-	topL := g.newLabel("ptop")
-	endL := g.newLabel("pend")
-	if n.Width > 0 {
-		// The schedule capped the spread: np = min(np, width), and
-		// processors with pid ≥ np sit the loop out (they still reach the
-		// ParEnd join). The engines are untouched — width is purely a
-		// different program.
-		w, err := g.getInt()
-		if err != nil {
-			return err
-		}
-		t, err := g.getInt()
-		if err != nil {
-			return err
-		}
-		g.emit(titan.Instr{Op: titan.OpLdi, Rd: w, Imm: int64(n.Width)})
-		g.hold(w)
-		g.emit(titan.Instr{Op: titan.OpCmpLt, Rd: t, Rs1: w, Rs2: np})
-		skipL := g.newLabel("pcap")
-		g.emit(titan.Instr{Op: titan.OpBeqz, Rs1: t, Sym: skipL})
-		g.emit(titan.Instr{Op: titan.OpMov, Rd: np, Rs1: w})
-		g.label(skipL)
-		g.emit(titan.Instr{Op: titan.OpCmpLt, Rd: t, Rs1: pid, Rs2: np})
-		g.emit(titan.Instr{Op: titan.OpBeqz, Rs1: t, Sym: endL})
-		g.putInt(w)
-		g.putInt(t)
-	}
-	if sy != nil {
-		// waitCell = (pid - dist mod np + np) mod np: the processor that
-		// runs iteration iv - dist·step under the cyclic spread. pid and
-		// np are still the raw values here (the width cap only shrinks
-		// np, which is exactly what the cyclic map uses).
 		if sy.waitCell, err = g.getInt(); err != nil {
 			return err
 		}
@@ -814,8 +769,6 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 		g.emit(titan.Instr{Op: titan.OpAdd, Rd: sy.waitCell, Rs1: sy.waitCell, Rs2: np})
 		g.emit(titan.Instr{Op: titan.OpRem, Rd: sy.waitCell, Rs1: sy.waitCell, Rs2: np})
 		g.emit(titan.Instr{Op: titan.OpSub, Rd: sy.selfDiff, Rs1: sy.waitCell, Rs2: pid})
-		g.hold(sy.waitCell)
-		g.hold(sy.selfDiff)
 	}
 	// iv = init + pid*step; stride = nproc*step (reuse np). A unit step
 	// multiplies by nothing.
@@ -828,36 +781,12 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 	}
 	if sy == nil {
 		g.putInt(initR)
-	} else if sy.stride > 1 {
-		// Producer lattice for threshold rounding: origin init +
-		// waitCell·step, period stride·np·step (np already holds
-		// np·step here).
-		if sy.baseQ, err = g.getInt(); err != nil {
-			return err
-		}
-		if sy.period, err = g.getInt(); err != nil {
-			return err
-		}
-		if sy.zero, err = g.getInt(); err != nil {
-			return err
-		}
-		if sy.cd, err = g.getInt(); err != nil {
-			return err
-		}
-		g.emit(titan.Instr{Op: titan.OpMuli, Rd: sy.baseQ, Rs1: sy.waitCell, Imm: stepC})
-		g.emit(titan.Instr{Op: titan.OpAdd, Rd: sy.baseQ, Rs1: initR, Rs2: sy.baseQ})
-		g.emit(titan.Instr{Op: titan.OpMuli, Rd: sy.period, Rs1: np, Imm: sy.stride})
-		g.emit(titan.Instr{Op: titan.OpLdi, Rd: sy.zero, Imm: 0})
-		g.emit(titan.Instr{Op: titan.OpLdi, Rd: sy.cd, Imm: 1})
-		for _, r := range []int{sy.baseQ, sy.period, sy.zero, sy.cd} {
-			g.hold(r)
-		}
 	}
 	g.putInt(pid)
 	g.sync = sy
 
-	// Every processor the width cap keeps has pid < MaxProcessors, so a
-	// constant trip count of at least that gives each a first iteration.
+	// Every processor has pid < MaxProcessors, so a constant trip count
+	// of at least that gives each a first iteration.
 	if il.TripCount(n.Init, n.Limit, n.Step) < titan.MaxProcessors {
 		if err := g.loopTest(iv, limR, stepC, titan.OpBnez, endL); err != nil {
 			return err
@@ -875,8 +804,7 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 	g.label(endL)
 	if sy != nil {
 		// Sentinel: releases every outstanding wait on this processor's
-		// cell — consumers of its coalesced or never-started iterations
-		// (width-capped sit-outs jump straight here).
+		// cell — consumers of iterations it never started.
 		t, err := g.getInt()
 		if err != nil {
 			return err
@@ -892,12 +820,6 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 		g.putInt(sy.postCell)
 		g.putInt(sy.waitCell)
 		g.putInt(sy.selfDiff)
-		if sy.stride > 1 {
-			g.putInt(sy.baseQ)
-			g.putInt(sy.period)
-			g.putInt(sy.zero)
-			g.putInt(sy.cd)
-		}
 	}
 	g.putInt(np)
 	g.putInt(limR)
@@ -905,25 +827,13 @@ func (g *gen) doParallel(n *il.DoParallel) error {
 }
 
 // syncPost lowers a SyncPost marker: publish the current iteration to
-// this processor's cell. With SyncStride > 1 only every stride-th local
-// iteration posts (countdown in a register), the rest are covered by a
-// later lattice post or the region-exit sentinel.
+// this processor's cell.
 func (g *gen) syncPost(n *il.SyncPost) error {
 	sy := g.sync
 	if sy == nil {
 		return errf("sync.post outside a DOACROSS parallel region")
 	}
-	if sy.stride <= 1 {
-		g.emit(titan.Instr{Op: titan.OpPost, Rs1: sy.postCell, Rs2: sy.iv})
-		return nil
-	}
-	skipL := g.newLabel("spost")
-	g.emit(titan.Instr{Op: titan.OpAddi, Rd: sy.cd, Rs1: sy.cd, Imm: -1})
-	g.emit(titan.Instr{Op: titan.OpBnez, Rs1: sy.cd, Sym: skipL})
 	g.emit(titan.Instr{Op: titan.OpPost, Rs1: sy.postCell, Rs2: sy.iv})
-	g.emit(titan.Instr{Op: titan.OpLdi, Rd: sy.cd, Imm: sy.stride})
-	g.hold(sy.cd)
-	g.label(skipL)
 	return nil
 }
 
@@ -931,8 +841,7 @@ func (g *gen) syncPost(n *il.SyncPost) error {
 // iteration iv - dist·step has passed its SyncPost. Skipped when the
 // dependence stays on this processor (program order already orders the
 // iterations) and during pipeline startup (no producer iteration
-// exists). With SyncStride > 1 the threshold rounds up to the producer's
-// posting lattice.
+// exists).
 func (g *gen) syncWait(n *il.SyncWait) error {
 	sy := g.sync
 	if sy == nil {
@@ -951,25 +860,6 @@ func (g *gen) syncWait(n *il.SyncWait) error {
 	g.emit(titan.Instr{Op: titan.OpAddi, Rd: th, Rs1: sy.iv, Imm: -sy.dist * sy.stepC})
 	g.emit(titan.Instr{Op: titan.OpCmpLt, Rd: t, Rs1: th, Rs2: sy.initR})
 	g.emit(titan.Instr{Op: titan.OpBnez, Rs1: t, Sym: skipL})
-	if sy.stride > 1 {
-		// th = baseQ + ceil(max(th-baseQ, 0)/period)·period
-		waitL := g.newLabel("swlat")
-		g.emit(titan.Instr{Op: titan.OpSub, Rd: t, Rs1: th, Rs2: sy.baseQ})
-		g.emit(titan.Instr{Op: titan.OpMov, Rd: th, Rs1: sy.baseQ})
-		tb, err := g.getInt()
-		if err != nil {
-			return err
-		}
-		g.emit(titan.Instr{Op: titan.OpCmpGt, Rd: tb, Rs1: t, Rs2: sy.zero})
-		g.emit(titan.Instr{Op: titan.OpBeqz, Rs1: tb, Sym: waitL})
-		g.emit(titan.Instr{Op: titan.OpAdd, Rd: t, Rs1: t, Rs2: sy.period})
-		g.emit(titan.Instr{Op: titan.OpAddi, Rd: t, Rs1: t, Imm: -1})
-		g.emit(titan.Instr{Op: titan.OpDiv, Rd: t, Rs1: t, Rs2: sy.period})
-		g.emit(titan.Instr{Op: titan.OpMul, Rd: t, Rs1: t, Rs2: sy.period})
-		g.emit(titan.Instr{Op: titan.OpAdd, Rd: th, Rs1: sy.baseQ, Rs2: t})
-		g.label(waitL)
-		g.putInt(tb)
-	}
 	g.emit(titan.Instr{Op: titan.OpWait, Rs1: sy.waitCell, Rs2: th})
 	g.label(skipL)
 	g.putInt(th)

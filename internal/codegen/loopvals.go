@@ -26,10 +26,12 @@ package codegen
 // behaves as one more variable live over the loop. Renaming goes only
 // through pool scratches, whose values die in their own statement (the
 // coalesceCopies invariant). A scratch codegen holds past a label or a
-// branch — a loop's limit, a region's init, the DOACROSS registers — is
-// marked held where it is emitted and never moves. A loop that a branch
-// enters from outside is left alone. The pass only moves and deletes
-// instructions, so a function never grows.
+// branch — a loop's limit, a region's init — is marked held where it is
+// emitted and never moves. The DOACROSS cells outlive their block as well
+// but need no mark: their last writers are a mov, a rem and a sub, which
+// the pass never moves. A loop that a branch enters from outside is left
+// alone. The pass only moves and deletes instructions, so a function
+// never grows.
 
 import (
 	"math"

@@ -7,10 +7,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/driver"
 	"repro/internal/il"
-	"repro/internal/pass"
-	"repro/internal/schedule"
 	"repro/internal/titan"
-	"repro/internal/token"
 )
 
 // backLoops is every loop of f as its back branch closes it: the top
@@ -145,8 +142,7 @@ func TestLoopValuesNeverGrowCode(t *testing.T) {
 
 // heldSrc repeats a DOACROSS loop at distance 8 and a doall loop, each of
 // which needs a constant, so that the scratches a region holds sit inside
-// an enclosing loop; heldPlans posts every second iteration of the first
-// and caps the second at two processors.
+// an enclosing loop.
 const heldSrc = `int a[200], b[200];
 
 int main(void)
@@ -169,16 +165,10 @@ int main(void)
 }
 `
 
-var heldPlans = map[token.Pos]schedule.Schedule{
-	{Line: 11, Col: 3}: {VL: 32, Unroll: 1, SyncStride: 2},
-	{Line: 13, Col: 3}: {VL: 32, Unroll: 1, ParallelWidth: 2},
-}
-
 // Every instruction the pass could move whose value codegen keeps past
-// the end of its block — a loop's limit, a region's init, the width cap,
-// the DOACROSS countdown — is marked held, over the budget corpus and a
-// program whose width-capped and stride-2 DOACROSS regions sit inside a
-// loop. The planned program also answers what -O0 does.
+// the end of its block — a loop's limit, a region's init — is marked held, over the budget corpus and a program whose
+// DOACROSS and doall regions sit inside a loop. That program also answers
+// what -O0 does.
 func TestLoopValuesHeldScratchesMarked(t *testing.T) {
 	check := func(name string, res *driver.Result) {
 		t.Helper()
@@ -199,26 +189,25 @@ func TestLoopValuesHeldScratchesMarked(t *testing.T) {
 			check(name+"/"+oname, res)
 		}
 	}
-	ctx := pass.NewContext()
-	ctx.Schedules = schedule.NewSet()
-	for pos, plan := range heldPlans {
-		ctx.Schedules.Put(schedule.KeyFor("main", pos), plan)
-	}
-	res, err := driver.CompileWith(heldSrc, driver.FullOptions(), ctx)
+	res, err := driver.Compile(heldSrc, driver.FullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("planned", res)
-	width, stride := false, false
+	check("held", res)
+	doacross, doall := false, false
 	il.WalkStmts(res.IL.Proc("main").Body, func(s il.Stmt) bool {
-		if dp, ok := s.(*il.DoParallel); ok {
-			width = width || dp.Width == 2
-			stride = stride || (dp.Sync != nil && dp.Sync.Stride == 2)
+		if outer, ok := s.(*il.DoLoop); ok {
+			for _, st := range outer.Body {
+				if dp, ok := st.(*il.DoParallel); ok {
+					doacross = doacross || dp.Sync != nil
+					doall = doall || dp.Sync == nil
+				}
+			}
 		}
 		return true
 	})
-	if !width || !stride {
-		t.Fatalf("the plans did not take: width cap %v, DOACROSS stride 2 %v", width, stride)
+	if !doacross || !doall {
+		t.Fatalf("the repeat loop holds a DOACROSS region %v and a doall region %v, want both", doacross, doall)
 	}
 	want, err := driver.Run(heldSrc, driver.Options{OptLevel: 0}, 1)
 	if err != nil {
@@ -227,7 +216,7 @@ func TestLoopValuesHeldScratchesMarked(t *testing.T) {
 	for _, procs := range []int{1, 3, 4} {
 		for _, ref := range []bool{false, true} {
 			if got := run(t, res.Machine, procs, ref, false); got.ExitCode != want.ExitCode {
-				t.Errorf("planned p=%d reference=%v: exit %d, -O0 gives %d", procs, ref, got.ExitCode, want.ExitCode)
+				t.Errorf("p=%d reference=%v: exit %d, -O0 gives %d", procs, ref, got.ExitCode, want.ExitCode)
 			}
 		}
 	}

@@ -151,8 +151,7 @@ const (
 	ParSchedSerial Code = "par-sched-serial"
 	// ParDoacross: iterations carry a constant-distance dependence, so
 	// the loop was pipelined DOACROSS with post/wait instead of being
-	// rejected; args name the dependence, its combined distance, and the
-	// sync stride.
+	// rejected; args name the dependence and its combined distance.
 	ParDoacross Code = "par-doacross"
 )
 

@@ -480,9 +480,6 @@ type DoParallel struct {
 	Limit Expr
 	Step  Expr
 	Body  []Stmt
-	// Width caps how many processors the iterations spread over; 0 means
-	// every processor (the schedule layer sets nonzero widths).
-	Width int
 	// Sync, when non-nil, makes the loop a DOACROSS region: iterations
 	// carry a dependence of constant distance Sync.Distance, enforced by
 	// SyncPost/SyncWait markers in Body that codegen lowers to post/wait.
@@ -500,9 +497,6 @@ type SyncInfo struct {
 	// iterations; the consumer of iteration i waits for iteration
 	// i-Distance to pass its SyncPost.
 	Distance int64
-	// Stride coalesces posts: only every Stride-th iteration posts,
-	// trading sync overhead for pipeline latency (schedule SyncStride).
-	Stride int
 	// Desc names the dependence being synchronized, for remarks.
 	Desc string
 }
@@ -512,9 +506,6 @@ func (s *DoParallel) String() string {
 	suffix := ""
 	if s.Sync != nil {
 		suffix = fmt.Sprintf(" sync(%d)", s.Sync.Distance)
-	}
-	if s.Width > 0 {
-		return fmt.Sprintf("do parallel(%d)%s v%d = %s, %s, %s [%d stmts]", s.Width, suffix, s.IV, s.Init, s.Limit, s.Step, len(s.Body))
 	}
 	return fmt.Sprintf("do parallel%s v%d = %s, %s, %s [%d stmts]", suffix, s.IV, s.Init, s.Limit, s.Step, len(s.Body))
 }

@@ -384,8 +384,8 @@ func TestProgramClone(t *testing.T) {
 		return &Load{Addr: h.NewBin(OpAdd, h.VarRef(a, fp), h.NewBin(OpMul, h.VarRef(i, ctype.IntType), h.Int(4), ctype.IntType), fp), T: ctype.FloatType}
 	}
 	p.Body = []Stmt{
-		&DoParallel{IV: i, Init: h.Int(1), Limit: h.Int(99), Step: h.Int(1), Width: 2,
-			Sync: &SyncInfo{Distance: 3, Stride: 2, Desc: "a[i-3] -> a[i]"},
+		&DoParallel{IV: i, Init: h.Int(1), Limit: h.Int(99), Step: h.Int(1),
+			Sync: &SyncInfo{Distance: 3, Desc: "a[i-3] -> a[i]"},
 			Body: []Stmt{
 				&SyncWait{Distance: 3},
 				&PredAssign{Cond: h.NewBin(OpLt, elem(), h.ConstFloat(0, ctype.FloatType), ctype.IntType), Dst: elem(), Src: h.ConstFloat(0, ctype.FloatType)},

@@ -308,7 +308,7 @@ func (a *Arena) CloneStmt(s Stmt) Stmt {
 			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Safe: n.Safe, Pos: n.Pos})
 	case *DoParallel:
 		m := a.DoParallel(DoParallel{IV: n.IV, Init: a.CloneExpr(n.Init), Limit: a.CloneExpr(n.Limit),
-			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Width: n.Width, Pos: n.Pos})
+			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Pos: n.Pos})
 		if n.Sync != nil {
 			m.Sync = a.SyncInfo(*n.Sync)
 		}

@@ -44,9 +44,8 @@ func (s *Stats) Add(o Stats) {
 // with the blocking dependence named on rejection. ac memoizes the
 // per-loop dependence graphs (nil analyzes directly). scheds holds explicit
 // per-loop schedules: a loop whose schedule pins serial_strips stays serial
-// (with a par-sched-serial verdict), and a nonzero parallel width caps how
-// many processors the converted loop spreads over; a nil set is the default
-// plan for every loop.
+// (with a par-sched-serial verdict); a nil set is the default plan for
+// every loop.
 func ParallelizeProc(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set) Stats {
 	var st Stats
 	w := walker{opts: opts, ac: ac, r: r, scheds: scheds, st: &st}
@@ -103,10 +102,6 @@ func (w *walker) convert(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 				"loop kept serial: iterations are independent but the loop schedule pins serial strips")
 			return nil
 		}
-		width := 0
-		if explicit {
-			width = sched.ParallelWidth
-		}
 		w.st.LoopsParallelized++
 		remark(w.r, p, n, diag.ParParallelized, map[string]string{"schedule": sched.String()},
 			"loop parallelized: iterations are independent")
@@ -114,7 +109,7 @@ func (w *walker) convert(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 		// analyses of the enclosing procedure must not survive.
 		p.BumpGeneration()
 		return p.Arena().DoParallel(il.DoParallel{IV: n.IV, Init: n.Init,
-			Limit: n.Limit, Step: n.Step, Body: n.Body, Width: width, Pos: n.Pos})
+			Limit: n.Limit, Step: n.Step, Body: n.Body, Pos: n.Pos})
 	}
 	// Carried dependences are not necessarily fatal: when every
 	// one has a computable constant distance the loop can
@@ -195,8 +190,7 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	if plan == nil {
 		return nil
 	}
-	sched, explicit := w.scheds.Lookup(p.Name, n.Pos)
-	if explicit && sched.SerialStrips {
+	if sched, explicit := w.scheds.Lookup(p.Name, n.Pos); explicit && sched.SerialStrips {
 		return nil // the schedule pinned it serial; keep the serial verdict
 	}
 	// Profitability: pipelined, the loop's critical path advances one
@@ -205,28 +199,11 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	// overlaps freely across processors. Project that chain bound
 	// against the serial body and demand a 1.5x win. A distance that
 	// covers the machine width needs no waits at all (each processor
-	// consumes its own earlier iteration), so it is always worth taking;
-	// an explicit schedule that asks for DOACROSS (SyncStride set) also
-	// bypasses the estimate — the autotuner measures instead of guessing.
-	if !(explicit && sched.SyncStride > 0) && plan.Distance < int64(titan.MaxProcessors) {
+	// consumes its own earlier iteration), so it is always worth taking.
+	if plan.Distance < int64(titan.MaxProcessors) {
 		window := bodyCost(n.Body[plan.WaitIdx : plan.PostIdx+1])
 		if 3*(doacrossHandoffCost+window) > 2*int(plan.Distance)*bodyCost(n.Body) {
 			return nil
-		}
-	}
-	width := 0
-	stride := 1
-	if explicit {
-		width = sched.ParallelWidth
-		np := width
-		if np == 0 {
-			np = titan.MaxProcessors
-		}
-		// Post coalescing is only deadlock-free when the awaited lattice
-		// iteration stays strictly earlier than the waiter; degrade an
-		// overreaching stride rather than miscompile.
-		if sched.SyncStride > 1 && plan.Distance >= int64(sched.SyncStride)*int64(np) {
-			stride = sched.SyncStride
 		}
 	}
 	a := p.Arena()
@@ -238,15 +215,12 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	body = append(body, n.Body[plan.PostIdx+1:]...)
 	w.st.LoopsDoacross++
 	remark(w.r, p, n, diag.ParDoacross, map[string]string{
-		"dep":         plan.Dep,
-		"distance":    fmt.Sprintf("%d", plan.Distance),
-		"sync_stride": fmt.Sprintf("%d", stride),
+		"dep":      plan.Dep,
+		"distance": fmt.Sprintf("%d", plan.Distance),
 	}, "loop pipelined DOACROSS: carried dependence %s synchronized at distance %d", plan.Dep, plan.Distance)
 	p.BumpGeneration()
 	return a.DoParallel(il.DoParallel{IV: n.IV, Init: n.Init, Limit: n.Limit, Step: n.Step,
-		Body: body, Width: width,
-		Sync: a.SyncInfo(il.SyncInfo{Distance: plan.Distance, Stride: stride, Desc: plan.Dep}),
-		Pos:  n.Pos})
+		Body: body, Sync: a.SyncInfo(il.SyncInfo{Distance: plan.Distance, Desc: plan.Dep}), Pos: n.Pos})
 }
 
 // bodyCost is a crude per-iteration cycle estimate: one cycle per

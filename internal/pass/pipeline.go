@@ -150,7 +150,7 @@ func (*ifconvertPass) Name() string { return PassIfConvert }
 
 func (*ifconvertPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, ctx.workers(), func(p *il.Proc) vector.IfConvStats {
-		return vector.IfConvertProc(p, ctx.Schedules, ctx.Diags)
+		return vector.IfConvertProc(p, ctx.Diags)
 	}) {
 		ctx.Report.IfConv.Add(st)
 	}

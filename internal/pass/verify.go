@@ -115,8 +115,6 @@ func verifyProc(p *il.Proc, allowVector bool) error {
 			if err == nil && n.Sync != nil {
 				if n.Sync.Distance < 1 {
 					err = fmt.Errorf("DOACROSS loop %q has non-positive sync distance %d", s, n.Sync.Distance)
-				} else if n.Sync.Stride < 1 {
-					err = fmt.Errorf("DOACROSS loop %q has non-positive sync stride %d", s, n.Sync.Stride)
 				}
 				for _, b := range n.Body {
 					if w, ok := b.(*il.SyncWait); ok && err == nil && w.Distance != n.Sync.Distance {

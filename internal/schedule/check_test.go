@@ -39,7 +39,7 @@ func loopsOf(t *testing.T, src, proc string) (*il.Proc, []*il.DoLoop) {
 }
 
 func check(p *il.Proc, loop *il.DoLoop, s schedule.Schedule) error {
-	return schedule.Check(p, loop, s, nil, depend.Options{})
+	return schedule.Check(p, loop, s, depend.Options{})
 }
 
 const independentSrc = `
@@ -70,31 +70,6 @@ void f(int n)
 	int i;
 	for (i = 0; i < n; i++)
 		acc = g(i);
-}
-`
-
-// invariantStoreSrc stores to one address in every iteration, and
-// invariantWordSrc stores and loads one word in different statements:
-// neither moves with the index, so both carry dependences.
-const invariantStoreSrc = `
-int a[128], s[2];
-void f(int n)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		s[0] = s[0] + a[i];
-}
-`
-
-const invariantWordSrc = `
-float a[128], s[2];
-void f(int n)
-{
-	int i;
-	for (i = 0; i < n; i++) {
-		s[0] = i;
-		a[i] = s[0];
-	}
 }
 `
 
@@ -147,42 +122,10 @@ void f(void)
 }
 `
 
-// TestCheckParallelWidth: spreading iterations across processors is legal
-// exactly when the loop carries no dependence and no barrier.
-func TestCheckParallelWidth(t *testing.T) {
-	width := schedule.Schedule{VL: 32, Unroll: 1, ParallelWidth: 2}
-
-	p, loops := loopsOf(t, independentSrc, "f")
-	if err := check(p, loops[0], width); err != nil {
-		t.Errorf("independent loop rejected: %v", err)
-	}
-
-	p, loops = loopsOf(t, carriedSrc, "f")
-	err := check(p, loops[0], width)
-	if err == nil {
-		t.Fatal("carried-dependence loop accepted for parallel spreading")
-	}
-	if !strings.Contains(err.Error(), "carried") {
-		t.Errorf("rejection does not name the carried dependence: %v", err)
-	}
-
-	p, loops = loopsOf(t, callBodySrc, "f")
-	if check(p, loops[0], width) == nil {
-		t.Error("loop with a call barrier accepted for parallel spreading")
-	}
-
-	p, loops = loopsOf(t, invariantStoreSrc, "f")
-	if err := check(p, loops[0], width); err == nil || !strings.Contains(err.Error(), "S0 -output carried(?)-> S0") {
-		t.Errorf("store to a fixed address: %v, want the store's output dependence on itself", err)
-	}
-	p, loops = loopsOf(t, invariantWordSrc, "f")
-	if err := check(p, loops[0], width); err == nil || !strings.Contains(err.Error(), "carried") {
-		t.Errorf("store and load of one fixed word: %v, want a carried dependence", err)
-	}
-
-	// Serial strips sidestep the dependence question entirely: the strip
-	// loop stays serial, so a carried dependence is fine.
-	p, loops = loopsOf(t, carriedSrc, "f")
+// TestCheckSerialStrips: serial strips keep the strip loop serial, so
+// a carried dependence does not bar them.
+func TestCheckSerialStrips(t *testing.T) {
+	p, loops := loopsOf(t, carriedSrc, "f")
 	serial := schedule.Schedule{VL: 32, Unroll: 1, SerialStrips: true}
 	if err := check(p, loops[0], serial); err != nil {
 		t.Errorf("serial strips rejected on a carried-dependence loop: %v", err)

@@ -1,7 +1,7 @@
 // Package schedule is the explicit loop-plan layer: every transformation
 // the loop phases (vector, parallel, strength) can apply to a DO loop is
 // described by a Schedule value — strip length, unroll factor, loop
-// interchange, processor width, serial-vs-parallel strips — instead of
+// interchange, serial-vs-parallel strips, masking — instead of
 // constants baked into each phase. The paper hardwires one strategy
 // (strip-mine to 32, no unrolling, spread over every processor);
 // Default() reproduces exactly that, and the autotuner (internal/tune)
@@ -15,8 +15,7 @@
 // re-tuning. A Set is the JSON-serializable mapping the tuner produces
 // and the pass pipeline consumes (pass.Context.Schedules).
 //
-// Legality is checked against the same cached dependence graphs the
-// phases use (internal/analysis): parallel spreading needs independence,
+// Legality is checked against the same dependence tests the phases use:
 // interchange needs a fully permutable perfect nest, unrolling needs a
 // countable straight-line body. Check rejects a schedule the phases
 // could not apply soundly; the phases additionally keep their own
@@ -41,11 +40,6 @@ const DefaultVL = 32
 // scheduler models without buying further loop-overhead reduction.
 const MaxUnroll = 8
 
-// MaxSyncStride bounds DOACROSS post coalescing; beyond 8 the legality
-// condition (distance ≥ stride·width) is out of reach for the distances
-// the dependence test accepts at useful widths.
-const MaxSyncStride = 8
-
 // Schedule describes how the loop phases transform one DO loop. The
 // zero value is not meaningful; use Default().
 type Schedule struct {
@@ -58,35 +52,22 @@ type Schedule struct {
 	// Interchange swaps the headers of a perfect two-level nest before
 	// vectorization, exposing the outer dimension to the inner phases.
 	Interchange bool `json:"interchange,omitempty"`
-	// ParallelWidth caps how many processors a do-parallel loop spreads
-	// over; 0 means every processor the machine has (the default).
-	ParallelWidth int `json:"parallel_width,omitempty"`
 	// SerialStrips keeps the loop serial even when spreading would be
 	// legal — for short loops the fork/join overhead outweighs the
 	// spread (§2's "significant speedups" need enough work per strip).
 	SerialStrips bool `json:"serial_strips,omitempty"`
-	// SyncStride tunes DOACROSS synchronization for loops with carried
-	// constant-distance dependences: 0 leaves the parallelizer's default
-	// (post every iteration), N ≥ 1 posts every N-th iteration per
-	// processor, trading sync traffic for pipeline slack. Strides above
-	// 1 are only legal when the dependence distance covers
-	// stride·width (Check enforces this; coalesced posting would
-	// deadlock the pipeline otherwise).
-	SyncStride int `json:"sync_stride,omitempty"`
 	// MaskStrategy directs how conditionals in the loop body are handled
 	// ahead of vectorization: "" and MaskAuto if-convert and vectorize
-	// under a mask when legal (the default), MaskOff suppresses
-	// if-conversion for this loop, and MaskBranchy if-converts but keeps
-	// the strips scalar (predicated serial execution — profitable when
-	// the mask is almost always false and masked vector ops would charge
-	// full-density cycles for idle lanes).
+	// under a mask when legal (the default), and MaskBranchy if-converts
+	// but keeps the strips scalar (predicated serial execution —
+	// profitable when the mask is almost always false and masked vector
+	// ops would charge full-density cycles for idle lanes).
 	MaskStrategy string `json:"mask_strategy,omitempty"`
 }
 
 // MaskStrategy values. The empty string means MaskAuto.
 const (
 	MaskAuto    = "masked"
-	MaskOff     = "off"
 	MaskBranchy = "branchy-serial"
 )
 
@@ -98,7 +79,7 @@ func Default() Schedule { return Schedule{VL: DefaultVL, Unroll: 1} }
 func (s Schedule) IsDefault() bool { return s == Default() }
 
 // String renders the schedule compactly, e.g. "vl=32 unroll=4" or
-// "vl=64 unroll=1 width=2 serial-strips". Used in sched-selected
+// "vl=64 unroll=1 serial-strips". Used in sched-selected
 // remarks and logs; the JSON form is the wire format.
 func (s Schedule) String() string {
 	var sb strings.Builder
@@ -106,14 +87,8 @@ func (s Schedule) String() string {
 	if s.Interchange {
 		sb.WriteString(" interchange")
 	}
-	if s.ParallelWidth > 0 {
-		fmt.Fprintf(&sb, " width=%d", s.ParallelWidth)
-	}
 	if s.SerialStrips {
 		sb.WriteString(" serial-strips")
-	}
-	if s.SyncStride > 0 {
-		fmt.Fprintf(&sb, " sync=%d", s.SyncStride)
 	}
 	if s.MaskStrategy != "" {
 		fmt.Fprintf(&sb, " mask=%s", s.MaskStrategy)
@@ -139,17 +114,11 @@ func (s Schedule) Validate() error {
 	if s.Unroll < 1 || s.Unroll > MaxUnroll {
 		return fmt.Errorf("schedule: unroll factor %d out of range (1..%d)", s.Unroll, MaxUnroll)
 	}
-	if s.ParallelWidth < 0 || s.ParallelWidth > titan.MaxProcessors {
-		return fmt.Errorf("schedule: parallel width %d out of range (0..%d)", s.ParallelWidth, titan.MaxProcessors)
-	}
-	if s.SyncStride < 0 || s.SyncStride > MaxSyncStride {
-		return fmt.Errorf("schedule: sync stride %d out of range (0..%d)", s.SyncStride, MaxSyncStride)
-	}
 	switch s.MaskStrategy {
-	case "", MaskAuto, MaskOff, MaskBranchy:
+	case "", MaskAuto, MaskBranchy:
 	default:
-		return fmt.Errorf("schedule: unknown mask strategy %q (want %q, %q, or %q)",
-			s.MaskStrategy, MaskAuto, MaskOff, MaskBranchy)
+		return fmt.Errorf("schedule: unknown mask strategy %q (want %q or %q)",
+			s.MaskStrategy, MaskAuto, MaskBranchy)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ func sampleSet() *schedule.Set {
 	s.Put(schedule.LoopKey{Proc: "daxpy", Line: 4, Col: 2},
 		schedule.Schedule{VL: 32, Unroll: 1, SerialStrips: true})
 	s.Put(schedule.LoopKey{Proc: "main", Line: 3, Col: 2},
-		schedule.Schedule{VL: 32, Unroll: 1, Interchange: true, ParallelWidth: 2})
+		schedule.Schedule{VL: 32, Unroll: 1, Interchange: true})
 	s.Put(schedule.LoopKey{Proc: "clip", Line: 7, Col: 2},
 		schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskBranchy})
 	return s
@@ -61,7 +61,7 @@ func TestSetJSONStable(t *testing.T) {
 	const want = `[` +
 		`{"loop":{"proc":"clip","line":7,"col":2},"schedule":{"vl":32,"unroll":1,"mask_strategy":"branchy-serial"}},` +
 		`{"loop":{"proc":"daxpy","line":4,"col":2},"schedule":{"vl":32,"unroll":1,"serial_strips":true}},` +
-		`{"loop":{"proc":"main","line":3,"col":2},"schedule":{"vl":32,"unroll":1,"interchange":true,"parallel_width":2}},` +
+		`{"loop":{"proc":"main","line":3,"col":2},"schedule":{"vl":32,"unroll":1,"interchange":true}},` +
 		`{"loop":{"proc":"main","line":10,"col":2},"schedule":{"vl":64,"unroll":2}}]`
 	if string(blob) != want {
 		t.Fatalf("wire shape drifted:\n got %s\nwant %s", blob, want)
@@ -142,11 +142,8 @@ func TestValidateBounds(t *testing.T) {
 		{"unroll zero", schedule.Schedule{VL: 32, Unroll: 0}, false},
 		{"unroll max", schedule.Schedule{VL: 32, Unroll: schedule.MaxUnroll}, true},
 		{"unroll too big", schedule.Schedule{VL: 32, Unroll: schedule.MaxUnroll + 1}, false},
-		{"width max", schedule.Schedule{VL: 32, Unroll: 1, ParallelWidth: titan.MaxProcessors}, true},
-		{"width too big", schedule.Schedule{VL: 32, Unroll: 1, ParallelWidth: titan.MaxProcessors + 1}, false},
-		{"width negative", schedule.Schedule{VL: 32, Unroll: 1, ParallelWidth: -1}, false},
 		{"mask auto", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskAuto}, true},
-		{"mask off", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskOff}, true},
+		{"mask off", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: "off"}, false},
 		{"mask branchy", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskBranchy}, true},
 		{"mask unknown", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: "sideways"}, false},
 	}

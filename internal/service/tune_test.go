@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/diag"
@@ -123,6 +124,64 @@ func TestCompileVLValidation(t *testing.T) {
 	opts.VL = 64
 	if _, code := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: opts}); code != http.StatusOK {
 		t.Errorf("vl=64: status %d, want 200", code)
+	}
+}
+
+// A plan stored by a build whose schedules still had parallel_width and
+// sync_stride decodes with both dropped, and a tuned compile that takes it
+// from the store gives the program the same plan without them gives. The
+// mask strategy "off", gone with them, is refused like any unknown one.
+func TestPlanWithRemovedKnobs(t *testing.T) {
+	plan := func(extra string) []byte {
+		return []byte(`{"schedules":[{"loop":{"proc":"main","line":5,"col":2},"schedule":{"vl":64,"unroll":1` + extra +
+			`}}],"decisions":null,"default_cycles":951,"tuned_cycles":903,"measured":1}`)
+	}
+	old, bare := plan(`,"parallel_width":2,"sync_stride":4`), plan("")
+	got, err := checkPlan(old)
+	if err != nil {
+		t.Fatalf("plan with the removed knobs refused: %v", err)
+	}
+	want, err := checkPlan(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, _ := json.Marshal(got)
+	if ww, _ := json.Marshal(want); !bytes.Equal(gw, ww) {
+		t.Errorf("plan with the removed knobs decodes to %s, without them %s", gw, ww)
+	}
+	compileWith := func(body []byte) string {
+		s, ts := newTestServer(t, Config{})
+		req := CompileRequest{Source: daxpySrc, Options: tuneOpts(), Processors: 1}
+		if err := validateUnit(&req); err != nil {
+			t.Fatal(err)
+		}
+		key, err := planKey(req, req.Options.driverOptions(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := serveDirect(s.Handler(), "PUT", "/schedules/"+key, body); rec.Code != http.StatusNoContent {
+			t.Fatalf("PUT plan: %d %s", rec.Code, rec.Body)
+		}
+		out, code := postCompile(t, ts, req)
+		if code != http.StatusOK {
+			t.Fatalf("tuned compile: status %d", code)
+		}
+		if m := getMetrics(t, ts); m.Tune.Tunes != 0 {
+			t.Fatalf("the stored plan was not used: %d searches", m.Tune.Tunes)
+		}
+		return out.Asm
+	}
+	asm := compileWith(old)
+	if asm != compileWith(bare) {
+		t.Error("the plan with the removed knobs compiles to another program than the plan without them")
+	}
+	_, ts := newTestServer(t, Config{})
+	if plain, _ := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: fullOpts(), Processors: 1}); plain.Asm == asm {
+		t.Error("the plan compiles to the default program: it did not take")
+	}
+	off := bytes.Replace(bare, []byte(`"unroll":1`), []byte(`"unroll":1,"mask_strategy":"off"`), 1)
+	if _, err := checkPlan(off); err == nil || !strings.Contains(err.Error(), `unknown mask strategy "off"`) {
+		t.Errorf("mask strategy off: %v, want it refused as unknown", err)
 	}
 }
 

@@ -33,10 +33,12 @@ type goldenSearch struct {
 
 const decisionsGolden = "testdata/decisions.golden.json"
 
-// simulatedGolden pins Result.Simulated per search ("unit@processors"),
-// generated at the last commit whose tuner measured candidates one after
-// another: which programs a search runs, not only what it decides, must
-// survive a change to how the measuring is scheduled.
+// simulatedGolden pins Result.Simulated per search ("unit@processors"):
+// which programs a search runs, not only what it decides, must survive a
+// change to how the measuring is scheduled. Both goldens were last
+// regenerated when the grid lost the families no search ever chose, with
+// every decision that remained held (testdata/compare-decisions.sh checks
+// that against an earlier revision).
 const simulatedGolden = "testdata/simulated.golden.json"
 
 // goldenUnits is what the golden covers: the repository's testdata/*.c,
@@ -82,10 +84,8 @@ func searchFor(t *testing.T, u bench.Workload, procs int) goldenSearch {
 
 // TestDecisionsGolden pins every search outcome — the plan, the cycle
 // counts bracketing it and each loop's decision — for the golden units at
-// 1 and 4 processors. The golden was generated at the last commit whose
-// tuner compiled every candidate from source, so it stands in for that
-// deleted path: a change to how candidates are measured must not change
-// what is decided. UPDATE_GOLDEN=1 rewrites it.
+// 1 and 4 processors: a change to how candidates are measured must not
+// change what is decided. UPDATE_GOLDEN=1 rewrites it.
 func TestDecisionsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dozens of full searches")
@@ -175,6 +175,69 @@ func TestDecisionsGolden(t *testing.T) {
 		}
 		if g.Measured != w.Measured {
 			t.Errorf("%s: measured %d candidates, golden %d", id, g.Measured, w.Measured)
+		}
+	}
+}
+
+// family names the grid family a candidate belongs to: one knob moved
+// off the default plan. A schedule that is no family's is "".
+func family(s schedule.Schedule) string {
+	d := schedule.Default()
+	switch {
+	case s.VL != d.VL && s == schedule.Schedule{VL: s.VL, Unroll: d.Unroll}:
+		return "vl"
+	case s == schedule.Schedule{VL: d.VL, Unroll: d.Unroll, SerialStrips: true}:
+		return "serial-strips"
+	case s.Unroll != d.Unroll && s == schedule.Schedule{VL: d.VL, Unroll: s.Unroll}:
+		return "unroll"
+	case s == schedule.Schedule{VL: d.VL, Unroll: d.Unroll, Interchange: true}:
+		return "interchange"
+	}
+	return ""
+}
+
+// The grid holds only families that win: every candidate offered for the
+// golden units is a strip-length variant, serial strips, an unroll or an
+// interchange, and each of the four is the schedule some decision of the
+// decisions golden adopts. A family added to the grid that no pinned
+// search ever chooses fails here.
+func TestGridFamiliesWin(t *testing.T) {
+	offered := map[string]int{}
+	for _, u := range goldenUnits(t) {
+		grid, err := tune.Grid(u.Src, driver.FullOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", u.Name, err)
+		}
+		for _, cands := range grid {
+			for _, c := range cands {
+				f := family(c)
+				if f == "" {
+					t.Errorf("%s offers %s, which is no family's", u.Name, c)
+				}
+				offered[f]++
+			}
+		}
+	}
+	blob, err := os.ReadFile(decisionsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var searches []goldenSearch
+	if err := json.Unmarshal(blob, &searches); err != nil {
+		t.Fatalf("%s: %v", decisionsGolden, err)
+	}
+	chosen := map[string]int{}
+	for _, g := range searches {
+		for _, d := range g.Decisions {
+			if !d.Schedule.IsDefault() {
+				chosen[family(d.Schedule)]++
+			}
+		}
+	}
+	for _, f := range []string{"vl", "serial-strips", "unroll", "interchange"} {
+		t.Logf("%s: offered %d, chosen %d", f, offered[f], chosen[f])
+		if chosen[f] == 0 {
+			t.Errorf("family %s is offered %d times and never chosen", f, offered[f])
 		}
 	}
 }

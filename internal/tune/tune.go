@@ -11,11 +11,11 @@
 // tail — the same passes in the same order driver.CompileWith runs, the
 // IL verifier on — under its schedule set, and goes through the driver's
 // code generation. The generated program is then looked up among those
-// the search already ran: many candidates (a width the loop never
-// reaches, an unroll the phases decline) generate code instruction for
-// instruction equal to an earlier one's, and the simulator's determinism
-// makes that code's result theirs. So a search is one head compile,
-// 1 + candidates tail compiles, and one simulation per distinct program.
+// the search already ran: many candidates (an unroll the phases decline)
+// generate code instruction for instruction equal to an earlier one's,
+// and the simulator's determinism makes that code's result theirs. So a
+// search is one head compile, 1 + candidates tail compiles, and one
+// simulation per distinct program.
 //
 // A loop's candidates are trials against one incumbent set, so they are
 // measured as a batch on as many workers as the host has processors: all
@@ -361,7 +361,7 @@ func (s *search) discover() []loopInfo {
 	infos := map[schedule.LoopKey]loopInfo{}
 	for _, p := range s.base.Procs {
 		if live[p.Name] {
-			collectLoops(p, p.Body, dopts, s.cfg, infos)
+			collectLoops(p, p.Body, dopts, infos)
 		}
 	}
 	keys := make([]schedule.LoopKey, 0, len(infos))
@@ -424,13 +424,13 @@ func reachable(prog *il.Program, entry string) map[string]bool {
 
 // collectLoops walks the statement tree gathering every DO loop with a
 // non-empty candidate grid.
-func collectLoops(p *il.Proc, list []il.Stmt, dopts depend.Options, cfg Config, infos map[schedule.LoopKey]loopInfo) {
+func collectLoops(p *il.Proc, list []il.Stmt, dopts depend.Options, infos map[schedule.LoopKey]loopInfo) {
 	il.WalkStmts(list, func(s il.Stmt) bool {
 		loop, ok := s.(*il.DoLoop)
 		if !ok {
 			return true
 		}
-		cands := candidates(p, loop, dopts, cfg)
+		cands := candidates(p, loop, dopts)
 		if len(cands) > 0 {
 			key := schedule.KeyFor(p.Name, loop.Pos)
 			infos[key] = loopInfo{key: key, candidates: cands}
@@ -440,79 +440,29 @@ func collectLoops(p *il.Proc, list []il.Stmt, dopts depend.Options, cfg Config, 
 }
 
 // candidates builds the bounded legal grid for one loop: strip-length
-// variants and serial/width shapes for independent loops, unroll factors
-// for countable straight-line loops, interchange for permutable perfect
-// nests. Every candidate passes schedule.Check before it is offered.
-func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options, cfg Config) []schedule.Schedule {
+// variants and serial strips for independent loops, unroll factors for
+// countable straight-line loops, interchange for permutable perfect nests.
+// Every candidate passes schedule.Check before it is offered.
+func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options) []schedule.Schedule {
 	var out []schedule.Schedule
 	try := func(s schedule.Schedule) {
-		if s.IsDefault() {
-			return
-		}
-		if schedule.Check(p, loop, s, nil, dopts) == nil {
+		if schedule.Check(p, loop, s, dopts) == nil {
 			out = append(out, s)
 		}
 	}
-	// Spreading-shape variants only matter when iterations are
-	// independent; probe once with a width-capped plan.
-	independent := schedule.Check(p, loop, schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1,
-		ParallelWidth: titan.MaxProcessors}, nil, dopts) == nil
-	if independent {
+	// Strip shapes only matter when the strips may spread, that is when
+	// iterations are independent.
+	if depend.AnalyzeLoop(p, loop, dopts).Carried() == nil {
 		for _, vl := range []int{16, 64, 128} {
 			try(schedule.Schedule{VL: vl, Unroll: 1})
 		}
 		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, SerialStrips: true})
-		if cfg.processors() > 1 {
-			for w := 1; w < cfg.processors() && w < titan.MaxProcessors; w++ {
-				try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, ParallelWidth: w})
-			}
-		}
-	}
-	// Dependent loops may still pipeline DOACROSS; when a sync plan
-	// exists, search the post-coalescing stride (Check prunes strides the
-	// dependence distance cannot cover at the scheduled width).
-	if !independent {
-		for _, ss := range []int{1, 2, 4, 8} {
-			try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, SyncStride: ss})
-			if cfg.processors() > 1 {
-				for w := 2; w <= cfg.processors() && w <= titan.MaxProcessors; w *= 2 {
-					try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, ParallelWidth: w, SyncStride: ss})
-				}
-			}
-		}
 	}
 	for _, k := range []int{2, 4, 8} {
 		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: k})
 	}
-	// Conditional bodies add the mask axis. Masked execution is already
-	// the default plan, so the alternatives worth measuring are keeping
-	// the branch (off) and predicating without masking (branchy-serial);
-	// either wins when the mask utilization is too low to pay for the
-	// dense-timing masked strips.
-	if loopHasCond(loop) {
-		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, MaskStrategy: schedule.MaskOff})
-		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, MaskStrategy: schedule.MaskBranchy})
-	}
 	try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, Interchange: true})
 	return out
-}
-
-// loopHasCond reports whether the loop body contains a conditional (or an
-// already-predicated statement) the mask strategy could act on. The tuner
-// discovers loops before the ifconvert pass, so guarded stores still
-// appear as If statements here. schedule.Check cannot stand in for it:
-// its mask rule accepts "off" on any loop.
-func loopHasCond(loop *il.DoLoop) bool {
-	found := false
-	il.WalkStmts(loop.Body, func(s il.Stmt) bool {
-		switch s.(type) {
-		case *il.If, *il.PredAssign:
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // cloneSet copies a schedule set so a trial mutation cannot leak into the

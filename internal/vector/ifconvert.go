@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/il"
-	"repro/internal/schedule"
 )
 
 // This file implements if-conversion: flattening single-level conditionals
@@ -33,18 +32,17 @@ func (s *IfConvStats) Add(o IfConvStats) {
 }
 
 // IfConvertProc flattens convertible conditionals in every innermost DO
-// loop of the procedure. Loops whose explicit schedule sets MaskStrategy
-// "off" are left exactly as written; "branchy-serial" still converts (the
-// flattened predicated form is what the serial strips execute) and the
-// vectorizer later refuses to mask such loops.
-func IfConvertProc(p *il.Proc, scheds *schedule.Set, r *diag.Reporter) IfConvStats {
+// loop of the procedure. A loop whose schedule sets MaskStrategy
+// "branchy-serial" converts too (the flattened predicated form is what
+// its serial strips execute); the vectorizer later refuses to mask it.
+func IfConvertProc(p *il.Proc, r *diag.Reporter) IfConvStats {
 	var st IfConvStats
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		loop, ok := s.(*il.DoLoop)
 		if !ok || !isInnermost(loop.Body) {
 			return true
 		}
-		ifConvertLoop(p, loop, scheds, r, &st)
+		ifConvertLoop(p, loop, r, &st)
 		return false // nothing below an innermost loop to visit
 	})
 	return st
@@ -53,7 +51,7 @@ func IfConvertProc(p *il.Proc, scheds *schedule.Set, r *diag.Reporter) IfConvSta
 // ifConvertLoop rewrites the loop body in place, replacing each
 // convertible top-level If with the predicated forms of its branch
 // statements.
-func ifConvertLoop(p *il.Proc, loop *il.DoLoop, scheds *schedule.Set, r *diag.Reporter, st *IfConvStats) {
+func ifConvertLoop(p *il.Proc, loop *il.DoLoop, r *diag.Reporter, st *IfConvStats) {
 	hasIf := false
 	for _, s := range loop.Body {
 		if _, ok := s.(*il.If); ok {
@@ -65,9 +63,6 @@ func ifConvertLoop(p *il.Proc, loop *il.DoLoop, scheds *schedule.Set, r *diag.Re
 		return
 	}
 	st.LoopsExamined++
-	if sched, explicit := scheds.Lookup(p.Name, loop.Pos); explicit && sched.MaskStrategy == schedule.MaskOff {
-		return
-	}
 
 	ar := p.Arena()
 	out := make([]il.Stmt, 0, len(loop.Body))

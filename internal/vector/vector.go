@@ -314,7 +314,7 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 					st.MaskedStmts++
 					maskedStmts++
 				}
-				stmts := emitVector(p, loop, dst, src, cond, sched, parallelOK, st)
+				stmts := emitVector(p, loop, dst, src, cond, int64(sched.VL), parallelOK, st)
 				out = append(out, stmts...)
 				st.VectorStmts++
 				vecStmts++
@@ -500,11 +500,10 @@ func affine(p *il.Proc, iv il.VarID, e il.Expr) (int64, il.Expr, bool) {
 
 // emitVector produces the strip-mined vector code for one (possibly
 // predicated) store statement of a normalized loop (IV 0..Limit step 1),
-// following the loop's schedule for strip length and parallel shape. A
-// non-nil cond becomes the strip's mask expression.
-func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sched schedule.Schedule, parallelOK bool, st *Stats) []il.Stmt {
+// in strips of vl elements that spread over the processors when
+// parallelOK. A non-nil cond becomes the strip's mask expression.
+func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, vl int64, parallelOK bool, st *Stats) []il.Stmt {
 	a := p.Arena()
-	vl := int64(sched.VL)
 	dstCoef, dstBase, _ := affine(p, loop.IV, dst.Addr)
 
 	// Total length = Limit + 1 (normalized).
@@ -574,8 +573,7 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, sc
 	limit := a.CloneExpr(loop.Limit)
 	if parallelOK {
 		st.ParallelLoops++
-		return []il.Stmt{a.DoParallel(il.DoParallel{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl),
-			Body: body, Width: sched.ParallelWidth})}
+		return []il.Stmt{a.DoParallel(il.DoParallel{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl), Body: body})}
 	}
 	return []il.Stmt{a.DoLoop(il.DoLoop{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl), Body: body})}
 }

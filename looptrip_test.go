@@ -25,9 +25,10 @@ import (
 // tripProgram's output.
 const tripKernelLine = 13
 
-// tripProgram is one loop of trip iterations by step over a[] with body,
-// whose bounds are constants or, unfolded, read from globals; main
-// returns a checksum of a[], which any stray or missing iteration moves.
+// tripProgram is one loop of trip iterations by step over a[] and c[]
+// with body, whose bounds are constants or, unfolded, read from globals;
+// main returns a checksum of a[] and c[], which any stray or missing
+// iteration moves.
 func tripProgram(body string, step, trip int, folded bool) string {
 	first, past := 8, 8+trip*step
 	cond := "i < hi"
@@ -39,7 +40,7 @@ func tripProgram(body string, step, trip int, folded bool) string {
 	if !folded {
 		bounds = "lo = bounds[0];\n\thi = bounds[1];"
 	}
-	return fmt.Sprintf(`int a[96], b[96];
+	return fmt.Sprintf(`int a[96], b[96], c[96];
 int bounds[2] = {%d, %d};
 
 int main(void)
@@ -54,7 +55,7 @@ int main(void)
 		%s;
 	chk = 0;
 	for (k = 0; k < 96; k++)
-		chk = (chk * 31 + a[k]) %% 65521;
+		chk = (chk * 31 + a[k] + c[k]) %% 65521;
 	return chk;
 }
 `, first, past, bounds, cond, step, body)
@@ -95,26 +96,18 @@ var tripKinds = []struct {
 		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && !hasVector(loops) && syncDistance(loops) == 0 },
 	},
 	{
-		name: "doacross1",
-		opts: driver.FullOptions(),
-		plan: &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
-		bodies: [2]func(int) string{
-			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", step) },
-			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] %% 1000 + b[i]", step) },
-		},
-		steps: []int{1, 2},
-		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 1 },
+		name:   "doacross1",
+		opts:   driver.FullOptions(),
+		bodies: doacrossBodies(1),
+		steps:  []int{1, 2},
+		shape:  func(loops []il.Stmt) bool { return syncDistance(loops) == 1 },
 	},
 	{
-		name: "doacross3",
-		opts: driver.FullOptions(),
-		plan: &schedule.Schedule{VL: 32, Unroll: 1, SyncStride: 1},
-		bodies: [2]func(int) string{
-			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] + b[i]", 3*step) },
-			func(step int) string { return fmt.Sprintf("a[i] = a[i - %d] %% 1000 + b[i]", 3*step) },
-		},
-		steps: []int{1, 2},
-		shape: func(loops []il.Stmt) bool { return syncDistance(loops) == 3 },
+		name:   "doacross3",
+		opts:   driver.FullOptions(),
+		bodies: doacrossBodies(3),
+		steps:  []int{1, 2},
+		shape:  func(loops []il.Stmt) bool { return syncDistance(loops) == 3 },
 	},
 	{
 		name: "unrolled",
@@ -147,6 +140,17 @@ var tripKinds = []struct {
 		steps: []int{1, 2, -1},
 		shape: func(loops []il.Stmt) bool { return hasParallel(loops) && hasVector(loops) },
 	},
+}
+
+// doacrossBodies carry a[] at distance dist iterations beside a statement
+// on c[] heavy enough, and kept serial by its %, that the parallelizer's
+// own estimate pipelines the loop rather than leave it serial.
+func doacrossBodies(dist int) [2]func(step int) string {
+	const work = "c[i] = (b[i] * 3 + b[i + 1] * 5 + b[i + 2] * 7 + b[i + 3] * 9) % 1000"
+	return [2]func(int) string{
+		func(step int) string { return fmt.Sprintf("{ a[i] = a[i - %d] + b[i]; %s; }", dist*step, work) },
+		func(step int) string { return fmt.Sprintf("{ a[i] = a[i - %d] %% 1000 + b[i]; %s; }", dist*step, work) },
+	}
 }
 
 func hasParallel(loops []il.Stmt) bool {
