@@ -13,8 +13,10 @@ package il
 //     and cloner of this package is a method on *Arena (build.go, walk.go,
 //     simplify.go). The front end attaches one Arena per Proc (lower.File)
 //     and every pass that rewrites a procedure builds the replacement
-//     nodes through p.Arena(). Nodes never migrate between procedures —
-//     inline expansion clones catalog bodies into the caller's arena.
+//     nodes through p.Arena(). Statements belong to one procedure;
+//     expressions are immutable values any procedure may reference, so
+//     inline expansion copies a callee's statements into the caller's
+//     arena and shares the expressions it does not rename.
 //   - Code that only reads a procedure it does not own (the inliner on a
 //     callee, the schedule checker and the tuner's discovery on a shared
 //     base, dependence views) builds from the caller's arena or from nil,
@@ -22,15 +24,17 @@ package il
 //     safe for concurrent use.
 //   - A nil *Arena is valid everywhere and allocates each node from the
 //     heap. It is what a procedure with no arena builds from: hand-built
-//     test IL, catalog-decoded procedures (cloned into the caller's arena
-//     at expansion), and the arena-stripped compile that
-//     differential_arena_test.go holds every arena compile equal to.
+//     test IL, catalog-decoded procedures (whose statements are copied
+//     into the caller's arena at expansion), and the arena-stripped
+//     compile that differential_arena_test.go holds every arena compile
+//     equal to.
 //   - Release drops the arena's slab references and retires its bytes
 //     from the process-wide ArenaBytesLive gauge. The nodes themselves
-//     stay valid as long as the IL references them (chunks are reclaimed
-//     by the collector with the Program); Release marks the moment the
-//     compile stops holding bulk IL memory, which is what the titand
-//     daemon frees after an artifact is encoded.
+//     stay valid as long as any IL references them (chunks are reclaimed
+//     by the collector once nothing does), so an expression shared with
+//     another procedure or program outlives its arena's Release. Release
+//     marks the moment the compile stops holding bulk IL memory, which is
+//     what the titand daemon frees after an artifact is encoded.
 import (
 	"sync/atomic"
 	"unsafe"

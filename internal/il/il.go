@@ -6,7 +6,13 @@
 //   - Expressions are pure. Every operation that changes memory is an
 //     explicit statement: the IL has an assignment statement but no
 //     assignment operator, and ?:, &&, || and function calls are not
-//     representable inside expressions.
+//     representable inside expressions. The repository adds one rule:
+//     no Expr is written after its constructor returns. Expressions are
+//     values, so any statement of any procedure may reference any of
+//     them, and a pass that changes an operand builds a new expression
+//     (RewriteExpr) and stores it in the statement. Statements are
+//     rewritten in place, and copying a statement tree (CloneStmt,
+//     Proc.Clone, inline expansion) copies statements only.
 //   - Loops are explicit. The front end lowers every C for loop to a While;
 //     the optimizer converts While loops to Fortran-style DoLoops when it
 //     can prove the iteration pattern, and the vectorizer converts DoLoops

@@ -50,40 +50,42 @@ func (a *Arena) SimplifyLinear(e Expr) Expr {
 		if tm.Coef == 0 {
 			continue
 		}
-		// Clone so the rebuilt tree never shares nodes with the original
-		// (or with a merged duplicate term).
 		switch {
 		case tm.Coef == 1:
-			add(a.CloneExpr(tm.Expr))
+			add(tm.Expr)
 		case tm.Coef == -1:
-			add(a.Un(OpNeg, a.CloneExpr(tm.Expr), ctype.IntType))
+			add(a.Un(OpNeg, tm.Expr, ctype.IntType))
 		default:
-			add(a.Bin(OpMul, a.ConstInt(tm.Coef, ctype.IntType),
-				a.CloneExpr(tm.Expr), ctype.IntType))
+			add(a.Bin(OpMul, a.ConstInt(tm.Coef, ctype.IntType), tm.Expr, ctype.IntType))
 		}
 	}
 	if out == nil {
 		return a.ConstInt(c.constant, t)
 	}
 	if c.constant > 0 {
-		out = a.Bin(OpAdd, out, a.ConstInt(c.constant, t), t)
+		return a.Bin(OpAdd, out, a.ConstInt(c.constant, t), t)
 	} else if c.constant < 0 {
-		out = a.Bin(OpSub, out, a.ConstInt(-c.constant, t), t)
+		return a.Bin(OpSub, out, a.ConstInt(-c.constant, t), t)
 	}
-	// Give the root the original type.
-	setExprType(out, t)
-	return out
+	return a.withType(out, t)
 }
 
-func setExprType(e Expr, t *ctype.Type) {
+// withType returns e at the sum's type t. A one-term sum with no
+// constant is its term, which may be arithmetic of another type; that
+// root is rebuilt at t, since the term is shared with the input. A leaf,
+// load or cast keeps its own type.
+func (a *Arena) withType(e Expr, t *ctype.Type) Expr {
 	switch n := e.(type) {
 	case *Bin:
-		n.T = t
+		if n.T != t {
+			return a.Bin(n.Op, n.L, n.R, t)
+		}
 	case *Un:
-		n.T = t
-	case *ConstInt:
-		n.T = t
+		if n.T != t {
+			return a.Un(n.Op, n.X, t)
+		}
 	}
+	return e
 }
 
 // collector accumulates the additive terms of a sum, in first-seen order

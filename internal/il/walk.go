@@ -1,6 +1,6 @@
 package il
 
-// This file provides the traversal, rewriting, and cloning utilities the
+// This file provides the traversal, rewriting, and copying utilities the
 // optimizer phases are built on. WalkStmts (read) and RewriteStmts
 // (rewrite) are the two statement-tree walks the phases are callbacks on.
 
@@ -141,11 +141,12 @@ func StmtExprs(s Stmt, f func(Expr)) {
 // f receives a node whose children have already been rewritten. The
 // rewrite is copy-on-write: a node whose children came back unchanged is
 // passed to f as-is (not copied), and when f is the identity over a
-// whole subtree the subtree is returned untouched. Rewriters therefore
-// must not mutate the node they receive — they return a replacement (or
-// the argument) instead. The input tree is never mutated.
-// The copied spine nodes come from arena a; passes rewriting a procedure
-// use p.Arena().
+// whole subtree the subtree is returned untouched, so the result shares
+// every subtree f left alone with e. Expressions are immutable values:
+// f never writes to the node it receives, it returns that node or
+// another expression — a new one, or any existing one, which is then
+// shared. The copied spine nodes come from arena a; passes rewriting a
+// procedure use p.Arena().
 func (a *Arena) RewriteExpr(e Expr, f func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
@@ -188,15 +189,18 @@ func (a *Arena) RewriteExpr(e Expr, f func(Expr) Expr) Expr {
 	}
 }
 
-// RewriteStmtExprs applies RewriteExpr with f to every expression operand
-// of s, in place.
+// RewriteStmtExprs applies RewriteExpr with f to every expression s
+// reads and stores the results in s. A scalar assignment's destination is
+// a definition, not a use, and is left alone; a store's destination is
+// rebuilt around its rewritten address.
 func (a *Arena) RewriteStmtExprs(s Stmt, f func(Expr) Expr) {
 	switch n := s.(type) {
 	case *Assign:
-		// The destination of a store is an expression too, but a VarRef
-		// destination is a definition, not a use; rewriters that must
-		// distinguish handle Assign themselves before calling this.
-		n.Dst = a.RewriteExpr(n.Dst, f)
+		if ld, isStore := n.Dst.(*Load); isStore {
+			if addr := a.RewriteExpr(ld.Addr, f); addr != ld.Addr {
+				n.Dst = a.Load(addr, ld.T, ld.Volatile)
+			}
+		}
 		n.Src = a.RewriteExpr(n.Src, f)
 	case *PredAssign:
 		n.Cond = a.RewriteExpr(n.Cond, f)
@@ -236,102 +240,65 @@ func (a *Arena) RewriteStmtExprs(s Stmt, f func(Expr) Expr) {
 	}
 }
 
-// RewriteTreeExprs applies f (via RewriteExpr) to every expression operand
-// of s and of all statements nested inside it. Scalar assignment
-// destinations are definitions, not uses, and are left alone; store
-// destinations have their address rewritten.
+// RewriteTreeExprs applies RewriteStmtExprs with f to s and to every
+// statement nested inside it.
 func (a *Arena) RewriteTreeExprs(s Stmt, f func(Expr) Expr) {
 	WalkStmts([]Stmt{s}, func(sub Stmt) bool {
-		if as, ok := sub.(*Assign); ok {
-			if ld, isStore := as.Dst.(*Load); isStore {
-				if addr := a.RewriteExpr(ld.Addr, f); addr != ld.Addr {
-					as.Dst = a.Load(addr, ld.T, ld.Volatile)
-				}
-			}
-			as.Src = a.RewriteExpr(as.Src, f)
-			return true
-		}
 		a.RewriteStmtExprs(sub, f)
 		return true
 	})
 }
 
-// CloneExpr deep-copies an expression into arena a (nil copies to the
-// heap).
-func (a *Arena) CloneExpr(e Expr) Expr {
-	if e == nil {
-		return nil
-	}
-	switch n := e.(type) {
-	case *ConstInt:
-		return a.ConstInt(n.Val, n.T)
-	case *ConstFloat:
-		return a.ConstFloat(n.Val, n.T)
-	case *VarRef:
-		return a.VarRef(n.ID, n.T)
-	case *AddrOf:
-		return a.AddrOf(n.ID, n.T)
-	case *Load:
-		return a.Load(a.CloneExpr(n.Addr), n.T, n.Volatile)
-	case *Bin:
-		return a.Bin(n.Op, a.CloneExpr(n.L), a.CloneExpr(n.R), n.T)
-	case *Un:
-		return a.Un(n.Op, a.CloneExpr(n.X), n.T)
-	case *Cast:
-		return a.Cast(a.CloneExpr(n.X), n.T)
-	case *VecRef:
-		return a.VecRef(a.CloneExpr(n.Base), a.CloneExpr(n.Stride), n.T)
-	}
-	panic("il: CloneExpr of unknown node")
-}
-
-// CloneStmt deep-copies a statement into arena a.
+// CloneStmt copies a statement tree into arena a. Every statement node is
+// new, nested lists included, so a pass may rewrite the copy's statements
+// without touching s; the expression operands are s's own, since
+// expressions are immutable values any statement may reference.
 func (a *Arena) CloneStmt(s Stmt) Stmt {
 	switch n := s.(type) {
 	case *Assign:
-		return a.Assign(Assign{Dst: a.CloneExpr(n.Dst), Src: a.CloneExpr(n.Src), Pos: n.Pos})
+		return a.Assign(*n)
 	case *PredAssign:
-		return a.PredAssign(PredAssign{Cond: a.CloneExpr(n.Cond), Dst: a.CloneExpr(n.Dst),
-			Src: a.CloneExpr(n.Src), Pos: n.Pos})
+		return a.PredAssign(*n)
 	case *Call:
-		m := a.Call(Call{Dst: n.Dst, Callee: n.Callee, T: n.T, FunPtr: a.CloneExpr(n.FunPtr), Pos: n.Pos})
-		for _, arg := range n.Args {
-			m.Args = append(m.Args, a.CloneExpr(arg))
-		}
-		return m
+		m := *n
+		m.Args = append([]Expr(nil), n.Args...)
+		return a.Call(m)
 	case *If:
-		return a.If(If{Cond: a.CloneExpr(n.Cond), Then: a.CloneStmts(n.Then), Else: a.CloneStmts(n.Else), Pos: n.Pos})
+		m := *n
+		m.Then, m.Else = a.CloneStmts(n.Then), a.CloneStmts(n.Else)
+		return a.If(m)
 	case *While:
-		return a.While(While{Cond: a.CloneExpr(n.Cond), Body: a.CloneStmts(n.Body), Safe: n.Safe, Pos: n.Pos})
+		m := *n
+		m.Body = a.CloneStmts(n.Body)
+		return a.While(m)
 	case *DoLoop:
-		return a.DoLoop(DoLoop{IV: n.IV, Init: a.CloneExpr(n.Init), Limit: a.CloneExpr(n.Limit),
-			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Safe: n.Safe, Pos: n.Pos})
+		m := *n
+		m.Body = a.CloneStmts(n.Body)
+		return a.DoLoop(m)
 	case *DoParallel:
-		m := a.DoParallel(DoParallel{IV: n.IV, Init: a.CloneExpr(n.Init), Limit: a.CloneExpr(n.Limit),
-			Step: a.CloneExpr(n.Step), Body: a.CloneStmts(n.Body), Pos: n.Pos})
+		m := *n
+		m.Body = a.CloneStmts(n.Body)
 		if n.Sync != nil {
 			m.Sync = a.SyncInfo(*n.Sync)
 		}
-		return m
+		return a.DoParallel(m)
 	case *SyncPost:
 		return a.SyncPost(*n)
 	case *SyncWait:
 		return a.SyncWait(*n)
 	case *VectorAssign:
-		return a.VectorAssign(VectorAssign{DstBase: a.CloneExpr(n.DstBase), DstStride: a.CloneExpr(n.DstStride),
-			Len: a.CloneExpr(n.Len), Elem: n.Elem, RHS: a.CloneExpr(n.RHS),
-			Mask: a.CloneExpr(n.Mask), Pos: n.Pos})
+		return a.VectorAssign(*n)
 	case *Goto:
 		return a.Goto(*n)
 	case *Label:
 		return a.Label(*n)
 	case *Return:
-		return a.Return(Return{Val: a.CloneExpr(n.Val), Pos: n.Pos})
+		return a.Return(*n)
 	}
 	panic("il: CloneStmt of unknown node")
 }
 
-// CloneStmts deep-copies a statement list into arena a.
+// CloneStmts copies a statement list into arena a (see CloneStmt).
 func (a *Arena) CloneStmts(list []Stmt) []Stmt {
 	if list == nil {
 		return nil
@@ -461,11 +428,11 @@ func IsStore(s Stmt) bool {
 	return false
 }
 
-// Clone deep-copies the procedure: its statements and expressions into a
-// fresh arena, its variable table and parameter list into fresh slices,
-// with the label counter and both mutation counters carried over, so
-// every pass behaves on the copy exactly as it would have on the original
-// and neither can observe the other being rewritten. Types are shared;
+// Clone copies the procedure: its statements into a fresh arena, its
+// variable table and parameter list into fresh slices, with the label
+// counter and both mutation counters carried over, so every pass behaves
+// on the copy exactly as it would have on the original and neither can
+// observe the other being rewritten. Expressions and types are shared;
 // they are immutable.
 func (p *Proc) Clone() *Proc {
 	a := NewArena()
@@ -483,7 +450,7 @@ func (p *Proc) Clone() *Proc {
 	}
 }
 
-// Clone deep-copies the program (see Proc.Clone). The global table is
+// Clone copies the program (see Proc.Clone). The global table is
 // copied so a pass appending globals to the clone leaves the original
 // alone; initial-data bytes are shared, nothing writes them. The caller
 // owns the clone's arenas and Releases them.

@@ -254,10 +254,12 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 	var out []il.Stmt
 	for i, arg := range call.Args {
 		pid := varMap[callee.Params[i]]
-		out = append(out, a.Assign(il.Assign{Dst: a.VarRef(pid, p.Vars[pid].Type), Src: a.CloneExpr(arg)}))
+		out = append(out, a.Assign(il.Assign{Dst: a.VarRef(pid, p.Vars[pid].Type), Src: arg}))
 	}
 
-	// Clone and rewrite the body.
+	// Copy the body's statements and rename what they reference. The
+	// callee's expressions are shared, not copied: rewriteInlined rebuilds
+	// each one that names a callee variable, and the rest are immutable.
 	body := a.CloneStmts(callee.Body)
 	body = rewriteInlined(body, varMap, prefix, call.Dst, endLabel, p)
 	out = append(out, body...)
@@ -297,90 +299,45 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 // result assignment + goto end.
 func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.VarID, endLabel string, p *il.Proc) []il.Stmt {
 	a := p.Arena()
-	mapExpr := func(e il.Expr) il.Expr {
-		return a.RewriteExpr(e, func(x il.Expr) il.Expr {
-			switch n := x.(type) {
-			case *il.VarRef:
-				return a.VarRef(varMap[n.ID], n.T)
-			case *il.AddrOf:
-				return a.AddrOf(varMap[n.ID], n.T)
-			}
-			return x
-		})
-	}
-	var rewrite func(list []il.Stmt) []il.Stmt
-	rewrite = func(list []il.Stmt) []il.Stmt {
-		out := make([]il.Stmt, 0, len(list))
-		for _, s := range list {
-			switch n := s.(type) {
-			case *il.Assign:
-				if ld, ok := n.Dst.(*il.Load); ok {
-					n.Dst = a.Load(mapExpr(ld.Addr), ld.T, ld.Volatile)
-				} else if v, ok := n.Dst.(*il.VarRef); ok {
-					n.Dst = a.VarRef(varMap[v.ID], v.T)
-				}
-				n.Src = mapExpr(n.Src)
-				out = append(out, n)
-			case *il.Call:
-				if n.Dst != il.NoVar {
-					n.Dst = varMap[n.Dst]
-				}
-				if n.FunPtr != nil {
-					n.FunPtr = mapExpr(n.FunPtr)
-				}
-				for i := range n.Args {
-					n.Args[i] = mapExpr(n.Args[i])
-				}
-				out = append(out, n)
-			case *il.If:
-				n.Cond = mapExpr(n.Cond)
-				n.Then = rewrite(n.Then)
-				n.Else = rewrite(n.Else)
-				out = append(out, n)
-			case *il.While:
-				n.Cond = mapExpr(n.Cond)
-				n.Body = rewrite(n.Body)
-				out = append(out, n)
-			case *il.DoLoop:
-				n.IV = varMap[n.IV]
-				n.Init = mapExpr(n.Init)
-				n.Limit = mapExpr(n.Limit)
-				n.Step = mapExpr(n.Step)
-				n.Body = rewrite(n.Body)
-				out = append(out, n)
-			case *il.DoParallel:
-				n.IV = varMap[n.IV]
-				n.Init = mapExpr(n.Init)
-				n.Limit = mapExpr(n.Limit)
-				n.Step = mapExpr(n.Step)
-				n.Body = rewrite(n.Body)
-				out = append(out, n)
-			case *il.VectorAssign:
-				n.DstBase = mapExpr(n.DstBase)
-				n.DstStride = mapExpr(n.DstStride)
-				n.Len = mapExpr(n.Len)
-				n.RHS = mapExpr(n.RHS)
-				out = append(out, n)
-			case *il.Goto:
-				out = append(out, a.Goto(il.Goto{Target: prefix + n.Target}))
-			case *il.Label:
-				out = append(out, a.Label(il.Label{Name: prefix + n.Name}))
-			case *il.Return:
-				if n.Val != nil && dst != il.NoVar {
-					out = append(out, a.Assign(il.Assign{Dst: a.VarRef(dst, p.Vars[dst].Type), Src: mapExpr(n.Val)}))
-				} else if n.Val != nil {
-					// Result discarded: still evaluate side-effect-free
-					// value? Values are pure in this IL; drop it.
-					_ = n
-				}
-				out = append(out, a.Goto(il.Goto{Target: endLabel}))
-			default:
-				out = append(out, s)
-			}
+	rename := func(x il.Expr) il.Expr {
+		switch n := x.(type) {
+		case *il.VarRef:
+			return a.VarRef(varMap[n.ID], n.T)
+		case *il.AddrOf:
+			return a.AddrOf(varMap[n.ID], n.T)
 		}
-		return out
+		return x
 	}
-	return rewrite(body)
+	return il.RewriteStmts(body, nil, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
+		a.RewriteStmtExprs(s, rename)
+		switch n := s.(type) {
+		case *il.Assign:
+			if v, ok := n.Dst.(*il.VarRef); ok {
+				n.Dst = a.VarRef(varMap[v.ID], v.T)
+			}
+		case *il.Call:
+			if n.Dst != il.NoVar {
+				n.Dst = varMap[n.Dst]
+			}
+		case *il.DoLoop:
+			n.IV = varMap[n.IV]
+		case *il.DoParallel:
+			n.IV = varMap[n.IV]
+		case *il.Goto:
+			return []il.Stmt{a.Goto(il.Goto{Target: prefix + n.Target})}, true
+		case *il.Label:
+			return []il.Stmt{a.Label(il.Label{Name: prefix + n.Name})}, true
+		case *il.Return:
+			// Values are pure in this IL: a result the caller discards
+			// is dropped.
+			var out []il.Stmt
+			if n.Val != nil && dst != il.NoVar {
+				out = append(out, a.Assign(il.Assign{Dst: a.VarRef(dst, p.Vars[dst].Type), Src: n.Val}))
+			}
+			return append(out, a.Goto(il.Goto{Target: endLabel})), true
+		}
+		return nil, false
+	})
 }
 
 // firstStmtPos returns the first nonzero statement position in list.

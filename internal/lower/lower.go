@@ -395,7 +395,7 @@ func (lw *lowerer) initList(d *ast.VarDecl, sym *sema.Symbol, id il.VarID) ([]il
 		return append(out, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(id, sym.Type), Src: lw.coerce(e, sym.Type)})), nil
 	}
 	for i, cell := range cells {
-		addr := lw.ar.Add(lw.ar.CloneExpr(base), lw.ar.Int(int64(cell.Offset)), ctype.PointerTo(cell.Type))
+		addr := lw.ar.Add(base, lw.ar.Int(int64(cell.Offset)), ctype.PointerTo(cell.Type))
 		dst := lw.ar.Load(addr, cell.Type, cell.Type.Volatile)
 		if i < len(d.InitList) {
 			sl, e, err := lw.expr(d.InitList[i])
@@ -899,19 +899,19 @@ func (lw *lowerer) incDec(n *ast.UnaryExpr, needValue bool) ([]il.Stmt, il.Expr,
 	if id, simple := lw.simpleVar(n.X); simple {
 		vref := lw.ar.VarRef(id, lw.proc.Vars[id].Type)
 		if !needValue {
-			return []il.Stmt{lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.NewBin(op, lw.ar.CloneExpr(vref), delta, t)})}, nil, nil
+			return []il.Stmt{lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.NewBin(op, vref, delta, t)})}, nil, nil
 		}
 		tmp := lw.proc.NewTemp(t)
 		var sl []il.Stmt
 		if isPost {
 			// t = a; a = t ± d; value t  (the paper's §5.3 shape)
 			sl = append(sl,
-				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: lw.ar.CloneExpr(vref)}),
-				lw.ar.Assign(il.Assign{Dst: lw.ar.CloneExpr(vref).(*il.VarRef), Src: lw.ar.NewBin(op, lw.ar.VarRef(tmp, t), delta, t)}))
+				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: vref}),
+				lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.NewBin(op, lw.ar.VarRef(tmp, t), delta, t)}))
 		} else {
 			sl = append(sl,
-				lw.ar.Assign(il.Assign{Dst: lw.ar.CloneExpr(vref).(*il.VarRef), Src: lw.ar.NewBin(op, lw.ar.CloneExpr(vref), delta, t)}),
-				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: lw.ar.CloneExpr(vref)}))
+				lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.NewBin(op, vref, delta, t)}),
+				lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, t), Src: vref}))
 		}
 		return sl, lw.ar.VarRef(tmp, t), nil
 	}
@@ -1103,12 +1103,12 @@ func (lw *lowerer) assignCommon(n *ast.AssignExpr, needValue bool) ([]il.Stmt, i
 		var sl []il.Stmt
 		sl = append(sl, rSL...)
 		if !needValue {
-			sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: makeRHS(lw.ar.CloneExpr(vref))}))
+			sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: makeRHS(vref)}))
 			return sl, nil, nil
 		}
 		// t = RHS; v = t; value t — writes v once, never reads it.
 		tmp := lw.proc.NewTemp(lt)
-		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, lt), Src: makeRHS(lw.ar.CloneExpr(vref))}))
+		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(tmp, lt), Src: makeRHS(vref)}))
 		sl = append(sl, lw.ar.Assign(il.Assign{Dst: vref, Src: lw.ar.VarRef(tmp, lt)}))
 		return sl, lw.ar.VarRef(tmp, lt), nil
 	}
@@ -1128,7 +1128,7 @@ func (lw *lowerer) assignCommon(n *ast.AssignExpr, needValue bool) ([]il.Stmt, i
 		sl = append(sl, lw.ar.Assign(il.Assign{Dst: lw.ar.VarRef(at, addrT), Src: addr}))
 		addr = lw.ar.VarRef(at, addrT)
 	}
-	cur := lw.ar.Load(lw.ar.CloneExpr(addr), lt, vol)
+	cur := lw.ar.Load(addr, lt, vol)
 	if !needValue {
 		sl = append(sl, lw.ar.Assign(il.Assign{
 			Dst: lw.ar.Load(addr, lt, vol),

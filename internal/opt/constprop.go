@@ -40,36 +40,15 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	// Substitute uses whose every reaching definition assigns the same
 	// constant.
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
-		subst := func(e il.Expr) il.Expr {
-			return ar.RewriteExpr(e, func(x il.Expr) il.Expr {
-				v, ok := x.(*il.VarRef)
-				if !ok {
-					return x
-				}
-				if c := constValueAt(p, ar, a, s, v.ID); c != nil {
+		ar.RewriteStmtExprs(s, func(x il.Expr) il.Expr {
+			if v, ok := x.(*il.VarRef); ok {
+				if c := constValueAt(p, a, s, v.ID); c != nil {
 					substs++
 					return c
 				}
-				return x
-			})
-		}
-		switch n := s.(type) {
-		case *il.Assign:
-			if ld, ok := n.Dst.(*il.Load); ok {
-				ld.Addr = subst(ld.Addr)
 			}
-			n.Src = subst(n.Src)
-		default:
-			ar.RewriteStmtExprs(s, func(x il.Expr) il.Expr {
-				if v, ok := x.(*il.VarRef); ok {
-					if c := constValueAt(p, ar, a, s, v.ID); c != nil {
-						substs++
-						return c
-					}
-				}
-				return x
-			})
-		}
+			return x
+		})
 		return true
 	})
 
@@ -103,8 +82,7 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 
 // constValueAt returns the constant value of v at statement s if every
 // reaching definition is an unambiguous assignment of that same constant.
-// The returned clone is allocated from ar.
-func constValueAt(p *il.Proc, ar *il.Arena, a *dataflow.Analysis, s il.Stmt, v il.VarID) il.Expr {
+func constValueAt(p *il.Proc, a *dataflow.Analysis, s il.Stmt, v il.VarID) il.Expr {
 	if p.Vars[v].IsVolatile() {
 		return nil
 	}
@@ -138,7 +116,7 @@ func constValueAt(p *il.Proc, ar *il.Arena, a *dataflow.Analysis, s il.Stmt, v i
 	if bad || val == nil {
 		return nil
 	}
-	return ar.CloneExpr(val)
+	return val
 }
 
 // foldNode rebuilds one expression node through the folding constructors,

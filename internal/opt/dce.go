@@ -331,20 +331,12 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 			for ci := firstCopy[v.ID] - 1; ci >= 0; ci = copies[ci].next - 1 {
 				if avail.get(ci) && copies[ci].stmt != s {
 					rewrites++
-					return ar.CloneExpr(copies[ci].src)
+					return copies[ci].src
 				}
 			}
 			return x
 		}
-		switch n := s.(type) {
-		case *il.Assign:
-			if ld, ok := n.Dst.(*il.Load); ok {
-				ld.Addr = ar.RewriteExpr(ld.Addr, replace)
-			}
-			n.Src = ar.RewriteExpr(n.Src, replace)
-		default:
-			ar.RewriteStmtExprs(s, replace)
-		}
+		ar.RewriteStmtExprs(s, replace)
 		return true
 	})
 	// Only uses were replaced: every statement and definition site stayed

@@ -82,18 +82,18 @@ func kExpr(p *il.Proc, loop *il.DoLoop) (il.Expr, []il.Stmt) {
 		// Init is evaluated once at entry; snapshot it so the closed forms
 		// can refer to it even though the body changes its variables.
 		t := p.NewTemp(ctype.IntType)
-		pre = append(pre, ar.Assign(il.Assign{Dst: ar.VarRef(t, ctype.IntType), Src: ar.CloneExpr(init)}))
+		pre = append(pre, ar.Assign(il.Assign{Dst: ar.VarRef(t, ctype.IntType), Src: init}))
 		loop.Init = ar.VarRef(t, ctype.IntType)
 		init = loop.Init
 	}
 	switch stepC {
 	case 1:
-		return ar.Sub(ivRef, ar.CloneExpr(init), ctype.IntType), pre
+		return ar.Sub(ivRef, init, ctype.IntType), pre
 	case -1:
-		return ar.Sub(ar.CloneExpr(init), ivRef, ctype.IntType), pre
+		return ar.Sub(init, ivRef, ctype.IntType), pre
 	default:
-		diff := ar.Sub(ivRef, ar.CloneExpr(init), ctype.IntType)
-		return ar.NewBin(il.OpDiv, diff, ar.CloneExpr(loop.Step), ctype.IntType), pre
+		diff := ar.Sub(ivRef, init, ctype.IntType)
+		return ar.NewBin(il.OpDiv, diff, loop.Step, ctype.IntType), pre
 	}
 }
 
@@ -241,7 +241,7 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool, em *emitter
 			as := loop.Body[idxs[0]].(*il.Assign)
 			next = as.Src
 		}
-		step, ok := matchRecurrence(ar, ar.CloneExpr(next), vid)
+		step, ok := matchRecurrence(ar, next, vid)
 		if !ok {
 			continue
 		}
@@ -292,18 +292,18 @@ func closedFormPass(p *il.Proc, loop *il.DoLoop, resolveCopies bool, changed *in
 		multiple := constStep && sConst && (s > 1 || s < -1) && c%s == 0
 		valueAt := func(afterUpdate bool) il.Expr {
 			if multiple {
-				diff := ar.Sub(ar.VarRef(loop.IV, ctype.IntType), ar.CloneExpr(loop.Init), ctype.IntType)
+				diff := ar.Sub(ar.VarRef(loop.IV, ctype.IntType), loop.Init, ctype.IntType)
 				v := ar.Add(ar.VarRef(v0, t), ar.Mul(ar.Int(c/s), diff, ctype.IntType), t)
 				if afterUpdate {
 					v = ar.Add(v, ar.Int(c), t)
 				}
 				return v
 			}
-			occ := ar.CloneExpr(k)
+			occ := k
 			if afterUpdate {
 				occ = ar.Add(occ, ar.Int(1), ctype.IntType)
 			}
-			return ar.Add(ar.VarRef(v0, t), ar.Mul(ar.CloneExpr(biv.step), occ, ctype.IntType), t)
+			return ar.Add(ar.VarRef(v0, t), ar.Mul(biv.step, occ, ctype.IntType), t)
 		}
 
 		for i, s := range loop.Body {
@@ -400,7 +400,7 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 			ar.RewriteTreeExprs(t, func(x il.Expr) il.Expr {
 				if vr, ok := x.(*il.VarRef); ok && vr.ID == dst.ID {
 					changed++
-					return ar.CloneExpr(as.Src)
+					return as.Src
 				}
 				return x
 			})

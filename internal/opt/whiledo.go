@@ -199,30 +199,30 @@ func tryCandidate(p *il.Proc, a *dataflow.Analysis, w *il.While, prev []il.Stmt,
 		if stepC <= 0 {
 			return nil
 		}
-		limit = ar.Sub(ar.CloneExpr(bound), ar.Int(1), t)
+		limit = ar.Sub(bound, ar.Int(1), t)
 	case relLE:
 		if stepC <= 0 {
 			return nil
 		}
-		limit = ar.CloneExpr(bound)
+		limit = bound
 	case relGT: // i > bound, counting down
 		if stepC >= 0 {
 			return nil
 		}
-		limit = ar.Add(ar.CloneExpr(bound), ar.Int(1), t)
+		limit = ar.Add(bound, ar.Int(1), t)
 	case relGE:
 		if stepC >= 0 {
 			return nil
 		}
-		limit = ar.CloneExpr(bound)
+		limit = bound
 	case relNE:
 		// i != bound terminates exactly when the step divides the
 		// distance; like the paper's while(i) case we accept the unit
 		// steps that C loops produce in practice.
 		if stepC == 1 {
-			limit = ar.Sub(ar.CloneExpr(bound), ar.Int(1), t)
+			limit = ar.Sub(bound, ar.Int(1), t)
 		} else if stepC == -1 {
-			limit = ar.Add(ar.CloneExpr(bound), ar.Int(1), t)
+			limit = ar.Add(bound, ar.Int(1), t)
 		} else {
 			return nil
 		}
@@ -358,14 +358,6 @@ func newSymEnv(ar *il.Arena) *symEnv {
 	return &symEnv{ar: ar, vals: map[il.VarID]il.Expr{}, unknown: map[il.VarID]bool{}}
 }
 
-// lookup returns the symbolic value of v (Ref(v) meaning "entry value").
-func (se *symEnv) lookup(v il.VarID, t *il.VarRef) il.Expr {
-	if e, ok := se.vals[v]; ok {
-		return se.ar.CloneExpr(e)
-	}
-	return se.ar.CloneExpr(t)
-}
-
 const symEnvMaxNodes = 64
 
 // subst rewrites e replacing each variable by its symbolic value; returns
@@ -380,7 +372,9 @@ func (se *symEnv) subst(e il.Expr) (il.Expr, bool) {
 				bad = true
 				return x
 			}
-			return se.lookup(v.ID, v)
+			if val, ok := se.vals[v.ID]; ok {
+				return val
+			}
 		}
 		return x
 	})
@@ -477,8 +471,6 @@ func bodyRecurrence(p *il.Proc, body, prev []il.Stmt, iv il.VarID) (il.Expr, boo
 	if !ok {
 		return nil, false
 	}
-	next = ar.CloneExpr(next)
-
 	// Apply head facts derived from the duplicated suffix until the
 	// expression mentions iv or stops changing.
 	facts := headFacts(p, body, prev)
@@ -488,7 +480,7 @@ func bodyRecurrence(p *il.Proc, body, prev []il.Stmt, iv il.VarID) (il.Expr, boo
 			if v, ok := x.(*il.VarRef); ok {
 				if f, ok := facts[v.ID]; ok {
 					changed = true
-					return ar.CloneExpr(f)
+					return f
 				}
 			}
 			return x
@@ -512,7 +504,7 @@ func matchRecurrence(ar *il.Arena, e il.Expr, iv il.VarID) (il.Expr, bool) {
 		case il.OpAdd:
 			return b.R, true
 		case il.OpSub:
-			return ar.NewUn(il.OpNeg, ar.CloneExpr(b.R), b.R.Type()), true
+			return ar.NewUn(il.OpNeg, b.R, b.R.Type()), true
 		}
 	}
 	if v, ok := b.R.(*il.VarRef); ok && v.ID == iv && b.Op == il.OpAdd && !il.UsesVar(b.L, iv) {
@@ -576,7 +568,7 @@ func headFacts(p *il.Proc, body, prev []il.Stmt) map[il.VarID]il.Expr {
 			}
 			// Every VarRef in val denotes the variable's pre-suffix value.
 			if r, has := rename[v.ID]; has {
-				return ar.CloneExpr(r)
+				return r
 			}
 			if _, defined := env.vals[v.ID]; defined {
 				// Redefined by the suffix with no renaming: the pre-value

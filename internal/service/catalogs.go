@@ -17,8 +17,9 @@ import (
 // once, keyed by content fingerprint, and attached to compiles by that
 // id. They are the store's pinned kind — clients hold the ids, so an
 // entry is never evicted — and they are immutable after upload (the
-// inliner clones callee bodies out of them), so one decoded catalog
-// serves any number of concurrent compiles.
+// inliner copies callee statements out of them and only reads their
+// expressions), so one decoded catalog serves any number of concurrent
+// compiles.
 
 // CatalogRecord is the store's metadata for one catalog.
 type CatalogRecord struct {

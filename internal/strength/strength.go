@@ -205,7 +205,7 @@ func unroll(p *il.Proc, loop *il.DoLoop, factor int, st *Stats) ([]il.Stmt, bool
 	// it: Init + trips·Step), covering the trips the widened step skips.
 	a := p.Arena()
 	rem := a.DoLoop(il.DoLoop{IV: loop.IV, Init: a.VarRef(loop.IV, ivType),
-		Limit: a.CloneExpr(loop.Limit), Step: a.CloneExpr(loop.Step),
+		Limit: loop.Limit, Step: loop.Step,
 		Body: a.CloneStmts(loop.Body), Safe: loop.Safe, Pos: loop.Pos})
 	var body []il.Stmt
 	for j := 0; j < factor; j++ {
@@ -224,7 +224,7 @@ func unroll(p *il.Proc, loop *il.DoLoop, factor int, st *Stats) ([]il.Stmt, bool
 		body = append(body, clone...)
 	}
 	loop.Body = body
-	loop.Limit = a.Sub(a.CloneExpr(loop.Limit), a.Int(int64(factor-1)*stepC), ctype.IntType)
+	loop.Limit = a.Sub(loop.Limit, a.Int(int64(factor-1)*stepC), ctype.IntType)
 	loop.Step = a.Int(stepC * int64(factor))
 	st.UnrolledLoops++
 	return []il.Stmt{rem}, true
@@ -349,11 +349,11 @@ func elementType(as *il.Assign) *ctype.Type {
 	return ctype.FloatType
 }
 
-// substIV replaces the loop IV in a cloned expression.
+// substIV replaces the loop IV in e.
 func substIV(a *il.Arena, e il.Expr, iv il.VarID, with il.Expr) il.Expr {
 	return a.RewriteExpr(e, func(x il.Expr) il.Expr {
 		if v, ok := x.(*il.VarRef); ok && v.ID == iv {
-			return a.CloneExpr(with)
+			return with
 		}
 		return x
 	})
@@ -425,8 +425,8 @@ func reduce(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, bool
 	for _, c := range order {
 		pt := ctype.PointerTo(c.t)
 		c.ptr = p.AddVar(il.Var{Name: fmt.Sprintf("temp_p%d", len(p.Vars)), Type: pt, Class: il.ClassTemp})
-		init := a.Add(a.CloneExpr(c.base),
-			a.Mul(a.Int(c.coef), a.CloneExpr(loop.Init), ctype.IntType), pt)
+		init := a.Add(c.base,
+			a.Mul(a.Int(c.coef), loop.Init, ctype.IntType), pt)
 		pre = append(pre, a.Assign(il.Assign{Dst: a.VarRef(c.ptr, pt), Src: init}))
 		st.Pointers++
 	}
@@ -469,9 +469,7 @@ func affineParts(a *il.Arena, iv il.VarID, e il.Expr) (coef int64, base il.Expr,
 	if !ok || !il.LoadFree(rest) {
 		return 0, nil, 0, false
 	}
-	// Clone first: splitConst hands back subtrees that outlive the
-	// statement they came from.
-	base, off = splitConst(a, a.CloneExpr(rest))
+	base, off = splitConst(a, rest)
 	return c[0], base, off, true
 }
 
@@ -551,7 +549,7 @@ func hoist(p *il.Proc, loop *il.DoLoop, st *Stats) ([]il.Stmt, bool) {
 				if !have {
 					id = p.NewTemp(b.T)
 					temps[key] = id
-					pre = append(pre, a.Assign(il.Assign{Dst: a.VarRef(id, b.T), Src: a.CloneExpr(b)}))
+					pre = append(pre, a.Assign(il.Assign{Dst: a.VarRef(id, b.T), Src: b}))
 					st.HoistedExprs++
 				}
 				changed = true

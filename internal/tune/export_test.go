@@ -3,6 +3,7 @@ package tune
 import (
 	"repro/internal/driver"
 	"repro/internal/schedule"
+	"repro/internal/titan"
 )
 
 // Grid is what a search over src offers: each tunable loop's candidates.
@@ -17,4 +18,46 @@ func Grid(src string, opts driver.Options) ([][]schedule.Schedule, error) {
 		grid = append(grid, li.candidates)
 	}
 	return grid, nil
+}
+
+// HeadAroundSearch runs a search over src and returns how the head IL —
+// the IL every candidate's clone shares its expressions with — prints
+// before the search and after it.
+func HeadAroundSearch(src string, opts driver.Options, cfg Config) (before, after string, err error) {
+	s, err := newSearch(src, opts, cfg)
+	if err != nil {
+		return "", "", err
+	}
+	defer s.base.Release()
+	before = s.base.String()
+	if _, err := s.run(); err != nil {
+		return "", "", err
+	}
+	return before, s.base.String(), nil
+}
+
+// TuneDiverging is Tune with one legal schedule miscompiled on purpose:
+// the first candidate of the first loop the search visits is compiled
+// from wrong instead of src. It returns that loop and schedule with the
+// search's error.
+func TuneDiverging(src, wrong string, opts driver.Options, cfg Config) (schedule.LoopKey, schedule.Schedule, error) {
+	s, err := newSearch(src, opts, cfg)
+	if err != nil {
+		return schedule.LoopKey{}, schedule.Schedule{}, err
+	}
+	defer s.base.Release()
+	first := s.discover()[0]
+	key, sch := first.key, first.candidates[0]
+	s.generate = func(set *schedule.Set) (*titan.Program, error) {
+		if got, ok := lookupKey(set, key); ok && got == sch {
+			res, err := driver.Compile(wrong, opts)
+			if err != nil {
+				return nil, err
+			}
+			return res.Machine, nil
+		}
+		return s.compile(set)
+	}
+	_, err = s.run()
+	return key, sch, err
 }

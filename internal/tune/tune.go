@@ -7,10 +7,11 @@
 //
 // A candidate costs what differs between candidates. The front end and
 // the schedule-independent head of the pipeline (through scalarize) run
-// once per search; each candidate clones that IL, runs the pipeline's
-// tail — the same passes in the same order driver.CompileWith runs, the
-// IL verifier on — under its schedule set, and goes through the driver's
-// code generation. The generated program is then looked up among those
+// once per search; each candidate clones that IL's statements (its
+// expressions are immutable and shared), runs the pipeline's tail — the
+// same passes in the same order driver.CompileWith runs, the IL verifier
+// on — under its schedule set, and goes through the driver's code
+// generation. The generated program is then looked up among those
 // the search already ran: many candidates (an unroll the phases decline)
 // generate code instruction for instruction equal to an earlier one's,
 // and the simulator's determinism makes that code's result theirs. So a
@@ -27,12 +28,13 @@
 // The search is greedy coordinate descent over loops: loops are visited
 // in deterministic key order, each loop's candidates are measured against
 // the best schedule set found so far, and a candidate is adopted only
-// when it strictly beats the incumbent's total cycles AND reproduces the
-// baseline's exit code and output (a misbehaving candidate is discarded,
-// never diagnosed — the phases' own legality guards make this a belt-and-
-// suspenders check, not the primary defense). Only loops the entry can
-// reach are examined: the out-of-line copy of a fully inlined callee
-// never runs, so nothing measured could depend on its schedule.
+// when it strictly beats the incumbent's total cycles. A candidate that
+// fails to compile or to run is discarded. Every candidate passed
+// schedule.Check, so one that runs to another exit code or output than
+// the baseline is a miscompile: it fails the search with an error that
+// names the loop and the schedule, and nothing is adopted. Only loops the
+// entry can reach are examined: the out-of-line copy of a fully inlined
+// callee never runs, so nothing measured could depend on its schedule.
 //
 // Every examined loop yields one sched-selected remark naming the winning
 // schedule and the measured cycle delta against the default plan, so
@@ -173,13 +175,15 @@ type search struct {
 	// base is the IL at the split: after scalarize when the scalar
 	// optimizer runs, else as lowered — the loops as the loop phases will
 	// see them. No pass before this point reads pass.Context.Schedules,
-	// so it is the same for every set. Candidates clone it; it is never
-	// run through the tail itself.
+	// so it is the same for every set. Candidates clone its statements
+	// and share its expressions, concurrently; it is never run through
+	// the tail itself.
 	base *il.Program
 	tail *pass.Manager
 	// generate compiles one candidate's schedule set down to a Titan
-	// program: s.compile, but for the test that makes a chosen candidate's
-	// compile fail, which no schedule the grid offers does today.
+	// program: s.compile, but for the tests that make a chosen candidate's
+	// compile fail or its code diverge, which no schedule the grid offers
+	// does today.
 	generate func(*schedule.Set) (*titan.Program, error)
 	// ran holds every distinct program this search has simulated, with
 	// its outcome. The simulator is deterministic, so a candidate whose
@@ -267,8 +271,12 @@ func (s *search) run() (*Result, error) {
 		for i, got := range s.measure(trials) {
 			res.Measured++
 			dec.Candidates++
-			if got.err != nil || got.res.ExitCode != baseline.ExitCode || got.res.Output != baseline.Output {
-				continue // candidate miscompiled or diverged: discard
+			if got.err != nil {
+				continue
+			}
+			if got.res.ExitCode != baseline.ExitCode || got.res.Output != baseline.Output {
+				return nil, fmt.Errorf("tune: the loop at %s:%d:%d miscompiles under schedule %s: exit %d, output %q; the default plan exits %d, output %q",
+					li.key.Proc, li.key.Line, li.key.Col, cands[i], got.res.ExitCode, got.res.Output, baseline.ExitCode, baseline.Output)
 			}
 			if got.res.Cycles < dec.Cycles {
 				dec.Cycles = got.res.Cycles

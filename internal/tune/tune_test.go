@@ -1,7 +1,9 @@
 package tune_test
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -226,5 +228,39 @@ func TestTuneCostsOnlyWhatDiffers(t *testing.T) {
 	// did: its loops vectorize, so the phases decline every unroll.
 	if res.Simulated < 1 || res.Simulated >= res.Measured+1 {
 		t.Errorf("simulated %d programs for %d candidates and a baseline, want fewer", res.Simulated, res.Measured)
+	}
+}
+
+// Candidates compile clones of the head IL that share its expressions,
+// concurrently: a search must leave the head IL printing exactly as it
+// did before it.
+func TestExprsImmutableUnderSearch(t *testing.T) {
+	for _, w := range []bench.Workload{
+		bench.Daxpy(64), bench.Backsolve(64), bench.Clip(64), bench.LagRecurrence(64),
+		bench.Transform4x4(16), bench.Wavefront(16), bench.SparseSaxpy(64),
+	} {
+		before, after, err := tune.HeadAroundSearch(w.Src, driver.FullOptions(), tune.Config{Processors: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if after != before {
+			t.Errorf("%s: the search changed the head IL\n--- before ---\n%s\n--- after ---\n%s", w.Name, before, after)
+		}
+	}
+}
+
+// Every candidate is legal, so one that runs to another exit code or
+// output than the default plan is a miscompile, and the search fails
+// naming the loop and the schedule rather than discarding it quietly.
+func TestDivergingCandidateFailsSearch(t *testing.T) {
+	w := bench.Daxpy(64)
+	key, sch, err := tune.TuneDiverging(w.Src, "int main(void) { return 42; }", driver.FullOptions(), tune.Config{Processors: 4})
+	if err == nil {
+		t.Fatalf("the search adopted or discarded a candidate that exits 42 under %s for %v", sch, key)
+	}
+	for _, want := range []string{fmt.Sprintf("%s:%d:%d", key.Proc, key.Line, key.Col), sch.String(), "exit 42"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("the error does not name %q: %v", want, err)
+		}
 	}
 }

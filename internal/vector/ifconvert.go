@@ -76,7 +76,7 @@ func ifConvertLoop(p *il.Proc, loop *il.DoLoop, r *diag.Reporter, st *IfConvStat
 		for _, t := range cond.Then {
 			as := t.(*il.Assign)
 			out = append(out, ar.PredAssign(il.PredAssign{
-				Cond: ar.CloneExpr(cond.Cond),
+				Cond: cond.Cond,
 				Dst:  as.Dst, Src: as.Src, Pos: as.Pos,
 			}))
 			predicated++
@@ -84,7 +84,7 @@ func ifConvertLoop(p *il.Proc, loop *il.DoLoop, r *diag.Reporter, st *IfConvStat
 		for _, t := range cond.Else {
 			as := t.(*il.Assign)
 			out = append(out, ar.PredAssign(il.PredAssign{
-				Cond: ar.NewUn(il.OpNot, ar.CloneExpr(cond.Cond), cond.Cond.Type()),
+				Cond: ar.NewUn(il.OpNot, cond.Cond, cond.Cond.Type()),
 				Dst:  as.Dst, Src: as.Src, Pos: as.Pos,
 			}))
 			predicated++

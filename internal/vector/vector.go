@@ -329,8 +329,8 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 			residue++
 		}
 		a := p.Arena()
-		out = append(out, a.DoLoop(il.DoLoop{IV: loop.IV, Init: a.CloneExpr(loop.Init),
-			Limit: a.CloneExpr(loop.Limit), Step: a.CloneExpr(loop.Step),
+		out = append(out, a.DoLoop(il.DoLoop{IV: loop.IV, Init: loop.Init,
+			Limit: loop.Limit, Step: loop.Step,
 			Body: body, Safe: loop.Safe, Pos: loop.Pos}))
 	}
 	// Optimizer-manufactured strip statements inherit the loop's position.
@@ -382,10 +382,10 @@ func normalize(p *il.Proc, loop *il.DoLoop) bool {
 	// it does not.
 	a := p.Arena()
 	t := p.Vars[loop.IV].Type
-	diff := a.Sub(a.CloneExpr(loop.Limit), a.CloneExpr(loop.Init), t)
+	diff := a.Sub(loop.Limit, loop.Init, t)
 	var limit il.Expr
 	if stepC == 1 || stepC == -1 {
-		limit = a.NewBin(il.OpDiv, diff, a.CloneExpr(loop.Step), t)
+		limit = a.NewBin(il.OpDiv, diff, loop.Step, t)
 	} else {
 		limit = a.Sub(a.NewBin(il.OpDiv, a.Add(diff, a.Int(stepC), t), a.Int(stepC), t), a.Int(1), t)
 	}
@@ -396,8 +396,8 @@ func normalize(p *il.Proc, loop *il.DoLoop) bool {
 	for _, s := range loop.Body {
 		a.RewriteTreeExprs(s, func(e il.Expr) il.Expr {
 			if v, ok := e.(*il.VarRef); ok && v.ID == oldIV {
-				return a.Add(a.CloneExpr(init),
-					a.Mul(a.CloneExpr(step), a.VarRef(newIV, ctype.IntType), ctype.IntType), t)
+				return a.Add(init,
+					a.Mul(step, a.VarRef(newIV, ctype.IntType), ctype.IntType), t)
 			}
 			return e
 		})
@@ -507,7 +507,7 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, vl
 	dstCoef, dstBase, _ := affine(p, loop.IV, dst.Addr)
 
 	// Total length = Limit + 1 (normalized).
-	total := a.Add(a.CloneExpr(loop.Limit), a.Int(1), ctype.IntType)
+	total := a.Add(loop.Limit, a.Int(1), ctype.IntType)
 
 	// An expression with loads replaced by vector section references of
 	// the strip origin; the strip IV is added to bases below.
@@ -515,10 +515,7 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, vl
 		if e == nil {
 			return nil
 		}
-		// Clone per call: the rewrite is copy-on-write, and makeVec runs
-		// once per emitted strip form — without the clone the strip and
-		// remainder statements would share invariant subtrees.
-		return a.RewriteExpr(a.CloneExpr(e), func(x il.Expr) il.Expr {
+		return a.RewriteExpr(e, func(x il.Expr) il.Expr {
 			ld, ok := x.(*il.Load)
 			if !ok {
 				return x
@@ -527,7 +524,7 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, vl
 			if coef == 0 {
 				return x // invariant scalar load, broadcast
 			}
-			b := a.Add(base, a.Mul(a.Int(coef), a.CloneExpr(originIV), ctype.IntType), ld.Addr.Type())
+			b := a.Add(base, a.Mul(a.Int(coef), originIV, ctype.IntType), ld.Addr.Type())
 			return a.VecRef(b, a.Int(coef), ld.T)
 		})
 	}
@@ -556,21 +553,21 @@ func emitVector(p *il.Proc, loop *il.DoLoop, dst *il.Load, src, cond il.Expr, vl
 	vlenRef := a.VarRef(vlen, ctype.IntType)
 
 	body := []il.Stmt{
-		a.Assign(il.Assign{Dst: vlenRef, Src: a.Sub(total, a.CloneExpr(viRef), ctype.IntType)}),
+		a.Assign(il.Assign{Dst: vlenRef, Src: a.Sub(total, viRef, ctype.IntType)}),
 		a.If(il.If{
-			Cond: a.NewBin(il.OpLt, a.Int(vl), a.CloneExpr(vlenRef), ctype.IntType),
-			Then: []il.Stmt{a.Assign(il.Assign{Dst: a.CloneExpr(vlenRef), Src: a.Int(vl)})},
+			Cond: a.NewBin(il.OpLt, a.Int(vl), vlenRef, ctype.IntType),
+			Then: []il.Stmt{a.Assign(il.Assign{Dst: vlenRef, Src: a.Int(vl)})},
 		}),
 		a.VectorAssign(il.VectorAssign{
-			DstBase:   a.Add(dstBase, a.Mul(a.Int(dstCoef), a.CloneExpr(viRef), ctype.IntType), dst.Addr.Type()),
+			DstBase:   a.Add(dstBase, a.Mul(a.Int(dstCoef), viRef, ctype.IntType), dst.Addr.Type()),
 			DstStride: a.Int(dstCoef),
-			Len:       a.CloneExpr(vlenRef),
+			Len:       vlenRef,
 			Elem:      dst.T,
 			RHS:       makeVec(src, viRef),
 			Mask:      makeVec(cond, viRef),
 		}),
 	}
-	limit := a.CloneExpr(loop.Limit)
+	limit := loop.Limit
 	if parallelOK {
 		st.ParallelLoops++
 		return []il.Stmt{a.DoParallel(il.DoParallel{IV: vi, Init: a.Int(0), Limit: limit, Step: a.Int(vl), Body: body})}

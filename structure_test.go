@@ -107,7 +107,7 @@ func ilImportName(f *ast.File) string {
 func TestILBuildersHaveOneForm(t *testing.T) {
 	heapForm := map[string]bool{}
 	for _, name := range strings.Fields(`NewBin NewUn NewCast Int Flt Ref Add Sub Mul SimplifyLinear
-		RewriteExpr RewriteStmtExprs RewriteTreeExprs CloneExpr CloneStmt CloneStmts`) {
+		RewriteExpr RewriteStmtExprs RewriteTreeExprs CloneStmt CloneStmts`) {
 		heapForm[name] = true
 	}
 	fset := token.NewFileSet()
@@ -226,8 +226,6 @@ func TestOneAffineDecomposer(t *testing.T) {
 var walkerAllowed = []struct{ file, fn, why string }{
 	{"internal/opt/constprop.go", "postpassUnreachable",
 		"top-down, not bottom-up: each nested list is cleaned knowing the label control falls to after its parent, which a leave callback is not told"},
-	{"internal/inline/inline.go", "rewriteInlined",
-		"the renaming clone: it rewrites every field of every statement kind of a callee body (variables, IVs, labels, returns), a map over a fresh copy rather than an edit of the procedure"},
 }
 
 // TestOneStatementTreeRewriter keeps "which statements hold statement
