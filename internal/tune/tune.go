@@ -274,9 +274,9 @@ func (s *search) run() (*Result, error) {
 			if got.err != nil {
 				continue
 			}
-			if got.res.ExitCode != baseline.ExitCode || got.res.Output != baseline.Output {
-				return nil, fmt.Errorf("tune: the loop at %s:%d:%d miscompiles under schedule %s: exit %d, output %q; the default plan exits %d, output %q",
-					li.key.Proc, li.key.Line, li.key.Col, cands[i], got.res.ExitCode, got.res.Output, baseline.ExitCode, baseline.Output)
+			if got.res.ExitCode != baseline.ExitCode || got.res.Output != baseline.Output || got.res.Globals != baseline.Globals {
+				return nil, fmt.Errorf("tune: the loop at %s:%d:%d miscompiles under schedule %s: exit %d, output %q, globals %016x; the default plan exits %d, output %q, globals %016x",
+					li.key.Proc, li.key.Line, li.key.Col, cands[i], got.res.ExitCode, got.res.Output, got.res.Globals, baseline.ExitCode, baseline.Output, baseline.Globals)
 			}
 			if got.res.Cycles < dec.Cycles {
 				dec.Cycles = got.res.Cycles
