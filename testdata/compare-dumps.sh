@@ -8,8 +8,9 @@
 # runs `titancc -dump-after=all -S` (the IL at every pass boundary, then
 # the scheduled assembly) with both builds and requires the two outputs
 # to be byte-identical. titan.Func.Disassemble prints the labels that
-# share an address in map order, so each run of consecutive label lines
-# is sorted before the comparison; nothing else is normalized. It prints
+# share an address in name order, but older revisions printed them in map
+# order, so each run of consecutive label lines is sorted before the
+# comparison; nothing else is normalized. It prints
 # one line per differing run and a summary, and exits 1 if any run
 # differs.
 set -euo pipefail
