@@ -9,96 +9,63 @@ import (
 	"repro/internal/titan"
 )
 
-// This file generates scalar expressions. Evaluation is tree-walking into
-// scratch registers with Sethi–Ullman-style ordering (the deeper operand
-// first) to bound scratch pressure.
+// This file generates scalar expressions. Evaluation is tree-walking, each
+// result into a fresh virtual register, with Sethi–Ullman-style ordering
+// (the deeper operand first) to bound how many are live at once.
 
-// evalInt evaluates e into a fresh integer register. The caller releases
-// it with putInt.
-func (g *gen) evalInt(e il.Expr) (int, error) {
+// evalInt evaluates e into an integer virtual register: a fresh one, or a
+// variable's own.
+func (g *gen) evalInt(e il.Expr) int {
 	switch n := e.(type) {
 	case *il.ConstInt:
-		r, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.emit(titan.Instr{Op: titan.OpLdi, Rd: r, Imm: n.Val})
-		return r, nil
+		return r
 	case *il.VarRef:
 		v := &g.p.Vars[n.ID]
 		if isFloatType(v.Type) {
 			// Implicit float→int use (rare: pointer/int context).
-			fr, err := g.evalFlt(e)
-			if err != nil {
-				return 0, err
-			}
-			r, err := g.getInt()
-			if err != nil {
-				return 0, err
-			}
+			fr := g.evalFlt(e)
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtFI, Rd: r, Rs1: fr})
-			g.putFlt(fr)
-			return r, nil
+			return r
 		}
 		loc := g.locs[n.ID]
 		if loc.kind == locIntReg {
-			// A register at or above varLo that evalInt or evalFlt
-			// returns is a read-only source: operations write fresh
-			// destinations, and putInt/putFlt leave it alone. The
-			// loop-values pass relies on it, renaming a scratch's reads
-			// to a register it keeps a loop value in.
-			return loc.reg, nil
+			// A variable's register is a read-only source here:
+			// operations write fresh destinations.
+			return loc.reg
 		}
-		r, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.loadFromLoc(loc, r, v.Type)
-		return r, nil
+		return r
 	case *il.AddrOf:
 		loc := g.locs[n.ID]
-		r, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		switch loc.kind {
 		case locStack:
 			g.emit(titan.Instr{Op: titan.OpAddi, Rd: r, Rs1: regSP, Imm: loc.off})
 		case locGlobal:
 			g.emit(titan.Instr{Op: titan.OpLdi, Rd: r, Imm: loc.off})
 		default:
-			return 0, errf("address of register variable %s", g.p.Vars[n.ID].Name)
+			return g.fail("address of register variable %s", g.p.Vars[n.ID].Name)
 		}
-		return r, nil
+		return r
 	case *il.Load:
-		addr, disp, err := g.evalAddr(n.Addr)
-		if err != nil {
-			return 0, err
-		}
+		addr, disp := g.evalAddr(n.Addr)
 		if isFloatType(n.T) {
 			// Loading a float in integer context: convert.
-			fr, err := g.getFlt()
-			if err != nil {
-				return 0, err
-			}
+			fr := g.vreg()
 			op := titan.OpFld4
 			if n.T.Kind == ctype.Double {
 				op = titan.OpFld8
 			}
 			g.emit(titan.Instr{Op: op, Rd: fr, Rs1: addr, Imm: disp})
-			g.putInt(addr)
-			r, err := g.getInt()
-			if err != nil {
-				return 0, err
-			}
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtFI, Rd: r, Rs1: fr})
-			g.putFlt(fr)
-			return r, nil
+			return r
 		}
-		r, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		var op titan.Op
 		switch n.T.Size() {
 		case 1:
@@ -109,56 +76,37 @@ func (g *gen) evalInt(e il.Expr) (int, error) {
 			op = titan.OpLd4
 		}
 		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr, Imm: disp})
-		g.putInt(addr)
 		// Narrow unsigned loads zero-extend (the memory ops sign-extend).
 		if n.T.Unsigned && n.T.Size() < 4 {
 			mask := int64(0xff)
 			if n.T.Size() == 2 {
 				mask = 0xffff
 			}
-			m, err := g.getInt()
-			if err != nil {
-				return 0, err
-			}
+			m := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpLdi, Rd: m, Imm: mask})
-			z, err := g.getInt()
-			if err != nil {
-				return 0, err
-			}
+			z := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpAnd, Rd: z, Rs1: r, Rs2: m})
-			g.putInt(m)
-			g.putInt(r)
-			return z, nil
+			return z
 		}
-		return r, nil
+		return r
 	case *il.Bin:
 		return g.binInt(n)
 	case *il.Un:
 		return g.unInt(n)
 	case *il.Cast:
 		if isFloatType(n.X.Type()) && n.T.IsInteger() {
-			fr, err := g.evalFlt(n.X)
-			if err != nil {
-				return 0, err
-			}
-			r, err := g.getInt()
-			if err != nil {
-				return 0, err
-			}
+			fr := g.evalFlt(n.X)
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtFI, Rd: r, Rs1: fr})
-			g.putFlt(fr)
-			return r, nil
+			return r
 		}
 		return g.evalInt(n.X)
 	case *il.ConstFloat:
-		r, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.emit(titan.Instr{Op: titan.OpLdi, Rd: r, Imm: int64(n.Val)})
-		return r, nil
+		return r
 	}
-	return 0, errf("cannot evaluate %T in integer context", e)
+	return g.fail("cannot evaluate %T in integer context", e)
 }
 
 // immOperand splits an integer +, - or * with a constant operand into the
@@ -182,31 +130,29 @@ func immOperand(n *il.Bin) (x il.Expr, c int64, ok bool) {
 // and a constant scale distributes over a constant offset, so &a + 4*(i+3)
 // is one muli of i by 4 at displacement &a+12. An address that is all
 // constant is materialized whole, at displacement 0.
-func (g *gen) evalAddr(addr il.Expr) (int, int64, error) {
-	r, disp, err := g.addrParts(addr)
-	if err != nil || r >= 0 {
-		return r, disp, err
+func (g *gen) evalAddr(addr il.Expr) (int, int64) {
+	r, disp := g.addrParts(addr)
+	if r >= 0 {
+		return r, disp
 	}
-	if r, err = g.getInt(); err != nil {
-		return 0, 0, err
-	}
+	r = g.vreg()
 	g.emit(titan.Instr{Op: titan.OpLdi, Rd: r, Imm: disp})
-	return r, 0, nil
+	return r, 0
 }
 
 // addrParts splits the integer expression e into a register (-1: none)
 // plus a constant. Registers are 64 bits and so is the address
 // arithmetic, so moving constants across + and * never changes the sum.
-func (g *gen) addrParts(e il.Expr) (int, int64, error) {
+func (g *gen) addrParts(e il.Expr) (int, int64) {
 	switch n := e.(type) {
 	case *il.ConstInt:
-		return -1, n.Val, nil
+		return -1, n.Val
 	case *il.AddrOf:
 		switch loc := g.locs[n.ID]; loc.kind {
 		case locGlobal:
-			return -1, loc.off, nil
+			return -1, loc.off
 		case locStack:
-			return regSP, loc.off, nil
+			return regSP, loc.off
 		}
 	case *il.Cast:
 		if !isFloatType(n.X.Type()) {
@@ -218,58 +164,42 @@ func (g *gen) addrParts(e il.Expr) (int, int64, error) {
 			return g.addrSum(n)
 		case il.OpSub:
 			if c, ok := il.IsIntConst(n.R); ok {
-				r, d, err := g.addrParts(n.L)
-				return r, d - c, err
+				r, d := g.addrParts(n.L)
+				return r, d - c
 			}
 		case il.OpMul:
 			if x, c, ok := immOperand(n); ok {
-				r, d, err := g.addrParts(x)
-				if err != nil || r < 0 {
-					return r, c * d, err
+				r, d := g.addrParts(x)
+				if r < 0 {
+					return r, c * d
 				}
-				m, err := g.getInt()
-				if err != nil {
-					return 0, 0, err
-				}
+				m := g.vreg()
 				g.emit(titan.Instr{Op: titan.OpMuli, Rd: m, Rs1: r, Imm: c})
-				g.putInt(r)
-				return m, c * d, nil
+				return m, c * d
 			}
 		}
 	}
-	r, err := g.evalInt(e)
-	return r, 0, err
+	return g.evalInt(e), 0
 }
 
 // addrSum is addrParts of l + r: the deeper operand first, as binInt
 // orders them, and one add when both leave a register.
-func (g *gen) addrSum(n *il.Bin) (int, int64, error) {
+func (g *gen) addrSum(n *il.Bin) (int, int64) {
 	first, second := n.L, n.R
 	if depth(n.R) > depth(n.L) {
 		first, second = n.R, n.L
 	}
-	a, da, err := g.addrParts(first)
-	if err != nil {
-		return 0, 0, err
-	}
-	b, db, err := g.addrParts(second)
-	if err != nil {
-		return 0, 0, err
-	}
+	a, da := g.addrParts(first)
+	b, db := g.addrParts(second)
 	switch {
 	case a < 0:
-		return b, da + db, nil
+		return b, da + db
 	case b < 0:
-		return a, da + db, nil
+		return a, da + db
 	}
-	d, err := g.getInt()
-	if err != nil {
-		return 0, 0, err
-	}
+	d := g.vreg()
 	g.emit(titan.Instr{Op: titan.OpAdd, Rd: d, Rs1: a, Rs2: b})
-	g.putInt(a)
-	g.putInt(b)
-	return d, da + db, nil
+	return d, da + db
 }
 
 // isUnsigned reports whether an expression's C type is unsigned.
@@ -279,72 +209,48 @@ func isUnsigned(e il.Expr) bool {
 }
 
 // zext32 truncates a register to its unsigned-32-bit value in a fresh
-// scratch register. Registers are 64-bit; C's unsigned comparisons,
-// divisions, and right shifts need the canonical zero-extended value.
-func (g *gen) zext32(r int) (int, error) {
-	m, err := g.getInt()
-	if err != nil {
-		return 0, err
-	}
+// register. Registers are 64-bit; C's unsigned comparisons, divisions, and
+// right shifts need the canonical zero-extended value.
+func (g *gen) zext32(r int) int {
+	m := g.vreg()
 	g.emit(titan.Instr{Op: titan.OpLdi, Rd: m, Imm: 0xffffffff})
-	d, err := g.getInt()
-	if err != nil {
-		return 0, err
-	}
+	d := g.vreg()
 	g.emit(titan.Instr{Op: titan.OpAnd, Rd: d, Rs1: r, Rs2: m})
-	g.putInt(m)
-	return d, nil
+	return d
+}
+
+// intOps is the integer opcode of each binary operator.
+var intOps = map[il.Op]titan.Op{
+	il.OpAdd: titan.OpAdd, il.OpSub: titan.OpSub, il.OpMul: titan.OpMul, il.OpDiv: titan.OpDiv,
+	il.OpRem: titan.OpRem, il.OpAnd: titan.OpAnd, il.OpOr: titan.OpOr, il.OpXor: titan.OpXor,
+	il.OpShl: titan.OpShl, il.OpShr: titan.OpShr,
+	il.OpEq: titan.OpCmpEq, il.OpNe: titan.OpCmpNe, il.OpLt: titan.OpCmpLt,
+	il.OpLe: titan.OpCmpLe, il.OpGt: titan.OpCmpGt, il.OpGe: titan.OpCmpGe,
+}
+
+// fcmpOps is the FP compare of each comparison operator.
+var fcmpOps = map[il.Op]titan.Op{
+	il.OpEq: titan.OpFcmpEq, il.OpNe: titan.OpFcmpNe, il.OpLt: titan.OpFcmpLt,
+	il.OpLe: titan.OpFcmpLe, il.OpGt: titan.OpFcmpGt, il.OpGe: titan.OpFcmpGe,
 }
 
 // float comparison produces an int; binInt dispatches.
-func (g *gen) binInt(n *il.Bin) (int, error) {
+func (g *gen) binInt(n *il.Bin) int {
 	// Comparisons over float operands run in the FP unit.
 	if n.Op.IsComparison() && (isFloatType(n.L.Type()) || isFloatType(n.R.Type())) {
-		l, err := g.evalFlt(n.L)
-		if err != nil {
-			return 0, err
-		}
-		r, err := g.evalFlt(n.R)
-		if err != nil {
-			return 0, err
-		}
-		d, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
-		var op titan.Op
-		switch n.Op {
-		case il.OpEq:
-			op = titan.OpFcmpEq
-		case il.OpNe:
-			op = titan.OpFcmpNe
-		case il.OpLt:
-			op = titan.OpFcmpLt
-		case il.OpLe:
-			op = titan.OpFcmpLe
-		case il.OpGt:
-			op = titan.OpFcmpGt
-		case il.OpGe:
-			op = titan.OpFcmpGe
-		}
-		g.emit(titan.Instr{Op: op, Rd: d, Rs1: l, Rs2: r})
-		g.putFlt(l)
-		g.putFlt(r)
-		return d, nil
+		l := g.evalFlt(n.L)
+		r := g.evalFlt(n.R)
+		d := g.vreg()
+		g.emit(titan.Instr{Op: fcmpOps[n.Op], Rd: d, Rs1: l, Rs2: r})
+		return d
 	}
 
 	// x + const and x * const use immediate forms, and so do const + x
 	// and const * x.
 	x, c, ok := immOperand(n)
 	if ok {
-		l, err := g.evalInt(x)
-		if err != nil {
-			return 0, err
-		}
-		d, err := g.getInt()
-		if err != nil {
-			return 0, err
-		}
+		l := g.evalInt(x)
+		d := g.vreg()
 		switch n.Op {
 		case il.OpAdd:
 			g.emit(titan.Instr{Op: titan.OpAddi, Rd: d, Rs1: l, Imm: c})
@@ -353,8 +259,7 @@ func (g *gen) binInt(n *il.Bin) (int, error) {
 		case il.OpMul:
 			g.emit(titan.Instr{Op: titan.OpMuli, Rd: d, Rs1: l, Imm: c})
 		}
-		g.putInt(l)
-		return d, nil
+		return d
 	}
 
 	// Deeper operand first (Sethi–Ullman).
@@ -364,14 +269,8 @@ func (g *gen) binInt(n *il.Bin) (int, error) {
 		first, second = n.R, n.L
 		swapped = true
 	}
-	a, err := g.evalInt(first)
-	if err != nil {
-		return 0, err
-	}
-	b, err := g.evalInt(second)
-	if err != nil {
-		return 0, err
-	}
+	a := g.evalInt(first)
+	b := g.evalInt(second)
 	l, r := a, b
 	if swapped {
 		l, r = b, a
@@ -386,75 +285,21 @@ func (g *gen) binInt(n *il.Bin) (int, error) {
 		needsUnsigned = isUnsigned(n.L) || isUnsigned(n.R)
 	}
 	if needsUnsigned {
-		zl, err := g.zext32(l)
-		if err != nil {
-			return 0, err
-		}
-		zr, err := g.zext32(r)
-		if err != nil {
-			return 0, err
-		}
-		g.putInt(a)
-		g.putInt(b)
-		l, r = zl, zr
-		a, b = zl, zr
+		l = g.zext32(l)
+		r = g.zext32(r)
 	}
-	d, err := g.getInt()
-	if err != nil {
-		return 0, err
-	}
-	var op titan.Op
-	switch n.Op {
-	case il.OpAdd:
-		op = titan.OpAdd
-	case il.OpSub:
-		op = titan.OpSub
-	case il.OpMul:
-		op = titan.OpMul
-	case il.OpDiv:
-		op = titan.OpDiv
-	case il.OpRem:
-		op = titan.OpRem
-	case il.OpAnd:
-		op = titan.OpAnd
-	case il.OpOr:
-		op = titan.OpOr
-	case il.OpXor:
-		op = titan.OpXor
-	case il.OpShl:
-		op = titan.OpShl
-	case il.OpShr:
-		op = titan.OpShr
-	case il.OpEq:
-		op = titan.OpCmpEq
-	case il.OpNe:
-		op = titan.OpCmpNe
-	case il.OpLt:
-		op = titan.OpCmpLt
-	case il.OpLe:
-		op = titan.OpCmpLe
-	case il.OpGt:
-		op = titan.OpCmpGt
-	case il.OpGe:
-		op = titan.OpCmpGe
-	default:
-		return 0, errf("integer operator %v unsupported", n.Op)
+	d := g.vreg()
+	op, ok := intOps[n.Op]
+	if !ok {
+		return g.fail("integer operator %v unsupported", n.Op)
 	}
 	g.emit(titan.Instr{Op: op, Rd: d, Rs1: l, Rs2: r})
-	g.putInt(a)
-	g.putInt(b)
-	return d, nil
+	return d
 }
 
-func (g *gen) unInt(n *il.Un) (int, error) {
-	x, err := g.evalInt(n.X)
-	if err != nil {
-		return 0, err
-	}
-	d, err := g.getInt()
-	if err != nil {
-		return 0, err
-	}
+func (g *gen) unInt(n *il.Un) int {
+	x := g.evalInt(n.X)
+	d := g.vreg()
 	var op titan.Op
 	switch n.Op {
 	case il.OpNeg:
@@ -464,84 +309,53 @@ func (g *gen) unInt(n *il.Un) (int, error) {
 	case il.OpBitNot:
 		op = titan.OpBnot
 	default:
-		return 0, errf("integer unary %v unsupported", n.Op)
+		return g.fail("integer unary %v unsupported", n.Op)
 	}
 	g.emit(titan.Instr{Op: op, Rd: d, Rs1: x})
-	g.putInt(x)
-	return d, nil
+	return d
 }
 
 // evalFlt evaluates e into a fresh float register.
-func (g *gen) evalFlt(e il.Expr) (int, error) {
+func (g *gen) evalFlt(e il.Expr) int {
 	switch n := e.(type) {
 	case *il.ConstFloat:
-		r, err := g.getFlt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.emit(titan.Instr{Op: titan.OpFldi, Rd: r, FImm: n.Val})
-		return r, nil
+		return r
 	case *il.ConstInt:
-		r, err := g.getFlt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.emit(titan.Instr{Op: titan.OpFldi, Rd: r, FImm: float64(n.Val)})
-		return r, nil
+		return r
 	case *il.VarRef:
 		v := &g.p.Vars[n.ID]
 		if !isFloatType(v.Type) {
-			ir, err := g.evalInt(e)
-			if err != nil {
-				return 0, err
-			}
-			r, err := g.getFlt()
-			if err != nil {
-				return 0, err
-			}
+			ir := g.evalInt(e)
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtIF, Rd: r, Rs1: ir})
-			g.putInt(ir)
-			return r, nil
+			return r
 		}
 		loc := g.locs[n.ID]
 		if loc.kind == locFltReg {
-			return loc.reg, nil
+			return loc.reg
 		}
-		r, err := g.getFlt()
-		if err != nil {
-			return 0, err
-		}
+		r := g.vreg()
 		g.loadFromLoc(loc, r, v.Type)
-		return r, nil
+		return r
 	case *il.Load:
 		if !isFloatType(n.T) {
-			ir, err := g.evalInt(e)
-			if err != nil {
-				return 0, err
-			}
-			r, err := g.getFlt()
-			if err != nil {
-				return 0, err
-			}
+			ir := g.evalInt(e)
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtIF, Rd: r, Rs1: ir})
-			g.putInt(ir)
-			return r, nil
+			return r
 		}
-		addr, disp, err := g.evalAddr(n.Addr)
-		if err != nil {
-			return 0, err
-		}
-		r, err := g.getFlt()
-		if err != nil {
-			return 0, err
-		}
+		addr, disp := g.evalAddr(n.Addr)
+		r := g.vreg()
 		op := titan.OpFld4
 		if n.T.Kind == ctype.Double {
 			op = titan.OpFld8
 		}
 		g.emit(titan.Instr{Op: op, Rd: r, Rs1: addr, Imm: disp})
-		g.putInt(addr)
-		return r, nil
+		return r
 	case *il.Bin:
 		first, second := n.L, n.R
 		swapped := false
@@ -549,22 +363,13 @@ func (g *gen) evalFlt(e il.Expr) (int, error) {
 			first, second = n.R, n.L
 			swapped = true
 		}
-		a, err := g.evalFlt(first)
-		if err != nil {
-			return 0, err
-		}
-		b, err := g.evalFlt(second)
-		if err != nil {
-			return 0, err
-		}
+		a := g.evalFlt(first)
+		b := g.evalFlt(second)
 		l, r := a, b
 		if swapped {
 			l, r = b, a
 		}
-		d, err := g.getFlt()
-		if err != nil {
-			return 0, err
-		}
+		d := g.vreg()
 		var op titan.Op
 		switch n.Op {
 		case il.OpAdd:
@@ -576,44 +381,28 @@ func (g *gen) evalFlt(e il.Expr) (int, error) {
 		case il.OpDiv:
 			op = titan.OpFdiv
 		default:
-			return 0, errf("float operator %v unsupported", n.Op)
+			return g.fail("float operator %v unsupported", n.Op)
 		}
 		g.emit(titan.Instr{Op: op, Rd: d, Rs1: l, Rs2: r})
-		g.putFlt(a)
-		g.putFlt(b)
-		return d, nil
+		return d
 	case *il.Un:
 		if n.Op == il.OpNeg {
-			x, err := g.evalFlt(n.X)
-			if err != nil {
-				return 0, err
-			}
-			d, err := g.getFlt()
-			if err != nil {
-				return 0, err
-			}
+			x := g.evalFlt(n.X)
+			d := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpFneg, Rd: d, Rs1: x})
-			g.putFlt(x)
-			return d, nil
+			return d
 		}
-		return 0, errf("float unary %v unsupported", n.Op)
+		return g.fail("float unary %v unsupported", n.Op)
 	case *il.Cast:
 		if n.T.IsFloat() && !isFloatType(n.X.Type()) {
-			ir, err := g.evalInt(n.X)
-			if err != nil {
-				return 0, err
-			}
-			r, err := g.getFlt()
-			if err != nil {
-				return 0, err
-			}
+			ir := g.evalInt(n.X)
+			r := g.vreg()
 			g.emit(titan.Instr{Op: titan.OpCvtIF, Rd: r, Rs1: ir})
-			g.putInt(ir)
-			return r, nil
+			return r
 		}
 		return g.evalFlt(n.X)
 	}
-	return 0, errf("cannot evaluate %T in float context", e)
+	return g.fail("cannot evaluate %T in float context", e)
 }
 
 // depth estimates register pressure for Sethi–Ullman ordering.

@@ -23,10 +23,11 @@ func backLoops(f *titan.Func) [][2]int {
 }
 
 // Daxpy's strips run as do parallel bodies, which §6's strength reducer
-// never sees. At full options no strip body loads a constant into a pool
-// scratch (the base of each array, the stride and alpha stay in
-// registers over the loop), and the strip's IV is multiplied by the
-// element size once however many sections it addresses.
+// never sees. At full options no strip body loads a constant into a
+// register nothing else in the body writes (the base of each array, the
+// stride and alpha stay in registers over the loop; a variable assigned a
+// constant, such as the strip length, is not one), and the strip's IV is
+// multiplied by the element size once however many sections it addresses.
 func TestLoopValuesDaxpyStrip(t *testing.T) {
 	res, err := driver.Compile(bench.Daxpy(512).Src, driver.FullOptions())
 	if err != nil {
@@ -42,12 +43,19 @@ func TestLoopValuesDaxpyStrip(t *testing.T) {
 			c  int64
 		}
 		muls := map[mul]int{}
+		writes := map[titan.Ref]int{}
+		for _, in := range body {
+			refs := in.Refs()
+			for _, d := range refs.Defs() {
+				writes[d]++
+			}
+		}
 		for _, in := range body {
 			switch in.Op {
 			case titan.OpVld, titan.OpVst:
 				vector = true
 			case titan.OpLdi, titan.OpFldi:
-				if in.Rd >= 16 && in.Rd <= 31 {
+				if refs := in.Refs(); writes[refs.Defs()[0]] == 1 {
 					t.Errorf("%s in the loop at %d..%d", in, l[0], l[1])
 				}
 			case titan.OpMuli:
@@ -69,10 +77,10 @@ func TestLoopValuesDaxpyStrip(t *testing.T) {
 	}
 }
 
-// A DO loop's limit lives in a scratch codegen holds over the loop. Here
+// A DO loop's limit lives in a register of its own over the loop. Here
 // the inner loop's limit, 7, is the constant the inner body divides by,
-// and both sit in the outer loop: only the body's 7 may move to the outer
-// loop's entry, and the held limit must keep its value.
+// and both sit in the outer loop: both move to the outer loop's entry as
+// one value, and the limit must keep it.
 func TestLoopValuesKeepHeldLimit(t *testing.T) {
 	const src = `
 int a[64];
@@ -165,35 +173,15 @@ int main(void)
 }
 `
 
-// Every instruction the pass could move whose value codegen keeps past
-// the end of its block — a loop's limit, a region's init — is marked held, over the budget corpus and a program whose
-// DOACROSS and doall regions sit inside a loop. That program also answers
-// what -O0 does.
-func TestLoopValuesHeldScratchesMarked(t *testing.T) {
-	check := func(name string, res *driver.Result) {
-		t.Helper()
-		bad, err := codegen.UnheldCrossingScratches(res.IL)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, b := range bad {
-			t.Errorf("%s: %s outlives its block but is not held", name, b)
-		}
-	}
-	for name, src := range budgetCorpus(t) {
-		for oname, opts := range map[string]driver.Options{"scalar": driver.ScalarOptions(), "full": driver.FullOptions()} {
-			res, err := driver.Compile(src, opts)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, oname, err)
-			}
-			check(name+"/"+oname, res)
-		}
-	}
+// A DOACROSS region and a doall region inside a repeat loop: the values
+// the regions keep past their blocks (a limit, an init, the DOACROSS
+// cells) and the constants that move out of the regions to the repeat
+// loop's entry leave the answer -O0 gives.
+func TestLoopValuesRegionsInLoop(t *testing.T) {
 	res, err := driver.Compile(heldSrc, driver.FullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("held", res)
 	doacross, doall := false, false
 	il.WalkStmts(res.IL.Proc("main").Body, func(s il.Stmt) bool {
 		if outer, ok := s.(*il.DoLoop); ok {
@@ -215,8 +203,8 @@ func TestLoopValuesHeldScratchesMarked(t *testing.T) {
 	}
 	for _, procs := range []int{1, 3, 4} {
 		for _, ref := range []bool{false, true} {
-			if got := run(t, res.Machine, procs, ref, false); got.ExitCode != want.ExitCode {
-				t.Errorf("p=%d reference=%v: exit %d, -O0 gives %d", procs, ref, got.ExitCode, want.ExitCode)
+			if got := run(t, res.Machine, procs, ref, false); got.ExitCode != want.ExitCode || got.Globals != want.Globals {
+				t.Errorf("p=%d reference=%v: exit %d globals %x, -O0 gives %d globals %x", procs, ref, got.ExitCode, got.Globals, want.ExitCode, want.Globals)
 			}
 		}
 	}

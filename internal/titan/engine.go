@@ -469,6 +469,19 @@ func (c *cpu) runFast(df *dfunc, pc, stop int, maxInstrs int64) error {
 			}
 			binary.LittleEndian.PutUint64(mem[a:], math.Float64bits(c.f[d.rs2]))
 
+		case OpLd8:
+			a := c.r[d.rs1] + d.imm
+			if uint64(a) > uint64(memLen-8) {
+				return &Fault{Addr: a, Size: 8, Kind: "load", Func: df.name, PC: pc}
+			}
+			c.r[d.rd] = int64(binary.LittleEndian.Uint64(mem[a:]))
+		case OpSt8:
+			a := c.r[d.rs1] + d.imm
+			if uint64(a) > uint64(memLen-8) {
+				return &Fault{Addr: a, Size: 8, Kind: "store", Func: df.name, PC: pc}
+			}
+			binary.LittleEndian.PutUint64(mem[a:], uint64(c.r[d.rs2]))
+
 		case OpFldi:
 			c.f[d.rd] = d.fimm
 		case OpFmov:

@@ -85,6 +85,29 @@ func TestEngineDifferentialScalar(t *testing.T) {
 	}
 }
 
+// TestEngineDifferentialWideMemory covers ld8 and st8, which keep a whole
+// 64-bit register, and their fault at the end of memory.
+func TestEngineDifferentialWideMemory(t *testing.T) {
+	mk := func(addr int64) func() *Program {
+		return func() *Program {
+			return &Program{Funcs: map[string]*Func{"main": {Name: "main", Instrs: []Instr{
+				{Op: OpLdi, Rd: 10, Imm: -1 << 40},
+				{Op: OpLdi, Rd: 11, Imm: addr},
+				{Op: OpSt8, Rs1: 11, Rs2: 10, Imm: 8},
+				{Op: OpLd8, Rd: 12, Rs1: 11, Imm: 8},
+				{Op: OpAddi, Rd: 12, Rs1: 12, Imm: 3},
+				{Op: OpSt8, Rs1: 11, Rs2: 12, Imm: 16},
+				{Op: OpLd8, Rd: RegRetInt, Rs1: 11, Imm: 16},
+				{Op: OpRet},
+			}, Labels: map[string]int{}}}, MemSize: 1 << 16}
+		}
+	}
+	if res := diffRun(t, mk(4096), nil, 1); res.ExitCode != -1<<40+3 {
+		t.Errorf("exit %d, want %d", res.ExitCode, int64(-1<<40+3))
+	}
+	diffRun(t, mk(1<<16-12), nil, 1) // both engines fault alike
+}
+
 // TestEngineDifferentialVector covers the bulk kernels against the
 // per-element reference: contiguous and strided f32/f64/i32 loads and
 // stores, vector-vector and vector-scalar arithmetic, vmov/vbcast, and
