@@ -282,14 +282,14 @@ func (t *refTable) reset() {
 
 // slot returns r's entry for the current block.
 func (t *refTable) slot(r titan.Ref) *refSlot {
-	i := -1
+	i, n := -1, int(r.Num)
 	switch {
-	case r.File == titan.IntReg && uint(r.Num) < titan.NumIntRegs:
-		i = r.Num
-	case r.File == titan.FltReg && uint(r.Num) < titan.NumFltRegs:
-		i = denseFlt + r.Num
-	case r.File == titan.MaskReg && uint(r.Num) < titan.NumMaskRegs:
-		i = denseMask + r.Num
+	case r.File == titan.IntReg && uint(n) < titan.NumIntRegs:
+		i = n
+	case r.File == titan.FltReg && uint(n) < titan.NumFltRegs:
+		i = denseFlt + n
+	case r.File == titan.MaskReg && uint(n) < titan.NumMaskRegs:
+		i = denseMask + n
 	case r.File == titan.VLReg && r.Num == 0:
 		i = denseVL
 	}
