@@ -92,13 +92,13 @@ func BenchmarkE3CopyLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if res.VectorStats.VectorStmts < 1 {
-		b.Fatalf("copy loop did not vectorize: %+v", res.VectorStats)
+	if res.Report.Vector.VectorStmts < 1 {
+		b.Fatalf("copy loop did not vectorize: %+v", res.Report.Vector)
 	}
 	scalar := mustRun(b, w, bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1}, Processors: 1})
 	vec := mustRun(b, w, bench.Config{Name: "vector", Opts: driver.FullOptions(), Processors: 1})
 	b.ReportMetric(bench.Speedup(scalar, vec), "speedup")
-	b.Logf("E3 copy loop: vector stmts=%d, speedup %.1fx", res.VectorStats.VectorStmts, bench.Speedup(scalar, vec))
+	b.Logf("E3 copy loop: vector stmts=%d, speedup %.1fx", res.Report.Vector.VectorStmts, bench.Speedup(scalar, vec))
 }
 
 // BenchmarkE4ReverseAxpy reproduces §5.3's Fortran example: the auxiliary
@@ -113,13 +113,13 @@ func BenchmarkE4ReverseAxpy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if res.VectorStats.VectorStmts < 1 {
-		b.Fatalf("reverse axpy did not vectorize: %+v", res.VectorStats)
+	if res.Report.Vector.VectorStmts < 1 {
+		b.Fatalf("reverse axpy did not vectorize: %+v", res.Report.Vector)
 	}
 	scalar := mustRun(b, w, bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1}, Processors: 1})
 	vec := mustRun(b, w, bench.Config{Name: "vector", Opts: driver.FullOptions(), Processors: 1})
 	b.ReportMetric(bench.Speedup(scalar, vec), "speedup")
-	b.Logf("E4 reverse axpy: vector stmts=%d, speedup %.1fx", res.VectorStats.VectorStmts, bench.Speedup(scalar, vec))
+	b.Logf("E4 reverse axpy: vector stmts=%d, speedup %.1fx", res.Report.Vector.VectorStmts, bench.Speedup(scalar, vec))
 }
 
 // BenchmarkE5DeadInline reproduces §8: inlining daxpy with alpha = 0.0
@@ -200,8 +200,8 @@ int main(void) { fill(2.5f, 512); ` + bench.KernelMarker + `
 	if !hasDo {
 		b.Fatal("no DO/vector form produced")
 	}
-	b.ReportMetric(float64(res.VectorStats.VectorStmts), "vector-stmts")
-	b.Logf("E6 while→DO: vector stmts=%d", res.VectorStats.VectorStmts)
+	b.ReportMetric(float64(res.Report.Vector.VectorStmts), "vector-stmts")
+	b.Logf("E6 while→DO: vector stmts=%d", res.Report.Vector.VectorStmts)
 }
 
 // BenchmarkE7Scaling reproduces §2: spreading a vector loop over 1–4
@@ -334,14 +334,14 @@ func BenchmarkE10StructArray(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if res.VectorStats.VectorStmts < 1 {
-		b.Fatalf("struct-array loops did not vectorize: %+v", res.VectorStats)
+	if res.Report.Vector.VectorStmts < 1 {
+		b.Fatalf("struct-array loops did not vectorize: %+v", res.Report.Vector)
 	}
 	scalar := mustRun(b, w, bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1}, Processors: 1})
 	full := mustRun(b, w, bench.Config{Name: "full", Opts: driver.FullOptions(), Processors: 1})
-	b.ReportMetric(float64(res.VectorStats.VectorStmts), "vector-stmts")
+	b.ReportMetric(float64(res.Report.Vector.VectorStmts), "vector-stmts")
 	b.ReportMetric(bench.Speedup(scalar, full), "speedup")
-	b.Logf("E10 struct arrays: vector stmts=%d, speedup %.2fx", res.VectorStats.VectorStmts, bench.Speedup(scalar, full))
+	b.Logf("E10 struct arrays: vector stmts=%d, speedup %.2fx", res.Report.Vector.VectorStmts, bench.Speedup(scalar, full))
 }
 
 // ----------------------------------------------------------- ablations
@@ -386,17 +386,16 @@ func BenchmarkA2Backtracking(b *testing.B) {
 			b.Fatal(err)
 		}
 		simpleOpts := driver.FullOptions()
-		simpleOpts.SimpleIVSub = true
-		simpleOpts.NoCopyProp = true
+		simpleOpts.Straightforward = true
 		simple, err = driver.Compile(w.Src, simpleOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(full.VectorStats.VectorStmts), "vector-stmts-backtracking")
-	b.ReportMetric(float64(simple.VectorStats.VectorStmts), "vector-stmts-simple")
+	b.ReportMetric(float64(full.Report.Vector.VectorStmts), "vector-stmts-backtracking")
+	b.ReportMetric(float64(simple.Report.Vector.VectorStmts), "vector-stmts-simple")
 	b.Logf("A2: backtracking vectorized %d stmts, straightforward %d",
-		full.VectorStats.VectorStmts, simple.VectorStats.VectorStmts)
+		full.Report.Vector.VectorStmts, simple.Report.Vector.VectorStmts)
 }
 
 // BenchmarkA3StripLength sweeps the strip length.
@@ -456,8 +455,8 @@ int main(void)
 			if err != nil {
 				b.Fatal(err)
 			}
-			counts = append(counts, fmt.Sprintf("%s:%d", r.name, res.VectorStats.VectorStmts))
-			b.ReportMetric(float64(res.VectorStats.VectorStmts), "vec-"+r.name)
+			counts = append(counts, fmt.Sprintf("%s:%d", r.name, res.Report.Vector.VectorStmts))
+			b.ReportMetric(float64(res.Report.Vector.VectorStmts), "vec-"+r.name)
 		}
 	}
 	b.Logf("A4 alias routes (vector stmts): %s", strings.Join(counts, " "))

@@ -258,8 +258,8 @@ func run(args []string, w io.Writer) error {
 	}
 	if !*dumpIL && !*asm && !*runIt && !*timePasses && *dumpAfter == "" && remarks.mode == "" {
 		fmt.Fprintf(w, "compiled %s: %d procedures, %d inlined calls, %d vector stmts, %d parallel loops\n",
-			fs.Arg(0), len(res.IL.Procs), res.InlinedCalls,
-			res.VectorStats.VectorStmts, res.VectorStats.ParallelLoops+res.ParallelStats.LoopsParallelized)
+			fs.Arg(0), len(res.IL.Procs), res.Report.Inline.CallsExpanded,
+			res.Report.Vector.VectorStmts, res.Report.Vector.ParallelLoops+res.Report.Parallel.LoopsParallelized)
 	}
 	return nil
 }

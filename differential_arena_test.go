@@ -78,9 +78,9 @@ func compileArtifacts(t *testing.T, src string, opts driver.Options, workers int
 		ilDump:   res.IL.String(),
 		asm:      driver.Disassemble(res),
 		remarks:  remarks.String(),
-		vector:   fmt.Sprintf("%+v", res.VectorStats),
-		par:      fmt.Sprintf("%+v", res.ParallelStats),
-		strength: fmt.Sprintf("%+v", res.StrengthStats),
+		vector:   fmt.Sprintf("%+v", res.Report.Vector),
+		par:      fmt.Sprintf("%+v", res.Report.Parallel),
+		strength: fmt.Sprintf("%+v", res.Report.Strength),
 		cycles:   r.Cycles,
 		flops:    r.FlopCount,
 		exit:     r.ExitCode,

@@ -84,14 +84,14 @@ func TestCacheDifferentialIdentical(t *testing.T) {
 				if got, want := on.IL.String(), off.IL.String(); got != want {
 					t.Errorf("IL differs with cache on:\n--- cached ---\n%s\n--- uncached ---\n%s", got, want)
 				}
-				if on.VectorStats != off.VectorStats {
-					t.Errorf("vector stats differ: cached %+v, uncached %+v", on.VectorStats, off.VectorStats)
+				if on.Report.Vector != off.Report.Vector {
+					t.Errorf("vector stats differ: cached %+v, uncached %+v", on.Report.Vector, off.Report.Vector)
 				}
-				if on.ParallelStats != off.ParallelStats {
-					t.Errorf("parallel stats differ: cached %+v, uncached %+v", on.ParallelStats, off.ParallelStats)
+				if on.Report.Parallel != off.Report.Parallel {
+					t.Errorf("parallel stats differ: cached %+v, uncached %+v", on.Report.Parallel, off.Report.Parallel)
 				}
-				if on.StrengthStats != off.StrengthStats {
-					t.Errorf("strength stats differ: cached %+v, uncached %+v", on.StrengthStats, off.StrengthStats)
+				if on.Report.Strength != off.Report.Strength {
+					t.Errorf("strength stats differ: cached %+v, uncached %+v", on.Report.Strength, off.Report.Strength)
 				}
 				if ron.Cycles != roff.Cycles || ron.FlopCount != roff.FlopCount || ron.ExitCode != roff.ExitCode {
 					t.Errorf("simulation differs: cached cycles=%d flops=%d exit=%d, uncached cycles=%d flops=%d exit=%d",

@@ -103,14 +103,14 @@ func TestScheduleDefaultDifferential(t *testing.T) {
 				if got, want := driver.Disassemble(explicit), driver.Disassemble(legacy); got != want {
 					t.Error("generated assembly differs under explicit default schedules")
 				}
-				if explicit.VectorStats != legacy.VectorStats {
-					t.Errorf("vector stats differ: explicit %+v, legacy %+v", explicit.VectorStats, legacy.VectorStats)
+				if explicit.Report.Vector != legacy.Report.Vector {
+					t.Errorf("vector stats differ: explicit %+v, legacy %+v", explicit.Report.Vector, legacy.Report.Vector)
 				}
-				if explicit.ParallelStats != legacy.ParallelStats {
-					t.Errorf("parallel stats differ: explicit %+v, legacy %+v", explicit.ParallelStats, legacy.ParallelStats)
+				if explicit.Report.Parallel != legacy.Report.Parallel {
+					t.Errorf("parallel stats differ: explicit %+v, legacy %+v", explicit.Report.Parallel, legacy.Report.Parallel)
 				}
-				if explicit.StrengthStats != legacy.StrengthStats {
-					t.Errorf("strength stats differ: explicit %+v, legacy %+v", explicit.StrengthStats, legacy.StrengthStats)
+				if explicit.Report.Strength != legacy.Report.Strength {
+					t.Errorf("strength stats differ: explicit %+v, legacy %+v", explicit.Report.Strength, legacy.Report.Strength)
 				}
 				if explicitRemarks != legacyRemarks {
 					t.Errorf("remark stream differs:\n--- explicit ---\n%s\n--- legacy ---\n%s", explicitRemarks, legacyRemarks)

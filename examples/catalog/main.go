@@ -91,7 +91,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("inlined calls: %d, vector statements: %d\n",
-		res.InlinedCalls, res.VectorStats.VectorStmts)
+		res.Report.Inline.CallsExpanded, res.Report.Vector.VectorStmts)
 
 	m := titan.NewMachine(res.Machine, 2)
 	r, err := m.Run("main")

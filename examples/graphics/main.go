@@ -111,7 +111,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("AoS transform: %d vector statements (4-wide rows, no strip loops)\n",
-		res.VectorStats.VectorStmts)
+		res.Report.Vector.VectorStmts)
 
 	aosFull, out := run(program, driver.FullOptions(), 1)
 	aosScalar, _ := run(program, driver.ScalarOptions(), 1)

@@ -47,9 +47,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("vectorized loops:  %d\n", res.VectorStats.LoopsVectorized)
-	fmt.Printf("vector statements: %d\n", res.VectorStats.VectorStmts)
-	fmt.Printf("parallel loops:    %d\n", res.VectorStats.ParallelLoops)
+	fmt.Printf("vectorized loops:  %d\n", res.Report.Vector.LoopsVectorized)
+	fmt.Printf("vector statements: %d\n", res.Report.Vector.VectorStmts)
+	fmt.Printf("parallel loops:    %d\n", res.Report.Vector.ParallelLoops)
 
 	// Run on a 2-processor Titan.
 	m := titan.NewMachine(res.Machine, 2)

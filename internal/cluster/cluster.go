@@ -17,41 +17,27 @@ type Config struct {
 	// Peers lists every cluster member's base URL. Self may or may not be
 	// included — it is added to the ring either way and never dialed.
 	Peers []string
-	// VirtualNodes is the per-node ring point count (default 128).
-	VirtualNodes int
 	// FetchTimeout bounds each attempt against a peer (default 1s).
 	FetchTimeout time.Duration
-	// Retries is how many extra attempts follow a failed one, with
-	// jittered exponential backoff between them (default 1).
-	Retries int
-	// BreakerThreshold consecutive failures open a peer's circuit
-	// breaker (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker fails fast before
-	// letting a half-open probe through (default 3s).
-	BreakerCooldown time.Duration
 	// ProbeInterval paces background peer readiness probes (default 2s;
 	// negative disables the background loop — tests probe by hand).
 	ProbeInterval time.Duration
 }
 
+// How a node treats its peers: a failed attempt is retried peerRetries
+// more times, with jittered exponential backoff between them;
+// breakerThreshold consecutive failures open a peer's circuit breaker,
+// which fails fast for breakerCooldown before letting a half-open probe
+// through.
+const (
+	peerRetries      = 1
+	breakerThreshold = 3
+	breakerCooldown  = 3 * time.Second
+)
+
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = DefaultVirtualNodes
-	}
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = time.Second
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 3 * time.Second
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 2 * time.Second
@@ -85,7 +71,7 @@ func New(cfg Config) (*Cluster, error) {
 	for i, n := range nodes {
 		nodes[i] = strings.TrimRight(n, "/")
 	}
-	ring, err := NewRing(nodes, cfg.VirtualNodes)
+	ring, err := NewRing(nodes, DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -103,9 +89,9 @@ func New(cfg Config) (*Cluster, error) {
 		c.peers[n] = &Peer{
 			url:     n,
 			client:  &http.Client{Transport: transport},
-			breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: newBreaker(breakerThreshold, breakerCooldown),
 			timeout: cfg.FetchTimeout,
-			retries: cfg.Retries,
+			retries: peerRetries,
 		}
 	}
 	if len(c.peers) == 0 {

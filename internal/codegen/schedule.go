@@ -28,8 +28,8 @@ package codegen
 import (
 	"sync"
 
+	"repro/internal/schedule"
 	"repro/internal/titan"
-	"repro/internal/vector"
 )
 
 // Schedule reorders every function's basic blocks in place. A block never
@@ -193,7 +193,7 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 	// successors, yet issuing it early still hides its latency downstream.
 	prio := resize(s.prio, n)
 	for i := n - 1; i >= 0; i-- {
-		lat := int(s.sb.Latency(block[i].Op, vector.DefaultVL))
+		lat := int(s.sb.Latency(block[i].Op, schedule.DefaultVL))
 		p := 0
 		for _, e := range succ[off[i]:off[i+1]] {
 			p = max(p, e.delay(lat)+prio[e.to])
@@ -232,7 +232,7 @@ func (s *scheduler) scheduleBlock(block []titan.Instr) {
 		avail[k] = avail[len(avail)-1]
 		avail = avail[:len(avail)-1]
 		block[placed] = s.tmp[best]
-		s.sb.Issue(&s.tmp[best], vector.DefaultVL)
+		s.sb.Issue(&s.tmp[best], schedule.DefaultVL)
 		for _, e := range succ[off[best]:off[best+1]] {
 			if npred[e.to]--; npred[e.to] == 0 {
 				avail = append(avail, int(e.to))

@@ -11,8 +11,8 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/driver"
 	"repro/internal/il"
+	"repro/internal/schedule"
 	"repro/internal/titan"
-	"repro/internal/vector"
 )
 
 // The scheduler reorders instructions inside blocks and never moves a
@@ -238,7 +238,7 @@ func FuzzSchedule(f *testing.F) {
 		var sb titan.Scoreboard
 		est := int64(0)
 		for k := range sched {
-			est = max(est, sb.Issue(&sched[k], vector.DefaultVL))
+			est = max(est, sb.Issue(&sched[k], schedule.DefaultVL))
 		}
 		if run := runBlock(t, sched, "blk").Cycles; run != est {
 			t.Fatalf("the scheduled block runs %d cycles from an idle machine, the scheduler's estimate is %d:\n%s",
@@ -254,7 +254,7 @@ func FuzzSchedule(f *testing.F) {
 // after the block and charges it nothing else, so continuing the block's
 // scoreboard into it is exact. The one departure a fuzzed block can hold:
 //   - "vl": an op that reads VL runs at the head's VL of 1..8, and the
-//     scheduler issues it at vector.DefaultVL.
+//     scheduler issues it at schedule.DefaultVL.
 //
 // The others the estimate makes (DESIGN.md, "The scheduler's dispatch
 // model") cannot occur here: the block is the entry, so the machine is

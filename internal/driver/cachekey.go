@@ -4,8 +4,8 @@
 // that compile identically hash identically — attached catalogs are
 // identified by content fingerprint and sorted, defaulted fields are
 // resolved, and flags that cannot affect this compile (a vector length
-// with vectorization off, an inline policy with inlining off) are left
-// out entirely.
+// with vectorization off, catalogs with inlining off) are left out
+// entirely.
 package driver
 
 import (
@@ -16,8 +16,7 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/inline"
-	"repro/internal/vector"
+	"repro/internal/schedule"
 )
 
 // CacheKey returns the content-addressed identity of one compile: the
@@ -45,8 +44,7 @@ func CacheKey(src string, opts Options) (string, error) {
 //   - catalogs are replaced by their sorted, deduplicated content
 //     fingerprints — attachment order and duplicate attachments don't
 //     matter, and neither do catalogs when inlining is off;
-//   - a nil InlineConfig renders as inline.DefaultConfig();
-//   - VL 0 renders as vector.DefaultVL, and only when vectorizing;
+//   - VL 0 renders as schedule.DefaultVL, and only when vectorizing;
 //   - the scalar-optimizer knobs render only at OptLevel ≥ 1, and
 //     induction-variable substitution renders as the derived on/off the
 //     scalarizer actually sees (§6's "only when consumed" rule);
@@ -62,21 +60,6 @@ func canonicalOptions(opts Options) (string, error) {
 
 	fmt.Fprintf(&sb, "inline=%t\n", opts.Inline)
 	if opts.Inline {
-		cfg := inline.DefaultConfig()
-		if opts.InlineConfig != nil {
-			cfg = *opts.InlineConfig
-		}
-		only := make([]string, 0, len(cfg.Only))
-		for name, ok := range cfg.Only {
-			if ok {
-				only = append(only, name)
-			}
-		}
-		sort.Strings(only)
-		restricted := len(cfg.Only) > 0 // a non-empty all-false map inlines nothing, unlike an empty map
-		fmt.Fprintf(&sb, "inline.maxstmts=%d\ninline.maxdepth=%d\ninline.restricted=%t\ninline.only=%s\n",
-			cfg.MaxStmts, cfg.MaxDepth, restricted, strings.Join(only, ","))
-
 		fps := make([]string, 0, len(opts.Catalogs))
 		for _, c := range opts.Catalogs {
 			fp, err := c.Fingerprint()
@@ -92,9 +75,8 @@ func canonicalOptions(opts Options) (string, error) {
 
 	if optimize {
 		// The derivation the pass manager applies (pass.scalarOptions).
-		ivsub := !opts.DisableIVSub && (opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub)
-		fmt.Fprintf(&sb, "scalar.ivsub=%t\nscalar.simpleivsub=%t\nscalar.nocopyprop=%t\n",
-			ivsub, opts.SimpleIVSub, opts.NoCopyProp)
+		ivsub := opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub
+		fmt.Fprintf(&sb, "scalar.ivsub=%t\nscalar.straightforward=%t\n", ivsub, opts.Straightforward)
 	}
 
 	fmt.Fprintf(&sb, "parallelize=%t\n", opts.Parallelize)
@@ -102,7 +84,7 @@ func canonicalOptions(opts Options) (string, error) {
 	if opts.Vectorize {
 		vl := opts.VL
 		if vl <= 0 {
-			vl = vector.DefaultVL
+			vl = schedule.DefaultVL
 		}
 		fmt.Fprintf(&sb, "vl=%d\n", vl)
 	}
@@ -111,10 +93,6 @@ func canonicalOptions(opts Options) (string, error) {
 		fmt.Fprintf(&sb, "noalias=%t\n", opts.NoAlias)
 	}
 	fmt.Fprintf(&sb, "strength=%t\n", strengthOn)
-	if strengthOn {
-		fmt.Fprintf(&sb, "strength.nopromotion=%t\nstrength.noreduction=%t\n",
-			opts.NoStrengthPromotion, opts.NoStrengthReduction)
-	}
 	// Codegen's rule: schedule whenever a dependence-driven phase was
 	// requested, unless ablated (driver.CompileWith).
 	fmt.Fprintf(&sb, "schedule=%t\n", (opts.StrengthReduce || opts.Vectorize) && !opts.NoSchedule)

@@ -1,11 +1,12 @@
 package driver
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/inline"
-	"repro/internal/vector"
+	"repro/internal/schedule"
 )
 
 func testCatalog(t *testing.T, src string) *inline.Catalog {
@@ -58,27 +59,21 @@ func TestCacheKeyIrrelevantFieldsCollapse(t *testing.T) {
 		name string
 		a, b Options
 	}{
-		{"nil vs explicit default inline config",
-			Options{OptLevel: 1, Inline: true},
-			Options{OptLevel: 1, Inline: true, InlineConfig: ptr(inline.DefaultConfig())}},
 		{"VL zero vs explicit default",
 			Options{OptLevel: 1, Vectorize: true},
-			Options{OptLevel: 1, Vectorize: true, VL: vector.DefaultVL}},
+			Options{OptLevel: 1, Vectorize: true, VL: schedule.DefaultVL}},
 		{"VL without vectorization",
 			Options{OptLevel: 1},
 			Options{OptLevel: 1, VL: 8}},
 		{"catalogs without inlining",
 			Options{OptLevel: 1},
 			Options{OptLevel: 1, Catalogs: []*inline.Catalog{cat}}},
-		{"inline config without inlining",
-			Options{OptLevel: 1},
-			Options{OptLevel: 1, InlineConfig: &inline.Config{MaxStmts: 5}}},
 		{"noalias with no dependence client",
 			Options{OptLevel: 1},
 			Options{OptLevel: 1, NoAlias: true}},
 		{"scalar knobs at O0",
 			Options{},
-			Options{SimpleIVSub: true, NoCopyProp: true, DisableIVSub: true}},
+			Options{Straightforward: true, ForceIVSub: true}},
 		{"opt level above one",
 			Options{OptLevel: 1, StrengthReduce: true},
 			Options{OptLevel: 2, StrengthReduce: true}},
@@ -90,36 +85,60 @@ func TestCacheKeyIrrelevantFieldsCollapse(t *testing.T) {
 	}
 }
 
+// TestCacheKeySemanticFlagsDiffer flips every field of Options, found by
+// reflection, from FullOptions and from plain -O1, and requires each flip
+// to change the key at one base at least. Two compiles that differ only
+// in an unkeyed field would share a titand cache entry, so a field added
+// to Options fails here until canonicalOptions keys it, or until inert
+// lists it with the reason it cannot change a compile at either base.
 func TestCacheKeySemanticFlagsDiffer(t *testing.T) {
-	base := FullOptions()
-	flip := []struct {
-		name string
-		mut  func(*Options)
-	}{
-		{"-vector off", func(o *Options) { o.Vectorize = false }},
-		{"-parallel off", func(o *Options) { o.Parallelize = false }},
-		{"-inline off", func(o *Options) { o.Inline = false }},
-		{"-noalias", func(o *Options) { o.NoAlias = true }},
-		{"-vl 8", func(o *Options) { o.VL = 8 }},
-		{"list-parallel", func(o *Options) { o.ListParallel = true }},
-		{"strength off", func(o *Options) { o.StrengthReduce = false }},
-		{"O0", func(o *Options) { o.OptLevel = 0 }},
-		{"simple ivsub", func(o *Options) { o.SimpleIVSub = true }},
-		{"no copyprop", func(o *Options) { o.NoCopyProp = true }},
-		{"no schedule", func(o *Options) { o.NoSchedule = true }},
-		{"no strength promotion", func(o *Options) { o.NoStrengthPromotion = true }},
-		{"inline policy tightened", func(o *Options) { o.InlineConfig = &inline.Config{MaxStmts: 1, MaxDepth: 1} }},
-	}
-	baseKey := key(t, ckSrc, base)
-	seen := map[string]string{baseKey: "base"}
-	for _, f := range flip {
-		o := base
-		f.mut(&o)
-		k := key(t, ckSrc, o)
-		if prev, dup := seen[k]; dup {
-			t.Errorf("%s: key collides with %s", f.name, prev)
+	inert := map[string]string{}
+	cat := testCatalog(t, "int addone(int x) { return x + 1; }")
+	flip := func(f reflect.Value) bool {
+		switch {
+		case f.Kind() == reflect.Bool:
+			f.SetBool(!f.Bool())
+		case f.Kind() == reflect.Int && f.Int() != 0:
+			f.SetInt(0)
+		case f.Kind() == reflect.Int:
+			f.SetInt(8)
+		case f.Type() == reflect.TypeOf([]*inline.Catalog(nil)):
+			f.Set(reflect.ValueOf([]*inline.Catalog{cat}))
+		default:
+			return false
 		}
-		seen[k] = f.name
+		return true
+	}
+	bases := []Options{FullOptions(), {OptLevel: 1}}
+	// flipped[b] maps each key a flip at base b produced to the field.
+	flipped := make([]map[string]string, len(bases))
+	for b, base := range bases {
+		flipped[b] = map[string]string{key(t, ckSrc, base): "nothing"}
+	}
+	fields := reflect.TypeOf(Options{})
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		changed := false
+		for b, base := range bases {
+			o := base
+			if !flip(reflect.ValueOf(&o).Elem().Field(i)) {
+				t.Fatalf("%s: no flip for type %s", name, fields.Field(i).Type)
+			}
+			k := key(t, ckSrc, o)
+			if prev, dup := flipped[b][k]; dup {
+				if prev != "nothing" {
+					t.Errorf("flipping %s keys like flipping %s", name, prev)
+				}
+				continue
+			}
+			flipped[b][k] = name
+			changed = true
+		}
+		if reason, ok := inert[name]; ok && changed {
+			t.Errorf("%s is listed inert (%s) but changes the key", name, reason)
+		} else if !ok && !changed {
+			t.Errorf("flipping %s changes the key at no base: key it in canonicalOptions, or list it in inert with the reason", name)
+		}
 	}
 }
 
@@ -141,5 +160,3 @@ func TestCanonicalOptionsReadable(t *testing.T) {
 		}
 	}
 }
-
-func ptr[T any](v T) *T { return &v }

@@ -253,7 +253,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		{"O0", Options{OptLevel: 0}},
 		{"O1", ScalarOptions()},
 		{"full", FullOptions()},
-		{"simple-ivsub", Options{OptLevel: 1, Inline: true, Vectorize: true, SimpleIVSub: true, StrengthReduce: true}},
+		{"straightforward", Options{OptLevel: 1, Inline: true, Vectorize: true, Straightforward: true, StrengthReduce: true}},
 	}
 	n := 120
 	if testing.Short() {

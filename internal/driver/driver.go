@@ -28,18 +28,16 @@ import (
 	"repro/internal/il"
 	"repro/internal/inline"
 	"repro/internal/lower"
-	"repro/internal/parallel"
 	"repro/internal/parser"
 	"repro/internal/pass"
 	"repro/internal/sema"
-	"repro/internal/strength"
 	"repro/internal/titan"
-	"repro/internal/vector"
 )
 
-// Options selects compiler behavior; the zero value is plain scalar
-// compilation with scalar optimization. It is the pass package's option
-// type: the pass manager builds the pipeline directly from it.
+// Options selects compiler behavior; the zero value is -O0, plain scalar
+// compilation with no optimization (ScalarOptions is -O1). It is the pass
+// package's option type: the pass manager builds the pipeline directly
+// from it.
 type Options = pass.Options
 
 // ScalarOptions is the -O1 scalar configuration.
@@ -61,13 +59,6 @@ type Result struct {
 	// Report is the pipeline's unified per-pass instrumentation: wall
 	// time and statement deltas per pass plus every phase's stats.
 	Report *pass.Report
-	// Per-phase stats, mirrored from Report for convenience.
-	VectorStats   vector.Stats
-	ParallelStats parallel.Stats
-	ListStats     parallel.ListStats
-	NestStats     parallel.NestStats
-	StrengthStats strength.Stats
-	InlinedCalls  int
 }
 
 // frontEnd runs parse → type check → lower and fills res.AST and res.IL.
@@ -176,16 +167,10 @@ func LowerWith(src string, ctx *pass.Context) (*Result, error) {
 }
 
 // OptimizeILWith runs the pass manager's pipeline over res.IL and records
-// the report (and its stat mirrors) on res.
+// the report on res.
 func OptimizeILWith(res *Result, opts Options, ctx *pass.Context) error {
 	rep, err := pass.NewManager(opts).Run(res.IL, ctx)
 	res.Report = rep
-	res.VectorStats = rep.Vector
-	res.ParallelStats = rep.Parallel
-	res.ListStats = rep.List
-	res.NestStats = rep.Nest
-	res.StrengthStats = rep.Strength
-	res.InlinedCalls = rep.Inline.CallsExpanded
 	return err
 }
 

@@ -403,8 +403,8 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InlinedCalls != 1 {
-		t.Errorf("inlined %d calls", res.InlinedCalls)
+	if res.Report.Inline.CallsExpanded != 1 {
+		t.Errorf("inlined %d calls", res.Report.Inline.CallsExpanded)
 	}
 	m := titan.NewMachine(res.Machine, 1)
 	r, err := m.Run("main")

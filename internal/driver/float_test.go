@@ -24,8 +24,8 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.VectorStats.VectorStmts < 1 {
-		t.Fatalf("double loop did not vectorize: %+v", res.VectorStats)
+	if res.Report.Vector.VectorStmts < 1 {
+		t.Fatalf("double loop did not vectorize: %+v", res.Report.Vector)
 	}
 	// Correctness across processor counts.
 	check := `
@@ -269,11 +269,11 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NestStats.NestsParallelized < 1 {
-		t.Fatalf("no nest parallelized: %+v", res.NestStats)
+	if res.Report.Nest.NestsParallelized < 1 {
+		t.Fatalf("no nest parallelized: %+v", res.Report.Nest)
 	}
-	if res.VectorStats.VectorStmts < 1 {
-		t.Fatalf("inner loops not vectorized: %+v", res.VectorStats)
+	if res.Report.Vector.VectorStmts < 1 {
+		t.Fatalf("inner loops not vectorized: %+v", res.Report.Vector)
 	}
 	for procs := 1; procs <= 4; procs++ {
 		r, err := Run(src, FullOptions(), procs)

@@ -60,8 +60,8 @@ func TestListParallelConverts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two sites: scale itself and its inlined copy in main.
-	if res.ListStats.LoopsConverted < 1 {
-		t.Fatalf("list loops converted: %d", res.ListStats.LoopsConverted)
+	if res.Report.List.LoopsConverted < 1 {
+		t.Fatalf("list loops converted: %d", res.Report.List.LoopsConverted)
 	}
 }
 
@@ -157,7 +157,7 @@ func TestListParallelOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ListStats.LoopsConverted != 0 {
+	if res.Report.List.LoopsConverted != 0 {
 		t.Error("list conversion ran without the option (it asserts an aliasing assumption)")
 	}
 }

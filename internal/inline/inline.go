@@ -15,19 +15,13 @@ import (
 	"repro/internal/token"
 )
 
-// Config controls expansion policy.
-type Config struct {
-	// MaxStmts bounds the callee size considered inlinable.
-	MaxStmts int
-	// MaxDepth bounds nested expansion (recursion guard backstop).
-	MaxDepth int
-	// Only, when non-empty, restricts inlining to the named procedures.
-	Only map[string]bool
-}
-
-// DefaultConfig matches the compiler's defaults: small static functions
-// and library kernels expand; anything over 200 statements does not.
-func DefaultConfig() Config { return Config{MaxStmts: 200, MaxDepth: 8} }
+// The expansion policy: small static functions and library kernels
+// expand; a callee over maxStmts statements does not, and nested
+// expansion stops after maxDepth rounds (the recursion guard's backstop).
+const (
+	maxStmts = 200
+	maxDepth = 8
+)
 
 // Stats reports what expansion did, in the shape the pass pipeline's
 // report expects.
@@ -44,7 +38,6 @@ func (s *Stats) Add(o Stats) { s.CallsExpanded += o.CallsExpanded }
 type Inliner struct {
 	Prog    *il.Program
 	Catalog map[string]*il.Proc
-	Cfg     Config
 
 	// Diags receives §7's expansion decisions: inline-expanded,
 	// inline-recursive, inline-refused, and inline-static-export. Nil
@@ -59,8 +52,8 @@ type Inliner struct {
 }
 
 // New returns an inliner over prog.
-func New(prog *il.Program, cfg Config) *Inliner {
-	return &Inliner{Prog: prog, Catalog: map[string]*il.Proc{}, Cfg: cfg, seen: map[string]bool{}}
+func New(prog *il.Program) *Inliner {
+	return &Inliner{Prog: prog, Catalog: map[string]*il.Proc{}, seen: map[string]bool{}}
 }
 
 // report forwards d to Diags, dropping exact repeats (the depth loop
@@ -80,18 +73,16 @@ func (in *Inliner) report(d diag.Diagnostic) {
 	in.Diags.Report(d)
 }
 
-// refuseReason names why inlinable rejected a known callee.
-func (in *Inliner) refuseReason(callee *il.Proc) string {
-	switch {
-	case callee.Variadic:
+// refusal names why the expansion policy rejects callee, or returns ""
+// when callee may expand.
+func refusal(callee *il.Proc) string {
+	if callee.Variadic {
 		return "variadic callee"
-	case in.Cfg.MaxStmts > 0 && il.CountStmts(callee.Body) > in.Cfg.MaxStmts:
-		return fmt.Sprintf("callee has %d statements (limit %d)", il.CountStmts(callee.Body), in.Cfg.MaxStmts)
-	case len(in.Cfg.Only) > 0 && !in.Cfg.Only[callee.Name]:
-		return "not in the inline-only list"
-	default:
-		return "policy"
 	}
+	if n := il.CountStmts(callee.Body); n > maxStmts {
+		return fmt.Sprintf("callee has %d statements (limit %d)", n, maxStmts)
+	}
+	return ""
 }
 
 // AddCatalog attaches a library catalog; its procedures become candidates,
@@ -129,7 +120,7 @@ func (in *Inliner) ExpandProgram() int {
 // being expanded guards against recursion.
 func (in *Inliner) expandProc(p *il.Proc) int {
 	count := 0
-	for depth := 0; depth < in.Cfg.MaxDepth; depth++ {
+	for depth := 0; depth < maxDepth; depth++ {
 		n := 0
 		p.Body = in.expandList(p, p.Body, map[string]bool{p.Name: true}, &n)
 		count += n
@@ -157,21 +148,6 @@ func (in *Inliner) expandList(p *il.Proc, list []il.Stmt, stack map[string]bool,
 	})
 }
 
-// inlinable reports whether the named procedure could be expanded.
-func (in *Inliner) inlinable(name string) bool {
-	callee := in.lookup(name)
-	if callee == nil || callee.Variadic {
-		return false
-	}
-	if in.Cfg.MaxStmts > 0 && il.CountStmts(callee.Body) > in.Cfg.MaxStmts {
-		return false
-	}
-	if len(in.Cfg.Only) > 0 && !in.Cfg.Only[name] {
-		return false
-	}
-	return true
-}
-
 // expandCall replaces one call with the callee's renamed body.
 func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) ([]il.Stmt, bool) {
 	if call.FunPtr != nil || call.Callee == "" {
@@ -186,20 +162,21 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, stack map[string]bool) 
 		})
 		return nil, false
 	}
-	if !in.inlinable(call.Callee) {
+	callee := in.lookup(call.Callee)
+	if callee == nil {
 		// Unknown callees (externs with no catalog body) are an absence,
 		// not a decision; only known-but-refused callees get a remark.
-		if known := in.lookup(call.Callee); known != nil {
-			in.report(diag.Diagnostic{
-				Severity: diag.SevRemark, Code: diag.InlineRefused,
-				Pos: call.Pos, Proc: p.Name, Pass: "inline",
-				Args:    map[string]string{"callee": call.Callee, "reason": in.refuseReason(known)},
-				Message: fmt.Sprintf("call to %s not inlined: %s", call.Callee, in.refuseReason(known)),
-			})
-		}
 		return nil, false
 	}
-	callee := in.lookup(call.Callee)
+	if reason := refusal(callee); reason != "" {
+		in.report(diag.Diagnostic{
+			Severity: diag.SevRemark, Code: diag.InlineRefused,
+			Pos: call.Pos, Proc: p.Name, Pass: "inline",
+			Args:    map[string]string{"callee": call.Callee, "reason": reason},
+			Message: fmt.Sprintf("call to %s not inlined: %s", call.Callee, reason),
+		})
+		return nil, false
+	}
 	if len(call.Args) != len(callee.Params) {
 		in.report(diag.Diagnostic{
 			Severity: diag.SevRemark, Code: diag.InlineRefused,

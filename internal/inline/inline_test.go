@@ -37,7 +37,7 @@ int twice(int x) { return x + x; }
 int f(int a) { return twice(a) + 1; }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	if n := in.expandProc(fp); n != 1 {
 		t.Fatalf("expanded %d\n%s", n, fp)
@@ -62,7 +62,7 @@ void bump(void) { g = g + 1; }
 void f(void) { bump(); bump(); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	if n := in.expandProc(fp); n != 2 {
 		t.Fatalf("expanded %d\n%s", n, fp)
@@ -86,7 +86,7 @@ int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
 int f(void) { return fact(5); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	in.expandProc(fp)
 	// fact is expanded once into f, but the recursive call inside must
@@ -111,7 +111,7 @@ int odd(int n) { if (n == 0) return 0; return even(n - 1); }
 int f(int x) { return even(x); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	in.expandProc(fp) // must terminate
 	if il.CountStmts(fp.Body) > 2000 {
@@ -127,7 +127,7 @@ int quad(int x) { return sq(sq(x)); }
 int f(int a) { return quad(a); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	in.expandProc(fp)
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
@@ -159,7 +159,7 @@ void caller(float *x, float y, float z)
 }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	cp := prog.Proc("caller")
 	if n := in.expandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
@@ -198,7 +198,7 @@ int main()
 }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	mp := prog.Proc("main")
 	if n := in.expandProc(mp); n != 1 {
 		t.Fatalf("expanded %d", n)
@@ -270,7 +270,7 @@ int counter(void) { static int n; n = n + 1; return n; }
 int f(void) { return counter(); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	in.expandProc(fp)
 	// The inlined body must reference the exported static, not a fresh
@@ -295,7 +295,7 @@ int printf(char *fmt, ...);
 void f(void) { printf("hi"); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	if n := in.expandProc(fp); n != 0 {
 		t.Fatalf("inlined a variadic: %d", n)
@@ -305,44 +305,15 @@ void f(void) { printf("hi"); }
 func TestSizeLimit(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("int big(int x) {\n")
-	for i := 0; i < 60; i++ {
+	for i := 0; i < maxStmts+1; i++ {
 		sb.WriteString("x = x + 1;\n")
 	}
 	sb.WriteString("return x; }\nint f(int a) { return big(a); }\n")
 	prog := compile(t, sb.String())
-	in := New(prog, Config{MaxStmts: 10, MaxDepth: 4})
+	in := New(prog)
 	fp := prog.Proc("f")
 	if n := in.expandProc(fp); n != 0 {
 		t.Fatalf("inlined oversized callee: %d", n)
-	}
-}
-
-func TestOnlyFilter(t *testing.T) {
-	src := `
-int a1(int x) { return x + 1; }
-int a2(int x) { return x + 2; }
-int f(int v) { return a1(v) + a2(v); }
-`
-	prog := compile(t, src)
-	cfg := DefaultConfig()
-	cfg.Only = map[string]bool{"a1": true}
-	in := New(prog, cfg)
-	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != 1 {
-		t.Fatalf("expanded %d", n)
-	}
-	remaining := 0
-	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
-		if c, ok := s.(*il.Call); ok {
-			remaining++
-			if c.Callee != "a2" {
-				t.Errorf("wrong call remains: %s", c.Callee)
-			}
-		}
-		return true
-	})
-	if remaining != 1 {
-		t.Errorf("remaining calls: %d", remaining)
 	}
 }
 
@@ -356,7 +327,7 @@ int sign(int x) {
 int f(int a) { return sign(a); }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	fp := prog.Proc("f")
 	in.expandProc(fp)
 	// No Return nodes from the callee (only f's own return).
@@ -431,7 +402,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 
 	// Route 1: same file.
 	prog1 := compile(t, combined)
-	in1 := New(prog1, DefaultConfig())
+	in1 := New(prog1)
 	f1 := prog1.Proc("f")
 	in1.expandProc(f1)
 	opt.Optimize(f1, opt.DefaultOptions(), nil, nil)
@@ -447,7 +418,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 		t.Fatal(err)
 	}
 	prog2 := compile(t, app)
-	in2 := New(prog2, DefaultConfig())
+	in2 := New(prog2)
 	in2.AddCatalog(cat)
 	f2 := prog2.Proc("f")
 	if n := in2.expandProc(f2); n != 1 {
@@ -500,7 +471,7 @@ void clearall(int n)
 }
 `
 	prog := compile(t, src)
-	in := New(prog, DefaultConfig())
+	in := New(prog)
 	cp := prog.Proc("clearall")
 	if n := in.expandProc(cp); n != 1 {
 		t.Fatalf("expanded %d", n)
@@ -554,21 +525,20 @@ void kernel(void) {
 }
 
 func TestInlineDepthLimit(t *testing.T) {
-	// a → b → c → d chain with MaxDepth 2: expansion stops early but
-	// remains correct (inner calls survive as calls).
+	// A straight call chain expands completely in one round (expandCall
+	// expands the calls inside each clone), so the round bound bites on
+	// recursion: each round inlines one more level of r into f, and after
+	// maxDepth rounds the innermost call survives as a call.
 	src := `
-int d(int x) { return x + 1; }
-int c(int x) { return d(x) + 1; }
-int b(int x) { return c(x) + 1; }
-int f(int x) { return b(x) + 1; }
+int r(int x) { if (x <= 0) return 0; return r(x - 1) + 1; }
+int f(int x) { return r(x); }
 `
 	prog := compile(t, src)
-	cfg := DefaultConfig()
-	cfg.MaxDepth = 1
-	in := New(prog, cfg)
+	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp)
-	// With depth 1 the nested expansion loop runs once; deep calls remain.
+	if n := in.expandProc(fp); n != maxDepth {
+		t.Errorf("expanded %d calls, want one per round: %d", n, maxDepth)
+	}
 	calls := 0
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
 		if _, ok := s.(*il.Call); ok {
@@ -576,7 +546,7 @@ int f(int x) { return b(x) + 1; }
 		}
 		return true
 	})
-	if calls == 0 {
-		t.Log("note: single pass expanded the whole chain (nested expansion within one pass)")
+	if calls != 1 {
+		t.Errorf("%d calls left after the depth bound, want 1:\n%s", calls, fp)
 	}
 }

@@ -79,7 +79,7 @@ void f(float *a, float *b, int n) {
 }
 `
 	p := compileProc(t, src, "f")
-	Optimize(p, Options{IVSub: true, SimpleIVSub: true, NoCopyProp: true}, nil, nil)
+	Optimize(p, Options{IVSub: true, Straightforward: true}, nil, nil)
 	d := firstDoLoop(p.Body)
 	if d == nil {
 		t.Fatalf("no DO loop:\n%s", p)

@@ -13,13 +13,11 @@ type Options struct {
 	// it on when vectorization is requested and relies on strength
 	// reduction to undo the damage elsewhere.
 	IVSub bool
-	// SimpleIVSub selects the single-pass, no-copy-resolution variant
-	// (ablation A2).
-	SimpleIVSub bool
-	// NoCopyProp disables copy propagation. Combined with SimpleIVSub it
-	// models the "straightforward" 1980s pipeline of §5.3 that cannot
-	// resolve the front end's pointer-bump temporaries.
-	NoCopyProp bool
+	// Straightforward models the 1980s pipeline of §5.3 (ablation A2):
+	// induction-variable substitution runs in its single-pass,
+	// no-copy-resolution variant and copy propagation does not run, so
+	// the front end's pointer-bump temporaries stay unresolved.
+	Straightforward bool
 }
 
 // DefaultOptions enables the full paper pipeline.
@@ -50,13 +48,13 @@ func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
 		{"constprop", constprop},
 	}
 	if opts.IVSub {
-		if opts.SimpleIVSub {
+		if opts.Straightforward {
 			sp = append(sp, subPass{"ivsub-simple", func(p *il.Proc) int { return ivsubProc(p, false, em) }})
 		} else {
 			sp = append(sp, subPass{"ivsub", func(p *il.Proc) int { return ivsubProc(p, true, em) }})
 		}
 	}
-	if !opts.NoCopyProp {
+	if !opts.Straightforward {
 		sp = append(sp, subPass{"copyprop", func(p *il.Proc) int { return propagateCopies(p, ac, sc) }})
 	}
 	return append(sp,

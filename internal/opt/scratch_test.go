@@ -45,7 +45,7 @@ func forEachCorpusProc(t *testing.T, fn func(file string, p *il.Proc)) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		inline.New(prog, inline.DefaultConfig()).ExpandProgram()
+		inline.New(prog).ExpandProgram()
 		for _, p := range prog.Procs {
 			fn(filepath.Base(path), p)
 		}

@@ -2,9 +2,10 @@ package pass
 
 import "repro/internal/inline"
 
-// Options selects compiler behavior; the zero value is plain scalar
-// compilation with scalar optimization. The type lives here — rather than
-// in package driver, which re-exports it as driver.Options — because the
+// Options selects compiler behavior; the zero value is -O0: plain scalar
+// compilation with no optimization at all (BuildPipeline adds the scalar
+// pass only at OptLevel ≥ 1). The type lives here — rather than in
+// package driver, which re-exports it as driver.Options — because the
 // pass manager builds the paper-mandated pipeline from it (BuildPipeline)
 // and driver imports pass, not the other way around.
 type Options struct {
@@ -13,8 +14,6 @@ type Options struct {
 	OptLevel int
 	// Inline enables inline expansion.
 	Inline bool
-	// InlineConfig overrides the default expansion policy.
-	InlineConfig *inline.Config
 	// Catalogs provides library procedure databases for inlining (§7).
 	Catalogs []*inline.Catalog
 	// Vectorize enables the vectorizer.
@@ -27,29 +26,23 @@ type Options struct {
 	// it on asserts the paper's "each motion down a pointer goes to
 	// independent storage" assumption for the whole unit.
 	ListParallel bool
-	// VL overrides the strip length (vector.DefaultVL when 0).
+	// VL overrides the strip length (schedule.DefaultVL when 0).
 	VL int
 	// NoAlias asserts pointer parameters follow Fortran aliasing rules
 	// (§9's compiler option).
 	NoAlias bool
 	// StrengthReduce runs §6's dependence-driven scalar loop optimization.
 	StrengthReduce bool
-	// SimpleIVSub selects the A2 ablation inside the scalar optimizer.
-	SimpleIVSub bool
-	// NoCopyProp disables copy/forward propagation (combined with
-	// SimpleIVSub this models the full "straightforward" pipeline of
-	// §5.3).
-	NoCopyProp bool
-	// DisableIVSub turns induction-variable substitution off entirely.
-	DisableIVSub bool
+	// Straightforward selects §5.3's "straightforward" scalar pipeline
+	// (ablation A2): single-pass induction-variable substitution and no
+	// copy propagation, so the front end's pointer-bump temporaries stay
+	// unresolved.
+	Straightforward bool
 	// ForceIVSub runs induction-variable substitution even when neither
 	// vectorization nor strength reduction is enabled (the golden IL
 	// tests' view; normally ivsub only pays off when a later phase
 	// consumes it — §6).
 	ForceIVSub bool
-	// NoStrengthPromotion / NoStrengthReduction toggle §6 sub-passes.
-	NoStrengthPromotion bool
-	NoStrengthReduction bool
 	// NoSchedule disables the §6 dependence-informed instruction
 	// scheduler (ablation A5). Scheduling otherwise runs whenever the
 	// dependence-driven phases do ("Information from the dependence graph

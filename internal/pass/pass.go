@@ -59,12 +59,6 @@ type Context struct {
 	// The program is live; callers must render or copy what they need
 	// before returning.
 	Snapshot func(name string, prog *il.Program)
-	// Verify runs the IL verifier before the first pass and after every
-	// pass, failing the compile at the pass boundary that corrupted the
-	// IL instead of letting it surface as a codegen panic or wrong
-	// simulation output. On by default (NewContext): the whole test
-	// corpus compiles under it and the check is a linear walk.
-	Verify bool
 	// Workers bounds the per-procedure worker pool for passes that
 	// process procedures independently. 0 means GOMAXPROCS; 1 runs
 	// serially.
@@ -89,10 +83,10 @@ type Context struct {
 	Schedules *schedule.Set
 }
 
-// NewContext returns the default context: verifier on, worker pool as
-// wide as GOMAXPROCS, analysis cache on.
+// NewContext returns the default context: worker pool as wide as
+// GOMAXPROCS, analysis cache on.
 func NewContext() *Context {
-	return &Context{Report: &Report{}, Verify: true, Workers: runtime.GOMAXPROCS(0),
+	return &Context{Report: &Report{}, Workers: runtime.GOMAXPROCS(0),
 		Analysis: analysis.NewCache(), Diags: &diag.Reporter{}}
 }
 
@@ -154,7 +148,11 @@ func (m *Manager) Split(after string) (head, tail *Manager) {
 }
 
 // Run executes the pipeline over prog, filling ctx.Report. A nil ctx gets
-// NewContext defaults. The returned Report is ctx.Report.
+// NewContext defaults. The returned Report is ctx.Report. The IL verifier
+// runs before the first pass and after every pass, failing the compile at
+// the pass boundary that corrupted the IL instead of letting it surface
+// as a codegen panic or wrong simulation output; the check is a linear
+// walk.
 func (m *Manager) Run(prog *il.Program, ctx *Context) (*Report, error) {
 	if ctx == nil {
 		ctx = NewContext()
@@ -168,10 +166,8 @@ func (m *Manager) Run(prog *il.Program, ctx *Context) (*Report, error) {
 	// front end never emits it and no earlier pass may.
 	vectorSeen := m.vectorSeen
 	if !m.resumes {
-		if ctx.Verify {
-			if err := Verify(prog, vectorSeen); err != nil {
-				return rep, fmt.Errorf("pass: IL invalid before pipeline: %w", err)
-			}
+		if err := Verify(prog, vectorSeen); err != nil {
+			return rep, fmt.Errorf("pass: IL invalid before pipeline: %w", err)
 		}
 		if ctx.Snapshot != nil {
 			ctx.Snapshot(SnapshotInput, prog)
@@ -195,10 +191,8 @@ func (m *Manager) Run(prog *il.Program, ctx *Context) (*Report, error) {
 		if ctx.Snapshot != nil {
 			ctx.Snapshot(p.Name(), prog)
 		}
-		if ctx.Verify {
-			if err := Verify(prog, vectorSeen); err != nil {
-				return rep, fmt.Errorf("pass %s: IL invalid after pass: %w", p.Name(), err)
-			}
+		if err := Verify(prog, vectorSeen); err != nil {
+			return rep, fmt.Errorf("pass %s: IL invalid after pass: %w", p.Name(), err)
 		}
 	}
 	rep.Analysis = ctx.Analysis.Stats()

@@ -29,7 +29,7 @@ func BuildPipeline(opts Options) []Pass {
 	dopts := depend.Options{NoAlias: opts.NoAlias}
 	var ps []Pass
 	if opts.Inline {
-		ps = append(ps, &inlinePass{opts: opts})
+		ps = append(ps, &inlinePass{catalogs: opts.Catalogs})
 	}
 	if opts.OptLevel >= 1 {
 		ps = append(ps, &scalarPass{name: PassScalar, opts: scalarOptions(opts)})
@@ -59,11 +59,7 @@ func BuildPipeline(opts Options) []Pass {
 	}
 	if opts.StrengthReduce && opts.OptLevel >= 1 {
 		ps = append(ps,
-			&strengthPass{cfg: strength.Config{
-				Depend:      dopts,
-				NoPromotion: opts.NoStrengthPromotion,
-				NoReduction: opts.NoStrengthReduction,
-			}},
+			&strengthPass{cfg: strength.Config{Depend: dopts}},
 			// Strength reduction introduces preheader temporaries; one
 			// more scalar round tidies them.
 			&scalarPass{name: PassCleanup, opts: opt.Options{IVSub: false}},
@@ -77,9 +73,8 @@ func BuildPipeline(opts Options) []Pass {
 // off when vectorization or strength reduction consumes it).
 func scalarOptions(opts Options) opt.Options {
 	return opt.Options{
-		IVSub:       !opts.DisableIVSub && (opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub),
-		SimpleIVSub: opts.SimpleIVSub,
-		NoCopyProp:  opts.NoCopyProp,
+		IVSub:           opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub,
+		Straightforward: opts.Straightforward,
 	}
 }
 
@@ -88,18 +83,14 @@ func scalarOptions(opts Options) opt.Options {
 // inlinePass expands calls, whole-program (the inliner rewrites callers
 // from shared callee bodies and merges catalog globals, so it stays
 // serial).
-type inlinePass struct{ opts Options }
+type inlinePass struct{ catalogs []*inline.Catalog }
 
 func (*inlinePass) Name() string { return PassInline }
 
 func (ip *inlinePass) Run(prog *il.Program, ctx *Context) error {
-	cfg := inline.DefaultConfig()
-	if ip.opts.InlineConfig != nil {
-		cfg = *ip.opts.InlineConfig
-	}
-	in := inline.New(prog, cfg)
+	in := inline.New(prog)
 	in.Diags = ctx.Diags
-	for _, c := range ip.opts.Catalogs {
+	for _, c := range ip.catalogs {
 		in.AddCatalog(c)
 	}
 	ctx.Report.Inline.Add(inline.Stats{CallsExpanded: in.ExpandProgram()})

@@ -82,7 +82,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading request body: %w", err))
 		return
@@ -96,9 +96,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, errors.New("sources must not be empty"))
 		return
 	}
-	if len(breq.Sources) > s.cfg.MaxBatchUnits {
+	if len(breq.Sources) > maxBatchUnits {
 		httpError(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d units; the limit is %d", len(breq.Sources), s.cfg.MaxBatchUnits))
+			fmt.Errorf("batch has %d units; the limit is %d", len(breq.Sources), maxBatchUnits))
 		return
 	}
 	// A batch is N compiles and is charged as N: fairness cannot be

@@ -98,11 +98,14 @@ func TestBatchUnitErrorIsIsolated(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatchUnits: 2})
+	_, ts := newTestServer(t, Config{})
 	if _, code := postBatch(t, ts, BatchRequest{}, ""); code != http.StatusBadRequest {
 		t.Errorf("empty batch: %d", code)
 	}
-	srcs := []string{"int main(void){return 0;}", "int main(void){return 1;}", "int main(void){return 2;}"}
+	srcs := make([]string, maxBatchUnits+1)
+	for i := range srcs {
+		srcs[i] = fmt.Sprintf("int main(void){return %d;}", i)
+	}
 	if _, code := postBatch(t, ts, BatchRequest{Sources: srcs}, ""); code != http.StatusBadRequest {
 		t.Errorf("oversize batch: %d", code)
 	}

@@ -111,7 +111,7 @@ type CatalogListResponse struct {
 func (s *Server) handleCatalogs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading catalog body: %w", err))
 			return

@@ -171,7 +171,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading request body: %w", err))
 		return

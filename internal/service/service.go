@@ -54,6 +54,14 @@ import (
 	"repro/internal/tune"
 )
 
+// Bounds on what one request may carry: a request body (a source, a
+// batch, a catalog or an artifact) and the translation units of one POST
+// /compile/batch.
+const (
+	maxBodyBytes  = 8 << 20
+	maxBatchUnits = 256
+)
+
 // Config sizes the daemon. The zero value is usable: every field has a
 // production default.
 type Config struct {
@@ -72,11 +80,6 @@ type Config struct {
 	// CacheDir, when set, adds a disk tier under this directory so a
 	// restarted daemon stays warm.
 	CacheDir string
-	// MaxBodyBytes bounds request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// MaxBatchUnits bounds the translation units in one POST
-	// /compile/batch (default 256).
-	MaxBatchUnits int
 	// Cluster, when non-nil, joins this node to a peer ring: every key
 	// the store holds gains a cluster-wide owner, and a local miss
 	// consults the peer tier before recomputing. The caller
@@ -102,12 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = 64 << 20
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.MaxBatchUnits <= 0 {
-		c.MaxBatchUnits = 256
 	}
 	if c.RatePerSec > 0 && c.RateBurst <= 0 {
 		c.RateBurst = int(2 * c.RatePerSec)

@@ -216,6 +216,9 @@ func TestCompileErrors(t *testing.T) {
 	if m.Compiles.Errors != 2 {
 		t.Errorf("errors counter: %+v", m.Compiles)
 	}
+	if _, code := postCompile(t, ts, CompileRequest{Source: strings.Repeat(" ", maxBodyBytes)}); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d", code)
+	}
 }
 
 func TestCatalogUploadListCompile(t *testing.T) {

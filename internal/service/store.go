@@ -192,7 +192,7 @@ func (s *Server) handleGet(k *kind) http.HandlerFunc {
 func (s *Server) handlePut(k *kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		key := r.PathValue("key")
-		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		if err != nil {
 			httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("reading body: %w", err))
 			return

@@ -54,11 +54,6 @@ func (s *Stats) Add(o Stats) {
 // Config controls the pass.
 type Config struct {
 	Depend depend.Options
-	// NoPromotion disables register promotion (ablations).
-	NoPromotion bool
-	// NoReduction disables address strength reduction (ablation A1: leave
-	// the multiplications ivsub introduced in place).
-	NoReduction bool
 	// Analysis, when non-nil, memoizes per-loop dependence graphs across
 	// this pass and the vector/parallel consumers of the same loops.
 	Analysis *analysis.Cache
@@ -124,17 +119,13 @@ func eligible(loop *il.DoLoop) bool {
 func transformLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) (pre, post []il.Stmt) {
 	base := *st // snapshot so the remark reports this loop's counts only
 	changed := false
-	if !cfg.NoPromotion {
-		if stmts, ok := promote(p, loop, cfg, st); ok {
-			pre = append(pre, stmts...)
-			changed = true
-		}
+	if stmts, ok := promote(p, loop, cfg, st); ok {
+		pre = append(pre, stmts...)
+		changed = true
 	}
-	if !cfg.NoReduction {
-		if stmts, ok := reduce(p, loop, cfg, st); ok {
-			pre = append(pre, stmts...)
-			changed = true
-		}
+	if stmts, ok := reduce(p, loop, cfg, st); ok {
+		pre = append(pre, stmts...)
+		changed = true
 	}
 	if stmts, ok := hoist(p, loop, st); ok {
 		pre = append(pre, stmts...)

@@ -83,12 +83,8 @@ func TestBacksolvePromotion(t *testing.T) {
 	}
 }
 
-func TestBacksolveNoIntegerMultiplies(t *testing.T) {
-	// §6: "strength reduction is able to eliminate all the integer
-	// multiplications within the loop".
-	p := compileOpt(t, backsolveSrc, "backsolve")
-	OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
-	loop := firstLoop(p)
+// intMuls counts the integer multiplications in loop's statements.
+func intMuls(loop *il.DoLoop) int {
 	muls := 0
 	il.WalkStmts(loop.Body, func(s il.Stmt) bool {
 		if as, ok := s.(*il.Assign); ok {
@@ -107,7 +103,18 @@ func TestBacksolveNoIntegerMultiplies(t *testing.T) {
 		}
 		return true
 	})
-	if muls != 0 {
+	return muls
+}
+
+func TestBacksolveNoIntegerMultiplies(t *testing.T) {
+	// §6: "strength reduction is able to eliminate all the integer
+	// multiplications within the loop". ivsub puts them there (A1).
+	p := compileOpt(t, backsolveSrc, "backsolve")
+	if intMuls(firstLoop(p)) == 0 {
+		t.Fatalf("ivsub left no integer multiplies for strength reduction to remove:\n%s", p)
+	}
+	OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
+	if muls := intMuls(firstLoop(p)); muls != 0 {
 		t.Errorf("integer multiplies left: %d\n%s", muls, p)
 	}
 }
@@ -129,35 +136,6 @@ func TestBacksolvePaperShape(t *testing.T) {
 	last := loop.Body[len(loop.Body)-1].(*il.Assign)
 	if b, ok := last.Src.(*il.Bin); !ok || b.Op != il.OpAdd {
 		t.Errorf("no trailing bump:\n%s", out)
-	}
-}
-
-func TestAblationNoReductionKeepsMultiplies(t *testing.T) {
-	// A1: without strength reduction the ivsub-introduced multiplications
-	// stay in the loop.
-	p := compileOpt(t, backsolveSrc, "backsolve")
-	OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}, NoReduction: true, NoPromotion: true})
-	loop := firstLoop(p)
-	muls := 0
-	il.WalkStmts(loop.Body, func(s il.Stmt) bool {
-		if as, ok := s.(*il.Assign); ok {
-			count := func(e il.Expr) {
-				il.WalkExpr(e, func(x il.Expr) bool {
-					if b, isBin := x.(*il.Bin); isBin && b.Op == il.OpMul && b.T.IsInteger() {
-						muls++
-					}
-					return true
-				})
-			}
-			if l, isStore := as.Dst.(*il.Load); isStore {
-				count(l.Addr)
-			}
-			count(as.Src)
-		}
-		return true
-	})
-	if muls == 0 {
-		t.Errorf("expected leftover multiplies:\n%s", p)
 	}
 }
 

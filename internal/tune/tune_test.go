@@ -139,8 +139,8 @@ func TestTuneMaskStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recompile with tuned set: %v", err)
 	}
-	if cres.VectorStats.MaskedStmts < 1 {
-		t.Errorf("tuned compile lost masked execution: %+v", cres.VectorStats)
+	if cres.Report.Vector.MaskedStmts < 1 {
+		t.Errorf("tuned compile lost masked execution: %+v", cres.Report.Vector)
 	}
 	r, err := titan.NewMachine(cres.Machine, 1).Run("main")
 	if err != nil {

@@ -19,16 +19,10 @@ import (
 	"repro/internal/schedule"
 )
 
-// DefaultVL is the strip length. The Titan's vector register file holds
-// 8192 words; the compiler uses 32-element strips so four strips of eight
-// vector temporaries fit comfortably (and matching the paper's §9 output).
-// The schedule layer owns the constant; this alias keeps old call sites.
-const DefaultVL = schedule.DefaultVL
-
 // Config controls vectorization.
 type Config struct {
 	// VL overrides the default strip length for loops without an explicit
-	// schedule (DefaultVL when zero).
+	// schedule (schedule.DefaultVL when zero).
 	VL int
 	// Parallel enables emitting do-parallel strip loops when legal.
 	Parallel bool

@@ -42,8 +42,8 @@ func TestMaskedWorkloadsVectorize(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.VectorStats.MaskedStmts < 1 {
-				t.Errorf("no masked vector statements: %+v", res.VectorStats)
+			if res.Report.Vector.MaskedStmts < 1 {
+				t.Errorf("no masked vector statements: %+v", res.Report.Vector)
 			}
 			if res.Report.IfConv.IfsConverted < 1 {
 				t.Errorf("no conditionals if-converted: %+v", res.Report.IfConv)
