@@ -310,56 +310,3 @@ int main(void) { return run(%d, %d, %d, %d); }
 		}
 	}
 }
-
-// TestDifferentialArrayLoops exercises the loop pipeline with random
-// affine array updates, checking final array contents element by element.
-func TestDifferentialArrayLoops(t *testing.T) {
-	n := 60
-	if testing.Short() {
-		n = 15
-	}
-	for seed := 0; seed < n; seed++ {
-		r := rand.New(rand.NewSource(int64(5000 + seed)))
-		size := 64
-		stride := 1 + r.Intn(3)
-		offset := r.Intn(4)
-		scale := 1 + r.Intn(5)
-		add := r.Intn(9) - 4
-		limit := (size - offset) / stride
-		if limit > size {
-			limit = size
-		}
-		src := fmt.Sprintf(`
-int a[%d];
-int main(void) {
-	int i, acc;
-	for (i = 0; i < %d; i++)
-		a[%d*i+%d] = %d*i + %d;
-	acc = 0;
-	for (i = 0; i < %d; i++)
-		acc = acc + a[i];
-	return acc & 0xffff;
-}
-`, size, limit, stride, offset, scale, add, size)
-		// Reference.
-		ref := make([]int64, size)
-		for i := 0; i < limit; i++ {
-			ref[stride*i+offset] = int64(scale*i + add)
-		}
-		var want int64
-		for _, v := range ref {
-			want += v
-		}
-		want &= 0xffff
-		for _, cfg := range []Options{{OptLevel: 0}, ScalarOptions(), FullOptions()} {
-			res, err := Run(src, cfg, 1+seed%4)
-			if err != nil {
-				t.Fatalf("seed %d: %v\nprogram:\n%s", seed, err, src)
-			}
-			if res.ExitCode != want {
-				t.Fatalf("seed %d cfg %+v: got %d want %d\nprogram:\n%s",
-					seed, cfg, res.ExitCode, want, src)
-			}
-		}
-	}
-}

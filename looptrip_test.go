@@ -22,43 +22,55 @@ import (
 )
 
 // tripKernelLine is the source line of the loop under test in
-// tripProgram's output.
-const tripKernelLine = 13
+// loopProgram's output.
+const tripKernelLine = 16
 
 // tripProgram is one loop of trip iterations by step over a[] and c[]
-// with body, whose bounds are constants or, unfolded, read from globals;
-// main returns a checksum of a[] and c[], which any stray or missing
-// iteration moves.
+// with body.
 func tripProgram(body string, step, trip int, folded bool) string {
-	first, past := 8, 8+trip*step
+	first := 8
+	if step < 0 {
+		first = 56
+	}
+	return loopProgram(96, body, step, first, first+trip*step, folded)
+}
+
+// loopProgram is main running body in one loop from first to past by
+// step over the globals a[], b[] and c[] of size elements, the scalar x
+// and the array t[2], with bounds that are constants or, unfolded, read
+// from globals; main returns a checksum of x, t[], a[] and c[], which any
+// stray or missing iteration moves.
+func loopProgram(size int, body string, step, first, past int, folded bool) string {
 	cond := "i < hi"
 	if step < 0 {
-		first, past = 56, 56+trip*step
 		cond = "i > hi"
 	}
 	bounds := fmt.Sprintf("lo = %d;\n\thi = %d;", first, past)
 	if !folded {
 		bounds = "lo = bounds[0];\n\thi = bounds[1];"
 	}
-	return fmt.Sprintf(`int a[96], b[96], c[96];
-int bounds[2] = {%d, %d};
+	return fmt.Sprintf(`int a[%[1]d], b[%[1]d], c[%[1]d];
+int bounds[2] = {%[2]d, %[3]d};
 
 int main(void)
 {
-	int i, k, lo, hi, chk;
-	for (k = 0; k < 96; k++) {
+	int i, k, lo, hi, chk, x, t[2];
+	for (k = 0; k < %[1]d; k++) {
 		a[k] = k;
 		b[k] = 3 * k + 1;
 	}
-	%s
-	for (i = lo; %s; i += %d)
-		%s;
-	chk = 0;
-	for (k = 0; k < 96; k++)
+	x = bounds[0];
+	t[0] = 5;
+	t[1] = 9;
+	%[4]s
+	for (i = lo; %[5]s; i += %[6]d)
+		%[7]s;
+	chk = (x * 7 + t[0] * 3 + t[1]) %% 65521;
+	for (k = 0; k < %[1]d; k++)
 		chk = (chk * 31 + a[k] + c[k]) %% 65521;
 	return chk;
 }
-`, first, past, bounds, cond, step, body)
+`, size, first, past, bounds, cond, step, body)
 }
 
 // tripKinds is every loop shape codegen emits, an unrolled loop's main
