@@ -2,10 +2,12 @@ package inline
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/depend"
+	"repro/internal/diag"
 	"repro/internal/il"
 	"repro/internal/lower"
 	"repro/internal/opt"
@@ -39,7 +41,7 @@ int f(int a) { return twice(a) + 1; }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != 1 {
+	if n := in.ExpandProgram(); n != 1 {
 		t.Fatalf("expanded %d\n%s", n, fp)
 	}
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
@@ -64,7 +66,7 @@ void f(void) { bump(); bump(); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != 2 {
+	if n := in.ExpandProgram(); n != 2 {
 		t.Fatalf("expanded %d\n%s", n, fp)
 	}
 	// Two increments of the global remain.
@@ -88,9 +90,8 @@ int f(void) { return fact(5); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp)
-	// fact is expanded once into f, but the recursive call inside must
-	// survive (no infinite expansion).
+	in.ExpandProgram()
+	// fact is recursive, so f keeps its call.
 	calls := 0
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
 		if c, ok := s.(*il.Call); ok && c.Callee == "fact" {
@@ -113,7 +114,7 @@ int f(int x) { return even(x); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp) // must terminate
+	in.ExpandProgram() // must terminate
 	if il.CountStmts(fp.Body) > 2000 {
 		t.Errorf("expansion blew up: %d stmts", il.CountStmts(fp.Body))
 	}
@@ -129,7 +130,7 @@ int f(int a) { return quad(a); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp)
+	in.ExpandProgram()
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
 		if _, ok := s.(*il.Call); ok {
 			t.Errorf("call survived nested expansion:\n%s", fp)
@@ -161,7 +162,7 @@ void caller(float *x, float y, float z)
 	prog := compile(t, src)
 	in := New(prog)
 	cp := prog.Proc("caller")
-	if n := in.expandProc(cp); n != 1 {
+	if n := in.ExpandProgram(); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
@@ -200,7 +201,7 @@ int main()
 	prog := compile(t, src)
 	in := New(prog)
 	mp := prog.Proc("main")
-	if n := in.expandProc(mp); n != 1 {
+	if n := in.ExpandProgram(); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
@@ -272,7 +273,7 @@ int f(void) { return counter(); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp)
+	in.ExpandProgram()
 	// The inlined body must reference the exported static, not a fresh
 	// local.
 	found := false
@@ -296,8 +297,7 @@ void f(void) { printf("hi"); }
 `
 	prog := compile(t, src)
 	in := New(prog)
-	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != 0 {
+	if n := in.ExpandProgram(); n != 0 {
 		t.Fatalf("inlined a variadic: %d", n)
 	}
 }
@@ -311,8 +311,7 @@ func TestSizeLimit(t *testing.T) {
 	sb.WriteString("return x; }\nint f(int a) { return big(a); }\n")
 	prog := compile(t, sb.String())
 	in := New(prog)
-	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != 0 {
+	if n := in.ExpandProgram(); n != 0 {
 		t.Fatalf("inlined oversized callee: %d", n)
 	}
 }
@@ -329,7 +328,7 @@ int f(int a) { return sign(a); }
 	prog := compile(t, src)
 	in := New(prog)
 	fp := prog.Proc("f")
-	in.expandProc(fp)
+	in.ExpandProgram()
 	// No Return nodes from the callee (only f's own return).
 	returns := 0
 	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
@@ -404,7 +403,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	prog1 := compile(t, combined)
 	in1 := New(prog1)
 	f1 := prog1.Proc("f")
-	in1.expandProc(f1)
+	in1.ExpandProgram()
 	opt.Optimize(f1, opt.DefaultOptions(), nil, nil)
 
 	// Route 2: catalog.
@@ -421,7 +420,7 @@ float f(float p, float q) { return axpy1(2.0f, p, q); }
 	in2 := New(prog2)
 	in2.AddCatalog(cat)
 	f2 := prog2.Proc("f")
-	if n := in2.expandProc(f2); n != 1 {
+	if n := in2.ExpandProgram(); n != 1 {
 		t.Fatalf("catalog expansion: %d", n)
 	}
 	opt.Optimize(f2, opt.DefaultOptions(), nil, nil)
@@ -473,7 +472,7 @@ void clearall(int n)
 	prog := compile(t, src)
 	in := New(prog)
 	cp := prog.Proc("clearall")
-	if n := in.expandProc(cp); n != 1 {
+	if n := in.ExpandProgram(); n != 1 {
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
@@ -524,29 +523,48 @@ void kernel(void) {
 	}
 }
 
-func TestInlineDepthLimit(t *testing.T) {
-	// A straight call chain expands completely in one round (expandCall
-	// expands the calls inside each clone), so the round bound bites on
-	// recursion: each round inlines one more level of r into f, and after
-	// maxDepth rounds the innermost call survives as a call.
+func TestRecursiveCalleeNeverExpands(t *testing.T) {
+	// §7's recursion guard: a procedure on a call cycle is expanded into
+	// no one, not its own body and not the callers outside the cycle.
+	// Each call site gets one inline-recursive remark.
 	src := `
+int fact(int n) { if (n <= 1) return 1; return n * fact(n - 1); }
 int r(int x) { if (x <= 0) return 0; return r(x - 1) + 1; }
-int f(int x) { return r(x); }
+int f(int x)
+{
+	int a;
+	a = fact(x);
+	return a + r(x);
+}
 `
 	prog := compile(t, src)
 	in := New(prog)
-	fp := prog.Proc("f")
-	if n := in.expandProc(fp); n != maxDepth {
-		t.Errorf("expanded %d calls, want one per round: %d", n, maxDepth)
+	in.Diags = &diag.Reporter{}
+	if n := in.ExpandProgram(); n != 0 {
+		t.Errorf("expanded %d calls, want none", n)
 	}
-	calls := 0
-	il.WalkStmts(fp.Body, func(s il.Stmt) bool {
-		if _, ok := s.(*il.Call); ok {
-			calls++
+	sites := map[string]int{}
+	for _, p := range prog.Procs {
+		il.WalkStmts(p.Body, func(s il.Stmt) bool {
+			if c, ok := s.(*il.Call); ok {
+				sites[fmt.Sprintf("%s %s", p.Name, c.Pos)]++
+			}
+			return true
+		})
+	}
+	if len(sites) != 4 {
+		t.Errorf("call sites %v, want fact and r in themselves and in f", sites)
+	}
+	for _, d := range in.Diags.All() {
+		if d.Code != diag.InlineRecursive {
+			t.Errorf("unexpected remark %s", d)
+			continue
 		}
-		return true
-	})
-	if calls != 1 {
-		t.Errorf("%d calls left after the depth bound, want 1:\n%s", calls, fp)
+		sites[fmt.Sprintf("%s %s", d.Proc, d.Pos)]--
+	}
+	for site, n := range sites {
+		if n != 0 {
+			t.Errorf("%s: %d calls left unmatched by inline-recursive remarks, want one remark per call", site, n)
+		}
 	}
 }
