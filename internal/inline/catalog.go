@@ -175,21 +175,15 @@ func (e *encoder) u64(v uint64) {
 	_, e.err = e.w.Write(buf[:n])
 }
 
-func (e *encoder) i64(v int64) {
-	if e.err != nil {
-		return
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, e.err = e.w.Write(buf[:n])
-}
+// i64 writes v zigzag-encoded, as binary.PutVarint does.
+func (e *encoder) i64(v int64) { e.u64(uint64(v<<1) ^ uint64(v>>63)) }
 
 func (e *encoder) f64(v float64) {
 	if e.err != nil {
 		return
 	}
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], mathFloat64bits(v))
+	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 	_, e.err = e.w.Write(buf[:])
 }
 
@@ -490,14 +484,8 @@ func (d *decoder) u64() uint64 {
 }
 
 func (d *decoder) i64() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(d.r)
-	if err != nil {
-		d.err = err
-	}
-	return v
+	u := d.u64()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
 func (d *decoder) f64() float64 {
@@ -509,33 +497,21 @@ func (d *decoder) f64() float64 {
 		d.err = err
 		return 0
 	}
-	return mathFloat64frombits(binary.LittleEndian.Uint64(buf[:]))
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))
 }
 
-func (d *decoder) str() string {
-	n := d.u64()
-	if d.err != nil || n == 0 {
-		return ""
-	}
-	if n > 1<<20 {
-		d.err = fmt.Errorf("catalog: string too long (%d)", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		d.err = err
-		return ""
-	}
-	return string(buf)
-}
+func (d *decoder) str() string { return string(d.data(1<<20, "string")) }
 
-func (d *decoder) bytes() []byte {
+func (d *decoder) bytes() []byte { return d.data(1<<24, "data") }
+
+// data reads a length-prefixed run of at most limit bytes.
+func (d *decoder) data(limit uint64, what string) []byte {
 	n := d.u64()
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	if n > 1<<24 {
-		d.err = fmt.Errorf("catalog: data too long (%d)", n)
+	if n > limit {
+		d.err = fmt.Errorf("catalog: %s too long (%d)", what, n)
 		return nil
 	}
 	buf := make([]byte, n)
@@ -863,6 +839,3 @@ func (d *decoder) expr() il.Expr {
 		return &il.ConstInt{T: ctype.IntType}
 	}
 }
-
-func mathFloat64bits(f float64) uint64     { return math.Float64bits(f) }
-func mathFloat64frombits(b uint64) float64 { return math.Float64frombits(b) }
