@@ -85,16 +85,11 @@ func TestCacheKeyIrrelevantFieldsCollapse(t *testing.T) {
 	}
 }
 
-// TestCacheKeySemanticFlagsDiffer flips every field of Options, found by
-// reflection, from FullOptions and from plain -O1, and requires each flip
-// to change the key at one base at least. Two compiles that differ only
-// in an unkeyed field would share a titand cache entry, so a field added
-// to Options fails here until canonicalOptions keys it, or until inert
-// lists it with the reason it cannot change a compile at either base.
-func TestCacheKeySemanticFlagsDiffer(t *testing.T) {
-	inert := map[string]string{}
+// flipper returns a function that changes one field of an Options value:
+// a bool negated, an int zeroed or set to 8, no catalogs one.
+func flipper(t *testing.T) func(f reflect.Value) bool {
 	cat := testCatalog(t, "int addone(int x) { return x + 1; }")
-	flip := func(f reflect.Value) bool {
+	return func(f reflect.Value) bool {
 		switch {
 		case f.Kind() == reflect.Bool:
 			f.SetBool(!f.Bool())
@@ -109,6 +104,105 @@ func TestCacheKeySemanticFlagsDiffer(t *testing.T) {
 		}
 		return true
 	}
+}
+
+// pinnedKeyBases are the options TestCacheKeysPinned flips each field of.
+var pinnedKeyBases = []struct {
+	name string
+	opts Options
+}{{"O0", Options{}}, {"O1", Options{OptLevel: 1}}, {"scalar", ScalarOptions()}, {"full", FullOptions()}}
+
+// pinnedKeys are ckSrc's keys at each base and with each field of it
+// flipped. A change to how the driver or the cache key derives the
+// pipeline must leave them alone: titand's disk tier outlives a build.
+var pinnedKeys = map[string]string{
+	"O0":                     "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/Catalogs":            "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/ForceIVSub":          "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/Inline":              "00e00da88906a34509557224495a39af63dceacfc289648ab37d137ae848a399",
+	"O0/ListParallel":        "9293e979d80a9f3fa319a12f76a0f1b9b16009a6be997b7d0cf1adffbee51300",
+	"O0/NoAlias":             "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/NoSchedule":          "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/OptLevel":            "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O0/Parallelize":         "9957ccebfb5f684f7df132b71721954ff942530f9e507fe61ae7a94e19578312",
+	"O0/Straightforward":     "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/StrengthReduce":      "bde5773a97c7f8785310665264433e7b968ecdf0ad5ebcf827ca4927d3a913ad",
+	"O0/VL":                  "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O0/Vectorize":           "3045f2e42db15a04cd09a301ec459ab5889d0de8ef8878bd4e09265a085d3929",
+	"O1":                     "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O1/Catalogs":            "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O1/ForceIVSub":          "a602960bde262ba55e04773076347288e5d71c3c1429360056506415cebb2018",
+	"O1/Inline":              "60cc97342c4cedb9c63149585b2c639e8a3e0e0c805cff1a0038afe5911aa74e",
+	"O1/ListParallel":        "1e5b08324bfe9057a331aa79ab5affff480687a57972753aacf17bc6002cf2b9",
+	"O1/NoAlias":             "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O1/NoSchedule":          "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O1/OptLevel":            "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
+	"O1/Parallelize":         "5b26945d1406360888dd69dfd560fa00c56a5f7767b0b0dea8f5ab81de078578",
+	"O1/Straightforward":     "6f1b79235768a2e035e14d587d1be0c3cc3f23ffd0453e54aa1e3cb129423e68",
+	"O1/StrengthReduce":      "39927365ad57a2ede3f07aa0335640ee31f12de457f212a2a802c4c837466c32",
+	"O1/VL":                  "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"O1/Vectorize":           "2b97761d890787da8ec9b84e3d6f62c91e2e48f14f5256eb29b5a4a12d2e715e",
+	"full":                   "42a2e4566e53cd6354a667b793f4864a33591e5437ccdadb6c8b1fa326147d9d",
+	"full/Catalogs":          "66bb10501ec1abf6e3e409976c2a1430c7cfa665f37ea17d6fac6ee579f9f4fd",
+	"full/ForceIVSub":        "42a2e4566e53cd6354a667b793f4864a33591e5437ccdadb6c8b1fa326147d9d",
+	"full/Inline":            "cd78c0dfee48e86d96c45afe1750efb6afc0914b24ad2ce597d42b68a1b95fde",
+	"full/ListParallel":      "102c12defb822dc49326361d1b29293021fc9932f74ecfe5a62a9163f007d8b7",
+	"full/NoAlias":           "e9a9bc95024fe2e6576bf4d07c826ed9ba8414d2a3731cb3efdee876383f3e80",
+	"full/NoSchedule":        "386d0dd9b7f140fcd8303e854345a2269d5c6a57993f515c0c168db5f734ccea",
+	"full/OptLevel":          "ccc2df0a79a8fd9868ddb0772325972b7f200d3e5ffadd5d38cd208822071c43",
+	"full/Parallelize":       "d6b57f24f65cee714044aee514ca1b452d7d9d103c1453ed1c4eb404d84d3e7a",
+	"full/Straightforward":   "d84313b007d179ff9d06e3c33fe515b4fc0d732756f1fe213b7b19f350edcc25",
+	"full/StrengthReduce":    "3402a6aea383537677fcd5488dfb46396e484ad910ee8ac929b57d734f4db6b2",
+	"full/VL":                "be03f370e30f294b746c899729a9c967d556ef1ddebdc74b235706a1f902b0ce",
+	"full/Vectorize":         "86d9073a678cfd3b9455f65869a1ba3693dae459944a471de18157ea3f1b0b24",
+	"scalar":                 "39927365ad57a2ede3f07aa0335640ee31f12de457f212a2a802c4c837466c32",
+	"scalar/Catalogs":        "39927365ad57a2ede3f07aa0335640ee31f12de457f212a2a802c4c837466c32",
+	"scalar/ForceIVSub":      "39927365ad57a2ede3f07aa0335640ee31f12de457f212a2a802c4c837466c32",
+	"scalar/Inline":          "8f13dd2b648643c0b5e9985e975df28b419edecc0c4586f03d509bec7c1f90d1",
+	"scalar/ListParallel":    "017b35e79c354070daecaa0ab83fa0941d829d13dcdd827b816c4adff247c27e",
+	"scalar/NoAlias":         "272944efce6d7c47b75417c5ff944fa971379052ee7f613875ca478a31990eb2",
+	"scalar/NoSchedule":      "092d397963bbd16e3656a6a135a7121dca54b0de2751127dffbfbd5f7cc306f9",
+	"scalar/OptLevel":        "bde5773a97c7f8785310665264433e7b968ecdf0ad5ebcf827ca4927d3a913ad",
+	"scalar/Parallelize":     "c324f049abc172e78f0ce3cc48cda5a6d634c9c49e7cbe8c48acacbee8bc7e2c",
+	"scalar/Straightforward": "fb5e9f6f037d860b19f8b99c9475762c3d024e2ce52bda33ad735fe795915462",
+	"scalar/StrengthReduce":  "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
+	"scalar/VL":              "39927365ad57a2ede3f07aa0335640ee31f12de457f212a2a802c4c837466c32",
+	"scalar/Vectorize":       "4ec71d3cebb0a277b8e31bbfdf8e2ef3ffe444422e3e776390d0f77c5f3fbb23",
+}
+
+func TestCacheKeysPinned(t *testing.T) {
+	flip := flipper(t)
+	got := map[string]string{}
+	fields := reflect.TypeOf(Options{})
+	for _, b := range pinnedKeyBases {
+		got[b.name] = key(t, ckSrc, b.opts)
+		for i := 0; i < fields.NumField(); i++ {
+			o := b.opts
+			if !flip(reflect.ValueOf(&o).Elem().Field(i)) {
+				t.Fatalf("%s: no flip for type %s", fields.Field(i).Name, fields.Field(i).Type)
+			}
+			got[b.name+"/"+fields.Field(i).Name] = key(t, ckSrc, o)
+		}
+	}
+	for name, k := range got {
+		if pinnedKeys[name] != k {
+			t.Errorf("%s: key %s, pinned %q", name, k, pinnedKeys[name])
+		}
+	}
+	if len(got) != len(pinnedKeys) {
+		t.Errorf("%d keys, %d pinned", len(got), len(pinnedKeys))
+	}
+}
+
+// TestCacheKeySemanticFlagsDiffer flips every field of Options, found by
+// reflection, from FullOptions and from plain -O1, and requires each flip
+// to change the key at one base at least. Two compiles that differ only
+// in an unkeyed field would share a titand cache entry, so a field added
+// to Options fails here until canonicalOptions keys it, or until inert
+// lists it with the reason it cannot change a compile at either base.
+func TestCacheKeySemanticFlagsDiffer(t *testing.T) {
+	inert := map[string]string{}
+	flip := flipper(t)
 	bases := []Options{FullOptions(), {OptLevel: 1}}
 	// flipped[b] maps each key a flip at base b produced to the field.
 	flipped := make([]map[string]string, len(bases))
