@@ -74,9 +74,7 @@ func canonicalOptions(opts Options) (string, error) {
 	}
 
 	if optimize {
-		// The derivation the pass manager applies (pass.scalarOptions).
-		ivsub := opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub
-		fmt.Fprintf(&sb, "scalar.ivsub=%t\nscalar.straightforward=%t\n", ivsub, opts.Straightforward)
+		fmt.Fprintf(&sb, "scalar.ivsub=%t\nscalar.straightforward=%t\n", opts.IVSub(), opts.Straightforward)
 	}
 
 	fmt.Fprintf(&sb, "parallelize=%t\n", opts.Parallelize)
@@ -93,9 +91,7 @@ func canonicalOptions(opts Options) (string, error) {
 		fmt.Fprintf(&sb, "noalias=%t\n", opts.NoAlias)
 	}
 	fmt.Fprintf(&sb, "strength=%t\n", strengthOn)
-	// Codegen's rule: schedule whenever a dependence-driven phase was
-	// requested, unless ablated (driver.CompileWith).
-	fmt.Fprintf(&sb, "schedule=%t\n", (opts.StrengthReduce || opts.Vectorize) && !opts.NoSchedule)
+	fmt.Fprintf(&sb, "schedule=%t\n", opts.ListSchedule())
 	return sb.String(), nil
 }
 

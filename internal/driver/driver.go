@@ -123,7 +123,7 @@ func Generate(prog *il.Program, opts Options) (*titan.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (opts.StrengthReduce || opts.Vectorize) && !opts.NoSchedule {
+	if opts.ListSchedule() {
 		codegen.Schedule(tp)
 	}
 	return tp, nil

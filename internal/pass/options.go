@@ -51,3 +51,12 @@ type Options struct {
 	// rides along here so one Options value describes a whole compile.
 	NoSchedule bool
 }
+
+// IVSub reports whether the scalar phase substitutes induction variables:
+// only when vectorization or strength reduction consumes them (§6), or
+// when forced.
+func (o Options) IVSub() bool { return o.Vectorize || o.StrengthReduce || o.ForceIVSub }
+
+// ListSchedule reports whether codegen's list scheduler runs: whenever a
+// dependence-driven phase was requested, unless ablated (A5).
+func (o Options) ListSchedule() bool { return (o.StrengthReduce || o.Vectorize) && !o.NoSchedule }

@@ -69,13 +69,9 @@ func BuildPipeline(opts Options) []Pass {
 }
 
 // scalarOptions derives the scalar optimizer's configuration from the
-// compile options (the §6 rule: induction-variable substitution only pays
-// off when vectorization or strength reduction consumes it).
+// compile options.
 func scalarOptions(opts Options) opt.Options {
-	return opt.Options{
-		IVSub:           opts.Vectorize || opts.StrengthReduce || opts.ForceIVSub,
-		Straightforward: opts.Straightforward,
-	}
+	return opt.Options{IVSub: opts.IVSub(), Straightforward: opts.Straightforward}
 }
 
 // ------------------------------------------------------------- adapters
