@@ -13,7 +13,9 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/driver"
+	"repro/internal/pass"
 	"repro/internal/schedule"
+	"repro/internal/titan"
 	"repro/internal/tune"
 )
 
@@ -175,6 +177,38 @@ func TestDecisionsGolden(t *testing.T) {
 		}
 		if g.Measured != w.Measured {
 			t.Errorf("%s: measured %d candidates, golden %d", id, g.Measured, w.Measured)
+		}
+		wantLikeO0(t, id, units[i/2].Src, w.Processors, g.Schedules)
+	}
+}
+
+// wantLikeO0 holds a search's two ends, the default plan it measured
+// first and the plan it adopted, to what the unit does at -O0: exit code,
+// output and final globals. The search compares its candidates with the
+// default only; this makes the default answer to the unoptimized program.
+func wantLikeO0(t *testing.T, id, src string, procs int, tuned *schedule.Set) {
+	t.Helper()
+	want, err := driver.Run(src, driver.Options{}, 1)
+	if err != nil {
+		t.Fatalf("%s -O0: %v", id, err)
+	}
+	for _, end := range []struct {
+		name string
+		set  *schedule.Set
+	}{{"default plan", nil}, {"tuned plan", tuned}} {
+		ctx := pass.NewContext()
+		ctx.Schedules = end.set
+		res, err := driver.CompileWith(src, driver.FullOptions(), ctx)
+		if err != nil {
+			t.Fatalf("%s %s: %v", id, end.name, err)
+		}
+		got, err := titan.NewMachine(res.Machine, procs).Run("main")
+		if err != nil {
+			t.Fatalf("%s %s: %v", id, end.name, err)
+		}
+		if got.ExitCode != want.ExitCode || got.Output != want.Output || got.Globals != want.Globals {
+			t.Errorf("%s %s: exit %d output %q globals %x, -O0 gives exit %d output %q globals %x", id, end.name,
+				got.ExitCode, got.Output, got.Globals, want.ExitCode, want.Output, want.Globals)
 		}
 	}
 }
