@@ -256,13 +256,12 @@ func promote(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stmt, boo
 			}
 		}
 	}
-	if storeRef == nil {
-		return nil, false
-	}
-	// The store must be a top-level statement; the load must live in the
-	// same or a later statement each iteration... for the backsolve shape
-	// both are in the same statement.
-	if storeRef.StmtIdx >= len(loop.Body) {
+	// The store must be a top-level statement, and the load must come no
+	// later in the iteration: the register holds the value stored one
+	// iteration earlier only until this iteration's store overwrites it.
+	// In the backsolve shape both are in the same statement, whose source
+	// is read before it is stored.
+	if storeRef == nil || loadRef.StmtIdx > storeRef.StmtIdx || storeRef.StmtIdx >= len(loop.Body) {
 		return nil, false
 	}
 	storeStmt, ok := loop.Body[storeRef.StmtIdx].(*il.Assign)

@@ -1,12 +1,12 @@
 package repro
 
 // Small-scope exhaustive loops: every loop of a tiny grammar, compiled
-// scalar and fully optimized, must end where -O0 ends — exit code, output
-// and final globals — on both engines at 1, 3 and 4 processors, the
-// reference engine at p>1 in both region orders. Every wrong answer on
-// record was one loop of one to three statements; the independence of loop
-// steps over arrays (arXiv:0810.5575) is the property these loops
-// exercise.
+// scalar, fully optimized, parallelized without the vectorizer and
+// unrolled, must end where -O0 ends — exit code, output and final
+// globals — on both engines at 1, 3 and 4 processors, the reference
+// engine at p>1 in both region orders. Every wrong answer on record was
+// one loop of one to three statements; the independence of loop steps
+// over arrays (arXiv:0810.5575) is the property these loops exercise.
 //
 // The loop is `for (i = lo; i < N; i += s)` with s ∈ {1, 2, 4} and one
 // statement X = g, where
@@ -28,8 +28,28 @@ package repro
 //     value doubles per iteration and overflows int: a[f′] + a[f″] / 3.
 //
 // The loop runs N − lo = 35 trips (a strip and a remainder of 3, uneven
-// chunks at 3 and 4 processors) from constant or unfolded bounds, and the
-// single terms also run zero trips from unfolded bounds.
+// chunks at 3 and 4 processors) from constant or unfolded bounds; the
+// single terms also run zero trips from unfolded bounds and 3 trips from
+// constant ones (fewer than the unroll factor and the processors, so the
+// unrolled loop's main part provably never runs).
+//
+// Step 2 adds three shapes over the same subscripts f, each pruned the
+// same way — a is the one array written, the other end of a dependence
+// stands for its class, and no value doubles per iteration:
+//   - two statements: one writes a and one reads it, at i and f, in
+//     either order, the other end being c[i] or the scalar x, and a
+//     write of a followed by a write of a[f] from it (7 pairs, 5 at
+//     f = i, where two pairs coincide);
+//   - the statement under `if (b[i] > k)`, k the value of b at the middle
+//     of the loop, so the guard holds for about half the trips and every
+//     vector strip but the first is uniform: a[f] from 5, b[i] / 3, x or
+//     a at i, i − 1 or i + 1, and x from x + i or b[i];
+//   - the loop in kern(int *p, int *q, lo, hi) storing p[f] from q at i,
+//     i − 1 or i + 1, or from p itself, called with p and q on the same
+//     array, on two arrays and two elements apart either way; under
+//     #pragma safe only on two arrays, because the pragma is a promise.
+// The step-2 shapes run 35 trips from constant and unfolded bounds, and
+// the two-statement and guarded ones zero trips from unfolded bounds.
 
 import (
 	"flag"
@@ -42,6 +62,9 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/driver"
+	"repro/internal/pass"
+	"repro/internal/schedule"
+	"repro/internal/token"
 	"repro/internal/workpool"
 )
 
@@ -51,31 +74,104 @@ const (
 	enumFirst = 8
 	enumTrip  = 35
 	enumSize  = 2 * (enumFirst + enumTrip*4)
+	// enumShort is the short trip count: fewer than the unroll factor.
+	enumShort = 3
 	// enumStride is the tier-1 sample: every enumStride-th loop.
-	enumStride = 13
+	enumStride = 29
+	// kernLine is the source line of kern's loop in kernProgram's output.
+	kernLine = 8
 )
 
 // enumLoop is one enumerated loop: step, trips, constant or unfolded
-// bounds, and the statement X = g.
+// bounds, and the statement X = g, which may stand under a guard, be
+// followed by a second statement, or be kern's loop over pointers.
 type enumLoop struct {
 	step, trip int
 	folded     bool
 	dst        string
 	terms      []string
+	guard      string
+	then       string
+	call       *enumCall
 }
 
-func (l enumLoop) stmt() string { return l.dst + " = " + strings.Join(l.terms, " + ") }
+// enumCall is how main calls kern: the actuals of p and q, and whether
+// kern's loop is under #pragma safe.
+type enumCall struct {
+	p, q string
+	safe bool
+}
+
+func (l enumLoop) stmt() string {
+	s := l.dst + " = " + strings.Join(l.terms, " + ")
+	if l.guard != "" {
+		s = "if (" + l.guard + ") " + s
+	}
+	if l.then != "" {
+		s = "{ " + s + "; " + l.then + "; }"
+	}
+	return s
+}
 
 func (l enumLoop) String() string {
 	bounds := "unfolded"
 	if l.folded {
 		bounds = "folded"
 	}
+	if c := l.call; c != nil {
+		bounds += fmt.Sprintf(" kern(%s, %s)", c.p, c.q)
+		if c.safe {
+			bounds += " safe"
+		}
+	}
 	return fmt.Sprintf("s=%d trip=%d %s: %s", l.step, l.trip, bounds, l.stmt())
 }
 
 func (l enumLoop) program() string {
-	return loopProgram(enumSize, l.stmt(), l.step, enumFirst, enumFirst+l.trip*l.step, l.folded)
+	past := enumFirst + l.trip*l.step
+	if l.call == nil {
+		return loopProgram(enumSize, l.stmt(), l.step, enumFirst, past, l.folded)
+	}
+	pragma, lo, hi := "", fmt.Sprint(enumFirst), fmt.Sprint(past)
+	if l.call.safe {
+		pragma = "#pragma safe"
+	}
+	if !l.folded {
+		lo, hi = "bounds[0]", "bounds[1]"
+	}
+	return fmt.Sprintf(`int a[%[1]d], b[%[1]d], c[%[1]d];
+int bounds[2] = {%[2]d, %[3]d};
+
+void kern(int *p, int *q, int lo, int hi)
+{
+	int i;
+%[4]s
+	for (i = lo; i < hi; i += %[5]d)
+		%[6]s;
+}
+
+int main(void)
+{
+	int k, chk;
+	for (k = 0; k < %[1]d; k++) {
+		a[k] = k;
+		b[k] = 3 * k + 1;
+	}
+	kern(%[7]s, %[8]s, %[9]s, %[10]s);
+	chk = 0;
+	for (k = 0; k < %[1]d; k++)
+		chk = (chk * 31 + a[k] + b[k]) %% 65521;
+	return chk;
+}
+`, enumSize, enumFirst, past, pragma, l.step, l.stmt(), l.call.p, l.call.q, lo, hi)
+}
+
+// kernel is the procedure and position of the loop under test.
+func (l enumLoop) kernel() (string, token.Pos) {
+	if l.call != nil {
+		return "kern", token.Pos{Line: kernLine, Col: 2}
+	}
+	return "main", token.Pos{Line: tripKernelLine, Col: 2}
 }
 
 // enumSubscripts is f for step s: the last subscript of N − 1 − i is
@@ -146,21 +242,78 @@ func enumLoops() []enumLoop {
 					enumLoop{step: s, trip: enumTrip, folded: true, dst: d.dst, terms: g},
 					enumLoop{step: s, trip: enumTrip, folded: false, dst: d.dst, terms: g})
 				if len(g) == 1 {
-					out = append(out, enumLoop{step: s, trip: 0, folded: false, dst: d.dst, terms: g})
+					out = append(out,
+						enumLoop{step: s, trip: 0, folded: false, dst: d.dst, terms: g},
+						enumLoop{step: s, trip: enumShort, folded: true, dst: d.dst, terms: g})
 				}
+			}
+		}
+		out = append(out, enumStep2(s, subs)...)
+	}
+	return out
+}
+
+// enumStep2 is the two-statement, guarded and pointer-parameter loops of
+// step s over the subscripts subs.
+func enumStep2(s int, subs []string) []enumLoop {
+	var out []enumLoop
+	add := func(zero bool, l enumLoop) {
+		l.step, l.trip = s, enumTrip
+		l.folded = true
+		out = append(out, l)
+		l.folded = false
+		out = append(out, l)
+		if zero {
+			l.trip = 0
+			out = append(out, l)
+		}
+	}
+	for _, f := range subs {
+		af := "a[" + f + "]"
+		pairs := []enumLoop{
+			{dst: "a[i]", terms: []string{"b[i]", "5"}, then: "c[i] = " + af + " + i"},
+			{dst: "c[i]", terms: []string{af, "i"}, then: "a[i] = b[i] + 5"},
+			{dst: "x", terms: []string{af, "5"}, then: "a[i] = x + i"},
+			{dst: "a[i]", terms: []string{"x", "i"}, then: "x = " + af + " + 5"},
+			{dst: "a[i]", terms: []string{"b[i]", "5"}, then: af + " = a[i] / 3"},
+		}
+		if f != "i" {
+			// At f = i these are the first two pairs again.
+			pairs = append(pairs,
+				enumLoop{dst: af, terms: []string{"b[i]", "5"}, then: "c[i] = a[i] + i"},
+				enumLoop{dst: "c[i]", terms: []string{"a[i]", "i"}, then: af + " = b[i] + 5"})
+		}
+		for _, l := range pairs {
+			add(true, l)
+		}
+	}
+	guard := fmt.Sprintf("b[i] > %d", 3*(enumFirst+enumTrip*s/2)+1)
+	for _, f := range subs {
+		for _, g := range [][]string{{"5"}, {"b[i] / 3"}, {"x"}, {"a[i]", "1"}, {"a[i - 1]", "1"}, {"a[i + 1]", "1"}} {
+			add(true, enumLoop{guard: guard, dst: "a[" + f + "]", terms: g})
+		}
+	}
+	for _, g := range [][]string{{"x", "i"}, {"b[i]"}} {
+		add(true, enumLoop{guard: guard, dst: "x", terms: g})
+	}
+	calls := []enumCall{{"a", "a", false}, {"a", "b", false}, {"a + 2", "a", false}, {"a", "a + 2", false}, {"a", "b", true}}
+	for _, f := range subs {
+		for _, g := range [][]string{{"q[i]"}, {"q[i - 1]", "5"}, {"q[i + 1] / 3"}, {"p[i - 1]", "5"}, {"p[i]", "q[i + 1] / 3"}} {
+			for _, c := range calls {
+				add(false, enumLoop{dst: "p[" + f + "]", terms: g, call: &c})
 			}
 		}
 	}
 	return out
 }
 
-// enumVerdicts is the fully optimized compile's vector, parallel and
-// strength verdict codes at the kernel's line, in the order reported.
-func enumVerdicts(diags []diag.Diagnostic) string {
+// enumVerdicts is a compile's vector, parallel and strength verdict codes
+// at the kernel's line, in the order reported.
+func enumVerdicts(diags []diag.Diagnostic, line int) string {
 	var codes []string
 	for _, d := range diags {
 		c := string(d.Code)
-		if d.Pos.Line != tripKernelLine || slices.Contains(codes, c) {
+		if d.Pos.Line != line || slices.Contains(codes, c) {
 			continue
 		}
 		if strings.HasPrefix(c, "vect-") || strings.HasPrefix(c, "par-") || strings.HasPrefix(c, "strength-") {
@@ -173,25 +326,44 @@ func enumVerdicts(diags []diag.Diagnostic) string {
 	return strings.Join(codes, " ")
 }
 
-// checkEnumLoop compiles l scalar and fully optimized and holds every run
-// to -O0's; it returns the verdict row of the optimized compile.
+// enumConfigs are the compiles every loop is held to -O0 under. Full
+// options vectorize a loop before the parallelizer sees it, so the
+// parallelizer's own verdict on a loop the vectorizer would take shows
+// only without -vector; the unrolled build is scalar options with the
+// kernel loop unrolled by 4.
+var enumConfigs = []struct {
+	name   string
+	opts   driver.Options
+	unroll bool
+}{
+	{"scalar", driver.ScalarOptions(), false},
+	{"full", driver.FullOptions(), false},
+	{"parallel", driver.Options{OptLevel: 1, Parallelize: true, StrengthReduce: true}, false},
+	{"unroll", driver.ScalarOptions(), true},
+}
+
+// checkEnumLoop compiles l under each of enumConfigs and holds every run
+// to -O0's; it returns the verdict row of the fully optimized compile.
 func checkEnumLoop(l enumLoop) (string, error) {
 	src := l.program()
 	want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
 	if err != nil {
 		return "", fmt.Errorf("-O0: %v", err)
 	}
+	proc, pos := l.kernel()
 	var row string
-	for _, cfg := range []struct {
-		name string
-		opts driver.Options
-	}{{"scalar", driver.ScalarOptions()}, {"full", driver.FullOptions()}} {
-		res, err := driver.Compile(src, cfg.opts)
+	for _, cfg := range enumConfigs {
+		ctx := pass.NewContext()
+		if cfg.unroll {
+			ctx.Schedules = schedule.NewSet()
+			ctx.Schedules.Put(schedule.KeyFor(proc, pos), schedule.Schedule{VL: schedule.DefaultVL, Unroll: 4})
+		}
+		res, err := driver.CompileWith(src, cfg.opts, ctx)
 		if err != nil {
 			return "", fmt.Errorf("%s: %v", cfg.name, err)
 		}
 		if cfg.name == "full" {
-			row = enumVerdicts(res.Report.Diags)
+			row = enumVerdicts(res.Report.Diags, pos.Line)
 		}
 		for _, procs := range []int{1, 3, 4} {
 			runs, err := engineRuns(res.Machine, procs)
@@ -266,11 +438,13 @@ func TestLoopEnumeration(t *testing.T) {
 // TestLoopEnumerationShapes holds the pruned set to the shapes it must
 // keep: each affine store of the deleted random array-loop test,
 // a[s·i + o] = c·i + k, at every step — constant, unit-scale and
-// scaled values (i + i) over every affine subscript — and the loops of
-// the miscompile book the enumeration stands in for.
+// scaled values (i + i) over every affine subscript — the loops of the
+// miscompile book the enumeration stands in for, and one of each step-2
+// shape. It also pins the size of the set.
 func TestLoopEnumerationShapes(t *testing.T) {
+	loops := enumLoops()
 	have := map[string]bool{}
-	for _, l := range enumLoops() {
+	for _, l := range loops {
 		have[l.String()] = true
 	}
 	var want []enumLoop
@@ -303,10 +477,25 @@ func TestLoopEnumerationShapes(t *testing.T) {
 		enumLoop{step: 1, trip: enumTrip, folded: true, dst: "a[i]", terms: []string{"b[i] / 3"}},
 		// 1(a): a scalar stepped by the index.
 		enumLoop{step: 1, trip: enumTrip, folded: true, dst: "x", terms: []string{"x", "i"}},
+		// 1(j): a loop of fewer trips than the unroll factor, so the
+		// unrolled main loop is provably empty.
+		enumLoop{step: 1, trip: enumShort, folded: true, dst: "a[i]", terms: []string{"i"}},
+		// Step 2: a flow from one statement into the next iteration's
+		// other statement, a scalar carried between statements, a mixed
+		// guard over a recurrence, and a pointer loop on one array and,
+		// under #pragma safe, on two.
+		enumLoop{step: 1, trip: enumTrip, folded: true, dst: "a[i]", terms: []string{"b[i]", "5"}, then: "c[i] = a[i - 1] + i"},
+		enumLoop{step: 2, trip: 0, folded: false, dst: "a[i]", terms: []string{"x", "i"}, then: "x = a[i + 1] + 5"},
+		enumLoop{step: 4, trip: enumTrip, folded: false, guard: "b[i] > 235", dst: "a[i]", terms: []string{"a[i - 1]", "1"}},
+		enumLoop{step: 4, trip: enumTrip, folded: true, dst: "p[i + 12]", terms: []string{"q[i]"}, call: &enumCall{"a", "a", false}},
+		enumLoop{step: 1, trip: enumTrip, folded: false, dst: "p[i]", terms: []string{"p[i - 1]", "5"}, call: &enumCall{"a", "b", true}},
 	)
 	for _, l := range want {
 		if !have[l.String()] {
 			t.Errorf("pruned away: %s", l)
 		}
+	}
+	if len(loops) != 20787 || len(have) != len(loops) {
+		t.Errorf("%d loops, %d distinct; want 20,787: 18,384 of one statement and 2,403 of step 2", len(loops), len(have))
 	}
 }

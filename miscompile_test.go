@@ -437,6 +437,57 @@ int main(void)
 `,
 		opts: []driver.Options{{OptLevel: 1, Vectorize: true, StrengthReduce: true}, driver.FullOptions()},
 	},
+	{
+		// §6's register promotion keeps the value a store wrote for the
+		// load one iteration later. That holds only while the load comes
+		// no later in the iteration than the store: here the store is the
+		// first statement, so the load read the value stored in the same
+		// iteration and c[i] got a[i + 1].
+		name: "strength-promotion-load-after-store",
+		src: `
+int a[48], c[48];
+
+int main(void)
+{
+	int i, chk;
+	for (i = 0; i < 48; i++)
+		a[i] = i;
+	for (i = 4; i < 40; i++) {
+		a[i + 1] = i * 3 + 5;
+		c[i] = a[i] + i;
+	}
+	chk = 0;
+	for (i = 0; i < 48; i++)
+		chk = (chk * 31 + a[i] + c[i]) % 65521;
+	return chk % 251;
+}
+`,
+		opts: []driver.Options{driver.ScalarOptions()},
+	},
+	{
+		// A DOACROSS loop keeps the scalars its body defines in each
+		// processor's registers. x is read after the loop, where the
+		// last iteration's value is wanted, so the loop may not be
+		// pipelined: at p=3 and p=4 another processor's x was found.
+		name: "doacross-scalar-read-after-loop",
+		src: `
+int a[64];
+
+int main(void)
+{
+	int i, x;
+	for (i = 0; i < 64; i++)
+		a[i] = i;
+	x = 0;
+	for (i = 8; i < 43; i++) {
+		x = a[i + 1] + 5;
+		a[i] = x + i;
+	}
+	return x % 251;
+}
+`,
+		opts: []driver.Options{driver.FullOptions()},
+	},
 }
 
 // TestVectorInexactOperatorsStaySerial holds the integer operators with no
