@@ -162,7 +162,6 @@ func run(args []string, w io.Writer) error {
 	}
 	if *o0 {
 		opts.OptLevel = 0
-		opts.StrengthReduce = false
 	}
 	for _, path := range catalogs {
 		f, err := os.Open(path)
@@ -207,7 +206,7 @@ func run(args []string, w io.Writer) error {
 	if *dumpAfter != "" {
 		if !printSnapshots(w, snaps, *dumpAfter) {
 			return fmt.Errorf("no pass named %q ran (pipeline: lower %v)",
-				*dumpAfter, pass.NewManager(opts).Passes())
+				*dumpAfter, pass.NewManager(opts.Plan()).Passes())
 		}
 	}
 	if *timePasses {

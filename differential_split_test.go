@@ -81,7 +81,7 @@ func TestSplitPipelineDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("front end: %v", err)
 					}
-					head, tail := pass.NewManager(cfg.opts).Split(pass.PassScalar)
+					head, tail := pass.NewManager(cfg.opts.Plan()).Split(pass.PassScalar)
 					if _, err := head.Run(low.IL, sctx); err != nil {
 						t.Fatalf("head: %v", err)
 					}
@@ -91,7 +91,7 @@ func TestSplitPipelineDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("tail: %v", err)
 					}
-					tp, err := driver.Generate(clone, cfg.opts)
+					tp, err := driver.Generate(clone, cfg.opts.Plan())
 					if err != nil {
 						t.Fatalf("codegen: %v", err)
 					}

@@ -1,12 +1,17 @@
 package driver
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/inline"
+	"repro/internal/pass"
 	"repro/internal/schedule"
+	"repro/internal/titan"
 )
 
 func testCatalog(t *testing.T, src string) *inline.Catalog {
@@ -126,7 +131,7 @@ var pinnedKeys = map[string]string{
 	"O0/OptLevel":            "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
 	"O0/Parallelize":         "9957ccebfb5f684f7df132b71721954ff942530f9e507fe61ae7a94e19578312",
 	"O0/Straightforward":     "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
-	"O0/StrengthReduce":      "bde5773a97c7f8785310665264433e7b968ecdf0ad5ebcf827ca4927d3a913ad",
+	"O0/StrengthReduce":      "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
 	"O0/VL":                  "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
 	"O0/Vectorize":           "3045f2e42db15a04cd09a301ec459ab5889d0de8ef8878bd4e09265a085d3929",
 	"O1":                     "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
@@ -162,7 +167,7 @@ var pinnedKeys = map[string]string{
 	"scalar/ListParallel":    "017b35e79c354070daecaa0ab83fa0941d829d13dcdd827b816c4adff247c27e",
 	"scalar/NoAlias":         "272944efce6d7c47b75417c5ff944fa971379052ee7f613875ca478a31990eb2",
 	"scalar/NoSchedule":      "092d397963bbd16e3656a6a135a7121dca54b0de2751127dffbfbd5f7cc306f9",
-	"scalar/OptLevel":        "bde5773a97c7f8785310665264433e7b968ecdf0ad5ebcf827ca4927d3a913ad",
+	"scalar/OptLevel":        "847d1dfeaef7c805cb11b453d7a2d937541cd03baaeeb5c381447df6023c3a4b",
 	"scalar/Parallelize":     "c324f049abc172e78f0ce3cc48cda5a6d634c9c49e7cbe8c48acacbee8bc7e2c",
 	"scalar/Straightforward": "fb5e9f6f037d860b19f8b99c9475762c3d024e2ce52bda33ad735fe795915462",
 	"scalar/StrengthReduce":  "f2979450ff175121c12417aca5ea3d1c78a6c138ed3764de25bc01610a756232",
@@ -171,67 +176,127 @@ var pinnedKeys = map[string]string{
 }
 
 func TestCacheKeysPinned(t *testing.T) {
+	names, sets := pinnedOptionSets(t)
+	for i, o := range sets {
+		if k := key(t, ckSrc, o); pinnedKeys[names[i]] != k {
+			t.Errorf("%s: key %s, pinned %q", names[i], k, pinnedKeys[names[i]])
+		}
+	}
+	if len(sets) != len(pinnedKeys) {
+		t.Errorf("%d keys, %d pinned", len(sets), len(pinnedKeys))
+	}
+}
+
+// pinnedOptionSets is every base of pinnedKeyBases and every field of it
+// flipped, by the names TestCacheKeysPinned pins their keys under.
+func pinnedOptionSets(t *testing.T) (names []string, sets []Options) {
 	flip := flipper(t)
-	got := map[string]string{}
 	fields := reflect.TypeOf(Options{})
 	for _, b := range pinnedKeyBases {
-		got[b.name] = key(t, ckSrc, b.opts)
+		names, sets = append(names, b.name), append(sets, b.opts)
 		for i := 0; i < fields.NumField(); i++ {
 			o := b.opts
 			if !flip(reflect.ValueOf(&o).Elem().Field(i)) {
 				t.Fatalf("%s: no flip for type %s", fields.Field(i).Name, fields.Field(i).Type)
 			}
-			got[b.name+"/"+fields.Field(i).Name] = key(t, ckSrc, o)
+			names, sets = append(names, b.name+"/"+fields.Field(i).Name), append(sets, o)
 		}
 	}
-	for name, k := range got {
-		if pinnedKeys[name] != k {
-			t.Errorf("%s: key %s, pinned %q", name, k, pinnedKeys[name])
+	return names, sets
+}
+
+// planCorpus is the source and benchmark kernels, plus a unit that calls
+// the flipper's catalog procedure, so that attaching it changes what
+// inlining does.
+func planCorpus(t *testing.T) map[string]string {
+	files, err := filepath.Glob("../../testdata/*.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	more, err := filepath.Glob("../../benchmark/programs/*.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := map[string]string{"catalog-call": "int addone(int x);\nint g = 41;\nint main(void) { return addone(g); }\n"}
+	for _, f := range append(files, more...) {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[f] = string(src)
+	}
+	if len(units) != 17 {
+		t.Fatalf("%d corpus units, want 16 files and the catalog call", len(units))
+	}
+	return units
+}
+
+// TestPlanDecidesTheCompile holds the cache key and the compiled program
+// to the plan the options resolve to, over every pinned option set and
+// the corpus: two option sets get equal keys exactly when their plans are
+// equal, and equal plans compile to equal programs. A field added to
+// Options that the plan ignores but the compile reads fails the second;
+// a plan field the rendering leaves out fails the first.
+func TestPlanDecidesTheCompile(t *testing.T) {
+	names, sets := pinnedOptionSets(t)
+	plans := make([]pass.Plan, len(sets))
+	class := make([]int, len(sets)) // the first set with an equal plan
+	classes := 0
+	for i, o := range sets {
+		plans[i] = o.Plan()
+		class[i] = slices.IndexFunc(plans[:i], func(p pass.Plan) bool { return reflect.DeepEqual(p, plans[i]) })
+		if class[i] < 0 {
+			class[i] = i
+			classes++
 		}
 	}
-	if len(got) != len(pinnedKeys) {
-		t.Errorf("%d keys, %d pinned", len(got), len(pinnedKeys))
+	// -O0 with strength reduction asked for, and ScalarOptions at
+	// OptLevel 0, are plain -O0: 33 classes became 32.
+	if classes != 32 {
+		t.Errorf("%d plans among %d option sets, want 32", classes, len(sets))
+	}
+	for name, src := range planCorpus(t) {
+		t.Run(filepath.Base(name), func(t *testing.T) {
+			t.Parallel()
+			keys := make([]string, len(sets))
+			progs := make([]*titan.Program, len(sets))
+			for i, o := range sets {
+				keys[i] = key(t, src, o)
+				res, err := Compile(src, o)
+				if err != nil {
+					t.Fatalf("%s: %v", names[i], err)
+				}
+				progs[i] = res.Machine
+				if c := class[i]; !progs[c].Equal(progs[i]) {
+					t.Errorf("%s and %s resolve to one plan but compile differently", names[i], names[c])
+				}
+			}
+			for i := range sets {
+				for j := range i {
+					if same := class[i] == class[j]; same != (keys[i] == keys[j]) {
+						t.Errorf("%s and %s: equal plans %t, equal keys %t", names[i], names[j], same, !same)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestCacheKeySemanticFlagsDiffer flips every field of Options, found by
-// reflection, from FullOptions and from plain -O1, and requires each flip
-// to change the key at one base at least. Two compiles that differ only
-// in an unkeyed field would share a titand cache entry, so a field added
-// to Options fails here until canonicalOptions keys it, or until inert
-// lists it with the reason it cannot change a compile at either base.
-func TestCacheKeySemanticFlagsDiffer(t *testing.T) {
-	inert := map[string]string{}
-	flip := flipper(t)
-	bases := []Options{FullOptions(), {OptLevel: 1}}
-	// flipped[b] maps each key a flip at base b produced to the field.
-	flipped := make([]map[string]string, len(bases))
-	for b, base := range bases {
-		flipped[b] = map[string]string{key(t, ckSrc, base): "nothing"}
-	}
-	fields := reflect.TypeOf(Options{})
-	for i := 0; i < fields.NumField(); i++ {
-		name := fields.Field(i).Name
-		changed := false
-		for b, base := range bases {
-			o := base
-			if !flip(reflect.ValueOf(&o).Elem().Field(i)) {
-				t.Fatalf("%s: no flip for type %s", name, fields.Field(i).Type)
-			}
-			k := key(t, ckSrc, o)
-			if prev, dup := flipped[b][k]; dup {
-				if prev != "nothing" {
-					t.Errorf("flipping %s keys like flipping %s", name, prev)
-				}
-				continue
-			}
-			flipped[b][k] = name
-			changed = true
+// TestO0RunsNoOptimization: -O0 is plain scalar code whatever else is
+// asked for; strength reduction requested there neither runs nor turns
+// on the scheduler.
+func TestO0RunsNoOptimization(t *testing.T) {
+	for name, src := range planCorpus(t) {
+		plain, err := Compile(src, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if reason, ok := inert[name]; ok && changed {
-			t.Errorf("%s is listed inert (%s) but changes the key", name, reason)
-		} else if !ok && !changed {
-			t.Errorf("flipping %s changes the key at no base: key it in canonicalOptions, or list it in inert with the reason", name)
+		asked, err := Compile(src, Options{StrengthReduce: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !asked.Machine.Equal(plain.Machine) {
+			t.Errorf("%s: -O0 with strength reduction requested compiles other code than -O0", name)
 		}
 	}
 }
@@ -244,9 +309,9 @@ func TestCacheKeySourceSensitive(t *testing.T) {
 }
 
 func TestCanonicalOptionsReadable(t *testing.T) {
-	canon, err := canonicalOptions(FullOptions())
+	canon, err := FullOptions().Plan().Canonical()
 	if err != nil {
-		t.Fatalf("canonicalOptions: %v", err)
+		t.Fatalf("Canonical: %v", err)
 	}
 	for _, want := range []string{"opts/v1", "inline=true", "vectorize=true", "vl=32", "schedule=true"} {
 		if !strings.Contains(canon, want) {

@@ -9,11 +9,12 @@
 //	driven strength reduction on the serial residue → code generation →
 //	Titan simulation.
 //
-// The mid-end phases live in package pass: driver builds a pass.Manager
-// from the Options and delegates, so the pipeline order is written down
-// exactly once (pass.BuildPipeline) and every compile gets the manager's
-// per-pass instrumentation, IL verification, and per-procedure worker
-// pool for free.
+// The mid-end phases live in package pass: driver resolves the Options
+// into a pass.Plan once, builds a pass.Manager from it and delegates, so
+// the pipeline order is written down exactly once (pass.BuildPipeline)
+// and every compile gets the manager's per-pass instrumentation, IL
+// verification, and per-procedure worker pool for free. Code generation
+// reads the same plan.
 package driver
 
 import (
@@ -36,8 +37,8 @@ import (
 
 // Options selects compiler behavior; the zero value is -O0, plain scalar
 // compilation with no optimization (ScalarOptions is -O1). It is the pass
-// package's option type: the pass manager builds the pipeline directly
-// from it.
+// package's option type, which resolves into the pass.Plan a compile
+// runs.
 type Options = pass.Options
 
 // ScalarOptions is the -O1 scalar configuration.
@@ -100,30 +101,26 @@ func Compile(src string, opts Options) (*Result, error) {
 // install snapshot hooks, adjust the worker pool, or read the report from
 // a context they own. A nil ctx gets pass.NewContext defaults.
 func CompileWith(src string, opts Options, ctx *pass.Context) (*Result, error) {
-	res, err := CompileILWith(src, opts, ctx)
+	plan := opts.Plan()
+	res, err := compileIL(src, plan, ctx)
 	if err != nil {
 		return nil, err
 	}
-	tp, err := Generate(res.IL, opts)
-	if err != nil {
+	if res.Machine, err = Generate(res.IL, plan); err != nil {
 		return nil, err
 	}
-	res.Machine = tp
 	return res, nil
 }
 
 // Generate is the back half of a compile: it lowers optimized IL to Titan
-// code and, when a dependence-driven phase ran (§6: "information from the
-// dependence graph is passed back to the code generation"), list-schedules
-// it. Everything that turns IL into a program to run — CompileWith, the
-// autotuner's candidates — goes through here, so they cannot disagree
-// about when the scheduler runs.
-func Generate(prog *il.Program, opts Options) (*titan.Program, error) {
+// code and list-schedules it when the plan says so (§6). CompileWith and
+// the autotuner's candidates both end here.
+func Generate(prog *il.Program, plan pass.Plan) (*titan.Program, error) {
 	tp, err := codegen.Generate(prog)
 	if err != nil {
 		return nil, err
 	}
-	if opts.ListSchedule() {
+	if plan.Schedule {
 		codegen.Schedule(tp)
 	}
 	return tp, nil
@@ -137,11 +134,15 @@ func CompileIL(src string, opts Options) (*Result, error) {
 
 // CompileILWith is CompileIL with an explicit pass context.
 func CompileILWith(src string, opts Options, ctx *pass.Context) (*Result, error) {
+	return compileIL(src, opts.Plan(), ctx)
+}
+
+func compileIL(src string, plan pass.Plan, ctx *pass.Context) (*Result, error) {
 	res, err := LowerWith(src, ctx)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		res.Report, err = pass.NewManager(plan).Run(res.IL, ctx)
 	}
-	if err := OptimizeILWith(res, opts, ctx); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -169,8 +170,8 @@ func LowerWith(src string, ctx *pass.Context) (*Result, error) {
 // OptimizeILWith runs the pass manager's pipeline over res.IL and records
 // the report on res.
 func OptimizeILWith(res *Result, opts Options, ctx *pass.Context) error {
-	rep, err := pass.NewManager(opts).Run(res.IL, ctx)
-	res.Report = rep
+	var err error
+	res.Report, err = pass.NewManager(opts.Plan()).Run(res.IL, ctx)
 	return err
 }
 

@@ -1,13 +1,20 @@
 package pass
 
-import "repro/internal/inline"
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"repro/internal/depend"
+	"repro/internal/inline"
+	"repro/internal/opt"
+	"repro/internal/schedule"
+)
 
 // Options selects compiler behavior; the zero value is -O0: plain scalar
-// compilation with no optimization at all (BuildPipeline adds the scalar
-// pass only at OptLevel ≥ 1). The type lives here — rather than in
-// package driver, which re-exports it as driver.Options — because the
-// pass manager builds the paper-mandated pipeline from it (BuildPipeline)
-// and driver imports pass, not the other way around.
+// compilation with no optimization at all. The type lives here — rather
+// than in package driver, which re-exports it as driver.Options — because
+// it resolves into the Plan the pass manager runs (Options.Plan).
 type Options struct {
 	// OptLevel 0 disables all optimization; 1 enables the scalar pipeline
 	// (default for the driver's named constructors).
@@ -38,25 +45,103 @@ type Options struct {
 	// copy propagation, so the front end's pointer-bump temporaries stay
 	// unresolved.
 	Straightforward bool
-	// ForceIVSub runs induction-variable substitution even when neither
-	// vectorization nor strength reduction is enabled (the golden IL
-	// tests' view; normally ivsub only pays off when a later phase
-	// consumes it — §6).
+	// ForceIVSub runs induction-variable substitution even when no later
+	// phase consumes it (the golden IL tests' view; §6).
 	ForceIVSub bool
-	// NoSchedule disables the §6 dependence-informed instruction
-	// scheduler (ablation A5). Scheduling otherwise runs whenever the
-	// dependence-driven phases do ("Information from the dependence graph
-	// is passed back to the code generation to allow better overlap").
-	// The scheduler runs in codegen, after the IL pipeline; the flag
-	// rides along here so one Options value describes a whole compile.
+	// NoSchedule disables codegen's §6 dependence-informed instruction
+	// scheduler (ablation A5), which otherwise runs as Plan.Schedule says.
 	NoSchedule bool
 }
 
-// IVSub reports whether the scalar phase substitutes induction variables:
-// only when vectorization or strength reduction consumes them (§6), or
-// when forced.
-func (o Options) IVSub() bool { return o.Vectorize || o.StrengthReduce || o.ForceIVSub }
+// Plan is what one Options value compiles: the passes that run, each with
+// its resolved settings, and whether codegen list-schedules. Options.Plan
+// is the one reader of an Options value; the pass list (BuildPipeline),
+// the driver's scheduler rule, the cache key and the autotuner read the
+// plan. Options that differ only in a field the compile ignores resolve
+// to equal plans.
+type Plan struct {
+	// Inline runs inline expansion (§7), with Catalogs (nil when off).
+	Inline   bool
+	Catalogs []*inline.Catalog
+	// Scalar configures the scalar optimizer (§5.2); nil at -O0.
+	Scalar *opt.Options
+	// Parallel runs nest parallelization and do-parallel conversion (§2).
+	Parallel bool
+	// Vector runs if-conversion and the vectorizer (§5) at strip length VL.
+	Vector bool
+	VL     int
+	// List runs the §10 linked-list parallelizer.
+	List bool
+	// Strength runs §6's strength reduction and a cleanup round; never at
+	// -O0.
+	Strength bool
+	// Depend is the dependence clients' aliasing assumption; zero when none
+	// runs.
+	Depend depend.Options
+	// Schedule list-schedules the generated code: whenever strength
+	// reduction or the vectorizer runs (§6), unless ablated (A5).
+	Schedule bool
+}
 
-// ListSchedule reports whether codegen's list scheduler runs: whenever a
-// dependence-driven phase was requested, unless ablated (A5).
-func (o Options) ListSchedule() bool { return (o.StrengthReduce || o.Vectorize) && !o.NoSchedule }
+// Plan resolves o into the compile it describes.
+func (o Options) Plan() Plan {
+	p := Plan{Inline: o.Inline, Parallel: o.Parallelize, Vector: o.Vectorize, List: o.ListParallel}
+	if p.Inline {
+		p.Catalogs = o.Catalogs
+	}
+	if o.OptLevel >= 1 {
+		p.Strength = o.StrengthReduce
+		// Induction-variable substitution only pays when a later phase
+		// consumes it (§6), or when forced.
+		p.Scalar = &opt.Options{IVSub: p.Vector || p.Strength || o.ForceIVSub, Straightforward: o.Straightforward}
+	}
+	if p.Vector {
+		p.VL = o.VL
+		if p.VL <= 0 {
+			p.VL = schedule.DefaultVL
+		}
+	}
+	if p.dependClient() {
+		p.Depend.NoAlias = o.NoAlias
+	}
+	p.Schedule = (p.Strength || p.Vector) && !o.NoSchedule
+	return p
+}
+
+// dependClient reports whether a pass that reads dependence graphs runs.
+func (p Plan) dependClient() bool { return p.Vector || p.Parallel || p.Strength }
+
+// Canonical renders the plan as the compile cache keys it (the opts/v1
+// text): every setting the compile reads, and nothing else. Attached
+// catalogs render as their sorted, deduplicated content fingerprints, so
+// attachment order and duplicate attachments do not matter; this is the
+// one place they are fingerprinted.
+func (p Plan) Canonical() (string, error) {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "opts/v1\noptimize=%t\ninline=%t\n", p.Scalar != nil, p.Inline)
+	if p.Inline {
+		fps := make([]string, 0, len(p.Catalogs))
+		for _, c := range p.Catalogs {
+			fp, err := c.Fingerprint()
+			if err != nil {
+				return "", fmt.Errorf("pass: fingerprinting attached catalog: %w", err)
+			}
+			fps = append(fps, fp)
+		}
+		slices.Sort(fps)
+		fmt.Fprintf(&sb, "catalogs=%s\n", strings.Join(slices.Compact(fps), ","))
+	}
+	if p.Scalar != nil {
+		fmt.Fprintf(&sb, "scalar.ivsub=%t\nscalar.straightforward=%t\n", p.Scalar.IVSub, p.Scalar.Straightforward)
+	}
+	fmt.Fprintf(&sb, "parallelize=%t\nvectorize=%t\n", p.Parallel, p.Vector)
+	if p.Vector {
+		fmt.Fprintf(&sb, "vl=%d\n", p.VL)
+	}
+	fmt.Fprintf(&sb, "listparallel=%t\n", p.List)
+	if p.dependClient() {
+		fmt.Fprintf(&sb, "noalias=%t\n", p.Depend.NoAlias)
+	}
+	fmt.Fprintf(&sb, "strength=%t\nschedule=%t\n", p.Strength, p.Schedule)
+	return sb.String(), nil
+}

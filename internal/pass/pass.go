@@ -97,7 +97,7 @@ func (ctx *Context) workers() int {
 	return ctx.Workers
 }
 
-// Manager owns an ordered pass pipeline built from Options.
+// Manager owns an ordered pass pipeline built from a Plan.
 type Manager struct {
 	passes []Pass
 	// resumes marks the tail half of a Split pipeline: its input is the
@@ -108,9 +108,9 @@ type Manager struct {
 	vectorSeen bool
 }
 
-// NewManager builds the paper-mandated pipeline for opts.
-func NewManager(opts Options) *Manager {
-	return &Manager{passes: BuildPipeline(opts)}
+// NewManager builds the paper-mandated pipeline a plan runs.
+func NewManager(p Plan) *Manager {
+	return &Manager{passes: BuildPipeline(p)}
 }
 
 // Passes returns the pipeline's pass names in execution order.

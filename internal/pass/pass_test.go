@@ -16,7 +16,7 @@ func TestPipelineOrderFull(t *testing.T) {
 	m := NewManager(Options{
 		OptLevel: 1, Inline: true, Vectorize: true, Parallelize: true,
 		ListParallel: true, StrengthReduce: true,
-	})
+	}.Plan())
 	want := []string{
 		PassInline, PassScalar, PassNest, PassIfConvert, PassVectorize,
 		PassParallelize, PassListParallel, PassStrength, PassCleanup,
@@ -27,8 +27,12 @@ func TestPipelineOrderFull(t *testing.T) {
 }
 
 func TestPipelineEmptyAtO0(t *testing.T) {
-	if got := NewManager(Options{OptLevel: 0}).Passes(); len(got) != 0 {
-		t.Fatalf("plain -O0 pipeline should be empty, got %v", got)
+	// Strength reduction asked for at -O0 runs nothing either (§6 is an
+	// optimization), and so nothing is list-scheduled.
+	for _, o := range []Options{{OptLevel: 0}, {OptLevel: 0, StrengthReduce: true}} {
+		if got := NewManager(o.Plan()).Passes(); len(got) != 0 || o.Plan().Schedule {
+			t.Fatalf("plain -O0 pipeline should be empty and unscheduled, got %v (%+v)", got, o.Plan())
+		}
 	}
 }
 
@@ -40,7 +44,7 @@ func TestManagerCatchesSeededCorruption(t *testing.T) {
 	p.Body = []il.Stmt{
 		&il.Assign{Dst: &il.VarRef{ID: 0, T: ctype.IntType}, Src: &il.VarRef{ID: 99, T: ctype.IntType}},
 	}
-	_, err := NewManager(Options{OptLevel: 0}).Run(progOf(p), nil)
+	_, err := NewManager(Options{OptLevel: 0}.Plan()).Run(progOf(p), nil)
 	wantErr(t, err, "IL invalid before pipeline")
 	wantErr(t, err, "undefined variable id v99")
 }
@@ -54,7 +58,7 @@ func TestManagerInstrumentation(t *testing.T) {
 		&il.Assign{Dst: &il.VarRef{ID: 0, T: ctype.IntType}, Src: ci(1)},
 		&il.Return{},
 	}
-	m := NewManager(Options{OptLevel: 1})
+	m := NewManager(Options{OptLevel: 1}.Plan())
 	rep, err := m.Run(progOf(p), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +94,7 @@ func TestSnapshotHook(t *testing.T) {
 	var names []string
 	ctx := NewContext()
 	ctx.Snapshot = func(name string, prog *il.Program) { names = append(names, name) }
-	if _, err := NewManager(Options{OptLevel: 1}).Run(progOf(p), ctx); err != nil {
+	if _, err := NewManager(Options{OptLevel: 1}.Plan()).Run(progOf(p), ctx); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{SnapshotInput, PassScalar}
@@ -127,7 +131,7 @@ func TestSplitIsRun(t *testing.T) {
 		}
 		return rows, snaps, prog.String()
 	}
-	whole := NewManager(opts)
+	whole := NewManager(opts.Plan())
 	wantRows, wantSnaps, wantOut := run(whole)
 	for _, after := range []string{PassScalar, PassVectorize, PassCleanup, SnapshotInput, "no-such-pass"} {
 		head, tail := whole.Split(after)

@@ -10,7 +10,7 @@ import (
 	"repro/internal/vector"
 )
 
-// BuildPipeline returns the mid-end pipeline for opts as an explicit
+// BuildPipeline returns the mid-end pipeline a plan runs as an explicit
 // ordered slice. This function is the single place the paper-mandated
 // phase order is written down:
 //
@@ -25,53 +25,42 @@ import (
 //	→ strength reduction on the serial residue (§6: after vectorization,
 //	  off the dependence graph) → one scalar cleanup round for the
 //	  preheader temporaries it introduces.
-func BuildPipeline(opts Options) []Pass {
-	dopts := depend.Options{NoAlias: opts.NoAlias}
+func BuildPipeline(p Plan) []Pass {
 	var ps []Pass
-	if opts.Inline {
-		ps = append(ps, &inlinePass{catalogs: opts.Catalogs})
+	if p.Inline {
+		ps = append(ps, &inlinePass{catalogs: p.Catalogs})
 	}
-	if opts.OptLevel >= 1 {
-		ps = append(ps, &scalarPass{name: PassScalar, opts: scalarOptions(opts)})
+	if p.Scalar != nil {
+		ps = append(ps, &scalarPass{name: PassScalar, opts: *p.Scalar})
 	}
-	if opts.Parallelize {
+	if p.Parallel {
 		// Loop nests parallelize at the outer level before the vectorizer
 		// rewrites the inner loops (§2's outer-parallel/inner-vector
 		// pattern).
-		ps = append(ps, &nestPass{dopts: dopts})
+		ps = append(ps, &nestPass{dopts: p.Depend})
 	}
-	if opts.Vectorize {
+	if p.Vector {
 		// If-conversion flattens guarded stores to predicated statements so
 		// the vectorizer can judge them off the dependence graph and emit
 		// masked strips when legal.
-		ps = append(ps, &ifconvertPass{})
-		ps = append(ps, &vectorPass{cfg: vector.Config{
-			VL:       opts.VL,
-			Parallel: opts.Parallelize,
-			Depend:   dopts,
-		}})
+		ps = append(ps, &ifconvertPass{},
+			&vectorPass{cfg: vector.Config{VL: p.VL, Parallel: p.Parallel, Depend: p.Depend}})
 	}
-	if opts.Parallelize {
-		ps = append(ps, &parallelPass{dopts: dopts})
+	if p.Parallel {
+		ps = append(ps, &parallelPass{dopts: p.Depend})
 	}
-	if opts.ListParallel {
+	if p.List {
 		ps = append(ps, &listPass{})
 	}
-	if opts.StrengthReduce && opts.OptLevel >= 1 {
+	if p.Strength {
 		ps = append(ps,
-			&strengthPass{cfg: strength.Config{Depend: dopts}},
+			&strengthPass{cfg: strength.Config{Depend: p.Depend}},
 			// Strength reduction introduces preheader temporaries; one
 			// more scalar round tidies them.
 			&scalarPass{name: PassCleanup, opts: opt.Options{IVSub: false}},
 		)
 	}
 	return ps
-}
-
-// scalarOptions derives the scalar optimizer's configuration from the
-// compile options.
-func scalarOptions(opts Options) opt.Options {
-	return opt.Options{IVSub: opts.IVSub(), Straightforward: opts.Straightforward}
 }
 
 // ------------------------------------------------------------- adapters

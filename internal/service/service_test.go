@@ -168,6 +168,25 @@ func TestCompileOptionsAffectKey(t *testing.T) {
 	}
 }
 
+// TestOptLevelZeroIsPlainO0: titand defaults strength reduction on, and
+// {"opt_level": 0} must still compile what titancc -O0 compiles, plain
+// scalar code with no scheduler, not an -O0 build scheduled as if §6 ran.
+func TestOptLevelZeroIsPlainO0(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	zero := 0
+	out, code := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: CompileOptions{OptLevel: &zero}})
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	res, err := driver.Compile(daxpySrc, driver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := driver.Disassemble(res); out.Asm != want {
+		t.Errorf("opt_level 0 assembly differs from -O0's:\n%s\nwant\n%s", out.Asm, want)
+	}
+}
+
 func TestCompileRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	out, code := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: fullOpts(), Processors: 2})

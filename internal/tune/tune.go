@@ -170,7 +170,7 @@ type loopInfo struct {
 // schedule set — a clone of base, the pipeline's tail, code generation,
 // and a simulation unless the same code already ran.
 type search struct {
-	opts driver.Options
+	plan pass.Plan
 	cfg  Config
 	// base is the IL at the split: after scalarize when the scalar
 	// optimizer runs, else as lowered — the loops as the loop phases will
@@ -219,12 +219,13 @@ func newSearch(src string, opts driver.Options, cfg Config) (*search, error) {
 	if err != nil {
 		return nil, err
 	}
-	head, tail := pass.NewManager(opts).Split(pass.PassScalar)
+	plan := opts.Plan()
+	head, tail := pass.NewManager(plan).Split(pass.PassScalar)
 	if _, err := head.Run(lowered.IL, ctx); err != nil {
 		lowered.IL.Release()
 		return nil, err
 	}
-	s := &search{opts: opts, cfg: cfg, base: lowered.IL, tail: tail}
+	s := &search{plan: plan, cfg: cfg, base: lowered.IL, tail: tail}
 	s.generate = s.compile
 	return s, nil
 }
@@ -353,7 +354,7 @@ func (s *search) compile(set *schedule.Set) (*titan.Program, error) {
 	if _, err := s.tail.Run(prog, ctx); err != nil {
 		return nil, err
 	}
-	return driver.Generate(prog, s.opts)
+	return driver.Generate(prog, s.plan)
 }
 
 // discover reads the tunable loops off the base IL — the loops as the
@@ -364,12 +365,11 @@ func (s *search) compile(set *schedule.Set) (*titan.Program, error) {
 // run, so no candidate for them could change a measurement, and they
 // must not take a live loop's slot.
 func (s *search) discover() []loopInfo {
-	dopts := depend.Options{NoAlias: s.opts.NoAlias}
 	live := reachable(s.base, s.cfg.entry())
 	infos := map[schedule.LoopKey]loopInfo{}
 	for _, p := range s.base.Procs {
 		if live[p.Name] {
-			collectLoops(p, p.Body, dopts, infos)
+			collectLoops(p, p.Body, s.plan.Depend, infos)
 		}
 	}
 	keys := make([]schedule.LoopKey, 0, len(infos))
