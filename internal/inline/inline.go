@@ -326,12 +326,13 @@ func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.Var
 			return []il.Stmt{a.Label(il.Label{Name: prefix + n.Name})}, true
 		case *il.Return:
 			// Values are pure in this IL: a result the caller discards
-			// is dropped.
+			// is dropped. Both statements are the return's, so they keep
+			// its position inside the callee.
 			var out []il.Stmt
 			if n.Val != nil && dst != il.NoVar {
-				out = append(out, a.Assign(il.Assign{Dst: a.VarRef(dst, p.Vars[dst].Type), Src: n.Val}))
+				out = append(out, a.Assign(il.Assign{Dst: a.VarRef(dst, p.Vars[dst].Type), Src: n.Val, Pos: n.Pos}))
 			}
-			return append(out, a.Goto(il.Goto{Target: endLabel})), true
+			return append(out, a.Goto(il.Goto{Target: endLabel, Pos: n.Pos})), true
 		}
 		return nil, false
 	})

@@ -290,15 +290,62 @@ int f(void) { return counter(); }
 	}
 }
 
+// TestVariadicNotInlined: a defined variadic callee is refused by name,
+// with one positioned remark and no expansion.
 func TestVariadicNotInlined(t *testing.T) {
 	src := `
-int printf(char *fmt, ...);
-void f(void) { printf("hi"); }
+int f(int n, ...) { return n + 1; }
+int main(void) { return f(1, 2); }
 `
 	prog := compile(t, src)
 	in := New(prog)
+	in.Diags = &diag.Reporter{}
 	if n := in.ExpandProgram(); n != 0 {
 		t.Fatalf("inlined a variadic: %d", n)
+	}
+	var refused []diag.Diagnostic
+	for _, d := range in.Diags.All() {
+		switch d.Code {
+		case diag.InlineRefused:
+			refused = append(refused, d)
+		case diag.InlineExpanded:
+			t.Errorf("unexpected expansion: %s", d)
+		}
+	}
+	if len(refused) != 1 || refused[0].Args["reason"] != "variadic callee" {
+		t.Fatalf("want one inline-refused remark with reason=variadic callee, got %v", refused)
+	}
+}
+
+// TestOneReturnCalleeRemarkInCallee: a callee whose body is one return
+// expands into a result assignment and a goto; both keep the return's
+// position, so the expansion's remark points into the callee and names
+// the call site, as it does for any callee with positioned statements.
+func TestOneReturnCalleeRemarkInCallee(t *testing.T) {
+	src := `
+int h(int x)
+{
+	return x * 3;
+}
+int main(void)
+{
+	int a;
+	a = 2;
+	return h(a);
+}
+`
+	prog := compile(t, src)
+	in := New(prog)
+	in.Diags = &diag.Reporter{}
+	if n := in.ExpandProgram(); n != 1 {
+		t.Fatalf("expanded %d calls, want 1", n)
+	}
+	ds := in.Diags.All()
+	if len(ds) != 1 || ds[0].Code != diag.InlineExpanded {
+		t.Fatalf("want one inline-expanded remark, got %v", ds)
+	}
+	if d := ds[0]; d.Pos.Line != 4 || d.InlinedFrom == nil || d.InlinedFrom.Line != 10 {
+		t.Errorf("remark %s (inlined from %v), want it on h's return (line 4) inlined from main's line 10", d, d.InlinedFrom)
 	}
 }
 
