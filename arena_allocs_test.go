@@ -1,8 +1,6 @@
-package repro
+package repro_test
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -59,17 +57,9 @@ func TestArenaSavesAllocations(t *testing.T) {
 // doubling to 1024 every corpus compile strands more than 2.5× its nodes.
 func TestArenaTailWaste(t *testing.T) {
 	const maxWaste = 1.25
-	paths, err := filepath.Glob("testdata/*.c")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no programs match testdata/*.c (%v)", err)
-	}
 	srcs := map[string]string{"manyprocs": bench.ManyProcs().Src}
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs[filepath.Base(p)] = string(src)
+	for _, w := range bench.Corpus() {
+		srcs[w.Name] = w.Src
 	}
 	for name, src := range srcs {
 		for optName, opts := range map[string]driver.Options{"scalar": driver.ScalarOptions(), "full": driver.FullOptions()} {

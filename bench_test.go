@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // This file regenerates the paper's evaluation (see EXPERIMENTS.md): one
 // benchmark per measured claim (E1–E10), the ablations the design calls
@@ -33,7 +33,7 @@ func mustRun(b *testing.B, w bench.Workload, cfg bench.Config) bench.Measurement
 // MFLOPS with scalar optimization only, 1.9 MFLOPS with the dependence-
 // driven register promotion + strength reduction + scheduling (≈3.8x).
 func BenchmarkE1Backsolve(b *testing.B) {
-	w := bench.Backsolve(2048)
+	w := bench.Kernel("backsolve", 2048)
 	scalarCfg := bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1, NoAlias: true}, Processors: 1}
 	depCfg := bench.Config{Name: "dep-driven", Opts: driver.Options{OptLevel: 1, NoAlias: true, StrengthReduce: true}, Processors: 1}
 	var scalar, dep bench.Measurement
@@ -54,7 +54,7 @@ func BenchmarkE1Backsolve(b *testing.B) {
 // BenchmarkE2Daxpy reproduces §9: inlined daxpy, vectorized and spread
 // over two processors, versus the scalar call (paper: 12x).
 func BenchmarkE2Daxpy(b *testing.B) {
-	w := bench.Daxpy(100)
+	w := bench.Kernel("daxpy", 100)
 	scalarCfg := bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1}, Processors: 1}
 	fullCfg := bench.Config{Name: "full P=2", Opts: driver.FullOptions(), Processors: 2}
 	var scalar, full bench.Measurement
@@ -72,7 +72,7 @@ func BenchmarkE2Daxpy(b *testing.B) {
 		scalar.KernelCycles, full.KernelCycles, sp)
 	// Larger vectors amortize strip and fork startup; report that shape
 	// too.
-	wBig := bench.Daxpy(4096)
+	wBig := bench.Kernel("daxpy", 4096)
 	scalarBig := mustRun(b, wBig, scalarCfg)
 	fullBig := mustRun(b, wBig, fullCfg)
 	b.Logf("E2 daxpy n=4096: %.1fx", bench.Speedup(scalarBig, fullBig))
@@ -83,7 +83,7 @@ func BenchmarkE2Daxpy(b *testing.B) {
 // single vector statement after backtracking induction-variable
 // substitution.
 func BenchmarkE3CopyLoop(b *testing.B) {
-	w := bench.CopyLoop(1024)
+	w := bench.Kernel("copyloop", 1024)
 	var res *driver.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -104,7 +104,7 @@ func BenchmarkE3CopyLoop(b *testing.B) {
 // BenchmarkE4ReverseAxpy reproduces §5.3's Fortran example: the auxiliary
 // downward induction variable becomes explicit and the loop vectorizes.
 func BenchmarkE4ReverseAxpy(b *testing.B) {
-	w := bench.ReverseAxpy(1024)
+	w := bench.Kernel("reverseaxpy", 1024)
 	var res *driver.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -207,7 +207,7 @@ int main(void) { fill(2.5f, 512); ` + bench.KernelMarker + `
 // BenchmarkE7Scaling reproduces §2: spreading a vector loop over 1–4
 // processors.
 func BenchmarkE7Scaling(b *testing.B) {
-	w := bench.VectorAdd(16384)
+	w := bench.Kernel("vectoradd", 16384)
 	var rows []string
 	var cycles [5]int64
 	for i := 0; i < b.N; i++ {
@@ -325,7 +325,7 @@ int main(void)
 // structures (graphics transforms) vectorize, without strip loops for the
 // 4-element rows.
 func BenchmarkE10StructArray(b *testing.B) {
-	w := bench.Transform4x4(1024)
+	w := bench.Kernel("transform4x4", 1024)
 	var res *driver.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -351,7 +351,7 @@ func BenchmarkE10StructArray(b *testing.B) {
 // the damage. The §5.3 pointer-bump loop shows it directly: the source's
 // cheap pointer increments become explicit multiplications under ivsub.
 func BenchmarkA1IVSubNoSR(b *testing.B) {
-	w := bench.CopyLoop(2048)
+	w := bench.Kernel("copyloop", 2048)
 	plain := bench.Config{Name: "scalar", Opts: driver.Options{OptLevel: 1, NoAlias: true}, Processors: 1}
 	ivOnly := bench.Config{Name: "ivsub-only", Opts: driver.Options{OptLevel: 1, NoAlias: true, ForceIVSub: true, NoSchedule: true}, Processors: 1}
 	repaired := bench.Config{Name: "ivsub+SR", Opts: driver.Options{OptLevel: 1, NoAlias: true, StrengthReduce: true}, Processors: 1}
@@ -377,7 +377,7 @@ func BenchmarkA1IVSubNoSR(b *testing.B) {
 // BenchmarkA2Backtracking contrasts the backtracking substitution with the
 // single-pass "straightforward" scheme on the §5.3 copy loop.
 func BenchmarkA2Backtracking(b *testing.B) {
-	w := bench.CopyLoop(1024)
+	w := bench.Kernel("copyloop", 1024)
 	var full, simple *driver.Result
 	var err error
 	for i := 0; i < b.N; i++ {
@@ -400,7 +400,7 @@ func BenchmarkA2Backtracking(b *testing.B) {
 
 // BenchmarkA3StripLength sweeps the strip length.
 func BenchmarkA3StripLength(b *testing.B) {
-	w := bench.VectorAdd(8192)
+	w := bench.Kernel("vectoradd", 8192)
 	var rows []string
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
@@ -465,7 +465,7 @@ int main(void)
 // BenchmarkA5Overlap toggles §6's dependence-informed instruction
 // scheduling.
 func BenchmarkA5Overlap(b *testing.B) {
-	w := bench.Backsolve(2048)
+	w := bench.Kernel("backsolve", 2048)
 	on := bench.Config{Name: "sched", Opts: driver.Options{OptLevel: 1, NoAlias: true, StrengthReduce: true}, Processors: 1}
 	offOpts := driver.Options{OptLevel: 1, NoAlias: true, StrengthReduce: true, NoSchedule: true}
 	off := bench.Config{Name: "nosched", Opts: offOpts, Processors: 1}

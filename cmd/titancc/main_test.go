@@ -154,7 +154,8 @@ func TestDumpRemarks(t *testing.T) {
 }
 
 // TestFrozenToolOutput holds titancc to the output of the two tools it
-// replaced, frozen over testdata/*.c before they were deleted:
+// replaced, frozen before they were deleted (and regenerated once, by an
+// unchanged pipeline, when these four programs became corpus kernels):
 // F.phases.golden (every pass-boundary snapshot), F.remarks.golden (the
 // remark lines), F.table.golden (the configuration table at four
 // processors) and F.full-p2.golden (the full build's row at two).

@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // Differential tests for the arena-backed IL and the parallel front end:
 // compiling with per-proc arenas and the deferred-body parallel front end
@@ -232,7 +232,7 @@ func TestArenaConcurrentCompileHammer(t *testing.T) {
 // as arena_bytes_live and releases after artifact encode).
 func TestArenaReleaseDropsGauge(t *testing.T) {
 	before := il.ArenaBytesLive()
-	res, err := driver.Compile(bench.Backsolve(256).Src, driver.FullOptions())
+	res, err := driver.Compile(bench.Kernel("backsolve", 256).Src, driver.FullOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // Differential tests for the schedule layer: the refactor that moved the
 // loop phases (vectorize, parallelize, strength-reduce) onto explicit

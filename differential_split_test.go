@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // Differential tests for the split pipeline the autotuner measures
 // candidates through: run the schedule-independent head once, clone its
@@ -11,8 +11,6 @@ package repro
 // next candidate starts from the same IL.
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -22,25 +20,13 @@ import (
 	"repro/internal/schedule"
 )
 
-// splitWorkloads is testdata/*.c plus the E-series, with a masked and a
-// DOACROSS workload so the ifconvert pass and sync-annotated regions are
-// on the tail's path too.
-func splitWorkloads(t *testing.T) []bench.Workload {
-	t.Helper()
-	files, err := filepath.Glob("testdata/*.c")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no testdata programs (err %v)", err)
-	}
-	var ws []bench.Workload
-	for _, f := range files {
-		src, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, bench.Workload{Name: f, Src: string(src)})
-	}
-	ws = append(ws, evalWorkloads()...)
-	return append(ws, bench.Clip(256), bench.LagRecurrence(256))
+// splitWorkloads is the corpus at its table sizes and the E-series at
+// the cache differential's, with a masked and a DOACROSS workload, so
+// the ifconvert pass and sync-annotated regions are on the tail's path
+// too.
+func splitWorkloads() []bench.Workload {
+	ws := append(corpusFiles(), evalWorkloads()...)
+	return append(ws, bench.Kernel("clip", 256), bench.Kernel("lagrec3", 256))
 }
 
 func TestSplitPipelineDifferential(t *testing.T) {
@@ -51,7 +37,7 @@ func TestSplitPipelineDifferential(t *testing.T) {
 		{"scalar", driver.ScalarOptions()},
 		{"full", driver.FullOptions()},
 	}
-	for _, w := range splitWorkloads(t) {
+	for _, w := range splitWorkloads() {
 		for _, cfg := range configs {
 			defaults := defaultSetFor(t, w.Src, cfg.opts)
 			if defaults.Len() == 0 {

@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // End-to-end validation of DOACROSS pipelining: each recurrence kernel
 // below carries a computable constant-distance dependence, so before this
@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/bench"
 	"repro/internal/diag"
 	"repro/internal/driver"
@@ -23,11 +24,11 @@ import (
 // filter, an order-8 damped smoothing pass whose distance covers the
 // machine width, and a wavefront flattened to a distance-32 recurrence.
 func doacrossWorkloads() []bench.Workload {
-	return []bench.Workload{
-		bench.LagRecurrence(4096),
-		bench.SmoothDamp(4096),
-		bench.Wavefront(4096),
+	var ws []bench.Workload
+	for _, w := range bench.Suite(repro.Doacross) {
+		ws = append(ws, bench.Kernel(w.Name, 4096))
 	}
+	return ws
 }
 
 // serialOptions is the DOACROSS experiments' baseline: the full pipeline

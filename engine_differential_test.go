@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // Differential validation of the fast Titan execution engine: on every
 // E-series evaluation workload, compiled at full optimization, the
@@ -12,22 +12,16 @@ import (
 	"fmt"
 	"testing"
 
+	"repro"
 	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/titan"
 )
 
-// eseriesWorkloads is the §9 evaluation set at a size that exercises
-// multiple vector strips and parallel chunks per processor.
+// eseriesWorkloads is the §9 evaluation set at its table sizes, which
+// exercise multiple vector strips and parallel chunks per processor.
 func eseriesWorkloads() []bench.Workload {
-	return []bench.Workload{
-		bench.Backsolve(512),
-		bench.Daxpy(512),
-		bench.CopyLoop(512),
-		bench.ReverseAxpy(512),
-		bench.VectorAdd(512),
-		bench.Transform4x4(64),
-	}
+	return bench.Suite(repro.ESeries)
 }
 
 // testProcs is every processor count the machine supports. 3 is among
@@ -94,7 +88,7 @@ func TestEngineMatchesReferenceOnESeries(t *testing.T) {
 // workload repeatedly at 4 processors: goroutine scheduling must never
 // reach the simulated Result.
 func TestEngineDeterministicOnSyntheticDoall(t *testing.T) {
-	w := bench.SyntheticDoall(2048, 4)
+	w := bench.Kernel("syntheticdoall", 2048)
 	res, err := driver.Compile(w.Src, driver.FullOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -8,34 +8,12 @@ import (
 	"fmt"
 	"log"
 
+	"repro"
 	"repro/internal/driver"
 )
 
-const program = `
-float x[2048], y[2048], z[2048];
-
-void backsolve(float *xv, float *yv, float *zv, int n)
-{
-	float *p, *q;
-	int i;
-	p = &xv[1];
-	q = &xv[0];
-	for (i = 0; i < n-2; i++)
-		p[i] = zv[i] * (yv[i] - q[i]);
-}
-
-int main(void)
-{
-	int i;
-	for (i = 0; i < 2048; i++) {
-		x[i] = 1.0f;
-		y[i] = i;
-		z[i] = 0.5f;
-	}
-	backsolve(x, y, z, 2048);
-	return 0;
-}
-`
+// program is the corpus's backsolve at 2048 elements.
+var program = repro.Source("backsolve", 2048)
 
 func main() {
 	// Show what §6 does to the loop.

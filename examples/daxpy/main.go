@@ -25,7 +25,7 @@ func measure(w bench.Workload, name string, opts driver.Options, procs int) benc
 func main() {
 	// The §9 program, with the daxpy call marked so the harness measures
 	// the kernel differentially (total minus a run without the call).
-	w := bench.Daxpy(100)
+	w := bench.Kernel("daxpy", 100)
 
 	// Show the final IL of main under the full pipeline: the paper's
 	// "do parallel vi = 0, 99, 32" shape.
@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("\npaper's claim: ~12x on a two-processor Titan; measured %.1fx at n=100\n",
 		bench.Speedup(scalar, full2))
 
-	big := bench.Daxpy(4096)
+	big := bench.Kernel("daxpy", 4096)
 	bs := measure(big, "scalar", driver.Options{OptLevel: 1}, 1)
 	bf := measure(big, "full", driver.FullOptions(), 2)
 	fmt.Printf("at n=4096 (strip startup amortized): %.1fx\n", bench.Speedup(bs, bf))

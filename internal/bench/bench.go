@@ -1,6 +1,7 @@
-// Package bench is the paper's workload table plus the one measurement
-// the repository's tests, its evaluation (bench_test.go) and the examples
-// share: Run compiles a C workload under a named configuration and
+// Package bench is the paper's workloads, the kernels of testdata/*.c
+// (read through the root package's table) and two generated units, plus the
+// one measurement the repository's tests, its evaluation (bench_test.go)
+// and the examples share: Run compiles a C workload under a named configuration and
 // reports simulated cycles, kernel-only differential cycles, and MFLOPS.
 // Host-time and serving numbers are not measured here; they come from
 // benchmark/ (bash benchmark/run.sh).
@@ -10,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro"
 	"repro/internal/driver"
 	"repro/internal/titan"
 )
@@ -108,418 +110,35 @@ func Speedup(base, m Measurement) float64 {
 
 // ------------------------------------------------------------- workloads
 
-// Backsolve is E1: the §6 recurrence loop.
-func Backsolve(n int) Workload {
-	return Workload{Name: "backsolve", Src: fmt.Sprintf(`
-float x[%d], y[%d], z[%d];
-
-void backsolve(float *xv, float *yv, float *zv, int n)
-{
-	float *p, *q;
-	int i;
-	p = &xv[1];
-	q = &xv[0];
-	for (i = 0; i < n-2; i++)
-		p[i] = zv[i] * (yv[i] - q[i]);
+// Kernel is the corpus kernel name (testdata/name.c) at size n.
+func Kernel(name string, n int) Workload {
+	return Workload{Name: name, Src: repro.Source(name, n)}
 }
 
-int main(void)
-{
-	int i;
-	for (i = 0; i < %d; i++) {
-		x[i] = 1.0f;
-		y[i] = i;
-		z[i] = 0.5f;
-	}
-	backsolve(x, y, z, %d); %s
-	return 0;
-}
-`, n, n, n, n, n, KernelMarker)}
+// Corpus is every corpus kernel at its table size, in table order.
+func Corpus() []Workload {
+	return Suite("")
 }
 
-// Daxpy is E2: the §9 program.
-func Daxpy(n int) Workload {
-	return Workload{Name: "daxpy", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void daxpy(float *x, float *y, float *z, float alpha, int n)
-{
-	if (n <= 0)
-		return;
-	if (alpha == 0)
-		return;
-	for (; n; n--)
-		*x++ = *y++ + alpha * *z++;
+// Suite is the corpus kernels of one suite (every kernel for "") at their
+// table sizes, in table order.
+func Suite(suite string) []Workload {
+	return kernels(suite, func(k repro.Kernel) int { return k.Size })
 }
 
-int main(void)
-{
-	int i;
-	for (i = 0; i < %d; i++) {
-		b[i] = i;
-		c[i] = 1;
-	}
-	daxpy(a, b, c, 1.0, %d); %s
-	return 0;
-}
-`, n, n, n, n, n, KernelMarker)}
+// Small is Suite at the kernels' small sizes.
+func Small(suite string) []Workload {
+	return kernels(suite, func(k repro.Kernel) int { return k.Small })
 }
 
-// CopyLoop is E3: §5.3's pointer copy.
-func CopyLoop(n int) Workload {
-	return Workload{Name: "copyloop", Src: fmt.Sprintf(`
-float dst[%d], src[%d];
-
-void copyloop(float *a, float *b, int n)
-{
-	while (n) {
-		*a++ = *b++;
-		n--;
-	}
-}
-
-int main(void)
-{
-	int i;
-	for (i = 0; i < %d; i++) src[i] = i;
-	copyloop(dst, src, %d); %s
-	return 0;
-}
-`, n, n, n, n, KernelMarker)}
-}
-
-// ReverseAxpy is E4: §5.3's Fortran-style auxiliary induction variable.
-func ReverseAxpy(n int) Workload {
-	return Workload{Name: "reverseaxpy", Src: fmt.Sprintf(`
-float a[%d], b[%d];
-
-void raxpy(int n)
-{
-	int i, iv;
-	iv = n - 1;
-	for (i = 0; i < n; i++) {
-		a[iv] = a[iv] + b[i];
-		iv = iv - 1;
-	}
-}
-
-int main(void)
-{
-	int i;
-	for (i = 0; i < %d; i++) {
-		a[i] = 1;
-		b[i] = i;
-	}
-	raxpy(%d); %s
-	return 0;
-}
-`, n, n, n, n, KernelMarker)}
-}
-
-// VectorAdd is E7's scaling workload.
-func VectorAdd(n int) Workload {
-	return Workload{Name: "vectoradd", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void vadd(int n)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		a[i] = b[i] * 2.0f + c[i];
-}
-
-int main(void)
-{
-	int i;
-	for (i = 0; i < %d; i++) {
-		b[i] = i;
-		c[i] = 1;
-	}
-	vadd(%d); %s
-	return 0;
-}
-`, n, n, n, n, n, KernelMarker)}
-}
-
-// Transform4x4 is E10: arrays embedded in structures (§10 / graphics).
-func Transform4x4(verts int) Workload {
-	return Workload{Name: "transform4x4", Src: fmt.Sprintf(`
-struct xform { float m[4][4]; };
-struct vertex { float p[4]; };
-
-struct xform world;
-struct vertex verts[%d];
-
-void transform(struct xform *t, struct vertex *v, int n)
-{
-	int k, i, j;
-	float out[4];
-	for (k = 0; k < n; k++) {
-		for (i = 0; i < 4; i++) {
-			float s;
-			s = 0;
-			for (j = 0; j < 4; j++)
-				s = s + t->m[i][j] * v[k].p[j];
-			out[i] = s;
+func kernels(suite string, size func(repro.Kernel) int) []Workload {
+	var ws []Workload
+	for _, k := range repro.Corpus {
+		if suite == "" || k.Suite == suite {
+			ws = append(ws, Kernel(k.Name, size(k)))
 		}
-		for (i = 0; i < 4; i++)
-			v[k].p[i] = out[i];
 	}
-}
-
-int main(void)
-{
-	int i, k;
-	for (i = 0; i < 4; i++) {
-		int j;
-		for (j = 0; j < 4; j++)
-			world.m[i][j] = 0;
-		world.m[i][i] = 2.0f;
-	}
-	for (k = 0; k < %d; k++)
-		for (i = 0; i < 4; i++)
-			verts[k].p[i] = k + i;
-	transform(&world, verts, %d); %s
-	return 0;
-}
-`, verts, verts, verts, KernelMarker)}
-}
-
-// LagRecurrence is the DOACROSS benchmark's first kernel: a lag-3
-// autoregressive filter. The dependence cycle runs through the whole
-// (single) statement, so the loop neither vectorizes nor distributes,
-// but at distance 3 three chains pipeline concurrently: the critical
-// path advances three iterations per synchronized handoff. The checksum
-// loop makes the exit code data-dependent, so a miscompiled sync shows
-// up as an output difference, not just a cycle difference.
-func LagRecurrence(n int) Workload {
-	return Workload{Name: "lagrec3", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void lagrec(int n)
-{
-	int i;
-	for (i = 3; i < n; i++)
-		a[i] = a[i-3] * 0.5f + b[i] * c[i] + b[i];
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		a[i] = i * 0.001f;
-		b[i] = 0.5f;
-		c[i] = 1.25f;
-	}
-	lagrec(%d); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (a[i] > c[i])
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, n, KernelMarker, n)}
-}
-
-// SmoothDamp is the DOACROSS benchmark's second kernel: an order-8
-// damped smoothing recurrence. The distance covers the machine width,
-// so under round-robin spreading every processor consumes a value it
-// produced itself and codegen's wait elides to program order — DOACROSS
-// becomes sync-free parallelism on a loop a DOALL check must reject.
-func SmoothDamp(n int) Workload {
-	return Workload{Name: "smooth8", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void smooth(int n)
-{
-	int i;
-	for (i = 8; i < n; i++)
-		a[i] = (a[i-8] + b[i] * c[i]) * 0.5f;
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		a[i] = i * 0.01f;
-		b[i] = 1.5f;
-		c[i] = 0.75f;
-	}
-	smooth(%d); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (a[i] > b[i])
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, n, KernelMarker, n)}
-}
-
-// Wavefront is the DOACROSS benchmark's third kernel: a diagonal
-// recurrence flattened to one dimension, carried at distance 32 — far
-// enough that several processors run whole iterations between waits and
-// the tuner can legally coalesce posting (distance >= stride * width).
-func Wavefront(n int) Workload {
-	return Workload{Name: "wavefront", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void wave(int n)
-{
-	int i;
-	for (i = 32; i < n; i++)
-		a[i] = a[i-32] * 0.9f + b[i] * c[i] + c[i] * 0.5f;
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		a[i] = i * 0.01f;
-		b[i] = 0.5f;
-		c[i] = 1.25f;
-	}
-	wave(%d); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (a[i] > b[i])
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, n, KernelMarker, n)}
-}
-
-// Clip is the masked-execution benchmark's first kernel: the classic
-// saturation loop. The guarded store is the only statement, so
-// if-conversion turns the whole body into one predicated assignment and
-// the vectorizer emits a single masked strip. With inputs ramping past
-// the limit, roughly half the lanes are active — the mask utilization
-// the stats layer reports should sit near 0.5.
-func Clip(n int) Workload {
-	return Workload{Name: "clip", Src: fmt.Sprintf(`
-float in[%d], out[%d];
-
-void clip(int n, float limit)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		if (in[i] > limit)
-			out[i] = limit;
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		in[i] = i * 0.25f;
-		out[i] = in[i];
-	}
-	clip(%d, %d.0f); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (out[i] < in[i])
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, n/8, KernelMarker, n)}
-}
-
-// ThresholdAccum is the masked benchmark's second kernel: a guarded
-// read-modify-write. Both the load and the store on acc[] must be
-// governed by the mask (an inactive lane must neither fault nor write),
-// so it exercises masked loads, masked adds, and the masked store in one
-// statement.
-func ThresholdAccum(n int) Workload {
-	return Workload{Name: "threshacc", Src: fmt.Sprintf(`
-float in[%d], acc[%d];
-
-void thresh(int n, float t)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		if (in[i] > t)
-			acc[i] = acc[i] + in[i];
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		in[i] = (i %% 7) * 0.5f;
-		acc[i] = 1.0f;
-	}
-	thresh(%d, 1.5f); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (acc[i] > 2.0f)
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, KernelMarker, n)}
-}
-
-// SparseSaxpy is the masked benchmark's third kernel: axpy guarded by a
-// nonzero test on a separate mask array — the sparse-update pattern
-// masked execution exists for. The guard reads m[], the body reads and
-// writes different arrays, so the mask register carries across three
-// distinct memory streams.
-func SparseSaxpy(n int) Workload {
-	return Workload{Name: "sparsesaxpy", Src: fmt.Sprintf(`
-float x[%d], y[%d], m[%d];
-
-void ssaxpy(int n, float a)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		if (m[i] != 0.0f)
-			y[i] = y[i] + a * x[i];
-}
-
-int main(void)
-{
-	int i, chk;
-	for (i = 0; i < %d; i++) {
-		x[i] = i * 0.125f;
-		y[i] = 1.0f;
-		m[i] = (i %% 3 == 0) ? 1.0f : 0.0f;
-	}
-	ssaxpy(%d, 2.0f); %s
-	chk = 0;
-	for (i = 0; i < %d; i++)
-		if (y[i] > 1.0f)
-			chk = chk + 1;
-	return chk %% 251;
-}
-`, n, n, n, n, n, KernelMarker, n)}
-}
-
-// SyntheticDoall is the execution-engine benchmark's parallel workload:
-// reps serial passes over an n-element dependence-free update, each pass
-// a doall loop the compiler spreads across the processors (and
-// vectorizes within each chunk). n is sized far above the strip length
-// so every processor runs many strips per region.
-func SyntheticDoall(n, reps int) Workload {
-	return Workload{Name: "syntheticdoall", Src: fmt.Sprintf(`
-float a[%d], b[%d], c[%d];
-
-void doall(int n)
-{
-	int i;
-	for (i = 0; i < n; i++)
-		a[i] = b[i] * 2.0f + c[i] + a[i] * 0.5f;
-}
-
-int main(void)
-{
-	int i, r;
-	for (i = 0; i < %d; i++) {
-		a[i] = 0;
-		b[i] = i;
-		c[i] = 1;
-	}
-	for (r = 0; r < %d; r++) doall(%d); %s
-	return 0;
-}
-`, n, n, n, n, reps, n, KernelMarker)}
+	return ws
 }
 
 // ManyProcs is a translation unit shaped like the benchmark's compile

@@ -8,7 +8,7 @@ import (
 )
 
 func TestKernelDifferentialMeasurement(t *testing.T) {
-	w := Daxpy(128)
+	w := Kernel("daxpy", 128)
 	if !strings.Contains(w.Src, KernelMarker) {
 		t.Fatal("workload missing kernel marker")
 	}
@@ -37,10 +37,7 @@ func TestStripKernelRemovesOnlyMarkedLines(t *testing.T) {
 }
 
 func TestWorkloadsCompileEverywhere(t *testing.T) {
-	workloads := []Workload{
-		Backsolve(128), Daxpy(64), CopyLoop(64), ReverseAxpy(64),
-		VectorAdd(128), Transform4x4(8),
-	}
+	workloads := Small("")
 	// The paper's evaluation axes.
 	cfgs := []Config{
 		{"scalar", driver.Options{OptLevel: 1}, 1},

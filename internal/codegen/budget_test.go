@@ -2,8 +2,6 @@ package codegen_test
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -18,26 +16,13 @@ import (
 // a do parallel region of the manyprocs unit defines finds no register.
 const tightRegs = 9
 
-// budgetCorpus is the benchmark's programs, testdata/*.c, the manyprocs
-// unit and race12, whose main inlines 24 loops.
+// budgetCorpus is the corpus kernels, the benchmark's programs, the
+// manyprocs unit and race12, whose main inlines 24 loops.
 func budgetCorpus(t *testing.T) map[string]string {
 	t.Helper()
-	corpus := map[string]string{}
+	corpus := corpus(t)
 	for _, w := range []bench.Workload{bench.ManyProcs(), bench.RaceProgram(12)} {
 		corpus[w.Name] = w.Src
-	}
-	for _, pat := range []string{"../../benchmark/programs/*.c", "../../testdata/*.c"} {
-		paths, err := filepath.Glob(pat)
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("no programs match %s (%v)", pat, err)
-		}
-		for _, p := range paths {
-			src, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			corpus[filepath.Base(p)] = string(src)
-		}
 	}
 	return corpus
 }

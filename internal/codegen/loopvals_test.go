@@ -29,7 +29,7 @@ func backLoops(f *titan.Func) [][2]int {
 // constant, such as the strip length, is not one), and the strip's IV is
 // multiplied by the element size once however many sections it addresses.
 func TestLoopValuesDaxpyStrip(t *testing.T) {
-	res, err := driver.Compile(bench.Daxpy(512).Src, driver.FullOptions())
+	res, err := driver.Compile(bench.Kernel("daxpy", 512).Src, driver.FullOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,6 @@ import (
 // as code generation left them.
 func TestScheduleLeavesLabels(t *testing.T) {
 	srcs := corpus(t)
-	for _, w := range []bench.Workload{bench.Backsolve(512), bench.Daxpy(512), bench.CopyLoop(512),
-		bench.ReverseAxpy(512), bench.VectorAdd(512), bench.Transform4x4(64), bench.SyntheticDoall(2048, 4)} {
-		srcs[w.Name] = w.Src
-	}
 	opts := driver.FullOptions()
 	opts.NoSchedule = true
 	for name, src := range srcs {
@@ -49,22 +45,24 @@ func TestScheduleLeavesLabels(t *testing.T) {
 	}
 }
 
-// corpus reads testdata/*.c and benchmark/programs/*.c, keyed by path.
+// corpus is the corpus kernels at their table sizes and
+// benchmark/programs/*.c, keyed by path.
 func corpus(t *testing.T) map[string]string {
 	t.Helper()
 	srcs := map[string]string{}
-	for _, pat := range []string{"../../testdata/*.c", "../../benchmark/programs/*.c"} {
-		paths, err := filepath.Glob(pat)
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("no programs match %s (%v)", pat, err)
+	for _, w := range bench.Corpus() {
+		srcs["testdata/"+w.Name+".c"] = w.Src
+	}
+	paths, err := filepath.Glob("../../benchmark/programs/*.c")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no programs match benchmark/programs/*.c (%v)", err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, p := range paths {
-			src, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srcs[p] = string(src)
-		}
+		srcs[p] = string(src)
 	}
 	return srcs
 }

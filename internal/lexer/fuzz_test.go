@@ -2,11 +2,10 @@ package lexer
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/token"
 )
 
@@ -14,16 +13,8 @@ import (
 // at most len(src)+1 tokens — the bound TokenizeInterned allocates — that
 // end in exactly one EOF and strictly increase in (line, col).
 func FuzzTokenize(f *testing.F) {
-	paths, err := filepath.Glob("../../testdata/*.c")
-	if err != nil || len(paths) == 0 {
-		f.Fatalf("no programs match testdata/*.c (%v)", err)
-	}
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(string(src))
+	for _, k := range repro.Corpus {
+		f.Add(repro.Source(k.Name, k.Size))
 	}
 	f.Add(strings.Repeat("<<=>>=...->++--&&||!=", 8) + "a;b.c")
 	f.Add("int x; /* unterminated")

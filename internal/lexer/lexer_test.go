@@ -1,13 +1,12 @@
 package lexer
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"repro"
 	"repro/internal/token"
 )
 
@@ -266,21 +265,14 @@ func itoa(n int64) string {
 // TestTokenizeSizedOnce pins the token slice's one allocation at the sound
 // bound len(src)+1: every token but EOF consumes at least one byte.
 func TestTokenizeSizedOnce(t *testing.T) {
-	paths, err := filepath.Glob("../../testdata/*.c")
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no programs match testdata/*.c (%v)", err)
-	}
-	for _, p := range paths {
-		src, err := os.ReadFile(p)
+	for _, k := range repro.Corpus {
+		src := repro.Source(k.Name, k.Size)
+		toks, err := Tokenize(src)
 		if err != nil {
-			t.Fatal(err)
-		}
-		toks, err := Tokenize(string(src))
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
+			t.Fatalf("%s: %v", k.Name, err)
 		}
 		if cap(toks) != len(src)+1 {
-			t.Errorf("%s: cap(toks) = %d, want len(src)+1 = %d", p, cap(toks), len(src)+1)
+			t.Errorf("%s: cap(toks) = %d, want len(src)+1 = %d", k.Name, cap(toks), len(src)+1)
 		}
 	}
 

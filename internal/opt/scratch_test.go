@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro"
 	"repro/internal/il"
 	"repro/internal/inline"
 	"repro/internal/lower"
@@ -17,23 +18,25 @@ import (
 // on each of its procedures, in program and then procedure order.
 func forEachCorpusProc(t *testing.T, fn func(file string, p *il.Proc)) {
 	t.Helper()
-	var paths []string
-	for _, pat := range []string{"../../benchmark/programs/*.c", "../../testdata/*.c"} {
-		m, err := filepath.Glob(pat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, m...)
+	paths, err := filepath.Glob("../../benchmark/programs/*.c")
+	if err != nil || len(paths) < 12 {
+		t.Fatalf("benchmark/programs has %d programs (%v)", len(paths), err)
 	}
-	if len(paths) < 12 {
-		t.Fatalf("corpus has %d programs", len(paths))
-	}
+	srcs := map[string]string{}
 	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := parser.Parse(string(src))
+		srcs[path] = string(src)
+	}
+	for _, k := range repro.Corpus {
+		path := "testdata/" + k.Name + ".c"
+		paths = append(paths, path)
+		srcs[path] = repro.Source(k.Name, k.Size)
+	}
+	for _, path := range paths {
+		f, err := parser.Parse(srcs[path])
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

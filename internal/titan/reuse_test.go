@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro"
 	"repro/internal/bench"
 	"repro/internal/driver"
 	"repro/internal/titan"
@@ -123,10 +124,7 @@ func TestReuseIsInvisible(t *testing.T) {
 // engines, a machine drawn after the scribbler's release runs to the
 // Result and the final memory of a machine built on fresh state.
 func TestReuseMatchesUnpooled(t *testing.T) {
-	for _, w := range []bench.Workload{
-		bench.Backsolve(512), bench.Daxpy(512), bench.CopyLoop(512),
-		bench.ReverseAxpy(512), bench.VectorAdd(512), bench.Transform4x4(64),
-	} {
+	for _, w := range bench.Suite(repro.ESeries) {
 		res, err := driver.Compile(w.Src, driver.FullOptions())
 		if err != nil {
 			t.Fatal(err)

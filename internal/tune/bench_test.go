@@ -17,7 +17,7 @@ import (
 //
 //	go test -run '^$' -bench Tune -benchmem ./internal/tune
 func BenchmarkTune(b *testing.B) {
-	for _, w := range []bench.Workload{bench.Daxpy(256), bench.Backsolve(256), bench.Clip(256)} {
+	for _, w := range []bench.Workload{bench.Kernel("daxpy", 256), bench.Kernel("backsolve", 256), bench.Kernel("clip", 256)} {
 		b.Run(w.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			var res *tune.Result
@@ -41,7 +41,7 @@ func BenchmarkTune(b *testing.B) {
 //
 //	go test -run '^$' -bench NewMachine -benchmem ./internal/tune
 func BenchmarkNewMachine(b *testing.B) {
-	res, err := driver.Compile(bench.Daxpy(256).Src, driver.FullOptions())
+	res, err := driver.Compile(bench.Kernel("daxpy", 256).Src, driver.FullOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

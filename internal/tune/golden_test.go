@@ -43,32 +43,35 @@ const decisionsGolden = "testdata/decisions.golden.json"
 // that against an earlier revision).
 const simulatedGolden = "testdata/simulated.golden.json"
 
-// goldenUnits is what the golden covers: the repository's testdata/*.c,
-// the E-series workloads, and the benchmark's twelve kernels.
+// goldenUnits is what the golden covers: the corpus kernels by path
+// (testdata/*.c, in name order), the benchmark's twelve kernels, and the
+// corpus kernels at their small sizes but the execution engine's doall,
+// one loop that vectoradd already covers.
 func goldenUnits(t *testing.T) []bench.Workload {
 	t.Helper()
 	var units []bench.Workload
-	for _, pattern := range []string{"../../testdata/*.c", "../../benchmark/programs/*.c"} {
-		files, err := filepath.Glob(pattern)
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no sources match %s (err %v)", pattern, err)
-		}
-		sort.Strings(files)
-		for _, f := range files {
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			units = append(units, bench.Workload{Name: strings.TrimPrefix(filepath.ToSlash(f), "../../"), Src: string(src)})
-		}
-	}
-	for _, w := range []bench.Workload{
-		bench.Backsolve(256), bench.Daxpy(256), bench.CopyLoop(256), bench.ReverseAxpy(256),
-		bench.VectorAdd(256), bench.Transform4x4(16), bench.LagRecurrence(256), bench.SmoothDamp(256),
-		bench.Wavefront(64), bench.Clip(256), bench.ThresholdAccum(256), bench.SparseSaxpy(256),
-	} {
-		w.Name = "bench/" + w.Name
+	for _, w := range bench.Corpus() {
+		w.Name = "testdata/" + w.Name + ".c"
 		units = append(units, w)
+	}
+	sort.Slice(units, func(i, j int) bool { return units[i].Name < units[j].Name })
+	files, err := filepath.Glob("../../benchmark/programs/*.c")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no sources match benchmark/programs/*.c (err %v)", err)
+	}
+	sort.Strings(files)
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, bench.Workload{Name: strings.TrimPrefix(filepath.ToSlash(f), "../../"), Src: string(src)})
+	}
+	for _, w := range bench.Small("") {
+		if w.Name != "syntheticdoall" {
+			w.Name = "bench/" + w.Name
+			units = append(units, w)
+		}
 	}
 	return units
 }

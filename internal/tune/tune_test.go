@@ -20,7 +20,7 @@ import (
 // strictly beats the default plan, and compiling with the returned set
 // must reproduce the measured win (same cycles, same output).
 func TestTuneDaxpyImproves(t *testing.T) {
-	w := bench.Daxpy(256)
+	w := bench.Kernel("daxpy", 256)
 	opts := driver.FullOptions()
 	res, err := tune.Tune(w.Src, opts, tune.Config{})
 	if err != nil {
@@ -69,7 +69,7 @@ func TestTuneDaxpyImproves(t *testing.T) {
 // The tuner is deterministic: two searches over the same unit agree on
 // every decision (the schedule cache and decisions.golden.json depend on it).
 func TestTuneDeterministic(t *testing.T) {
-	w := bench.CopyLoop(256)
+	w := bench.Kernel("copyloop", 256)
 	opts := driver.FullOptions()
 	a, err := tune.Tune(w.Src, opts, tune.Config{})
 	if err != nil {
@@ -90,7 +90,7 @@ func TestTuneDeterministic(t *testing.T) {
 // Remarks renders exactly one sched-selected diagnostic per decision,
 // positioned at the loop, with the measured delta in the args.
 func TestTuneRemarks(t *testing.T) {
-	w := bench.Daxpy(256)
+	w := bench.Kernel("daxpy", 256)
 	res, err := tune.Tune(w.Src, driver.FullOptions(), tune.Config{})
 	if err != nil {
 		t.Fatalf("Tune: %v", err)
@@ -119,7 +119,7 @@ func TestTuneRemarks(t *testing.T) {
 // scalar — recompiling under the final set leaves the kernel's guarded
 // stores masked and the program's behavior what scalar code gives.
 func TestTuneMaskStrategy(t *testing.T) {
-	w := bench.Clip(256)
+	w := bench.Kernel("clip", 256)
 	opts := driver.FullOptions()
 	res, err := tune.Tune(w.Src, opts, tune.Config{})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestTuneMaskStrategy(t *testing.T) {
 // every loop before the cut gets the unbounded search's decision and the
 // loop at the cut gets the remainder of the budget.
 func TestTuneBudget(t *testing.T) {
-	w := bench.Daxpy(256)
+	w := bench.Kernel("daxpy", 256)
 	cfg := tune.Config{Processors: 4}
 	full, err := tune.Tune(w.Src, driver.FullOptions(), cfg)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestTuneBudget(t *testing.T) {
 // A search examines only loops that can run, simulates each distinct
 // program once, and gives back every arena it cloned.
 func TestTuneCostsOnlyWhatDiffers(t *testing.T) {
-	w := bench.Daxpy(256)
+	w := bench.Kernel("daxpy", 256)
 	live := il.ArenaBytesLive()
 	res, err := tune.Tune(w.Src, driver.FullOptions(), tune.Config{Processors: 4})
 	if err != nil {
@@ -236,8 +236,8 @@ func TestTuneCostsOnlyWhatDiffers(t *testing.T) {
 // did before it.
 func TestExprsImmutableUnderSearch(t *testing.T) {
 	for _, w := range []bench.Workload{
-		bench.Daxpy(64), bench.Backsolve(64), bench.Clip(64), bench.LagRecurrence(64),
-		bench.Transform4x4(16), bench.Wavefront(16), bench.SparseSaxpy(64),
+		bench.Kernel("daxpy", 64), bench.Kernel("backsolve", 64), bench.Kernel("clip", 64), bench.Kernel("lagrec3", 64),
+		bench.Kernel("transform4x4", 16), bench.Kernel("wavefront", 16), bench.Kernel("sparsesaxpy", 64),
 	} {
 		before, after, err := tune.HeadAroundSearch(w.Src, driver.FullOptions(), tune.Config{Processors: 4})
 		if err != nil {
@@ -253,7 +253,7 @@ func TestExprsImmutableUnderSearch(t *testing.T) {
 // output than the default plan is a miscompile, and the search fails
 // naming the loop and the schedule rather than discarding it quietly.
 func TestDivergingCandidateFailsSearch(t *testing.T) {
-	w := bench.Daxpy(64)
+	w := bench.Kernel("daxpy", 64)
 	key, sch, err := tune.TuneDiverging(w.Src, "int main(void) { return 42; }", driver.FullOptions(), tune.Config{Processors: 4})
 	if err == nil {
 		t.Fatalf("the search adopted or discarded a candidate that exits 42 under %s for %v", sch, key)

@@ -39,7 +39,7 @@ func atWidths(t *testing.T, name string, search func() (*Result, error)) *Result
 // has processors, and nothing a search reports may show it.
 func TestDecisionsDoNotDependOnWidth(t *testing.T) {
 	for _, w := range []bench.Workload{
-		bench.Daxpy(256), bench.Backsolve(256), bench.Clip(256), bench.Transform4x4(16), bench.Wavefront(64),
+		bench.Kernel("daxpy", 256), bench.Kernel("backsolve", 256), bench.Kernel("clip", 256), bench.Kernel("transform4x4", 16), bench.Kernel("wavefront", 64),
 	} {
 		for _, cfg := range []Config{{Processors: 4}, {Processors: 4, Budget: 5}} {
 			atWidths(t, w.Name, func() (*Result, error) { return Tune(w.Src, driver.FullOptions(), cfg) })
@@ -51,7 +51,7 @@ func TestDecisionsDoNotDependOnWidth(t *testing.T) {
 // its batch it sits and whichever worker met the error: here the very
 // schedule the search would otherwise adopt for daxpy's first loop.
 func TestFailedCompileIsDiscarded(t *testing.T) {
-	w := bench.Daxpy(256)
+	w := bench.Kernel("daxpy", 256)
 	cfg := Config{Processors: 4}
 	clean, err := Tune(w.Src, driver.FullOptions(), cfg)
 	if err != nil {

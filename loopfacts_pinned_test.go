@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // What each consumer of the affine form base + coef·iv answers on the
 // inputs where their five hand-written decompositions used to differ,

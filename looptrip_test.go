@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // Every DO and do parallel loop is emitted bottom-tested: the body runs
 // once before the first test, so a loop that may run zero times needs a

@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 // End-to-end tests for if-conversion and masked vector execution: the
 // conditional workloads (clip, threshold-accumulate, sparse saxpy) that
@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/bench"
 	"repro/internal/diag"
 	"repro/internal/driver"
@@ -24,11 +25,7 @@ import (
 // guarded by a data-dependent if, which pre-mask vectorization rejected
 // with vect-scalar-flow.
 func maskedWorkloads() []bench.Workload {
-	return []bench.Workload{
-		bench.Clip(512),
-		bench.ThresholdAccum(512),
-		bench.SparseSaxpy(512),
-	}
+	return bench.Suite(repro.Masked)
 }
 
 // TestMaskedWorkloadsVectorize: the full pipeline if-converts and masks
@@ -191,7 +188,8 @@ func kernelCycles(tb testing.TB, w bench.Workload, opts driver.Options, strategy
 // scalar branches (branchy-serial) by the claimed >=1.2x.
 func TestMaskedSpeedup(t *testing.T) {
 	best := 0.0
-	for _, w := range []bench.Workload{bench.Clip(2048), bench.ThresholdAccum(2048), bench.SparseSaxpy(2048)} {
+	for _, w := range maskedWorkloads() {
+		w = bench.Kernel(w.Name, 2048)
 		scalar, _ := kernelCycles(t, w, driver.Options{OptLevel: 1}, "")
 		branchy, _ := kernelCycles(t, w, driver.FullOptions(), schedule.MaskBranchy)
 		masked, full := kernelCycles(t, w, driver.FullOptions(), "")

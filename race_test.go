@@ -1,6 +1,6 @@
 //go:build race
 
-package repro
+package repro_test
 
 // raceDetector reports whether the tests run under -race, where
 // allocation counts are not meaningful.

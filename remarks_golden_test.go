@@ -1,10 +1,10 @@
-package repro
+package repro_test
 
-// Golden coverage of the diagnostics layer: every §9 E-series workload,
-// compiled at full optimization, must emit the pinned remark stream —
-// one vectorize-or-not and one parallelize-or-not verdict per loop, with
-// a stable code, a nonzero source position, and the blocking dependence
-// named on rejection. Regenerate after an intentional pipeline change:
+// Golden coverage of the diagnostics layer: every corpus kernel (testdata/*.c) at
+// its table size, compiled at full optimization, must emit the pinned
+// remark stream — one vectorize-or-not and one parallelize-or-not
+// verdict per loop, with a stable code, a nonzero source position, and
+// the blocking dependence named on rejection. Regenerate after an intentional pipeline change:
 //
 //	UPDATE_GOLDEN=1 go test -run TestESeriesRemarksGolden .
 
@@ -31,14 +31,8 @@ func compileRemarks(t *testing.T, src string) []diag.Diagnostic {
 	return ctx.Diags.All()
 }
 
-// remarkWorkloads is the golden-remark corpus: the §9 E-series suite
-// plus the conditional (if-converted, masked) workloads.
-func remarkWorkloads() []bench.Workload {
-	return append(eseriesWorkloads(), maskedWorkloads()...)
-}
-
 func TestESeriesRemarksGolden(t *testing.T) {
-	for _, w := range remarkWorkloads() {
+	for _, w := range bench.Corpus() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
@@ -74,7 +68,7 @@ func TestESeriesRemarksGolden(t *testing.T) {
 // positioned, each loop gets at most one verdict per phase, and every
 // dependence-based rejection names the blocking dependence.
 func TestESeriesRemarkInvariants(t *testing.T) {
-	for _, w := range remarkWorkloads() {
+	for _, w := range bench.Corpus() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()

@@ -1,4 +1,4 @@
-package repro
+package repro_test
 
 import (
 	"go/ast"

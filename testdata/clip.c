@@ -1,8 +1,7 @@
-/* Conditional kernel: the guarded store used to block vectorization
- * (vect-scalar-flow); if-conversion + masked execution vectorize it. */
-float in[512], out[512];
+enum { N = 512 }; /* Masked: the classic saturation loop. */
+float in[N], out[N];
 
-void clip(float limit, int n)
+void clip(int n, float limit)
 {
 	int i;
 	for (i = 0; i < n; i++)
@@ -12,11 +11,21 @@ void clip(float limit, int n)
 
 int main(void)
 {
-	int i;
-	for (i = 0; i < 512; i++) {
-		in[i] = i;
+	int i, chk;
+	for (i = 0; i < N; i++) {
+		in[i] = i * 0.25f;
 		out[i] = in[i];
 	}
-	clip(64.0f, 512);
-	return 0;
+	clip(N, N / 8); /*KERNEL*/
+	chk = 0;
+	for (i = 0; i < N; i++)
+		if (out[i] < in[i])
+			chk = chk + 1;
+	return chk % 251;
 }
+
+/* The guarded store is the only statement, so if-conversion turns the
+ * whole body into one predicated assignment and the vectorizer emits a
+ * single masked strip. With inputs ramping past the limit, roughly half
+ * the lanes are active: the mask utilization the stats layer reports
+ * should sit near 0.5. */

@@ -1,6 +1,5 @@
-/* The paper's section 5.3 pointer-copy loop. Watch the induction-variable
- * substitution with:  go run ./cmd/titancc -dump-after=all testdata/copyloop.c */
-float dst[1024], src[1024];
+enum { N = 512 }; /* E3: section 5.3's pointer copy. */
+float dst[N], src[N];
 
 void copyloop(float *a, float *b, int n)
 {
@@ -13,7 +12,10 @@ void copyloop(float *a, float *b, int n)
 int main(void)
 {
 	int i;
-	for (i = 0; i < 1024; i++) src[i] = i;
-	copyloop(dst, src, 1024);
+	for (i = 0; i < N; i++) src[i] = i;
+	copyloop(dst, src, N); /*KERNEL*/
 	return 0;
 }
+
+/* Watch the induction-variable substitution with
+ *   go run ./cmd/titancc -dump-after=all testdata/copyloop.c */
