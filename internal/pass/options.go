@@ -65,12 +65,15 @@ type Plan struct {
 	Catalogs []*inline.Catalog
 	// Scalar configures the scalar optimizer (§5.2); nil at -O0.
 	Scalar *opt.Options
-	// Parallel runs nest parallelization and do-parallel conversion (§2).
+	// Parallel runs nest parallelization and do-parallel conversion (§2);
+	// never at -O0.
 	Parallel bool
-	// Vector runs if-conversion and the vectorizer (§5) at strip length VL.
+	// Vector runs if-conversion and the vectorizer (§5) at strip length
+	// VL; never at -O0.
 	Vector bool
 	VL     int
-	// List runs the §10 linked-list parallelizer.
+	// List runs the §10 linked-list parallelizer, at -O0 too: it needs
+	// no scalar optimization and parallelizes a list loop there.
 	List bool
 	// Strength runs §6's strength reduction and a cleanup round; never at
 	// -O0.
@@ -85,12 +88,15 @@ type Plan struct {
 
 // Plan resolves o into the compile it describes.
 func (o Options) Plan() Plan {
-	p := Plan{Inline: o.Inline, Parallel: o.Parallelize, Vector: o.Vectorize, List: o.ListParallel}
+	p := Plan{Inline: o.Inline, List: o.ListParallel}
 	if p.Inline {
 		p.Catalogs = o.Catalogs
 	}
 	if o.OptLevel >= 1 {
-		p.Strength = o.StrengthReduce
+		// Without the scalar optimizer's while-to-DO conversion and
+		// induction-variable substitution the loop phases find no DO loop
+		// they can use.
+		p.Parallel, p.Vector, p.Strength = o.Parallelize, o.Vectorize, o.StrengthReduce
 		// Induction-variable substitution only pays when a later phase
 		// consumes it (§6), or when forced.
 		p.Scalar = &opt.Options{IVSub: p.Vector || p.Strength || o.ForceIVSub, Straightforward: o.Straightforward}

@@ -27,9 +27,10 @@ func TestPipelineOrderFull(t *testing.T) {
 }
 
 func TestPipelineEmptyAtO0(t *testing.T) {
-	// Strength reduction asked for at -O0 runs nothing either (§6 is an
-	// optimization), and so nothing is list-scheduled.
-	for _, o := range []Options{{OptLevel: 0}, {OptLevel: 0, StrengthReduce: true}} {
+	// Strength reduction, vectorization and parallelization asked for at
+	// -O0 run nothing either (they are optimizations), and so nothing is
+	// list-scheduled.
+	for _, o := range []Options{{OptLevel: 0}, {OptLevel: 0, StrengthReduce: true}, {OptLevel: 0, Vectorize: true, Parallelize: true}} {
 		if got := NewManager(o.Plan()).Passes(); len(got) != 0 || o.Plan().Schedule {
 			t.Fatalf("plain -O0 pipeline should be empty and unscheduled, got %v (%+v)", got, o.Plan())
 		}
