@@ -36,7 +36,9 @@ type DoacrossPlan struct {
 }
 
 // Doacross decides whether the analyzed loop can be scheduled DOACROSS
-// and returns the synchronization plan, or nil when it cannot:
+// and returns the synchronization plan, or nil when it cannot — with the
+// scalar read after the loop when that is what refuses it, and NoVar
+// otherwise:
 //
 //   - barrier statements (calls, volatile accesses, irregular control)
 //     cannot be ordered by post/wait;
@@ -52,14 +54,14 @@ type DoacrossPlan struct {
 //     question; one read anywhere outside the loop may be read after it,
 //     where the last iteration's value is wanted and some processor's
 //     copy would be found.
-func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
+func Doacross(p *il.Proc, ld *LoopDeps) (*DoacrossPlan, il.VarID) {
 	for _, b := range ld.Barrier {
 		if b {
-			return nil
+			return nil, il.NoVar
 		}
 	}
 	if UnsafeScalar(p, ld.Loop.Body) != "" {
-		return nil
+		return nil, il.NoVar
 	}
 	var (
 		g        int64
@@ -76,12 +78,12 @@ func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
 		}
 		if d.Scalar {
 			if d.Kind == Flow {
-				return nil
+				return nil, il.NoVar
 			}
 			continue
 		}
 		if !d.Known || d.Distance < 1 || d.Distance > MaxDoacrossDistance {
-			return nil
+			return nil, il.NoVar
 		}
 		memCount++
 		g = gcd64(g, d.Distance)
@@ -97,17 +99,17 @@ func Doacross(p *il.Proc, ld *LoopDeps) *DoacrossPlan {
 		}
 	}
 	if memCount == 0 {
-		return nil // independent: DOALL territory, not DOACROSS
+		return nil, il.NoVar // independent: DOALL territory, not DOACROSS
 	}
 	for i := range ld.Deps {
 		if d := &ld.Deps[i]; d.Carried && d.Scalar && readOutside(p, ld.Loop, d.Var) {
-			return nil
+			return nil, d.Var
 		}
 	}
 	if waitIdx > postIdx {
 		waitIdx = postIdx // waiting earlier is always sound; see WaitIdx
 	}
-	return &DoacrossPlan{Distance: g, WaitIdx: waitIdx, PostIdx: postIdx, Dep: minDep}
+	return &DoacrossPlan{Distance: g, WaitIdx: waitIdx, PostIdx: postIdx, Dep: minDep}, il.NoVar
 }
 
 // readOutside reports whether p reads v anywhere but in loop.

@@ -115,8 +115,12 @@ func (w *walker) convert(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	// one has a computable constant distance the loop can
 	// pipeline DOACROSS (§2's spreading plus post/wait).
 	if rej.code == diag.ParCarriedDep {
-		if dp := w.doacross(p, n); dp != nil {
+		dp, blocker := w.doacross(p, n)
+		if dp != nil {
 			return dp
+		}
+		if blocker != nil {
+			rej = blocker
 		}
 	}
 	remark(w.r, p, n, rej.code, rej.args, "%s", rej.msg)
@@ -177,21 +181,29 @@ func classify(p *il.Proc, loop *il.DoLoop, opts depend.Options, ac *analysis.Cac
 const doacrossHandoffCost = 4
 
 // doacross tries to convert a carried-dependence loop into a pipelined
-// DOACROSS region. It returns nil — leaving the loop serial and its
-// rejection remark standing — when no constant-distance plan exists,
-// when an observable scalar blocks spreading, or when the body is too
-// small to pay for the synchronization.
-func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
+// DOACROSS region. It returns nil, leaving the loop serial, when no
+// constant-distance plan exists, when an observable scalar blocks
+// spreading, or when the body is too small to pay for the
+// synchronization. When the plan's one blocker is a scalar read after
+// the loop, every memory dependence being one DOACROSS would
+// synchronize, it also returns the rejection that names that scalar in
+// place of the carried-dependence verdict.
+func (w *walker) doacross(p *il.Proc, n *il.DoLoop) (*il.DoParallel, *rejection) {
 	stepC, ok := il.IsIntConst(n.Step)
 	if !ok || stepC <= 0 {
-		return nil // codegen's cell math needs a positive constant step
+		return nil, nil // codegen's cell math needs a positive constant step
 	}
-	plan := depend.Doacross(p, w.ac.LoopDeps(p, n, w.opts))
+	plan, readAfter := depend.Doacross(p, w.ac.LoopDeps(p, n, w.opts))
+	if readAfter != il.NoVar {
+		v := p.Vars[readAfter].Name
+		return nil, &rejection{code: diag.ParLiveOut, args: map[string]string{"var": v},
+			msg: fmt.Sprintf("loop not parallelized: scalar %s is read after the loop, where a DOACROSS spread leaves one processor's copy", v)}
+	}
 	if plan == nil {
-		return nil
+		return nil, nil
 	}
 	if sched, explicit := w.scheds.Lookup(p.Name, n.Pos); explicit && sched.SerialStrips {
-		return nil // the schedule pinned it serial; keep the serial verdict
+		return nil, nil // the schedule pinned it serial; keep the serial verdict
 	}
 	// Profitability: pipelined, the loop's critical path advances one
 	// dependence distance per handoff — the sync plus the statements
@@ -203,7 +215,7 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	if plan.Distance < int64(titan.MaxProcessors) {
 		window := bodyCost(n.Body[plan.WaitIdx : plan.PostIdx+1])
 		if 3*(doacrossHandoffCost+window) > 2*int(plan.Distance)*bodyCost(n.Body) {
-			return nil
+			return nil, nil
 		}
 	}
 	a := p.Arena()
@@ -220,7 +232,7 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	}, "loop pipelined DOACROSS: carried dependence %s synchronized at distance %d", plan.Dep, plan.Distance)
 	p.BumpGeneration()
 	return a.DoParallel(il.DoParallel{IV: n.IV, Init: n.Init, Limit: n.Limit, Step: n.Step,
-		Body: body, Sync: a.SyncInfo(il.SyncInfo{Distance: plan.Distance, Desc: plan.Dep}), Pos: n.Pos})
+		Body: body, Sync: a.SyncInfo(il.SyncInfo{Distance: plan.Distance, Desc: plan.Dep}), Pos: n.Pos}), nil
 }
 
 // bodyCost is a crude per-iteration cycle estimate: one cycle per
