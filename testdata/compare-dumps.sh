@@ -3,7 +3,8 @@
 #
 #   bash testdata/compare-dumps.sh <rev>
 #
-# For every program in testdata/*.c and benchmark/programs/*.c, under each
+# For every program of the corpus (testdata/*.c) and of
+# benchmark/programs/*.c, under each
 # of -O0, the default options, -inline and -inline -vector -parallel, it
 # runs `titancc -dump-after=all -S` (the IL at every pass boundary, then
 # the scheduled assembly) with both builds and requires the two outputs
