@@ -3,12 +3,13 @@ package repro_test
 // Differential tests for the schedule layer: the refactor that moved the
 // loop phases (vectorize, parallelize, strength-reduce) onto explicit
 // per-loop Schedules must be a pure re-plumbing. Compiling with no
-// schedule set (ctx.Schedules = nil, the pre-refactor code path) must be
-// bit-identical — IL text, generated assembly, phase stats, remark
-// stream, and simulated cycles — to compiling with an explicit set that
-// pins schedule.Default() on every loop in the program. Any constant
-// that escaped the refactor (a baked-in VL, an implicit width) would
-// show up as a diff on one of these levels.
+// schedule set (ctx.Schedules = nil: every loop follows the plan's
+// default) must be bit-identical — IL text, generated assembly, phase
+// stats, remark stream, and simulated cycles — to compiling with an
+// explicit set that pins the plan's default on every loop in the program.
+// Any constant that escaped the refactor (a baked-in VL, an implicit
+// width, a phase that falls back to schedule.Default() instead of the
+// plan's) would show up as a diff on one of these levels.
 
 import (
 	"strings"
@@ -22,12 +23,13 @@ import (
 )
 
 // defaultSetFor discovers every DO loop in src as the loop phases will
-// see it (the post-scalarize snapshot) and pins schedule.Default() on
-// each, so the explicit-schedule compile exercises the Lookup path on
-// every loop rather than falling through on a missing entry.
+// see it (the post-scalarize snapshot) and pins the plan's default
+// schedule on each, so the explicit-schedule compile exercises the Lookup
+// path on every loop rather than falling through on a missing entry.
 func defaultSetFor(t *testing.T, src string, opts driver.Options) *schedule.Set {
 	t.Helper()
 	set := schedule.NewSet()
+	def := opts.Plan().Loops
 	snapName := pass.PassScalar
 	if opts.OptLevel < 1 {
 		snapName = pass.SnapshotInput
@@ -40,7 +42,7 @@ func defaultSetFor(t *testing.T, src string, opts driver.Options) *schedule.Set 
 		for _, p := range prog.Procs {
 			il.WalkStmts(p.Body, func(s il.Stmt) bool {
 				if loop, ok := s.(*il.DoLoop); ok {
-					set.Put(schedule.KeyFor(p.Name, loop.Pos), schedule.Default())
+					set.Put(schedule.KeyFor(p.Name, loop.Pos), def)
 				}
 				return true
 			})
@@ -53,7 +55,7 @@ func defaultSetFor(t *testing.T, src string, opts driver.Options) *schedule.Set 
 }
 
 // compileUnderSchedules compiles and simulates src with the given
-// schedule set (nil = the legacy no-schedule path), returning the
+// schedule set (nil = every loop at the plan's default), returning the
 // artifacts, the rendered remark stream, and the simulation outcome.
 func compileUnderSchedules(t *testing.T, src string, opts driver.Options, set *schedule.Set) (*driver.Result, string, titan.Result) {
 	t.Helper()
@@ -77,15 +79,19 @@ func compileUnderSchedules(t *testing.T, src string, opts driver.Options, set *s
 }
 
 // TestScheduleDefaultDifferential: nil schedules vs an explicit
-// everything-default set, over every evaluation workload, under both the
-// scalar and the full configuration.
+// everything-default set, over every evaluation workload, under the
+// scalar and the full configuration and the full one at -vl 64, where the
+// plan's default is not schedule.Default().
 func TestScheduleDefaultDifferential(t *testing.T) {
+	vl64 := driver.FullOptions()
+	vl64.VL = 64
 	configs := []struct {
 		name string
 		opts driver.Options
 	}{
 		{"scalar", driver.ScalarOptions()},
 		{"full", driver.FullOptions()},
+		{"full-vl64", vl64},
 	}
 	for _, w := range evalWorkloads() {
 		for _, cfg := range configs {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/schedule"
 	"repro/internal/sema"
 	"repro/internal/vector"
 )
@@ -205,7 +206,7 @@ int main()
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
-	st := vector.VectorizeProc(mp, vector.Config{Parallel: true})
+	st := vector.VectorizeProc(mp, vector.Config{Default: schedule.Default(), Parallel: true})
 	if st.ParallelLoops != 1 || st.VectorStmts != 1 {
 		t.Fatalf("§9 shape not reached: %+v\n%s", st, mp)
 	}
@@ -243,21 +244,21 @@ int main()
 	prog := compile(t, src)
 	mp := prog.Proc("main")
 	opt.Optimize(mp, opt.DefaultOptions(), nil, nil)
-	st := vector.VectorizeProc(mp, vector.Config{Parallel: true})
+	st := vector.VectorizeProc(mp, vector.Config{Default: schedule.Default(), Parallel: true})
 	if st.VectorStmts != 0 {
 		t.Fatalf("vectorized without inlining: %+v", st)
 	}
 	// And daxpy itself cannot vectorize due to aliasing.
 	dp := prog.Proc("daxpy")
 	opt.Optimize(dp, opt.DefaultOptions(), nil, nil)
-	st2 := vector.VectorizeProc(dp, vector.Config{})
+	st2 := vector.VectorizeProc(dp, vector.Config{Default: schedule.Default()})
 	if st2.VectorStmts != 0 {
 		t.Fatalf("aliased daxpy vectorized: %+v\n%s", st2, dp)
 	}
 	// Unless pointer parameters get Fortran semantics (§9's other route).
 	dp2 := compile(t, src).Proc("daxpy")
 	opt.Optimize(dp2, opt.DefaultOptions(), nil, nil)
-	st3 := vector.VectorizeProc(dp2, vector.Config{Depend: depend.Options{NoAlias: true}})
+	st3 := vector.VectorizeProc(dp2, vector.Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	if st3.VectorStmts != 1 {
 		t.Fatalf("noalias daxpy not vectorized: %+v\n%s", st3, dp2)
 	}
@@ -523,7 +524,7 @@ void clearall(int n)
 		t.Fatalf("expanded %d", n)
 	}
 	opt.Optimize(cp, opt.DefaultOptions(), nil, nil)
-	st := vector.VectorizeProc(cp, vector.Config{})
+	st := vector.VectorizeProc(cp, vector.Config{Default: schedule.Default()})
 	if st.VectorStmts < 1 {
 		t.Fatalf("row reference did not vectorize after inlining: %+v\n%s", st, cp)
 	}
@@ -543,7 +544,7 @@ void kernel(void) {
 	prog := compile(t, src)
 	for _, p := range prog.Procs {
 		opt.Optimize(p, opt.DefaultOptions(), nil, nil)
-		vector.VectorizeProc(p, vector.Config{Parallel: true})
+		vector.VectorizeProc(p, vector.Config{Default: schedule.Default(), Parallel: true})
 	}
 	var buf bytes.Buffer
 	if err := WriteCatalog(&buf, BuildCatalog(prog)); err != nil {

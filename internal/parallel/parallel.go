@@ -43,12 +43,12 @@ func (s *Stats) Add(o Stats) {
 // examined DO loop gets exactly one parallelize-or-not verdict remark on r,
 // with the blocking dependence named on rejection. ac memoizes the
 // per-loop dependence graphs (nil analyzes directly). scheds holds explicit
-// per-loop schedules: a loop whose schedule pins serial_strips stays serial
-// (with a par-sched-serial verdict); a nil set is the default plan for
-// every loop.
-func ParallelizeProc(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set) Stats {
+// per-loop schedules, and a loop without an entry follows def, the plan's
+// default: a loop whose schedule pins serial_strips stays serial (with a
+// par-sched-serial verdict).
+func ParallelizeProc(p *il.Proc, opts depend.Options, ac *analysis.Cache, r *diag.Reporter, scheds *schedule.Set, def schedule.Schedule) Stats {
 	var st Stats
-	w := walker{opts: opts, ac: ac, r: r, scheds: scheds, st: &st}
+	w := walker{opts: opts, ac: ac, r: r, scheds: scheds, def: def, st: &st}
 	p.Body = il.RewriteStmts(p.Body, serialOnly, func(s il.Stmt, _ []il.Stmt) ([]il.Stmt, bool) {
 		if n, ok := s.(*il.DoLoop); ok {
 			if dp := w.convert(p, n); dp != nil {
@@ -74,6 +74,7 @@ type walker struct {
 	ac     *analysis.Cache
 	r      *diag.Reporter
 	scheds *schedule.Set
+	def    schedule.Schedule
 	st     *Stats
 }
 
@@ -96,8 +97,8 @@ func (w *walker) convert(p *il.Proc, n *il.DoLoop) *il.DoParallel {
 	w.st.LoopsExamined++
 	rej := classify(p, n, w.opts, w.ac)
 	if rej == nil {
-		sched, explicit := w.scheds.Lookup(p.Name, n.Pos)
-		if explicit && sched.SerialStrips {
+		sched := w.scheds.Lookup(p.Name, n.Pos, w.def)
+		if sched.SerialStrips {
 			remark(w.r, p, n, diag.ParSchedSerial, map[string]string{"schedule": sched.String()},
 				"loop kept serial: iterations are independent but the loop schedule pins serial strips")
 			return nil
@@ -202,7 +203,7 @@ func (w *walker) doacross(p *il.Proc, n *il.DoLoop) (*il.DoParallel, *rejection)
 	if plan == nil {
 		return nil, nil
 	}
-	if sched, explicit := w.scheds.Lookup(p.Name, n.Pos); explicit && sched.SerialStrips {
+	if w.scheds.Lookup(p.Name, n.Pos, w.def).SerialStrips {
 		return nil, nil // the schedule pinned it serial; keep the serial verdict
 	}
 	// Profitability: pipelined, the loop's critical path advances one

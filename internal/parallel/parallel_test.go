@@ -8,6 +8,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/schedule"
 	"repro/internal/sema"
 )
 
@@ -54,7 +55,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	if st.LoopsParallelized != 1 || parCount(p.Body) != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -69,7 +70,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("recurrence parallelized: %+v\n%s", st, p)
 	}
@@ -84,7 +85,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("call loop parallelized: %+v\n%s", st, p)
 	}
@@ -103,7 +104,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	if st.LoopsParallelized != 0 {
 		t.Fatalf("global-writing loop parallelized: %+v\n%s", st, p)
 	}
@@ -117,12 +118,12 @@ void f(int *x, int *y, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	if st := ParallelizeProc(p, depend.Options{}, nil, nil, nil); st.LoopsParallelized != 0 {
+	if st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default()); st.LoopsParallelized != 0 {
 		t.Fatalf("aliased loop parallelized: %+v\n%s", st, p)
 	}
 	// With Fortran aliasing rules it parallelizes.
 	p2 := compileOpt(t, src, "f")
-	if st := ParallelizeProc(p2, depend.Options{NoAlias: true}, nil, nil, nil); st.LoopsParallelized != 1 {
+	if st := ParallelizeProc(p2, depend.Options{NoAlias: true}, nil, nil, nil, schedule.Default()); st.LoopsParallelized != 1 {
 		t.Fatalf("noalias loop not parallelized: %+v\n%s", st, p2)
 	}
 }
@@ -139,7 +140,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	st := ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	// The inner loop parallelizes; the outer (containing a loop) does not.
 	if st.LoopsParallelized != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
@@ -155,9 +156,9 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	before := parCount(p.Body)
-	ParallelizeProc(p, depend.Options{}, nil, nil, nil)
+	ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default())
 	if parCount(p.Body) != before {
 		t.Error("second pass changed parallel loops")
 	}

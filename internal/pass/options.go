@@ -68,10 +68,12 @@ type Plan struct {
 	// Parallel runs nest parallelization and do-parallel conversion (§2);
 	// never at -O0.
 	Parallel bool
-	// Vector runs if-conversion and the vectorizer (§5) at strip length
-	// VL; never at -O0.
+	// Vector runs if-conversion and the vectorizer (§5); never at -O0.
 	Vector bool
-	VL     int
+	// Loops is the default loop schedule, which every loop without a
+	// Context.Schedules entry follows: schedule.Default(), at strip length
+	// Options.VL when that is set and the vectorizer runs.
+	Loops schedule.Schedule
 	// List runs the §10 linked-list parallelizer, at -O0 too: it needs
 	// no scalar optimization and parallelizes a list loop there.
 	List bool
@@ -101,11 +103,9 @@ func (o Options) Plan() Plan {
 		// consumes it (§6), or when forced.
 		p.Scalar = &opt.Options{IVSub: p.Vector || p.Strength || o.ForceIVSub, Straightforward: o.Straightforward}
 	}
-	if p.Vector {
-		p.VL = o.VL
-		if p.VL <= 0 {
-			p.VL = schedule.DefaultVL
-		}
+	p.Loops = schedule.Default()
+	if p.Vector && o.VL > 0 {
+		p.Loops.VL = o.VL
 	}
 	if p.dependClient() {
 		p.Depend.NoAlias = o.NoAlias
@@ -142,7 +142,7 @@ func (p Plan) Canonical() (string, error) {
 	}
 	fmt.Fprintf(&sb, "parallelize=%t\nvectorize=%t\n", p.Parallel, p.Vector)
 	if p.Vector {
-		fmt.Fprintf(&sb, "vl=%d\n", p.VL)
+		fmt.Fprintf(&sb, "vl=%d\n", p.Loops.VL)
 	}
 	fmt.Fprintf(&sb, "listparallel=%t\n", p.List)
 	if p.dependClient() {

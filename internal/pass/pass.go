@@ -76,8 +76,8 @@ type Context struct {
 	// Report.Diags. Nil drops diagnostics (the Reporter is nil-safe).
 	Diags *diag.Reporter
 	// Schedules carries explicit per-loop plans (the autotuner's output)
-	// into the loop phases. Nil means every loop follows
-	// schedule.Default() — the paper's hardwired strategy. No pass up to
+	// into the loop phases. A loop without an entry, and every loop when
+	// it is nil, follows the plan's default (Plan.Loops). No pass up to
 	// and including scalarize may read it: the autotuner runs that prefix
 	// once and shares its output among all candidate sets (tune.Tune).
 	Schedules *schedule.Set

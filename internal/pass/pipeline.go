@@ -6,6 +6,7 @@ import (
 	"repro/internal/inline"
 	"repro/internal/opt"
 	"repro/internal/parallel"
+	"repro/internal/schedule"
 	"repro/internal/strength"
 	"repro/internal/vector"
 )
@@ -44,17 +45,17 @@ func BuildPipeline(p Plan) []Pass {
 		// the vectorizer can judge them off the dependence graph and emit
 		// masked strips when legal.
 		ps = append(ps, &ifconvertPass{},
-			&vectorPass{cfg: vector.Config{VL: p.VL, Parallel: p.Parallel, Depend: p.Depend}})
+			&vectorPass{cfg: vector.Config{Default: p.Loops, Parallel: p.Parallel, Depend: p.Depend}})
 	}
 	if p.Parallel {
-		ps = append(ps, &parallelPass{dopts: p.Depend})
+		ps = append(ps, &parallelPass{dopts: p.Depend, def: p.Loops})
 	}
 	if p.List {
 		ps = append(ps, &listPass{})
 	}
 	if p.Strength {
 		ps = append(ps,
-			&strengthPass{cfg: strength.Config{Depend: p.Depend}},
+			&strengthPass{cfg: strength.Config{Depend: p.Depend, Default: p.Loops}},
 			// Strength reduction introduces preheader temporaries; one
 			// more scalar round tidies them.
 			&scalarPass{name: PassCleanup, opts: opt.Options{IVSub: false}},
@@ -152,13 +153,16 @@ func (vp *vectorPass) Run(prog *il.Program, ctx *Context) error {
 }
 
 // parallelPass converts dependence-free serial DO loops to do-parallel.
-type parallelPass struct{ dopts depend.Options }
+type parallelPass struct {
+	dopts depend.Options
+	def   schedule.Schedule
+}
 
 func (*parallelPass) Name() string { return PassParallelize }
 
 func (pp *parallelPass) Run(prog *il.Program, ctx *Context) error {
 	for _, st := range forEachProc(prog, ctx.workers(), func(p *il.Proc) parallel.Stats {
-		return parallel.ParallelizeProc(p, pp.dopts, ctx.Analysis, ctx.Diags, ctx.Schedules)
+		return parallel.ParallelizeProc(p, pp.dopts, ctx.Analysis, ctx.Diags, ctx.Schedules, pp.def)
 	}) {
 		ctx.Report.Parallel.Add(st)
 	}

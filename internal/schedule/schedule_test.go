@@ -42,10 +42,9 @@ func TestSetJSONRoundTrip(t *testing.T) {
 	}
 	for _, k := range want.Keys() {
 		pos := token.Pos{Line: k.Line, Col: k.Col}
-		w, _ := want.Lookup(k.Proc, pos)
-		g, ok := got.Lookup(k.Proc, pos)
-		if !ok || !reflect.DeepEqual(g, w) {
-			t.Errorf("entry %v: got %+v (present=%v), want %+v", k, g, ok, w)
+		w := want.Lookup(k.Proc, pos, schedule.Schedule{})
+		if g := got.Lookup(k.Proc, pos, schedule.Schedule{}); !reflect.DeepEqual(g, w) {
+			t.Errorf("entry %v: got %+v, want %+v", k, g, w)
 		}
 	}
 }
@@ -116,15 +115,90 @@ func TestSetValidateRejectsUnknownMaskStrategy(t *testing.T) {
 	}
 }
 
+// A loop without an entry follows the plan's default, whatever its strip
+// length, in a nil set and an empty one alike; an entry wins over it.
 func TestLookupDefaults(t *testing.T) {
+	def := schedule.Schedule{VL: 64, Unroll: 1}
+	at := token.Pos{Line: 1, Col: 1}
 	var nilSet *schedule.Set
-	s, ok := nilSet.Lookup("main", token.Pos{Line: 1, Col: 1})
-	if ok || !s.IsDefault() {
-		t.Errorf("nil set lookup = (%+v, %v), want (default, false)", s, ok)
+	if got := nilSet.Lookup("main", at, def); got != def {
+		t.Errorf("nil set lookup = %s, want the plan default %s", got, def)
 	}
-	s, ok = schedule.NewSet().Lookup("main", token.Pos{Line: 1, Col: 1})
-	if ok || !s.IsDefault() {
-		t.Errorf("empty set lookup = (%+v, %v), want (default, false)", s, ok)
+	if got := schedule.NewSet().Lookup("main", at, def); got != def {
+		t.Errorf("empty set lookup = %s, want the plan default %s", got, def)
+	}
+	set := schedule.NewSet().With(schedule.KeyFor("main", at), schedule.Default())
+	if got := set.Lookup("main", at, def); got != schedule.Default() {
+		t.Errorf("lookup of an entry = %s, want the entry %s", got, schedule.Default())
+	}
+	if got := set.Lookup("main", token.Pos{Line: 2, Col: 1}, def); got != def {
+		t.Errorf("lookup past the entries = %s, want the plan default %s", got, def)
+	}
+}
+
+// With copies: the trial set the tuner builds never writes its incumbent.
+func TestWithCopies(t *testing.T) {
+	base := sampleSet()
+	key := schedule.LoopKey{Proc: "main", Line: 10, Col: 2}
+	trial := base.With(key, schedule.Default())
+	if base.Len() != 4 || trial.Len() != 4 {
+		t.Fatalf("lengths %d and %d, want 4 and 4", base.Len(), trial.Len())
+	}
+	at := token.Pos{Line: 10, Col: 2}
+	if got := base.Lookup("main", at, schedule.Schedule{}); got.VL != 64 {
+		t.Errorf("With wrote the set it copied: %s", got)
+	}
+	if got := trial.Lookup("main", at, schedule.Schedule{}); got != schedule.Default() {
+		t.Errorf("With did not schedule the key: %s", got)
+	}
+}
+
+func renderMoves(ms []schedule.Move) string {
+	var out []string
+	for _, m := range ms {
+		out = append(out, m.Knob+":"+m.To.String())
+	}
+	return strings.Join(out, ", ")
+}
+
+// The grid around the paper's default is the tuner's list, in its order:
+// strip lengths and serial strips for a loop whose strips may spread,
+// then unroll factors and interchange.
+func TestMovesAroundDefault(t *testing.T) {
+	rest := "unroll:vl=32 unroll=2, unroll:vl=32 unroll=4, unroll:vl=32 unroll=8, interchange:vl=32 unroll=1 interchange"
+	if got, want := renderMoves(schedule.Moves(schedule.Default(), true)),
+		"vl:vl=16 unroll=1, vl:vl=64 unroll=1, vl:vl=128 unroll=1, serial-strips:vl=32 unroll=1 serial-strips, "+rest; got != want {
+		t.Errorf("Moves(Default(), spread) =\n %s\nwant\n %s", got, want)
+	}
+	if got := renderMoves(schedule.Moves(schedule.Default(), false)); got != rest {
+		t.Errorf("Moves(Default(), no spread) =\n %s\nwant\n %s", got, rest)
+	}
+}
+
+// Off any default each move changes exactly the one field its knob names
+// and never offers the default itself: at VL 128 the strip lengths are
+// 16, 32 and 64.
+func TestMovesAreOneKnob(t *testing.T) {
+	base := schedule.Schedule{VL: 128, Unroll: 4, SerialStrips: true, MaskStrategy: schedule.MaskBranchy}
+	field := map[string]string{"vl": "VL", "unroll": "Unroll", "interchange": "Interchange", "serial-strips": "SerialStrips"}
+	bv := reflect.ValueOf(base)
+	for _, m := range schedule.Moves(base, true) {
+		mv := reflect.ValueOf(m.To)
+		var moved []string
+		for i := range mv.NumField() {
+			if mv.Field(i).Interface() != bv.Field(i).Interface() {
+				moved = append(moved, mv.Type().Field(i).Name)
+			}
+		}
+		if len(moved) != 1 || moved[0] != field[m.Knob] {
+			t.Errorf("%s move to %s changes %v off %s", m.Knob, m.To, moved, base)
+		}
+	}
+	if got, want := renderMoves(schedule.Moves(base, true)[:5]),
+		"vl:vl=16 unroll=4 serial-strips mask=branchy-serial, vl:vl=32 unroll=4 serial-strips mask=branchy-serial, "+
+			"vl:vl=64 unroll=4 serial-strips mask=branchy-serial, serial-strips:vl=128 unroll=4 mask=branchy-serial, "+
+			"unroll:vl=128 unroll=1 serial-strips mask=branchy-serial"; got != want {
+		t.Errorf("Moves off %s begin\n %s\nwant\n %s", base, got, want)
 	}
 }
 
@@ -142,7 +216,7 @@ func TestValidateBounds(t *testing.T) {
 		{"unroll zero", schedule.Schedule{VL: 32, Unroll: 0}, false},
 		{"unroll max", schedule.Schedule{VL: 32, Unroll: schedule.MaxUnroll}, true},
 		{"unroll too big", schedule.Schedule{VL: 32, Unroll: schedule.MaxUnroll + 1}, false},
-		{"mask auto", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskAuto}, true},
+		{"mask masked", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: "masked"}, false},
 		{"mask off", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: "off"}, false},
 		{"mask branchy", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: schedule.MaskBranchy}, true},
 		{"mask unknown", schedule.Schedule{VL: 32, Unroll: 1, MaskStrategy: "sideways"}, false},

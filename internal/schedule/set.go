@@ -1,9 +1,12 @@
 package schedule
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/token"
 )
@@ -26,19 +29,13 @@ func KeyFor(proc string, pos token.Pos) LoopKey {
 	return LoopKey{Proc: proc, Line: pos.Line, Col: pos.Col}
 }
 
-func (k LoopKey) less(o LoopKey) bool {
-	if k.Proc != o.Proc {
-		return k.Proc < o.Proc
-	}
-	if k.Line != o.Line {
-		return k.Line < o.Line
-	}
-	return k.Col < o.Col
+// Compare orders keys by procedure, then line, then column.
+func (k LoopKey) Compare(o LoopKey) int {
+	return cmp.Or(strings.Compare(k.Proc, o.Proc), cmp.Compare(k.Line, o.Line), cmp.Compare(k.Col, o.Col))
 }
 
 // Set maps source loops to their schedules. A nil *Set is valid and
-// holds nothing: every Lookup reports the default schedule, so the
-// phases take their pre-schedule-layer path untouched.
+// holds nothing: every loop follows the plan's default schedule.
 type Set struct {
 	m map[LoopKey]Schedule
 }
@@ -54,17 +51,27 @@ func (t *Set) Put(key LoopKey, s Schedule) {
 	t.m[key] = s
 }
 
-// Lookup returns the schedule for the loop at pos in proc, falling back
-// to Default() when the set is nil or has no entry. The second result
-// reports whether an explicit entry was found.
-func (t *Set) Lookup(proc string, pos token.Pos) (Schedule, bool) {
-	if t == nil || t.m == nil {
-		return Default(), false
+// Lookup returns the schedule of the loop at pos in proc: its entry in
+// the set, else def, the plan's default. This is the one place a loop's
+// schedule is resolved.
+func (t *Set) Lookup(proc string, pos token.Pos, def Schedule) Schedule {
+	if t != nil {
+		if s, ok := t.m[KeyFor(proc, pos)]; ok {
+			return s
+		}
 	}
-	if s, ok := t.m[KeyFor(proc, pos)]; ok {
-		return s, true
+	return def
+}
+
+// With returns a copy of the set that also schedules key as s; t itself
+// is unchanged.
+func (t *Set) With(key LoopKey, s Schedule) *Set {
+	out := NewSet()
+	if t != nil {
+		maps.Copy(out.m, t.m)
 	}
-	return Default(), false
+	out.m[key] = s
+	return out
 }
 
 // Len reports the number of explicit entries.
@@ -84,7 +91,7 @@ func (t *Set) Keys() []LoopKey {
 	for k := range t.m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	slices.SortFunc(keys, LoopKey.Compare)
 	return keys
 }
 

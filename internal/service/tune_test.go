@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/schedule"
 	"repro/internal/token"
 )
 
@@ -130,7 +131,8 @@ func TestCompileVLValidation(t *testing.T) {
 // A plan stored by a build whose schedules still had parallel_width and
 // sync_stride decodes with both dropped, and a tuned compile that takes it
 // from the store gives the program the same plan without them gives. The
-// mask strategy "off", gone with them, is refused like any unknown one.
+// mask strategy "off", gone with them, and "masked", gone as a second
+// spelling of the default, are refused like any unknown one.
 func TestPlanWithRemovedKnobs(t *testing.T) {
 	plan := func(extra string) []byte {
 		return []byte(`{"schedules":[{"loop":{"proc":"main","line":5,"col":2},"schedule":{"vl":64,"unroll":1` + extra +
@@ -179,9 +181,11 @@ func TestPlanWithRemovedKnobs(t *testing.T) {
 	if plain, _ := postCompile(t, ts, CompileRequest{Source: daxpySrc, Options: fullOpts(), Processors: 1}); plain.Asm == asm {
 		t.Error("the plan compiles to the default program: it did not take")
 	}
-	off := bytes.Replace(bare, []byte(`"unroll":1`), []byte(`"unroll":1,"mask_strategy":"off"`), 1)
-	if _, err := checkPlan(off); err == nil || !strings.Contains(err.Error(), `unknown mask strategy "off"`) {
-		t.Errorf("mask strategy off: %v, want it refused as unknown", err)
+	for _, strategy := range []string{"off", "masked"} {
+		body := bytes.Replace(bare, []byte(`"unroll":1`), []byte(`"unroll":1,"mask_strategy":"`+strategy+`"`), 1)
+		if _, err := checkPlan(body); err == nil || !strings.Contains(err.Error(), `unknown mask strategy "`+strategy+`"`) {
+			t.Errorf("mask strategy %s: %v, want it refused as unknown", strategy, err)
+		}
 	}
 }
 
@@ -211,10 +215,9 @@ func FuzzPlanIngest(f *testing.F) {
 			return
 		}
 		for _, k := range plan.Schedules.Keys() {
-			sched, ok := plan.Schedules.Lookup(k.Proc, token.Pos{Line: k.Line, Col: k.Col})
-			if !ok {
-				t.Fatalf("accepted plan %q lists loop %+v without a schedule", body, k)
-			}
+			// A listed loop without an entry reads as the zero schedule,
+			// which Validate refuses.
+			sched := plan.Schedules.Lookup(k.Proc, token.Pos{Line: k.Line, Col: k.Col}, schedule.Schedule{})
 			if err := sched.Validate(); err != nil {
 				t.Fatalf("accepted plan %q schedules %+v with %+v: %v", body, k, sched, err)
 			}

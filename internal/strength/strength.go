@@ -60,10 +60,11 @@ type Config struct {
 	// Diags receives a strength-reduced remark for each loop §6 rewrote.
 	// Nil drops the remarks.
 	Diags *diag.Reporter
-	// Schedules holds explicit per-loop plans; a loop whose schedule asks
-	// for Unroll > 1 has its body replicated after the §6 rewrites. Nil
-	// (or no entry) means no unrolling — the paper's behavior.
+	// Schedules holds explicit per-loop plans, and a loop without an entry
+	// follows Default, the plan's: a loop whose schedule asks for
+	// Unroll > 1 has its body replicated after the §6 rewrites.
 	Schedules *schedule.Set
+	Default   schedule.Schedule
 }
 
 // OptimizeLoops transforms every serial innermost DO loop of p.
@@ -131,7 +132,7 @@ func transformLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) (pre, pos
 		pre = append(pre, stmts...)
 		changed = true
 	}
-	sched, _ := cfg.Schedules.Lookup(p.Name, loop.Pos)
+	sched := cfg.Schedules.Lookup(p.Name, loop.Pos, cfg.Default)
 	unrolled := 1
 	if sched.Unroll > 1 {
 		if rem, ok := unroll(p, loop, sched.Unroll, st); ok {

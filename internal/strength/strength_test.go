@@ -9,6 +9,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/schedule"
 	"repro/internal/sema"
 )
 
@@ -61,7 +62,7 @@ func TestBacksolvePromotion(t *testing.T) {
 	// §6: the recurrence value is pulled into a register; the loop body
 	// afterwards loads only z[i] and y[i].
 	p := compileOpt(t, backsolveSrc, "backsolve")
-	st := OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
+	st := OptimizeLoops(p, Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	if st.PromotedLoads != 1 {
 		t.Fatalf("promoted: %+v\n%s", st, p)
 	}
@@ -113,7 +114,7 @@ func TestBacksolveNoIntegerMultiplies(t *testing.T) {
 	if intMuls(firstLoop(p)) == 0 {
 		t.Fatalf("ivsub left no integer multiplies for strength reduction to remove:\n%s", p)
 	}
-	OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
+	OptimizeLoops(p, Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	if muls := intMuls(firstLoop(p)); muls != 0 {
 		t.Errorf("integer multiplies left: %d\n%s", muls, p)
 	}
@@ -123,7 +124,7 @@ func TestBacksolvePaperShape(t *testing.T) {
 	// The §6 output: f_reg = x[0] preheader, bumped pointers, body of the
 	// form f_reg = *temp_z * (*temp_y - f_reg); *temp_x = f_reg.
 	p := compileOpt(t, backsolveSrc, "backsolve")
-	st := OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
+	st := OptimizeLoops(p, Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	if st.Pointers < 3 {
 		t.Errorf("pointer temps: %+v", st)
 	}
@@ -151,7 +152,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.Pointers != 2 {
 		t.Errorf("pointers: %d want 2 (a and b)\n%s", st.Pointers, p)
 	}
@@ -169,7 +170,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.Pointers != 2 {
 		t.Errorf("pointers: %d want 2\n%s", st.Pointers, p)
 	}
@@ -185,7 +186,7 @@ void f(float alpha, float beta, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.HoistedExprs == 0 {
 		t.Errorf("alpha*beta not hoisted: %+v\n%s", st, p)
 	}
@@ -202,7 +203,7 @@ void f(int n, int c) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.LoopsTransformed != 0 {
 		t.Errorf("control-flow loop transformed: %+v\n%s", st, p)
 	}
@@ -218,7 +219,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.PromotedLoads != 0 || st.ReducedRefs != 0 {
 		t.Errorf("volatile loop transformed: %+v\n%s", st, p)
 	}
@@ -234,7 +235,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := OptimizeLoops(p, Config{})
+	st := OptimizeLoops(p, Config{Default: schedule.Default()})
 	if st.PromotedLoads != 0 {
 		t.Errorf("distance-2 promoted: %+v\n%s", st, p)
 	}
@@ -248,7 +249,7 @@ func TestSemanticsPreservedManually(t *testing.T) {
 	// register must feed the store, and the store's address class must be
 	// the x pointer with offset 4.)
 	p := compileOpt(t, backsolveSrc, "backsolve")
-	OptimizeLoops(p, Config{Depend: depend.Options{NoAlias: true}})
+	OptimizeLoops(p, Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	loop := firstLoop(p)
 	var storeStmt *il.Assign
 	il.WalkStmts(loop.Body, func(s il.Stmt) bool {

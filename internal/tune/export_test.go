@@ -4,7 +4,13 @@ import (
 	"repro/internal/driver"
 	"repro/internal/schedule"
 	"repro/internal/titan"
+	"repro/internal/token"
 )
+
+// entry is set's schedule for key, the zero schedule when it has none.
+func entry(set *schedule.Set, key schedule.LoopKey) schedule.Schedule {
+	return set.Lookup(key.Proc, token.Pos{Line: key.Line, Col: key.Col}, schedule.Schedule{})
+}
 
 // Grid is what a search over src offers: each tunable loop's candidates.
 func Grid(src string, opts driver.Options) ([][]schedule.Schedule, error) {
@@ -49,7 +55,7 @@ func TuneDiverging(src, wrong string, opts driver.Options, cfg Config) (schedule
 	first := s.discover()[0]
 	key, sch := first.key, first.candidates[0]
 	s.generate = func(set *schedule.Set) (*titan.Program, error) {
-		if got, ok := lookupKey(set, key); ok && got == sch {
+		if entry(set, key) == sch {
 			res, err := driver.Compile(wrong, opts)
 			if err != nil {
 				return nil, err

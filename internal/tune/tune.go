@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 
 	"repro/internal/depend"
 	"repro/internal/diag"
@@ -121,7 +120,7 @@ type Result struct {
 	Schedules *schedule.Set `json:"schedules"`
 	Decisions []Decision    `json:"decisions"`
 	// DefaultCycles/TunedCycles bracket the whole search: cycles under
-	// schedule.Default() everywhere vs. under the final set.
+	// the plan's default schedule everywhere vs. under the final set.
 	DefaultCycles int64 `json:"default_cycles"`
 	TunedCycles   int64 `json:"tuned_cycles"`
 	// Measured counts candidate compiles beyond the baseline.
@@ -257,7 +256,7 @@ func (s *search) run() (*Result, error) {
 	best := baseline
 	budget := s.cfg.budget()
 	for _, li := range loops {
-		dec := Decision{Loop: li.key, Schedule: schedule.Default(), DefaultCycles: best.Cycles, Cycles: best.Cycles}
+		dec := Decision{Loop: li.key, Schedule: s.plan.Loops, DefaultCycles: best.Cycles, Cycles: best.Cycles}
 		// A loop's candidates are all trials against the same incumbent
 		// set, so they are measured as one batch.
 		cands := li.candidates
@@ -266,8 +265,7 @@ func (s *search) run() (*Result, error) {
 		}
 		trials := make([]*schedule.Set, len(cands))
 		for i, cand := range cands {
-			trials[i] = cloneSet(res.Schedules)
-			trials[i].Put(li.key, cand)
+			trials[i] = res.Schedules.With(li.key, cand)
 		}
 		for i, got := range s.measure(trials) {
 			res.Measured++
@@ -284,7 +282,7 @@ func (s *search) run() (*Result, error) {
 				dec.Schedule = cands[i]
 			}
 		}
-		if !dec.Schedule.IsDefault() {
+		if dec.Schedule != s.plan.Loops {
 			res.Schedules.Put(li.key, dec.Schedule)
 			best.Cycles = dec.Cycles
 		}
@@ -358,42 +356,35 @@ func (s *search) compile(set *schedule.Set) (*titan.Program, error) {
 }
 
 // discover reads the tunable loops off the base IL — the loops as the
-// loop phases will see them — with a legality-checked candidate grid per
-// loop, in deterministic key order, cut to MaxLoops. Procedures the
-// entry cannot reach (typically the out-of-line copy of a callee whose
-// every call was inlined) are skipped before the cut: their loops never
-// run, so no candidate for them could change a measurement, and they
-// must not take a live loop's slot.
+// loop phases will see them — each with its legal candidates, in
+// deterministic key order, cut to MaxLoops. Procedures the entry cannot
+// reach (typically the out-of-line copy of a callee whose every call was
+// inlined) are skipped before the cut: their loops never run, so no
+// candidate for them could change a measurement, and they must not take
+// a live loop's slot.
 func (s *search) discover() []loopInfo {
 	live := reachable(s.base, s.cfg.entry())
 	infos := map[schedule.LoopKey]loopInfo{}
 	for _, p := range s.base.Procs {
-		if live[p.Name] {
-			collectLoops(p, p.Body, s.plan.Depend, infos)
+		if !live[p.Name] {
+			continue
 		}
+		il.WalkStmts(p.Body, func(st il.Stmt) bool {
+			if loop, ok := st.(*il.DoLoop); ok {
+				if cands := candidates(p, loop, s.plan); len(cands) > 0 {
+					key := schedule.KeyFor(p.Name, loop.Pos)
+					infos[key] = loopInfo{key, cands}
+				}
+			}
+			return true
+		})
 	}
-	keys := make([]schedule.LoopKey, 0, len(infos))
-	for k := range infos {
-		keys = append(keys, k)
+	out := make([]loopInfo, 0, len(infos))
+	for _, li := range infos {
+		out = append(out, li)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	if len(keys) > s.cfg.maxLoops() {
-		keys = keys[:s.cfg.maxLoops()]
-	}
-	out := make([]loopInfo, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, infos[k])
-	}
-	return out
+	slices.SortFunc(out, func(a, b loopInfo) int { return a.key.Compare(b.key) })
+	return out[:min(len(out), s.cfg.maxLoops())]
 }
 
 // reachable returns the names of the procedures the IL call graph can
@@ -430,61 +421,16 @@ func reachable(prog *il.Program, entry string) map[string]bool {
 	return live
 }
 
-// collectLoops walks the statement tree gathering every DO loop with a
-// non-empty candidate grid.
-func collectLoops(p *il.Proc, list []il.Stmt, dopts depend.Options, infos map[schedule.LoopKey]loopInfo) {
-	il.WalkStmts(list, func(s il.Stmt) bool {
-		loop, ok := s.(*il.DoLoop)
-		if !ok {
-			return true
-		}
-		cands := candidates(p, loop, dopts)
-		if len(cands) > 0 {
-			key := schedule.KeyFor(p.Name, loop.Pos)
-			infos[key] = loopInfo{key: key, candidates: cands}
-		}
-		return true
-	})
-}
-
-// candidates builds the bounded legal grid for one loop: strip-length
-// variants and serial strips for independent loops, unroll factors for
-// countable straight-line loops, interchange for permutable perfect nests.
-// Every candidate passes schedule.Check before it is offered.
-func candidates(p *il.Proc, loop *il.DoLoop, dopts depend.Options) []schedule.Schedule {
+// candidates is the legal part of the grid around the plan's default
+// schedule (schedule.Moves), whose strip shapes only matter when the
+// strips may spread, that is when iterations are independent.
+func candidates(p *il.Proc, loop *il.DoLoop, plan pass.Plan) []schedule.Schedule {
 	var out []schedule.Schedule
-	try := func(s schedule.Schedule) {
-		if schedule.Check(p, loop, s, dopts) == nil {
-			out = append(out, s)
-		}
-	}
-	// Strip shapes only matter when the strips may spread, that is when
-	// iterations are independent.
-	if depend.AnalyzeLoop(p, loop, dopts).Carried() == nil {
-		for _, vl := range []int{16, 64, 128} {
-			try(schedule.Schedule{VL: vl, Unroll: 1})
-		}
-		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, SerialStrips: true})
-	}
-	for _, k := range []int{2, 4, 8} {
-		try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: k})
-	}
-	try(schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, Interchange: true})
-	return out
-}
-
-// cloneSet copies a schedule set so a trial mutation cannot leak into the
-// incumbent.
-func cloneSet(s *schedule.Set) *schedule.Set {
-	out := schedule.NewSet()
-	for _, k := range s.Keys() {
-		if v, ok := lookupKey(s, k); ok {
-			out.Put(k, v)
+	spread := depend.AnalyzeLoop(p, loop, plan.Depend).Carried() == nil
+	for _, m := range schedule.Moves(plan.Loops, spread) {
+		if schedule.Check(p, loop, m.To, plan.Depend) == nil {
+			out = append(out, m.To)
 		}
 	}
 	return out
-}
-
-func lookupKey(s *schedule.Set, k schedule.LoopKey) (schedule.Schedule, bool) {
-	return s.Lookup(k.Proc, token.Pos{Line: k.Line, Col: k.Col})
 }

@@ -264,3 +264,53 @@ func TestDivergingCandidateFailsSearch(t *testing.T) {
 		}
 	}
 }
+
+// Away from the paper's strip length the grid is still one-knob moves off
+// the plan's default: at -vl 128 no candidate is the default itself, each
+// changes exactly one Schedule field of it, and a loop that keeps the
+// default is reported at VL 128, the strip length it runs at.
+func TestGridFollowsThePlanDefault(t *testing.T) {
+	w := bench.Kernel("transform4x4", 64)
+	opts := driver.FullOptions()
+	opts.VL = 128
+	def := opts.Plan().Loops
+	grid, err := tune.Grid(w.Src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offered := 0
+	for _, cands := range grid {
+		for _, c := range cands {
+			offered++
+			moved := 0
+			cv, dv := reflect.ValueOf(c), reflect.ValueOf(def)
+			for i := range cv.NumField() {
+				if cv.Field(i).Interface() != dv.Field(i).Interface() {
+					moved++
+				}
+			}
+			if moved != 1 {
+				t.Errorf("candidate %s moves %d fields off the default %s", c, moved, def)
+			}
+		}
+	}
+	if offered == 0 {
+		t.Fatal("the grid is empty: the test shows nothing")
+	}
+	res, err := tune.Tune(w.Src, opts, tune.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := 0
+	for _, d := range res.Remarks() {
+		if d.Args["delta"] == "0" {
+			kept++
+			if got := d.Args["schedule"]; got != "vl=128 unroll=1" {
+				t.Errorf("%d:%d keeps the default as %q, want vl=128 unroll=1", d.Pos.Line, d.Pos.Col, got)
+			}
+		}
+	}
+	if kept == 0 {
+		t.Error("no loop kept the default: the test shows nothing")
+	}
+}

@@ -59,7 +59,7 @@ func TestFailedCompileIsDiscarded(t *testing.T) {
 	}
 	var won Decision
 	for _, d := range clean.Decisions {
-		if !d.Schedule.IsDefault() {
+		if d.Schedule != schedule.Default() {
 			won = d
 			break
 		}
@@ -87,7 +87,7 @@ func TestFailedCompileIsDiscarded(t *testing.T) {
 		defer s.base.Release()
 		s.generate = func(set *schedule.Set) (*titan.Program, error) {
 			if set != nil {
-				if sch, ok := lookupKey(set, won.Loop); ok && sch == won.Schedule {
+				if entry(set, won.Loop) == won.Schedule {
 					return nil, rejected
 				}
 			}

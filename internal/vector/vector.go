@@ -21,9 +21,9 @@ import (
 
 // Config controls vectorization.
 type Config struct {
-	// VL overrides the default strip length for loops without an explicit
-	// schedule (schedule.DefaultVL when zero).
-	VL int
+	// Default is the plan's loop schedule, which every loop without a
+	// Schedules entry follows.
+	Default schedule.Schedule
 	// Parallel enables emitting do-parallel strip loops when legal.
 	Parallel bool
 	// Depend carries aliasing assumptions.
@@ -35,25 +35,8 @@ type Config struct {
 	// vect-vectorized with the chosen strip shape, or a rejection code
 	// naming the blocking dependence edge. Nil drops the remarks.
 	Diags *diag.Reporter
-	// Schedules holds explicit per-loop plans (the tuner's output). Loops
-	// without an entry follow schedule.Default() with the VL override.
+	// Schedules holds explicit per-loop plans (the tuner's output).
 	Schedules *schedule.Set
-}
-
-// schedFor resolves the plan for one loop: an explicit Set entry wins;
-// otherwise the default schedule with Config.VL applied.
-func (c Config) schedFor(p *il.Proc, loop *il.DoLoop) schedule.Schedule {
-	if s, ok := c.Schedules.Lookup(p.Name, loop.Pos); ok {
-		if s.VL <= 0 {
-			s.VL = schedule.DefaultVL
-		}
-		return s
-	}
-	s := schedule.Default()
-	if c.VL > 0 {
-		s.VL = c.VL
-	}
-	return s
 }
 
 // Stats reports what the vectorizer did to a procedure.
@@ -117,11 +100,11 @@ func isInnermost(body []il.Stmt) bool {
 }
 
 // maybeInterchange swaps the headers of a perfect two-level nest when the
-// outer loop's explicit schedule asks for it and the swap is provably
-// legal (every direction vector is (=,=)).
+// outer loop's schedule asks for it and the swap is provably legal (no
+// dependence is, or may be, (<,>)).
 func maybeInterchange(p *il.Proc, outer *il.DoLoop, cfg Config) {
-	s, explicit := cfg.Schedules.Lookup(p.Name, outer.Pos)
-	if !explicit || !s.Interchange {
+	s := cfg.Schedules.Lookup(p.Name, outer.Pos, cfg.Default)
+	if !s.Interchange {
 		return
 	}
 	if err := schedule.CheckInterchange(p, outer, cfg.Depend); err != nil {
@@ -195,11 +178,11 @@ func vectorizeLoop(p *il.Proc, loop *il.DoLoop, cfg Config, st *Stats) ([]il.Stm
 		return nil, false
 	}
 
-	sched := cfg.schedFor(p, loop)
+	sched := cfg.Schedules.Lookup(p.Name, loop.Pos, cfg.Default)
 	// Predicated statements vectorize as masked strips only under the
-	// default/masked strategy; branchy-serial keeps them in the serial
-	// residue (predicated scalar execution).
-	allowMasked := sched.MaskStrategy == "" || sched.MaskStrategy == schedule.MaskAuto
+	// default strategy; branchy-serial keeps them in the serial residue
+	// (predicated scalar execution).
+	allowMasked := sched.MaskStrategy == ""
 	hasPred := false
 	for _, s := range loop.Body {
 		if _, ok := s.(*il.PredAssign); ok {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/lower"
 	"repro/internal/opt"
 	"repro/internal/parser"
+	"repro/internal/schedule"
 	"repro/internal/sema"
 )
 
@@ -60,7 +61,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.LoopsVectorized != 1 || st.VectorStmts != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -82,7 +83,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{Parallel: true})
+	st := VectorizeProc(p, Config{Default: schedule.Default(), Parallel: true})
 	if st.ParallelLoops != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -102,7 +103,7 @@ void f(void) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -137,7 +138,7 @@ void backsolve(float *x, float *y, float *z, int n)
 }
 `
 	p := compileOpt(t, src, "backsolve")
-	st := VectorizeProc(p, Config{Parallel: true, Depend: depend.Options{NoAlias: true}})
+	st := VectorizeProc(p, Config{Default: schedule.Default(), Parallel: true, Depend: depend.Options{NoAlias: true}})
 	if st.LoopsVectorized != 0 || st.VectorStmts != 0 {
 		t.Fatalf("recurrence vectorized: %+v\n%s", st, p)
 	}
@@ -152,7 +153,7 @@ void f(float *x, float *y, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.LoopsVectorized != 0 {
 		t.Fatalf("aliased loop vectorized: %+v\n%s", st, p)
 	}
@@ -166,7 +167,7 @@ void f(float *x, float *y, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{Depend: depend.Options{NoAlias: true}})
+	st := VectorizeProc(p, Config{Default: schedule.Default(), Depend: depend.Options{NoAlias: true}})
 	if st.LoopsVectorized != 1 {
 		t.Fatalf("noalias loop not vectorized: %+v\n%s", st, p)
 	}
@@ -175,7 +176,7 @@ void f(float *x, float *y, int n) {
 func TestPragmaSafeVectorizes(t *testing.T) {
 	src := "void f(float *x, float *y, int n) {\n\tint i;\n#pragma safe\n\tfor (i = 0; i < n; i++) x[i] = y[i];\n}"
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.LoopsVectorized != 1 {
 		t.Fatalf("safe loop not vectorized: %+v\n%s", st, p)
 	}
@@ -193,7 +194,7 @@ float f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 0 {
 		t.Fatalf("reduction vectorized: %+v\n%s", st, p)
 	}
@@ -209,7 +210,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 0 {
 		t.Fatalf("call loop vectorized: %+v\n%s", st, p)
 	}
@@ -225,7 +226,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 0 {
 		t.Fatalf("volatile loop vectorized: %+v\n%s", st, p)
 	}
@@ -245,7 +246,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 1 {
 		t.Fatalf("distribution failed: %+v\n%s", st, p)
 	}
@@ -273,7 +274,7 @@ void f(void) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{Parallel: true})
+	st := VectorizeProc(p, Config{Default: schedule.Default(), Parallel: true})
 	if st.ParallelLoops != 1 {
 		t.Fatalf("stats: %+v\n%s", st, p)
 	}
@@ -302,7 +303,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 1 {
 		t.Fatalf("strided store not vectorized: %+v\n%s", st, p)
 	}
@@ -329,7 +330,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 0 {
 		t.Fatalf("iota store vectorized: %+v\n%s", st, p)
 	}
@@ -344,7 +345,7 @@ void f(int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 1 {
 		t.Fatalf("downward loop not vectorized: %+v\n%s", st, p)
 	}
@@ -359,7 +360,7 @@ void f(float alpha, int n) {
 }
 `
 	p := compileOpt(t, src, "f")
-	st := VectorizeProc(p, Config{})
+	st := VectorizeProc(p, Config{Default: schedule.Default()})
 	if st.VectorStmts != 1 {
 		t.Fatalf("broadcast not vectorized: %+v\n%s", st, p)
 	}
@@ -374,7 +375,7 @@ void f(void) {
 }
 `
 	p := compileOpt(t, src, "f")
-	VectorizeProc(p, Config{VL: 8})
+	VectorizeProc(p, Config{Default: schedule.Schedule{VL: 8, Unroll: 1}})
 	var d *il.DoLoop
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		if l, ok := s.(*il.DoLoop); ok {

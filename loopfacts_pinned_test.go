@@ -83,13 +83,13 @@ func pinnedAnswer(addr func(h *il.Arena, v pinnedVars) il.Expr) string {
 		dep = fmt.Sprintf("%d·i%+d kind=%d root=v%d extra=%s", r.Coef, r.Offset, r.Base.Kind, r.Base.Var, extra)
 	}
 	p, _ = pinnedProc(false, addr)
-	vect := vector.VectorizeProc(p, vector.Config{}).LoopsVectorized == 1
+	vect := vector.VectorizeProc(p, vector.Config{Default: schedule.Default()}).LoopsVectorized == 1
 	p, _ = pinnedProc(false, addr)
-	reduced := strength.OptimizeLoops(p, strength.Config{}).ReducedRefs
+	reduced := strength.OptimizeLoops(p, strength.Config{Default: schedule.Default()}).ReducedRefs
 	p, _ = pinnedProc(true, addr)
 	nest := parallel.ParallelizeNests(p, depend.Options{}, nil).NestsParallelized == 1
 	p, _ = pinnedProc(false, addr)
-	doall := parallel.ParallelizeProc(p, depend.Options{}, nil, nil, nil).LoopsParallelized == 1
+	doall := parallel.ParallelizeProc(p, depend.Options{}, nil, nil, nil, schedule.Default()).LoopsParallelized == 1
 	return fmt.Sprintf("depend{%s} vector=%v reduced=%d nest=%v doall=%v", dep, vect, reduced, nest, doall)
 }
 
