@@ -36,6 +36,8 @@ func TestSplitPipelineDifferential(t *testing.T) {
 	}{
 		{"scalar", driver.ScalarOptions()},
 		{"full", driver.FullOptions()},
+		// The loop enumeration's -parallel build, which it compiles split.
+		{"parallel", enumParallel},
 	}
 	for _, w := range splitWorkloads() {
 		for _, cfg := range configs {

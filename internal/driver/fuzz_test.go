@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"strings"
 	"testing"
 
 	"repro"
@@ -9,8 +10,9 @@ import (
 // FuzzFrontEndDiagnostics: for any source, the front end (lex, parse,
 // sema, lower) either succeeds or fails with an error that
 // ErrorDiagnostic maps to a positioned diagnostic, line and column at
-// least 1. It never panics. The seeds are the corpus kernels and the
-// rejected sources of TestInitializerErrors; finds live in
+// least 1. It never panics. The seeds are the corpus kernels, the
+// rejected sources of TestInitializerErrors and parentheses, blocks and
+// initializer braces nested far past the parser's bound; finds live in
 // testdata/fuzz/FuzzFrontEndDiagnostics, replayed by plain `go test`.
 func FuzzFrontEndDiagnostics(f *testing.F) {
 	for _, k := range repro.Corpus {
@@ -19,6 +21,12 @@ func FuzzFrontEndDiagnostics(f *testing.F) {
 	for _, src := range initializerErrors {
 		f.Add(src)
 	}
+	deep := func(head, open, mid, close, tail string) string {
+		return head + strings.Repeat(open, 1300) + mid + strings.Repeat(close, 1300) + tail
+	}
+	f.Add(deep("int main(void) { return ", "(", "1", ")", "; }"))
+	f.Add(deep("int main(void) { ", "{", "return 1;", "}", " }"))
+	f.Add(deep("int a[1] = ", "{", "1", "}", ";"))
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			return

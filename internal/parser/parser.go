@@ -44,7 +44,35 @@ type parser struct {
 	// skim, when non-nil, makes parseFile record function bodies for
 	// deferred parallel parsing instead of parsing them inline.
 	skim *skimState
+	// depth is how many levels of nesting enclose the current token (see
+	// maxNesting). A function body starts at 0, parsed inline or deferred.
+	depth int
 }
+
+// maxNesting bounds the nesting of statements, operands, declarators and
+// initializer braces. Each level is a few frames of this recursive
+// descent and of every later walk of the tree, so without a bound a
+// deep enough input overflows the host stack, which no recover catches.
+// C99 asks a compiler for 127 levels of blocks and 63 of parentheses.
+const maxNesting = 256
+
+// enter opens one more level of nesting at the current token, failing
+// there when it would be one past maxNesting; the caller leaves it with
+// leave.
+func (p *parser) enter() error {
+	if p.depth == maxNesting {
+		return p.tooDeep()
+	}
+	p.depth++
+	return nil
+}
+
+// tooDeep is enter's error, out of line so that enter inlines.
+func (p *parser) tooDeep() error {
+	return p.errorf("nesting deeper than %d levels", maxNesting)
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // newParser returns a parser over a pre-lexed token stream.
 func newParser(toks []token.Token) *parser {
@@ -331,6 +359,10 @@ done:
 }
 
 func (p *parser) parseStructOrUnion() (*ctype.Type, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	isUnion := p.peek().Kind == token.KwUnion
 	p.next()
 	tag := ""
@@ -442,6 +474,10 @@ func (p *parser) parseEnum() (*ctype.Type, error) {
 // base type, returning the declared name (possibly empty for abstract
 // declarators) and the full type.
 func (p *parser) parseDeclarator(base *ctype.Type) (string, *ctype.Type, error) {
+	if err := p.enter(); err != nil {
+		return "", nil, err
+	}
+	defer p.leave()
 	// Pointers bind first.
 	for p.accept(token.Star) {
 		base = ctype.PointerTo(base)
@@ -519,6 +555,10 @@ func (p *parser) parseDeclSuffix(base *ctype.Type) (*ctype.Type, error) {
 		if _, err := p.expect(token.RBracket); err != nil {
 			return nil, err
 		}
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		defer p.leave()
 		elem, err := p.parseDeclSuffix(base)
 		if err != nil {
 			return nil, err
@@ -584,6 +624,10 @@ func (p *parser) parseInitializer(vd *ast.VarDecl) error {
 	}
 	var flatten func() error
 	flatten = func() error {
+		if err := p.enter(); err != nil {
+			return err
+		}
+		defer p.leave()
 		if _, err := p.expect(token.LBrace); err != nil {
 			return err
 		}
@@ -644,7 +688,19 @@ func (p *parser) parseCompound() (*ast.CompoundStmt, error) {
 	return cs, nil
 }
 
+// parseStmt parses a statement one level of nesting deeper. The level is
+// counted here rather than deferred in stmt, whose many returns would
+// make the defer a slow one.
 func (p *parser) parseStmt() (ast.Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	s, err := p.stmt()
+	p.leave()
+	return s, err
+}
+
+func (p *parser) stmt() (ast.Stmt, error) {
 	t := p.peek()
 	switch t.Kind {
 	case token.Pragma:
@@ -983,6 +1039,10 @@ func (p *parser) parseAssignExpr() (ast.Expr, error) {
 		return l, nil
 	}
 	pos := p.next().Pos
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	r, err := p.parseAssignExpr() // right-associative
 	if err != nil {
 		return nil, err
@@ -1005,6 +1065,10 @@ func (p *parser) parseCondExpr() (ast.Expr, error) {
 		return cond, nil
 	}
 	pos := p.next().Pos
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	then, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -1059,7 +1123,18 @@ func (p *parser) parseBinary(level int) (ast.Expr, error) {
 	}
 }
 
+// parseUnary parses an operand one level of nesting deeper, counted as
+// parseStmt counts a statement.
 func (p *parser) parseUnary() (ast.Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	x, err := p.unary()
+	p.leave()
+	return x, err
+}
+
+func (p *parser) unary() (ast.Expr, error) {
 	t := p.peek()
 	switch t.Kind {
 	case token.Plus:

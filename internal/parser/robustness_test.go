@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math/rand"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -69,13 +70,26 @@ func TestNoPanicOnTokenSoup(t *testing.T) {
 	}
 }
 
+// TestDeeplyNestedParens: of deepSources, the one at the nesting bound
+// parses, serially and with four workers, and every deeper one is the
+// positioned nesting error — under an 8 MB goroutine stack, where 5,000
+// levels of parentheses once overflowed it and killed the process.
 func TestDeeplyNestedParens(t *testing.T) {
-	// Deep recursion should error out or parse, not overflow.
-	depth := 200
-	src := "int f(void) { return " + strings.Repeat("(", depth) + "1" +
-		strings.Repeat(")", depth) + "; }"
-	if _, err := Parse(src); err != nil {
-		t.Fatalf("deep parens rejected: %v", err)
+	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
+	deep := "int main(void) { return " + strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000) + "; }"
+	for i, src := range append(deepSources(), deep) {
+		for _, workers := range []int{1, 4} {
+			_, err := ParseWorkers(src, workers)
+			if i == 0 {
+				if err != nil {
+					t.Errorf("%.40q… at the bound: %v", src, err)
+				}
+				continue
+			}
+			if e, ok := err.(*Error); !ok || e.Pos.Line != 1 || e.Pos.Col < 1 || e.Msg != "nesting deeper than 256 levels" {
+				t.Errorf("%.40q…: %v, want a positioned nesting error", src, err)
+			}
+		}
 	}
 }
 

@@ -285,12 +285,7 @@ func (m *Machine) runFastEntry(entry string) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("titan: no function %q", entry)
 	}
-	c := m.root
-	if m.rootUsed {
-		c = new(cpu)
-	}
-	m.rootUsed = true
-	maxInstrs, err := m.begin(c, entry, df.frame)
+	c, maxInstrs, err := m.begin(entry, df.frame)
 	if err != nil {
 		return Result{}, err
 	}
@@ -757,118 +752,59 @@ func (c *cpu) callFast(d *dinstr, df *dfunc, pc int, maxInstrs int64) error {
 
 // parallelRegionFast runs [start, end) once per processor, one goroutine
 // each, over the shared memory slab. Registers, the VRF, and the
-// scoreboard are private per processor (forkTo copies them); output
-// goes to a private builder per processor and is concatenated in pid
-// order at the join, which makes it byte-identical to the reference's
-// serialized pid-order execution. Memory is genuinely shared and
-// unsynchronized — safe because the compiler only builds parallel
-// regions from loops its dependence analysis proved iteration-disjoint
-// (see DESIGN.md, "Execution engine").
-//
-// Cycle accounting is regionJoin's, like the reference.
+// scoreboard are private per processor (enterRegion forks them into the
+// machine's region scratch); output goes to a private builder per
+// processor and is concatenated in pid order at the join, which makes it
+// byte-identical to the reference's serialized pid-order execution.
+// Memory is genuinely shared and unsynchronized — safe because the
+// compiler only builds parallel regions from loops its dependence
+// analysis proved iteration-disjoint (see DESIGN.md, "Execution engine").
+// Setup, teardown and cycle accounting are enterRegion's and leave's,
+// shared with the reference engine, so a region allocates nothing but
+// its goroutines.
 func (c *cpu) parallelRegionFast(df *dfunc, start, end int, maxInstrs int64, hasSync bool) error {
-	procs := c.m.Processors
-	join := c.fork()
-	parentOut := c.out
-	savedSync, savedFrame := c.sync, c.inRegionFrame
-	// Pids 1.. fork copies of the cpu's live state into the Machine's
-	// reusable scratch block, which also holds the region's fabric and
-	// WaitGroup, so a region allocates nothing but its goroutines.
-	var scr *regionScratch
-	if procs > 1 || hasSync {
-		scr = c.m.claimScratch()
-		defer c.m.releaseScratch(scr)
-	}
-	// A sync region gets its fabric even on one processor: posts must land
-	// somewhere, and a wait that nothing could satisfy must deadlock
-	// (procs == 1 trips the all-blocked detection immediately).
-	var ss *syncState
-	if hasSync {
-		ss = &scr.fabric
-		ss.reset(procs)
-	}
-	// Pid 0 executes on c itself: its state is the one the join adopts
-	// anyway, so a P-processor region costs P-1 struct copies.
-	c.pid = 0
-	c.sync, c.inRegionFrame = ss, hasSync
+	r := c.enterRegion(hasSync)
+	procs, scr, ss := r.procs, r.scr, r.ss
 	if procs == 1 {
-		// Nothing to fork, and no other processor's output to order this
-		// one's against: run in place, straight to the parent's sink.
-		if err := c.runFast(df, start, end, maxInstrs); err != nil {
-			return err
-		}
-		c.sync, c.inRegionFrame = savedSync, savedFrame
-		join.add(0, c)
-		join.finish(c, 1)
-		return nil
+		// No other processor's output to order this one's against: it
+		// runs in place, straight to the parent's sink.
+		return r.leave(c.runFast(df, start, end, maxInstrs))
 	}
-	// Every processor writes output to its own builder and the join
-	// concatenates them in pid order, byte-identical to the reference's
-	// serialized pid-order run.
-	//
 	// Sync regions must fan out for real even on a single-core host:
 	// their processors block on each other mid-region, which the
 	// serialized fallback cannot express (goroutines still interleave
-	// at the blocking points under GOMAXPROCS=1).
+	// at the blocking points under GOMAXPROCS=1). Otherwise, on a single
+	// host core, goroutines cannot overlap and fan-out is pure overhead:
+	// the extra processors run serialized instead. The join math is
+	// order-independent and a region's memory writes are
+	// iteration-disjoint by construction, so executing pids 1.. before
+	// pid 0 changes nothing observable.
 	concurrent := engineHostParallelism > 1 || hasSync
-	if concurrent {
-		for pid := 1; pid < procs; pid++ {
-			sub := &scr.subs[pid-1]
-			c.forkTo(sub, pid, &scr.outs[pid])
-			scr.wg.Add(1)
-			// ss and the WaitGroup go in as arguments: captured, they
-			// would live on the heap, one allocation per region even on
-			// the paths above.
-			go func(sub *cpu, err *error, ss *syncState, wg *sync.WaitGroup) {
-				defer wg.Done()
-				*err = sub.runForked(df, start, end, maxInstrs, ss)
-			}(sub, &scr.errs[pid], ss, &scr.wg)
+	for pid := 1; pid < procs; pid++ {
+		if !concurrent {
+			scr.errs[pid] = r.proc(pid).runForked(df, start, end, maxInstrs, nil)
+			continue
 		}
-	} else {
-		// Single host core: goroutines cannot overlap, so fan-out is
-		// pure overhead — run the extra processors serialized instead,
-		// one reused scratch context. The join math is
-		// order-independent and a region's memory writes are
-		// iteration-disjoint by construction, so executing pids 1..
-		// before pid 0 changes nothing observable.
-		sub := &scr.subs[0]
-		for pid := 1; pid < procs; pid++ {
-			c.forkTo(sub, pid, &scr.outs[pid])
-			if scr.errs[pid] = sub.runForked(df, start, end, maxInstrs, nil); scr.errs[pid] == nil {
-				join.add(pid, sub)
-			}
-		}
+		scr.wg.Add(1)
+		// ss and the WaitGroup go in as arguments: captured, they would
+		// live on the heap, one allocation per region even on the paths
+		// above.
+		go func(sub *cpu, err *error, ss *syncState, wg *sync.WaitGroup) {
+			defer wg.Done()
+			*err = sub.runForked(df, start, end, maxInstrs, ss)
+		}(r.proc(pid), &scr.errs[pid], ss, &scr.wg)
 	}
-	scr.outs[0].Reset()
-	c.out = &scr.outs[0]
 	err := c.runFast(df, start, end, maxInstrs)
 	if ss != nil {
 		ss.finish()
 	}
-	c.out = parentOut
-	c.sync, c.inRegionFrame = savedSync, savedFrame
-	if concurrent {
-		scr.wg.Wait()
-		for pid := 1; pid < procs; pid++ {
-			if scr.errs[pid] == nil {
-				join.add(pid, &scr.subs[pid-1])
-			}
-		}
-	}
+	scr.wg.Wait()
 	// Pid 0's error wins, then the lowest erroring pid — the order the
 	// reference, which runs pids serially from 0, reports them in.
 	for pid := 1; pid < procs && err == nil; pid++ {
 		err = scr.errs[pid]
 	}
-	if err != nil {
-		return err
-	}
-	for pid := 0; pid < procs; pid++ {
-		parentOut.WriteString(scr.outs[pid].String())
-	}
-	join.add(0, c)
-	join.finish(c, procs)
-	return nil
+	return r.leave(err)
 }
 
 // runForked is runFast for a forked processor, pid 1 and up. A panic,

@@ -534,19 +534,43 @@ func maskedLoopProg(n int64) *Program {
 	), map[string]int{"L": len(iotaProgPrefix()) + 3})
 }
 
+// regionLoopProg enters a region n times; each processor stores its pid
+// to a word of its own and posts it, so every entry resets the fabric.
+func regionLoopProg(n int64) *Program {
+	return mkProg([]Instr{
+		{Op: OpLdi, Rd: 20, Imm: n},
+		// L:
+		{Op: OpParBegin},
+		{Op: OpPid, Rd: 10},
+		{Op: OpMuli, Rd: 11, Rs1: 10, Imm: 4},
+		{Op: OpSt4, Rs1: 11, Rs2: 10, Imm: 8192},
+		{Op: OpPost, Rs1: 10, Rs2: 20},
+		{Op: OpParEnd},
+		{Op: OpAddi, Rd: 20, Rs1: 20, Imm: -1},
+		{Op: OpBnez, Rs1: 20, Sym: "L"},
+		{Op: OpRet},
+	}, map[string]int{"L": 1})
+}
+
 // TestEngineParallelRegionAllocs: what a run allocates is its regions'
 // goroutines (one closure per go statement), their printf output and the
 // Result's — the contexts, the DOACROSS fabric and the join's WaitGroup
-// are the machine's, recycled with it. So on a released machine a run
-// allocates the same at trip count n and 8n: nothing per iteration, per
-// wait, per post or per masked lane.
+// are the machine's, recycled with it, on both engines. So on a released
+// machine a run allocates the same at n and 8n trips or region entries:
+// nothing per iteration, per wait, per post, per masked lane or, on the
+// reference engine, per region. The fast engine's regions are held to
+// trips only, since each entry starts goroutines, and the reference's to
+// entries and masked lanes only, since it parks a blocked wait by
+// returning an error value.
 func TestEngineParallelRegionAllocs(t *testing.T) {
 	forceGoroutineRegions(t)
-	allocs := func(prog *Program, procs int) float64 {
+	fast := func(m *Machine) (Result, error) { return m.Run("main") }
+	ref := func(m *Machine) (Result, error) { return m.RunReference("main") }
+	allocs := func(prog *Program, procs int, run func(*Machine) (Result, error)) float64 {
 		return testing.AllocsPerRun(20, func() {
 			m := NewMachine(prog, procs)
 			seedPidFmt(m)
-			if _, err := m.Run("main"); err != nil {
+			if _, err := run(m); err != nil {
 				t.Fatal(err)
 			}
 			m.Release()
@@ -554,15 +578,21 @@ func TestEngineParallelRegionAllocs(t *testing.T) {
 	}
 	// Three goroutines, four printf lines and their concatenation; the
 	// old map-based scoreboard cost thousands.
-	if a := allocs(parallelCyclicProg(), 4); a > 40 {
+	if a := allocs(parallelCyclicProg(), 4, fast); a > 40 {
 		t.Errorf("a 4-processor region with printf allocates %v objects per run", a)
 	}
 	for _, tc := range []struct {
 		name  string
 		prog  func(n int64) *Program
 		procs int
-	}{{"doacross", doacrossProg, 4}, {"masked", maskedLoopProg, 1}} {
-		if n, n8 := allocs(tc.prog(200), tc.procs), allocs(tc.prog(1600), tc.procs); n != n8 {
+		run   func(*Machine) (Result, error)
+	}{
+		{"doacross", doacrossProg, 4, fast},
+		{"masked", maskedLoopProg, 1, fast},
+		{"masked on the reference engine", maskedLoopProg, 1, ref},
+		{"region entries on the reference engine", regionLoopProg, 4, ref},
+	} {
+		if n, n8 := allocs(tc.prog(200), tc.procs, tc.run), allocs(tc.prog(1600), tc.procs, tc.run); n != n8 {
 			t.Errorf("%s: a run allocates %v objects at n=200 and %v at n=1600", tc.name, n, n8)
 		}
 	}

@@ -57,8 +57,7 @@ func TestDispatchIgnoresUnusedFields(t *testing.T) {
 		for k, fast := range []bool{false, true} {
 			m := NewMachine(prog, 1)
 			m.prog.decode()
-			c := new(cpu)
-			maxInstrs, err := m.begin(c, "main", 0)
+			c, maxInstrs, err := m.begin("main", 0)
 			c.intReady[0], c.vecReady[0] = 1000, 1000
 			if err == nil && fast {
 				err = c.runFast(m.prog.decoded["main"], 0, -1, maxInstrs)

@@ -61,8 +61,7 @@ func ranContext(t *testing.T, prog *Program, fast bool) *cpu {
 		putF32(m.mem, 4096+4*i, float32(i%7)-3)
 	}
 	m.prog.decode()
-	c := new(cpu)
-	maxInstrs, err := m.begin(c, "main", 0)
+	c, maxInstrs, err := m.begin("main", 0)
 	if err == nil && fast {
 		err = c.runFast(m.prog.decoded["main"], 0, -1, maxInstrs)
 	} else if err == nil {

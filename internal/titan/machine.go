@@ -180,17 +180,16 @@ type Machine struct {
 
 	out strings.Builder
 
-	// Scratch block for the fast engine's parallel-region forks
-	// (engine.go): it comes with the machine and is reused by every
-	// region, so a run with many regions never allocates the ~130 KB
-	// per-processor contexts or the synchronization fabric. scratchBusy
-	// arbitrates the rare nested or concurrent claim, which falls back to
-	// a fresh block.
+	// Scratch block for both engines' parallel-region forks (enterRegion):
+	// it comes with the machine and is reused by every region, so a run
+	// with many regions never allocates the ~130 KB per-processor contexts
+	// or the synchronization fabric. scratchBusy arbitrates the rare
+	// nested or concurrent claim, which falls back to a fresh block.
 	scratch     *regionScratch
 	scratchBusy atomic.Bool
 
-	// root is the fast engine's top-level cpu, built with the machine so
-	// Run allocates nothing. A second Run on the same machine (it
+	// root is a run's top-level cpu (see begin), built with the machine so
+	// neither engine allocates one. A second run on the same machine (it
 	// continues from the memory the first left, but callers may) gets a
 	// fresh cpu instead.
 	root     *cpu
@@ -332,8 +331,8 @@ func (m *Machine) load(prog *Program, processors int) {
 	if scratch != nil {
 		scratch.reset(processors)
 	} else if processors > 1 {
-		// The fast engine's region scratch comes with the machine so
-		// parallel regions never allocate at run time.
+		// The region scratch comes with the machine so parallel regions
+		// never allocate at run time.
 		scratch = newRegionScratch(processors)
 	}
 	m.mem, m.root, m.scratch = mem, root, scratch
@@ -562,8 +561,7 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 		return Result{}, fmt.Errorf("titan: no function %q", entry)
 	}
 	m.prog.decode() // for vregs
-	c := new(cpu)
-	maxInstrs, err := m.begin(c, entry, f.Frame)
+	c, maxInstrs, err := m.begin(entry, f.Frame)
 	if err != nil {
 		return Result{}, err
 	}
@@ -573,9 +571,16 @@ func (m *Machine) RunReference(entry string) (Result, error) {
 	return m.result(c), nil
 }
 
-// begin makes c the root context of a run of entry, whose frame it checks
-// against the stack, and returns the run's instruction budget.
-func (m *Machine) begin(c *cpu, entry string, frame int64) (maxInstrs int64, err error) {
+// begin makes the root context of a run of entry, whose frame it checks
+// against the stack, and returns it with the run's instruction budget. The
+// context is the machine's root cpu, so a run allocates none; a second
+// run on the same machine gets a fresh one.
+func (m *Machine) begin(entry string, frame int64) (c *cpu, maxInstrs int64, err error) {
+	c = m.root
+	if m.rootUsed {
+		c = new(cpu)
+	}
+	m.rootUsed = true
 	c.m = m
 	c.out = &m.out
 	c.vlc = 1
@@ -585,7 +590,7 @@ func (m *Machine) begin(c *cpu, entry string, frame int64) (maxInstrs int64, err
 	if maxInstrs == 0 {
 		maxInstrs = 2_000_000_000
 	}
-	return maxInstrs, c.openFrame(frame, entry, 0)
+	return c, maxInstrs, c.openFrame(frame, entry, 0)
 }
 
 // globalsTable is the CRC-64 table Result.Globals is computed with.
@@ -1225,6 +1230,79 @@ func (c *cpu) forkTo(sub *cpu, pid int, out *strings.Builder) {
 	sub.args = append([]argval(nil), c.args...)
 }
 
+// region is one parallel region in flight, the same for both engines: its
+// join, the forking context c, which runs pid 0, the scratch block pids
+// 1.. are forked into (nil for one processor without post/wait), the
+// fabric (nil without post/wait), and c's own sink, fabric and frame flag.
+type region struct {
+	regionJoin
+	c     *cpu
+	procs int
+	scr   *regionScratch
+	ss    *syncState
+	out   *strings.Builder
+	sync  *syncState
+	frame bool
+}
+
+// enterRegion opens a region on c: the machine's region scratch claimed,
+// its fabric reset for a region with post/wait, c made pid 0 with its
+// output redirected to the scratch when other processors' output must be
+// ordered against it, and pids 1.. forked from c. Each engine then runs
+// the processors its own way and closes the region with leave.
+func (c *cpu) enterRegion(hasSync bool) region {
+	r := region{regionJoin: c.fork(), c: c, procs: c.m.Processors, out: c.out, sync: c.sync, frame: c.inRegionFrame}
+	if r.procs > 1 || hasSync {
+		r.scr = c.m.claimScratch()
+	}
+	// A sync region gets its fabric even on one processor: posts must land
+	// somewhere, and a wait that nothing could satisfy must deadlock.
+	if hasSync {
+		r.ss = &r.scr.fabric
+		r.ss.reset(r.procs)
+	}
+	c.pid = 0
+	c.sync, c.inRegionFrame = r.ss, hasSync
+	if r.procs > 1 {
+		r.scr.outs[0].Reset()
+		c.out = &r.scr.outs[0]
+	}
+	for pid := 1; pid < r.procs; pid++ {
+		c.forkTo(r.proc(pid), pid, &r.scr.outs[pid])
+	}
+	return r
+}
+
+// proc is processor pid's context.
+func (r *region) proc(pid int) *cpu {
+	if pid == 0 {
+		return r.c
+	}
+	return &r.scr.subs[pid-1]
+}
+
+// leave closes the region once every processor has stopped, err being
+// the one the region reports: c's sink, fabric and frame flag given back;
+// without an error, every processor's output concatenated in pid order
+// and its costs joined onto c; and only then the scratch released.
+func (r *region) leave(err error) error {
+	c := r.c
+	c.out, c.sync, c.inRegionFrame = r.out, r.sync, r.frame
+	if err == nil {
+		for pid := range r.procs {
+			if r.procs > 1 {
+				c.out.WriteString(r.scr.outs[pid].String())
+			}
+			r.add(pid, r.proc(pid))
+		}
+		r.finish(c, r.procs)
+	}
+	if r.scr != nil {
+		c.m.releaseScratch(r.scr)
+	}
+	return err
+}
+
 // waitBlocked is the sentinel exec returns when a wait's threshold has
 // not been posted yet: the region scheduler parks the processor at pc
 // and retries after others have run. Nothing was charged or retired.
@@ -1237,26 +1315,18 @@ func (w *waitBlocked) Error() string { return "titan: wait blocked" }
 // order (descending under Machine.ReverseRegions), each until it finishes the region or blocks on an unsatisfied
 // wait (a region without post/wait is one round, every processor run to
 // completion). A full round with no processor retiring anything means no
-// post can ever arrive — deadlock. Per-processor output is buffered and
-// concatenated in pid order.
+// post can ever arrive — deadlock. Pid 0 runs on c and pids 1.. on the
+// machine's region scratch (enterRegion), as in the fast engine.
 func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
-	procs := c.m.Processors
-	join := c.fork()
-	var ss *syncState
-	if hasSyncOps(f.Instrs, start, end) {
-		ss = newSyncState(procs)
-	}
-	subs := make([]cpu, procs)
-	outs := make([]strings.Builder, procs)
-	pcs := make([]int, procs)
-	for pid := range subs {
-		c.forkTo(&subs[pid], pid, &outs[pid])
-		subs[pid].sync, subs[pid].inRegionFrame = ss, ss != nil
+	r := c.enterRegion(hasSyncOps(f.Instrs, start, end))
+	procs := r.procs
+	var pcs [MaxProcessors]int
+	for pid := range procs {
 		pcs[pid] = start
 	}
 	for live := procs; live > 0; {
 		progress := false
-		for k := range subs {
+		for k := range procs {
 			pid := k
 			if c.m.ReverseRegions {
 				pid = procs - 1 - k
@@ -1264,7 +1334,7 @@ func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 			if pcs[pid] < 0 {
 				continue
 			}
-			sub := &subs[pid]
+			sub := r.proc(pid)
 			ic0 := sub.icount
 			err := sub.exec(f, pcs[pid], end, maxInstrs)
 			if wb, ok := err.(*waitBlocked); ok {
@@ -1273,25 +1343,17 @@ func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 				continue
 			}
 			if err != nil {
-				return err
+				return r.leave(err)
 			}
 			pcs[pid] = -1
 			live--
 			progress = true
-			join.add(pid, sub)
 		}
 		if live > 0 && !progress {
-			return fmt.Errorf("titan: sync deadlock in parallel region in %s", f.Name)
+			return r.leave(fmt.Errorf("titan: sync deadlock in parallel region in %s", f.Name))
 		}
 	}
-	for pid := range outs {
-		c.out.WriteString(outs[pid].String())
-	}
-	out, sync, frame := c.out, c.sync, c.inRegionFrame
-	c.copyLive(&subs[0])
-	c.out, c.sync, c.inRegionFrame = out, sync, frame
-	join.finish(c, procs)
-	return nil
+	return r.leave(nil)
 }
 
 // matchParEnd returns the index of the par.end closing the par.begin at

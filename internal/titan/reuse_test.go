@@ -46,12 +46,22 @@ func scribbler(size int64) *titan.Program {
 	}
 }
 
-// dirtyPool runs the scribbler on a machine, sets its public knobs and
-// releases it, so the next NewMachine has the worst possible predecessor.
-func dirtyPool(t *testing.T, size int64) *titan.Machine {
+// engines are the two ways to run a machine.
+var engines = []struct {
+	name string
+	run  func(*titan.Machine) (titan.Result, error)
+}{
+	{"fast", func(m *titan.Machine) (titan.Result, error) { return m.Run("main") }},
+	{"reference", func(m *titan.Machine) (titan.Result, error) { return m.RunReference("main") }},
+}
+
+// dirtyPool runs the scribbler on a machine with run, sets its public
+// knobs and releases it, so the next NewMachine has the worst possible
+// predecessor.
+func dirtyPool(t *testing.T, size int64, run func(*titan.Machine) (titan.Result, error)) *titan.Machine {
 	t.Helper()
 	m := titan.NewMachine(scribbler(size), 4)
-	r, err := m.Run("main")
+	r, err := run(m)
 	if err != nil || r.Output != "!" {
 		t.Fatalf("scribbler: %q, %v", r.Output, err)
 	}
@@ -69,10 +79,10 @@ func dirtyPool(t *testing.T, size int64) *titan.Machine {
 }
 
 // recycled returns a machine for prog that is a just-released scribbler's
-// machine again.
-func recycled(t *testing.T, size int64, prog *titan.Program, procs int) *titan.Machine {
+// machine again, the scribbler run with dirty.
+func recycled(t *testing.T, size int64, prog *titan.Program, procs int, dirty func(*titan.Machine) (titan.Result, error)) *titan.Machine {
 	t.Helper()
-	d := dirtyPool(t, size)
+	d := dirtyPool(t, size, dirty)
 	m := titan.NewMachine(prog, procs)
 	if m != d {
 		t.Fatal("NewMachine did not reuse the machine just released")
@@ -84,7 +94,7 @@ func recycled(t *testing.T, size int64, prog *titan.Program, procs int) *titan.M
 // new program's exact length and holds its Data and zeros, whether the
 // old image was larger or smaller, and contexts (the root and every
 // scratch one, vector files and the sync fabric included), statistics,
-// output and knobs are a new machine's.
+// output and knobs are a new machine's, whichever engine dirtied them.
 func TestReuseIsInvisible(t *testing.T) {
 	const dirty = 1 << 20
 	data := []byte("globals")
@@ -94,35 +104,39 @@ func TestReuseIsInvisible(t *testing.T) {
 		size  int64
 		procs int
 	}{{"smaller", 1 << 17, 1}, {"larger", 1 << 22, 4}, {"smaller at 4 processors", 1 << 18, 4}} {
-		prog := &titan.Program{Funcs: ret, DataBase: 4096, Data: data, MemSize: tc.size}
-		m := recycled(t, dirty, prog, tc.procs)
-		mem := m.Mem()
-		if int64(len(mem)) != tc.size {
-			t.Errorf("%s: image of %d bytes, want %d", tc.name, len(mem), tc.size)
-		}
-		end := prog.DataBase + int64(len(data))
-		if !bytes.Equal(mem[prog.DataBase:end], data) {
-			t.Errorf("%s: data segment %q", tc.name, mem[prog.DataBase:end])
-		}
-		for _, part := range [][]byte{mem[:prog.DataBase], mem[end:]} {
-			if i := bytes.IndexFunc(part, func(r rune) bool { return r != 0 }); i >= 0 {
-				t.Errorf("%s: image not zero outside its data (%#x at %d of a %d-byte part)", tc.name, part[i], i, len(part))
+		for _, dirtier := range engines {
+			name := tc.name + " after the " + dirtier.name + " engine"
+			prog := &titan.Program{Funcs: ret, DataBase: 4096, Data: data, MemSize: tc.size}
+			m := recycled(t, dirty, prog, tc.procs, dirtier.run)
+			mem := m.Mem()
+			if int64(len(mem)) != tc.size {
+				t.Errorf("%s: image of %d bytes, want %d", name, len(mem), tc.size)
 			}
+			end := prog.DataBase + int64(len(data))
+			if !bytes.Equal(mem[prog.DataBase:end], data) {
+				t.Errorf("%s: data segment %q", name, mem[prog.DataBase:end])
+			}
+			for _, part := range [][]byte{mem[:prog.DataBase], mem[end:]} {
+				if i := bytes.IndexFunc(part, func(r rune) bool { return r != 0 }); i >= 0 {
+					t.Errorf("%s: image not zero outside its data (%#x at %d of a %d-byte part)", name, part[i], i, len(part))
+				}
+			}
+			if what := m.Leftover(); what != "" {
+				t.Errorf("%s: %s left from the previous program", name, what)
+			}
+			if m.Processors != tc.procs {
+				t.Errorf("%s: %d processors, want %d", name, m.Processors, tc.procs)
+			}
+			m.Release()
+			m.Release() // a second Release is a no-op, not a second owner
 		}
-		if what := m.Leftover(); what != "" {
-			t.Errorf("%s: %s left from the previous program", tc.name, what)
-		}
-		if m.Processors != tc.procs {
-			t.Errorf("%s: %d processors, want %d", tc.name, m.Processors, tc.procs)
-		}
-		m.Release()
-		m.Release() // a second Release is a no-op, not a second owner
 	}
 }
 
 // On every E-series workload, at one and four processors and on both
-// engines, a machine drawn after the scribbler's release runs to the
-// Result and the final memory of a machine built on fresh state.
+// engines, a machine drawn after the scribbler's release — the scribbler
+// run on either engine — runs to the Result and the final memory of a
+// machine built on fresh state.
 func TestReuseMatchesUnpooled(t *testing.T) {
 	for _, w := range bench.Suite(repro.ESeries) {
 		res, err := driver.Compile(w.Src, driver.FullOptions())
@@ -130,30 +144,26 @@ func TestReuseMatchesUnpooled(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, procs := range []int{1, 4} {
-			for _, engine := range []struct {
-				name string
-				run  func(*titan.Machine) (titan.Result, error)
-			}{
-				{"fast", func(m *titan.Machine) (titan.Result, error) { return m.Run("main") }},
-				{"reference", func(m *titan.Machine) (titan.Result, error) { return m.RunReference("main") }},
-			} {
+			for _, engine := range engines {
 				fresh := titan.NewUnpooled(res.Machine, procs)
 				want, err := engine.run(fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
-				m := recycled(t, 1<<19, res.Machine, procs)
-				got, err := engine.run(m)
-				if err != nil {
-					t.Fatal(err)
+				for _, dirtier := range engines {
+					m := recycled(t, 1<<19, res.Machine, procs, dirtier.run)
+					got, err := engine.run(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("%s p=%d %s after %s: recycled %+v, fresh %+v", w.Name, procs, engine.name, dirtier.name, got, want)
+					}
+					if !bytes.Equal(m.Mem(), fresh.Mem()) {
+						t.Errorf("%s p=%d %s after %s: final memory differs from a fresh machine's", w.Name, procs, engine.name, dirtier.name)
+					}
+					m.Release()
 				}
-				if got != want {
-					t.Errorf("%s p=%d %s: recycled %+v, fresh %+v", w.Name, procs, engine.name, got, want)
-				}
-				if !bytes.Equal(m.Mem(), fresh.Mem()) {
-					t.Errorf("%s p=%d %s: final memory differs from a fresh machine's", w.Name, procs, engine.name)
-				}
-				m.Release()
 			}
 		}
 	}

@@ -47,10 +47,10 @@ type syncCell struct {
 	hist []syncEntry
 }
 
-// syncState is the per-region synchronization fabric. The fast engine's
-// lives in the machine's region scratch and is reset for every region;
-// the cell histories keep their capacity, so posting allocates nothing
-// once a machine has seen its longest region.
+// syncState is the per-region synchronization fabric. Both engines' lives
+// in the machine's region scratch and is reset for every region; the cell
+// histories keep their capacity, so posting allocates nothing once a
+// machine has seen its longest region.
 type syncState struct {
 	mu    sync.Mutex
 	cond  sync.Cond // on mu
@@ -73,12 +73,6 @@ type syncWaiter struct {
 	on   bool
 	cell int
 	th   int64
-}
-
-func newSyncState(procs int) *syncState {
-	ss := new(syncState)
-	ss.reset(procs)
-	return ss
 }
 
 // reset readies ss for a region of procs processors: no cell posted, no

@@ -74,8 +74,10 @@ import (
 
 	"repro/internal/diag"
 	"repro/internal/driver"
+	"repro/internal/il"
 	"repro/internal/pass"
 	"repro/internal/schedule"
+	"repro/internal/titan"
 	"repro/internal/token"
 	"repro/internal/workpool"
 )
@@ -461,6 +463,10 @@ var enumConfigs = []struct {
 	{"serial-strips", driver.FullOptions(), "serial-strips"},
 }
 
+// enumParallel is -parallel without -vector; TestSplitPipelineDifferential
+// holds its split compile to the whole one.
+var enumParallel = driver.Options{OptLevel: 1, Parallelize: true, StrengthReduce: true}
+
 // enumMove is the tuner grid's first move of knob off the default plan.
 func enumMove(knob string) schedule.Schedule {
 	for _, m := range schedule.Moves(schedule.Default(), true) {
@@ -471,49 +477,99 @@ func enumMove(knob string) schedule.Schedule {
 	panic("the grid does not move " + knob)
 }
 
-// checkEnumLoop compiles l under each of enumConfigs and holds every run
-// to -O0's; it returns the verdict row of the fully optimized compile,
-// which for a nest is the outer loop's verdicts, the inner loop's and
-// the outer loop's under the interchange plan.
+// enumHead is the output of one head of the pipeline, the passes through
+// pass.PassScalar, over a loop's lowered program: the part of a compile
+// no loop schedule reaches, shared by every build whose plan runs it.
+type enumHead struct {
+	plan pass.Plan
+	prog *il.Program
+}
+
+// sameHead reports whether plans a and b run the same head: the same
+// inline expansion and the same scalar optimizer.
+func sameHead(a, b pass.Plan) bool {
+	return a.Inline == b.Inline && slices.Equal(a.Catalogs, b.Catalogs) &&
+		(a.Scalar == nil) == (b.Scalar == nil) && (a.Scalar == nil || *a.Scalar == *b.Scalar)
+}
+
+// checkEnumLoop compiles l at -O0 and under each of enumConfigs and holds
+// every run to -O0's; it returns the verdict row of the fully optimized
+// compile, which for a nest is the outer loop's verdicts, the inner
+// loop's and the outer loop's under the interchange plan. The front end
+// runs once and each distinct head once, on clones of the lowered
+// program; each build runs its tail on a clone of its head's output, the
+// split compile the tuner measures candidates with.
 func checkEnumLoop(l enumLoop) (string, error) {
 	src := l.program()
-	want, err := driver.Run(src, driver.Options{OptLevel: 0}, 1)
+	low, err := driver.LowerWith(src, nil)
+	if err != nil {
+		return "", fmt.Errorf("front end: %v", err)
+	}
+	var heads []enumHead
+	compile := func(opts driver.Options, set *schedule.Set) (*titan.Program, *pass.Report, error) {
+		plan := opts.Plan()
+		head, tail := pass.NewManager(plan).Split(pass.PassScalar)
+		k := slices.IndexFunc(heads, func(h enumHead) bool { return sameHead(h.plan, plan) })
+		if k < 0 {
+			prog := low.IL.Clone()
+			if _, err := head.Run(prog, pass.NewContext()); err != nil {
+				return nil, nil, err
+			}
+			k, heads = len(heads), append(heads, enumHead{plan, prog})
+		}
+		prog := heads[k].prog.Clone()
+		ctx := pass.NewContext()
+		ctx.Schedules = set
+		rep, err := tail.Run(prog, ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		tp, err := driver.Generate(prog, plan)
+		return tp, rep, err
+	}
+	o0, _, err := compile(driver.Options{OptLevel: 0}, nil)
+	if err != nil {
+		return "", fmt.Errorf("-O0: %v", err)
+	}
+	m := titan.NewMachine(o0, 1)
+	want, err := m.Run("main")
+	m.Release()
 	if err != nil {
 		return "", fmt.Errorf("-O0: %v", err)
 	}
 	proc, outer, inner := l.kernel()
 	var row string
 	for _, cfg := range enumConfigs {
-		ctx := pass.NewContext()
+		var set *schedule.Set
 		switch cfg.plan {
 		case "unroll":
-			ctx.Schedules = schedule.NewSet()
-			ctx.Schedules.Put(schedule.KeyFor(proc, inner), schedule.Schedule{VL: schedule.DefaultVL, Unroll: 4})
+			set = schedule.NewSet()
+			set.Put(schedule.KeyFor(proc, inner), schedule.Schedule{VL: schedule.DefaultVL, Unroll: 4})
 		case "interchange":
 			if !l.nest {
 				continue
 			}
-			ctx.Schedules = schedule.NewSet()
-			ctx.Schedules.Put(schedule.KeyFor(proc, outer), schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, Interchange: true})
+			set = schedule.NewSet()
+			set.Put(schedule.KeyFor(proc, outer), schedule.Schedule{VL: schedule.DefaultVL, Unroll: 1, Interchange: true})
 		case "vl", "serial-strips":
-			ctx.Schedules = schedule.NewSet()
-			ctx.Schedules.Put(schedule.KeyFor(proc, inner), enumMove(cfg.plan))
+			set = schedule.NewSet()
+			set.Put(schedule.KeyFor(proc, inner), enumMove(cfg.plan))
 		}
-		res, err := driver.CompileWith(src, cfg.opts, ctx)
+		tp, rep, err := compile(cfg.opts, set)
 		if err != nil {
 			return "", fmt.Errorf("%s: %v", cfg.name, err)
 		}
 		switch {
 		case cfg.name == "full":
-			row = enumVerdicts(res.Report.Diags, outer.Line)
+			row = enumVerdicts(rep.Diags, outer.Line)
 			if l.nest {
-				row += " / " + enumVerdicts(res.Report.Diags, inner.Line)
+				row += " / " + enumVerdicts(rep.Diags, inner.Line)
 			}
 		case cfg.plan == "interchange":
-			row += " / interchange: " + enumVerdicts(res.Report.Diags, outer.Line)
+			row += " / interchange: " + enumVerdicts(rep.Diags, outer.Line)
 		}
 		for _, procs := range []int{1, 3, 4} {
-			runs, err := engineRuns(res.Machine, procs)
+			runs, err := engineRuns(tp, procs)
 			if err != nil {
 				return "", fmt.Errorf("%s: %v", cfg.name, err)
 			}
