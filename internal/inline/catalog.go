@@ -9,7 +9,9 @@ package inline
 // self-referential structs — and are flattened to indices here).
 //
 // The format is a simple tagged binary encoding (varints via
-// encoding/binary) with a magic header and version byte.
+// encoding/binary) with a magic header and version byte. It covers the
+// front end's IL and nothing else: a catalog is written from lowered
+// source, before any pass has run.
 
 import (
 	"bufio"
@@ -292,15 +294,20 @@ func (e *encoder) proc(p *il.Proc) {
 	e.stmts(p.Body)
 }
 
-// Statement tags.
+// Statement tags. A catalog holds front-end IL, the statements and
+// expressions lowering builds: §7's parsed procedures. The DO, do parallel
+// and vector forms are built only by the passes after inlining, so no
+// catalog writer emits them; their tags stay reserved and the decoder
+// refuses them (notFrontEnd). A catalog that carried a do parallel would
+// assert an independence no dependence test had checked.
 const (
 	tAssign = iota
 	tCall
 	tIf
 	tWhile
-	tDoLoop
-	tDoParallel
-	tVectorAssign
+	tDoLoop       // reserved
+	tDoParallel   // reserved
+	tVectorAssign // reserved
 	tGoto
 	tLabel
 	tReturn
@@ -317,7 +324,7 @@ const (
 	xBin
 	xUn
 	xCast
-	xVecRef
+	xVecRef // reserved
 )
 
 func (e *encoder) stmts(list []il.Stmt) {
@@ -356,28 +363,6 @@ func (e *encoder) stmt(s il.Stmt) {
 		e.expr(n.Cond)
 		e.boolean(n.Safe)
 		e.stmts(n.Body)
-	case *il.DoLoop:
-		e.u64(tDoLoop)
-		e.u64(uint64(n.IV))
-		e.expr(n.Init)
-		e.expr(n.Limit)
-		e.expr(n.Step)
-		e.boolean(n.Safe)
-		e.stmts(n.Body)
-	case *il.DoParallel:
-		e.u64(tDoParallel)
-		e.u64(uint64(n.IV))
-		e.expr(n.Init)
-		e.expr(n.Limit)
-		e.expr(n.Step)
-		e.stmts(n.Body)
-	case *il.VectorAssign:
-		e.u64(tVectorAssign)
-		e.expr(n.DstBase)
-		e.expr(n.DstStride)
-		e.expr(n.Len)
-		e.i64(int64(e.refID(n.Elem)))
-		e.expr(n.RHS)
 	case *il.Goto:
 		e.u64(tGoto)
 		e.str(n.Target)
@@ -433,11 +418,6 @@ func (e *encoder) expr(x il.Expr) {
 	case *il.Cast:
 		e.u64(xCast)
 		e.expr(n.X)
-		e.i64(int64(e.refID(n.T)))
-	case *il.VecRef:
-		e.u64(xVecRef)
-		e.expr(n.Base)
-		e.expr(n.Stride)
 		e.i64(int64(e.refID(n.T)))
 	default:
 		e.err = fmt.Errorf("catalog: cannot encode expr %T", x)
@@ -747,39 +727,28 @@ func (d *decoder) stmtBody() il.Stmt {
 		safe := d.boolean()
 		body := d.stmts()
 		return &il.While{Cond: cond, Safe: safe, Body: body}
-	case tDoLoop:
-		iv := il.VarID(d.u64())
-		init := d.expr()
-		limit := d.expr()
-		step := d.expr()
-		safe := d.boolean()
-		body := d.stmts()
-		return &il.DoLoop{IV: iv, Init: init, Limit: limit, Step: step, Safe: safe, Body: body}
-	case tDoParallel:
-		iv := il.VarID(d.u64())
-		init := d.expr()
-		limit := d.expr()
-		step := d.expr()
-		body := d.stmts()
-		return &il.DoParallel{IV: iv, Init: init, Limit: limit, Step: step, Body: body}
-	case tVectorAssign:
-		base := d.expr()
-		stride := d.expr()
-		length := d.expr()
-		elem := d.typeByID(int(d.i64()))
-		rhs := d.expr()
-		return &il.VectorAssign{DstBase: base, DstStride: stride, Len: length, Elem: elem, RHS: rhs}
 	case tGoto:
 		return &il.Goto{Target: d.str()}
 	case tLabel:
 		return &il.Label{Name: d.str()}
 	case tReturn:
 		return &il.Return{Val: d.expr()}
+	case tDoLoop, tDoParallel, tVectorAssign:
+		d.notFrontEnd([...]string{"DoLoop", "DoParallel", "VectorAssign"}[tag-tDoLoop])
+		return &il.Label{Name: ".bad"}
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("catalog: unknown statement tag %d", tag)
 		}
 		return &il.Label{Name: ".bad"}
+	}
+}
+
+// notFrontEnd records a reserved tag: form is built only by the passes
+// after inlining, so no catalog holds it.
+func (d *decoder) notFrontEnd(form string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("catalog: %s is not front-end IL: a catalog holds procedures as lowering builds them", form)
 	}
 }
 
@@ -828,10 +797,8 @@ func (d *decoder) expr() il.Expr {
 		t := d.typeByID(int(d.i64()))
 		return &il.Cast{X: x, T: t}
 	case xVecRef:
-		base := d.expr()
-		stride := d.expr()
-		t := d.typeByID(int(d.i64()))
-		return &il.VecRef{Base: base, Stride: stride, T: t}
+		d.notFrontEnd("VecRef")
+		return &il.ConstInt{T: ctype.IntType}
 	default:
 		if d.err == nil {
 			d.err = fmt.Errorf("catalog: unknown expr tag %d", tag)

@@ -1,7 +1,11 @@
 package inline
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,6 +51,144 @@ void accum(int *v, int n) { int i; for (i = 0; i < n; i++) gsum = gsum + v[i]; }
 		t.Fatalf("write catalog: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// chainSrc sets a[i] = a[i-1] + 1 for i in [1, n): each iteration reads
+// the element the one before it wrote, so its loop is not parallel.
+const chainSrc = `
+int chain(int *a, int n)
+{
+	int i;
+	for (i = 1; i < n; i++)
+		a[i] = a[i - 1] + 1;
+	return a[n - 1];
+}
+`
+
+// laterForms are the IL forms only the passes after inlining build.
+var laterForms = []string{"DoLoop", "DoParallel", "VectorAssign", "VecRef"}
+
+// laterFormCatalog writes, with the encoder's primitives, the catalog of
+// chainSrc with its while loop replaced by one statement in form:
+//
+//	DoLoop        do i = 1, n - 1, 1 { a[i] = a[i-1] + 1 }
+//	DoParallel    do parallel i = 1, n - 1, 1 { a[i] = a[i-1] + 1 }
+//	VectorAssign  [a + 4 :4](n - 1) = 1
+//	VecRef        i = [a :4]
+//
+// Any other form keeps the while loop, which makes an honest catalog.
+// The do parallel asserts that the chain's iterations are independent.
+func laterFormCatalog(t testing.TB, form string) []byte {
+	t.Helper()
+	p := frontEnd(t, chainSrc).Procs[0]
+	loop := p.Body[1].(*il.While)
+	store, iv := loop.Body[0], loop.Body[1].(*il.Assign).Dst.(*il.VarRef).ID
+	a := &il.VarRef{ID: p.Params[0], T: p.Vars[p.Params[0]].Type}
+	n := &il.VarRef{ID: p.Params[1], T: ctype.IntType}
+	one := &il.ConstInt{Val: 1, T: ctype.IntType}
+	four := &il.ConstInt{Val: 4, T: ctype.IntType}
+	limit := &il.Bin{Op: il.OpSub, L: n, R: one, T: ctype.IntType}
+
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	w.WriteString(catalogMagic)
+	e := &encoder{w: w, typeIdx: map[*ctype.Type]int{}}
+	e.u64(catalogVersion)
+	e.typeID(ctype.IntType)
+	for i := range p.Vars {
+		e.typeID(p.Vars[i].Type)
+	}
+	e.writeTypeTable()
+	e.u64(0) // globals
+	e.u64(1) // procedures; encoder.proc's header, then the body by hand
+	e.str(p.Name)
+	e.i64(int64(e.refID(p.Ret)))
+	e.boolean(p.Variadic)
+	e.u64(uint64(len(p.Params)))
+	for _, id := range p.Params {
+		e.u64(uint64(id))
+	}
+	e.u64(uint64(len(p.Vars)))
+	for i := range p.Vars {
+		v := &p.Vars[i]
+		e.str(v.Name)
+		e.i64(int64(e.refID(v.Type)))
+		e.u64(uint64(v.Class))
+		e.boolean(v.AddrTaken)
+	}
+	e.u64(3)
+	e.stmt(p.Body[0])
+	e.u64(4) // the loop's line and column
+	e.u64(2)
+	switch form {
+	case "DoLoop", "DoParallel":
+		if form == "DoLoop" {
+			e.u64(tDoLoop)
+		} else {
+			e.u64(tDoParallel)
+		}
+		e.u64(uint64(iv))
+		e.expr(one)
+		e.expr(limit)
+		e.expr(one)
+		if form == "DoLoop" {
+			e.boolean(false) // Safe
+		}
+		e.stmts([]il.Stmt{store})
+	case "VectorAssign":
+		e.u64(tVectorAssign)
+		e.expr(&il.Bin{Op: il.OpAdd, L: a, R: four, T: a.T})
+		e.expr(four)
+		e.expr(limit)
+		e.i64(int64(e.refID(ctype.IntType)))
+		e.expr(one)
+	case "VecRef":
+		e.u64(tAssign)
+		e.expr(&il.VarRef{ID: iv, T: ctype.IntType})
+		e.u64(xVecRef)
+		e.expr(a)
+		e.expr(four)
+		e.i64(int64(e.refID(ctype.IntType)))
+	default:
+		e.u64(tWhile)
+		e.expr(loop.Cond)
+		e.boolean(loop.Safe)
+		e.stmts(loop.Body)
+	}
+	e.stmt(p.Body[2])
+	if e.err != nil || w.Flush() != nil {
+		t.Fatalf("write %s catalog: %v", form, e.err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadCatalogRefusesLaterForms: a catalog holds front-end IL, what
+// lowering builds. A procedure carrying a DO, do parallel or vector form
+// is refused as a whole, so a catalog cannot hand the compiler a parallel
+// loop no dependence test has checked. The same bytes with the while loop
+// kept decode. The four are seeds of FuzzReadCatalog, which titand's
+// upload test posts too; UPDATE_GOLDEN=1 rewrites them.
+func TestReadCatalogRefusesLaterForms(t *testing.T) {
+	if _, err := ReadCatalog(bytes.NewReader(laterFormCatalog(t, "While"))); err != nil {
+		t.Fatalf("the honest catalog: %v", err)
+	}
+	for _, form := range laterForms {
+		raw := laterFormCatalog(t, form)
+		_, err := ReadCatalog(bytes.NewReader(raw))
+		if err == nil || !strings.Contains(err.Error(), form+" is not front-end IL") {
+			t.Errorf("%s: err %v, want it refused as not front-end IL", form, err)
+		}
+		seed := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw)
+		path := filepath.Join("testdata", "fuzz", "FuzzReadCatalog", "later-form-"+form)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, []byte(seed), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != seed {
+			t.Errorf("%s: seed %s is stale or missing (run with UPDATE_GOLDEN=1): %v", form, path, err)
+		}
+	}
 }
 
 func TestReadCatalogRoundTrip(t *testing.T) {
@@ -171,7 +313,9 @@ func TestReadCatalogTruncated(t *testing.T) {
 }
 
 // FuzzReadCatalog asserts the decoder never panics: catalogs arrive over
-// HTTP in the compile service, so arbitrary bytes must fail cleanly.
+// HTTP in the compile service, so arbitrary bytes must fail cleanly. The
+// seed corpus (testdata/fuzz/FuzzReadCatalog) holds a catalog carrying
+// each reserved tag (TestReadCatalogRefusesLaterForms).
 func FuzzReadCatalog(f *testing.F) {
 	raw := catalogBytes(f)
 	f.Add(raw)
@@ -193,9 +337,9 @@ func FuzzReadCatalog(f *testing.F) {
 		}
 		if err == nil {
 			// Whatever decoded must re-serialize (fingerprinting relies
-			// on it) — and must not panic doing so.
+			// on it): the encoder and the decoder cover the same forms.
 			if _, ferr := c.Fingerprint(); ferr != nil {
-				t.Skipf("decoded catalog does not re-serialize: %v", ferr)
+				t.Fatalf("decoded catalog does not re-serialize: %v", ferr)
 			}
 		}
 	})

@@ -293,7 +293,10 @@ func (in *Inliner) expandCall(p *il.Proc, call *il.Call, cn *node) ([]il.Stmt, b
 }
 
 // rewriteInlined renames variables and labels and turns returns into
-// result assignment + goto end.
+// result assignment + goto end. Callee bodies are front-end IL (inlining
+// is the pipeline's first pass, and catalogs hold nothing else), so the
+// only variables a statement names outside its expressions are an
+// assignment's and a call's destinations.
 func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.VarID, endLabel string, p *il.Proc) []il.Stmt {
 	a := p.Arena()
 	rename := func(x il.Expr) il.Expr {
@@ -316,10 +319,6 @@ func rewriteInlined(body []il.Stmt, varMap []il.VarID, prefix string, dst il.Var
 			if n.Dst != il.NoVar {
 				n.Dst = varMap[n.Dst]
 			}
-		case *il.DoLoop:
-			n.IV = varMap[n.IV]
-		case *il.DoParallel:
-			n.IV = varMap[n.IV]
 		case *il.Goto:
 			return []il.Stmt{a.Goto(il.Goto{Target: prefix + n.Target})}, true
 		case *il.Label:

@@ -530,47 +530,6 @@ void clearall(int n)
 	}
 }
 
-func TestCatalogRoundTripVectorForms(t *testing.T) {
-	// Optimized IL (vector statements, parallel loops) must survive the
-	// catalog encoding too.
-	src := `
-float a[256], b[256];
-void kernel(void) {
-	int i;
-	for (i = 0; i < 256; i++)
-		a[i] = b[i] * 2.0f;
-}
-`
-	prog := compile(t, src)
-	for _, p := range prog.Procs {
-		opt.Optimize(p, opt.DefaultOptions(), nil, nil)
-		vector.VectorizeProc(p, vector.Config{Default: schedule.Default(), Parallel: true})
-	}
-	var buf bytes.Buffer
-	if err := WriteCatalog(&buf, BuildCatalog(prog)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCatalog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Procs[0].String() != prog.Procs[0].String() {
-		t.Errorf("vector IL round trip differs:\n--- want\n%s\n--- got\n%s",
-			prog.Procs[0], got.Procs[0])
-	}
-	// The decoded form must contain the vector statement.
-	found := false
-	il.WalkStmts(got.Procs[0].Body, func(s il.Stmt) bool {
-		if _, ok := s.(*il.VectorAssign); ok {
-			found = true
-		}
-		return true
-	})
-	if !found {
-		t.Error("vector statement lost in catalog")
-	}
-}
-
 func TestRecursiveCalleeNeverExpands(t *testing.T) {
 	// §7's recursion guard: a procedure on a call cycle is expanded into
 	// no one, not its own body and not the callers outside the cycle.

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -337,6 +339,34 @@ func TestCatalogUploadRejectsGarbage(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&e)
 	if !strings.Contains(e["error"], "catalog") {
 		t.Errorf("error not descriptive: %q", e["error"])
+	}
+}
+
+// TestCatalogUploadRejectsLaterForms: a catalog holds front-end IL, so
+// one whose procedure carries a do parallel is a bad request. The catalog
+// is the inline package's seed: chain(a, n), a[i] = a[i-1] + 1, with its
+// loop written as a do parallel, which would run the chain's iterations
+// at once on every processor.
+func TestCatalogUploadRejectsLaterForms(t *testing.T) {
+	seed, err := os.ReadFile("../inline/testdata/fuzz/FuzzReadCatalog/later-form-DoParallel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(seed)), "[]byte(")
+	raw, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("seed literal: %v", err)
+	}
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/catalogs", "application/octet-stream", strings.NewReader(raw))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "DoParallel is not front-end IL") {
+		t.Fatalf("status %d, error %q: want 400 naming the do parallel", resp.StatusCode, e["error"])
 	}
 }
 
