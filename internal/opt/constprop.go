@@ -34,11 +34,18 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 	if err != nil {
 		return 0
 	}
-	substs := 0
 	ar := p.Arena()
 
 	// Substitute uses whose every reaching definition assigns the same
-	// constant.
+	// constant, and fold expressions bottom-up. RewriteExpr hands f each
+	// node after rebuilding it over its rewritten operands, so one walk
+	// folds a substituted operand's parents. Folds are not counted toward
+	// the propagation fixpoint (they cannot enable further substitutions
+	// on their own), but they do rewrite uses, so they must invalidate any
+	// cached liveness: foldNode preserves node identity on no-change
+	// exactly so real folds are detectable here. Substitutions and folds
+	// only replace expressions, so they keep the reaching definitions.
+	substs, folds := 0, 0
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		ar.RewriteStmtExprs(s, func(x il.Expr) il.Expr {
 			if v, ok := x.(*il.VarRef); ok {
@@ -47,22 +54,8 @@ func propagateOnce(p *il.Proc, ac *analysis.Cache, em *emitter) int {
 					return c
 				}
 			}
-			return x
-		})
-		return true
-	})
-
-	// Fold expressions bottom-up. Folds are not counted toward the
-	// propagation fixpoint (they cannot enable further substitutions on
-	// their own), but they do rewrite uses, so they must invalidate any
-	// cached liveness: foldNode preserves node identity on no-change
-	// exactly so real folds are detectable here. Substitutions and folds
-	// only replace expressions, so they keep the reaching definitions.
-	folds := 0
-	il.WalkStmts(p.Body, func(s il.Stmt) bool {
-		ar.RewriteStmtExprs(s, func(e il.Expr) il.Expr {
-			f := foldNode(ar, e)
-			if f != e {
+			f := foldNode(ar, x)
+			if f != x {
 				folds++
 			}
 			return f

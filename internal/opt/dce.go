@@ -10,19 +10,9 @@ import (
 // afterwards ("dead, not unreachable, code" — §9). Inlining makes this
 // crucial: parameter-binding temporaries die as soon as substitution and
 // constant propagation run. Returns the number of statements removed. A
-// nil cache re-solves every round.
+// nil cache re-solves every round. A removal can leave another assignment
+// dead; the scalar fixpoint's next round removes it.
 func eliminateDeadCode(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
-	total := 0
-	for {
-		n := dceOnce(p, ac, sc)
-		total += n
-		if n == 0 {
-			return total
-		}
-	}
-}
-
-func dceOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	a, lv, err := ac.DataflowLiveness(p)
 	if err != nil {
 		return 0
@@ -141,7 +131,7 @@ type copyInst struct {
 }
 
 // scratch is the copy-propagation and dead-code storage of one Optimize
-// call. Each copyPropOnce and dceOnce clears what it uses and re-carves
+// call. Each copyPropOnce and eliminateDeadCode clears what it uses and re-carves
 // it, so the scalar fixpoint's repeated solves allocate for the largest
 // only. Optimize runs on one procedure on one goroutine, so it is never
 // shared.

@@ -42,10 +42,9 @@ type subPass struct {
 // one scratch, which lives as long as the returned sub-passes.
 func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
 	sc := new(scratch)
-	constprop := func(p *il.Proc) int { return propagateConstants(p, ac, em) }
 	sp := []subPass{
 		{"while-to-do", func(p *il.Proc) int { return convertWhileLoops(p, ac, em) }},
-		{"constprop", constprop},
+		{"constprop", func(p *il.Proc) int { return propagateConstants(p, ac, em) }},
 	}
 	if opts.IVSub {
 		if opts.Straightforward {
@@ -58,7 +57,6 @@ func subPasses(opts Options, ac *analysis.Cache, em *emitter) []subPass {
 		sp = append(sp, subPass{"copyprop", func(p *il.Proc) int { return propagateCopies(p, ac, sc) }})
 	}
 	return append(sp,
-		subPass{"constprop-after", constprop},
 		subPass{"dce", func(p *il.Proc) int { return eliminateDeadCode(p, ac, sc) }},
 		subPass{"unused-labels", removeUnusedLabels},
 	)
