@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"math"
@@ -421,11 +422,13 @@ type cpuState struct {
 	// DOACROSS synchronization: sync is the enclosing parallel region's
 	// fabric (nil outside regions), inRegionFrame says whether this
 	// frame is the region's own (post/wait inside a called function are
-	// rejected — the region scheduler could not resume mid-call), and
-	// syncStall accumulates cycles blocked in waits.
+	// rejected — the region scheduler could not resume mid-call),
+	// syncStall accumulates cycles blocked in waits, and parkedPC is the
+	// wait exec stopped at when it last returned errWaitBlocked.
 	sync          *syncState
 	inRegionFrame bool
 	syncStall     int64
+	parkedPC      int
 
 	cycles int64 // completion horizon
 	flops  int64
@@ -650,7 +653,8 @@ func (c *cpu) exec(f *Func, pc int, stop int, maxInstrs int64) error {
 			cell := c.r[in.Rs1]
 			if cell >= 0 && cell < NumSyncCells {
 				if _, ok := c.sync.peek(int(cell), c.r[in.Rs2]); !ok {
-					return &waitBlocked{pc: pc}
+					c.parkedPC = pc
+					return errWaitBlocked
 				}
 			}
 		}
@@ -1303,12 +1307,11 @@ func (r *region) leave(err error) error {
 	return err
 }
 
-// waitBlocked is the sentinel exec returns when a wait's threshold has
-// not been posted yet: the region scheduler parks the processor at pc
-// and retries after others have run. Nothing was charged or retired.
-type waitBlocked struct{ pc int }
-
-func (w *waitBlocked) Error() string { return "titan: wait blocked" }
+// errWaitBlocked is the sentinel exec returns when a wait's threshold
+// has not been posted yet: the region scheduler parks the processor at
+// its parkedPC and retries after others have run. Nothing was charged or
+// retired, and nothing is allocated.
+var errWaitBlocked = errors.New("titan: wait blocked")
 
 // parallelRegion is the reference execution of [start, end): processors
 // run serialized on the host thread, a deterministic round-robin in pid
@@ -1337,8 +1340,8 @@ func (c *cpu) parallelRegion(f *Func, start, end int, maxInstrs int64) error {
 			sub := r.proc(pid)
 			ic0 := sub.icount
 			err := sub.exec(f, pcs[pid], end, maxInstrs)
-			if wb, ok := err.(*waitBlocked); ok {
-				pcs[pid] = wb.pc
+			if err == errWaitBlocked {
+				pcs[pid] = sub.parkedPC
 				progress = progress || sub.icount > ic0
 				continue
 			}
