@@ -189,14 +189,31 @@ func TestEngineDifferentialVRFWrap(t *testing.T) {
 // seeds.
 const maskedFlags = 4096 + 64<<10
 
+// maskCmps are the compares maskedOps can set its mask with, each with
+// the comparand that holds for a flag of 1 and fails for a flag of 2.
+// vcmp.nes is first: the fuzz corpus's compare.
+var maskCmps = []struct {
+	op Op
+	c  float64
+}{
+	{OpVcmpNes, 2}, {OpVcmpLts, 2}, {OpVcmpLes, 1}, {OpVcmpEqs, 1},
+	{OpVcmpNe, 2}, {OpVcmpLt, 2}, {OpVcmpLe, 1}, {OpVcmpEq, 1},
+}
+
 // maskedOps is a masked strip of vl lanes on one processor: lane k of mask
-// register 1 is bit k%64 of mask (set from flags in memory by vld and
-// vcmp.nes), then vld.m of element kind from base + k·stride into slot,
-// the masked arithmetic op (vadd.m … vdiv.m) of it and the flags, and
-// vst.m back — what the engine runs as slab kernels or, where a lane could
-// fault or the window wraps the file, as the reference walk. seedMasked is
-// its memory.
-func maskedOps(kind, base, stride, vl int64, mask uint64, slot int, arith Op) func() *Program {
+// register 1 is bit k%64 of mask (set from flags in memory by vld and the
+// compare maskCmps[cmp], against a scalar or its broadcast), then vld.m of
+// element kind from base + k·stride into slot, the masked arithmetic op
+// (vadd.m … vdiv.m) of it and the flags, and vst.m back — what the engine
+// runs as slab kernels or, where a lane could fault or the window wraps
+// the file, as the reference walk. seedMasked is its memory.
+func maskedOps(kind, base, stride, vl int64, mask uint64, slot, cmp int, arith Op) func() *Program {
+	const bcast = MaxVL // the broadcast comparand, past the flags
+	mc := maskCmps[cmp]
+	rs2 := 1
+	if opTable[mc.op].rs2 == rV {
+		rs2 = bcast
+	}
 	return func() *Program {
 		return mkProg([]Instr{
 			{Op: OpLdi, Rd: 9, Imm: vl},
@@ -204,8 +221,9 @@ func maskedOps(kind, base, stride, vl int64, mask uint64, slot int, arith Op) fu
 			{Op: OpLdi, Rd: 10, Imm: maskedFlags},
 			{Op: OpLdi, Rd: 11, Imm: 4},
 			{Op: OpVld, Rd: 0, Rs1: 10, Rs2: 11, Imm: ElemF32},
-			{Op: OpFldi, Rd: 1, FImm: 0},
-			{Op: OpVcmpNes, Rd: 1, Rs1: 0, Rs2: 1},
+			{Op: OpFldi, Rd: 1, FImm: mc.c},
+			{Op: OpVbcast, Rd: bcast, Rs1: 1},
+			{Op: mc.op, Rd: 1, Rs1: 0, Rs2: rs2},
 			{Op: OpLdi, Rd: 12, Imm: base},
 			{Op: OpLdi, Rd: 13, Imm: stride},
 			{Op: OpVldm, Rd: slot, Rs1: 12, Rs2: 13, Imm: maskImm(kind&0xff, 1)},
@@ -222,16 +240,17 @@ func seedMasked(mask uint64) func(*Machine) {
 			putF32(m.mem, a, float32(a%97)-40)
 		}
 		for k := int64(0); k < MaxVL; k++ {
-			putF32(m.mem, maskedFlags+4*k, float32(mask>>(k%64)&1))
+			putF32(m.mem, maskedFlags+4*k, float32(2-mask>>(k%64)&1))
 		}
 	}
 }
 
 // TestEngineDifferentialMasked holds the masked slab kernels to the
 // reference walk: partial masks over every element kind and forward,
-// backward and zero strides, strips crossing a mask word, faults at the
-// top of memory on the first and on a later active lane, all-false masks
-// over addresses no lane may touch, and windows wrapping the file.
+// backward and zero strides, set by each vector-vector and vector-scalar
+// compare, strips crossing a mask word, faults at the top of memory on
+// the first and on a later active lane, all-false masks over addresses no
+// lane may touch, and windows wrapping the file.
 func TestEngineDifferentialMasked(t *testing.T) {
 	const top = 1 << 20 // mkProg's MemSize
 	sparse := uint64(1)<<63 | 1<<40 | 1<<2
@@ -245,7 +264,8 @@ func TestEngineDifferentialMasked(t *testing.T) {
 					base = 40000
 				}
 				op := arith[(i+j)%len(arith)]
-				diffRun(t, maskedOps(kind, base, stride, 100, mask, 64, op), seedMasked(mask), 1)
+				cmp := (4*i + j) % len(maskCmps)
+				diffRun(t, maskedOps(kind, base, stride, 100, mask, 64, cmp, op), seedMasked(mask), 1)
 			}
 		}
 	}
@@ -265,7 +285,7 @@ func TestEngineDifferentialMasked(t *testing.T) {
 		{"all-false at a negative stride", 64, -4096, 100, 0, 64, false},
 		{"window wraps the file", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, VRFWords - 10, false},
 	} {
-		prog := maskedOps(ElemF32, tc.base, tc.stride, tc.vl, tc.mask, tc.slot, OpVmulm)
+		prog := maskedOps(ElemF32, tc.base, tc.stride, tc.vl, tc.mask, tc.slot, 0, OpVmulm)
 		diffRun(t, prog, seedMasked(tc.mask), 1)
 		m := NewMachine(prog(), 1)
 		seedMasked(tc.mask)(m)
@@ -283,11 +303,12 @@ func TestEngineDifferentialMasked(t *testing.T) {
 
 // FuzzMaskedOps runs maskedOps over arbitrary operands on both engines:
 // the same Result and final memory, or the same error text. arith picks
-// the arithmetic op, mod 4.
+// the arithmetic op, mod 4, and the mask's compare, arith/4 mod 8.
 func FuzzMaskedOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, base, stride, vl int64, mask uint64, slot int, arith uint8) {
 		op := OpVaddm + Op(arith%4)
-		diffRun(t, maskedOps(kind, base, stride, vl, mask, slot, op), seedMasked(mask), 1)
+		cmp := int(arith/4) % len(maskCmps)
+		diffRun(t, maskedOps(kind, base, stride, vl, mask, slot, cmp, op), seedMasked(mask), 1)
 	})
 }
 
@@ -558,10 +579,8 @@ func regionLoopProg(n int64) *Program {
 // are the machine's, recycled with it, on both engines. So on a released
 // machine a run allocates the same at n and 8n trips or region entries:
 // nothing per iteration, per wait, per post, per masked lane or, on the
-// reference engine, per region. The fast engine's regions are held to
-// trips only, since each entry starts goroutines, and the reference's to
-// entries and masked lanes only, since it parks a blocked wait by
-// returning an error value.
+// reference engine, per region or per parked wait. The fast engine's
+// regions are held to trips only, since each entry starts goroutines.
 func TestEngineParallelRegionAllocs(t *testing.T) {
 	forceGoroutineRegions(t)
 	fast := func(m *Machine) (Result, error) { return m.Run("main") }
@@ -588,6 +607,7 @@ func TestEngineParallelRegionAllocs(t *testing.T) {
 		run   func(*Machine) (Result, error)
 	}{
 		{"doacross", doacrossProg, 4, fast},
+		{"doacross on the reference engine", doacrossProg, 4, ref},
 		{"masked", maskedLoopProg, 1, fast},
 		{"masked on the reference engine", maskedLoopProg, 1, ref},
 		{"region entries on the reference engine", regionLoopProg, 4, ref},
