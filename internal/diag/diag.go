@@ -238,24 +238,6 @@ func (r *Reporter) Report(d Diagnostic) {
 	r.mu.Unlock()
 }
 
-// Remark reports an optimization remark.
-func (r *Reporter) Remark(code Code, pos token.Pos, proc, format string, a ...any) {
-	if r == nil {
-		return
-	}
-	r.Report(Diagnostic{Severity: SevRemark, Code: code, Pos: pos, Proc: proc,
-		Message: fmt.Sprintf(format, a...)})
-}
-
-// Warning reports a warning.
-func (r *Reporter) Warning(code Code, pos token.Pos, proc, format string, a ...any) {
-	if r == nil {
-		return
-	}
-	r.Report(Diagnostic{Severity: SevWarning, Code: code, Pos: pos, Proc: proc,
-		Message: fmt.Sprintf(format, a...)})
-}
-
 // Error reports an error.
 func (r *Reporter) Error(code Code, pos token.Pos, format string, a ...any) {
 	if r == nil {
@@ -304,17 +286,4 @@ func (r *Reporter) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.diags)
-}
-
-// CountByCode tallies diagnostics per code — the /metrics aggregation
-// shape.
-func CountByCode(diags []Diagnostic) map[Code]int {
-	if len(diags) == 0 {
-		return nil
-	}
-	m := make(map[Code]int)
-	for _, d := range diags {
-		m[d.Code]++
-	}
-	return m
 }

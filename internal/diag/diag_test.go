@@ -12,8 +12,6 @@ import (
 func TestNilReporterIsSafe(t *testing.T) {
 	var r *Reporter
 	r.Report(Diagnostic{Code: VectVectorized})
-	r.Remark(VectVectorized, token.Pos{Line: 1, Col: 1}, "p", "msg")
-	r.Warning(FixpointCapped, token.Pos{Line: 1, Col: 1}, "p", "msg")
 	r.Error(ParseError, token.Pos{Line: 1, Col: 1}, "msg")
 	if got := r.All(); got != nil {
 		t.Errorf("nil reporter returned diagnostics: %v", got)
@@ -26,10 +24,10 @@ func TestNilReporterIsSafe(t *testing.T) {
 func TestReporterSortsDeterministically(t *testing.T) {
 	var r Reporter
 	// Report out of order across procs, lines, and severities.
-	r.Remark(VectVectorized, token.Pos{Line: 9, Col: 2}, "zeta", "later proc")
-	r.Remark(ParParallelized, token.Pos{Line: 5, Col: 1}, "alpha", "line 5")
+	r.Report(Diagnostic{Severity: SevRemark, Code: VectVectorized, Pos: token.Pos{Line: 9, Col: 2}, Proc: "zeta", Message: "later proc"})
+	r.Report(Diagnostic{Severity: SevRemark, Code: ParParallelized, Pos: token.Pos{Line: 5, Col: 1}, Proc: "alpha", Message: "line 5"})
 	r.Error(SemaError, token.Pos{Line: 5, Col: 1}, "error first at same pos")
-	r.Remark(IVSubstituted, token.Pos{Line: 2, Col: 4}, "alpha", "line 2")
+	r.Report(Diagnostic{Severity: SevRemark, Code: IVSubstituted, Pos: token.Pos{Line: 2, Col: 4}, Proc: "alpha", Message: "line 2"})
 	all := r.All()
 	if len(all) != 4 {
 		t.Fatalf("got %d diagnostics, want 4", len(all))
@@ -51,7 +49,7 @@ func TestReporterConcurrentUse(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Remark(VectVectorized, token.Pos{Line: i + 1, Col: p + 1}, "proc", "m")
+				r.Report(Diagnostic{Severity: SevRemark, Code: VectVectorized, Pos: token.Pos{Line: i + 1, Col: p + 1}, Proc: "proc", Message: "m"})
 			}
 		}(p)
 	}
@@ -117,17 +115,5 @@ func TestSeverityUnmarshalRejectsUnknown(t *testing.T) {
 	var s Severity
 	if err := s.UnmarshalText([]byte("fatal")); err == nil {
 		t.Error("want error for unknown severity name")
-	}
-}
-
-func TestCountByCode(t *testing.T) {
-	if m := CountByCode(nil); m != nil {
-		t.Errorf("CountByCode(nil) = %v, want nil", m)
-	}
-	m := CountByCode([]Diagnostic{
-		{Code: VectVectorized}, {Code: VectVectorized}, {Code: ParCarriedDep},
-	})
-	if m[VectVectorized] != 2 || m[ParCarriedDep] != 1 {
-		t.Errorf("counts = %v", m)
 	}
 }

@@ -132,15 +132,6 @@ func (op Op) String() string { return opNames[op] }
 // IsComparison reports whether op produces a 0/1 int.
 func (op Op) IsComparison() bool { return op >= OpEq && op <= OpGe }
 
-// IsCommutative reports whether op commutes.
-func (op Op) IsCommutative() bool {
-	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor, OpEq, OpNe:
-		return true
-	}
-	return false
-}
-
 // Expr is a pure IL expression.
 type Expr interface {
 	Type() *ctype.Type

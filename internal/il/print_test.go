@@ -159,9 +159,6 @@ func TestVarNameFallbacks(t *testing.T) {
 }
 
 func TestOpPredicates(t *testing.T) {
-	if !OpAdd.IsCommutative() || OpSub.IsCommutative() {
-		t.Error("commutativity")
-	}
 	if !OpEq.IsComparison() || OpAdd.IsComparison() {
 		t.Error("comparison")
 	}

@@ -33,11 +33,6 @@ type Lexer struct {
 	intern *Interner
 }
 
-// New returns a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
-
 // NewInterning returns a lexer over src that canonicalizes identifier,
 // string-literal and pragma spellings through in (nil interns nothing).
 func NewInterning(src string, in *Interner) *Lexer {
