@@ -1,10 +1,10 @@
 package repro_test
 
-// Differential tests for the arena-backed IL and the parallel front end:
-// compiling with per-proc arenas and the deferred-body parallel front end
-// (the default) must be observably identical to the serial-heap baseline —
-// the classic one-goroutine front end with every procedure's arena
-// stripped before optimization, so all rewrites allocate from the GC heap.
+// Differential tests for the arena-backed IL and the parallel pass pool:
+// compiling with per-proc arenas and the per-procedure pass pool (the
+// default) must be observably identical to the serial-heap baseline — one
+// pass worker with every procedure's arena stripped before optimization,
+// so all rewrites allocate from the GC heap.
 // "Identical" is checked at five levels — the optimized IL text, the
 // generated assembly, the per-phase stats, the diagnostic/remark stream,
 // and the simulated cycle counts — over every E-series workload under both
@@ -41,7 +41,7 @@ type arenaArtifacts struct {
 }
 
 // compileArtifacts compiles src and extracts every comparable artifact.
-// workers selects the front-end/pass pool width; stripArenas moves the
+// workers selects the pass pool width; stripArenas moves the
 // whole optimization pipeline onto the GC heap by detaching each proc's
 // arena right after lowering (the pre-arena baseline).
 func compileArtifacts(t *testing.T, src string, opts driver.Options, workers int, stripArenas bool) arenaArtifacts {
@@ -108,7 +108,7 @@ func diffArtifacts(t *testing.T, got, want arenaArtifacts) {
 	}
 }
 
-// TestArenaParallelDifferentialIdentical: arenas + parallel front end
+// TestArenaParallelDifferentialIdentical: arenas + parallel passes
 // (workers=8) versus the serial-heap baseline (workers=1, arenas
 // stripped) over every E-series workload, full and scalar-only.
 func TestArenaParallelDifferentialIdentical(t *testing.T) {
@@ -130,12 +130,12 @@ func TestArenaParallelDifferentialIdentical(t *testing.T) {
 	}
 }
 
-// TestArenaParallelManyProcs exercises the deferred-body path on a unit
-// with many procedures — enough that the front-end pool actually queues —
-// including statics and string literals whose .strN numbering must merge
-// back in declaration order. Compared at the IL level (this corpus trips
-// a pre-existing codegen limit on parallelized call lists in main, which
-// is orthogonal to the front end).
+// TestArenaParallelManyProcs compiles a unit with many procedures —
+// enough that the pass pool actually queues — including statics and
+// string literals whose .strN numbering follows declaration order.
+// Compared at the IL level (this corpus trips a pre-existing codegen
+// limit on parallelized call lists in main, which is orthogonal to the
+// pass pool).
 func TestArenaParallelManyProcs(t *testing.T) {
 	src := manyProcProgram(24)
 	compileIL := func(workers int, strip bool) string {
@@ -163,7 +163,7 @@ func TestArenaParallelManyProcs(t *testing.T) {
 	if got != want {
 		t.Errorf("IL differs:\n--- arena+parallel ---\n%s\n--- serial heap ---\n%s", got, want)
 	}
-	// The declaration-order merge must have numbered one string per kernel.
+	// Lowering must have numbered one string per kernel.
 	if !strings.Contains(got, ".str24") || strings.Contains(got, ".str25") {
 		t.Errorf("expected exactly 24 interned string globals (.str1...str24)")
 	}
@@ -171,7 +171,7 @@ func TestArenaParallelManyProcs(t *testing.T) {
 
 // manyProcProgram builds n loop procedures plus a main; each procedure
 // carries a function static and a distinct string literal so the
-// declaration-order global merge is observable in the artifacts.
+// declaration order of the globals is observable in the artifacts.
 func manyProcProgram(n int) string {
 	var sb strings.Builder
 	sb.WriteString("float a[256], b[256], c[256];\nchar *tag;\n")
@@ -203,9 +203,8 @@ void k%d(int n)
 // TestArenaConcurrentCompileHammer drives many full compiles of the same
 // E-series sources at once (each on the arena + parallel configuration)
 // and verifies every one matches the precomputed serial-heap artifacts.
-// Under -race this doubles as the shared-state check for the interner,
-// the deferred-body parser, the per-function checker/lowerer merges, and
-// the arena gauge.
+// Under -race this doubles as the shared-state check for the pass pool
+// and the arena gauge.
 func TestArenaConcurrentCompileHammer(t *testing.T) {
 	workloads := evalWorkloads()
 	want := make([]arenaArtifacts, len(workloads))
@@ -251,12 +250,11 @@ func TestArenaReleaseDropsGauge(t *testing.T) {
 	}
 }
 
-// TestParallelFrontEndErrorGolden: a unit whose third, fifth, and sixth
+// TestFrontEndFirstErrorInStream: a unit whose third, fifth, and sixth
 // procedures are each broken (a parse error, a sema error, and a lower
-// error respectively) must report exactly the serial front end's first
-// diagnostic — same position, same text — no matter how wide the pool is,
-// and the structured diagnostic stream must carry it identically.
-func TestParallelFrontEndErrorGolden(t *testing.T) {
+// error respectively) reports the first one in source order — position
+// and text — and the structured diagnostic stream carries it.
+func TestFrontEndFirstErrorInStream(t *testing.T) {
 	src := `int a[64];
 
 void ok1(int n) { int i; for (i = 0; i < n; i++) a[i] = i; }
@@ -272,33 +270,19 @@ void bad_lower(int n) { a[1] = n; }
 int main(void) { return 0; }
 `
 	const wantErr = "5:36: expected expression, found ;"
-	var wantDiag string
-	for round := 0; round < 8; round++ {
-		for _, workers := range []int{1, 8} {
-			ctx := pass.NewContext()
-			ctx.Workers = workers
-			ctx.Diags = &diag.Reporter{}
-			_, err := driver.CompileWith(src, driver.FullOptions(), ctx)
-			if err == nil {
-				t.Fatalf("workers=%d: compile unexpectedly succeeded", workers)
-			}
-			if err.Error() != wantErr {
-				t.Fatalf("workers=%d round=%d: error = %q, want %q", workers, round, err.Error(), wantErr)
-			}
-			var stream strings.Builder
-			for _, d := range ctx.Diags.All() {
-				stream.WriteString(d.String())
-				stream.WriteByte('\n')
-			}
-			if wantDiag == "" {
-				wantDiag = stream.String()
-				if !strings.Contains(wantDiag, "5:36") {
-					t.Fatalf("diagnostic stream lost the position:\n%s", wantDiag)
-				}
-			} else if stream.String() != wantDiag {
-				t.Fatalf("workers=%d round=%d: diagnostic stream changed:\n--- got ---\n%s\n--- want ---\n%s",
-					workers, round, stream.String(), wantDiag)
-			}
-		}
+	const wantDiag = "5:36: error[parse-error]: expected expression, found ; (pass parse)\n"
+	ctx := pass.NewContext()
+	ctx.Diags = &diag.Reporter{}
+	_, err := driver.CompileWith(src, driver.FullOptions(), ctx)
+	if err == nil || err.Error() != wantErr {
+		t.Fatalf("error = %v, want %q", err, wantErr)
+	}
+	var stream strings.Builder
+	for _, d := range ctx.Diags.All() {
+		stream.WriteString(d.String())
+		stream.WriteByte('\n')
+	}
+	if stream.String() != wantDiag {
+		t.Fatalf("diagnostic stream:\n--- got ---\n%s\n--- want ---\n%s", stream.String(), wantDiag)
 	}
 }

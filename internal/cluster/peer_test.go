@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -219,5 +220,60 @@ func TestNilAndSingleNodeCluster(t *testing.T) {
 	}
 	if p := solo.Owner(keyN(1)); p != nil {
 		t.Errorf("self-only cluster has a remote owner: %s", p.URL())
+	}
+}
+
+// TestProbeLoop runs the background probe loop, never ProbeOnce by hand:
+// its first round bootstraps the ring and records each peer's readiness
+// (a live /readyz, and an address nothing listens on), its ticker keeps
+// probing, and Close stops it.
+func TestProbeLoop(t *testing.T) {
+	var probes atomic.Int64
+	live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			probes.Add(1)
+			w.WriteHeader(http.StatusOK)
+			return
+		}
+		http.NotFound(w, r)
+	}))
+	defer live.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+
+	c, err := New(Config{
+		Self:          "http://self:1",
+		Peers:         []string{live.URL, dead},
+		ProbeInterval: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !c.Bootstrapped() || probes.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 10s: bootstrapped=%v, %d probes of the live peer", c.Bootstrapped(), probes.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := c.peers[live.URL].Status(); !st.Ready {
+		t.Errorf("live peer: %+v", st)
+	}
+	if st := c.peers[dead].Status(); st.Ready || st.ProbeError == "" {
+		t.Errorf("dead peer: %+v", st)
+	}
+	closed := make(chan struct{})
+	go func() {
+		c.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }

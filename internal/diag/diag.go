@@ -238,15 +238,6 @@ func (r *Reporter) Report(d Diagnostic) {
 	r.mu.Unlock()
 }
 
-// Error reports an error.
-func (r *Reporter) Error(code Code, pos token.Pos, format string, a ...any) {
-	if r == nil {
-		return
-	}
-	r.Report(Diagnostic{Severity: SevError, Code: code, Pos: pos,
-		Message: fmt.Sprintf(format, a...)})
-}
-
 // All returns the collected diagnostics sorted deterministically: by
 // procedure, then source position, then code. Pass output order is
 // nondeterministic (procedures run on a worker pool), so consumers — the

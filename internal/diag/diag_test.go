@@ -12,7 +12,7 @@ import (
 func TestNilReporterIsSafe(t *testing.T) {
 	var r *Reporter
 	r.Report(Diagnostic{Code: VectVectorized})
-	r.Error(ParseError, token.Pos{Line: 1, Col: 1}, "msg")
+	r.Report(Diagnostic{Severity: SevError, Code: ParseError, Pos: token.Pos{Line: 1, Col: 1}, Message: "msg"})
 	if got := r.All(); got != nil {
 		t.Errorf("nil reporter returned diagnostics: %v", got)
 	}
@@ -26,7 +26,7 @@ func TestReporterSortsDeterministically(t *testing.T) {
 	// Report out of order across procs, lines, and severities.
 	r.Report(Diagnostic{Severity: SevRemark, Code: VectVectorized, Pos: token.Pos{Line: 9, Col: 2}, Proc: "zeta", Message: "later proc"})
 	r.Report(Diagnostic{Severity: SevRemark, Code: ParParallelized, Pos: token.Pos{Line: 5, Col: 1}, Proc: "alpha", Message: "line 5"})
-	r.Error(SemaError, token.Pos{Line: 5, Col: 1}, "error first at same pos")
+	r.Report(Diagnostic{Severity: SevError, Code: SemaError, Pos: token.Pos{Line: 5, Col: 1}, Message: "error first at same pos"})
 	r.Report(Diagnostic{Severity: SevRemark, Code: IVSubstituted, Pos: token.Pos{Line: 2, Col: 4}, Proc: "alpha", Message: "line 2"})
 	all := r.All()
 	if len(all) != 4 {

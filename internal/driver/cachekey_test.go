@@ -18,7 +18,7 @@ import (
 func testCatalog(t *testing.T, src string) *inline.Catalog {
 	t.Helper()
 	res := &Result{}
-	if err := frontEnd(src, res, 1); err != nil {
+	if err := frontEnd(src, res); err != nil {
 		t.Fatalf("front end: %v", err)
 	}
 	return inline.BuildCatalog(res.IL)

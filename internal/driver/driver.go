@@ -20,7 +20,6 @@ package driver
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -63,33 +62,22 @@ type Result struct {
 }
 
 // frontEnd runs parse → type check → lower and fills res.AST and res.IL.
-// workers bounds the per-function parallelism of all three phases (1 runs
-// the classic serial front end, the differential baseline).
-func frontEnd(src string, res *Result, workers int) error {
-	f, err := parser.ParseWorkers(src, workers)
+func frontEnd(src string, res *Result) error {
+	f, err := parser.Parse(src)
 	if err != nil {
 		return err
 	}
 	res.AST = f
-	info, err := sema.CheckWorkers(f, workers)
+	info, err := sema.Check(f)
 	if err != nil {
 		return err
 	}
-	prog, err := lower.FileWorkers(f, info, workers)
+	prog, err := lower.File(f, info)
 	if err != nil {
 		return err
 	}
 	res.IL = prog
 	return nil
-}
-
-// frontEndWorkers resolves the front end's worker count from a pass
-// context, mirroring pass.Context's convention (nil or 0 → GOMAXPROCS).
-func frontEndWorkers(ctx *pass.Context) int {
-	if ctx != nil && ctx.Workers > 0 {
-		return ctx.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Compile runs the full pipeline over one source buffer.
@@ -149,11 +137,11 @@ func compileIL(src string, plan pass.Plan, ctx *pass.Context) (*Result, error) {
 }
 
 // LowerWith runs the front end only — parse, type check, lower — leaving
-// res.IL as the pass pipeline's input. ctx supplies the worker count and
-// receives the positioned diagnostic of a front-end failure; nil is fine.
+// res.IL as the pass pipeline's input. ctx receives the positioned
+// diagnostic of a front-end failure; nil is fine.
 func LowerWith(src string, ctx *pass.Context) (*Result, error) {
 	res := &Result{}
-	if err := frontEnd(src, res, frontEndWorkers(ctx)); err != nil {
+	if err := frontEnd(src, res); err != nil {
 		// Record the positioned form on the caller's context so tools
 		// that own the context see front-end failures in the same
 		// structured stream as the optimization remarks.
@@ -203,7 +191,7 @@ func runEntry(src, entry string, opts Options, processors int) (titan.Result, er
 // WriteCatalogFromSource compiles a library source and writes its catalog.
 func WriteCatalogFromSource(w io.Writer, src string) error {
 	res := &Result{}
-	if err := frontEnd(src, res, frontEndWorkers(nil)); err != nil {
+	if err := frontEnd(src, res); err != nil {
 		return err
 	}
 	return inline.WriteCatalog(w, inline.BuildCatalog(res.IL))

@@ -12,8 +12,10 @@ import (
 // ErrorDiagnostic maps to a positioned diagnostic, line and column at
 // least 1. It never panics. The seeds are the corpus kernels, the
 // rejected sources of TestInitializerErrors and parentheses, blocks and
-// initializer braces nested far past the parser's bound; finds live in
-// testdata/fuzz/FuzzFrontEndDiagnostics, replayed by plain `go test`.
+// initializer braces nested far past the parser's bound. The files in
+// testdata/fuzz/FuzzFrontEndDiagnostics, replayed by plain `go test`,
+// hold units of several bodies (block-scope types, a typedef between
+// bodies, an error in a later body, an unterminated body) and any finds.
 func FuzzFrontEndDiagnostics(f *testing.F) {
 	for _, k := range repro.Corpus {
 		f.Add(repro.Source(k.Name, k.Size))

@@ -11,9 +11,8 @@ import "strings"
 // is harmless because the parser keeps none of that Text past the parse,
 // and the token slice dies with it.
 //
-// An Interner is not safe for concurrent use; the front end interns during
-// the single serial lexing pass, before any parallel phase starts. A nil
-// *Interner is valid and interns nothing.
+// An Interner is not safe for concurrent use; one compile's front end
+// interns while it lexes. A nil *Interner is valid and interns nothing.
 type Interner struct {
 	m map[string]string
 }

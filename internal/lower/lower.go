@@ -28,7 +28,6 @@ import (
 	"repro/internal/il"
 	"repro/internal/sema"
 	"repro/internal/token"
-	"repro/internal/workpool"
 )
 
 // Error is a lowering error with position.
@@ -43,19 +42,10 @@ func errf(pos token.Pos, format string, args ...interface{}) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// File lowers a checked file to an IL program.
+// File lowers a checked file to an IL program. Globals come first, in
+// declaration order; each function then appends its statics and string
+// literals (.str1, .str2, … across the unit) as lowering meets them.
 func File(f *ast.File, info *sema.Info) (*il.Program, error) {
-	return FileWorkers(f, info, 1)
-}
-
-// FileWorkers is File with up to `workers` function bodies lowering
-// concurrently on the pass worker pool (1 lowers serially). Lowering one
-// function is a pure function of (decl, info): the only program-level
-// writes — function statics and string-literal globals — are buffered on
-// the per-function lowerer and flushed in declaration order, with string
-// globals renumbered to the serial .strN sequence at flush. The resulting
-// program is bit-identical to serial lowering.
-func FileWorkers(f *ast.File, info *sema.Info, workers int) (*il.Program, error) {
 	prog := &il.Program{}
 	for _, g := range f.Globals {
 		gv := il.GlobalVar{Name: g.Name, Type: g.Type}
@@ -77,39 +67,24 @@ func FileWorkers(f *ast.File, info *sema.Info, workers int) (*il.Program, error)
 		}
 		prog.AddGlobal(gv)
 	}
-	var defs []*ast.FuncDecl
+	strs := 0
 	for _, fn := range f.Funcs {
-		if fn.Body != nil {
-			defs = append(defs, fn)
+		if fn.Body == nil {
+			continue
 		}
-	}
-	procs := make([]*il.Proc, len(defs))
-	lws := make([]*lowerer, len(defs))
-	errs := make([]error, len(defs))
-	workpool.ForEachN(len(defs), workers, func(i int) {
-		procs[i], lws[i], errs[i] = lowerFunc(defs[i], info)
-	})
-	// Deterministic merge in declaration order: the first error is the
-	// serial one (lowering errors are per-function), and each function's
-	// buffered globals land exactly where serial lowering appended them.
-	strCount := 0
-	for i := range defs {
-		if errs[i] != nil {
-			return nil, errs[i]
+		p, err := lowerFunc(fn, info, prog, &strs)
+		if err != nil {
+			return nil, err
 		}
-		lw := lws[i]
-		for _, r := range lw.strRefs {
-			strCount++
-			name := fmt.Sprintf(".str%d", strCount)
-			lw.pending[r.global].Name = name
-			procs[i].Vars[r.v].Name = name
-		}
-		for _, gv := range lw.pending {
-			prog.AddGlobal(gv)
-		}
-		prog.Procs = append(prog.Procs, procs[i])
+		prog.Procs = append(prog.Procs, p)
 	}
 	return prog, nil
+}
+
+// FileWorkers is File; workers is ignored. It stays only because the
+// benchmark's layer harness calls it.
+func FileWorkers(f *ast.File, info *sema.Info, workers int) (*il.Program, error) {
+	return File(f, info)
 }
 
 type lowerer struct {
@@ -124,34 +99,24 @@ type lowerer struct {
 	breakUsed  *bool
 	contUsed   *bool
 
-	// pending buffers the globals this function creates — statics and
-	// string literals, in encounter order — so lowering never touches the
-	// shared program; FileWorkers flushes them in declaration order.
-	pending []il.GlobalVar
-	// strRefs marks which pending entries are string literals (and the
-	// proc-local vars naming them) for the flush-time .strN renumbering.
-	strRefs []strRef
+	// prog receives the globals this function creates (statics and
+	// string literals); strs counts the unit's string literals so far.
+	prog *il.Program
+	strs *int
 
 	// pendingSafe is set after "#pragma safe"; the next loop lowered gets
 	// its Safe flag.
 	pendingSafe bool
 }
 
-// strRef ties a function-local string literal to its pending-global slot
-// and the proc variable that addresses it.
-type strRef struct {
-	global int
-	v      il.VarID
-}
-
-func lowerFunc(fn *ast.FuncDecl, info *sema.Info) (*il.Proc, *lowerer, error) {
+func lowerFunc(fn *ast.FuncDecl, info *sema.Info, prog *il.Program, strs *int) (*il.Proc, error) {
 	p := il.NewProc(fn.Name, fn.Type.Ret)
 	p.Variadic = fn.Type.Variadic
 	// Every proc owns an arena: lowered nodes and everything the optimizer
 	// rebuilds come from per-proc slabs, released in one step when the
 	// compile's result is dropped (see DESIGN.md, "Memory architecture").
 	p.SetArena(il.NewArena())
-	lw := &lowerer{proc: p, info: info, vars: map[*sema.Symbol]il.VarID{}, ar: p.Arena()}
+	lw := &lowerer{proc: p, info: info, vars: map[*sema.Symbol]il.VarID{}, ar: p.Arena(), prog: prog, strs: strs}
 	for _, psym := range info.ParamSyms[fn] {
 		id := p.AddVar(il.Var{Name: psym.Name, Type: psym.Type, Class: il.ClassParam, AddrTaken: psym.AddrTaken})
 		p.Params = append(p.Params, id)
@@ -159,10 +124,10 @@ func lowerFunc(fn *ast.FuncDecl, info *sema.Info) (*il.Proc, *lowerer, error) {
 	}
 	stmts, err := lw.stmt(fn.Body)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.Body = stmts
-	return p, lw, nil
+	return p, nil
 }
 
 // constValue extracts a compile-time constant from an initializer
@@ -228,7 +193,7 @@ func (lw *lowerer) varID(sym *sema.Symbol) il.VarID {
 	case sema.SymStaticLocal:
 		v.Class = il.ClassStatic
 		v.Name = sym.MangledName
-		lw.pending = append(lw.pending, il.GlobalVar{Name: sym.MangledName, Type: sym.Type})
+		lw.prog.AddGlobal(il.GlobalVar{Name: sym.MangledName, Type: sym.Type})
 	case sema.SymParam:
 		v.Class = il.ClassParam
 	default:
@@ -737,16 +702,15 @@ func (lw *lowerer) funcRef(sym *sema.Symbol) il.VarID {
 	return id
 }
 
-// stringLit interns a string literal as a char-array global. The global
-// goes into the pending buffer with an empty name; FileWorkers assigns the
-// serial .strN name (unit-wide, in declaration-then-encounter order) when
-// it flushes the buffers.
+// stringLit interns a string literal as a char-array global named .strN,
+// numbered across the unit in encounter order.
 func (lw *lowerer) stringLit(n *ast.StrConst) il.Expr {
 	data := append([]byte(n.Value), 0)
 	t := ctype.ArrayOf(ctype.CharType, len(data))
-	lw.pending = append(lw.pending, il.GlobalVar{Name: "", Type: t, Data: data})
-	id := lw.proc.AddVar(il.Var{Name: "", Type: t, Class: il.ClassGlobal})
-	lw.strRefs = append(lw.strRefs, strRef{global: len(lw.pending) - 1, v: id})
+	*lw.strs++
+	name := fmt.Sprintf(".str%d", *lw.strs)
+	lw.prog.AddGlobal(il.GlobalVar{Name: name, Type: t, Data: data})
+	id := lw.proc.AddVar(il.Var{Name: name, Type: t, Class: il.ClassGlobal})
 	return lw.ar.AddrOf(id, ctype.PointerTo(ctype.CharType))
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/ctype"
+	"repro/internal/lexer"
 	"repro/internal/token"
 )
 
@@ -37,15 +38,8 @@ type parser struct {
 	// enum constants.
 	enums map[string]int64
 
-	// defCount counts every write to the shared typedef/tag/enum tables;
-	// the deferred-body skim (parallel.go) snapshots it per function body
-	// to prove each body sees the same table state it would see serially.
-	defCount int
-	// skim, when non-nil, makes parseFile record function bodies for
-	// deferred parallel parsing instead of parsing them inline.
-	skim *skimState
 	// depth is how many levels of nesting enclose the current token (see
-	// maxNesting). A function body starts at 0, parsed inline or deferred.
+	// maxNesting). A function body starts at 0.
 	depth int
 }
 
@@ -84,8 +78,19 @@ func newParser(toks []token.Token) *parser {
 	}
 }
 
-// Parse parses a complete translation unit.
-func Parse(src string) (*ast.File, error) { return ParseWorkers(src, 1) }
+// Parse parses a complete translation unit. It lexes once, interning
+// identifier and string spellings through a per-compile lexer.Interner.
+func Parse(src string) (*ast.File, error) {
+	toks, err := lexer.TokenizeInterned(src, lexer.NewInterner())
+	if err != nil {
+		return nil, err
+	}
+	return newParser(toks).parseFile()
+}
+
+// ParseWorkers is Parse; workers is ignored. It stays only because the
+// benchmark's layer harness calls it.
+func ParseWorkers(src string, workers int) (*ast.File, error) { return Parse(src) }
 
 func (p *parser) peek() token.Token { return p.toks[p.pos] }
 func (p *parser) peekN(n int) token.Token {
@@ -139,7 +144,6 @@ func (p *parser) lookupTypedef(name string) *ctype.Type {
 }
 
 func (p *parser) defineTypedef(name string, t *ctype.Type) {
-	p.defCount++
 	p.typedefs[len(p.typedefs)-1][name] = t
 }
 
@@ -186,19 +190,6 @@ func (p *parser) parseFile() (*ast.File, error) {
 			continue
 		}
 		if typ.Kind == ctype.Func && p.at(token.LBrace) {
-			if p.skim != nil {
-				// Deferred-body mode: skip the balanced body now, record
-				// where it starts, and parse it on the worker pool later.
-				start := p.pos
-				if err := p.skipBody(); err != nil {
-					return nil, err
-				}
-				fd := &ast.FuncDecl{P: p.peek().Pos, Name: name, Type: typ, Storage: storage}
-				p.skim.bodies = append(p.skim.bodies, deferredBody{fd: fd, start: start, snap: p.defCount})
-				f.Funcs = append(f.Funcs, fd)
-				f.Order = append(f.Order, fd)
-				continue
-			}
 			body, err := p.parseCompound()
 			if err != nil {
 				return nil, err
@@ -382,7 +373,6 @@ func (p *parser) parseStructOrUnion() (*ctype.Type, error) {
 		if isUnion {
 			t.Kind = ctype.Union
 		}
-		p.defCount++
 		p.tags[tag] = t
 		return t, nil
 	}
@@ -421,7 +411,6 @@ func (p *parser) parseStructOrUnion() (*ctype.Type, error) {
 			*prev = *t
 			t = prev
 		}
-		p.defCount++
 		p.tags[tag] = t
 	}
 	return t, nil
@@ -455,7 +444,6 @@ func (p *parser) parseEnum() (*ctype.Type, error) {
 			}
 			val = v
 		}
-		p.defCount++
 		p.enums[nameTok.Text] = val
 		val++
 		if !p.accept(token.Comma) {

@@ -71,25 +71,42 @@ func TestNoPanicOnTokenSoup(t *testing.T) {
 }
 
 // TestDeeplyNestedParens: of deepSources, the one at the nesting bound
-// parses, serially and with four workers, and every deeper one is the
-// positioned nesting error — under an 8 MB goroutine stack, where 5,000
-// levels of parentheses once overflowed it and killed the process.
+// parses, and every deeper one is the positioned nesting error — under an
+// 8 MB goroutine stack, where 5,000 levels of parentheses once overflowed
+// it and killed the process.
 func TestDeeplyNestedParens(t *testing.T) {
 	defer debug.SetMaxStack(debug.SetMaxStack(8 << 20))
 	deep := "int main(void) { return " + strings.Repeat("(", 5000) + "1" + strings.Repeat(")", 5000) + "; }"
 	for i, src := range append(deepSources(), deep) {
-		for _, workers := range []int{1, 4} {
-			_, err := ParseWorkers(src, workers)
-			if i == 0 {
-				if err != nil {
-					t.Errorf("%.40q… at the bound: %v", src, err)
-				}
-				continue
+		_, err := Parse(src)
+		if i == 0 {
+			if err != nil {
+				t.Errorf("%.40q… at the bound: %v", src, err)
 			}
-			if e, ok := err.(*Error); !ok || e.Pos.Line != 1 || e.Pos.Col < 1 || e.Msg != "nesting deeper than 256 levels" {
-				t.Errorf("%.40q…: %v, want a positioned nesting error", src, err)
-			}
+			continue
 		}
+		if e, ok := err.(*Error); !ok || e.Pos.Line != 1 || e.Pos.Col < 1 || e.Msg != "nesting deeper than 256 levels" {
+			t.Errorf("%.40q…: %v, want a positioned nesting error", src, err)
+		}
+	}
+}
+
+// deepSources nest parentheses at maxNesting (the return statement and
+// the outer operand take two levels) and one past it, and each bounded
+// construct — operands, statements, declarators and initializer braces
+// — 1,300 levels deep.
+func deepSources() []string {
+	nest := func(head, open, mid, close, tail string, n int) string {
+		return head + strings.Repeat(open, n) + mid + strings.Repeat(close, n) + tail
+	}
+	return []string{
+		nest("int main(void) { return ", "(", "1", ")", "; }", maxNesting-2),
+		nest("int main(void) { return ", "(", "1", ")", "; }", maxNesting-1),
+		nest("int main(void) { return ", "(", "1", ")", "; }", 1300),
+		nest("int main(void) { return ", "!", "1", "", "; }", 1300),
+		nest("int main(void) { ", "{", "", "}", " return 0; }", 1300),
+		nest("int ", "(", "x", ")", ";", 1300),
+		nest("int a[1] = ", "{", "1", "}", ";", 1300),
 	}
 }
 

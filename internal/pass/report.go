@@ -55,17 +55,6 @@ type Report struct {
 	Diags []diag.Diagnostic `json:"diags,omitempty"`
 }
 
-// Pass returns the stat row for the named pass, or nil. If a pass ran
-// more than once the first occurrence wins.
-func (r *Report) Pass(name string) *PassStat {
-	for i := range r.Passes {
-		if r.Passes[i].Name == name {
-			return &r.Passes[i]
-		}
-	}
-	return nil
-}
-
 // String renders the -time-passes view: one row per executed pass with
 // wall time and the IL statement delta, then the non-zero domain stats.
 func (r *Report) String() string {

@@ -13,7 +13,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/ctype"
 	"repro/internal/token"
-	"repro/internal/workpool"
 )
 
 // Error is a semantic error with position.
@@ -71,15 +70,6 @@ type checker struct {
 	switchDepth int
 	labels      map[string]bool // labels defined in current function
 	gotos       []gotoRef
-
-	// Parallel mode (CheckWorkers): par routes the two shared-state writes
-	// a function check can make into private buffers. overlay holds K&R
-	// implicit function declarations instead of scopes[0]; took records
-	// address-taken symbols instead of setting Symbol.AddrTaken, applied
-	// post-join. Both stay nil/empty under serial checking.
-	par     bool
-	overlay map[string]*Symbol
-	took    []*Symbol
 }
 
 type gotoRef struct {
@@ -88,102 +78,7 @@ type gotoRef struct {
 }
 
 // Check resolves and type-checks a file.
-func Check(f *ast.File) (*Info, error) { return CheckWorkers(f, 1) }
-
-// CheckWorkers is Check with up to `workers` function bodies checking
-// concurrently on the pass worker pool (1 checks serially). Results are
-// bit-identical to serial checking: function checks are independent given
-// the file-scope table, the two cross-function effects (K&R implicit
-// declarations, Symbol.AddrTaken) are buffered per worker, and any error
-// or implicit declaration falls back to one serial re-check so error
-// selection matches the serial order exactly.
-func CheckWorkers(f *ast.File, workers int) (*Info, error) {
-	if workers <= 1 {
-		return checkSerial(f)
-	}
-	c, err := fileScopeCheck(f)
-	if err != nil {
-		// File-scope checking is the serial prefix; its errors are already
-		// the serial ones.
-		return nil, err
-	}
-	var defs []*ast.FuncDecl
-	for _, fn := range f.Funcs {
-		if fn.Body != nil {
-			defs = append(defs, fn)
-		}
-	}
-	subs := make([]*checker, len(defs))
-	errs := make([]error, len(defs))
-	fileScope := c.scopes[0]
-	workpool.ForEachN(len(defs), workers, func(i int) {
-		sc := &checker{
-			info: &Info{
-				Uses:      map[*ast.IdentExpr]*Symbol{},
-				Decls:     map[*ast.VarDecl]*Symbol{},
-				Funcs:     map[*ast.FuncDecl]*Symbol{},
-				ParamSyms: map[*ast.FuncDecl][]*Symbol{},
-			},
-			// The shared file scope is read-only here: declare() writes the
-			// pushed function scope, and call()'s implicit declarations go
-			// to the overlay.
-			scopes:  []map[string]*Symbol{fileScope},
-			par:     true,
-			overlay: map[string]*Symbol{},
-		}
-		subs[i] = sc
-		errs[i] = sc.checkFunc(defs[i])
-	})
-	for i := range defs {
-		if errs[i] != nil || len(subs[i].overlay) != 0 {
-			// An error must be reported exactly as the serial checker
-			// would (it stops at the first failing function in order); an
-			// implicit K&R declaration is visible to every *later*
-			// function serially, which the isolated workers cannot see.
-			// Both are rare: re-check serially and return that result.
-			return checkSerial(f)
-		}
-	}
-	// Deterministic merge in function order.
-	for _, sc := range subs {
-		for k, v := range sc.info.Uses {
-			c.info.Uses[k] = v
-		}
-		for k, v := range sc.info.Decls {
-			c.info.Decls[k] = v
-		}
-		for k, v := range sc.info.ParamSyms {
-			c.info.ParamSyms[k] = v
-		}
-		for _, sym := range sc.took {
-			sym.AddrTaken = true
-		}
-	}
-	return c.info, nil
-}
-
-// checkSerial is the classic single-threaded check: the differential
-// baseline CheckWorkers must match bit for bit.
-func checkSerial(f *ast.File) (*Info, error) {
-	c, err := fileScopeCheck(f)
-	if err != nil {
-		return nil, err
-	}
-	for _, fn := range f.Funcs {
-		if fn.Body == nil {
-			continue
-		}
-		if err := c.checkFunc(fn); err != nil {
-			return nil, err
-		}
-	}
-	return c.info, nil
-}
-
-// fileScopeCheck runs the serial file-scope prefix: declaring every
-// file-scope name (so forward references work) and checking global
-// initializers.
-func fileScopeCheck(f *ast.File) (*checker, error) {
+func Check(f *ast.File) (*Info, error) {
 	c := &checker{
 		info: &Info{
 			Uses:      map[*ast.IdentExpr]*Symbol{},
@@ -213,7 +108,7 @@ func fileScopeCheck(f *ast.File) (*checker, error) {
 		c.scopes[0][fn.Name] = sym
 		c.info.Funcs[fn] = sym
 	}
-	// Pass 2 (file-scope half): check global initializers.
+	// Pass 2: check global initializers, then each function body.
 	for _, g := range f.Globals {
 		if g.Init != nil {
 			if _, err := c.expr(g.Init); err != nil {
@@ -226,8 +121,20 @@ func fileScopeCheck(f *ast.File) (*checker, error) {
 			}
 		}
 	}
-	return c, nil
+	for _, fn := range f.Funcs {
+		if fn.Body == nil {
+			continue
+		}
+		if err := c.checkFunc(fn); err != nil {
+			return nil, err
+		}
+	}
+	return c.info, nil
 }
+
+// CheckWorkers is Check; workers is ignored. It stays only because the
+// benchmark's layer harness calls it.
+func CheckWorkers(f *ast.File, workers int) (*Info, error) { return Check(f) }
 
 func (c *checker) push() { c.scopes = append(c.scopes, map[string]*Symbol{}) }
 func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
@@ -239,11 +146,6 @@ func (c *checker) lookup(name string) *Symbol {
 		if s, ok := c.scopes[i][name]; ok {
 			return s
 		}
-	}
-	// The overlay extends the file scope in parallel mode (K&R implicit
-	// declarations made by this worker); locals above already shadow it.
-	if c.overlay != nil {
-		return c.overlay[name]
 	}
 	return nil
 }
@@ -725,14 +627,7 @@ func (c *checker) call(n *ast.CallExpr) (*ctype.Type, error) {
 	if id, ok := n.Fun.(*ast.IdentExpr); ok && c.lookup(id.Name) == nil {
 		sym := &Symbol{Name: id.Name, Kind: SymFunc,
 			Type: &ctype.Type{Kind: ctype.Func, Ret: ctype.IntType, OldStyle: true}}
-		if c.par {
-			// Never write the shared file scope from a worker; recording
-			// the implicit declaration here also flags the whole unit for
-			// serial re-checking (see CheckWorkers).
-			c.overlay[id.Name] = sym
-		} else {
-			c.scopes[0][id.Name] = sym
-		}
+		c.scopes[0][id.Name] = sym
 		c.info.Uses[id] = sym
 		setT(id, sym.Type)
 	}
@@ -787,13 +682,7 @@ func (c *checker) markAddrTaken(e ast.Expr) {
 	switch n := e.(type) {
 	case *ast.IdentExpr:
 		if sym := c.info.Uses[n]; sym != nil {
-			if c.par {
-				// File-scope symbols are shared across workers; defer the
-				// (idempotent) write to the post-join merge.
-				c.took = append(c.took, sym)
-			} else {
-				sym.AddrTaken = true
-			}
+			sym.AddrTaken = true
 		}
 	case *ast.IndexExpr:
 		if n.X.Type() != nil && n.X.Type().Kind == ctype.Array {

@@ -201,14 +201,15 @@ var maskCmps = []struct {
 }
 
 // maskedOps is a masked strip of vl lanes on one processor: lane k of mask
-// register 1 is bit k%64 of mask (set from flags in memory by vld and the
-// compare maskCmps[cmp], against a scalar or its broadcast), then vld.m of
-// element kind from base + k·stride into slot, the masked arithmetic op
-// (vadd.m … vdiv.m) of it and the flags, and vst.m back — what the engine
-// runs as slab kernels or, where a lane could fault or the window wraps
-// the file, as the reference walk. seedMasked is its memory.
-func maskedOps(kind, base, stride, vl int64, mask uint64, slot, cmp int, arith Op) func() *Program {
-	const bcast = MaxVL // the broadcast comparand, past the flags
+// register 1 is bit k%64 of mask (set from flags in memory, loaded by vld
+// into slot flags, and the compare maskCmps[cmp], against a scalar or its
+// broadcast), then vld.m of element kind from base + k·stride into slot,
+// the masked arithmetic op (vadd.m … vdiv.m) of it and the flags, and
+// vst.m back — what the engine runs as slab kernels or, where a lane could
+// fault or a window wraps the file, as the reference walk. seedMasked is
+// its memory.
+func maskedOps(kind, base, stride, vl int64, mask uint64, flags, slot, cmp int, arith Op) func() *Program {
+	bcast := (flags + MaxVL) % VRFWords // the broadcast comparand, past the flags
 	mc := maskCmps[cmp]
 	rs2 := 1
 	if opTable[mc.op].rs2 == rV {
@@ -220,14 +221,14 @@ func maskedOps(kind, base, stride, vl int64, mask uint64, slot, cmp int, arith O
 			{Op: OpVsetl, Rs1: 9},
 			{Op: OpLdi, Rd: 10, Imm: maskedFlags},
 			{Op: OpLdi, Rd: 11, Imm: 4},
-			{Op: OpVld, Rd: 0, Rs1: 10, Rs2: 11, Imm: ElemF32},
+			{Op: OpVld, Rd: flags, Rs1: 10, Rs2: 11, Imm: ElemF32},
 			{Op: OpFldi, Rd: 1, FImm: mc.c},
 			{Op: OpVbcast, Rd: bcast, Rs1: 1},
-			{Op: mc.op, Rd: 1, Rs1: 0, Rs2: rs2},
+			{Op: mc.op, Rd: 1, Rs1: flags, Rs2: rs2},
 			{Op: OpLdi, Rd: 12, Imm: base},
 			{Op: OpLdi, Rd: 13, Imm: stride},
 			{Op: OpVldm, Rd: slot, Rs1: 12, Rs2: 13, Imm: maskImm(kind&0xff, 1)},
-			{Op: arith, Rd: slot, Rs1: slot, Rs2: 0, Imm: maskImm(0, 1)},
+			{Op: arith, Rd: slot, Rs1: slot, Rs2: flags, Imm: maskImm(0, 1)},
 			{Op: OpVstm, Rd: slot, Rs1: 12, Rs2: 13, Imm: maskImm(kind&0xff, 1)},
 			{Op: OpRet},
 		}, nil)
@@ -250,7 +251,8 @@ func seedMasked(mask uint64) func(*Machine) {
 // backward and zero strides, set by each vector-vector and vector-scalar
 // compare, strips crossing a mask word, faults at the top of memory on
 // the first and on a later active lane, all-false masks over addresses no
-// lane may touch, and windows wrapping the file.
+// lane may touch, and windows wrapping the file: the data's, and the
+// flags' under a vector-vector and a vector-scalar compare.
 func TestEngineDifferentialMasked(t *testing.T) {
 	const top = 1 << 20 // mkProg's MemSize
 	sparse := uint64(1)<<63 | 1<<40 | 1<<2
@@ -265,7 +267,7 @@ func TestEngineDifferentialMasked(t *testing.T) {
 				}
 				op := arith[(i+j)%len(arith)]
 				cmp := (4*i + j) % len(maskCmps)
-				diffRun(t, maskedOps(kind, base, stride, 100, mask, 64, cmp, op), seedMasked(mask), 1)
+				diffRun(t, maskedOps(kind, base, stride, 100, mask, 0, 64, cmp, op), seedMasked(mask), 1)
 			}
 		}
 	}
@@ -274,18 +276,21 @@ func TestEngineDifferentialMasked(t *testing.T) {
 		base, stride int64
 		vl           int64
 		mask         uint64
-		slot         int
+		flags, slot  int
+		cmp          int  // index into maskCmps
 		fault        bool // at lane 3's address, the top of memory
 	}{
 		// Lanes 3.. are past the top of memory.
-		{"fault on the first active lane", top - 12, 4, 8, 0b1000, 64, true},
-		{"fault on a later active lane", top - 12, 4, 8, 0b1001, 64, true},
-		{"active lanes below the top", top - 12, 4, 8, 0b0111, 64, false},
-		{"all-false past the top", top + 4096, 4, 100, 0, 64, false},
-		{"all-false at a negative stride", 64, -4096, 100, 0, 64, false},
-		{"window wraps the file", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, VRFWords - 10, false},
+		{"fault on the first active lane", top - 12, 4, 8, 0b1000, 0, 64, 0, true},
+		{"fault on a later active lane", top - 12, 4, 8, 0b1001, 0, 64, 0, true},
+		{"active lanes below the top", top - 12, 4, 8, 0b0111, 0, 64, 0, false},
+		{"all-false past the top", top + 4096, 4, 100, 0, 0, 64, 0, false},
+		{"all-false at a negative stride", 64, -4096, 100, 0, 0, 64, 0, false},
+		{"window wraps the file", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, 0, VRFWords - 10, 0, false},
+		{"flags wrap the file, vector compare", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, VRFWords - 10, 64, 4, false},
+		{"flags wrap the file, scalar compare", 8192, 4, 100, 0x0f0f0f0f0f0f0f0f, VRFWords - 10, 64, 0, false},
 	} {
-		prog := maskedOps(ElemF32, tc.base, tc.stride, tc.vl, tc.mask, tc.slot, 0, OpVmulm)
+		prog := maskedOps(ElemF32, tc.base, tc.stride, tc.vl, tc.mask, tc.flags, tc.slot, tc.cmp, OpVmulm)
 		diffRun(t, prog, seedMasked(tc.mask), 1)
 		m := NewMachine(prog(), 1)
 		seedMasked(tc.mask)(m)
@@ -308,7 +313,7 @@ func FuzzMaskedOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, kind, base, stride, vl int64, mask uint64, slot int, arith uint8) {
 		op := OpVaddm + Op(arith%4)
 		cmp := int(arith/4) % len(maskCmps)
-		diffRun(t, maskedOps(kind, base, stride, vl, mask, slot, cmp, op), seedMasked(mask), 1)
+		diffRun(t, maskedOps(kind, base, stride, vl, mask, 0, slot, cmp, op), seedMasked(mask), 1)
 	})
 }
 

@@ -1,9 +1,7 @@
 // Package workpool provides the bounded index-fan worker pool shared by
-// the compiler's parallel phases: the mid-end's per-procedure passes
-// (via pass.forEachProc) and the front end's deferred-body parse,
-// per-function type checking, and per-function lowering. It is a leaf
-// package so both ends of the pipeline can use one pool discipline
-// without import cycles.
+// the compiler's parallel phases: the mid-end's per-procedure passes (via
+// pass.forEachProc) and the tuner's candidate measurements. It is a leaf
+// package so both can use one pool discipline without import cycles.
 package workpool
 
 import "sync"

@@ -25,9 +25,9 @@ func TestForEachNCoversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestForEachNSerialOnCallerGoroutine: workers<=1 must run inline — the
-// front end's serial fallback depends on fn seeing the caller's state
-// with no goroutine in between.
+// TestForEachNSerialOnCallerGoroutine: workers<=1 must run inline — a
+// serial caller depends on fn seeing its state with no goroutine in
+// between.
 func TestForEachNSerialOnCallerGoroutine(t *testing.T) {
 	order := []int{}
 	ForEachN(5, 1, func(i int) { order = append(order, i) }) // no locking: must be inline
