@@ -10,6 +10,7 @@ package cfg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/il"
 )
@@ -322,9 +323,7 @@ func (g *Graph) RPO() []int {
 		order = append(order, f.id)
 		stack = stack[:len(stack)-1]
 	}
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	slices.Reverse(order)
 	for id := range g.Nodes {
 		if !seen[id] {
 			order = append(order, id)

@@ -4,12 +4,14 @@
 // The paper's scalar optimizer drives everything off use-def chains (§5.2:
 // while→DO conversion "should occur ... immediately after use-def chains
 // have been constructed"). The chains here are exact for scalar variables
-// and conservative for memory: a call may define every global, static and
-// address-taken variable; a store through a pointer may define every
-// address-taken or global variable.
+// and conservative for memory: a call or a store through a pointer may
+// define every global, static and address-taken variable, and a call or a
+// load through a pointer may use every one of them.
 //
-// Reanalyze and Recompute re-solve into a solution's own storage, so a
-// solution is valid until the next re-solve of it.
+// Reaching definitions, live variables and copy propagation's available
+// copies are each one Problem, solved by the one worklist solver in
+// solve.go. Reanalyze and Recompute re-solve into a solution's own
+// storage, so a solution is valid until the next re-solve of it.
 package dataflow
 
 import (
@@ -43,12 +45,9 @@ type Analysis struct {
 	// defsOf is indexed by VarID (grown on demand for variables created
 	// after the analysis, e.g. while→DO dummy IVs).
 	defsOf [][]*Def
-	// in[n] is the bitset of defs reaching node n's entry; gen, kill, in
-	// and out are carved from one backing allocation.
-	in  []bitset
-	out []bitset
-	// gen/kill per node.
-	gen, kill []bitset
+	// rd is the reaching-definitions problem: rd.In[n] is the set of defs
+	// reaching node n's entry.
+	rd Problem
 	// defsAt lists the defs performed by each node.
 	defsAt [][]*Def
 	// clobbers caches the may-define set of a call or store (the
@@ -58,19 +57,15 @@ type Analysis struct {
 	// defMask lazily caches, per variable, the bitset of its def IDs, so
 	// chain queries intersect words instead of probing def-by-def. Masks
 	// are carved from maskBacking, whose first maskUsed words are taken.
-	defMask     []bitset
+	defMask     []Set
 	maskBacking []uint64
 	maskUsed    int
 
-	// Storage a re-solve reuses: the def slab, defsOf's backing and
-	// counts, the bitset slab (gen, kill, in, out and the solver's two
-	// scratch sets) and the solver's dirty flags.
-	slab     []Def
-	defsBuf  []*Def
-	counts   []int
-	setWords []uint64
-	sets     []bitset
-	dirty    []bool
+	// Storage a re-solve reuses besides rd's: the def slab and defsOf's
+	// backing and counts.
+	slab    []Def
+	defsBuf []*Def
+	counts  []int
 }
 
 // Analyze builds the CFG and reaching-definition chains for p: Reanalyze
@@ -100,7 +95,7 @@ func (a *Analysis) Reanalyze(p *il.Proc) error {
 	reuse(&a.defsOf, len(p.Vars))
 	a.collectClobbers()
 	a.collectDefs()
-	a.solve()
+	a.rd.Solve(a.Graph)
 	return nil
 }
 
@@ -205,78 +200,26 @@ func (a *Analysis) collectDefs() {
 
 	a.indexDefs()
 
-	// gen, kill, in, out and the solver's scratch, carved from one
-	// backing slab (capped sub-slices, so a later grow reallocates instead
-	// of clobbering its neighbor). A variable's def mask is as wide as a
-	// set, so the masks are carved afresh too.
-	nNodes := len(nodes)
-	sets := carve(&a.sets, &a.setWords, 4*nNodes+2, nDefs)
-	a.gen = sets[:nNodes:nNodes]
-	a.kill = sets[nNodes : 2*nNodes : 2*nNodes]
-	a.in = sets[2*nNodes : 3*nNodes : 3*nNodes]
-	a.out = sets[3*nNodes : 4*nNodes : 4*nNodes]
+	// A forward union problem over def IDs. A variable's def mask is as
+	// wide as a set, so the masks are carved afresh too.
+	a.rd.Reset(len(nodes), nDefs, 0)
 	reuse(&a.defMask, len(a.defsOf))
 	a.maskUsed = 0
 	for id := range nodes {
+		gen, kill := a.rd.Gen[id], a.rd.Kill[id]
 		for _, d := range a.defsAt[id] {
-			a.gen[id].set(d.ID)
+			gen.Add(d.ID)
 			if !d.Ambiguous {
 				// An unambiguous def kills all other defs of the variable.
 				for _, other := range a.defsOf[d.Var] {
 					if other.ID != d.ID {
-						a.kill[id].set(other.ID)
+						kill.Add(other.ID)
 					}
 				}
 			}
 		}
 		// gen wins over kill within a node.
-		a.kill[id].andNot(a.gen[id])
-	}
-}
-
-// solve runs the reaching-definitions fixpoint as a reverse-postorder
-// worklist: nodes are visited predecessors-first, each sweep only touches
-// nodes whose inputs changed, and the per-node transfer computes into two
-// reused scratch bitsets instead of allocating fresh sets every sweep.
-// The solution is the unique least fixpoint, identical to what the naive
-// Gauss–Seidel iteration produced.
-func (a *Analysis) solve() {
-	nNodes := len(a.Graph.Nodes)
-	order := a.Graph.RPO()
-	dirty := reuse(&a.dirty, nNodes)
-	for i := range dirty {
-		dirty[i] = true
-	}
-	inScratch, outScratch := a.sets[4*nNodes], a.sets[4*nNodes+1]
-	anyDirty := true
-	for anyDirty {
-		anyDirty = false
-		for _, id := range order {
-			if !dirty[id] {
-				continue
-			}
-			dirty[id] = false
-			n := a.Graph.Nodes[id]
-			inScratch.clear()
-			for _, p := range n.Preds {
-				inScratch.or(a.out[p])
-			}
-			copy(outScratch, inScratch)
-			outScratch.andNot(a.kill[id])
-			outScratch.or(a.gen[id])
-			if !inScratch.equal(a.in[id]) {
-				copy(a.in[id], inScratch)
-			}
-			if !outScratch.equal(a.out[id]) {
-				copy(a.out[id], outScratch)
-				for _, s := range n.Succs {
-					if !dirty[s] {
-						dirty[s] = true
-						anyDirty = true
-					}
-				}
-			}
-		}
+		kill.andNot(gen)
 	}
 }
 
@@ -292,7 +235,7 @@ func (a *Analysis) ForEachReachingDef(s il.Stmt, v il.VarID, fn func(*Def)) {
 // def mask word-by-word instead of probing every def of v bit-by-bit.
 func (a *Analysis) forEachReachingAt(n *cfg.Node, v il.VarID, fn func(*Def)) {
 	mask := a.maskOf(v)
-	in := a.in[n.ID]
+	in := a.rd.In[n.ID]
 	words := len(mask)
 	if len(in) < words {
 		words = len(in)
@@ -307,7 +250,7 @@ func (a *Analysis) forEachReachingAt(n *cfg.Node, v il.VarID, fn func(*Def)) {
 }
 
 // maskOf returns (building lazily) the bitset of v's def IDs.
-func (a *Analysis) maskOf(v il.VarID) bitset {
+func (a *Analysis) maskOf(v il.VarID) Set {
 	if int(v) < len(a.defMask) {
 		if m := a.defMask[v]; m != nil {
 			return m
@@ -323,12 +266,12 @@ func (a *Analysis) maskOf(v il.VarID) bitset {
 		a.maskBacking = make([]uint64, max(len(a.defsOf), 1)*words)
 		a.maskUsed = 0
 	}
-	m := bitset(a.maskBacking[a.maskUsed : a.maskUsed+words : a.maskUsed+words])
+	m := Set(a.maskBacking[a.maskUsed : a.maskUsed+words : a.maskUsed+words])
 	a.maskUsed += words
 	clear(m) // a re-solve reuses the words
 	if int(v) < len(a.defsOf) {
 		for _, d := range a.defsOf[v] {
-			m.set(d.ID)
+			m.Add(d.ID)
 		}
 	}
 	a.defMask[v] = m
@@ -386,20 +329,21 @@ func (a *Analysis) SpliceWhileConversion(w *il.While, d *il.DoLoop) bool {
 	}
 
 	nDefs := len(a.Defs)
-	a.gen[n.ID] = growTo(a.gen[n.ID], nDefs)
-	a.gen[n.ID].set(def.ID)
-	a.out[n.ID] = growTo(a.out[n.ID], nDefs)
-	a.out[n.ID].set(def.ID)
+	rd := &a.rd
+	rd.Gen[n.ID] = growTo(rd.Gen[n.ID], nDefs)
+	rd.Gen[n.ID].Add(def.ID)
+	rd.Out[n.ID] = growTo(rd.Out[n.ID], nDefs)
+	rd.Out[n.ID].Add(def.ID)
 	work := []int{n.ID}
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, s := range a.Graph.Nodes[id].Succs {
-			a.in[s] = growTo(a.in[s], nDefs)
-			if !a.in[s].get(def.ID) {
-				a.in[s].set(def.ID)
-				a.out[s] = growTo(a.out[s], nDefs)
-				a.out[s].set(def.ID)
+			rd.In[s] = growTo(rd.In[s], nDefs)
+			if !rd.In[s].Has(def.ID) {
+				rd.In[s].Add(def.ID)
+				rd.Out[s] = growTo(rd.Out[s], nDefs)
+				rd.Out[s].Add(def.ID)
 				work = append(work, s)
 			}
 		}
@@ -409,7 +353,7 @@ func (a *Analysis) SpliceWhileConversion(w *il.While, d *il.DoLoop) bool {
 
 // growTo widens b to hold at least width bits. The slab sub-slices are
 // capped, so growing one reallocates it rather than clobbering a neighbor.
-func growTo(b bitset, width int) bitset {
+func growTo(b Set, width int) Set {
 	words := (width + 63) / 64
 	for len(b) < words {
 		b = append(b, 0)
@@ -422,7 +366,16 @@ func growTo(b bitset, width int) bitset {
 // a use, but a store's address is). Callers reuse one buffer across
 // statements as buf[:0].
 func AppendUsedVars(buf []il.VarID, s il.Stmt) []il.VarID {
+	buf, _ = appendUses(buf, s)
+	return buf
+}
+
+// appendUses is AppendUsedVars that also reports whether s may read
+// memory: it calls, or a Load or VecRef occurs in what it evaluates. A
+// store's destination is written, not read; its address is evaluated.
+func appendUses(buf []il.VarID, s il.Stmt) ([]il.VarID, bool) {
 	start := len(buf)
+	_, mem := s.(*il.Call)
 	add := func(e il.Expr) {
 		il.WalkExpr(e, func(x il.Expr) bool {
 			id := il.NoVar
@@ -431,6 +384,8 @@ func AppendUsedVars(buf []il.VarID, s il.Stmt) []il.VarID {
 				id = n.ID
 			case *il.AddrOf:
 				id = n.ID
+			case *il.Load, *il.VecRef:
+				mem = true
 			}
 			if id != il.NoVar {
 				// Statements reference few distinct variables; a linear
@@ -445,15 +400,20 @@ func AppendUsedVars(buf []il.VarID, s il.Stmt) []il.VarID {
 			return true
 		})
 	}
-	if as, ok := s.(*il.Assign); ok {
-		if ld, isStore := as.Dst.(*il.Load); isStore {
+	switch n := s.(type) {
+	case *il.Assign:
+		if ld, isStore := n.Dst.(*il.Load); isStore {
 			add(ld.Addr)
 		}
-		add(as.Src)
-		return buf
+		add(n.Src)
+	case *il.PredAssign:
+		add(n.Cond)
+		add(n.Dst.(*il.Load).Addr)
+		add(n.Src)
+	default:
+		il.StmtExprs(s, add)
 	}
-	il.StmtExprs(s, add)
-	return buf
+	return buf, mem
 }
 
 // ---------------------------------------------------------------- liveness
@@ -461,16 +421,10 @@ func AppendUsedVars(buf []il.VarID, s il.Stmt) []il.VarID {
 // Liveness holds live-variable sets per CFG node.
 type Liveness struct {
 	Graph *cfg.Graph
-	// liveOut[n] is the set of variables live at n's exit.
-	liveOut []bitset
-
-	// Storage Recompute reuses: the bitset slab (use, def, liveIn,
-	// liveOut, the exit set and two scratch sets), the dirty flags and a
-	// statement's used variables.
-	setWords []uint64
-	sets     []bitset
-	dirty    []bool
-	used     []il.VarID
+	// live is the backward union problem over variable IDs: live.Out[n]
+	// is the set of variables live at n's exit.
+	live Problem
+	used []il.VarID // one statement's used variables
 }
 
 // LiveOut reports whether v is live after statement s.
@@ -479,7 +433,7 @@ func (lv *Liveness) LiveOut(s il.Stmt, v il.VarID) bool {
 	if !ok {
 		return true // unknown statements stay conservative
 	}
-	return lv.liveOut[n.ID].get(int(v))
+	return lv.live.Out[n.ID].Has(int(v))
 }
 
 // ComputeLiveness runs backward live-variable analysis: Recompute on
@@ -491,144 +445,38 @@ func ComputeLiveness(p *il.Proc, g *cfg.Graph) *Liveness {
 }
 
 // Recompute replaces lv with the live variables of p over g, solved in
-// lv's own storage. Global, static and address-taken variables are
-// treated as live at procedure exit.
+// lv's own storage. Global, static and address-taken variables are live
+// at procedure exit, and a statement that calls or reads memory through
+// a pointer uses every one of them: the callee or the load may read it.
 func (lv *Liveness) Recompute(p *il.Proc, g *cfg.Graph) {
-	nVars := len(p.Vars)
-	nNodes := len(g.Nodes)
-	// use, def, liveIn, liveOut and the solver's sets, carved from one
-	// backing slab.
-	sets := carve(&lv.sets, &lv.setWords, 4*nNodes+3, nVars)
-	use, def := sets[:nNodes], sets[nNodes:2*nNodes]
-	liveIn, liveOut := sets[2*nNodes:3*nNodes], sets[3*nNodes:4*nNodes]
+	lv.live.Backward = true
+	lv.live.Reset(len(g.Nodes), len(p.Vars), 0)
+	escapes := lv.live.Boundary
+	for i := range p.Vars {
+		if p.Vars[i].Escapes() {
+			escapes.Add(i)
+		}
+	}
 	for id, n := range g.Nodes {
+		use, def := lv.live.Gen[id], lv.live.Kill[id]
 		if n.IVDef != il.NoVar {
-			def[id].set(int(n.IVDef))
+			def.Add(int(n.IVDef))
 		}
 		if n.Stmt == nil {
 			continue
 		}
-		lv.used = AppendUsedVars(lv.used[:0], n.Stmt)
+		var mem bool
+		lv.used, mem = appendUses(lv.used[:0], n.Stmt)
 		for _, v := range lv.used {
-			use[id].set(int(v))
+			use.Add(int(v))
+		}
+		if mem {
+			use.Or(escapes)
 		}
 		if dv := il.DefinedVar(n.Stmt); dv != il.NoVar {
-			def[id].set(int(dv))
+			def.Add(int(dv))
 		}
 	}
-	// Variables observable after return.
-	exitLive := sets[4*nNodes]
-	for i := range p.Vars {
-		v := &p.Vars[i]
-		if v.Escapes() {
-			exitLive.set(i)
-		}
-	}
-
-	// Backward worklist over postorder (successors-first), with the same
-	// reused-scratch scheme as the forward solver: no per-sweep bitset
-	// allocations, and converged regions are skipped.
-	copy(liveOut[g.Exit], exitLive)
-	copy(liveIn[g.Exit], exitLive)
-
-	order := g.RPO()
-	dirty := reuse(&lv.dirty, nNodes)
-	for i := range dirty {
-		dirty[i] = true
-	}
-	outScratch, inScratch := sets[4*nNodes+1], sets[4*nNodes+2]
-	anyDirty := true
-	for anyDirty {
-		anyDirty = false
-		for i := len(order) - 1; i >= 0; i-- {
-			id := order[i]
-			if !dirty[id] {
-				continue
-			}
-			dirty[id] = false
-			n := g.Nodes[id]
-			outScratch.clear()
-			if id == g.Exit {
-				outScratch.or(exitLive)
-			}
-			for _, s := range n.Succs {
-				outScratch.or(liveIn[s])
-			}
-			copy(inScratch, outScratch)
-			inScratch.andNot(def[id])
-			inScratch.or(use[id])
-			if !outScratch.equal(liveOut[id]) {
-				copy(liveOut[id], outScratch)
-			}
-			if !inScratch.equal(liveIn[id]) {
-				copy(liveIn[id], inScratch)
-				for _, p := range n.Preds {
-					if !dirty[p] {
-						dirty[p] = true
-						anyDirty = true
-					}
-				}
-			}
-		}
-	}
-	lv.Graph, lv.liveOut = g, liveOut
-}
-
-// ---------------------------------------------------------------- bitsets
-
-type bitset []uint64
-
-func (b bitset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
-func (b bitset) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
-
-func (b bitset) clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-// carve returns n empty bitsets of the given width, carved from one
-// backing array; *sets and *backing are reused where they are large
-// enough (see reuse). The sets are capped (three-index), so a later
-// append reallocates the grown set instead of clobbering its neighbor.
-func carve(sets *[]bitset, backing *[]uint64, n, width int) []bitset {
-	words := (width + 63) / 64
-	b, out := reuse(backing, n*words), reuse(sets, n)
-	for i := range out {
-		out[i] = bitset(b[i*words : (i+1)*words : (i+1)*words])
-	}
-	return out
-}
-
-// reuse sets *s to n zero elements, reusing its backing array when that
-// is large enough, and returns it.
-func reuse[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	} else {
-		*s = (*s)[:n]
-		clear(*s)
-	}
-	return *s
-}
-
-func (b bitset) or(o bitset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-func (b bitset) andNot(o bitset) {
-	for i := range b {
-		b[i] &^= o[i]
-	}
-}
-
-func (b bitset) equal(o bitset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
+	lv.live.Solve(g)
+	lv.Graph = g
 }

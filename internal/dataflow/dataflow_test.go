@@ -406,11 +406,12 @@ func sameSolution(got, want *Analysis, gotLV, wantLV *Liveness) string {
 		}
 	}
 	for id := range g.Nodes {
-		if !slices.Equal(got.gen[id], want.gen[id]) || !slices.Equal(got.kill[id], want.kill[id]) ||
-			!slices.Equal(got.in[id], want.in[id]) || !slices.Equal(got.out[id], want.out[id]) {
+		gr, wr := &got.rd, &want.rd
+		if !slices.Equal(gr.Gen[id], wr.Gen[id]) || !slices.Equal(gr.Kill[id], wr.Kill[id]) ||
+			!slices.Equal(gr.In[id], wr.In[id]) || !slices.Equal(gr.Out[id], wr.Out[id]) {
 			return fmt.Sprintf("gen/kill/in/out at node %d", id)
 		}
-		if !slices.Equal(gotLV.liveOut[id], wantLV.liveOut[id]) {
+		if !slices.Equal(gotLV.live.Out[id], wantLV.live.Out[id]) {
 			return fmt.Sprintf("live-out at node %d", id)
 		}
 	}

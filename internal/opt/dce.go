@@ -138,10 +138,9 @@ type copyInst struct {
 type scratch struct {
 	copies    []copyInst
 	copyIdx   map[il.Stmt]int
-	srcVars   []il.VarID // every copy's source variables
-	firstCopy []int      // per variable, 1 + the index of its first copy
-	words     []uint64   // every cpset of one copyPropOnce
-	sets      []cpset
+	srcVars   []il.VarID       // every copy's source variables
+	firstCopy []int            // per variable, 1 + the index of its first copy
+	avail     dataflow.Problem // available copies
 	marked    map[il.Stmt]bool // dead-code elimination's mark set
 	work      []il.Stmt
 }
@@ -202,39 +201,37 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 		return 0
 	}
 
-	// Every set of this call comes from one slab: killByVar, gen, kill,
-	// in and out, then clobberKill, all and the two scratch sets.
-	// killByVar[v] is the set of copies invalidated by a definition of v
-	// (v is their destination or a source operand); clobberKill is its
-	// union over the clobberable (address-taken/global/static) variables.
-	// firstCopy and next chain each variable's copies in copy-index order.
-	nCopies, nVars, nNodes := len(copies), len(p.Vars), len(g.Nodes)
-	sets := sc.carve(nVars+4*nNodes+4, nCopies)
-	killByVar, sets := sets[:nVars], sets[nVars:]
-	gen, kill := sets[:nNodes], sets[nNodes:2*nNodes]
-	in, out := sets[2*nNodes:3*nNodes], sets[3*nNodes:4*nNodes]
-	clobberKill, all := sets[4*nNodes], sets[4*nNodes+1]
-	inScratch, outScratch := sets[4*nNodes+2], sets[4*nNodes+3]
-	firstCopy := reuse(&sc.firstCopy, nVars)
-	for ci := nCopies - 1; ci >= 0; ci-- {
+	// Available copies: a forward intersection problem over copy indices,
+	// its entry boundary ∅. killByVar[v] is the set of copies invalidated
+	// by a definition of v (v is their destination or a source operand);
+	// clobberKill is its union over the clobberable (address-taken/global/
+	// static) variables. firstCopy and next chain each variable's copies
+	// in copy-index order.
+	nVars := len(p.Vars)
+	av := &sc.avail
+	av.Intersect = true
+	own := av.Reset(len(g.Nodes), len(copies), nVars+1)
+	killByVar, clobberKill := own[:nVars], own[nVars]
+	gen, kill := av.Gen, av.Kill
+	sc.firstCopy = append(sc.firstCopy[:0], make([]int, nVars)...)
+	firstCopy := sc.firstCopy
+	for ci := len(copies) - 1; ci >= 0; ci-- {
 		c := &copies[ci]
 		c.next, firstCopy[c.dst] = firstCopy[c.dst], ci+1
-		killByVar[c.dst].set(ci)
+		killByVar[c.dst].Add(ci)
 		for _, sv := range srcVars[c.lo:c.hi] {
-			killByVar[sv].set(ci)
+			killByVar[sv].Add(ci)
 		}
 	}
 	for i := range p.Vars {
 		if p.Vars[i].Escapes() {
-			clobberKill.or(killByVar[i])
+			clobberKill.Or(killByVar[i])
 		}
 	}
-
-	// gen/kill bitsets over copies.
 	for id, n := range g.Nodes {
 		if s := n.Stmt; s != nil {
 			if dv := il.DefinedVar(s); dv != il.NoVar {
-				kill[id].or(killByVar[dv])
+				kill[id].Or(killByVar[dv])
 			}
 			clobbers := false
 			switch s.(type) {
@@ -244,73 +241,29 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 				clobbers = il.IsStore(s)
 			}
 			if clobbers {
-				kill[id].or(clobberKill)
+				kill[id].Or(clobberKill)
 			}
 			if ci, ok := copyIdx[s]; ok {
 				// gen is applied after kill, so the copy survives its own
 				// destination-kill (a copy never defines its source).
-				gen[id].set(ci)
+				gen[id].Add(ci)
 			}
 		}
 		if n.IVDef != il.NoVar {
-			kill[id].or(killByVar[n.IVDef])
+			kill[id].Or(killByVar[n.IVDef])
 		}
 	}
+	av.Solve(g)
 
-	// Forward must-analysis: in[n] = ∩ out[preds]; entry = ∅. Non-entry
-	// nodes start at ⊤ (all copies); the Gauss–Seidel sweep converges to
-	// the same greatest fixpoint the map-based sets produced.
-	reach := g.Reachable()
-	for i := 0; i < nCopies; i++ {
-		all.set(i)
-	}
-	for i := 0; i < nNodes; i++ {
-		if i != g.Entry {
-			copy(in[i], all)
-			copy(out[i], all)
-		}
-	}
-	changed := true
-	for changed {
-		changed = false
-		for id, n := range g.Nodes {
-			if !reach[id] || id == g.Entry {
-				continue
-			}
-			first := true
-			for _, pr := range n.Preds {
-				if !reach[pr] {
-					continue
-				}
-				if first {
-					copy(inScratch, out[pr])
-					first = false
-				} else {
-					inScratch.and(out[pr])
-				}
-			}
-			if first {
-				inScratch.clear()
-			}
-			copy(outScratch, inScratch)
-			outScratch.andNot(kill[id])
-			outScratch.or(gen[id])
-			if !inScratch.equal(in[id]) || !outScratch.equal(out[id]) {
-				copy(in[id], inScratch)
-				copy(out[id], outScratch)
-				changed = true
-			}
-		}
-	}
-
-	// Rewrite uses with available copies.
+	// Rewrite uses with available copies. An unreachable statement has
+	// none: the solver leaves its set empty.
 	rewrites := 0
 	il.WalkStmts(p.Body, func(s il.Stmt) bool {
 		node, ok := g.NodeOf[s]
-		if !ok || !reach[node.ID] {
+		if !ok {
 			return true
 		}
-		avail := in[node.ID]
+		avail := av.In[node.ID]
 		replace := func(x il.Expr) il.Expr {
 			v, ok := x.(*il.VarRef)
 			if !ok {
@@ -319,7 +272,7 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 			// Iterate in copy-index order for determinism when several
 			// copies of the same destination are available.
 			for ci := firstCopy[v.ID] - 1; ci >= 0; ci = copies[ci].next - 1 {
-				if avail.get(ci) && copies[ci].stmt != s {
+				if avail.Has(ci) && copies[ci].stmt != s {
 					rewrites++
 					return copies[ci].src
 				}
@@ -332,67 +285,4 @@ func copyPropOnce(p *il.Proc, ac *analysis.Cache, sc *scratch) int {
 	// Only uses were replaced: every statement and definition site stayed
 	// where it was, so the reaching definitions are still exact.
 	return p.Rewrote(rewrites)
-}
-
-// cpset is a bitset over copy indices, carved from a shared slab.
-type cpset []uint64
-
-func (b cpset) set(i int)      { b[i/64] |= 1 << uint(i%64) }
-func (b cpset) get(i int) bool { return b[i/64]&(1<<uint(i%64)) != 0 }
-
-func (b cpset) or(o cpset) {
-	for i := range b {
-		b[i] |= o[i]
-	}
-}
-
-func (b cpset) and(o cpset) {
-	for i := range b {
-		b[i] &= o[i]
-	}
-}
-
-func (b cpset) andNot(o cpset) {
-	for i := range b {
-		b[i] &^= o[i]
-	}
-}
-
-func (b cpset) clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
-func (b cpset) equal(o cpset) bool {
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// carve returns n empty sets of the given width from sc's one word slab
-// (capped sub-slices, so growth cannot clobber a neighbor). The slab and
-// the set headers are reused where they are large enough.
-func (sc *scratch) carve(n, width int) []cpset {
-	words := (width + 63) / 64
-	b, sets := reuse(&sc.words, n*words), reuse(&sc.sets, n)
-	for i := range sets {
-		sets[i] = cpset(b[i*words : (i+1)*words : (i+1)*words])
-	}
-	return sets
-}
-
-// reuse sets *s to n zero elements, reusing its backing array when that
-// is large enough, and returns it.
-func reuse[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	} else {
-		*s = (*s)[:n]
-		clear(*s)
-	}
-	return *s
 }

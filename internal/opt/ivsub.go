@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/ctype"
@@ -213,7 +214,7 @@ func detectBasicIVs(p *il.Proc, loop *il.DoLoop, resolveCopies bool, em *emitter
 	for vid := range updateIdx {
 		cands = append(cands, vid)
 	}
-	sortVarIDs(cands)
+	slices.Sort(cands)
 
 	var out []basicIV
 	for _, vid := range cands {
@@ -415,15 +416,6 @@ func forwardSubstPass(p *il.Proc, loop *il.DoLoop, strict bool, em *emitter) int
 		}
 	}
 	return changed
-}
-
-// sortVarIDs sorts ascending (insertion sort; candidate lists are tiny).
-func sortVarIDs(a []il.VarID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // stmtMayDefine reports whether s (including nested statements) may define

@@ -6,6 +6,8 @@
 package opt
 
 import (
+	"slices"
+
 	"repro/internal/analysis"
 	"repro/internal/ctype"
 	"repro/internal/dataflow"
@@ -538,11 +540,7 @@ func headFacts(p *il.Proc, body, prev []il.Stmt) map[il.VarID]il.Expr {
 	for x := range env.vals {
 		keys = append(keys, x)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	rename := map[il.VarID]il.Expr{}
 	for _, x := range keys {
 		if y, ok := env.vals[x].(*il.VarRef); ok {

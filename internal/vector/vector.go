@@ -10,6 +10,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/ctype"
@@ -605,19 +606,9 @@ func tarjan(n int, adj [][]int) [][]int {
 	}
 	// Tarjan emits reverse topological order; flip it, then order the
 	// statements inside each component by source position.
-	for i, j := 0, len(sccs)-1; i < j; i, j = i+1, j-1 {
-		sccs[i], sccs[j] = sccs[j], sccs[i]
-	}
+	slices.Reverse(sccs)
 	for _, scc := range sccs {
-		sortInts(scc)
+		slices.Sort(scc)
 	}
 	return sccs
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -504,6 +504,56 @@ int main(void)
 			}
 		},
 	},
+	{
+		// A call may read any global: f reads g, so g = 1 is live across
+		// the first call even though g = 2 redefines it before any direct
+		// use. Dead-code elimination deleted it and out became 2, not 12.
+		name: "dce-global-read-by-callee",
+		src: `
+int g, out;
+
+void f(void)
+{
+	out = out * 10 + g;
+}
+
+int main(void)
+{
+	g = 1;
+	f();
+	g = 2;
+	f();
+	return out;
+}
+`,
+		opts: []driver.Options{driver.ScalarOptions(), driver.FullOptions()},
+	},
+	{
+		// A load through a pointer may read any address-taken or global
+		// variable: *q reads g = 3 before g = 4 redefines it. Dead-code
+		// elimination deleted g = 3 and main returned 4, not 34.
+		name: "dce-escaping-read-through-pointer",
+		src: `
+int g;
+int *q;
+
+void init(void)
+{
+	q = &g;
+}
+
+int main(void)
+{
+	int s;
+	init();
+	g = 3;
+	s = *q;
+	g = 4;
+	return s * 10 + *q;
+}
+`,
+		opts: []driver.Options{driver.ScalarOptions(), driver.FullOptions()},
+	},
 }
 
 // TestVectorInexactOperatorsStaySerial holds the integer operators with no
